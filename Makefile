@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos docs-check bench-transport bench bench-store bench-load bench-cache bench-fp bench-compare
+.PHONY: tier1 build vet test race chaos docs-check bench-smoke bench-transport bench bench-store bench-load bench-cache bench-fp bench-compare
 
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, plus race-enabled runs of the concurrency-heavy packages (the
 # live protocol stack and the pooled transport), the fault-injection
-# chaos suite, and the documentation checks. test/race/chaos depend on
-# vet so a vet failure stops the gate before any tests burn time.
-tier1: build vet test race chaos docs-check
+# chaos suite, the documentation checks, and the canonical benchmark's own
+# module (which `./...` at the root does not reach). test/race/chaos depend
+# on vet so a vet failure stops the gate before any tests burn time.
+tier1: build vet test race chaos docs-check bench-smoke
 
 build:
 	$(GO) build ./...
@@ -34,10 +35,22 @@ chaos: vet
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# bench-transport compares the pooled+batched comms hot path against the
-# legacy dial-per-call / push-per-replica baseline (see EXPERIMENTS.md).
+# bench-smoke vets and tests the nested bench module and runs every
+# canonical workload end to end on 8-server federations with 1 s windows: a
+# transport, wire or client change is exactly what can break the
+# benchmark's probe wrapper, and `go test ./...` at the root skips it.
+bench-smoke:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./... && bash bench/run.sh -smoke
+
+# bench-transport runs the RPC hot path's microbenchmarks — one TCP round
+# trip (pooled vs the legacy dial-per-call baseline, serial and parallel,
+# with allocations and writes per call), batched vs per-replica pushes, the
+# result-cache key and the query-reply decode — and archives them as
+# BENCH_pr14.json via cmd/benchjson (see EXPERIMENTS.md).
+BENCHTRANSPORT ?= BENCH_pr14.json
 bench-transport:
-	$(GO) test -bench 'BenchmarkTCPCall|BenchmarkPushReplicas' -benchmem -run '^$$' ./internal/transport/ ./internal/live/
+	$(GO) test -bench 'BenchmarkTCPCall|BenchmarkPushReplicas|BenchmarkCacheKey|BenchmarkDecodeQueryReply' -benchmem -run '^$$' ./internal/transport/ ./internal/live/ ./internal/wire/ \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHTRANSPORT)
 
 # bench runs the query-hot-path, wire-codec, aggregation-tick, and
 # sharded-store benchmarks — each carries its own before/after baseline as

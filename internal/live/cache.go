@@ -2,10 +2,9 @@ package live
 
 import (
 	"container/list"
+	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +39,7 @@ type cacheDep struct {
 // is still exactly what a fresh evaluation would produce.
 type cacheEntry struct {
 	key   string
-	reply *wire.QueryReply // shared, never mutated; hits shallow-copy
+	reply wire.QueryReply // never mutated; hits get a shallow copy
 	size  int64
 
 	// Local dependencies, revalidated against live state on every hit:
@@ -105,32 +104,73 @@ func newResultCache(budget int64) *resultCache {
 	}
 }
 
-// cacheKey normalizes a query into its cache identity: the requester (owner
-// views differ per requester), scope and start flag, and the predicate set
-// sorted into canonical order so textually reordered conjunctions share one
-// entry. The query ID is deliberately excluded — replies do not echo it.
-func cacheKey(requester string, scope int, start bool, preds []query.Predicate) string {
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.String()
-	}
-	sort.Strings(parts)
-	n := len(requester) + 16
-	for _, p := range parts {
-		n += len(p) + 1
-	}
-	b := make([]byte, 0, n)
+// appendCacheKey appends a query's cache identity to b: the requester
+// (owner views differ per requester), scope and start flag, and the
+// predicate set in canonical order so textually reordered conjunctions
+// share one entry. Every field goes in exactly — strings length-prefixed,
+// range bounds as their float bits — so two queries share a key only when
+// they are the same query; a rendering of the bounds would merge ranges
+// that differ past its precision and serve one the other's answer. The
+// query ID is deliberately excluded — replies do not echo it.
+func appendCacheKey(b []byte, requester string, scope int, start bool, preds []query.Predicate) []byte {
+	b = binary.AppendUvarint(b, uint64(len(requester)))
 	b = append(b, requester...)
-	b = append(b, 0x1f)
-	b = strconv.AppendInt(b, int64(scope), 10)
+	b = binary.AppendVarint(b, int64(scope))
 	if start {
-		b = append(b, '+')
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	for _, p := range parts {
-		b = append(b, 0x1f)
-		b = append(b, p...)
+	// Insertion sort over indexes: queries have a handful of predicates,
+	// and this keeps the whole key off the heap.
+	var orderBuf [8]int
+	order := orderBuf[:0]
+	if len(preds) > len(orderBuf) {
+		order = make([]int, 0, len(preds))
 	}
-	return string(b)
+	for i := range preds {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && predLess(&preds[i], &preds[order[j-1]]); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for _, i := range order {
+		p := &preds[i]
+		b = binary.AppendUvarint(b, uint64(len(p.Attr)))
+		b = append(b, p.Attr...)
+		b = append(b, byte(p.Op))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
+		b = binary.AppendUvarint(b, uint64(len(p.Str)))
+		b = append(b, p.Str...)
+	}
+	return b
+}
+
+// predLess is the canonical predicate order of cache keys.
+func predLess(a, b *query.Predicate) bool {
+	if a.Attr != b.Attr {
+		return a.Attr < b.Attr
+	}
+	if a.Op != b.Op {
+		return a.Op < b.Op
+	}
+	if la, lb := math.Float64bits(a.Lo), math.Float64bits(b.Lo); la != lb {
+		return la < lb
+	}
+	if ha, hb := math.Float64bits(a.Hi), math.Float64bits(b.Hi); ha != hb {
+		return ha < hb
+	}
+	return a.Str < b.Str
+}
+
+// cacheKey is the server result cache's key for a query; built in a stack
+// buffer, it costs the one allocation of the returned string.
+func cacheKey(requester string, scope int, start bool, preds []query.Predicate) string {
+	var buf [256]byte
+	return string(appendCacheKey(buf[:0], requester, scope, start, preds))
 }
 
 // replySize estimates a reply's resident bytes for the LRU budget.
@@ -159,20 +199,20 @@ func replySize(key string, rep *wire.QueryReply) int64 {
 // matched: a branch that changed while still not matching the query leaves
 // the answer untouched, so the entry survives with the dep refreshed — this
 // is what keeps invalidation exact instead of key-wide.
-func (rc *resultCache) lookup(s *Server, snap *routingSnapshot, key string, q *query.Query) (*wire.QueryReply, time.Duration, bool) {
+func (rc *resultCache) lookup(s *Server, snap *routingSnapshot, key string, q *query.Query) (wire.QueryReply, time.Duration, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	el, ok := rc.entries[key]
 	if !ok {
 		rc.misses.Add(1)
-		return nil, 0, false
+		return wire.QueryReply{}, 0, false
 	}
 	e := el.Value.(*cacheEntry)
 	if !rc.validLocked(s, snap, e, q) {
 		rc.removeLocked(el)
 		rc.invalidations.Add(1)
 		rc.misses.Add(1)
-		return nil, 0, false
+		return wire.QueryReply{}, 0, false
 	}
 	rc.lru.MoveToFront(el)
 	e.hits++
@@ -393,8 +433,8 @@ func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
 // coarseReply builds the wire-v5 degraded answer admission control and
 // budget shedding return instead of an error: no records or redirects, just
 // the summary-derived match estimate for the whole branch.
-func (s *Server) coarseReply(snap *routingSnapshot, q *query.Query) *wire.QueryReply {
-	rep := &wire.QueryReply{Coarse: true}
+func (s *Server) coarseReply(snap *routingSnapshot, q *query.Query) wire.QueryReply {
+	rep := wire.QueryReply{Coarse: true}
 	if snap.branchSummary != nil {
 		est := q.EstimateMatches(snap.branchSummary)
 		if !math.IsNaN(est) && !math.IsInf(est, 0) {

@@ -283,6 +283,11 @@ func TestCachedAnswersMatchFreshUnderChurn(t *testing.T) {
 		lo := rng.Float64() * 220
 		queries = append(queries, queryMsg(fmt.Sprintf("q%d", i), "tester", lo, lo+20+rng.Float64()*80))
 	}
+	// Two ranges that differ only past three significant digits, around a
+	// root-owner record at exactly 205: each must get its own answer.
+	queries = append(queries,
+		queryMsg("near-with", "tester", 100.4, 205.0004),
+		queryMsg("near-sans", "tester", 100.4, 204.9996))
 	fresh := func(m *wire.Message) []byte {
 		tm := &wire.Message{Kind: m.Kind, From: m.From, Query: &wire.QueryDTO{}}
 		*tm.Query = *m.Query

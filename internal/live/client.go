@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,8 +22,8 @@ import (
 const DefaultClientCacheBytes = 1 << 20
 
 // Client resolves queries against a live ROADS deployment by following
-// redirects, querying redirect targets concurrently — one goroutine per
-// outstanding server contact, exactly the fan-out the overlay enables.
+// redirects, querying redirect targets concurrently — up to MaxConcurrent
+// contacts at once, exactly the fan-out the overlay enables.
 // Each contact is bounded by Timeout, retried with exponential backoff,
 // and — when it stays unreachable — failed over to alternate replica
 // holders of the same branch, so a crashed or partitioned server costs
@@ -198,6 +199,24 @@ func (c *Client) ResolveScoped(startAddr string, q *query.Query, scope int) ([]*
 	return c.ResolveScopedContext(context.Background(), startAddr, q, scope)
 }
 
+// How a contact was discovered (HopTrace.Kind).
+const (
+	hopStart    = "start"
+	hopRedirect = "redirect"
+	hopFailover = "failover"
+)
+
+// batch is the contacts one reply added to a resolve: the servers it named
+// that no earlier reply had, and how they were discovered. rds is the
+// reply's own slice, filtered in place — a decoded reply belongs to the
+// resolve that asked for it — so queueing a contact copies nothing.
+type batch struct {
+	rds  []wire.RedirectInfo // not yet started
+	kind string
+	via  string
+	path []string
+}
+
 // target is one server contact the resolve owes: where, how many records
 // its region covers (0 = unknown), and who can stand in for it. The trace
 // fields (kind, via, path) ride along only so traced resolves can label
@@ -223,6 +242,51 @@ func extendPath(path []string, next string) []string {
 	return append(out, next)
 }
 
+// recKey identifies a record for deduplication across replies.
+type recKey struct{ owner, id string }
+
+// resolve is the state of one ResolveScopedContext call. Contacts owed sit
+// in a queue that at most maxPar workers drain — the caller's goroutine is
+// the first — so a resolve costs a goroutine per unit of parallelism it
+// actually reaches, not one per contact. Everything below mu is shared by
+// the workers.
+type resolve struct {
+	c       *Client
+	ctx     context.Context
+	q       *query.Query
+	scope   int
+	timeout time.Duration
+	retries int
+	maxPar  int
+	// The client-cache entry for this (entry address, query), captured up
+	// front so a NotModified answer always has the records it vouches for.
+	cachedRecs []*record.Record
+	cachedFP   uint64
+
+	wg sync.WaitGroup
+	mu sync.Mutex
+	// queue holds the batches with contacts not yet started, queued their
+	// total; workers counts the goroutines draining them and inflight those
+	// inside a contact.
+	queue    []batch
+	queued   int
+	workers  int
+	inflight int
+	entry    [1]wire.RedirectInfo // the start batch's backing
+	visited  map[string]bool
+	records  []*record.Record
+	seenRec  map[recKey]bool
+	firstEr  error
+	// Coverage accounting: known sums the record estimates of every
+	// discovered redirect region, reached those whose target (or a
+	// stand-in alternate) answered.
+	known, reached uint64
+	// startFP is the fingerprint the entry server stamped on its full
+	// answer; the resolve's record set is cached under it at the end.
+	startFP uint64
+	stats   QueryStats
+}
+
 // ResolveScopedContext is ResolveScoped bounded by ctx. Every server
 // contact gets at most min(Timeout, remaining deadline); failed contacts
 // are retried with backoff and then failed over to the alternate replica
@@ -230,246 +294,272 @@ func extendPath(path []string, next string) []string {
 // or partitioned servers instead of silently dropping their subtrees.
 func (c *Client) ResolveScopedContext(ctx context.Context, startAddr string, q *query.Query, scope int) ([]*record.Record, QueryStats, error) {
 	begin := time.Now()
-	stats := QueryStats{Coverage: 1}
-	if c.Trace {
-		stats.TraceID = c.newTraceID()
-	}
 	q = q.Clone()
 	q.Requester = c.Requester
-
-	maxPar := c.MaxConcurrent
-	if maxPar <= 0 {
-		maxPar = 16
+	r := &resolve{
+		c:       c,
+		ctx:     ctx,
+		q:       q,
+		scope:   scope,
+		timeout: c.Timeout,
+		retries: c.Retries,
+		maxPar:  c.MaxConcurrent,
+		visited: map[string]bool{startAddr: true},
+		stats:   QueryStats{Coverage: 1},
 	}
-	sem := make(chan struct{}, maxPar)
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = wire.Deadline
+	if c.Trace {
+		r.stats.TraceID = c.newTraceID()
 	}
-	retries := c.Retries
-	if retries < 0 {
-		retries = 0
+	if r.maxPar <= 0 {
+		r.maxPar = 16
 	}
-
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		visited = make(map[string]bool)
-		records []*record.Record
-		seenRec = make(map[string]bool)
-		firstEr error
-		// Coverage accounting: known sums the record estimates of every
-		// discovered redirect region, reached those whose target (or a
-		// stand-in alternate) answered.
-		known, reached uint64
-		// startFP is the fingerprint the entry server stamped on its full
-		// answer; the resolve's record set is cached under it at the end.
-		startFP uint64
-	)
-
-	// Client cache: the cached record set and fingerprint for this exact
-	// (entry address, normalized query) pair, captured up front so a
-	// NotModified answer always has the records it vouches for.
+	if r.timeout <= 0 {
+		r.timeout = wire.Deadline
+	}
+	if r.retries < 0 {
+		r.retries = 0
+	}
 	var ckey string
-	var cachedRecs []*record.Record
-	var cachedFP uint64
 	if c.CacheResults {
-		ckey = startAddr + "\x00" + cacheKey(c.Requester, scope, true, q.Preds)
-		cachedRecs, cachedFP = c.cacheGet(ckey)
+		var buf [256]byte
+		kb := append(append(buf[:0], startAddr...), 0)
+		ckey = string(appendCacheKey(kb, c.Requester, scope, true, q.Preds))
+		r.cachedRecs, r.cachedFP = c.cacheGet(ckey)
 	}
 
-	var contact func(t target, start bool)
-	contact = func(t target, start bool) {
-		defer wg.Done()
-		sem <- struct{}{}
-		dto := wire.FromQuery(q, start)
-		dto.Scope = scope
-		if c.Trace {
-			dto.Trace = true
-			dto.TraceID = stats.TraceID
-			dto.Path = t.path
-		}
-		if !c.isDowngraded(t.addr) {
-			// Optimistic wire-v5 fields; a peer that rejects them is
-			// remembered and re-contacted pre-v5.
-			dto.Priority = c.Priority
-			if start && c.CacheResults {
-				dto.WantFingerprint = true
-				dto.CacheFingerprint = cachedFP
-			}
-		}
-		var rep *wire.Message
-		var err error
-		var attempts int
-		var lastRTT time.Duration
-		for attempt := 0; ; attempt++ {
-			attempts = attempt + 1
-			cctx, cancel := context.WithTimeout(ctx, timeout)
-			// The budget the server sees is this contact's real deadline —
-			// the per-contact timeout clipped by the overall resolve
-			// deadline — so it can shed work the client has abandoned.
-			if dl, ok := cctx.Deadline(); ok {
-				dto.Budget = time.Until(dl)
-			}
-			sent := time.Now()
-			rep, err = c.tr.CallContext(cctx, t.addr, &wire.Message{
-				Kind:  wire.KindQuery,
-				From:  c.Requester,
-				Query: dto,
-			})
-			lastRTT = time.Since(sent)
-			cancel()
-			if err == nil {
-				err = wire.RemoteError(rep)
-			}
-			if err == nil && rep.QueryRep == nil {
-				err = fmt.Errorf("live: %s returned %v to a query", rep.From, rep.Kind)
-			}
-			if err != nil && isV5Reject(err) &&
-				(dto.Priority != 0 || dto.WantFingerprint || dto.CacheFingerprint != 0) {
-				// The peer cannot decode wire v5: remember it and re-send
-				// this contact pre-v5 immediately (not charged as a retry).
-				c.markDowngraded(t.addr)
-				dto.Priority, dto.WantFingerprint, dto.CacheFingerprint = 0, false, 0
-				attempt--
-				continue
-			}
-			if err == nil || attempt >= retries || ctx.Err() != nil {
-				break
-			}
-			mu.Lock()
-			stats.Retried++
-			mu.Unlock()
-			if !c.backoff(ctx, attempt) {
-				break
-			}
-		}
-		<-sem
-		mu.Lock()
-		defer mu.Unlock()
-		var hop *HopTrace
-		if c.Trace {
-			stats.Hops = append(stats.Hops, HopTrace{
-				Kind:     t.kind,
-				Addr:     t.addr,
-				Via:      t.via,
-				Path:     t.path,
-				Attempts: attempts,
-				RTT:      lastRTT,
-			})
-			hop = &stats.Hops[len(stats.Hops)-1]
-		}
-		if err != nil {
-			if hop != nil {
-				hop.Err = err.Error()
-			}
-			if firstEr == nil {
-				firstEr = err
-			}
-			stats.Failed++
-			stats.Errors = append(stats.Errors, fmt.Sprintf("%s: %v", t.addr, err))
-			// Fail over: the redirecting server named other holders of
-			// this branch (the target's children); contacting them keeps
-			// the subtree covered minus only the target's own local data.
-			spawned := false
-			for _, alt := range t.alternates {
-				if visited[alt.Addr] {
-					continue
-				}
-				visited[alt.Addr] = true
-				spawned = true
-				wg.Add(1)
-				go contact(target{
-					addr: alt.Addr, records: alt.Records, alternates: alt.Alternates,
-					kind: "failover", via: t.via, path: t.path,
-				}, false)
-			}
-			if spawned {
-				stats.FailedOver++
-			}
-			return
-		}
-		if hop != nil {
-			hop.ServerID = rep.From
-			hop.Records = len(rep.QueryRep.Records)
-			hop.Redirects = len(rep.QueryRep.Redirects)
-			hop.Info = rep.QueryRep.Trace
-		}
-		stats.Contacted++
-		stats.Servers = append(stats.Servers, rep.From)
-		reached += t.records
-		if rep.QueryRep.NotModified {
-			// The entry server confirmed the cached fingerprint: the
-			// cached record set is current and there is nothing to
-			// descend into.
-			stats.CacheHit = true
-			for _, r := range cachedRecs {
-				key := r.Owner + "/" + r.ID
-				if !seenRec[key] {
-					seenRec[key] = true
-					records = append(records, r)
-				}
-			}
-			return
-		}
-		if rep.QueryRep.Coarse {
-			// Degraded summary-only answer: the server shed the
-			// evaluation but vouches for roughly this many matches.
-			stats.Coarse++
-			stats.CoarseEstimate += rep.QueryRep.CoarseEstimate
-			return
-		}
-		if start && rep.QueryRep.Fingerprint != 0 {
-			startFP = rep.QueryRep.Fingerprint
-		}
-		for _, dto := range rep.QueryRep.Records {
-			key := dto.Owner + "/" + dto.ID
-			if !seenRec[key] {
-				seenRec[key] = true
-				records = append(records, &record.Record{ID: dto.ID, Owner: dto.Owner, Values: dto.Values})
-			}
-		}
-		nextPath := t.path
-		if c.Trace {
-			nextPath = extendPath(t.path, rep.From)
-		}
-		for _, rd := range rep.QueryRep.Redirects {
-			if visited[rd.Addr] {
-				continue
-			}
-			visited[rd.Addr] = true
-			known += rd.Records
-			wg.Add(1)
-			go contact(target{
-				addr: rd.Addr, records: rd.Records, alternates: rd.Alternates,
-				kind: "redirect", via: rep.From, path: nextPath,
-			}, false)
-		}
-	}
+	r.entry[0].Addr = startAddr
+	r.queue, r.queued = append(r.queue, batch{rds: r.entry[:], kind: hopStart}), 1
+	r.workers = 1
+	r.drain()
+	r.wg.Wait()
 
-	visited[startAddr] = true
-	wg.Add(1)
-	go contact(target{addr: startAddr, kind: "start"}, true)
-	wg.Wait()
-
+	stats := r.stats
 	stats.Elapsed = time.Since(begin)
-	if known > 0 {
-		stats.Coverage = float64(reached) / float64(known)
+	if r.known > 0 {
+		stats.Coverage = float64(r.reached) / float64(r.known)
 		if stats.Coverage > 1 {
 			stats.Coverage = 1 // alternates can over-count a region
 		}
 	}
-	if firstEr != nil && stats.Contacted == 0 {
-		return nil, stats, firstEr
+	if r.firstEr != nil && stats.Contacted == 0 {
+		return nil, stats, r.firstEr
 	}
-	if c.CacheResults && !stats.CacheHit && startFP != 0 &&
+	if c.CacheResults && !stats.CacheHit && r.startFP != 0 &&
 		stats.Failed == 0 && stats.Coarse == 0 {
 		// Cache only complete resolves: a partial or degraded answer
 		// replayed through NotModified would pin its gaps until the
 		// fingerprint happens to move.
-		c.cacheStore(ckey, records, startFP)
+		c.cacheStore(ckey, r.records, r.startFP)
 	}
-	return records, stats, nil
+	return r.records, stats, nil
+}
+
+// drain runs queued contacts until none is left. A worker that finds the
+// queue empty exits; absorbing a reply starts new ones as needed.
+func (r *resolve) drain() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.queued > 0 {
+		b := &r.queue[0]
+		rd := &b.rds[0]
+		t := target{
+			addr: rd.Addr, records: rd.Records, alternates: rd.Alternates,
+			kind: b.kind, via: b.via, path: b.path,
+		}
+		if b.rds = b.rds[1:]; len(b.rds) == 0 {
+			r.queue = append(r.queue[:0], r.queue[1:]...) // a handful of batches at most
+		}
+		r.queued--
+		r.inflight++
+		r.mu.Unlock()
+		rep, attempts, rtt, err := r.call(t)
+		r.mu.Lock()
+		r.inflight--
+		r.absorb(t, rep, attempts, rtt, err)
+	}
+	r.workers--
+}
+
+// enqueueLocked queues the servers of b.rds that the resolve has not
+// visited yet and starts workers for those no existing worker is about to
+// take: each worker between contacts (the caller among them) takes one
+// when it loops, and maxPar bounds the total. It returns how many servers
+// it queued and their record estimates. Callers hold r.mu.
+func (r *resolve) enqueueLocked(b batch) (n int, records uint64) {
+	fresh := b.rds[:0]
+	for _, rd := range b.rds {
+		if !r.visited[rd.Addr] {
+			r.visited[rd.Addr] = true
+			records += rd.Records
+			fresh = append(fresh, rd)
+		}
+	}
+	if len(fresh) == 0 {
+		return 0, 0
+	}
+	b.rds = fresh
+	r.queue = append(r.queue, b)
+	r.queued += len(fresh)
+	for r.workers < r.maxPar && r.workers-r.inflight < r.queued {
+		r.workers++
+		r.wg.Add(1)
+		go r.worker()
+	}
+	return len(fresh), records
+}
+
+func (r *resolve) worker() {
+	defer r.wg.Done()
+	r.drain()
+}
+
+// call makes one contact: the query to t with this contact's budget,
+// retried with backoff, and re-sent pre-v5 to a peer that rejects wire v5.
+// It returns the final reply or error, the attempts burned and the last
+// attempt's round-trip time.
+func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.Duration, err error) {
+	c := r.c
+	start := t.kind == hopStart
+	dto := wire.FromQuery(r.q, start)
+	dto.Scope = r.scope
+	if c.Trace {
+		dto.Trace = true
+		dto.TraceID = r.stats.TraceID
+		dto.Path = t.path
+	}
+	if !c.isDowngraded(t.addr) {
+		// Optimistic wire-v5 fields; a peer that rejects them is
+		// remembered and re-contacted pre-v5.
+		dto.Priority = c.Priority
+		if start && c.CacheResults {
+			dto.WantFingerprint = true
+			dto.CacheFingerprint = r.cachedFP
+		}
+	}
+	req := &wire.Message{Kind: wire.KindQuery, From: c.Requester, Query: dto}
+	for attempt := 0; ; attempt++ {
+		attempts = attempt + 1
+		cctx, cancel := context.WithTimeout(r.ctx, r.timeout)
+		// The budget the server sees is this contact's real deadline —
+		// the per-contact timeout clipped by the overall resolve
+		// deadline — so it can shed work the client has abandoned.
+		if dl, ok := cctx.Deadline(); ok {
+			dto.Budget = time.Until(dl)
+		}
+		sent := time.Now()
+		rep, err = c.tr.CallContext(cctx, t.addr, req)
+		lastRTT = time.Since(sent)
+		cancel()
+		if err == nil {
+			err = wire.RemoteError(rep)
+		}
+		if err == nil && rep.QueryRep == nil {
+			err = fmt.Errorf("live: %s returned %v to a query", rep.From, rep.Kind)
+		}
+		if err != nil && isV5Reject(err) &&
+			(dto.Priority != 0 || dto.WantFingerprint || dto.CacheFingerprint != 0) {
+			// The peer cannot decode wire v5: remember it and re-send
+			// this contact pre-v5 immediately (not charged as a retry).
+			c.markDowngraded(t.addr)
+			dto.Priority, dto.WantFingerprint, dto.CacheFingerprint = 0, false, 0
+			attempt--
+			continue
+		}
+		if err == nil || attempt >= r.retries || r.ctx.Err() != nil {
+			return rep, attempts, lastRTT, err
+		}
+		r.mu.Lock()
+		r.stats.Retried++
+		r.mu.Unlock()
+		if !c.backoff(r.ctx, attempt) {
+			return rep, attempts, lastRTT, err
+		}
+	}
+}
+
+// absorb folds one finished contact into the resolve: its records, the
+// contacts its redirects (or, on failure, its alternates) add to the queue,
+// and the stats. Callers hold r.mu.
+func (r *resolve) absorb(t target, rep *wire.Message, attempts int, lastRTT time.Duration, err error) {
+	c, stats := r.c, &r.stats
+	var hop *HopTrace
+	if c.Trace {
+		stats.Hops = append(stats.Hops, HopTrace{
+			Kind:     t.kind,
+			Addr:     t.addr,
+			Via:      t.via,
+			Path:     t.path,
+			Attempts: attempts,
+			RTT:      lastRTT,
+		})
+		hop = &stats.Hops[len(stats.Hops)-1]
+	}
+	if err != nil {
+		if hop != nil {
+			hop.Err = err.Error()
+		}
+		if r.firstEr == nil {
+			r.firstEr = err
+		}
+		stats.Failed++
+		stats.Errors = append(stats.Errors, fmt.Sprintf("%s: %v", t.addr, err))
+		// Fail over: the redirecting server named other holders of
+		// this branch (the target's children); contacting them keeps
+		// the subtree covered minus only the target's own local data.
+		if n, _ := r.enqueueLocked(batch{rds: t.alternates, kind: hopFailover, via: t.via, path: t.path}); n > 0 {
+			stats.FailedOver++
+		}
+		return
+	}
+	qr := rep.QueryRep
+	if hop != nil {
+		hop.ServerID = rep.From
+		hop.Records = len(qr.Records)
+		hop.Redirects = len(qr.Redirects)
+		hop.Info = qr.Trace
+	}
+	stats.Contacted++
+	stats.Servers = append(stats.Servers, rep.From)
+	r.reached += t.records
+	if qr.NotModified {
+		// The entry server confirmed the cached fingerprint: the cached
+		// record set is current and there is nothing to descend into.
+		// Only the entry server is asked, and it is the first contact,
+		// so that set — deduplicated when it was stored — is the answer.
+		stats.CacheHit = true
+		r.records = append(r.records, r.cachedRecs...)
+		return
+	}
+	if qr.Coarse {
+		// Degraded summary-only answer: the server shed the
+		// evaluation but vouches for roughly this many matches.
+		stats.Coarse++
+		stats.CoarseEstimate += qr.CoarseEstimate
+		return
+	}
+	if t.kind == hopStart && qr.Fingerprint != 0 {
+		r.startFP = qr.Fingerprint
+	}
+	// One slab holds the reply's records; duplicates are rare enough that
+	// the slots they leave unused do not matter.
+	recs := make([]record.Record, 0, len(qr.Records))
+	r.records = slices.Grow(r.records, len(qr.Records))
+	if r.seenRec == nil && len(qr.Records) > 0 {
+		r.seenRec = make(map[recKey]bool, len(qr.Records))
+	}
+	for _, dto := range qr.Records {
+		if key := (recKey{dto.Owner, dto.ID}); !r.seenRec[key] {
+			r.seenRec[key] = true
+			recs = append(recs, record.Record{ID: dto.ID, Owner: dto.Owner, Values: dto.Values})
+			r.records = append(r.records, &recs[len(recs)-1])
+		}
+	}
+	nextPath := t.path
+	if c.Trace {
+		nextPath = extendPath(t.path, rep.From)
+	}
+	_, records := r.enqueueLocked(batch{rds: qr.Redirects, kind: hopRedirect, via: rep.From, path: nextPath})
+	r.known += records
 }
 
 // isV5Reject reports whether the error is a peer rejecting a wire-v5

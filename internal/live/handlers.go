@@ -461,8 +461,10 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if err := q.Bind(s.cfg.Schema); err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
 	}
-	wrap := func(rep *wire.QueryReply) *wire.Message {
-		return &wire.Message{Kind: wire.KindQueryReply, From: s.cfg.ID, Addr: s.cfg.Addr, QueryRep: rep}
+	wrap := func(rep wire.QueryReply) *wire.Message {
+		out, payload := s.newQueryReply()
+		*payload = rep
+		return out
 	}
 
 	// Admission first, before any evaluation work: an over-budget
@@ -508,7 +510,7 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 			s.mx.notModified.Inc()
 			s.mx.queries.Inc()
 			s.mx.evalLatency.Observe(time.Since(began))
-			return wrap(&wire.QueryReply{NotModified: true, Fingerprint: fp})
+			return wrap(wire.QueryReply{NotModified: true, Fingerprint: fp})
 		}
 	}
 
@@ -521,8 +523,8 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	var key string
 	if caching {
 		key = cacheKey(msg.Query.Requester, msg.Query.Scope, msg.Query.Start, msg.Query.Preds)
-		if cached, age, ok := s.resultCache.lookup(s, snap, key, q); ok {
-			rep := *cached // shallow copy: the shared entry is never mutated
+		if rep, age, ok := s.resultCache.lookup(s, snap, key, q); ok {
+			// rep is a shallow copy: the shared entry is never mutated.
 			if msg.Query.WantFingerprint {
 				rep.Fingerprint = fp
 			}
@@ -531,11 +533,11 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 			s.mx.redirects.Add(uint64(len(rep.Redirects)))
 			s.mx.evalLatency.Observe(time.Since(began))
 			s.noteFPDescent(msg.Query, &rep)
-			return wrap(&rep)
+			return wrap(rep)
 		}
 	}
 
-	reply := &wire.QueryReply{}
+	out, reply := s.newQueryReply()
 	// Trace collection is opt-in per query; the untraced hot path never
 	// touches these.
 	var matchedChildren, matchedReplicas []string
@@ -555,7 +557,7 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
 	}
-	reply.Records = append(reply.Records, wire.FromRecords(sres.Records)...)
+	reply.Records = wire.AppendRecords(reply.Records, sres.Records)
 	if overBudget() {
 		return shed()
 	}
@@ -570,7 +572,7 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 		if err != nil {
 			return wire.ErrorMessage(s.cfg.ID, err)
 		}
-		reply.Records = append(reply.Records, wire.FromRecords(ans)...)
+		reply.Records = wire.AppendRecords(reply.Records, ans)
 		if overBudget() {
 			return shed()
 		}
@@ -584,7 +586,12 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	// dies exactly when a decision could flip.
 	var childDeps, replicaDeps []cacheDep
 	if caching {
-		childDeps = make([]cacheDep, len(snap.children))
+		nc, n := len(snap.children), len(snap.children)
+		if msg.Query.Start {
+			n += len(snap.replicas)
+		}
+		deps := make([]cacheDep, n)
+		childDeps, replicaDeps = deps[:nc:nc], deps[nc:]
 	}
 	for i, c := range snap.children {
 		matched := c.branch != nil && q.MatchSummary(c.branch)
@@ -599,9 +606,6 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 		}
 	}
 	if msg.Query.Start {
-		if caching {
-			replicaDeps = make([]cacheDep, len(snap.replicas))
-		}
 		for i, r := range snap.replicas {
 			inScope := msg.Query.Scope < 0 || r.level <= msg.Query.Scope
 			matched := false
@@ -632,14 +636,13 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 		}
 	}
 	if caching {
-		// Cache a fingerprint-free shallow copy: fingerprints are
-		// per-request (WantFingerprint), not part of the shared answer.
-		cached := *reply
-		cached.Fingerprint = 0
+		// The entry holds a shallow copy taken before the fingerprint goes
+		// in: fingerprints are per-request (WantFingerprint), not part of
+		// the shared answer.
 		s.resultCache.insert(&cacheEntry{
 			key:        key,
-			reply:      &cached,
-			size:       replySize(key, &cached),
+			reply:      *reply,
+			size:       replySize(key, reply),
 			storeEpoch: storeEpoch,
 			ownerDeps:  ownerDeps,
 			children:   childDeps,
@@ -656,7 +659,18 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	s.mx.redirects.Add(uint64(len(reply.Redirects)))
 	s.mx.evalLatency.Observe(time.Since(began))
 	s.noteFPDescent(msg.Query, reply)
-	return wrap(reply)
+	return out
+}
+
+// newQueryReply returns a query reply message from this server and its
+// still empty payload, allocated as one object.
+func (s *Server) newQueryReply() (*wire.Message, *wire.QueryReply) {
+	x := &struct {
+		wire.Message
+		rep wire.QueryReply
+	}{}
+	x.Message = wire.Message{Kind: wire.KindQueryReply, From: s.cfg.ID, Addr: s.cfg.Addr, QueryRep: &x.rep}
+	return &x.Message, &x.rep
 }
 
 // handleQueryLegacy is the pre-snapshot query path: every routing lookup
@@ -685,7 +699,7 @@ func (s *Server) handleQueryLegacy(msg *wire.Message) *wire.Message {
 	if err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
 	}
-	reply.Records = append(reply.Records, wire.FromRecords(sres.Records)...)
+	reply.Records = wire.AppendRecords(reply.Records, sres.Records)
 	if overBudget() {
 		return shed()
 	}
@@ -700,7 +714,7 @@ func (s *Server) handleQueryLegacy(msg *wire.Message) *wire.Message {
 		if err != nil {
 			return wire.ErrorMessage(s.cfg.ID, err)
 		}
-		reply.Records = append(reply.Records, wire.FromRecords(ans)...)
+		reply.Records = wire.AppendRecords(reply.Records, ans)
 		if overBudget() {
 			return shed()
 		}

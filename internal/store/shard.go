@@ -249,21 +249,27 @@ func (sh *shard) rebuildByIDLocked() {
 	sh.byID = m
 }
 
-// ensureIndexes rebuilds indexes if a removal/update/replace dirtied them.
-// It upgrades to the write lock only when needed; appends never dirty
-// already-built indexes (they extend in place).
-func (sh *shard) ensureIndexes() {
+// search runs the query against the shard with indexes that describe the
+// record slice it walks: the dirty check and the search happen under one
+// lock hold. A removal/update/replace dirtied them (appends never do; they
+// extend built indexes in place), so the search that finds them dirty
+// rebuilds and searches under the write lock; checking under one lock and
+// searching under another would let a mutation shrink the slice in between
+// and leave the search walking stale positions.
+func (sh *shard) search(q *query.Query, res *Result) {
 	sh.mu.RLock()
-	dirty := sh.dirty
-	sh.mu.RUnlock()
-	if !dirty {
+	if !sh.dirty {
+		sh.searchLocked(q, res)
+		sh.mu.RUnlock()
 		return
 	}
+	sh.mu.RUnlock()
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.dirty {
 		sh.rebuildIndexesLocked()
 	}
-	sh.mu.Unlock()
+	sh.searchLocked(q, res)
 }
 
 func (sh *shard) rebuildIndexesLocked() {
@@ -342,7 +348,7 @@ func (sh *shard) extendIndexesLocked(base int, recs []*record.Record) {
 // searchLocked runs the per-shard index-scan plan and accumulates matches
 // and scan counts into res: pick the predicate with the fewest candidates
 // in this shard, then verify the remaining predicates record by record.
-// Caller holds sh.mu for reading.
+// Caller holds sh.mu (reading suffices) and has seen the indexes clean.
 func (sh *shard) searchLocked(q *query.Query, res *Result) {
 	if len(sh.records) == 0 {
 		return

@@ -377,10 +377,7 @@ func (st *Store) Search(q *query.Query) (Result, error) {
 	}
 	res := Result{Cost: st.cost.PerQuery}
 	for _, sh := range st.shards {
-		sh.ensureIndexes()
-		sh.mu.RLock()
-		sh.searchLocked(q, &res)
-		sh.mu.RUnlock()
+		sh.search(q, &res)
 	}
 	res.Cost += time.Duration(res.Scanned) * st.cost.PerScan
 	res.Cost += time.Duration(len(res.Records)) * st.cost.PerRecord

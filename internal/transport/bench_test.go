@@ -40,12 +40,41 @@ func freeAddrB(b *testing.B) string {
 	return addr
 }
 
+// benchCluster returns a client and the addresses of 16 echo peers: for
+// the legacy baseline a dial-per-call client against real listeners, for
+// the pooled path connsPerPeer warm connections per peer whose ends count
+// their writes (writes is nil for the baseline).
+func benchCluster(b *testing.B, noPool bool, connsPerPeer int) (client *TCP, addrs []string, writes func() int64) {
+	b.Helper()
+	const peers = 16
+	if noPool {
+		client = &TCP{NoPool: true}
+		b.Cleanup(func() { client.Close() })
+		return client, benchPeers(b, peers), nil
+	}
+	client = &TCP{MaxConnsPerPeer: connsPerPeer}
+	srv := NewTCP()
+	var counters []*atomic.Int64
+	for i := 0; i < peers; i++ {
+		addr, cw, sw := countedPeer(b, client, srv, echoHandler(fmt.Sprintf("srv%d", i)), connsPerPeer)
+		addrs = append(addrs, addr)
+		counters = append(counters, cw, sw)
+	}
+	return client, addrs, func() (n int64) {
+		for _, c := range counters {
+			n += c.Load()
+		}
+		return n
+	}
+}
+
 // BenchmarkTCPCall compares the legacy dial-per-call baseline against the
 // pooled multiplexed path across a 16-peer cluster, round-robining the
 // destination like overlay maintenance traffic does. The reported
-// conns/op and bytes/op come from the transport's own counters.
+// conns/op and wirebytes/op come from the transport's own counters,
+// writes/op (both directions: 2 means one write per frame) from the
+// counting connections of the pooled path.
 func BenchmarkTCPCall(b *testing.B) {
-	const peers = 16
 	for _, mode := range []struct {
 		name   string
 		noPool bool
@@ -54,9 +83,7 @@ func BenchmarkTCPCall(b *testing.B) {
 		{"pooled", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			addrs := benchPeers(b, peers)
-			client := &TCP{NoPool: mode.noPool}
-			defer client.Close()
+			client, addrs, writes := benchCluster(b, mode.noPool, 1)
 			msg := &wire.Message{Kind: wire.KindHeartbeat, From: "bench"}
 			// Warm the pool so dials amortize like a long-lived server.
 			for _, a := range addrs {
@@ -65,10 +92,14 @@ func BenchmarkTCPCall(b *testing.B) {
 				}
 			}
 			start := client.Stats()
+			var startWrites int64
+			if writes != nil {
+				startWrites = writes()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Call(addrs[i%peers], msg); err != nil {
+				if _, err := client.Call(addrs[i%len(addrs)], msg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,6 +107,9 @@ func BenchmarkTCPCall(b *testing.B) {
 			st := client.Stats()
 			b.ReportMetric(float64(st.Dials-start.Dials)/float64(b.N), "conns/op")
 			b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+			if writes != nil {
+				b.ReportMetric(float64(writes()-startWrites)/float64(b.N), "writes/op")
+			}
 		})
 	}
 }
@@ -84,7 +118,6 @@ func BenchmarkTCPCall(b *testing.B) {
 // pooled path multiplexes over a few sockets per peer, the baseline opens
 // one per in-flight call.
 func BenchmarkTCPCallParallel(b *testing.B) {
-	const peers = 16
 	for _, mode := range []struct {
 		name   string
 		noPool bool
@@ -93,14 +126,16 @@ func BenchmarkTCPCallParallel(b *testing.B) {
 		{"pooled", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			addrs := benchPeers(b, peers)
-			client := &TCP{NoPool: mode.noPool, MaxConnsPerPeer: 4}
-			defer client.Close()
+			client, addrs, writes := benchCluster(b, mode.noPool, 4)
 			msg := &wire.Message{Kind: wire.KindHeartbeat, From: "bench"}
 			for _, a := range addrs {
 				if _, err := client.Call(a, msg); err != nil {
 					b.Fatal(err)
 				}
+			}
+			var startWrites int64
+			if writes != nil {
+				startWrites = writes()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -108,11 +143,15 @@ func BenchmarkTCPCallParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					n := i.Add(1)
-					if _, err := client.Call(addrs[int(n)%peers], msg); err != nil {
+					if _, err := client.Call(addrs[int(n)%len(addrs)], msg); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
+			b.StopTimer()
+			if writes != nil {
+				b.ReportMetric(float64(writes()-startWrites)/float64(b.N), "writes/op")
+			}
 		})
 	}
 }

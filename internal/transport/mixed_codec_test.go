@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"testing"
@@ -121,8 +122,11 @@ func TestBinaryPeerGetsBinaryReply(t *testing.T) {
 	}
 	defer closer.Close()
 
-	req, err := wire.Encode(&wire.Message{Kind: wire.KindStatus, From: "modern"})
+	frame, err := wire.AppendEncode(make([]byte, headerV2Len), &wire.Message{Kind: wire.KindStatus, From: "modern"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealFrame(frame, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -131,17 +135,17 @@ func TestBinaryPeerGetsBinaryReply(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrameV2(conn, 1, 0, req); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	id, flags, rep, err := readFrameV2(conn)
+	id, flags, rep, err := readFrameV2(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 1 || flags&flagResponse == 0 {
 		t.Fatalf("bad response frame: id=%d flags=%x", id, flags)
 	}
-	if !wire.IsBinary(rep) {
+	if !wire.IsBinary(*rep) {
 		t.Fatal("listener answered a binary request with a gob payload")
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"sync"
@@ -159,11 +160,8 @@ func TestWriteFrameOversize(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("writer put %d bytes on the wire before failing", buf.Len())
 	}
-	if err := writeFrameV2(&buf, 1, 0, big); err == nil {
-		t.Fatal("v2 writer must reject an oversize frame")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("v2 writer put %d bytes on the wire before failing", buf.Len())
+	if err := sealFrame(make([]byte, headerV2Len+maxFrame+1), 1, 0); err == nil {
+		t.Fatal("v2 sender must reject an oversize frame before writing it")
 	}
 }
 
@@ -176,7 +174,7 @@ func TestReadFrameV2Oversize(t *testing.T) {
 	hdr[1] = frameVersion
 	hdr[12], hdr[13], hdr[14], hdr[15] = 0xFF, 0xFF, 0xFF, 0xFF
 	buf.Write(hdr)
-	if _, _, _, err := readFrameV2(&buf); err == nil {
+	if _, _, _, err := readFrameV2(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversize v2 frame must be rejected")
 	}
 }
@@ -185,7 +183,7 @@ func TestReadFrameV2Oversize(t *testing.T) {
 func TestReadFrameV2BadMagic(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(bytes.Repeat([]byte{'X'}, headerV2Len))
-	if _, _, _, err := readFrameV2(&buf); err == nil {
+	if _, _, _, err := readFrameV2(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("bad magic must be rejected")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,8 @@ import (
 // length followed by the gob payload. Used by NoPool callers and still
 // accepted by listeners for compatibility with v1-only peers.
 //
-// v2 (pooled/multiplexed): a 16-byte header followed by the gob payload:
+// v2 (pooled/multiplexed): a 16-byte header followed by the payload (binary
+// codec by default, gob when the peer asked in gob):
 //
 //	byte  0      magic 'R' (0x52)
 //	byte  1      format version (2)
@@ -35,6 +37,17 @@ import (
 // exceeds maxFrame (64 MiB, high byte 0x04), so 0x52 unambiguously marks a
 // v2 stream. A v2 connection carries many concurrent exchanges; responses
 // are matched to requests by ID, so they may arrive out of order.
+//
+// A v2 frame leaves in one Write: the message is encoded behind headerV2Len
+// reserved bytes of a pooled buffer and sealFrame fills the header in, so
+// with TCP_NODELAY a frame is one segment and the peer's bufio.Reader gets
+// it whole in one read.
+//
+// Frame buffers, read and written, come from wire's buffer pool, and one
+// rule says who returns them: whoever decodes a frame releases it, right
+// after wire.Decode (decoded messages never alias their input). A reply
+// whose caller has already given up is released by the connection's
+// readLoop instead.
 const (
 	frameMagic   = 'R'
 	frameVersion = 2
@@ -51,14 +64,16 @@ const maxFrame = 64 << 20
 
 var errStaleConn = errors.New("transport: stale pooled connection")
 
-// TCP is a gob-over-TCP transport. By default it keeps a per-peer pool of
-// persistent connections and multiplexes concurrent calls over them with
-// v2 framed request IDs: a reader goroutine per connection demuxes the
-// replies, idle connections are reaped in the background, and a call that
-// lands on a connection the peer has meanwhile closed is retried once on a
-// fresh dial. Set NoPool for the legacy v1 behaviour (one dial and one
-// exchange per call), kept as a measurable baseline and for driving
-// v1-only peers.
+// TCP is the framed TCP transport: wire-codec payloads (binary by default,
+// gob for peers that ask in gob) in length-prefixed frames. By default it
+// keeps a per-peer pool of persistent connections and multiplexes
+// concurrent calls over them with v2 framed request IDs: a reader goroutine
+// per connection demuxes the replies, idle connections are reaped in the
+// background, and a call that lands on a connection the peer has meanwhile
+// closed is retried once on a fresh dial. Listeners run handlers on warm
+// worker goroutines (see workers). Set NoPool for the legacy v1 behaviour
+// (one dial and one exchange per call), kept as a measurable baseline and
+// for driving v1-only peers.
 type TCP struct {
 	// DialTimeout bounds connection setup; CallTimeout bounds the whole
 	// exchange. Zero values use wire.Deadline.
@@ -140,6 +155,8 @@ func (t *TCP) maxConnsPerPeer() int {
 type tcpCloser struct {
 	ln net.Listener
 	wg *sync.WaitGroup
+	// stop is closed by Close; parked handler workers exit on it.
+	stop chan struct{}
 
 	mu     sync.Mutex
 	closed bool
@@ -164,7 +181,10 @@ func (c *tcpCloser) untrack(conn net.Conn) {
 
 func (c *tcpCloser) Close() error {
 	c.mu.Lock()
-	c.closed = true
+	if !c.closed {
+		c.closed = true
+		close(c.stop)
+	}
 	err := c.ln.Close()
 	for conn := range c.conns {
 		_ = conn.Close()
@@ -176,15 +196,17 @@ func (c *tcpCloser) Close() error {
 
 // Listen implements Transport. Each accepted connection is sniffed: v2
 // streams are served as long-lived multiplexed sessions (each request
-// dispatched on its own goroutine), v1 connections get the legacy single
-// request/reply exchange.
+// handed to one of the listener's handler workers), v1 connections get the
+// legacy single request/reply exchange. Close returns once the accept
+// loop, every connection reader and every worker has exited.
 func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	var wg sync.WaitGroup
-	closer := &tcpCloser{ln: ln, wg: &wg, conns: make(map[net.Conn]struct{})}
+	closer := &tcpCloser{ln: ln, wg: &wg, stop: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	ws := &workers{jobs: make(chan job), stop: closer.stop, wg: &wg}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -202,14 +224,14 @@ func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
 				defer wg.Done()
 				defer closer.untrack(conn)
 				defer conn.Close()
-				t.serveConn(conn, h, &wg)
+				t.serveConn(conn, h, ws)
 			}(conn)
 		}
 	}()
 	return closer, nil
 }
 
-func (t *TCP) serveConn(conn net.Conn, h Handler, wg *sync.WaitGroup) {
+func (t *TCP) serveConn(conn net.Conn, h Handler, ws *workers) {
 	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(t.callTimeout()))
 	first, err := br.Peek(1)
@@ -217,7 +239,7 @@ func (t *TCP) serveConn(conn net.Conn, h Handler, wg *sync.WaitGroup) {
 		return
 	}
 	if first[0] == frameMagic {
-		t.serveMux(conn, br, h, wg)
+		t.serveMux(conn, br, h, ws)
 		return
 	}
 	t.serveLegacy(conn, br, h)
@@ -237,64 +259,150 @@ func (t *TCP) serveLegacy(conn net.Conn, br *bufio.Reader, h Handler) {
 		return
 	}
 	rep := h(msg)
-	data, release, err := encodeReply(rep, wire.IsBinary(req))
+	bp, err := encodePooled(rep, !wire.IsBinary(req), 0)
 	if err != nil {
 		return
 	}
-	defer release()
-	if writeFrame(conn, data) == nil {
-		t.ctr.bytesSent.Add(uint64(4 + len(data)))
+	defer wire.PutBuf(bp)
+	if writeFrame(conn, *bp) == nil {
+		t.ctr.bytesSent.Add(uint64(4 + len(*bp)))
 	}
 }
 
-// serveMux serves a v2 session: requests are read in a loop and handled
-// concurrently, each reply written back (under a write lock) tagged with
-// its request ID. The session ends when the peer closes the connection or
-// it sits idle past the server-side window.
-func (t *TCP) serveMux(conn net.Conn, br *bufio.Reader, h Handler, wg *sync.WaitGroup) {
-	var wmu sync.Mutex
+// muxSession is the server side of one v2 connection: what a worker needs
+// to answer a request read from it.
+type muxSession struct {
+	t    *TCP
+	conn net.Conn
+	h    Handler
+	wmu  sync.Mutex // serializes reply frames
+}
+
+// serveMux serves a v2 session: requests are read in a loop and handed to
+// the listener's workers, so a slow handler never blocks this reader; each
+// reply is written back (under the session's write lock) tagged with its
+// request ID. The session ends when the peer closes the connection or it
+// sits idle past the server-side window.
+func (t *TCP) serveMux(conn net.Conn, br *bufio.Reader, h Handler, ws *workers) {
+	sess := &muxSession{t: t, conn: conn, h: h}
 	idle := 2 * t.idleTimeout()
 	if ct := t.callTimeout(); idle < ct {
 		idle = ct
 	}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
-		id, _, data, err := readFrameV2(br)
+		id, _, frame, err := readFrameV2(br)
 		if err != nil {
 			return
 		}
-		t.ctr.bytesRecv.Add(uint64(headerV2Len + len(data)))
-		wg.Add(1)
-		go func(id uint64, data []byte) {
-			defer wg.Done()
-			var rep *wire.Message
-			msg, err := wire.Decode(data)
-			if err != nil {
-				rep = &wire.Message{Kind: wire.KindError, Error: err.Error()}
-			} else {
-				rep = h(msg)
-			}
-			out, release, err := encodeReply(rep, wire.IsBinary(data))
-			if err != nil {
+		t.ctr.bytesRecv.Add(uint64(headerV2Len + len(*frame)))
+		ws.dispatch(job{sess: sess, id: id, frame: frame})
+	}
+}
+
+// job is one request frame waiting for a handler worker, which owns frame
+// from here on.
+type job struct {
+	sess  *muxSession
+	id    uint64
+	frame *[]byte
+}
+
+// serve decodes the request, runs the handler and writes the reply frame
+// in the codec the request arrived in.
+func (j job) serve() {
+	s := j.sess
+	inBinary := wire.IsBinary(*j.frame)
+	msg, err := wire.Decode(*j.frame)
+	wire.PutBuf(j.frame)
+	var rep *wire.Message
+	if err != nil {
+		rep = &wire.Message{Kind: wire.KindError, Error: err.Error()}
+	} else {
+		rep = s.h(msg)
+	}
+	out, err := encodePooled(rep, !inBinary, headerV2Len)
+	if err != nil {
+		return
+	}
+	defer wire.PutBuf(out)
+	if sealFrame(*out, j.id, flagResponse) != nil {
+		return
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	_ = s.conn.SetWriteDeadline(time.Now().Add(s.t.callTimeout()))
+	if _, err := s.conn.Write(*out); err == nil {
+		s.t.ctr.bytesSent.Add(uint64(len(*out)))
+	}
+}
+
+// workerIdle is how often a parked handler worker checks whether it has
+// been used: one that served nothing for a whole period exits.
+const workerIdle = 10 * time.Second
+
+// workers runs one listener's handler calls on warm goroutines. A request
+// goes to a parked worker when there is one and to a new goroutine when
+// there is not (including the moment a worker has replied but not parked
+// again yet), so the pool is about as large as the listener's recent peak
+// of concurrent handlers, a slow handler delays only its own caller, and
+// nothing is configured. Reusing goroutines saves the start-up and stack
+// growth a goroutine per request pays on every call.
+type workers struct {
+	// jobs is unbuffered: a send succeeds only while a worker is parked in
+	// receive, which is how dispatch knows whether one is idle.
+	jobs chan job
+	stop <-chan struct{}
+	wg   *sync.WaitGroup
+}
+
+// dispatch never blocks. Its callers are connection readers, which the
+// listener's WaitGroup already counts, so Add cannot race Close's Wait.
+func (w *workers) dispatch(j job) {
+	select {
+	case w.jobs <- j:
+	default:
+		w.wg.Add(1)
+		go w.run(j)
+	}
+}
+
+func (w *workers) run(j job) {
+	defer w.wg.Done()
+	j.serve()
+	tick := time.NewTicker(workerIdle)
+	defer tick.Stop()
+	used := false
+	for {
+		select {
+		case j = <-w.jobs:
+			j.serve()
+			used = true
+		case <-tick.C:
+			if !used {
 				return
 			}
-			defer release()
-			wmu.Lock()
-			defer wmu.Unlock()
-			_ = conn.SetWriteDeadline(time.Now().Add(t.callTimeout()))
-			if writeFrameV2(conn, id, flagResponse, out) == nil {
-				t.ctr.bytesSent.Add(uint64(headerV2Len + len(out)))
-			}
-		}(id, data)
+			used = false
+		case <-w.stop:
+			return
+		}
 	}
 }
 
 // --- Pooled client ---
 
+// callResult is what a waiting call receives: the reply frame (a pooled
+// buffer the receiver now owns) or the connection's failure.
 type callResult struct {
-	data []byte
-	err  error
+	frame *[]byte
+	err   error
 }
+
+// resultChans recycles the one-slot channels calls wait on. A call's
+// channel is empty again by the time the call returns: either it received
+// the result, or it unregistered before the reader claimed the slot, or
+// abandon drained the result the reader had already claimed it for.
+var resultChans = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 // peerConn is one pooled connection to a peer, shared by concurrent calls.
 type peerConn struct {
@@ -328,10 +436,21 @@ func (pc *peerConn) register(id uint64, ch chan callResult) bool {
 	return true
 }
 
-func (pc *peerConn) unregister(id uint64) {
+// abandon gives up waiting for id's reply. If the slot is still pending no
+// result will ever be sent. If readLoop or fail claimed it first, their
+// result is already on its way into ch (the send cannot block), so abandon
+// takes it and releases the frame nobody will decode.
+func (pc *peerConn) abandon(id uint64, ch chan callResult) {
 	pc.mu.Lock()
+	_, pending := pc.pending[id]
 	delete(pc.pending, id)
 	pc.mu.Unlock()
+	if pending {
+		return
+	}
+	if res := <-ch; res.frame != nil {
+		wire.PutBuf(res.frame)
+	}
 }
 
 // fail marks the connection dead, fails every outstanding call, and drops
@@ -352,21 +471,24 @@ func (pc *peerConn) fail(err error) {
 	pc.t.removeConn(pc)
 }
 
-// readLoop demuxes response frames to their waiting callers.
+// readLoop demuxes response frames to their waiting callers, who decode
+// and release them; a frame nobody waits for any more is released here.
 func (pc *peerConn) readLoop() {
 	for {
-		id, _, data, err := readFrameV2(pc.br)
+		id, _, frame, err := readFrameV2(pc.br)
 		if err != nil {
 			pc.fail(errStaleConn)
 			return
 		}
-		pc.t.ctr.bytesRecv.Add(uint64(headerV2Len + len(data)))
+		pc.t.ctr.bytesRecv.Add(uint64(headerV2Len + len(*frame)))
 		pc.mu.Lock()
 		ch := pc.pending[id]
 		delete(pc.pending, id)
 		pc.mu.Unlock()
 		if ch != nil {
-			ch <- callResult{data: data}
+			ch <- callResult{frame: frame}
+		} else {
+			wire.PutBuf(frame)
 		}
 	}
 }
@@ -430,6 +552,14 @@ func (t *TCP) getConn(ctx context.Context, addr string, fresh bool) (*peerConn, 
 		return nil, false, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	t.ctr.dials.Add(1)
+	pc := t.adoptLocked(pp, addr, conn)
+	t.mu.Unlock()
+	return pc, false, nil
+}
+
+// adoptLocked pools an established connection to addr and starts its
+// reader (and the reaper, if none runs). Callers hold t.mu.
+func (t *TCP) adoptLocked(pp *peerPool, addr string, conn net.Conn) *peerConn {
 	pc := &peerConn{
 		t:       t,
 		addr:    addr,
@@ -439,15 +569,13 @@ func (t *TCP) getConn(ctx context.Context, addr string, fresh bool) (*peerConn, 
 	}
 	pc.touch()
 	pp.conns = append(pp.conns, pc)
-	startReaper := !t.reaping
-	t.reaping = true
-	t.cond.Broadcast()
-	t.mu.Unlock()
 	go pc.readLoop()
-	if startReaper {
+	if !t.reaping {
+		t.reaping = true
 		go t.reapLoop()
 	}
-	return pc, false, nil
+	t.cond.Broadcast()
+	return pc
 }
 
 func (t *TCP) removeConn(pc *peerConn) {
@@ -543,26 +671,29 @@ func (t *TCP) Call(addr string, req *wire.Message) (*wire.Message, error) {
 // unregistered, and a reply that arrives later is discarded by the read
 // loop while other in-flight calls on the same connection proceed.
 func (t *TCP) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
-	data, release, err := encodeRequest(req, t.UseGob)
+	out, err := encodePooled(req, t.UseGob, headerV2Len)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if len(data) > maxFrame {
-		return nil, fmt.Errorf("transport: message of %d bytes exceeds the %d-byte frame limit", len(data), maxFrame)
+	defer wire.PutBuf(out)
+	frame := *out
+	if n := len(frame) - headerV2Len; n > maxFrame {
+		return nil, fmt.Errorf("transport: message of %d bytes exceeds the %d-byte frame limit", n, maxFrame)
 	}
 	start := time.Now()
 	t.ctr.inflight.Add(1)
 	defer t.ctr.inflight.Add(-1)
 
-	var rep []byte
+	var in *[]byte
 	if t.NoPool {
-		rep, err = t.callLegacy(ctx, addr, data)
+		var data []byte
+		data, err = t.callLegacy(ctx, addr, frame[headerV2Len:])
+		in = &data
 	} else {
-		rep, err = t.callPooled(ctx, addr, data, false)
+		in, err = t.callPooled(ctx, addr, frame, false)
 		if errors.Is(err, errStaleConn) && ctx.Err() == nil {
 			t.ctr.retries.Add(1)
-			rep, err = t.callPooled(ctx, addr, data, true)
+			in, err = t.callPooled(ctx, addr, frame, true)
 		}
 	}
 	if err != nil {
@@ -574,7 +705,9 @@ func (t *TCP) CallContext(ctx context.Context, addr string, req *wire.Message) (
 	}
 	t.ctr.calls.Add(1)
 	t.ctr.observe(time.Since(start))
-	return wire.Decode(rep)
+	rep, err := wire.Decode(*in)
+	wire.PutBuf(in)
+	return rep, err
 }
 
 // deadlineWithin returns now+d, clamped to ctx's deadline when that comes
@@ -587,17 +720,23 @@ func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
 	return t
 }
 
-// callPooled runs one v2 exchange over a pooled connection. Failures on a
-// reused connection surface as errStaleConn so Call can retry them once.
-// Context expiry abandons only this call's waiter; the connection and its
-// other in-flight exchanges stay healthy.
-func (t *TCP) callPooled(ctx context.Context, addr string, data []byte, fresh bool) ([]byte, error) {
+// callPooled runs one v2 exchange over a pooled connection: frame is the
+// encoded request behind its reserved header, the result the reply frame,
+// which the caller decodes and releases. Failures on a reused connection
+// surface as errStaleConn so Call can retry them once. Context expiry
+// abandons only this call's waiter; the connection and its other in-flight
+// exchanges stay healthy.
+func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh bool) (*[]byte, error) {
 	pc, reused, err := t.getConn(ctx, addr, fresh)
 	if err != nil {
 		return nil, err
 	}
 	id := t.nextID.Add(1)
-	ch := make(chan callResult, 1)
+	if err := sealFrame(frame, id, 0); err != nil {
+		return nil, err
+	}
+	ch := resultChans.Get().(chan callResult)
+	defer resultChans.Put(ch)
 	if !pc.register(id, ch) {
 		if reused {
 			return nil, errStaleConn
@@ -612,20 +751,34 @@ func (t *TCP) callPooled(ctx context.Context, addr string, data []byte, fresh bo
 
 	pc.wmu.Lock()
 	_ = pc.conn.SetWriteDeadline(deadlineWithin(ctx, t.callTimeout()))
-	werr := writeFrameV2(pc.conn, id, 0, data)
+	n, werr := pc.conn.Write(frame)
 	pc.wmu.Unlock()
 	if werr != nil {
-		pc.unregister(id)
+		pc.abandon(id, ch)
+		if n == 0 && errors.Is(werr, os.ErrDeadlineExceeded) {
+			// The deadline passed before a byte left (a caller with next to
+			// no budget): the stream is intact and only this call is over.
+			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+				werr = context.DeadlineExceeded // ctx itself may lag its deadline by a moment
+			}
+			return nil, fmt.Errorf("transport: call to %s: %w", addr, werr)
+		}
 		pc.fail(errStaleConn)
 		if reused {
 			return nil, errStaleConn
 		}
 		return nil, fmt.Errorf("transport: write to %s: %w", addr, werr)
 	}
-	t.ctr.bytesSent.Add(uint64(headerV2Len + len(data)))
+	t.ctr.bytesSent.Add(uint64(len(frame)))
 
-	timer := time.NewTimer(t.callTimeout())
-	defer timer.Stop()
+	// The call timeout needs its own timer only when the context does not
+	// already end the wait sooner.
+	var timedOut <-chan time.Time
+	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > t.callTimeout() {
+		timer := time.NewTimer(t.callTimeout())
+		defer timer.Stop()
+		timedOut = timer.C
+	}
 	select {
 	case res := <-ch:
 		if res.err != nil {
@@ -634,12 +787,12 @@ func (t *TCP) callPooled(ctx context.Context, addr string, data []byte, fresh bo
 			}
 			return nil, fmt.Errorf("transport: read from %s: %w", addr, res.err)
 		}
-		return res.data, nil
+		return res.frame, nil
 	case <-ctx.Done():
-		pc.unregister(id)
+		pc.abandon(id, ch)
 		return nil, fmt.Errorf("transport: call to %s: %w", addr, ctx.Err())
-	case <-timer.C:
-		pc.unregister(id)
+	case <-timedOut:
+		pc.abandon(id, ch)
 		return nil, fmt.Errorf("transport: call to %s timed out after %v", addr, t.callTimeout())
 	}
 }
@@ -699,28 +852,28 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return data, nil
 }
 
-// writeFrameV2 writes one multiplexed frame. Callers serialize writes to a
-// shared connection.
-func writeFrameV2(w io.Writer, id uint64, flags byte, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", len(data), maxFrame)
+// sealFrame fills in the v2 header of frame, a message encoded behind
+// headerV2Len reserved bytes, so the whole frame can leave in one Write. It
+// rejects oversize payloads at the sender, like writeFrame.
+func sealFrame(frame []byte, id uint64, flags byte) error {
+	n := len(frame) - headerV2Len
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
 	}
-	var hdr [headerV2Len]byte
-	hdr[0] = frameMagic
-	hdr[1] = frameVersion
-	hdr[2] = flags
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
+	frame[0] = frameMagic
+	frame[1] = frameVersion
+	frame[2] = flags
+	frame[3] = 0
+	binary.BigEndian.PutUint64(frame[4:12], id)
+	binary.BigEndian.PutUint32(frame[12:16], uint32(n))
+	return nil
 }
 
-func readFrameV2(r io.Reader) (id uint64, flags byte, data []byte, err error) {
-	var hdr [headerV2Len]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// readFrameV2 reads one multiplexed frame's payload into a pooled buffer,
+// which the caller owns until wire.PutBuf.
+func readFrameV2(br *bufio.Reader) (id uint64, flags byte, payload *[]byte, err error) {
+	hdr, err := br.Peek(headerV2Len)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	if hdr[0] != frameMagic || hdr[1] != frameVersion {
@@ -728,13 +881,20 @@ func readFrameV2(r io.Reader) (id uint64, flags byte, data []byte, err error) {
 	}
 	flags = hdr[2]
 	id = binary.BigEndian.Uint64(hdr[4:12])
-	n := binary.BigEndian.Uint32(hdr[12:16])
-	if n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[12:16])
+	if size > maxFrame {
+		return 0, 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	data = make([]byte, n)
-	if _, err = io.ReadFull(r, data); err != nil {
+	n := int(size)
+	_, _ = br.Discard(headerV2Len) // cannot fail: Peek buffered these bytes
+	payload = wire.GetBuf()
+	if cap(*payload) < n {
+		*payload = make([]byte, n)
+	}
+	*payload = (*payload)[:n]
+	if _, err = io.ReadFull(br, *payload); err != nil {
+		wire.PutBuf(payload)
 		return 0, 0, nil, err
 	}
-	return id, flags, data, nil
+	return id, flags, payload, nil
 }

@@ -36,31 +36,34 @@ type Transport interface {
 	CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error)
 }
 
-// encodeRequest serializes an outgoing request: the compact binary codec
-// through a pooled buffer by default, legacy gob when useGob is set (for
-// driving peers that predate the binary codec). The caller must not touch
-// data after calling release.
-func encodeRequest(m *wire.Message, useGob bool) (data []byte, release func(), err error) {
-	if useGob {
-		data, err = wire.EncodeGob(m)
-		return data, func() {}, err
-	}
+// encodePooled serializes m into a buffer from wire's pool, behind reserve
+// zero bytes the caller fills in later (the TCP frame header, so header and
+// payload leave in one write): the compact binary codec by default, legacy
+// gob when useGob is set — for requests to peers that predate the binary
+// codec, and for replies to requests that arrived in gob, which is the
+// whole compatibility negotiation. The caller returns the buffer with
+// wire.PutBuf and must not touch it afterwards.
+func encodePooled(m *wire.Message, useGob bool, reserve int) (*[]byte, error) {
 	bp := wire.GetBuf()
-	data, err = wire.AppendEncode((*bp)[:0], m)
-	if err != nil {
-		wire.PutBuf(bp)
-		return nil, nil, err
+	buf := append((*bp)[:0], reserved[:reserve]...)
+	var err error
+	if useGob {
+		var payload []byte
+		payload, err = wire.EncodeGob(m)
+		buf = append(buf, payload...)
+	} else {
+		buf, err = wire.AppendEncode(buf, m)
 	}
-	*bp = data
-	return data, func() { wire.PutBuf(bp) }, nil
+	if err != nil {
+		wire.PutBuf(bp) // *bp is still the buffer as the pool handed it out
+		return nil, err
+	}
+	*bp = buf
+	return bp, nil
 }
 
-// encodeReply serializes a reply in the codec the request arrived in —
-// the whole compatibility negotiation: an old gob-only peer gets gob back,
-// a binary peer gets binary. Binary replies use a pooled buffer.
-func encodeReply(m *wire.Message, reqWasBinary bool) (data []byte, release func(), err error) {
-	return encodeRequest(m, !reqWasBinary)
-}
+// reserved is the zero filler encodePooled puts in front of a message.
+var reserved [headerV2Len]byte
 
 // sleepCtx sleeps for d or until ctx is done, whichever comes first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -159,50 +162,50 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 	start := time.Now()
 	t.ctr.inflight.Add(1)
 	defer t.ctr.inflight.Add(-1)
-	data, release, err := encodeRequest(req, t.UseGob)
+	reqBuf, err := encodePooled(req, t.UseGob, 0)
 	if err != nil {
 		t.ctr.errors.Add(1)
 		return nil, err
 	}
-	t.ctr.bytesSent.Add(uint64(len(data)))
+	t.ctr.bytesSent.Add(uint64(len(*reqBuf)))
 	if lat != nil {
 		if err := sleepCtx(ctx, lat(caller, addr)); err != nil {
-			release()
+			wire.PutBuf(reqBuf)
 			t.ctr.errors.Add(1)
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, err)
 		}
 	}
 
-	var repData []byte
+	var repBuf *[]byte
 	if ctx.Done() == nil {
-		repData, err = runHandler(h, data)
-		release()
+		repBuf, err = runHandler(h, reqBuf)
 	} else {
 		type result struct {
-			data []byte
-			err  error
+			buf *[]byte
+			err error
 		}
 		ch := make(chan result, 1)
 		go func() {
-			// The goroutine owns data: an abandoned call must not let the
-			// caller recycle the buffer out from under the handler.
-			d, e := runHandler(h, data)
-			release()
-			ch <- result{data: d, err: e}
+			// The goroutine owns reqBuf: an abandoned call must not let the
+			// caller recycle the buffer out from under the handler. The
+			// reply of an abandoned call stays in ch for the collector.
+			b, e := runHandler(h, reqBuf)
+			ch <- result{buf: b, err: e}
 		}()
 		select {
 		case <-ctx.Done():
 			t.ctr.errors.Add(1)
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, ctx.Err())
 		case res := <-ch:
-			repData, err = res.data, res.err
+			repBuf, err = res.buf, res.err
 		}
 	}
 	if err != nil {
 		t.ctr.errors.Add(1)
 		return nil, err
 	}
-	t.ctr.bytesRecv.Add(uint64(len(repData)))
+	defer wire.PutBuf(repBuf)
+	t.ctr.bytesRecv.Add(uint64(len(*repBuf)))
 	if lat != nil {
 		if err := sleepCtx(ctx, lat(addr, caller)); err != nil {
 			t.ctr.errors.Add(1)
@@ -211,22 +214,22 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 	}
 	t.ctr.calls.Add(1)
 	t.ctr.observe(time.Since(start))
-	return wire.Decode(repData)
+	return wire.Decode(*repBuf)
 }
 
-// runHandler decodes the request, invokes the handler, and encodes the
-// reply in the request's codec — the Chan transport's whole "remote"
-// side, including the respond-in-kind codec negotiation.
-func runHandler(h Handler, data []byte) ([]byte, error) {
-	decoded, err := wire.Decode(data)
+// runHandler is the Chan transport's whole "remote" side: it decodes the
+// request, releases its buffer, invokes the handler, and encodes the reply
+// in the request's codec (the respond-in-kind negotiation) through a pooled
+// buffer, like a TCP listener does. The caller decodes and releases the
+// reply.
+func runHandler(h Handler, req *[]byte) (*[]byte, error) {
+	inBinary := wire.IsBinary(*req)
+	decoded, err := wire.Decode(*req)
+	wire.PutBuf(req)
 	if err != nil {
 		return nil, err
 	}
-	rep := h(decoded)
-	if wire.IsBinary(data) {
-		return wire.Encode(rep)
-	}
-	return wire.EncodeGob(rep)
+	return encodePooled(h(decoded), !inBinary, 0)
 }
 
 // Stats returns a snapshot of the transport's counters. The Chan transport

@@ -78,6 +78,9 @@ const (
 	// and every earlier revision. The encoder writes the lowest revision
 	// that can carry the message (encodeVersion), not always the newest.
 	binVersion = 6
+	// valueMinBytes is the least a record.Value takes on the wire: its
+	// float plus the length byte of an empty string.
+	valueMinBytes = 9
 	// maxRedirectDepth bounds RedirectInfo.Alternates nesting on decode.
 	// Real messages nest one level (alternates carry no alternates); the
 	// bound stops crafted input from recursing the decoder off the stack.
@@ -230,18 +233,35 @@ func (r *binReader) f64() float64 {
 	return v
 }
 
-func (r *binReader) str() string {
+// strBytes returns the next length-prefixed string's bytes, still aliasing
+// the input; callers copy them.
+func (r *binReader) strBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.remaining()) {
 		r.fail("string of %d bytes exceeds %d remaining", n, r.remaining())
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)]) // copies: decoded messages never alias the input
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
+}
+
+func (r *binReader) str() string {
+	return string(r.strBytes()) // copies: decoded messages never alias the input
+}
+
+// strOr reads a string that often repeats the previous one of its column
+// (a reply's records mostly share an owner) and returns prev itself when
+// it does, instead of another copy.
+func (r *binReader) strOr(prev string) string {
+	b := r.strBytes()
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 // count reads a collection length and validates it against the remaining
@@ -456,12 +476,10 @@ func decodeBinary(data []byte) (*Message, error) {
 	if (r.ver < 1 || r.ver > binVersion) && r.err == nil {
 		return nil, fmt.Errorf("wire: unknown binary codec version %d", r.ver)
 	}
-	m := &Message{}
-	m.Kind = Kind(r.u8())
-	m.From = r.str()
-	m.Addr = r.str()
-	m.Error = r.str()
+	kind, from, addr, errText := Kind(r.u8()), r.str(), r.str(), r.str()
 	bits := r.uvarint()
+	m := newMessage(bits)
+	m.Kind, m.From, m.Addr, m.Error = kind, from, addr, errText
 
 	if bits&hasJoin != 0 {
 		m.Join = &Join{ID: r.str(), Addr: r.str()}
@@ -491,10 +509,13 @@ func decodeBinary(data []byte) (*Message, error) {
 		m.Batch = batch
 	}
 	if bits&hasQuery != 0 {
-		m.Query = readQuery(r)
+		readQuery(r, m.Query)
 	}
 	if bits&hasQueryRep != 0 {
-		m.QueryRep = readQueryReply(r)
+		if m.QueryRep == nil { // beside a Query, which newMessage favours
+			m.QueryRep = &QueryReply{}
+		}
+		readQueryReply(r, m.QueryRep)
 	}
 	if bits&hasHeartbeat != 0 {
 		m.Heartbeat = &Heartbeat{RootPath: readStrings(r), PathAddrs: readStrings(r)}
@@ -525,6 +546,29 @@ func decodeBinary(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("wire: binary decode: %d trailing bytes", len(r.b)-r.off)
 	}
 	return m, nil
+}
+
+// newMessage allocates the Message of a payload with these presence bits.
+// Queries and their replies are nearly all the traffic of a resolve, so
+// their payload struct comes in the same object as the Message.
+func newMessage(bits uint64) *Message {
+	switch {
+	case bits&hasQuery != 0:
+		x := &struct {
+			Message
+			q QueryDTO
+		}{}
+		x.Query = &x.q
+		return &x.Message
+	case bits&hasQueryRep != 0:
+		x := &struct {
+			Message
+			qr QueryReply
+		}{}
+		x.QueryRep = &x.qr
+		return &x.Message
+	}
+	return &Message{}
 }
 
 // --- Sub-structures ---
@@ -719,14 +763,12 @@ func appendQuery(b []byte, q *QueryDTO, ver byte) []byte {
 	return b
 }
 
-func readQuery(r *binReader) *QueryDTO {
-	q := &QueryDTO{
-		ID:        r.str(),
-		Requester: r.str(),
-		Start:     r.bool(),
-		Scope:     int(r.varint()),
-		Budget:    time.Duration(r.varint()),
-	}
+func readQuery(r *binReader, q *QueryDTO) {
+	q.ID = r.str()
+	q.Requester = r.str()
+	q.Start = r.bool()
+	q.Scope = int(r.varint())
+	q.Budget = time.Duration(r.varint())
 	n := r.count(19) // attr len + op + two floats + str len
 	if n > 0 {
 		q.Preds = make([]query.Predicate, 0, n)
@@ -750,7 +792,6 @@ func readQuery(r *binReader) *QueryDTO {
 		q.CacheFingerprint = r.uvarint()
 		q.WantFingerprint = r.bool()
 	}
-	return q
 }
 
 func appendQueryReply(b []byte, qr *QueryReply, ver byte) []byte {
@@ -788,20 +829,34 @@ func appendQueryReply(b []byte, qr *QueryReply, ver byte) []byte {
 	return b
 }
 
-func readQueryReply(r *binReader) *QueryReply {
-	qr := &QueryReply{}
+func readQueryReply(r *binReader, qr *QueryReply) {
 	n := r.count(3)
 	if n > 0 {
 		qr.Records = make([]RecordDTO, 0, n)
 	}
+	// Every record's values are carved from one slab instead of a slice
+	// each. The first record that does not fit sizes the slab for the
+	// records still to come at its own width (a reply's records share a
+	// schema), never beyond what the remaining bytes could hold.
+	var slab []record.Value
+	var owner string
 	for i := 0; i < n && r.err == nil; i++ {
-		rec := RecordDTO{ID: r.str(), Owner: r.str()}
-		nv := r.count(9) // float + str len
+		rec := RecordDTO{ID: r.str(), Owner: r.strOr(owner)}
+		owner = rec.Owner
+		nv := r.count(valueMinBytes)
 		if nv > 0 {
-			rec.Values = make([]record.Value, 0, nv)
-		}
-		for j := 0; j < nv && r.err == nil; j++ {
-			rec.Values = append(rec.Values, record.Value{Num: r.f64(), Str: r.str()})
+			if nv > cap(slab)-len(slab) {
+				room := r.remaining() / valueMinBytes // >= nv: count checked it
+				if n-i <= room/nv {
+					room = nv * (n - i)
+				}
+				slab = make([]record.Value, 0, room)
+			}
+			start := len(slab)
+			for j := 0; j < nv && r.err == nil; j++ {
+				slab = append(slab, record.Value{Num: r.f64(), Str: r.str()})
+			}
+			rec.Values = slab[start:len(slab):len(slab)]
 		}
 		qr.Records = append(qr.Records, rec)
 	}
@@ -823,7 +878,6 @@ func readQueryReply(r *binReader) *QueryReply {
 		qr.NotModified = r.bool()
 		qr.Fingerprint = r.uvarint()
 	}
-	return qr
 }
 
 func appendStatus(b []byte, st *Status, ver byte) []byte {

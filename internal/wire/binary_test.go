@@ -463,3 +463,60 @@ func BenchmarkCodec(b *testing.B) {
 		}
 	})
 }
+
+// TestDecodedMessagesSurviveFrameReuse pins what transports rely on when
+// they return a frame buffer to the pool right after Decode: for every
+// message kind, in both codecs, overwriting the input afterwards leaves the
+// decoded message exactly as it was.
+func TestDecodedMessagesSurviveFrameReuse(t *testing.T) {
+	for _, msg := range sampleMessages(t) {
+		for name, encode := range map[string]func(*Message) ([]byte, error){"binary": Encode, "gob": EncodeGob} {
+			data, err := encode(msg)
+			if err != nil {
+				t.Fatalf("kind %d %s: %v", msg.Kind, name, err)
+			}
+			want, err := Decode(bytes.Clone(data))
+			if err != nil {
+				t.Fatalf("kind %d %s: %v", msg.Kind, name, err)
+			}
+			got, err := Decode(data)
+			if err != nil {
+				t.Fatalf("kind %d %s: %v", msg.Kind, name, err)
+			}
+			for i := range data {
+				data[i] ^= 0xa5
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("kind %d %s: the decoded message changed with its input buffer:\ngot  %+v\nwant %+v", msg.Kind, name, got, want)
+			}
+		}
+	}
+}
+
+// TestQueryReplyValueSlab: a reply's record values are decoded into shared
+// backing storage, so appending to one record's values must not reach into
+// the next record's, and records of differing widths still decode exactly.
+func TestQueryReplyValueSlab(t *testing.T) {
+	msg := &Message{Kind: KindQueryReply, From: "s", QueryRep: &QueryReply{Records: []RecordDTO{
+		{ID: "r1", Owner: "o", Values: []record.Value{{Num: 1}, {Str: "a"}}},
+		{ID: "r2", Owner: "o", Values: []record.Value{{Num: 2}, {Str: "b"}}},
+		{ID: "r3", Owner: "p"},
+		{ID: "r4", Owner: "p", Values: []record.Value{{Num: 4}, {Str: "d"}, {Num: 5}, {Str: "e"}, {Num: 6}}},
+	}}}
+	data, err := Encode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, msg) {
+		t.Fatalf("decoded %+v; want %+v", got.QueryRep, msg.QueryRep)
+	}
+	recs := got.QueryRep.Records
+	recs[0].Values = append(recs[0].Values, record.Value{Num: 99})
+	if recs[1].Values[0].Num != 2 {
+		t.Fatal("appending to one record's values overwrote the next record's")
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"time"
 
 	"roads/internal/obs"
@@ -466,13 +467,14 @@ func ToRecords(dtos []RecordDTO) []*record.Record {
 	return out
 }
 
-// FromRecords converts in-memory records to wire form.
-func FromRecords(recs []*record.Record) []RecordDTO {
-	out := make([]RecordDTO, len(recs))
-	for i, r := range recs {
-		out[i] = RecordDTO{ID: r.ID, Owner: r.Owner, Values: r.Values}
+// AppendRecords appends the wire form of in-memory records to dst, growing
+// it at most once.
+func AppendRecords(dst []RecordDTO, recs []*record.Record) []RecordDTO {
+	dst = slices.Grow(dst, len(recs))
+	for _, r := range recs {
+		dst = append(dst, RecordDTO{ID: r.ID, Owner: r.Owner, Values: r.Values})
 	}
-	return out
+	return dst
 }
 
 // Summary mode bits (wire v6). A summary with Mode 0 is uniform and

@@ -162,7 +162,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 	r := record.New(schema, "r1", "orgA")
 	r.SetNum(0, 0.25)
 	r.SetStr(1, "linux")
-	dtos := FromRecords([]*record.Record{r})
+	dtos := AppendRecords(nil, []*record.Record{r})
 	back := ToRecords(dtos)
 	if len(back) != 1 || back[0].ID != "r1" || back[0].Num(0) != 0.25 || back[0].Str(1) != "linux" {
 		t.Fatalf("records changed: %+v", back)
