@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos docs-check bench-smoke bench-transport bench bench-store bench-load bench-cache bench-fp bench-compare
+.PHONY: tier1 build vet test race chaos docs-check fuzz-smoke bench-smoke bench-transport bench bench-store bench-load bench-cache bench-fp bench-compare
 
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, plus race-enabled runs of the concurrency-heavy packages (the
 # live protocol stack and the pooled transport), the fault-injection
-# chaos suite, the documentation checks, and the canonical benchmark's own
-# module (which `./...` at the root does not reach). test/race/chaos depend
-# on vet so a vet failure stops the gate before any tests burn time.
-tier1: build vet test race chaos docs-check bench-smoke
+# chaos suite, the documentation checks, five seconds of fuzzing the one
+# wire decoder, and the canonical benchmark's own module (which `./...` at
+# the root does not reach). test/race/chaos depend on vet so a vet failure
+# stops the gate before any tests burn time.
+tier1: build vet test race chaos docs-check fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,13 @@ chaos: vet
 docs-check:
 	$(GO) run ./cmd/docscheck
 
+# fuzz-smoke fuzzes wire.Decode for five seconds from the codec table's
+# seeds: arbitrary input must never panic and whatever decodes must reach a
+# decode/encode fixed point. There is one decoder; this keeps it fuzzed on
+# every gate instead of only when someone remembers.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/wire/
+
 # bench-smoke vets and tests the nested bench module and runs every
 # canonical workload end to end on 8-server federations with 1 s windows: a
 # transport, wire or client change is exactly what can break the
@@ -42,22 +50,25 @@ docs-check:
 bench-smoke:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./... && bash bench/run.sh -smoke
 
-# bench-transport runs the RPC hot path's microbenchmarks — one TCP round
-# trip (pooled vs the legacy dial-per-call baseline, serial and parallel,
-# with allocations and writes per call), batched vs per-replica pushes, the
+# bench-transport runs the RPC hot path's microbenchmarks — one pooled TCP
+# round trip (serial and parallel, with allocations and writes per call),
+# one batched replica-push round in the versioned steady state, the
 # result-cache key and the query-reply decode — and archives them as
-# BENCH_pr14.json via cmd/benchjson (see EXPERIMENTS.md).
+# BENCH_pr14.json via cmd/benchjson. The dial-per-call and per-replica-push
+# baseline arms are gone; EXPERIMENTS.md ("Archived baselines") says which
+# archive holds them and that PushReplicas/batched changed workload.
 BENCHTRANSPORT ?= BENCH_pr14.json
 bench-transport:
 	$(GO) test -bench 'BenchmarkTCPCall|BenchmarkPushReplicas|BenchmarkCacheKey|BenchmarkDecodeQueryReply' -benchmem -run '^$$' ./internal/transport/ ./internal/live/ ./internal/wire/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHTRANSPORT)
 
 # bench runs the query-hot-path, wire-codec, aggregation-tick, and
-# sharded-store benchmarks — each carries its own before/after baseline as
-# sub-benchmarks (snapshot vs mutex query locking, binary vs gob codec,
-# delta vs full dissemination across churn rates, sharded vs monolithic
-# summary refresh across churn rates) — and archives the numbers as
-# BENCH_pr8.json via cmd/benchjson (see EXPERIMENTS.md).
+# sharded-store benchmarks — the first three under the sub-benchmark names
+# their deleted baselines were compared under (snapshot, binary, delta;
+# EXPERIMENTS.md "Archived baselines" maps the mutex, gob and full arms to
+# their archives), the store's still beside its own baseline (sharded vs
+# monolithic summary refresh across churn rates) — and archives the
+# numbers as BENCH_pr8.json via cmd/benchjson (see EXPERIMENTS.md).
 BENCHOUT ?= BENCH_pr8.json
 bench:
 	$(GO) test -bench 'BenchmarkHandleQuery|BenchmarkCodec|BenchmarkAggregationTick|BenchmarkShardedIngest|BenchmarkExportChurn' -benchmem -run '^$$' ./internal/live/ ./internal/wire/ ./internal/store/ \
@@ -99,7 +110,7 @@ bench-load:
 #   3. hot tenant + admission — same flood, but per-requester token
 #      buckets shed the over-budget tenant to coarse summary-only answers;
 #      high-priority p99 must land within 2x the unloaded baseline and
-#      shed queries get coarse answers, never errors (admission-rejected 0).
+#      shed queries get coarse answers, never errors.
 # See EXPERIMENTS.md for the archived numbers and the knob rationale.
 BENCHCACHE ?= BENCH_pr9.json
 CACHEBASEARGS ?= -n 200 -fanout 4 -mindepth 4 -owner-every 3 -queries 400 -clients 4 \
@@ -124,7 +135,7 @@ bench-cache:
 #      equal (1.0) coverage,
 #   3. categorical — hierarchical dotted categorical values summarized as
 #      live Blooms with value-set condensation, mixed-dimension skewed
-#      queries; exercises the wire-v6 plan/mode path and condensation
+#      queries; exercises the summary plan/mode path and condensation
 #      under load (conjunctive cross-attribute false positives dominate
 #      here, which per-attribute resolution cannot remove — the line
 #      documents byte cost and recall, not an fp-rate win).

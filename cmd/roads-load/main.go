@@ -119,9 +119,9 @@ func main() {
 			res.ServerCacheHitRate, res.ServerCacheHits, res.ServerCacheMisses,
 			res.ServerCacheInvalidations, res.ServerCacheEvictions, res.ClientCacheHits)
 	}
-	if res.HotQueries > 0 || res.AdmissionAdmitted+res.AdmissionShed+res.AdmissionRejected > 0 {
-		fmt.Fprintf(os.Stderr, "admission: %d admitted, %d shed, %d rejected; hot tenant %d queries (%d coarse, %d failed, p99 %v)\n",
-			res.AdmissionAdmitted, res.AdmissionShed, res.AdmissionRejected,
+	if res.HotQueries > 0 || res.AdmissionAdmitted+res.AdmissionShed > 0 {
+		fmt.Fprintf(os.Stderr, "admission: %d admitted, %d shed; hot tenant %d queries (%d coarse, %d failed, p99 %v)\n",
+			res.AdmissionAdmitted, res.AdmissionShed,
 			res.HotQueries, res.HotCoarse, res.HotFailures, res.HotLatencyP99)
 	}
 

@@ -1,6 +1,6 @@
 // Command roads-proto benchmarks the live ROADS prototype end to end, the
 // analogue of the paper's testbed experiment (Fig. 11): it starts a real
-// in-process cluster (every message gob-encoded through the transport,
+// in-process cluster (every message wire-encoded through the transport,
 // optionally with injected wide-area latency), loads synthetic records,
 // and measures the wall-clock total response time of selectivity-grouped
 // queries against ROADS and against a centralized single-server setup.

@@ -38,21 +38,14 @@ func main() {
 	status := flag.Bool("status", false, "print the server's status snapshot instead of querying")
 	deadline := flag.Duration("deadline", 10*time.Second, "overall resolve deadline; servers shed work that cannot meet it")
 	retries := flag.Int("retries", 1, "retries per failed server contact before failing over to alternate replica holders")
-	gob := flag.Bool("gob", false, "send requests in the legacy gob wire codec (for servers that predate the binary codec)")
 	trace := flag.Bool("trace", false, "trace the resolve: print every server contact with its redirect path, per-hop latency, and the server's summary-match decisions")
 	priority := flag.String("priority", "normal", "admission priority class claimed on the wire: low, normal or high (servers may pin a different class per requester)")
 	var preds predList
 	flag.Var(&preds, "q", "predicate attr=lo:hi, attr=value, attr>v or attr<v (repeatable)")
 	flag.Parse()
 
-	newTCP := func() *transport.TCP {
-		tr := transport.NewTCP()
-		tr.UseGob = *gob
-		return tr
-	}
-
 	if *status {
-		client := live.NewClient(newTCP(), *requester)
+		client := live.NewClient(transport.NewTCP(), *requester)
 		st, err := client.Status(*server)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "roadsctl:", err)
@@ -90,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 	q := query.New("roadsctl", preds...)
-	client := live.NewClient(newTCP(), *requester)
+	client := live.NewClient(transport.NewTCP(), *requester)
 	client.Retries = *retries
 	client.Trace = *trace
 	// Marks the request wire-v5 even at the default (normal) priority, so

@@ -44,14 +44,12 @@ func main() {
 	degree := flag.Int("degree", 8, "max children")
 	tick := flag.Duration("tick", 2*time.Second, "aggregation/heartbeat period")
 	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
-	noDelta := flag.Bool("no-delta", false, "disable change-driven dissemination: rebuild summaries and send full reports/pushes every tick (pre-v3 wire behaviour)")
-	antiEntropy := flag.Int("anti-entropy-every", live.DefaultAntiEntropyEvery, "send full state every Nth aggregation tick even to up-to-date peers (ignored with -no-delta)")
-	noEpoch := flag.Bool("no-epoch", false, "run as a pre-epoch peer: no membership-epoch stamping, fencing, or split-brain root probing (pre-v4 wire behaviour)")
+	antiEntropy := flag.Int("anti-entropy-every", live.DefaultAntiEntropyEvery, "send full state every Nth aggregation tick even to up-to-date peers")
 	storeShards := flag.Int("store-shards", 0, "store shard count: records hash to shards, each maintaining its own indexes and partial summary (0 = library default)")
 	cacheBytes := flag.Int64("result-cache-bytes", 0, "query result cache LRU byte budget (0 = library default, negative = disable the cache)")
-	admissionRate := flag.Float64("admission-rate", 0, "per-requester admission token-bucket refill rate in queries/sec; over-budget wire-v5 requesters are shed to coarse summary-only answers (0 = admission off)")
+	admissionRate := flag.Float64("admission-rate", 0, "per-requester admission token-bucket refill rate in queries/sec; over-budget requesters are shed to coarse summary-only answers (0 = admission off)")
 	admissionBurst := flag.Int("admission-burst", 0, "per-requester admission token-bucket burst capacity (0 = derive from -admission-rate)")
-	noAdaptive := flag.Bool("no-adaptive", false, "disable feedback-driven summary resolution: keep the static summary geometry and never flag wire-v6 capability (pre-v6 wire behaviour)")
+	noAdaptive := flag.Bool("no-adaptive", false, "never replan this server's summary resolution: the summaries it builds keep the static -buckets geometry (it still ingests and forwards whatever geometry its peers send)")
 	summaryBudget := flag.Int("summary-budget", 0, "summary byte budget the adaptive planner reallocates within (0 = unbounded)")
 	replanEvery := flag.Int("replan-every", 0, "aggregation rounds between adaptive resolution replans (0 = library default)")
 	condenseAbove := flag.Int("condense-above", 0, "collapse categorical value sets larger than this into dotted-prefix wildcards (0 = off)")
@@ -60,7 +58,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "workload seed (0 = derive from ID)")
 	load := flag.String("load", "", "JSON-lines records file to host (overrides -records)")
 	schemaFile := flag.String("schema", "", "schema JSON file (required with -load; default synthetic aN schema otherwise)")
-	gob := flag.Bool("gob", false, "send outgoing calls in the legacy gob wire codec (for peers that predate the binary codec; incoming calls are always answered in the codec they arrive in)")
 	httpAddr := flag.String("http", "", "observability sidecar listen address, e.g. :9090 (serves /metrics, /statusz, /debug/pprof/; empty = disabled; bind to a trusted interface — pprof exposes profiles)")
 	flag.Parse()
 
@@ -116,9 +113,7 @@ func main() {
 	cfg.AggregateEvery = *tick
 	cfg.HeartbeatEvery = *tick
 	cfg.ReplicaTTLFloor = *ttlFloor
-	cfg.DisableDeltaDissemination = *noDelta
 	cfg.AntiEntropyEvery = *antiEntropy
-	cfg.DisableMembershipEpoch = *noEpoch
 	cfg.MergeSeeds = mergeSeeds
 	cfg.StoreShards = *storeShards
 	cfg.ResultCacheBytes = *cacheBytes
@@ -130,7 +125,6 @@ func main() {
 
 	reg := obs.NewRegistry()
 	tr := transport.NewTCP()
-	tr.UseGob = *gob
 	tr.RegisterMetrics(reg)
 	wire.RegisterMetrics(reg)
 	cfg.Metrics = reg

@@ -1,5 +1,5 @@
 // Livecluster: run a real ROADS federation — actual servers with their own
-// goroutine loops, gob-encoded messages over TCP on the loopback
+// goroutine loops, binary-encoded messages over TCP on the loopback
 // interface, soft-state aggregation ticks, heartbeats, and a concurrent
 // redirect-following client. Then kill a server and watch the hierarchy
 // heal.

@@ -2,14 +2,17 @@ package live
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"sort"
 	"testing"
 
+	"roads/internal/central"
+	"roads/internal/netsim"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/store"
 	"roads/internal/transport"
-	"roads/internal/wire"
 )
 
 // adaptiveCluster builds a parked-loop root with two leaf children over
@@ -203,111 +206,104 @@ func TestAdaptiveDisabledStaticBaseline(t *testing.T) {
 	}
 }
 
-// verSniffer wraps a transport and records, per destination address, every
-// wire version byte its requests encode to. The in-process Chan transport
-// round-trips real codec bytes but exposes none of them, so the sniffer
-// re-encodes each outgoing message — Encode is deterministic, so the
-// recorded byte is exactly what crossed the wire.
-type verSniffer struct {
-	transport.Transport
-	mu   sync.Mutex
-	seen map[string]map[byte]int
-}
-
-func newVerSniffer(inner transport.Transport) *verSniffer {
-	return &verSniffer{Transport: inner, seen: make(map[string]map[byte]int)}
-}
-
-func (v *verSniffer) record(addr string, req *wire.Message) {
-	data, err := wire.Encode(req)
-	if err != nil || len(data) < 2 {
-		return
-	}
-	v.mu.Lock()
-	if v.seen[addr] == nil {
-		v.seen[addr] = make(map[byte]int)
-	}
-	v.seen[addr][data[1]]++
-	v.mu.Unlock()
-}
-
-func (v *verSniffer) Call(addr string, req *wire.Message) (*wire.Message, error) {
-	v.record(addr, req)
-	return v.Transport.Call(addr, req)
-}
-
-// versions returns how many requests to addr used a version byte
-// satisfying pred.
-func (v *verSniffer) versions(addr string, pred func(byte) bool) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for ver, c := range v.seen[addr] {
-		if pred(ver) {
-			n += c
-		}
-	}
-	return n
-}
-
-// TestAdaptiveMixedVersionInterop is the v5/v6 interop regression: an
-// adaptive root and child negotiate up to wire v6 and exchange native
-// adaptive summaries, while a legacy sibling (adaptation disabled, so it
-// never flags capability — the stand-in for a pre-v6 build) keeps seeing
-// only legacy-versioned, flattened traffic. Queries through either entry
-// keep full recall across the boundary.
-func TestAdaptiveMixedVersionInterop(t *testing.T) {
-	tr := newVerSniffer(transport.NewChan())
-	// The "cold" child is built as a pre-v6 peer: adaptation disabled, so
-	// it never flags capability — the stand-in for a legacy build.
-	root, hot, legacy := adaptiveCluster(t, tr, 20, func(id string, c *Config) {
-		if id == "cold" {
+// TestAdaptiveChildrenUnderStaticParent: DisableAdaptiveSummaries only stops
+// a server's own planner. A static parent ingests its adaptive children's
+// refined branches as they are (Summary.Merge resamples them into its own
+// uniform branch) and forwards them natively to their siblings, so the
+// federation still converges to full coverage and every entry's answers
+// equal the centralized repository's.
+func TestAdaptiveChildrenUnderStaticParent(t *testing.T) {
+	tr := transport.NewChan()
+	root, hot, cold := adaptiveCluster(t, tr, 20, func(id string, c *Config) {
+		if id == "root" {
 			c.DisableAdaptiveSummaries = true
 		}
 	})
-
-	for i := 0; i < 4; i++ {
-		driveRound(hot, legacy, root)
-		driveRound(root)
+	all := []*Server{root, hot, cold}
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			driveRound(hot, cold, root)
+			driveRound(root)
+		}
 	}
-	// Heat the adaptive child so its native summaries carry a real plan
-	// (Mode != 0): only then does v6 traffic actually appear.
+	rounds(2)
+	// Heat the hot child so its reports carry a real plan.
 	fpQueries(t, tr, root, 12, 0)
-	for i := 0; i < 4; i++ {
-		driveRound(hot, legacy, root)
-		driveRound(root)
-	}
+	rounds(3)
 	if di := hot.AdaptiveInfo(); di.Replans == 0 || di.PlanDeviation == 0 {
 		t.Fatalf("adaptive child never refined: %+v", di)
 	}
-
-	// The proven pair speaks v6: flagged pushes root→hot, and — once the
-	// parent proved itself — native Mode-carrying reports hot→root.
-	if tr.versions(hot.Addr(), func(b byte) bool { return b >= 6 }) == 0 {
-		t.Fatal("no v6 request ever reached the adaptive child; capability negotiation failed")
+	if di := root.AdaptiveInfo(); di.Enabled || di.Replans != 0 || di.PlanDeviation != 0 {
+		t.Fatalf("static parent replanned: %+v", di)
 	}
-	if tr.versions(root.Addr(), func(b byte) bool { return b >= 6 }) == 0 {
-		t.Fatal("the adaptive child never sent the root a v6 request")
+	snap := root.snap.Load()
+	if len(snap.branchSummary.Cfg.Resolution) != 0 {
+		t.Fatalf("static parent's branch summary carries a resolution plan: %+v", snap.branchSummary.Cfg.Resolution)
 	}
-	// The legacy child must never see a v6 byte: every summary pushed to
-	// it — including the adaptive sibling's refined branch — arrives
-	// flattened to the uniform base geometry (Mode 0 never stamps v6).
-	if n := tr.versions(legacy.Addr(), func(b byte) bool { return b >= 6 }); n != 0 {
-		t.Fatalf("%d wire-v6 requests reached the legacy peer", n)
-	}
-	if tr.versions(legacy.Addr(), func(b byte) bool { return b < 6 }) == 0 {
-		t.Fatal("no legacy-versioned traffic reached the legacy peer at all")
-	}
-
-	// Full recall through both entries, across the version boundary.
-	for _, entry := range []*Server{root, legacy} {
-		cli := NewClient(tr, "probe-"+entry.ID())
-		recs, _, err := cli.Resolve(entry.Addr(), query.New("all-"+entry.ID(), query.NewRange("a0", 0, 1)))
-		if err != nil {
-			t.Fatalf("entry %s: %v", entry.ID(), err)
+	var hotBranch *snapChild
+	for i := range snap.children {
+		if snap.children[i].ri.ID == "hot" {
+			hotBranch = &snap.children[i]
 		}
-		if len(recs) != 21 {
-			t.Fatalf("entry %s resolved %d records, want 21", entry.ID(), len(recs))
+	}
+	if hotBranch == nil || len(hotBranch.branch.Cfg.Resolution) == 0 {
+		t.Fatal("static parent does not hold the adaptive child's branch in its native geometry")
+	}
+	// The sibling got that branch forwarded natively too, not down-projected.
+	cold.mu.Lock()
+	fwd := cold.replicas["hot"]
+	cold.mu.Unlock()
+	if fwd == nil || len(fwd.branch.Cfg.Resolution) == 0 {
+		t.Fatal("the adaptive child's branch did not reach its sibling in its native geometry")
+	}
+
+	// Coverage 1.0 everywhere.
+	for _, srv := range all {
+		if got := srv.CoveredRecords(); got != 21 {
+			t.Fatalf("%s covers %d records; want 21", srv.ID(), got)
+		}
+	}
+
+	// Answers equal the centralized repository's, through every entry.
+	schema := root.cfg.Schema
+	repo := central.New(schema, store.CostModel{}, netsim.New(netsim.ConstLatency(0)), 0)
+	for _, srv := range []*Server{hot, cold} {
+		for _, o := range srv.snap.Load().owners {
+			repo.Export(0, o.Records())
+		}
+	}
+	queries := []*query.Query{
+		query.New("all", query.NewRange("a0", 0, 1)),
+		query.New("cluster", query.NewRange("a0", 0, 0.06)),
+		query.New("half", query.NewRange("a0", 0.03, 0.95)),
+		query.New("gap", query.NewRange("a0", 0.07, 0.124)),
+		query.New("conj", query.NewRange("a0", 0.5, 1), query.NewRange("a1", 0.4, 0.6)),
+	}
+	ids := func(recs []*record.Record) []string {
+		out := make([]string, len(recs))
+		for i, r := range recs {
+			out[i] = r.Owner + "/" + r.ID
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, entry := range all {
+		cli := NewClient(tr, "probe-"+entry.ID())
+		for _, q := range queries {
+			want, err := repo.Resolve(q.Clone(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := cli.Resolve(entry.Addr(), q)
+			if err != nil {
+				t.Fatalf("entry %s query %s: %v", entry.ID(), q.ID, err)
+			}
+			if stats.Coverage != 1 || stats.Failed != 0 {
+				t.Fatalf("entry %s query %s: coverage %.3f, %d failed contacts", entry.ID(), q.ID, stats.Coverage, stats.Failed)
+			}
+			if g, w := ids(got), ids(want.Records); !slices.Equal(g, w) {
+				t.Fatalf("entry %s query %s: got %v; the central repository says %v", entry.ID(), q.ID, g, w)
+			}
 		}
 	}
 }

@@ -8,9 +8,12 @@ import (
 	"roads/internal/wire"
 )
 
-// admissionMaxBuckets bounds the per-requester bucket map; past it the
-// stalest buckets (full, idle the longest) are reaped, so an adversary
-// minting requester identities costs reaped state, not unbounded memory.
+// admissionMaxBuckets is the ceiling of the per-requester bucket map. At
+// the ceiling, buckets idle long enough to have refilled are reaped to make
+// room; when that frees nothing, new identities are charged to the shared
+// anonymous bucket instead of getting their own — so an adversary minting
+// requester identities costs neither unbounded memory nor a scan per query,
+// and throttles itself.
 const admissionMaxBuckets = 4096
 
 // tokenBucket is one requester's admission budget.
@@ -22,19 +25,24 @@ type tokenBucket struct {
 // admission is the per-requester admission controller: a lazily built map
 // of token buckets refilled at Config.AdmissionRate queries/second up to
 // Config.AdmissionBurst. High-priority requesters are never shed; everyone
-// else pays one token per query and is shed once the bucket runs dry —
-// to a coarse summary-only answer for wire-v5 requesters, the legacy error
-// shed for older peers (see handleQuery).
+// else pays one token per query and is shed to a coarse summary-only answer
+// once the bucket runs dry (see handleQuery).
 type admission struct {
 	rate  float64
 	burst float64
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
+	// anon is the one bucket every query without a requester identity
+	// shares, and the one identities past the ceiling are charged to.
+	anon tokenBucket
+	// nextReap is the earliest time a reap at the ceiling can free
+	// anything again: a reap that found every bucket recently used is not
+	// repeated until one of them could have gone idle.
+	nextReap time.Time
 
 	admitted atomic.Uint64
 	shed     atomic.Uint64
-	rejected atomic.Uint64
 }
 
 // newAdmission builds the controller (rate 0 = disabled → nil). A zero
@@ -51,12 +59,14 @@ func newAdmission(rate float64, burst int) *admission {
 	if b < 1 {
 		b = 1
 	}
-	return &admission{rate: rate, burst: b, buckets: make(map[string]*tokenBucket)}
+	return &admission{rate: rate, burst: b, buckets: make(map[string]*tokenBucket),
+		anon: tokenBucket{tokens: b, last: time.Now()}}
 }
 
-// admit charges the requester one query and reports whether it may run.
-// Priority high always runs (still counted admitted); an empty requester
-// identity shares one anonymous bucket.
+// admit charges the requester one query and reports whether it may run,
+// counting the outcome. Priority high always runs; an empty requester
+// identity shares one anonymous bucket, and so do new identities arriving
+// while the map is full of recently used buckets.
 func (a *admission) admit(requester string, priority uint8) bool {
 	if priority == wire.PriorityHigh {
 		a.admitted.Add(1)
@@ -64,45 +74,56 @@ func (a *admission) admit(requester string, priority uint8) bool {
 	}
 	now := time.Now()
 	a.mu.Lock()
-	b, ok := a.buckets[requester]
-	if !ok {
-		if len(a.buckets) >= admissionMaxBuckets {
-			a.reapLocked(now)
+	b := &a.anon
+	if requester != "" {
+		if known, ok := a.buckets[requester]; ok {
+			b = known
+		} else if len(a.buckets) < admissionMaxBuckets || a.reapLocked(now) {
+			b = &tokenBucket{tokens: a.burst, last: now}
+			a.buckets[requester] = b
 		}
-		b = &tokenBucket{tokens: a.burst, last: now}
-		a.buckets[requester] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * a.rate
-		if b.tokens > a.burst {
-			b.tokens = a.burst
-		}
-		b.last = now
 	}
-	if b.tokens < 1 {
-		// The caller records the outcome (shed-to-coarse vs. the legacy
-		// rejection) — it depends on the requester's wire version.
-		a.mu.Unlock()
-		return false
+	b.tokens += now.Sub(b.last).Seconds() * a.rate
+	if b.tokens > a.burst {
+		b.tokens = a.burst
 	}
-	b.tokens--
+	b.last = now
+	admitted := b.tokens >= 1
+	if admitted {
+		b.tokens--
+	}
 	a.mu.Unlock()
-	a.admitted.Add(1)
-	return true
+	if admitted {
+		a.admitted.Add(1)
+	} else {
+		a.shed.Add(1)
+	}
+	return admitted
 }
 
 // reapLocked drops buckets idle long enough to have refilled completely —
 // indistinguishable from fresh ones, so removing them changes no admission
-// decision.
-func (a *admission) reapLocked(now time.Time) {
+// decision — and reports whether the map has room again. A reap that frees
+// nothing is not retried before a bucket could have gone idle, so a spray of
+// identities pays one scan per idle window, not one per query.
+func (a *admission) reapLocked(now time.Time) bool {
+	if now.Before(a.nextReap) {
+		return false
+	}
 	idle := time.Duration(float64(time.Second) * (a.burst / a.rate))
 	for id, b := range a.buckets {
 		if now.Sub(b.last) > idle {
 			delete(a.buckets, id)
 		}
 	}
+	if len(a.buckets) < admissionMaxBuckets {
+		return true
+	}
+	a.nextReap = now.Add(idle)
+	return false
 }
 
-// requesters returns the live bucket count.
+// requesters returns how many identities have a bucket of their own.
 func (a *admission) requesters() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -111,8 +132,7 @@ func (a *admission) requesters() int {
 
 // AdmissionInfo is the admission controller's observable state, mirroring
 // the roads_admission_* series for harness and test consumption. Shed
-// counts queries degraded to coarse answers; Rejected counts pre-v5
-// requesters that got the legacy error shed instead.
+// counts queries degraded to coarse answers.
 type AdmissionInfo struct {
 	Enabled    bool
 	Rate       float64
@@ -120,7 +140,6 @@ type AdmissionInfo struct {
 	Requesters int
 	Admitted   uint64
 	Shed       uint64
-	Rejected   uint64
 }
 
 // AdmissionInfo reports the server's admission state (zero when disabled).
@@ -136,6 +155,5 @@ func (s *Server) AdmissionInfo() AdmissionInfo {
 		Requesters: a.requesters(),
 		Admitted:   a.admitted.Load(),
 		Shed:       a.shed.Load(),
-		Rejected:   a.rejected.Load(),
 	}
 }

@@ -1,7 +1,7 @@
 package live
 
 import (
-	"strings"
+	"strconv"
 	"testing"
 
 	"roads/internal/policy"
@@ -24,8 +24,8 @@ func admissionStar(t *testing.T) (*Server, *policy.Classifier) {
 	return root, cls
 }
 
-// TestAdmissionShedsToCoarse: a wire-v5 requester over its token budget
-// gets a coarse summary-only answer — flagged in the reply, not an error.
+// TestAdmissionShedsToCoarse: a requester over its token budget gets a
+// coarse summary-only answer — flagged in the reply, not an error.
 func TestAdmissionShedsToCoarse(t *testing.T) {
 	root, _ := admissionStar(t)
 	cli := NewClient(root.tr, "t-low")
@@ -51,8 +51,8 @@ func TestAdmissionShedsToCoarse(t *testing.T) {
 	if stats.CoarseEstimate <= 0 {
 		t.Fatalf("coarse reply carried estimate %v; want a positive branch estimate", stats.CoarseEstimate)
 	}
-	if info := root.AdmissionInfo(); info.Shed == 0 || info.Rejected != 0 {
-		t.Fatalf("admission after coarse shed: %+v; want shed counted, nothing rejected", info)
+	if info := root.AdmissionInfo(); info.Shed != 1 || info.Admitted != 2 {
+		t.Fatalf("admission after coarse shed: %+v; want 2 admitted, 1 shed", info)
 	}
 }
 
@@ -74,24 +74,66 @@ func TestAdmissionHighPriorityNeverShed(t *testing.T) {
 	}
 }
 
-// TestAdmissionPreV5RequesterGetsError: a requester whose query carries no
-// wire-v5 field cannot decode a coarse reply, so over budget it gets the
-// legacy error shed, counted as rejected.
-func TestAdmissionPreV5RequesterGetsError(t *testing.T) {
+// TestAdmissionPlainRequesterShedsToCoarse: every shed answers coarse,
+// whatever the query carries — a client with default settings (normal
+// priority, no cache fields) over budget gets the flagged estimate too, not
+// an error.
+func TestAdmissionPlainRequesterShedsToCoarse(t *testing.T) {
 	root, _ := admissionStar(t)
-	cli := NewClient(root.tr, "t-pre")
+	cli := NewClient(root.tr, "t-plain")
 	q := query.New("q", query.NewRange("a0", -1, 2000))
 	for i := 0; i < 2; i++ {
 		if _, _, err := cli.Resolve(root.Addr(), q); err != nil {
 			t.Fatalf("resolve %d: %v", i, err)
 		}
 	}
-	_, _, err := cli.Resolve(root.Addr(), q)
-	if err == nil || !strings.Contains(err.Error(), "admission") {
-		t.Fatalf("over-budget pre-v5 resolve: err=%v; want an admission error", err)
+	_, stats, err := cli.Resolve(root.Addr(), q)
+	if err != nil {
+		t.Fatalf("over-budget resolve must not error, got: %v", err)
 	}
-	if info := root.AdmissionInfo(); info.Rejected == 0 {
-		t.Fatalf("admission after pre-v5 shed: %+v; want rejected counted", info)
+	if stats.Coarse != 1 {
+		t.Fatalf("over-budget resolve: coarse=%d; want a coarse shed", stats.Coarse)
+	}
+}
+
+// TestAdmissionBucketCeiling: spraying fresh requester identities faster
+// than buckets go idle must not grow the bucket map past its ceiling, and
+// must not buy the sprayer a fresh burst per identity: past the ceiling new
+// identities share the anonymous bucket and drain it.
+func TestAdmissionBucketCeiling(t *testing.T) {
+	// Two tokens per bucket and an idle window of hours: nothing sprayed
+	// here is ever reapable.
+	a := newAdmission(0.0001, 2)
+	shedBefore := 0
+	for i := 0; i < 4*admissionMaxBuckets; i++ {
+		if !a.admit("sprayed-"+strconv.Itoa(i), wire.PriorityNormal) {
+			if i < admissionMaxBuckets {
+				t.Fatalf("identity %d shed below the ceiling; each has a fresh bucket", i)
+			}
+			shedBefore++
+		}
+	}
+	if got := a.requesters(); got > admissionMaxBuckets {
+		t.Fatalf("%d buckets after spraying %d identities; the ceiling is %d", got, 4*admissionMaxBuckets, admissionMaxBuckets)
+	}
+	// Past the ceiling the spray as a whole got the anonymous bucket's two
+	// tokens, not two per identity.
+	if want := 3*admissionMaxBuckets - 2; shedBefore != want {
+		t.Fatalf("%d of the %d identities past the ceiling were shed; want %d (all but the shared bucket's burst)",
+			shedBefore, 3*admissionMaxBuckets, want)
+	}
+	if a.admit("sprayed-one-more", wire.PriorityNormal) {
+		t.Fatal("a sprayed identity past the ceiling was admitted on an empty shared bucket")
+	}
+	// An identity that got its own bucket below the ceiling keeps it.
+	if !a.admit("sprayed-0", wire.PriorityNormal) {
+		t.Fatal("an identity with its own bucket lost its remaining token to the spray")
+	}
+	if a.admit("sprayed-0", wire.PriorityNormal) {
+		t.Fatal("an identity with its own bucket was admitted past its burst")
+	}
+	if a.nextReap.IsZero() {
+		t.Fatal("a reap that freed nothing must postpone the next one, or every sprayed query scans the map")
 	}
 }
 

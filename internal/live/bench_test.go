@@ -18,7 +18,7 @@ import (
 // in-process transport, each child holding records, and reports every
 // child branch up so the root's replica pushes carry real summaries.
 // Background loops are parked; the benchmark drives pushReplicas itself.
-func benchStar(b *testing.B, children, recsPer int, disableDelta bool) (*Server, *transport.Chan) {
+func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	w := workload.MustGenerate(workload.Config{Nodes: children + 1, RecordsPerNode: recsPer, AttrsPerDist: 2}, rng)
@@ -28,7 +28,6 @@ func benchStar(b *testing.B, children, recsPer int, disableDelta bool) (*Server,
 		cfg.MaxChildren = children
 		cfg.AggregateEvery = time.Hour
 		cfg.HeartbeatEvery = time.Hour
-		cfg.DisableDeltaDissemination = disableDelta
 		srv, err := NewServer(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
@@ -61,107 +60,88 @@ func benchStar(b *testing.B, children, recsPer int, disableDelta bool) (*Server,
 }
 
 // BenchmarkPushReplicas measures one replica-propagation round from a
-// root to 16 children: the legacy path sends one RPC per replica per
-// child, the batched path sends one KindReplicaBatch per child. rpcs/op
-// and wirebytes/op come from the transport's own counters.
+// root to 16 children in the versioned steady state: one KindReplicaBatch
+// per child, entries version-only wherever the child acked the current
+// version. rpcs/op and wirebytes/op come from the transport's own counters.
+// The sub-benchmark keeps the name BENCH_pr14 archives it under, but
+// those runs pinned it to the full-push pipeline that no longer exists, so
+// the archived numbers stop being comparable here (see EXPERIMENTS.md).
 func BenchmarkPushReplicas(b *testing.B) {
-	const children = 16
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"percall", true},
-		{"batched", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			// Delta dissemination off on every server: this benchmark pins
-			// the percall-vs-batched comparison on the full-push pipeline it
-			// was introduced for.
-			root, tr := benchStar(b, children, 8, true)
-			root.cfg.DisableReplicaBatch = mode.disable
-			root.pushReplicas() // warm up: children allocate replica state once
-			start := tr.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				root.pushReplicas()
-			}
-			b.StopTimer()
-			st := tr.Stats()
-			b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
-			b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
-		})
-	}
+	b.Run("batched", func(b *testing.B) {
+		root, tr := benchStar(b, 16, 8)
+		root.pushReplicas() // warm up: children take and ack the full state once
+		start := tr.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			root.pushReplicas()
+		}
+		b.StopTimer()
+		st := tr.Stats()
+		b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
+		b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+	})
 }
 
 // BenchmarkHandleQuery measures the query hot path on a root holding 16
 // child branches and 8 overlay replicas — every query matches all of
 // them, so the handler does the full local-search + redirect-matching
-// walk. snapshot is the lock-free routing-snapshot path, mutex the legacy
-// path that evaluates under s.mu (Config.LegacyQueryLocking); parallel
-// runs a querier per core, where the mutex path serializes and the
-// snapshot path scales.
+// walk against the lock-free routing snapshot; parallel runs a querier per
+// core. The sub-benchmarks keep the names BENCH_pr3–pr8 archive them
+// under; the mutex baseline arm ended with the locking query path (see
+// EXPERIMENTS.md).
 func BenchmarkHandleQuery(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"snapshot", false},
-		{"mutex", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			root, _ := benchStar(b, 16, 8, false)
-			root.cfg.LegacyQueryLocking = mode.legacy
-			// Give the root the replica load a mid-hierarchy server carries:
-			// 8 sibling branches pushed from a pretend parent.
-			pushes := make([]*wire.ReplicaPush, 8)
-			for i := range pushes {
-				pushes[i] = &wire.ReplicaPush{
-					OriginID:   fmt.Sprintf("sib%d", i),
-					OriginAddr: fmt.Sprintf("addr-sib%d", i),
-					Branch:     wire.FromSummary(root.snap.Load().localSummary),
-					Level:      1,
-				}
+	b.Run("snapshot", func(b *testing.B) {
+		root, _ := benchStar(b, 16, 8)
+		// Give the root the replica load a mid-hierarchy server carries:
+		// 8 sibling branches pushed from a pretend parent.
+		pushes := make([]*wire.ReplicaPush, 8)
+		for i := range pushes {
+			pushes[i] = &wire.ReplicaPush{
+				OriginID:   fmt.Sprintf("sib%d", i),
+				OriginAddr: fmt.Sprintf("addr-sib%d", i),
+				Branch:     wire.FromSummary(root.snap.Load().localSummary),
+				Level:      1,
 			}
-			batch := &wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",
-				Batch: &wire.ReplicaBatch{Pushes: pushes}}
-			if err := wire.RemoteError(root.handle(batch)); err != nil {
-				b.Fatal(err)
+		}
+		batch := &wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",
+			Batch: &wire.ReplicaBatch{Pushes: pushes}}
+		if err := wire.RemoteError(root.handle(batch)); err != nil {
+			b.Fatal(err)
+		}
+		q := query.New("bench-q", query.NewRange("a0", 0, 1))
+		msg := &wire.Message{Kind: wire.KindQuery, From: "t", Query: wire.FromQuery(q, true)}
+		rep := root.handle(msg)
+		if err := wire.RemoteError(rep); err != nil {
+			b.Fatal(err)
+		}
+		if got := len(rep.QueryRep.Redirects); got != 16+8 {
+			b.Fatalf("warmup query produced %d redirects, want 24", got)
+		}
+		b.Run("serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				root.handle(msg)
 			}
-			q := query.New("bench-q", query.NewRange("a0", 0, 1))
-			msg := &wire.Message{Kind: wire.KindQuery, From: "t", Query: wire.FromQuery(q, true)}
-			rep := root.handle(msg)
-			if err := wire.RemoteError(rep); err != nil {
-				b.Fatal(err)
-			}
-			if got := len(rep.QueryRep.Redirects); got != 16+8 {
-				b.Fatalf("warmup query produced %d redirects, want 24", got)
-			}
-			b.Run("serial", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+		})
+		b.Run("parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
 					root.handle(msg)
 				}
 			})
-			b.Run("parallel", func(b *testing.B) {
-				b.ReportAllocs()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						root.handle(msg)
-					}
-				})
-			})
 		})
-	}
+	})
 }
 
 // benchMidTier builds the three-level chain P ← M ← c1..c8 with parked
 // loops, every server holding recsPer records, and drives enough warmup
-// rounds that the delta handshake (when enabled) has fully converged: M
+// rounds that version acknowledgement has fully converged: M
 // suppresses its reports to P and ships version-only entries to the
 // children. Returns M (the server whose tick the benchmark measures), M's
 // owner and record set (for churn injection), and the transport.
-func benchMidTier(b *testing.B, disableDelta bool, recsPer int) (*Server, *policy.Owner, []*record.Record, *transport.Chan) {
+func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.Record, *transport.Chan) {
 	b.Helper()
 	const children = 8
 	rng := rand.New(rand.NewSource(41))
@@ -172,7 +152,6 @@ func benchMidTier(b *testing.B, disableDelta bool, recsPer int) (*Server, *polic
 		cfg.MaxChildren = children
 		cfg.AggregateEvery = time.Hour
 		cfg.HeartbeatEvery = time.Hour
-		cfg.DisableDeltaDissemination = disableDelta
 		// A longer-than-default anti-entropy cadence so the steady-state
 		// numbers are dominated by delta rounds; the periodic full round is
 		// still included in the measurement (1 tick in 64).
@@ -211,7 +190,7 @@ func benchMidTier(b *testing.B, disableDelta bool, recsPer int) (*Server, *polic
 	if got := mid.NumChildren(); got != children {
 		b.Fatalf("mid-tier server has %d children; want %d", got, children)
 	}
-	if !disableDelta && mid.mx.reportsSuppressed.Load() == 0 {
+	if mid.mx.reportsSuppressed.Load() == 0 {
 		b.Fatal("warmup never reached steady-state suppression")
 	}
 	return mid, own, w.PerNode[1], tr
@@ -222,57 +201,49 @@ func benchMidTier(b *testing.B, disableDelta bool, recsPer int) (*Server, *polic
 // children, across churn rates: churn0 mutates nothing between ticks (the
 // steady state the change-driven pipeline targets), churn1 rewrites 1% of
 // the server's own records before every tick, churn100 rewrites all of
-// them. delta is the change-driven pipeline (including its 1-in-64
-// anti-entropy full rounds); full is the DisableDeltaDissemination
-// baseline that rebuilds and retransmits everything every tick. rpcs/op
-// and wirebytes/op come from the transport's own counters.
+// them. The 1-in-64 anti-entropy full rounds are included. rpcs/op and
+// wirebytes/op come from the transport's own counters. The sub-benchmarks
+// keep the names BENCH_pr5–pr8 archive them under; the full-rebuild
+// baseline arm ended with that pipeline (see EXPERIMENTS.md).
 func BenchmarkAggregationTick(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
+	for _, churn := range []struct {
+		name string
+		frac float64
 	}{
-		{"delta", false},
-		{"full", true},
+		{"churn0", 0},
+		{"churn1", 0.01},
+		{"churn100", 1},
 	} {
-		for _, churn := range []struct {
-			name string
-			frac float64
-		}{
-			{"churn0", 0},
-			{"churn1", 0.01},
-			{"churn100", 1},
-		} {
-			b.Run(mode.name+"/"+churn.name, func(b *testing.B) {
-				mid, own, recs, tr := benchMidTier(b, mode.disable, 100)
-				rng := rand.New(rand.NewSource(7))
-				start := tr.Stats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if churn.frac > 0 {
-						b.StopTimer()
-						k := int(churn.frac * float64(len(recs)))
-						if k < 1 {
-							k = 1
-						}
-						for j := 0; j < k; j++ {
-							recs[rng.Intn(len(recs))].SetNum(0, rng.Float64())
-						}
-						own.SetRecords(recs)
-						b.StartTimer()
+		b.Run("delta/"+churn.name, func(b *testing.B) {
+			mid, own, recs, tr := benchMidTier(b, 100)
+			rng := rand.New(rand.NewSource(7))
+			start := tr.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if churn.frac > 0 {
+					b.StopTimer()
+					k := int(churn.frac * float64(len(recs)))
+					if k < 1 {
+						k = 1
 					}
-					mid.refreshSummaries()
-					mid.reportToParent()
-					mid.pushReplicas()
-					mid.pruneDeadChildren()
-					mid.pruneStaleReplicas()
+					for j := 0; j < k; j++ {
+						recs[rng.Intn(len(recs))].SetNum(0, rng.Float64())
+					}
+					own.SetRecords(recs)
+					b.StartTimer()
 				}
-				b.StopTimer()
-				st := tr.Stats()
-				b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
-				b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
-			})
-		}
+				mid.refreshSummaries()
+				mid.reportToParent()
+				mid.pushReplicas()
+				mid.pruneDeadChildren()
+				mid.pruneStaleReplicas()
+			}
+			b.StopTimer()
+			st := tr.Stats()
+			b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
+			b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+		})
 	}
 }
 

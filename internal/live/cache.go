@@ -284,8 +284,8 @@ func (rc *resultCache) validLocked(s *Server, snap *routingSnapshot, e *cacheEnt
 }
 
 // insert caches a freshly evaluated reply with its dependency set. Entries
-// with any unversioned dependency (dep 0: a pre-v3 child or an unversioned
-// replica) are refused — without a version there is no precise invalidation
+// with any unversioned dependency (dep 0: a child or replica whose summary
+// carries no content version) are refused — without a version there is no precise invalidation
 // signal, and correctness beats hit rate.
 func (rc *resultCache) insert(e *cacheEntry) {
 	for _, d := range e.children {
@@ -369,8 +369,8 @@ func (s *Server) CacheInfo() CacheInfo {
 }
 
 // depHash folds one routing-relevant field sequence into a dep hash. Dep
-// hashes start from the target's content version: version 0 (a pre-v3 peer
-// or an unversioned summary) yields dep 0, which marks the target
+// hashes start from the target's content version: version 0 (an
+// unversioned summary) yields dep 0, which marks the target
 // uncacheable rather than pretending staleness is detectable.
 type depHasher struct{ h uint64 }
 
@@ -400,7 +400,7 @@ func (d *depHasher) redirects(rds []wire.RedirectInfo) {
 	}
 }
 
-// queryFingerprint derives the wire-v5 reply fingerprint for the snapshot:
+// queryFingerprint derives the reply fingerprint for the snapshot:
 // the snapshot's routing dep base folded with the live store epoch and
 // owner generations/view revisions. Zero (no fingerprint, "don't cache")
 // when any routing dependency is unversioned.
@@ -430,7 +430,7 @@ func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
 	return fp
 }
 
-// coarseReply builds the wire-v5 degraded answer admission control and
+// coarseReply builds the degraded answer admission control and
 // budget shedding return instead of an error: no records or redirects, just
 // the summary-derived match estimate for the whole branch.
 func (s *Server) coarseReply(snap *routingSnapshot, q *query.Query) wire.QueryReply {

@@ -84,18 +84,10 @@ func newCacheStar(t *testing.T, mut func(cfg *Config), childVals ...[]float64) (
 		children = append(children, c)
 		owners = append(owners, o)
 	}
-	// Run the delta-capability handshake the parked loops would normally
-	// perform: the first push round's acks mark each child delta-capable,
-	// the second round's version-stamped pushes teach the children their
-	// parent speaks v3, and only then do reports carry the branch versions
-	// the result cache keys its child dependencies on.
+	// One push round, as the parked loops would run it: the children get
+	// their sibling and ancestor replicas.
 	root.refreshSummaries()
 	root.pushReplicas()
-	root.pushReplicas()
-	for _, c := range children {
-		c.reportToParent()
-	}
-	root.refreshSummaries()
 	if got := root.NumChildren(); got != len(childVals) {
 		t.Fatalf("root has %d children; want %d", got, len(childVals))
 	}

@@ -451,8 +451,8 @@ func TestChaosVersionMismatchRecovery(t *testing.T) {
 }
 
 // TestQueryBudgetShedding drives the server-side half of the deadline
-// hierarchy directly: a query arriving with an exhausted budget is shed
-// with an error instead of burning owner-policy work, and the shed shows
+// hierarchy directly: a query arriving with an exhausted budget is shed to
+// a coarse answer instead of burning owner-policy work, and the shed shows
 // up in the server's status counters.
 func TestQueryBudgetShedding(t *testing.T) {
 	cl, _ := startChaosCluster(t, 3, 3, 75)
@@ -466,8 +466,11 @@ func TestQueryBudgetShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rerr := wire.RemoteError(rep); rerr == nil {
-		t.Fatal("over-budget query must be shed with an error")
+	if rerr := wire.RemoteError(rep); rerr != nil {
+		t.Fatalf("over-budget query must be shed to a coarse answer, not an error: %v", rerr)
+	}
+	if qr := rep.QueryRep; qr == nil || !qr.Coarse || len(qr.Records) != 0 || len(qr.Redirects) != 0 {
+		t.Fatalf("over-budget query answered %+v; want a coarse reply without records or redirects", qr)
 	}
 	client := NewClient(cl.Tr, "t")
 	st, err := client.Status(srv.Addr())
@@ -487,6 +490,9 @@ func TestQueryBudgetShedding(t *testing.T) {
 	}
 	if rerr := wire.RemoteError(rep); rerr != nil {
 		t.Fatalf("budgeted query rejected: %v", rerr)
+	}
+	if rep.QueryRep == nil || rep.QueryRep.Coarse {
+		t.Fatalf("budgeted query answered %+v; want a full reply", rep.QueryRep)
 	}
 }
 

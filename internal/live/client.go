@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,8 +52,7 @@ type Client struct {
 	// hop on the wire and is off by default.
 	Trace bool
 	// Priority is the admission priority class stamped on every contact
-	// (wire v5; see wire.PriorityNormal/Low/High). Zero claims the normal
-	// class and keeps queries encodable at pre-v5 versions.
+	// (see wire.PriorityNormal/Low/High). Zero claims the normal class.
 	Priority uint8
 	// CacheResults caches each resolve's deduplicated record set keyed by
 	// (entry address, normalized query) together with the entry server's
@@ -76,13 +74,6 @@ type Client struct {
 	cacheLRU   *list.List
 	cacheByKey map[string]*list.Element
 	cacheBytes int64
-
-	// downMu guards downgraded: addresses that rejected a wire-v5 payload
-	// ("unknown binary codec version"); contacts to them retry and stay
-	// pre-v5 from then on — the optimistic-probe negotiation v3 and v4
-	// also use.
-	downMu     sync.Mutex
-	downgraded map[string]bool
 }
 
 // NewClient creates a client over the transport.
@@ -140,7 +131,7 @@ type QueryStats struct {
 	// records returned are the cached set and no descent happened.
 	CacheHit bool
 	// Coarse counts contacts that answered with a degraded summary-only
-	// reply (admission control or budget shedding, wire v5): no records,
+	// reply (admission control or budget shedding): no records,
 	// only an estimate. CoarseEstimate sums those servers' estimated
 	// match counts.
 	Coarse         int
@@ -414,9 +405,8 @@ func (r *resolve) worker() {
 }
 
 // call makes one contact: the query to t with this contact's budget,
-// retried with backoff, and re-sent pre-v5 to a peer that rejects wire v5.
-// It returns the final reply or error, the attempts burned and the last
-// attempt's round-trip time.
+// retried with backoff. It returns the final reply or error, the attempts
+// burned and the last attempt's round-trip time.
 func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.Duration, err error) {
 	c := r.c
 	start := t.kind == hopStart
@@ -427,14 +417,10 @@ func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.
 		dto.TraceID = r.stats.TraceID
 		dto.Path = t.path
 	}
-	if !c.isDowngraded(t.addr) {
-		// Optimistic wire-v5 fields; a peer that rejects them is
-		// remembered and re-contacted pre-v5.
-		dto.Priority = c.Priority
-		if start && c.CacheResults {
-			dto.WantFingerprint = true
-			dto.CacheFingerprint = r.cachedFP
-		}
+	dto.Priority = c.Priority
+	if start && c.CacheResults {
+		dto.WantFingerprint = true
+		dto.CacheFingerprint = r.cachedFP
 	}
 	req := &wire.Message{Kind: wire.KindQuery, From: c.Requester, Query: dto}
 	for attempt := 0; ; attempt++ {
@@ -455,15 +441,6 @@ func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.
 		}
 		if err == nil && rep.QueryRep == nil {
 			err = fmt.Errorf("live: %s returned %v to a query", rep.From, rep.Kind)
-		}
-		if err != nil && isV5Reject(err) &&
-			(dto.Priority != 0 || dto.WantFingerprint || dto.CacheFingerprint != 0) {
-			// The peer cannot decode wire v5: remember it and re-send
-			// this contact pre-v5 immediately (not charged as a retry).
-			c.markDowngraded(t.addr)
-			dto.Priority, dto.WantFingerprint, dto.CacheFingerprint = 0, false, 0
-			attempt--
-			continue
 		}
 		if err == nil || attempt >= r.retries || r.ctx.Err() != nil {
 			return rep, attempts, lastRTT, err
@@ -560,30 +537,6 @@ func (r *resolve) absorb(t target, rep *wire.Message, attempts int, lastRTT time
 	}
 	_, records := r.enqueueLocked(batch{rds: qr.Redirects, kind: hopRedirect, via: rep.From, path: nextPath})
 	r.known += records
-}
-
-// isV5Reject reports whether the error is a peer rejecting a wire-v5
-// payload — the decoder's unknown-version sentinel, surfaced through the
-// transport as the call error.
-func isV5Reject(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown binary codec version")
-}
-
-// isDowngraded reports whether addr previously rejected a v5 payload.
-func (c *Client) isDowngraded(addr string) bool {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	return c.downgraded[addr]
-}
-
-// markDowngraded remembers addr as pre-v5.
-func (c *Client) markDowngraded(addr string) {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	if c.downgraded == nil {
-		c.downgraded = make(map[string]bool)
-	}
-	c.downgraded[addr] = true
 }
 
 // clientCacheEntry is one cached resolve: the deduplicated record set and

@@ -72,13 +72,6 @@ type ClusterConfig struct {
 	// keeps DefaultAntiEntropyEvery); TTL tests raise it so soft-state
 	// liveness provably rides on version-only refreshes alone.
 	AntiEntropyEvery int
-	// DisableDeltaDissemination runs every server on the full-state
-	// baseline pipeline.
-	DisableDeltaDissemination bool
-	// DisableMembershipEpoch runs every server as a pre-epoch peer: no
-	// epoch stamping, fencing, or split-brain probing (see
-	// Config.DisableMembershipEpoch).
-	DisableMembershipEpoch bool
 	// MergeSeeds are the split-brain probe seed addresses handed to every
 	// server (Config.MergeSeeds); harnesses typically pass server 0's
 	// address so severed subtrees always have one well-known root to
@@ -188,8 +181,6 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		}
 		scfg.JoinMaxHops = cfg.JoinMaxHops
 		scfg.AntiEntropyEvery = cfg.AntiEntropyEvery
-		scfg.DisableDeltaDissemination = cfg.DisableDeltaDissemination
-		scfg.DisableMembershipEpoch = cfg.DisableMembershipEpoch
 		scfg.MergeSeeds = cfg.MergeSeeds
 		scfg.MergeProbeEvery = cfg.MergeProbeEvery
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries

@@ -2,6 +2,8 @@ package live
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,9 +38,9 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 	return srv
 }
 
-func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema, disable bool) *Server {
+func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema) *Server {
 	t.Helper()
-	return deltaServerCfg(t, tr, id, schema, func(c *Config) { c.DisableDeltaDissemination = disable })
+	return deltaServerCfg(t, tr, id, schema, nil)
 }
 
 // deltaRecords builds n records that all match matchAllQuery.
@@ -74,25 +76,21 @@ func driveRound(servers ...*Server) {
 }
 
 // childDelta snapshots the parent-side delta state for one child.
-func childDelta(s *Server, id string) (version uint64, capable bool, acked map[string]uint64) {
+func childDelta(s *Server, id string) (version uint64, acked map[string]uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.children[id]
 	if !ok {
-		return 0, false, nil
+		return 0, nil
 	}
-	acked = make(map[string]uint64, len(c.acked))
-	for k, v := range c.acked {
-		acked[k] = v
-	}
-	return c.version, c.deltaCapable, acked
+	return c.version, maps.Clone(c.acked)
 }
 
 // parentDelta snapshots the child-side delta state.
-func parentDelta(s *Server) (v3 bool, have uint64, needFull bool) {
+func parentDelta(s *Server) (have uint64, needFull bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.parentV3, s.parentHaveVersion, s.parentNeedFull
+	return s.parentHaveVersion, s.parentNeedFull
 }
 
 func setChildVersion(s *Server, id string, v uint64) bool {
@@ -125,17 +123,43 @@ func setReplicaVersion(s *Server, origin string, v uint64) bool {
 	return ok
 }
 
-// TestDeltaHandshakeAndSuppression walks the whole negotiation on a parked
-// two-child star and then pins the steady-state behaviour: version-only
-// reports and pushes, counters moving, replica TTLs renewed, and a
-// steady-state round moving a small fraction of the first full round's
-// bytes.
+// countingTransport counts, per message kind, what servers send through it
+// and how much of it is unversioned — so a test can assert that no
+// unversioned report or push entry ever leaves a server.
+type countingTransport struct {
+	*transport.Chan
+	mu          sync.Mutex
+	unversioned []string
+}
+
+func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	ct.mu.Lock()
+	if req.Report != nil && req.Report.Version == 0 {
+		ct.unversioned = append(ct.unversioned, "report from "+req.From)
+	}
+	if req.Batch != nil {
+		for _, p := range req.Batch.Pushes {
+			if p.Version == 0 {
+				ct.unversioned = append(ct.unversioned, "push of "+p.OriginID+" from "+req.From)
+			}
+		}
+	}
+	ct.mu.Unlock()
+	return ct.Chan.Call(addr, req)
+}
+
+// TestDeltaHandshakeAndSuppression pins that there is no handshake: on a
+// parked two-child star the first report and the first batch are already
+// versioned and acked, the second tick is version-only both ways, no
+// unversioned report or push entry is ever sent, replica TTLs are renewed
+// by version-only entries, and a steady-state round moves a small fraction
+// of the first full round's bytes.
 func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	schema := record.DefaultSchema(2)
-	tr := transport.NewChan()
-	root := deltaServer(t, tr, "root", schema, false)
-	c1 := deltaServer(t, tr, "c1", schema, false)
-	c2 := deltaServer(t, tr, "c2", schema, false)
+	tr := &countingTransport{Chan: transport.NewChan()}
+	root := deltaServer(t, tr, "root", schema)
+	c1 := deltaServer(t, tr, "c1", schema)
+	c2 := deltaServer(t, tr, "c2", schema)
 	attachDeltaOwner(t, root, schema, 5)
 	attachDeltaOwner(t, c1, schema, 5)
 	attachDeltaOwner(t, c2, schema, 5)
@@ -146,52 +170,60 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Tick one: everything goes in full, versioned, and is acked at once.
 	firstStart := tr.Stats()
 	driveRound(c1, c2, root)
 	firstEnd := tr.Stats()
-	// The handshake converges over the next rounds: the batch ack marks the
-	// children capable, the stamped ancestor push marks the parent v3, the
-	// stamped report earns a HaveVersion ack, and suppression begins.
-	for i := 0; i < 4; i++ {
-		driveRound(c1, c2, root)
-	}
-
-	ver, capable, acked := childDelta(root, "c1")
-	if !capable || ver == 0 || len(acked) == 0 {
-		t.Fatalf("root never completed the handshake with c1: version=%d capable=%v acked=%v", ver, capable, acked)
-	}
-	v3, have, _ := parentDelta(c1)
 	branch := c1.snap.Load().branchSummary
-	if branch == nil || !v3 || have != branch.Version {
-		t.Fatalf("c1 never learned the parent holds its branch: v3=%v have=%d branch=%+v", v3, have, branch)
+	ver, acked := childDelta(root, "c1")
+	if ver == 0 || ver != branch.Version {
+		t.Fatalf("root holds c1's branch at version %d after one tick; want %d", ver, branch.Version)
 	}
-
-	supBefore := c1.mx.reportsSuppressed.Load()
-	deltaBefore := root.mx.pushDelta.Load()
-	repsBefore := root.mx.summaryReports.Load()
-	if _, _, ok := replicaVersion(c1, "root"); !ok {
+	if acked["root"] == 0 || acked["c2"] == 0 {
+		t.Fatalf("c1 acked %v after the first batch; want root and c2 at their versions", acked)
+	}
+	if have, needFull := parentDelta(c1); needFull || have != branch.Version {
+		t.Fatalf("after the first report c1 knows the parent holds version %d (needFull=%v); want %d", have, needFull, branch.Version)
+	}
+	if _, recv, ok := replicaVersion(c1, "root"); !ok || recv.IsZero() {
 		t.Fatal("c1 holds no ancestor replica for root")
 	}
 	_, recvBefore, _ := replicaVersion(c1, "root")
 
+	// Tick two: version-only both ways.
+	supBefore := c1.mx.reportsSuppressed.Load()
+	fullBefore := root.mx.pushFull.Load()
+	repsBefore := root.mx.summaryReports.Load()
 	steadyStart := tr.Stats()
 	driveRound(c1, c2, root)
 	steadyEnd := tr.Stats()
 
 	if got := c1.mx.reportsSuppressed.Load(); got != supBefore+1 {
-		t.Fatalf("steady round suppressed %d reports on c1; want exactly 1", got-supBefore)
+		t.Fatalf("second tick suppressed %d reports on c1; want exactly 1", got-supBefore)
 	}
-	if got := root.mx.pushDelta.Load(); got <= deltaBefore {
-		t.Fatal("steady round sent no version-only push entries")
+	if got := root.mx.pushDelta.Load(); got != 4 {
+		t.Fatalf("second tick sent %d version-only push entries; want 4 (sibling + ancestor to each child)", got)
+	}
+	if got := root.mx.pushFull.Load(); got != fullBefore {
+		t.Fatalf("second tick sent %d full push entries; want none", got-fullBefore)
 	}
 	if got := root.mx.summaryReports.Load(); got != repsBefore+2 {
 		t.Fatalf("version-only reports must still count as reports: got %d new, want 2", got-repsBefore)
+	}
+	if st := root.StatusSnapshot(); st.ReportsSuppressed != 0 || st.ReplicaPushDelta != 4 {
+		t.Fatalf("root status after two ticks: %+v; want ReplicaPushDelta 4", st)
+	}
+	if st := c1.StatusSnapshot(); st.ReportsSuppressed == 0 {
+		t.Fatal("c1 status reports no suppressed report after two ticks")
 	}
 	if _, recvAfter, _ := replicaVersion(c1, "root"); !recvAfter.After(recvBefore) {
 		t.Fatal("version-only push did not renew the replica's soft-state TTL")
 	}
 	if got := root.BranchRecords(); got != 15 {
 		t.Fatalf("root branch covers %d records after suppression; want 15", got)
+	}
+	if len(tr.unversioned) != 0 {
+		t.Fatalf("unversioned traffic was sent: %v", tr.unversioned)
 	}
 
 	fullBytes := (firstEnd.BytesSent - firstStart.BytesSent) + (firstEnd.BytesRecv - firstStart.BytesRecv)
@@ -220,12 +252,13 @@ func TestDeltaAntiEntropyRound(t *testing.T) {
 	if err := c2.Join(root.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	// Converge (the handshake needs ~5 rounds; extra rounds are harmless).
+	// Converge (one round does; extra rounds are harmless, and 8 keeps the
+	// window below clear of the rounds run so far).
 	for i := 0; i < 8; i++ {
 		driveRound(c1, c2, root)
 	}
-	if _, capable, _ := childDelta(root, "c1"); !capable {
-		t.Fatal("handshake did not converge")
+	if _, acked := childDelta(root, "c1"); len(acked) == 0 {
+		t.Fatal("c1 never acked a push")
 	}
 
 	// All servers tick in lockstep (Start ran round 1 on each), so the next
@@ -262,9 +295,9 @@ func TestDeltaAntiEntropyRound(t *testing.T) {
 func TestDeltaNeedFullRecovery(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	root := deltaServer(t, tr, "root", schema, false)
-	c1 := deltaServer(t, tr, "c1", schema, false)
-	c2 := deltaServer(t, tr, "c2", schema, false)
+	root := deltaServer(t, tr, "root", schema)
+	c1 := deltaServer(t, tr, "c1", schema)
+	c2 := deltaServer(t, tr, "c2", schema)
 	attachDeltaOwner(t, root, schema, 5)
 	attachDeltaOwner(t, c1, schema, 5)
 	attachDeltaOwner(t, c2, schema, 5)
@@ -288,15 +321,15 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 		t.Fatal("root lost child c1")
 	}
 	c1.reportToParent() // version-only → NeedFull
-	if _, _, needFull := parentDelta(c1); !needFull {
+	if _, needFull := parentDelta(c1); !needFull {
 		t.Fatal("NeedFull ack did not reach the child")
 	}
 	c1.reportToParent() // full retransmit
 	branch := c1.snap.Load().branchSummary
-	if ver, _, _ := childDelta(root, "c1"); ver != branch.Version {
+	if ver, _ := childDelta(root, "c1"); ver != branch.Version {
 		t.Fatalf("full retransmit left the parent at version %d; want %d", ver, branch.Version)
 	}
-	if _, _, needFull := parentDelta(c1); needFull {
+	if _, needFull := parentDelta(c1); needFull {
 		t.Fatal("NeedFull flag survived the full retransmit")
 	}
 	sup := c1.mx.reportsSuppressed.Load()
@@ -316,118 +349,15 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 		t.Fatal("c1 lost the root replica")
 	}
 	root.pushReplicas() // version-only → NeedFullOrigins
-	if _, _, acked := childDelta(root, "c1"); acked["root"] != 0 {
+	if _, acked := childDelta(root, "c1"); acked["root"] != 0 {
 		t.Fatalf("NAKed origin still acked at version %d", acked["root"])
 	}
 	root.pushReplicas() // full retransmit
 	if got, _, _ := replicaVersion(c1, "root"); got != wantVer {
 		t.Fatalf("replica recovered to version %d; want %d", got, wantVer)
 	}
-	if _, _, acked := childDelta(root, "c1"); acked["root"] != wantVer {
+	if _, acked := childDelta(root, "c1"); acked["root"] != wantVer {
 		t.Fatalf("recovered origin re-acked at %d; want %d", acked["root"], wantVer)
-	}
-}
-
-// TestDeltaMixedVersionInterop runs a pre-v3 stand-in (a server with
-// DisableDeltaDissemination, which is byte-equivalent to a legacy peer) in
-// both roles. A legacy child under a delta parent keeps its full-state
-// protocol — unstamped reports, full unversioned pushes, plain acks —
-// while a delta sibling negotiates deltas on the same parent; a delta
-// child under a legacy parent never stamps or suppresses anything.
-func TestDeltaMixedVersionInterop(t *testing.T) {
-	schema := record.DefaultSchema(2)
-	tr := transport.NewChan()
-	root := deltaServer(t, tr, "root", schema, false)
-	legacy := deltaServer(t, tr, "legacy", schema, true)
-	dc := deltaServer(t, tr, "dc", schema, false)
-	attachDeltaOwner(t, root, schema, 5)
-	attachDeltaOwner(t, legacy, schema, 5)
-	attachDeltaOwner(t, dc, schema, 5)
-	if err := legacy.Join(root.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Join(root.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		driveRound(legacy, dc, root)
-	}
-
-	// The legacy child stays on the v2 protocol end to end.
-	if ver, capable, _ := childDelta(root, "legacy"); capable || ver != 0 {
-		t.Fatalf("parent treats the legacy child as delta-capable (ver=%d capable=%v)", ver, capable)
-	}
-	if v3, _, _ := parentDelta(legacy); v3 {
-		t.Fatal("legacy child believes its parent speaks v3")
-	}
-	if got := legacy.mx.reportsSuppressed.Load(); got != 0 {
-		t.Fatalf("legacy child suppressed %d reports", got)
-	}
-	legacy.mu.Lock()
-	for origin, r := range legacy.replicas {
-		if r.version != 0 || r.branch == nil {
-			legacy.mu.Unlock()
-			t.Fatalf("legacy child received a v3-shaped push for %s (version=%d branch=%v)", origin, r.version, r.branch != nil)
-		}
-	}
-	nreps := len(legacy.replicas)
-	legacy.mu.Unlock()
-	if nreps == 0 {
-		t.Fatal("legacy child received no replicas at all")
-	}
-	// Its own wire output stays v2-encodable: every dissemination counter
-	// is zero, so even a status reply fits the old codec.
-	st := legacy.handle(&wire.Message{Kind: wire.KindStatus, From: "t"})
-	data, err := wire.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[1] != 2 {
-		t.Fatalf("legacy status reply encoded at wire version %d; want 2", data[1])
-	}
-
-	// The delta sibling negotiated deltas on the same parent meanwhile.
-	if _, capable, _ := childDelta(root, "dc"); !capable {
-		t.Fatal("delta sibling never negotiated capability")
-	}
-	if root.mx.pushDelta.Load() == 0 {
-		t.Fatal("parent never sent the delta sibling version-only entries")
-	}
-	if got, _, _ := replicaVersion(dc, "root"); got == 0 {
-		t.Fatal("delta sibling's ancestor replica is unversioned")
-	}
-
-	// The legacy child still serves complete answers.
-	recs, _, err := NewClient(tr, "t").Resolve(legacy.Addr(), matchAllQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 15 {
-		t.Fatalf("resolve via the legacy child returned %d records; want 15", len(recs))
-	}
-
-	// Reverse roles: a delta child under a legacy parent never stamps.
-	droot := deltaServer(t, tr, "droot", schema, true)
-	dchild := deltaServer(t, tr, "dchild", schema, false)
-	attachDeltaOwner(t, droot, schema, 3)
-	attachDeltaOwner(t, dchild, schema, 3)
-	if err := dchild.Join(droot.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		driveRound(dchild, droot)
-	}
-	if v3, _, _ := parentDelta(dchild); v3 {
-		t.Fatal("delta child under a legacy parent believes the parent speaks v3")
-	}
-	if got := dchild.mx.reportsSuppressed.Load(); got != 0 {
-		t.Fatalf("delta child under a legacy parent suppressed %d reports", got)
-	}
-	if got := droot.mx.pushFull.Load() + droot.mx.pushDelta.Load() + droot.mx.antiEntropyRounds.Load(); got != 0 {
-		t.Fatalf("disabled parent moved dissemination counters to %d; they must stay 0", got)
-	}
-	if got := droot.BranchRecords(); got != 6 {
-		t.Fatalf("legacy parent's branch covers %d records; want 6", got)
 	}
 }
 
@@ -437,7 +367,7 @@ func TestDeltaMixedVersionInterop(t *testing.T) {
 func TestDeltaRefreshSkipsUnchanged(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	srv := deltaServer(t, tr, "solo", schema, false)
+	srv := deltaServer(t, tr, "solo", schema)
 	o := attachDeltaOwner(t, srv, schema, 10)
 
 	srv.refreshSummaries() // absorbs the owner attached after Start
@@ -478,15 +408,6 @@ func TestDeltaRefreshSkipsUnchanged(t *testing.T) {
 	if got := srv.BranchRecords(); got != 12 {
 		t.Fatalf("rebuilt branch covers %d records; want 12", got)
 	}
-
-	// The baseline pipeline never skips.
-	full := deltaServer(t, tr, "full", schema, true)
-	attachDeltaOwner(t, full, schema, 5)
-	full.refreshSummaries()
-	full.refreshSummaries()
-	if got := full.mx.rebuildsSkipped.Load(); got != 0 {
-		t.Fatalf("disabled pipeline skipped %d rebuilds; want 0", got)
-	}
 }
 
 // TestDeltaStalenessAccounting pins the satellite fix: an owner whose
@@ -496,7 +417,7 @@ func TestDeltaRefreshSkipsUnchanged(t *testing.T) {
 func TestDeltaStalenessAccounting(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	srv := deltaServer(t, tr, "stale", schema, false)
+	srv := deltaServer(t, tr, "stale", schema)
 	attachDeltaOwner(t, srv, schema, 5)
 
 	wrong := record.DefaultSchema(3) // arity mismatch: merge always fails

@@ -14,19 +14,15 @@ import (
 // calls, which keeps the request/reply protocol deadlock-free on
 // synchronous transports.
 func (s *Server) handle(msg *wire.Message) *wire.Message {
-	// Any stamped message raises our own epoch toward the federation
+	// Any server's message raises our own epoch toward the federation
 	// maximum before per-kind fencing compares against the recorded
-	// relationship epochs.
-	if msg.Epoch != 0 {
-		s.observeEpoch(msg.Epoch)
-	}
+	// relationship epochs (a client's carries zero and raises nothing).
+	s.observeEpoch(msg.Epoch)
 	switch msg.Kind {
 	case wire.KindJoin:
 		return s.handleJoin(msg)
 	case wire.KindSummaryReport:
 		return s.handleSummaryReport(msg)
-	case wire.KindReplicaPush:
-		return s.handleReplicaPush(msg)
 	case wire.KindReplicaBatch:
 		return s.handleReplicaBatch(msg)
 	case wire.KindQuery:
@@ -38,36 +34,18 @@ func (s *Server) handle(msg *wire.Message) *wire.Message {
 	case wire.KindStatus:
 		return s.handleStatus()
 	case wire.KindRootProbe:
-		// A pre-epoch server answers probes with the generic
-		// unhandled-kind error below; DisableMembershipEpoch reproduces
-		// that exactly, which is what probers treat as "not capable".
-		if s.epochEnabled() {
-			return s.handleRootProbe(msg)
-		}
+		return s.handleRootProbe(msg)
 	}
 	return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: unhandled message kind %d", msg.Kind))
-}
-
-// stampReplyTo stamps the reply m with our epoch when the request proved
-// the peer decodes wire v4 by being stamped itself. Replies to unstamped
-// requests stay ≤v3: a pre-epoch peer treats an undecodable reply as a
-// failed call and would spiral into rejoins.
-func (s *Server) stampReplyTo(req, m *wire.Message) *wire.Message {
-	if s.epochEnabled() && req.Epoch != 0 {
-		m.Epoch = s.epoch.Load()
-	}
-	return m
 }
 
 func (s *Server) ack() *wire.Message {
 	return &wire.Message{Kind: wire.KindAck, From: s.cfg.ID, Addr: s.cfg.Addr}
 }
 
-// ackWith is an ack carrying delta-dissemination feedback (wire v3; only
-// sent to peers that proved they speak v3, or on replies the sender is
-// free to ignore).
+// ackWith is an epoch-stamped ack carrying delta-dissemination feedback.
 func (s *Server) ackWith(info *wire.AckInfo) *wire.Message {
-	m := s.ack()
+	m := s.stampEpoch(s.ack())
 	m.Ack = info
 	return m
 }
@@ -89,43 +67,35 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 	}
 	if c, already := s.children[msg.Join.ID]; already || len(s.children) < s.cfg.MaxChildren {
 		if already {
-			if s.epochEnabled() && msg.Epoch != 0 && msg.Epoch < c.epoch {
-				// Fenced: a re-join stamped from before this child's last
-				// recovery — a healed partition replaying it must not
-				// resurrect the dead relationship.
-				s.mx.fenced.Inc()
-				return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-					"live: join from %s fenced: epoch %d < recorded %d", msg.Join.ID, msg.Epoch, c.epoch))
+			// A re-join stamped from before this child's last recovery
+			// must not resurrect the dead relationship.
+			if rep := s.fencedLocked(c, "join", msg); rep != nil {
+				return rep
 			}
 			// Re-accepting a known child: keep its branch summary, depth
 			// and descendant counts — rebuilding the state from scratch
 			// clobbered the subtree shape until the next summary report
-			// and skewed join-placement decisions. The delta handshake
-			// does reset: the child may have restarted as (or behind) a
-			// pre-v3 peer, and sending it version-only state it no longer
-			// holds would go unnoticed until anti-entropy. The epoch
-			// relationship restarts at the join's stamp for the same
-			// reason.
+			// and skewed join-placement decisions. What it acked does
+			// reset: the child may have restarted, and sending it
+			// version-only state it no longer holds would go unnoticed
+			// until anti-entropy. The epoch relationship restarts at the
+			// join's stamp for the same reason.
 			c.addr = msg.Join.Addr
 			c.lastSeen = time.Now()
-			c.deltaCapable = false
 			c.acked = nil
-			c.adaptiveCapable = false
 			c.epoch = msg.Epoch
-			c.epochCapable = s.epochEnabled() && msg.Epoch != 0
 		} else {
 			s.children[msg.Join.ID] = &childState{
-				id:           msg.Join.ID,
-				addr:         msg.Join.Addr,
-				depth:        1,
-				lastSeen:     time.Now(),
-				epoch:        msg.Epoch,
-				epochCapable: s.epochEnabled() && msg.Epoch != 0,
+				id:       msg.Join.ID,
+				addr:     msg.Join.Addr,
+				depth:    1,
+				lastSeen: time.Now(),
+				epoch:    msg.Epoch,
 			}
 		}
 		s.rememberLocked(msg.Join.ID, msg.Join.Addr)
 		s.publishSnapshotLocked()
-		return s.stampReplyTo(msg, &wire.Message{
+		return s.stampEpoch(&wire.Message{
 			Kind: wire.KindJoinReply,
 			From: s.cfg.ID,
 			Addr: s.cfg.Addr,
@@ -149,65 +119,56 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 	}
 }
 
+// fencedLocked reports whether a relationship message of the given kind
+// from child c is stamped with an epoch below the one recorded for it — sent
+// before the child's last recovery — and if so counts it and builds the
+// error reply. A healed partition replaying such a message must not refresh
+// the dead relationship. Callers hold s.mu.
+func (s *Server) fencedLocked(c *childState, what string, msg *wire.Message) *wire.Message {
+	if msg.Epoch == 0 || msg.Epoch >= c.epoch {
+		return nil
+	}
+	s.mx.fenced.Inc()
+	return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
+		"live: %s from %s fenced: epoch %d < recorded %d", what, msg.From, msg.Epoch, c.epoch))
+}
+
 // handleSummaryReport ingests a child's branch summary. A version-only
 // report (Summary nil, Version set — sent once this server confirmed
 // holding the child's current branch version) refreshes the child's
 // liveness and shape metadata without any summary decode or re-merge; a
 // version mismatch answers NeedFull so the child resends in full next
-// tick. Full reports from delta children are acked with the version now
-// held, which is what lets the child start suppressing.
+// tick. Full reports are acked with the version now held, which is what
+// lets the child start suppressing.
 func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
-	delta := !s.cfg.DisableDeltaDissemination
-	if msg.Report != nil && msg.Report.Summary == nil && msg.Report.Version != 0 && delta {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		c, ok := s.children[msg.From]
-		if ok && s.epochEnabled() && msg.Epoch != 0 && msg.Epoch < c.epoch {
-			s.mx.fenced.Inc()
-			return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-				"live: report from %s fenced: epoch %d < recorded %d", msg.From, msg.Epoch, c.epoch))
-		}
-		if !ok || c.branch == nil || c.version != msg.Report.Version {
-			// Unknown child or stale version: the sender must restate its
-			// branch in full. Answered as an ack, not an error — the
-			// sender proved it speaks v3 by stamping the report.
-			return s.stampReplyTo(msg, s.ackWith(&wire.AckInfo{NeedFull: true}))
-		}
-		if s.epochEnabled() && msg.Epoch != 0 {
-			c.epochCapable = true
-			s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
-		}
-		if msg.Adaptive && s.cfg.adaptiveOn() {
-			c.adaptiveCapable = true
-		}
-		c.depth = msg.Report.Depth
-		c.descendants = msg.Report.Descendants
-		c.kids = msg.Report.Children
-		c.lastSeen = time.Now()
-		s.mx.summaryReports.Inc()
-		// The branch content did not change, so neither the branch merge
-		// epoch nor the routing snapshot needs touching — redirect record
-		// counts ride on c.branch, which stands.
-		return s.stampReplyTo(msg, s.ackWith(&wire.AckInfo{HaveVersion: c.version}))
-	}
-	if msg.Report == nil || msg.Report.Summary == nil {
+	report := msg.Report
+	if report == nil || (report.Summary == nil && report.Version == 0) {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: summary report without payload"))
 	}
-	sum, err := msg.Report.Summary.ToSummary(s.cfg.Schema)
+	sum, err := report.Summary.ToSummary(s.cfg.Schema) // nil for a version-only report
 	if err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.children[msg.From]
-	if ok && s.epochEnabled() && msg.Epoch != 0 && msg.Epoch < c.epoch {
-		// Fenced before any mutation: a report from before this child's
-		// last recovery must not refresh the dead relationship.
-		s.mx.fenced.Inc()
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-			"live: report from %s fenced: epoch %d < recorded %d", msg.From, msg.Epoch, c.epoch))
+	if ok {
+		// Fenced before any mutation.
+		if rep := s.fencedLocked(c, "report", msg); rep != nil {
+			return rep
+		}
 	}
-	if !ok {
+	switch {
+	case sum == nil:
+		if !ok || c.branch == nil || c.version != report.Version {
+			// Unknown child or stale version: the sender must restate its
+			// branch in full.
+			return s.ackWith(&wire.AckInfo{NeedFull: true})
+		}
+		// The branch content did not change, so neither the branch merge
+		// epoch nor the routing snapshot needs touching — redirect record
+		// counts ride on c.branch, which stands.
+	case !ok:
 		// A child we do not know (e.g. state lost after restart): adopt it
 		// if capacity allows, otherwise tell it to rejoin.
 		if len(s.children) >= s.cfg.MaxChildren {
@@ -216,44 +177,25 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 		c = &childState{id: msg.From, addr: msg.Addr}
 		s.children[msg.From] = c
 	}
-	if s.epochEnabled() && msg.Epoch != 0 {
-		c.epochCapable = true
-		s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
-	}
-	if msg.Adaptive && s.cfg.adaptiveOn() {
-		// A flagged report proves the child decodes wire v6 (children only
-		// flag after we proved the capability to them, but a report can
-		// arrive before the first batch ack lands — e.g. right after a
-		// re-adopt cleared the record).
-		c.adaptiveCapable = true
-	}
-	// A full report with the same non-zero version restates unchanged
-	// content (anti-entropy round): swap the object but skip the branch
-	// re-merge. Unversioned reports must be assumed changed every time.
-	if c.branch == nil || c.version != msg.Report.Version || msg.Report.Version == 0 {
-		s.childEpoch++
-	}
-	if c.version != 0 && msg.Report.Version == 0 && c.deltaCapable {
-		// Downgrade: the child restarted as a pre-v3 peer. Stop sending
-		// it anything version-stamped.
-		c.deltaCapable = false
-		c.acked = nil
-	}
-	c.branch = sum
-	c.version = msg.Report.Version
-	c.depth = msg.Report.Depth
-	c.descendants = msg.Report.Descendants
-	c.kids = msg.Report.Children
+	s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
+	c.depth = report.Depth
+	c.descendants = report.Descendants
+	c.kids = report.Children
 	c.lastSeen = time.Now()
-	s.publishSnapshotLocked()
-	s.mx.summaryReports.Inc()
-	if delta && msg.Report.Version != 0 {
-		// Confirm the version so the child can suppress its next reports.
-		// Only stamped reporters get the v3 ack: a pre-v3 child treats an
-		// undecodable reply as a parent miss and spirals into rejoins.
-		return s.stampReplyTo(msg, s.ackWith(&wire.AckInfo{HaveVersion: msg.Report.Version}))
+	if sum != nil {
+		// A full report with the same non-zero version restates unchanged
+		// content (anti-entropy round): swap the object but skip the branch
+		// re-merge. A report without a version must be assumed changed.
+		if c.branch == nil || c.version != report.Version || report.Version == 0 {
+			s.childEpoch++
+		}
+		c.branch = sum
+		c.version = report.Version
+		s.publishSnapshotLocked()
 	}
-	return s.stampReplyTo(msg, s.ack())
+	s.mx.summaryReports.Inc()
+	// Confirm the version held so the child can suppress its next reports.
+	return s.ackWith(&wire.AckInfo{HaveVersion: c.version})
 }
 
 // decodeReplica reconstructs one replica push's summaries against the
@@ -291,22 +233,6 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush) (*replicaState, error) {
 	return rs, nil
 }
 
-// handleReplicaPush stores one overlay replica (pre-batching wire form).
-func (s *Server) handleReplicaPush(msg *wire.Message) *wire.Message {
-	rs, err := s.decodeReplica(msg.Replica)
-	if err != nil {
-		return wire.ErrorMessage(s.cfg.ID, err)
-	}
-	s.mu.Lock()
-	if rs.originID != s.cfg.ID { // never replicate ourselves
-		s.replicas[rs.originID] = rs
-		s.publishSnapshotLocked()
-	}
-	s.mu.Unlock()
-	s.mx.replicaPushes.Inc()
-	return s.ack()
-}
-
 // handleReplicaBatch stores a whole tick's worth of overlay replicas.
 // Every push is decoded first, then the batch is applied under a single
 // lock acquisition, so concurrent queries observe either the previous
@@ -315,23 +241,15 @@ func (s *Server) handleReplicaPush(msg *wire.Message) *wire.Message {
 // Version-only entries (Branch nil, Version set) renew the matching
 // replica's soft-state TTL without any summary decode; a mismatch or an
 // unknown origin lands in the ack's NeedFullOrigins so the sender
-// restates that origin in full next tick. The AckInfo attached to the
-// reply doubles as the delta-capability signal — senders that cannot
-// decode it ignore batch-ack contents entirely, so attaching it
-// unconditionally is safe.
+// restates that origin in full next tick.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	if msg.Batch == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: replica batch without payload"))
 	}
-	delta := !s.cfg.DisableDeltaDissemination
 	states := make([]*replicaState, 0, len(msg.Batch.Pushes))
 	var versionOnly []*wire.ReplicaPush
-	stamped := false
 	for _, p := range msg.Batch.Pushes {
-		if p != nil && p.Version != 0 {
-			stamped = true
-		}
-		if delta && p != nil && p.Branch == nil && p.Version != 0 {
+		if p != nil && p.Branch == nil && p.Version != 0 {
 			versionOnly = append(versionOnly, p)
 			continue
 		}
@@ -354,7 +272,7 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 			continue
 		}
 		r, ok := s.replicas[p.OriginID]
-		if !ok || r.version == 0 || r.version != p.Version {
+		if !ok || r.version != p.Version {
 			needFull = append(needFull, p.OriginID)
 			continue
 		}
@@ -363,47 +281,18 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 		// a purely version-only batch.
 		r.received = now
 	}
-	if stamped && msg.From == s.parentID {
-		// A version-stamped push proves the parent speaks wire v3, which
-		// is what authorizes stamping our reports to it.
-		s.parentV3 = true
-	}
-	if msg.Adaptive && msg.From == s.parentID && s.cfg.adaptiveOn() {
-		// An Adaptive-flagged batch proves the parent speaks wire v6,
-		// authorizing adaptive-geometry and condensed reports upward.
-		s.parentAdaptive = true
-	}
-	if s.epochEnabled() && msg.Epoch != 0 && msg.From == s.parentID {
-		// An epoch-stamped push likewise proves the parent speaks wire
-		// v4, authorizing stamped heartbeats and reports to it. Plain
-		// max, not the fenced advance: a delayed push from before the
-		// parent's recovery rewrites no ancestry, so it is a benign race
-		// here rather than an accepted stale mutation.
-		s.parentEpochCapable = true
-		if msg.Epoch > s.parentEpoch {
-			s.parentEpoch = msg.Epoch
-		}
+	if msg.From == s.parentID && msg.Epoch > s.parentEpoch {
+		// Plain max, not the fenced advance: a delayed push from before
+		// the parent's recovery rewrites no ancestry, so it is a benign
+		// race here rather than an accepted stale mutation.
+		s.parentEpoch = msg.Epoch
 	}
 	if len(states) > 0 {
 		s.publishSnapshotLocked()
 	}
 	s.mu.Unlock()
 	s.mx.replicaPushes.Add(uint64(len(states) + len(versionOnly)))
-	// The batch ack is always epoch-stamped when the protocol is on, and
-	// Adaptive-flagged when adaptive summaries are on: the ack is the
-	// capability bootstrap for both, and senders that cannot decode a
-	// v4/v6 ack ignore batch-ack contents entirely, so neither marker is
-	// ever acted on by a peer that cannot read it.
-	var ackRep *wire.Message
-	if delta {
-		ackRep = s.ackWith(&wire.AckInfo{NeedFullOrigins: needFull})
-	} else {
-		ackRep = s.ack()
-	}
-	if s.cfg.adaptiveOn() {
-		ackRep.Adaptive = true
-	}
-	return s.stampEpoch(ackRep)
+	return s.ackWith(&wire.AckInfo{NeedFullOrigins: needFull})
 }
 
 // noteFPDescent closes the feedback loop behind adaptive summaries: a
@@ -448,15 +337,8 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if msg.Query == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: query without payload"))
 	}
-	if s.cfg.LegacyQueryLocking {
-		return s.handleQueryLegacy(msg)
-	}
 	began := time.Now()
 	snap := s.snap.Load()
-	// A query carrying any v5 field proves the requester decodes wire v5,
-	// so it may be answered with coarse and NotModified replies (which
-	// a pre-v5 peer could not decode).
-	v5 := msg.Query.Priority != 0 || msg.Query.CacheFingerprint != 0 || msg.Query.WantFingerprint
 	q := msg.Query.ToQuery()
 	if err := q.Bind(s.cfg.Schema); err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
@@ -468,43 +350,32 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	}
 
 	// Admission first, before any evaluation work: an over-budget
-	// requester is shed to a coarse summary-only answer (v5) or the
-	// legacy error (older peers). The effective class is the operator's
-	// pinned one when a Classifier is configured — a requester cannot
-	// promote itself past admission by claiming PriorityHigh.
+	// requester is shed to a coarse summary-only answer. The effective
+	// class is the operator's pinned one when a Classifier is configured —
+	// a requester cannot promote itself past admission by claiming
+	// PriorityHigh.
 	if s.admission != nil {
 		prio := s.cfg.Classifier.ClassFor(msg.Query.Requester, msg.Query.Priority)
 		if !s.admission.admit(msg.Query.Requester, prio) {
-			if v5 {
-				s.admission.shed.Add(1)
-				return wrap(s.coarseReply(snap, q))
-			}
-			s.admission.rejected.Add(1)
-			return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-				"live: query %s shed: requester %q over admission budget", msg.Query.ID, msg.Query.Requester))
+			return wrap(s.coarseReply(snap, q))
 		}
 	}
 
 	overBudget := func() bool {
 		return msg.Query.Budget > 0 && time.Since(began) > msg.Query.Budget
 	}
+	// Shed to coarse, not to an error: the requester still gets a flagged
+	// summary-only estimate it can act on.
 	shed := func() *wire.Message {
 		s.mx.shed.Inc()
-		if v5 {
-			// Shed to coarse, not to an error: the requester still gets a
-			// flagged summary-only estimate it can act on.
-			return wrap(s.coarseReply(snap, q))
-		}
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-			"live: query %s shed: %v deadline budget exhausted", msg.Query.ID, msg.Query.Budget))
+		return wrap(s.coarseReply(snap, q))
 	}
 
-	// Fingerprint revalidation (wire v5): when the requester's cached
-	// fingerprint still matches the current routing state, nothing this
-	// server would answer has changed — reply NotModified with no
-	// evaluation at all.
+	// Fingerprint revalidation: when the requester's cached fingerprint
+	// still matches the current routing state, nothing this server would
+	// answer has changed — reply NotModified with no evaluation at all.
 	var fp uint64
-	if v5 && (msg.Query.WantFingerprint || msg.Query.CacheFingerprint != 0) {
+	if msg.Query.WantFingerprint || msg.Query.CacheFingerprint != 0 {
 		fp = s.queryFingerprint(snap)
 		if fp != 0 && fp == msg.Query.CacheFingerprint {
 			s.mx.notModified.Inc()
@@ -673,143 +544,6 @@ func (s *Server) newQueryReply() (*wire.Message, *wire.QueryReply) {
 	return &x.Message, &x.rep
 }
 
-// handleQueryLegacy is the pre-snapshot query path: every routing lookup
-// happens under s.mu against the live maps. Kept behind
-// Config.LegacyQueryLocking as the measurable baseline the lock-free path
-// is benchmarked against (see BenchmarkHandleQuery).
-func (s *Server) handleQueryLegacy(msg *wire.Message) *wire.Message {
-	began := time.Now()
-	overBudget := func() bool {
-		return msg.Query.Budget > 0 && time.Since(began) > msg.Query.Budget
-	}
-	shed := func() *wire.Message {
-		s.mx.shed.Inc()
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-			"live: query %s shed: %v deadline budget exhausted", msg.Query.ID, msg.Query.Budget))
-	}
-	q := msg.Query.ToQuery()
-	if err := q.Bind(s.cfg.Schema); err != nil {
-		return wire.ErrorMessage(s.cfg.ID, err)
-	}
-
-	tracing := msg.Query.Trace
-	var matchedChildren, matchedReplicas []string
-	reply := &wire.QueryReply{}
-	sres, err := s.store.Search(q)
-	if err != nil {
-		return wire.ErrorMessage(s.cfg.ID, err)
-	}
-	reply.Records = wire.AppendRecords(reply.Records, sres.Records)
-	if overBudget() {
-		return shed()
-	}
-	s.mu.Lock()
-	owners := append(s.owners[:0:0], s.owners...)
-	s.mu.Unlock()
-	for _, o := range owners {
-		if o.Policy.Mode != policy.ExportSummary {
-			continue // records-mode owners answer via the store
-		}
-		ans, err := o.Answer(q)
-		if err != nil {
-			return wire.ErrorMessage(s.cfg.ID, err)
-		}
-		reply.Records = wire.AppendRecords(reply.Records, ans)
-		if overBudget() {
-			return shed()
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[string]bool{s.cfg.ID: true}
-	childIDs := make([]string, 0, len(s.children))
-	for id := range s.children {
-		childIDs = append(childIDs, id)
-	}
-	sort.Strings(childIDs)
-	for _, id := range childIDs {
-		c := s.children[id]
-		if c.branch != nil && q.MatchSummary(c.branch) && !seen[id] {
-			seen[id] = true
-			reply.Redirects = append(reply.Redirects, wire.RedirectInfo{
-				ID:         c.id,
-				Addr:       c.addr,
-				Records:    c.branch.Records,
-				Alternates: c.kids,
-			})
-			if tracing {
-				matchedChildren = append(matchedChildren, c.id)
-			}
-		}
-	}
-	if msg.Query.Start {
-		repIDs := make([]string, 0, len(s.replicas))
-		for id := range s.replicas {
-			repIDs = append(repIDs, id)
-		}
-		sort.Strings(repIDs)
-		for _, id := range repIDs {
-			r := s.replicas[id]
-			if seen[id] {
-				continue
-			}
-			if msg.Query.Scope >= 0 && r.level > msg.Query.Scope {
-				continue // outside the requested search scope
-			}
-			if r.ancestor {
-				// An ancestor redirect covers only the ancestor's local
-				// data; nothing replicates that, so no alternates.
-				if r.local != nil && q.MatchSummary(r.local) {
-					seen[id] = true
-					reply.Redirects = append(reply.Redirects, wire.RedirectInfo{
-						ID:      r.originID,
-						Addr:    r.originAddr,
-						Records: r.local.Records,
-					})
-					if tracing {
-						matchedReplicas = append(matchedReplicas, r.originID)
-					}
-				}
-				continue
-			}
-			if q.MatchSummary(r.branch) {
-				seen[id] = true
-				reply.Redirects = append(reply.Redirects, wire.RedirectInfo{
-					ID:         r.originID,
-					Addr:       r.originAddr,
-					Records:    r.branch.Records,
-					Alternates: r.fallbacks,
-				})
-				if tracing {
-					matchedReplicas = append(matchedReplicas, r.originID)
-				}
-			}
-		}
-	}
-	numChildren, numReplicas := len(s.children), len(s.replicas)
-	if overBudget() {
-		s.mx.shed.Inc()
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-			"live: query %s shed: %v deadline budget exhausted", msg.Query.ID, msg.Query.Budget))
-	}
-	if tracing {
-		reply.Trace = &wire.TraceInfo{
-			ServerID:        s.cfg.ID,
-			EvalMicros:      uint64(time.Since(began) / time.Microsecond),
-			LocalRecords:    len(reply.Records),
-			Children:        numChildren,
-			Replicas:        numReplicas,
-			MatchedChildren: matchedChildren,
-			MatchedReplicas: matchedReplicas,
-		}
-	}
-	s.mx.queries.Inc()
-	s.mx.redirects.Add(uint64(len(reply.Redirects)))
-	s.mx.evalLatency.Observe(time.Since(began))
-	return &wire.Message{Kind: wire.KindQueryReply, From: s.cfg.ID, Addr: s.cfg.Addr, QueryRep: reply}
-}
-
 // StatusSnapshot returns the server's operational snapshot — the wire
 // Status compatibility view over the same counters the obs registry
 // exposes as named series. Like the query path it reads the routing
@@ -832,8 +566,6 @@ func (s *Server) StatusSnapshot() *wire.Status {
 		QueriesShed:     s.mx.shed.Load(),
 		SummaryErrors:   s.mx.summaryErrors.Load(),
 
-		// Dissemination counters: all zero while delta dissemination is
-		// disabled, which keeps status replies encodable at wire v2.
 		SummaryRebuildsSkipped: s.mx.rebuildsSkipped.Load(),
 		ReportsSuppressed:      s.mx.reportsSuppressed.Load(),
 		ReplicaPushDelta:       s.mx.pushDelta.Load(),
@@ -876,18 +608,10 @@ func (s *Server) handleHeartbeat(msg *wire.Message) *wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.children[msg.From]; ok {
-		if s.epochEnabled() && msg.Epoch != 0 && msg.Epoch < c.epoch {
-			// Fenced: a heartbeat from before this child's last recovery —
-			// a healed partition must not resurrect the dead relationship
-			// by refreshing its liveness.
-			s.mx.fenced.Inc()
-			return wire.ErrorMessage(s.cfg.ID, fmt.Errorf(
-				"live: heartbeat from %s fenced: epoch %d < recorded %d", msg.From, msg.Epoch, c.epoch))
+		if rep := s.fencedLocked(c, "heartbeat", msg); rep != nil {
+			return rep
 		}
-		if s.epochEnabled() && msg.Epoch != 0 {
-			c.epochCapable = true
-			s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
-		}
+		s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
 		c.lastSeen = time.Now()
 	}
 	sibs := make([]wire.RedirectInfo, 0, len(s.children))
@@ -897,7 +621,7 @@ func (s *Server) handleHeartbeat(msg *wire.Message) *wire.Message {
 		}
 	}
 	sort.Slice(sibs, func(i, j int) bool { return sibs[i].ID < sibs[j].ID })
-	return s.stampReplyTo(msg, &wire.Message{
+	return s.stampEpoch(&wire.Message{
 		Kind: wire.KindHeartbeatReply,
 		From: s.cfg.ID,
 		Addr: s.cfg.Addr,

@@ -3,6 +3,7 @@ package live
 import (
 	"hash/fnv"
 	"log"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -83,10 +84,9 @@ const exportWorkers = 4
 // a silently skipped refresh means the advertised state is going stale
 // while queries still succeed.
 //
-// The rebuild is change-driven (unless Config.DisableDeltaDissemination):
-// the store part is cached against the store's mutation epoch, each
-// owner's export is cached against the owner's record-set generation, and
-// the branch re-merge is skipped while neither the local content hash nor
+// The rebuild is change-driven: the store part is cached against the
+// store's mutation epoch, each owner's export is cached against the owner's
+// record-set generation, and the branch re-merge is skipped while neither the local content hash nor
 // the child epoch moved — so a steady-state tick costs a few counter
 // reads instead of O(records × attributes) work. Owners that did change
 // re-export concurrently on a bounded worker pool.
@@ -95,12 +95,11 @@ func (s *Server) refreshSummaries() {
 	defer func() { s.refreshBusyNs.Add(time.Since(start).Nanoseconds()) }()
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	delta := !s.cfg.DisableDeltaDissemination
 	round := s.aggRound.Add(1)
-	if delta && round%s.cfg.antiEntropyEvery() == 0 {
+	if round%s.cfg.antiEntropyEvery() == 0 {
 		s.mx.antiEntropyRounds.Inc()
 	}
-	if s.cfg.adaptiveOn() && round%s.cfg.replanEvery() == 0 {
+	if s.planner != nil && round%s.cfg.replanEvery() == 0 {
 		s.replanLocked()
 	}
 	failed := false
@@ -112,29 +111,15 @@ func (s *Server) refreshSummaries() {
 	// the store's merge of per-shard partial summaries (maintained
 	// incrementally on write), so even a changed tick costs the shards
 	// touched since the last export, not O(records × attributes).
-	var storeSum *summary.Summary
-	storeFresh := true
-	if delta {
-		epoch := s.store.Epoch()
-		if s.haveStore && epoch == s.storeEpoch {
-			storeSum = s.storeSummary
-			storeFresh = false
-		} else {
-			sum, err := s.store.ExportSummary()
-			if err != nil {
-				s.noteSummaryError(err)
-				return
-			}
-			s.storeSummary, s.storeEpoch, s.haveStore = sum, epoch, true
-			storeSum = sum
-		}
-	} else {
-		sum, err := summary.FromRecords(s.cfg.Schema, s.cfg.Summary, s.store.Records())
+	storeFresh := false
+	if epoch := s.store.Epoch(); !s.haveStore || epoch != s.storeEpoch {
+		sum, err := s.store.ExportSummary()
 		if err != nil {
 			s.noteSummaryError(err)
 			return
 		}
-		storeSum = sum
+		s.storeSummary, s.storeEpoch, s.haveStore = sum, epoch, true
+		storeFresh = true
 	}
 
 	// Owner part: reuse cached exports for unchanged owners; re-export
@@ -151,11 +136,9 @@ func (s *Server) refreshSummaries() {
 		if o.Policy.Mode != policy.ExportSummary {
 			continue // records-mode data already sits in the store
 		}
-		if delta {
-			if e, ok := s.ownerCache[o]; ok && e.gen == o.Generation() {
-				exports[i] = e.sum
-				continue
-			}
+		if e, ok := s.ownerCache[o]; ok && e.gen == o.Generation() {
+			exports[i] = e.sum
+			continue
 		}
 		need = append(need, i)
 	}
@@ -172,7 +155,7 @@ func (s *Server) refreshSummaries() {
 		exports[i], errs[i] = o.ExportSummary(curCfg)
 		fresh[i] = true
 	}
-	if delta && len(need) > 1 {
+	if len(need) > 1 {
 		workers := exportWorkers
 		if workers > len(need) {
 			workers = len(need)
@@ -202,14 +185,10 @@ func (s *Server) refreshSummaries() {
 	// Merge phase (serialized, owner order — deterministic content hash).
 	// Skipped entirely when nothing changed: the published local summary
 	// is still current.
-	rebuildLocal := !delta || storeFresh || len(need) > 0
+	rebuildLocal := storeFresh || len(need) > 0
 	var local *summary.Summary
 	if rebuildLocal {
-		if delta {
-			local = storeSum.Clone()
-		} else {
-			local = storeSum // fresh this tick; safe to own outright
-		}
+		local = s.storeSummary.Clone()
 		for i, o := range owners {
 			if o.Policy.Mode != policy.ExportSummary {
 				continue
@@ -228,12 +207,10 @@ func (s *Server) refreshSummaries() {
 			if err := local.Merge(exports[i]); err != nil {
 				s.noteSummaryError(err)
 				failed = true
-				if delta {
-					delete(s.ownerCache, o) // retry (and recount) next tick
-				}
+				delete(s.ownerCache, o) // retry (and recount) next tick
 				continue
 			}
-			if delta && fresh[i] {
+			if fresh[i] {
 				s.ownerCache[o] = ownerCacheEntry{gen: gens[i], sum: exports[i]}
 			}
 		}
@@ -245,12 +222,9 @@ func (s *Server) refreshSummaries() {
 	// actually changed; otherwise the whole refresh was a no-op and the
 	// published summaries stand.
 	s.mu.Lock()
-	localDirty := true
-	if delta {
-		localDirty = rebuildLocal &&
-			(s.localSummary == nil || local.Version != s.localSummary.Version)
-	}
-	if delta && !localDirty && s.haveBranch && s.childEpoch == s.lastChildEpoch {
+	localDirty := rebuildLocal &&
+		(s.localSummary == nil || local.Version != s.localSummary.Version)
+	if !localDirty && s.haveBranch && s.childEpoch == s.lastChildEpoch {
 		s.mu.Unlock()
 		s.mx.rebuildsSkipped.Inc()
 		s.lastRefresh.Store(time.Now().UnixNano())
@@ -332,40 +306,6 @@ func (s *Server) replanLocked() {
 	s.mx.replans.Inc()
 }
 
-// needsFlatten reports whether sum cannot be sent to a pre-v6 peer as is:
-// it carries per-attribute geometry overrides (the wire layer would stamp
-// v6 Mode/Plan) or condensed wildcards (a legacy matcher would silently
-// produce false negatives).
-func needsFlatten(sum *summary.Summary) bool {
-	return sum != nil && (!sum.Cfg.Uniform() || sum.HasWildcards())
-}
-
-// flattenForLegacy returns branch re-expressed in the uniform base
-// geometry for pre-v6 peers, or branch itself when it is already
-// legacy-safe. The result is cached per source branch version, so the
-// flatten runs once per content change rather than once per tick; and
-// FlattenTo stamps deterministic versions, so version-only report
-// suppression keeps working against the flattened variant.
-func (s *Server) flattenForLegacy(branch *summary.Summary) *summary.Summary {
-	if !needsFlatten(branch) {
-		return branch
-	}
-	s.flatMu.Lock()
-	defer s.flatMu.Unlock()
-	if s.flatSum != nil && branch.Version != 0 && s.flatSrcVer == branch.Version {
-		return s.flatSum
-	}
-	flat, err := branch.FlattenTo(s.cfg.Summary)
-	if err != nil {
-		// Unflattenable (schema drift): send the raw branch — the legacy
-		// peer rejects it visibly instead of routing on silence.
-		s.noteSummaryError(err)
-		return branch
-	}
-	s.flatSum, s.flatSrcVer = flat, branch.Version
-	return flat
-}
-
 // noteSummaryError counts one summary-refresh failure and logs only on
 // the OK→failing transition, so a persistent fault produces one line
 // rather than one per aggregation tick.
@@ -420,9 +360,8 @@ func (s *Server) RefreshInfo() RefreshInfo {
 // AdaptiveInfo is a snapshot of one server's adaptive-summary state: the
 // feedback the planner has consumed and the plan it is currently running.
 type AdaptiveInfo struct {
-	// Enabled reports whether adaptive resolution is active (on by
-	// default; off when DisableAdaptiveSummaries or either of the batch /
-	// delta dissemination layers it rides on is disabled).
+	// Enabled reports whether this server's planner replans (on by
+	// default; off under DisableAdaptiveSummaries).
 	Enabled bool
 	// Replans counts summary-geometry changes installed; FPDescents the
 	// false-positive descents detected on the query path (counted whether
@@ -437,7 +376,7 @@ type AdaptiveInfo struct {
 // AdaptiveInfo returns the adaptive-summary counters.
 func (s *Server) AdaptiveInfo() AdaptiveInfo {
 	return AdaptiveInfo{
-		Enabled:       s.cfg.adaptiveOn(),
+		Enabled:       s.planner != nil,
 		Replans:       s.mx.replans.Load(),
 		FPDescents:    s.mx.fpDescents.Load(),
 		PlanDeviation: s.planDeviation.Load(),
@@ -485,98 +424,76 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // reportToParent sends the branch summary (with depth/descendant counts
 // piggybacked) up the hierarchy.
 //
-// Change-driven path: once the parent has proven it speaks wire v3 the
-// report carries the branch content version, and while the parent keeps
-// confirming it holds the current version the summary payload is dropped
-// entirely — a version-only report still refreshes liveness and branch
-// shape but moves ~30 bytes instead of the full summary. Anti-entropy
-// rounds, a version mismatch (parent asked NeedFull), or any content
-// change switch back to full reports.
+// Every report carries the branch content version, and while the parent
+// keeps confirming it holds the current version the summary payload is
+// dropped entirely — a version-only report still refreshes liveness and
+// branch shape but moves ~30 bytes instead of the full summary. Anti-entropy
+// rounds, a version mismatch (parent asked NeedFull), or any content change
+// switch back to full reports.
 func (s *Server) reportToParent() {
-	delta := !s.cfg.DisableDeltaDissemination
-	fullRound := delta && s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
+	fullRound := s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	branch := s.branchSummary
-	depth := s.subtreeDepthLocked()
-	desc := s.descendantsLocked()
-	kids := s.childRedirectsLocked()
-	parentV3 := s.parentV3
-	parentAdaptive := s.parentAdaptive
+	report := &wire.SummaryReport{
+		Depth:       s.subtreeDepthLocked(),
+		Descendants: s.descendantsLocked(),
+		Children:    s.childRedirectsLocked(),
+	}
 	haveVersion := s.parentHaveVersion
 	needFull := s.parentNeedFull
-	stamp := s.epochEnabled() && s.parentEpochCapable
 	s.mu.Unlock()
 	if parentAddr == "" || branch == nil {
 		return
 	}
-	// Respond in kind (wire v6): adaptive-geometry or condensed branches
-	// go up as-is only once the parent proved the capability; until then
-	// the report carries the branch flattened to the uniform base
-	// geometry. Suppression and the parent's HaveVersion acks track the
-	// version of whichever variant is actually sent.
-	adaptive := s.cfg.adaptiveOn()
-	sendSum := branch
-	if adaptive && !parentAdaptive {
-		sendSum = s.flattenForLegacy(branch)
-	}
-	report := &wire.SummaryReport{
-		Depth:       depth,
-		Descendants: desc,
-		Children:    kids,
-	}
-	if delta && parentV3 {
-		report.Version = sendSum.Version
-	}
-	suppress := delta && parentV3 && !needFull && !fullRound &&
-		sendSum.Version != 0 && haveVersion == sendSum.Version
-	if suppress {
+	report.Version = branch.Version
+	if !needFull && !fullRound && branch.Version != 0 && haveVersion == branch.Version {
 		s.mx.reportsSuppressed.Inc()
 	} else {
-		report.Summary = wire.FromSummary(sendSum)
+		report.Summary = wire.FromSummary(branch)
 	}
-	msg := &wire.Message{
+	rep, err := s.tr.Call(parentAddr, s.stampEpoch(&wire.Message{
 		Kind:   wire.KindSummaryReport,
 		From:   s.cfg.ID,
 		Addr:   s.cfg.Addr,
 		Report: report,
-	}
-	if adaptive && parentAdaptive {
-		// The flag both keeps the parent's capability record warm and is
-		// only legal here: it forces a v6 envelope, which an unproven
-		// parent might not decode.
-		msg.Adaptive = true
-	}
-	if stamp {
-		s.stampEpoch(msg)
-	}
-	rep, err := s.tr.Call(parentAddr, msg)
+	}))
 	if err != nil || wire.RemoteError(rep) != nil {
 		s.noteParentMiss(missReport)
 		return
 	}
 	s.noteParentOK()
 	s.observeEpoch(rep.Epoch)
-	if (delta && rep.Ack != nil) || rep.Epoch != 0 {
-		s.mu.Lock()
-		if s.parentAddr == parentAddr { // parent may have changed mid-flight
-			if s.epochEnabled() && rep.Epoch != 0 && rep.Epoch >= s.parentEpoch {
-				s.parentEpochCapable = true
-				s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
-			}
-			if delta && rep.Ack != nil {
-				s.parentV3 = true
-				switch {
-				case rep.Ack.NeedFull:
-					s.parentNeedFull = true
-					s.parentHaveVersion = 0
-				case rep.Ack.HaveVersion != 0:
-					s.parentHaveVersion = rep.Ack.HaveVersion
-					s.parentNeedFull = false
-				}
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.parentAddr != parentAddr { // parent may have changed mid-flight
+		return
+	}
+	if rep.Epoch > s.parentEpoch {
+		s.parentEpoch = rep.Epoch
+	}
+	if ack := rep.Ack; ack != nil {
+		switch {
+		case ack.NeedFull:
+			s.parentNeedFull = true
+			s.parentHaveVersion = 0
+		case ack.HaveVersion != 0:
+			s.parentHaveVersion = ack.HaveVersion
+			s.parentNeedFull = false
 		}
-		s.mu.Unlock()
+	}
+}
+
+// versionOnly is the entry that stands in for p toward a child that already
+// confirmed holding p's version: origin identity, level and version, no
+// summaries. It renews the replica's TTL for a few dozen bytes.
+func versionOnly(p *wire.ReplicaPush) *wire.ReplicaPush {
+	return &wire.ReplicaPush{
+		OriginID:   p.OriginID,
+		OriginAddr: p.OriginAddr,
+		Ancestor:   p.Ancestor,
+		Level:      p.Level,
+		Version:    p.Version,
 	}
 }
 
@@ -589,57 +506,30 @@ func (s *Server) reportToParent() {
 // All pushes for one child travel in a single KindReplicaBatch message, so
 // a tick costs one call per child rather than one per (child × replica) —
 // the overlay-maintenance traffic the paper identifies as ROADS' dominant
-// overhead. Each push DTO is encoded once and shared across the per-child
-// batches. DisableReplicaBatch restores the per-push calls.
+// overhead. Each full push DTO is built once and shared across the
+// per-child batches.
 //
-// Change-driven path (batched mode only): a child that attached AckInfo
-// to a batch ack is delta-capable; full pushes to it carry the origin's
-// branch version (via a per-child stamped copy, so the shared DTO stays
-// unversioned for legacy children), and the acked version per (child,
-// origin) is tracked. While the child holds the current version, the
-// entry ships version-only — origin identity, level and version, no
-// summaries — which renews the replica's TTL for a few dozen bytes. A
-// NeedFullOrigins ack or the periodic anti-entropy round downgrades the
-// affected entries to full.
+// Every push carries its origin's branch version, and the version each child
+// acked per origin is tracked. While the child holds the current version the
+// entry ships version-only (see versionOnly). A NeedFullOrigins ack or the
+// periodic anti-entropy round downgrades the affected entries to full.
 func (s *Server) pushReplicas() {
-	delta := !s.cfg.DisableDeltaDissemination && !s.cfg.DisableReplicaBatch
-	fullRound := delta && s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
+	fullRound := s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
 	// Snapshot under the lock: childState fields are mutated in place by
 	// summary reports, so copy the values; summary objects themselves are
 	// replaced wholesale on update and never mutated after publish.
 	type childSnap struct {
 		id, addr string
 		branch   *summary.Summary
+		version  uint64
 		kids     []wire.RedirectInfo
-		capable  bool
-		epochCap bool
-		adaptCap bool
 		acked    map[string]uint64
 	}
-	adaptive := s.cfg.adaptiveOn()
 	s.mu.Lock()
 	children := make([]childSnap, 0, len(s.children))
 	for _, c := range s.children {
-		cs := childSnap{id: c.id, addr: c.addr, branch: c.branch, kids: c.kids,
-			epochCap: s.epochEnabled() && c.epochCapable,
-			adaptCap: adaptive && c.adaptiveCapable}
-		if delta && c.deltaCapable {
-			cs.capable = true
-			cs.acked = make(map[string]uint64, len(c.acked))
-			for o, v := range c.acked {
-				cs.acked[o] = v
-			}
-		}
-		children = append(children, cs)
-	}
-	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
-	// Sibling-push versions come from the childrens' stamped reports (0
-	// from pre-v3 children, which disables delta for those entries).
-	sibVersion := make([]uint64, len(children))
-	for i := range children {
-		if c, ok := s.children[children[i].id]; ok {
-			sibVersion[i] = c.version
-		}
+		children = append(children, childSnap{id: c.id, addr: c.addr, branch: c.branch,
+			version: c.version, kids: c.kids, acked: maps.Clone(c.acked)})
 	}
 	ownBranch := s.branchSummary
 	ownLocal := s.localSummary
@@ -651,99 +541,39 @@ func (s *Server) pushReplicas() {
 	if len(children) == 0 {
 		return
 	}
+	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
 
-	// Build every push DTO once; the per-child batches share them. The
-	// shared DTOs stay unversioned — capable children get shallow stamped
-	// copies, so a legacy child never sees a v3 payload. Each entry keeps
-	// its source summaries so a legacy (pre-v6) variant — every summary
-	// flattened to the uniform base geometry — can be built lazily, at
-	// most once per tick, when some child has not proven the adaptive
-	// capability. Native and flattened variants carry their own content
-	// versions, so version-only suppression tracks exactly what each
-	// child holds.
-	type pushEntry struct {
-		p             *wire.ReplicaPush
-		ver           uint64
-		branch, local *summary.Summary
-		flat          *wire.ReplicaPush
-		flatVer       uint64
-		flatBuilt     bool
-	}
-	// variant picks the form child gets: native for adaptive-capable
-	// children and for entries that are legacy-safe anyway; otherwise the
-	// flattened copy. A nil push means the entry cannot be expressed for
-	// this child (flatten failed) and is skipped.
-	variant := func(e *pushEntry, adaptCap bool) (*wire.ReplicaPush, uint64) {
-		if adaptCap || (!needsFlatten(e.branch) && !needsFlatten(e.local)) {
-			return e.p, e.ver
-		}
-		if !e.flatBuilt {
-			e.flatBuilt = true
-			fb, err := e.branch.FlattenTo(s.cfg.Summary)
-			if err != nil {
-				s.noteSummaryError(err)
-			} else {
-				fp := *e.p // shallow: identity/level/fallback fields
-				fp.Branch = wire.FromSummary(fb)
-				fp.Version = 0
-				if e.local != nil {
-					fl, lerr := e.local.FlattenTo(s.cfg.Summary)
-					if lerr != nil {
-						s.noteSummaryError(lerr)
-						fb = nil
-					} else {
-						fp.Local = wire.FromSummary(fl)
-					}
-				}
-				if fb != nil {
-					e.flat, e.flatVer = &fp, fb.Version
-				}
-			}
-		}
-		if e.flat == nil {
-			return nil, 0
-		}
-		return e.flat, e.flatVer
-	}
 	// Sibling branches: distance 1 from the child.
-	sibPush := make([]*pushEntry, len(children))
+	sibPush := make([]*wire.ReplicaPush, len(children))
 	for i, sib := range children {
 		if sib.branch == nil {
 			continue
 		}
-		sibPush[i] = &pushEntry{
-			p: &wire.ReplicaPush{
-				OriginID:   sib.id,
-				OriginAddr: sib.addr,
-				Branch:     wire.FromSummary(sib.branch),
-				Level:      1,
-				Fallbacks:  sib.kids,
-			},
-			ver:    sibVersion[i],
-			branch: sib.branch,
+		sibPush[i] = &wire.ReplicaPush{
+			OriginID:   sib.id,
+			OriginAddr: sib.addr,
+			Branch:     wire.FromSummary(sib.branch),
+			Level:      1,
+			Fallbacks:  sib.kids,
+			Version:    sib.version,
 		}
 	}
-	// Self as ancestor (branch + local piggyback): distance 1.
-	var ancestor *pushEntry
+	// Everything else goes to every child alike: self as ancestor (branch +
+	// local piggyback, distance 1), then everything this server replicates
+	// (its siblings and ancestors become the child's ancestor-siblings and
+	// ancestors, one level further away).
+	shared := make([]*wire.ReplicaPush, 0, 1+len(reps))
 	if ownBranch != nil {
-		ancestor = &pushEntry{
-			p: &wire.ReplicaPush{
-				OriginID:   s.cfg.ID,
-				OriginAddr: s.cfg.Addr,
-				Branch:     wire.FromSummary(ownBranch),
-				Local:      wire.FromSummary(ownLocal),
-				Ancestor:   true,
-				Level:      1,
-			},
-			ver:    ownBranch.Version,
-			branch: ownBranch,
-			local:  ownLocal,
-		}
+		shared = append(shared, &wire.ReplicaPush{
+			OriginID:   s.cfg.ID,
+			OriginAddr: s.cfg.Addr,
+			Branch:     wire.FromSummary(ownBranch),
+			Local:      wire.FromSummary(ownLocal),
+			Ancestor:   true,
+			Level:      1,
+			Version:    ownBranch.Version,
+		})
 	}
-	// Forward everything this server replicates (its siblings and
-	// ancestors become the child's ancestor-siblings and ancestors, one
-	// level further away).
-	forwarded := make([]*pushEntry, 0, len(reps))
 	for _, r := range reps {
 		p := &wire.ReplicaPush{
 			OriginID:   r.originID,
@@ -752,150 +582,66 @@ func (s *Server) pushReplicas() {
 			Ancestor:   r.ancestor,
 			Level:      r.level + 1,
 			Fallbacks:  r.fallbacks,
+			Version:    r.version,
 		}
-		e := &pushEntry{p: p, ver: r.version, branch: r.branch}
-		if r.ancestor && r.local != nil {
+		if r.ancestor {
 			p.Local = wire.FromSummary(r.local)
-			e.local = r.local
 		}
-		forwarded = append(forwarded, e)
+		shared = append(shared, p)
 	}
 
-	type sentEntry struct {
-		origin  string
-		version uint64
-	}
 	for i, child := range children {
-		pushes := make([]*wire.ReplicaPush, 0, len(children)+len(forwarded))
-		var sent []sentEntry
-		// appendEntry adds one origin's entry: version-only when the child
-		// already confirmed holding this version, a stamped full copy when
-		// the child is capable, the shared unversioned DTO otherwise. The
-		// payload and version are the child's variant (native vs.
-		// flattened), so what is acked is what was actually held.
-		appendEntry := func(e *pushEntry) {
-			p, ver := variant(e, child.adaptCap)
-			if p == nil {
-				return
-			}
-			switch {
-			case child.capable && ver != 0 && !fullRound && child.acked[p.OriginID] == ver:
-				pushes = append(pushes, &wire.ReplicaPush{
-					OriginID:   p.OriginID,
-					OriginAddr: p.OriginAddr,
-					Ancestor:   p.Ancestor,
-					Level:      p.Level,
-					Version:    ver,
-				})
+		pushes := make([]*wire.ReplicaPush, 0, len(sibPush)+len(shared))
+		add := func(p *wire.ReplicaPush) {
+			if p.Version != 0 && !fullRound && child.acked[p.OriginID] == p.Version {
+				p = versionOnly(p)
 				s.mx.pushDelta.Inc()
-			case child.capable && ver != 0:
-				stamped := *p // shallow: shares the summary DTOs
-				stamped.Version = ver
-				pushes = append(pushes, &stamped)
+			} else {
 				s.mx.pushFull.Inc()
-			default:
-				pushes = append(pushes, p)
-				if delta {
-					s.mx.pushFull.Inc()
-				}
 			}
-			if child.capable {
-				sent = append(sent, sentEntry{origin: p.OriginID, version: ver})
+			pushes = append(pushes, p)
+		}
+		for j, p := range sibPush {
+			if j != i && p != nil {
+				add(p)
 			}
 		}
-		for j, e := range sibPush {
-			if j != i && e != nil {
-				appendEntry(e)
-			}
-		}
-		if ancestor != nil {
-			appendEntry(ancestor)
-		}
-		for _, e := range forwarded {
-			appendEntry(e)
+		for _, p := range shared {
+			add(p)
 		}
 		if len(pushes) == 0 {
 			continue
 		}
-		if s.cfg.DisableReplicaBatch {
-			for _, p := range pushes {
-				msg := &wire.Message{Kind: wire.KindReplicaPush, From: s.cfg.ID, Addr: s.cfg.Addr, Replica: p}
-				if child.epochCap {
-					s.stampEpoch(msg)
-				}
-				_, _ = s.tr.Call(child.addr, msg)
-			}
-			continue
-		}
-		msg := &wire.Message{
+		rep, err := s.tr.Call(child.addr, s.stampEpoch(&wire.Message{
 			Kind:  wire.KindReplicaBatch,
 			From:  s.cfg.ID,
 			Addr:  s.cfg.Addr,
 			Batch: &wire.ReplicaBatch{Pushes: pushes},
+		}))
+		if err != nil || rep.Ack == nil {
+			continue // unreachable, or the batch was refused: nothing learned
 		}
-		if child.epochCap {
-			// A stamped push is what proves our v4 capability to the
-			// child, authorizing it to stamp its heartbeats and reports.
-			s.stampEpoch(msg)
-		}
-		if child.adaptCap {
-			// Mirroring the epoch stamp one version up: a flagged batch is
-			// what proves our v6 capability to the child, authorizing it to
-			// report adaptive-geometry branches upward. Only proven-v6
-			// children get the flag — it forces a v6 envelope.
-			msg.Adaptive = true
-		}
-		rep, err := s.tr.Call(child.addr, msg)
-		if err != nil || rep == nil {
-			continue
-		}
-		// A stamped batch ack is the child's v4 proof (batch-ack contents
-		// are ignored by senders that cannot decode them, so children
-		// stamp theirs unconditionally); AckInfo is the v3 delta proof.
-		epochProof := s.epochEnabled() && rep.Epoch != 0
-		if epochProof {
-			s.observeEpoch(rep.Epoch)
-		}
-		deltaAck := delta && rep.Ack != nil
-		// An Adaptive-flagged ack is the child's v6 proof (same
-		// justification as the epoch stamp: senders that cannot decode the
-		// ack ignore it entirely).
-		adaptAck := adaptive && rep.Adaptive
-		if !epochProof && !deltaAck && !adaptAck {
-			continue // legacy child: no bookkeeping
-		}
+		s.observeEpoch(rep.Epoch)
 		s.mu.Lock()
 		if c, ok := s.children[child.id]; ok {
-			if adaptAck {
-				c.adaptiveCapable = true
+			if rep.Epoch > c.epoch {
+				// Plain max, not the fenced advance: a late ack from
+				// before the child's recovery is a benign race here,
+				// not an accepted stale mutation.
+				c.epoch = rep.Epoch
 			}
-			if epochProof {
-				c.epochCapable = true
-				if rep.Epoch > c.epoch {
-					// Plain max, not the fenced advance: a late ack from
-					// before the child's recovery is a benign race here,
-					// not an accepted stale mutation.
-					c.epoch = rep.Epoch
+			// Record what the child now holds, minus anything it
+			// explicitly asked refreshed.
+			if c.acked == nil {
+				c.acked = make(map[string]uint64, len(pushes))
+			}
+			for _, p := range pushes {
+				if p.Version != 0 {
+					c.acked[p.OriginID] = p.Version
 				}
 			}
-			if deltaAck {
-				// Record what the child now holds, minus anything it
-				// explicitly asked refreshed.
-				c.deltaCapable = true
-				if c.acked == nil {
-					c.acked = make(map[string]uint64, len(sent)+len(pushes))
-				}
-				for _, e := range sent {
-					if e.version != 0 {
-						c.acked[e.origin] = e.version
-					}
-				}
-				// A not-yet-capable child acked full unversioned entries; it
-				// holds their content but no version to confirm against, so
-				// nothing is recorded for it until the next stamped round.
-				for _, o := range rep.Ack.NeedFullOrigins {
-					delete(c.acked, o)
-				}
+			for _, o := range rep.Ack.NeedFullOrigins {
+				delete(c.acked, o)
 			}
 		}
 		s.mu.Unlock()
@@ -974,7 +720,6 @@ func (s *Server) sendHeartbeat() {
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	idle := s.tx == txNone
-	stamp := s.epochEnabled() && s.parentEpochCapable
 	s.mu.Unlock()
 	if parentAddr == "" {
 		// Root: its root path is itself — but never clobber the path
@@ -991,15 +736,11 @@ func (s *Server) sendHeartbeat() {
 		}
 		return
 	}
-	hb := &wire.Message{
+	rep, err := s.tr.Call(parentAddr, s.stampEpoch(&wire.Message{
 		Kind: wire.KindHeartbeat,
 		From: s.cfg.ID,
 		Addr: s.cfg.Addr,
-	}
-	if stamp {
-		s.stampEpoch(hb)
-	}
-	rep, err := s.tr.Call(parentAddr, hb)
+	}))
 	if err != nil || wire.RemoteError(rep) != nil || rep.Heartbeat == nil {
 		s.noteParentMiss(missHeartbeat)
 		return
@@ -1013,15 +754,12 @@ func (s *Server) sendHeartbeat() {
 		s.mu.Unlock()
 		return
 	}
-	if s.epochEnabled() && rep.Epoch != 0 {
-		if rep.Epoch < s.parentEpoch {
-			s.mu.Unlock()
-			s.mx.fenced.Inc()
-			return // stale regime: fenced
-		}
-		s.parentEpochCapable = true
-		s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
+	if rep.Epoch != 0 && rep.Epoch < s.parentEpoch {
+		s.mu.Unlock()
+		s.mx.fenced.Inc()
+		return // stale regime: fenced
 	}
+	s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
 	s.rootPath = append(append([]string(nil), rep.Heartbeat.RootPath...), s.cfg.ID)
 	s.rootPathAddrs = append(append([]string(nil), rep.Heartbeat.PathAddrs...), s.cfg.Addr)
 	if rep.QueryRep != nil {
@@ -1106,19 +844,14 @@ func (s *Server) planRejoinLocked() *rejoinPlan {
 	// The dying ancestry is exactly what split-brain probing needs later.
 	s.rememberPathLocked()
 	s.tx = txRecovery
-	if s.epochEnabled() {
-		s.epoch.Add(1)
-	}
+	s.epoch.Add(1)
 	s.parentID = ""
 	s.parentAddr = ""
 	s.parentMisses = 0
 	s.parentReportMisses = 0
-	s.parentV3 = false
 	s.parentHaveVersion = 0
 	s.parentNeedFull = false
-	s.parentAdaptive = false
 	s.parentEpoch = 0
-	s.parentEpochCapable = false
 	s.publishSnapshotLocked()
 	s.mx.parentFailovers.Inc()
 	return p

@@ -3,7 +3,7 @@ package live
 // The epoch-fenced membership layer: every structural tree mutation (join,
 // adoption, rejoin, root election, tree merge) runs as a single-flight
 // transaction (txKind) stamped with a monotonically increasing membership
-// epoch that travels on the wire (codec v4, see internal/wire/binary.go).
+// epoch that every server stamps on every relationship message it sends.
 // Epochs fence stale mutations — a heartbeat, report or re-join carrying
 // an epoch lower than the one recorded for that relationship is rejected —
 // so a healed partition cannot resurrect a dead parent/child edge. On top
@@ -12,16 +12,6 @@ package live
 // discover each other the higher-epoch root (tie: smaller ID) wins and the
 // loser joins it, folding its whole tree back as a subtree. Summaries then
 // re-aggregate through the ordinary change-driven pipeline.
-//
-// Like the v3 delta negotiation, epoch stamping is capability-gated so
-// pre-epoch peers never see a v4 payload they must act on: a child proves
-// it decodes v4 by stamping its replica-batch ack (batch-ack contents are
-// ignored by senders that cannot decode them, so stamping there is always
-// safe); the parent then stamps its pushes and replies, which is the
-// child's proof; only proven peers receive stamped requests. Root probes
-// are the exception — they are always stamped, and a pre-epoch receiver
-// answers them with its generic unhandled-kind error, which probers treat
-// as "not epoch-capable".
 
 import (
 	"fmt"
@@ -69,11 +59,8 @@ const recoveryEscalateRounds = 2
 // folded back by the merge protocol once connectivity returns.
 const recoveryClaimRounds = 4
 
-// epochEnabled reports whether the membership-epoch protocol is active.
-func (s *Server) epochEnabled() bool { return !s.cfg.DisableMembershipEpoch }
-
 // Epoch returns the server's current membership epoch (1 at startup; 0
-// never appears — a zero on the wire means "not stamped").
+// never appears — a zero on the wire means a client sent the message).
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // observeEpoch raises the server's own epoch to e. Epochs only ever move
@@ -81,9 +68,6 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // any message stamped from before the latest recovery is recognizably
 // stale everywhere.
 func (s *Server) observeEpoch(e uint64) {
-	if e == 0 || !s.epochEnabled() {
-		return
-	}
 	for {
 		cur := s.epoch.Load()
 		if e <= cur {
@@ -112,14 +96,9 @@ func (s *Server) advanceRelEpochLocked(cur *uint64, e uint64) bool {
 	return true
 }
 
-// stampEpoch stamps the outgoing message with the server's epoch. Only
-// call it when the receiver is proven epoch-capable, or on payloads the
-// receiver is free to ignore (batch acks, root probes): a nonzero Epoch
-// forces wire v4, which a pre-epoch peer cannot decode.
+// stampEpoch stamps the outgoing message with the server's epoch.
 func (s *Server) stampEpoch(m *wire.Message) *wire.Message {
-	if s.epochEnabled() {
-		m.Epoch = s.epoch.Load()
-	}
+	m.Epoch = s.epoch.Load()
 	return m
 }
 
@@ -284,7 +263,7 @@ func (s *Server) membershipTick(rng *rand.Rand) {
 	}
 }
 
-// probeMessage builds the (always-stamped) root probe announcing us.
+// probeMessage builds the root probe announcing us.
 func (s *Server) probeMessage() *wire.Message {
 	return s.stampEpoch(&wire.Message{
 		Kind:      wire.KindRootProbe,
@@ -306,7 +285,7 @@ func (s *Server) probeRoot(addr string, chase bool) {
 	s.mx.probes.Inc()
 	rep, err := s.tr.Call(addr, s.probeMessage())
 	if err != nil || rep == nil || wire.RemoteError(rep) != nil || rep.RootProbe == nil {
-		return // unreachable or pre-epoch peer: nothing to learn
+		return // unreachable: nothing to learn
 	}
 	s.observeEpoch(rep.Epoch)
 	other := rep.RootProbe
@@ -332,9 +311,9 @@ func (s *Server) probeRoot(addr string, chase bool) {
 // executeMerge folds this (losing) root's tree under the winning root at
 // addr: re-verify the decision with a fresh probe — the winner may have
 // merged elsewhere, died, or been overtaken since the decision was
-// recorded — then join it. The join is epoch-stamped (the target proved
-// v4 by answering probes), so the winner fences it like any relationship
-// message and the loser adopts the winner's epoch from the reply.
+// recorded — then join it. The join is epoch-stamped, so the winner fences
+// it like any relationship message and the loser adopts the winner's epoch
+// from the reply.
 func (s *Server) executeMerge(addr string) {
 	s.mu.Lock()
 	if s.tx != txNone || s.parentAddr != "" || !s.started {
@@ -355,7 +334,7 @@ func (s *Server) executeMerge(addr string) {
 		!otherWins(rep.Epoch, other.RootID, s.epoch.Load(), s.cfg.ID) {
 		return // stale decision: we win now (or the split already healed)
 	}
-	if err := s.join(other.RootAddr, true); err != nil {
+	if err := s.Join(other.RootAddr); err != nil {
 		return // winner unreachable or full everywhere; a later tick retries
 	}
 	s.mx.merges.Inc()
@@ -418,7 +397,7 @@ func (s *Server) executeRecovery(p *rejoinPlan) {
 		// Surviving ancestors, nearest (grandparent) first — the true
 		// root is among them, and rejoining it never splits the tree.
 		for _, addr := range p.ancestors {
-			if s.join(addr, false) == nil {
+			if s.Join(addr) == nil {
 				return
 			}
 		}
@@ -435,7 +414,7 @@ func (s *Server) executeRecovery(p *rejoinPlan) {
 		}
 		joined := false
 		for _, sib := range smaller {
-			if s.join(sib.Addr, false) == nil {
+			if s.Join(sib.Addr) == nil {
 				joined = true
 				break
 			}

@@ -13,21 +13,20 @@ import (
 // --- helpers ---
 
 // childEpochState snapshots the parent-side epoch record for one child.
-func childEpochState(s *Server, id string) (epoch uint64, capable bool) {
+func childEpochState(s *Server, id string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.children[id]
-	if !ok {
-		return 0, false
+	if c, ok := s.children[id]; ok {
+		return c.epoch
 	}
-	return c.epoch, c.epochCapable
+	return 0
 }
 
 // parentEpochState snapshots the child-side epoch record.
-func parentEpochState(s *Server) (epoch uint64, capable bool) {
+func parentEpochState(s *Server) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.parentEpoch, s.parentEpochCapable
+	return s.parentEpoch
 }
 
 // rootPathOf snapshots a server's root path.
@@ -96,125 +95,57 @@ func subtreeOf(cl *Cluster, rootIdx int) map[int]bool {
 	return in
 }
 
-// --- epoch capability bootstrap and mixed-version interop ---
+// --- epoch stamping and fencing ---
 
-// TestEpochCapabilityBootstrap drives the capability chain on a parked
-// star with one epoch-capable child and one pre-epoch child: the capable
-// child proves itself via its (always-stamped) replica-batch ack, the
-// parent starts stamping its pushes, which is the child's proof, and from
-// then on both directions of the relationship are stamped — while the
-// pre-epoch child's relationship stays entirely epoch-free, down to the
-// wire version byte.
-func TestEpochCapabilityBootstrap(t *testing.T) {
+// TestEpochStampedFromFirstMessage: there is no bootstrap. The join and its
+// accept are already stamped, so both ends of a relationship record each
+// other's epoch before any aggregation round runs; every relationship reply
+// is stamped, whoever asked; and root probes are answered by any server.
+func TestEpochStampedFromFirstMessage(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
 	p := deltaServerCfg(t, tr, "p", schema, nil)
 	c1 := deltaServerCfg(t, tr, "c1", schema, nil)
-	c2 := deltaServerCfg(t, tr, "c2", schema, func(c *Config) { c.DisableMembershipEpoch = true })
-	for _, srv := range []*Server{p, c1, c2} {
-		attachDeltaOwner(t, srv, schema, 2)
-	}
+	// Give the child a distinguishable epoch before it joins.
+	c1.observeEpoch(7)
 	if err := c1.Join(p.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Join(p.Addr()); err != nil {
-		t.Fatal(err)
+	if got := childEpochState(p, "c1"); got != 7 {
+		t.Fatalf("parent recorded epoch %d for c1 from its join; want 7", got)
+	}
+	if got := p.Epoch(); got != 7 {
+		t.Fatalf("parent's own epoch is %d after a join stamped 7; want 7 (epochs converge to the maximum)", got)
+	}
+	if got := parentEpochState(c1); got != 7 {
+		t.Fatalf("child recorded epoch %d for its parent from the accept; want 7", got)
 	}
 
-	// Nobody has proven anything yet.
-	if _, capable := childEpochState(p, "c1"); capable {
-		t.Fatal("c1 marked epoch-capable before any stamped message")
+	// Replies are stamped whether or not the request was: zero on a request
+	// only means a client sent it.
+	for _, reqEpoch := range []uint64{c1.Epoch(), 0} {
+		rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr(), Epoch: reqEpoch})
+		if wire.RemoteError(rep) != nil || rep.Epoch != p.Epoch() {
+			t.Fatalf("reply to a heartbeat stamped %d: %+v; want it stamped %d", reqEpoch, rep, p.Epoch())
+		}
 	}
 
-	// Round 1: p's push is unstamped (c1 unproven), but c1's batch ack is
-	// stamped — the bootstrap — so p learns c1 speaks v4.
-	driveRound(c1, c2, p)
-	if _, capable := childEpochState(p, "c1"); !capable {
-		t.Fatal("c1's stamped batch ack did not mark it epoch-capable on the parent")
-	}
-	if _, capable := childEpochState(p, "c2"); capable {
-		t.Fatal("pre-epoch c2 was marked epoch-capable")
-	}
-	// Round 2: p's push to c1 is now stamped, which is c1's proof.
-	driveRound(c1, c2, p)
-	if _, capable := parentEpochState(c1); !capable {
-		t.Fatal("p's stamped push did not mark the parent epoch-capable on c1")
-	}
-	// Round 3: c1's report is stamped, so the recorded relationship epoch
-	// lands on the parent side.
-	driveRound(c1, c2, p)
-	if epoch, _ := childEpochState(p, "c1"); epoch != c1.Epoch() {
-		t.Fatalf("parent recorded epoch %d for c1; child is at %d", epoch, c1.Epoch())
+	// One round: report, batch and both acks are stamped too.
+	driveRound(c1, p)
+	if got := childEpochState(p, "c1"); got != c1.Epoch() {
+		t.Fatalf("parent recorded epoch %d for c1 after a round; child is at %d", got, c1.Epoch())
 	}
 
-	// Wire-level: a stamped heartbeat gets a stamped (v4) reply, an
-	// unstamped one a v2 reply — a pre-epoch peer never sees a v4 payload
-	// on its relationship traffic.
-	rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr(), Epoch: c1.Epoch()})
-	if rep.Epoch == 0 {
-		t.Fatal("reply to a stamped heartbeat is unstamped")
-	}
-	if data, err := wire.Encode(rep); err != nil || data[1] != 4 {
-		t.Fatalf("stamped heartbeat reply encoded at version %d (err %v); want 4", data[1], err)
-	}
-	rep = p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c2", Addr: c2.Addr()})
-	if rep.Epoch != 0 {
-		t.Fatal("reply to an unstamped heartbeat carries an epoch")
-	}
-	if data, err := wire.Encode(rep); err != nil || data[1] != 2 {
-		t.Fatalf("unstamped heartbeat reply encoded at version %d (err %v); want 2", data[1], err)
-	}
-
-	// Root probes are the capability exception: always stamped, and a
-	// pre-epoch peer answers with its generic unhandled-kind error, which
-	// probers read as "not capable".
 	probe := p.probeMessage()
 	if probe.Epoch == 0 {
 		t.Fatal("root probe left unstamped")
 	}
-	if rep := c2.handle(probe); wire.RemoteError(rep) == nil {
-		t.Fatal("pre-epoch peer answered a root probe instead of erroring")
-	}
-	rep = c1.handle(p.probeMessage())
-	if wire.RemoteError(rep) != nil || rep.RootProbe == nil {
-		t.Fatalf("capable peer rejected a root probe: %+v", rep)
+	rep := c1.handle(probe)
+	if wire.RemoteError(rep) != nil || rep.RootProbe == nil || rep.Epoch == 0 {
+		t.Fatalf("server rejected a root probe or left the reply unstamped: %+v", rep)
 	}
 	if rep.RootProbe.RootID != "p" {
 		t.Fatalf("c1 follows root %q; want p", rep.RootProbe.RootID)
-	}
-}
-
-// TestEpochLegacyParentNeverStamped is the other interop direction: under
-// a pre-epoch parent, a capable child stamps only its batch acks (which
-// the parent is free to ignore) and never its heartbeats or reports,
-// because the parent can never prove v4 back.
-func TestEpochLegacyParentNeverStamped(t *testing.T) {
-	schema := record.DefaultSchema(2)
-	tr := transport.NewChan()
-	lp := deltaServerCfg(t, tr, "lp", schema, func(c *Config) { c.DisableMembershipEpoch = true })
-	c3 := deltaServerCfg(t, tr, "c3", schema, nil)
-	attachDeltaOwner(t, lp, schema, 2)
-	attachDeltaOwner(t, c3, schema, 2)
-	if err := c3.Join(lp.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		driveRound(c3, lp)
-	}
-	if _, capable := parentEpochState(c3); capable {
-		t.Fatal("child marked a pre-epoch parent epoch-capable")
-	}
-	// The child's relationship messages toward it stay epoch-free, so the
-	// legacy parent never receives v4 traffic it must act on.
-	hb := &wire.Message{Kind: wire.KindHeartbeat, From: "c3", Addr: c3.Addr()}
-	c3.mu.Lock()
-	stamp := c3.epochEnabled() && c3.parentEpochCapable
-	c3.mu.Unlock()
-	if stamp {
-		t.Fatal("child would stamp heartbeats to a pre-epoch parent")
-	}
-	if data, err := wire.Encode(hb); err != nil || data[1] != 2 {
-		t.Fatalf("heartbeat to legacy parent encoded at version %d (err %v); want 2", data[1], err)
 	}
 }
 
@@ -237,8 +168,8 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 	if wire.RemoteError(rep) != nil {
 		t.Fatalf("stamped heartbeat rejected: %v", wire.RemoteError(rep))
 	}
-	if epoch, capable := childEpochState(p, "c1"); epoch != 5 || !capable {
-		t.Fatalf("recorded epoch %d capable=%v after stamp; want 5/true", epoch, capable)
+	if epoch := childEpochState(p, "c1"); epoch != 5 {
+		t.Fatalf("recorded epoch %d after stamp; want 5", epoch)
 	}
 
 	fencedBefore := p.mx.fenced.Load()
@@ -257,10 +188,10 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 	if got := p.mx.fenced.Load() - fencedBefore; got != uint64(len(stale)) {
 		t.Fatalf("fenced counter moved by %d; want %d", got, len(stale))
 	}
-	if epoch, _ := childEpochState(p, "c1"); epoch != 5 {
+	if epoch := childEpochState(p, "c1"); epoch != 5 {
 		t.Fatalf("fenced traffic moved the recorded epoch to %d", epoch)
 	}
-	// Unstamped traffic (a pre-epoch peer) is never fenced.
+	// Unstamped traffic (zero: not from a server) is never fenced.
 	if rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr()}); wire.RemoteError(rep) != nil {
 		t.Fatalf("unstamped heartbeat fenced: %v", wire.RemoteError(rep))
 	}

@@ -28,17 +28,14 @@ type serverMetrics struct {
 	parentFailovers *obs.Counter
 	evalLatency     *obs.Histogram
 
-	// Change-driven dissemination counters; all stay zero while
-	// Config.DisableDeltaDissemination is set.
+	// Change-driven dissemination counters.
 	rebuildsSkipped   *obs.Counter
 	reportsSuppressed *obs.Counter
 	pushDelta         *obs.Counter
 	pushFull          *obs.Counter
 	antiEntropyRounds *obs.Counter
 
-	// Membership-epoch counters (see membership.go); all stay zero while
-	// Config.DisableMembershipEpoch is set, except orphanRetries and
-	// elections, which count the recovery loop either way.
+	// Membership-epoch counters (see membership.go).
 	fenced           *obs.Counter
 	elections        *obs.Counter
 	merges           *obs.Counter
@@ -89,7 +86,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		pushDelta: reg.Counter("roads_replica_push_delta_total",
 			"Replica-batch entries sent version-only (TTL refresh, no summary payload)."),
 		pushFull: reg.Counter("roads_replica_push_full_total",
-			"Replica-batch entries sent with full summaries while delta dissemination is enabled."),
+			"Replica-batch entries sent with full summaries (new origin, changed version, NeedFull recovery or anti-entropy round)."),
 		antiEntropyRounds: reg.Counter("roads_antientropy_rounds_total",
 			"Aggregation rounds forced full-state by the anti-entropy cadence (Config.AntiEntropyEvery)."),
 		fenced: reg.Counter("roads_membership_fenced_total",
@@ -171,23 +168,15 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			return 0
 		})
 	reg.CounterFunc("roads_admission_shed_total",
-		"Queries shed to coarse summary-only answers because the requester was over its admission budget (wire-v5 requesters).",
+		"Queries shed to coarse summary-only answers because the requester was over its admission budget.",
 		func() uint64 {
 			if a := s.admission; a != nil {
 				return a.shed.Load()
 			}
 			return 0
 		})
-	reg.CounterFunc("roads_admission_rejected_total",
-		"Over-budget queries from pre-v5 requesters answered with the legacy error shed (they cannot decode a coarse reply).",
-		func() uint64 {
-			if a := s.admission; a != nil {
-				return a.rejected.Load()
-			}
-			return 0
-		})
 	reg.GaugeFunc("roads_admission_requesters",
-		"Requester token buckets currently tracked by the admission layer.", func() float64 {
+		"Requester identities holding a token bucket of their own (bounded; the rest share the anonymous bucket).", func() float64 {
 			if a := s.admission; a != nil {
 				return float64(a.requesters())
 			}

@@ -50,36 +50,13 @@ type Config struct {
 	// DefaultReplicaTTLFloor; fast-tick tests may lower it, slow
 	// production deployments raise it.
 	ReplicaTTLFloor time.Duration
-	// DisableReplicaBatch falls back to one KindReplicaPush call per
-	// replica per child instead of one KindReplicaBatch per child — the
-	// pre-batching wire behaviour, kept for benchmarks and for driving
-	// peers that predate KindReplicaBatch. Batching is also what carries
-	// the delta handshake, so disabling it forces full per-push calls.
-	DisableReplicaBatch bool
-	// DisableDeltaDissemination turns off the change-driven pipeline
-	// end to end: summaries rebuild from scratch every tick, reports
-	// always carry the full branch summary, replica pushes always carry
-	// full state, and no wire-v3 field (Version, AckInfo, the new Status
-	// counters) is ever emitted. A disabled server is byte-equivalent to
-	// a pre-v3 peer, which is both the measurable full-rebuild/full-push
-	// baseline and the mixed-version interop stand-in.
-	DisableDeltaDissemination bool
 	// AntiEntropyEvery is the anti-entropy cadence in aggregation ticks:
 	// every Nth tick sends full reports and full replica pushes even to
 	// peers that confirmed holding the current versions, bounding how
 	// long any divergence (lost state, metadata drift a version-only
 	// refresh does not carry) can persist. Zero uses
-	// DefaultAntiEntropyEvery; ignored when delta dissemination is
-	// disabled (every tick is full then).
+	// DefaultAntiEntropyEvery.
 	AntiEntropyEvery int
-	// DisableMembershipEpoch turns off the epoch-fenced membership layer
-	// end to end: no message is ever epoch-stamped (so nothing this server
-	// sends requires wire v4), no fencing is applied, no split-brain
-	// probing runs, and incoming root probes are answered with the generic
-	// unhandled-kind error. A disabled server is byte-equivalent to a
-	// pre-epoch peer, which is the mixed-version interop stand-in —
-	// mirroring DisableDeltaDissemination for wire v3.
-	DisableMembershipEpoch bool
 	// MergeSeeds are addresses this server probes for foreign roots while
 	// it is a root itself (split-brain detection), in addition to the
 	// ancestry it remembers from before a partition. Typically the
@@ -88,17 +65,13 @@ type Config struct {
 	// MergeProbeEvery is the split-brain probe cadence. Zero derives
 	// 4×HeartbeatEvery.
 	MergeProbeEvery time.Duration
-	// DisableAdaptiveSummaries turns off the feedback-driven resolution
-	// loop end to end: no false-positive heat is folded into resolution
-	// plans, exported summaries keep the uniform Config.Summary geometry
-	// forever, and no wire-v6 field (the Adaptive capability flag, summary
-	// Mode/Plan) is ever emitted. A disabled server is byte-equivalent to
-	// a wire-v5 peer, which is both the measurable static baseline and
-	// the mixed-version interop stand-in — mirroring
-	// DisableDeltaDissemination for v3 and DisableMembershipEpoch for v4.
-	// Adaptive summaries also require delta dissemination and replica
-	// batching (the capability handshake rides on batch acks), so
-	// disabling either of those disables this too.
+	// DisableAdaptiveSummaries stops this server's planner from ever
+	// replanning: no false-positive heat is folded into resolution plans
+	// and the summaries it builds keep the uniform Config.Summary geometry
+	// forever — the measurable static baseline. It says nothing about the
+	// wire: the server still ingests, merges (Summary.Merge resamples
+	// heterogeneous geometry) and forwards whatever geometry its children
+	// and replica origins chose.
 	DisableAdaptiveSummaries bool
 	// SummaryByteBudget caps the estimated wire size of the adaptive
 	// resolution plan across plannable attributes: the planner spends the
@@ -111,11 +84,6 @@ type Config struct {
 	// the planner and installs the resulting geometry. Zero uses
 	// DefaultReplanEvery.
 	ReplanEvery int
-	// LegacyQueryLocking evaluates queries under the server mutex against
-	// the live routing maps (the pre-snapshot behaviour) instead of
-	// against the lock-free routing snapshot — the measurable baseline
-	// the snapshot path is benchmarked against.
-	LegacyQueryLocking bool
 	// Metrics is the obs registry the server's named series register into
 	// (roadsd passes one shared registry per process and serves it at
 	// /metrics). Nil gives the server a private registry: series are
@@ -125,10 +93,10 @@ type Config struct {
 	// Cost models the store backend.
 	Cost store.CostModel
 	// StoreShards is the server store's shard count. Records hash to
-	// shards by ID; each shard keeps its own lock, indexes and — while
-	// delta dissemination is on — an incrementally maintained partial
-	// summary, so store churn re-summarizes touched shards instead of
-	// rebuilding the whole store's summary. Zero uses store.DefaultShards.
+	// shards by ID; each shard keeps its own lock, indexes and an
+	// incrementally maintained partial summary, so store churn
+	// re-summarizes touched shards instead of rebuilding the whole store's
+	// summary. Zero uses store.DefaultShards.
 	StoreShards int
 	// ResultCacheBytes is the query result cache's LRU byte budget. Zero
 	// uses DefaultResultCacheBytes; negative disables the cache. Cached
@@ -138,9 +106,8 @@ type Config struct {
 	ResultCacheBytes int64
 	// AdmissionRate is the per-requester admission budget in queries per
 	// second. Zero disables admission control entirely. Requesters over
-	// budget are shed: wire-v5 requesters get a coarse summary-only
-	// answer, older peers the legacy error shed; PriorityHigh is never
-	// shed.
+	// budget are shed to a coarse summary-only answer; PriorityHigh is
+	// never shed.
 	AdmissionRate float64
 	// AdmissionBurst is the token-bucket depth (how many queries a
 	// requester may burst above the sustained rate). Zero derives
@@ -232,14 +199,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// adaptiveOn reports whether the feedback-driven resolution loop runs.
-// Adaptive summaries ride on the delta pipeline (plans are installed by
-// the change-driven refresh) and bootstrap capability through replica-batch
-// acks, so disabling delta dissemination or batching disables them too.
-func (c Config) adaptiveOn() bool {
-	return !c.DisableAdaptiveSummaries && !c.DisableDeltaDissemination && !c.DisableReplicaBatch
-}
-
 // replanEvery returns the configured replan cadence, defaulted.
 func (c Config) replanEvery() uint64 {
 	if c.ReplanEvery > 0 {
@@ -283,34 +242,19 @@ type childState struct {
 	// reports; they become failover Alternates on redirects to the child.
 	kids []wire.RedirectInfo
 	// version is the branch-summary content version the child stamped on
-	// its last full report (0 from pre-v3 children). It versions the
-	// sibling pushes built from this branch and gates childEpoch: a full
-	// report carrying the same version left the merged branch unchanged.
+	// its last full report. It versions the sibling pushes built from this
+	// branch and gates childEpoch: a full report carrying the same version
+	// left the merged branch unchanged.
 	version uint64
-	// deltaCapable is set once the child attaches AckInfo to a
-	// replica-batch ack, proving it understands wire v3; only then may
-	// pushes to it be version-stamped or version-only. Reset when the
-	// child rejoins or downgrades to unversioned reports.
-	deltaCapable bool
 	// acked maps origin ID → the branch version this child last
 	// confirmed holding, so unchanged replicas ship as version-only TTL
-	// refreshes. Entries are dropped when the child asks for full state.
+	// refreshes. Entries are dropped when the child asks for full state,
+	// and all of them when it rejoins.
 	acked map[string]uint64
 	// epoch is the highest membership epoch this child stamped on a
 	// relationship message; lower-epoch heartbeats, reports and re-joins
 	// from it are fenced. Reset to the join's epoch when it rejoins.
 	epoch uint64
-	// epochCapable is set once the child stamped any message (batch ack,
-	// report, heartbeat, join), proving it decodes wire v4; only then are
-	// requests to it epoch-stamped.
-	epochCapable bool
-	// adaptiveCapable is set once the child attached the Adaptive flag to
-	// a replica-batch ack or a summary report, proving it decodes wire v6;
-	// only then may pushes to it carry adaptive-geometry or condensed
-	// summaries (and the Adaptive flag). Unproven children receive
-	// summaries flattened to the uniform base geometry. Reset when the
-	// child rejoins.
-	adaptiveCapable bool
 }
 
 // replicaState is one overlay replica.
@@ -328,10 +272,9 @@ type replicaState struct {
 	// fallbacks are the origin's children, carried on the push; they
 	// become failover Alternates on redirects to the origin.
 	fallbacks []wire.RedirectInfo
-	// version is the origin's branch content version carried on the push
-	// (0 from pre-v3 senders). A version-only refresh entry renews
-	// received only when it matches; forwarding this replica propagates
-	// the same version one level down.
+	// version is the origin's branch content version carried on the push.
+	// A version-only refresh entry renews received only when it matches;
+	// forwarding this replica propagates the same version one level down.
 	version uint64
 }
 
@@ -370,13 +313,10 @@ type Server struct {
 	localSummary  *summary.Summary
 	branchSummary *summary.Summary
 
-	// parentEpoch / parentEpochCapable mirror childState.epoch/epochCapable
-	// for the upward edge: the highest epoch the parent stamped (replies
-	// from a lower one are stale and fenced) and whether it proved it
-	// decodes wire v4 (a stamped push or reply), which authorizes stamping
-	// our heartbeats and reports. Reset whenever the parent changes.
-	parentEpoch        uint64
-	parentEpochCapable bool
+	// parentEpoch mirrors childState.epoch for the upward edge: the
+	// highest epoch the parent stamped (replies from a lower one are stale
+	// and fenced). Reset whenever the parent changes.
+	parentEpoch uint64
 	// knownServers is the ancestry memory (id → addr of servers seen on
 	// our root path, sibling set, or probes) that seeds split-brain
 	// probing: after a partition cuts the tree, the pre-partition ancestry
@@ -394,21 +334,12 @@ type Server struct {
 	lastChildEpoch uint64
 
 	// Parent-side delta state (guarded by s.mu), reset whenever the
-	// parent changes: parentV3 is set once the parent proves it speaks
-	// wire v3 (a version-stamped push or an AckInfo reply);
-	// parentHaveVersion is the branch version the parent last confirmed
-	// holding (reports while it matches go version-only);
+	// parent changes: parentHaveVersion is the branch version the parent
+	// last confirmed holding (reports while it matches go version-only);
 	// parentNeedFull forces the next report full after the parent
 	// rejected a version-only one.
-	parentV3          bool
 	parentHaveVersion uint64
 	parentNeedFull    bool
-	// parentAdaptive is set once the parent flags a replica batch with the
-	// Adaptive capability (wire v6), which authorizes sending it
-	// adaptive-geometry and condensed branch reports; until then reports
-	// are flattened to the uniform base geometry. Guarded by s.mu, reset
-	// whenever the parent changes.
-	parentAdaptive bool
 
 	// refreshMu serializes refreshSummaries: the incremental-refresh
 	// caches below are its private state, and tests drive refreshes
@@ -433,29 +364,20 @@ type Server struct {
 	// the replan). planner, heat (the drained EWMA) and curCfg (the
 	// geometry exports currently build with) are refresh-private state
 	// guarded by refreshMu. planDeviation counts attributes currently off
-	// their base resolution level, for the gauge. All idle when
-	// Config.adaptiveOn() is false — curCfg then stays Config.Summary.
+	// their base resolution level, for the gauge. All idle under
+	// Config.DisableAdaptiveSummaries — curCfg then stays Config.Summary.
 	fpHeat        []atomic.Uint64
 	planner       *summary.Planner
 	heat          map[string]float64
 	curCfg        summary.Config
 	planDeviation atomic.Int64
-	// flatMu guards the legacy-report flatten cache: the branch summary
-	// re-expressed in the uniform base geometry for a pre-v6 parent,
-	// keyed by the source branch version so one flatten serves every tick
-	// until the branch actually changes. (FlattenTo stamps deterministic
-	// versions, so version-only suppression keeps working on the
-	// flattened variant.)
-	flatMu     sync.Mutex
-	flatSrcVer uint64
-	flatSum    *summary.Summary
 
 	// epoch is the membership epoch: starts at 1, bumped when a recovery
 	// begins, raised to any higher epoch observed on the wire, and never
 	// decreased — so the federation converges to the maximum and anything
 	// stamped from before the latest recovery is recognizably stale. An
 	// atomic so the stamping paths read it lock-free; 0 never appears (a
-	// zero on the wire means "not stamped").
+	// zero on the wire means a client sent the message, not a server).
 	epoch atomic.Uint64
 
 	// snap is the immutable routing snapshot the lock-free read paths
@@ -503,13 +425,10 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		return nil, err
 	}
 	st := store.NewWithOptions(cfg.Schema, cfg.Cost, store.Options{Shards: cfg.StoreShards})
-	if !cfg.DisableDeltaDissemination {
-		// The delta refresh path exports the store summary as a merge of
-		// per-shard partials maintained on write; the disabled baseline
-		// keeps the monolithic FromRecords rebuild (see refreshSummaries).
-		if err := st.EnableSummaries(cfg.Summary); err != nil {
-			return nil, err
-		}
+	// The refresh exports the store summary as a merge of per-shard
+	// partials maintained on write (see refreshSummaries).
+	if err := st.EnableSummaries(cfg.Summary); err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:          cfg,
@@ -525,7 +444,7 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		startTime:    time.Now(),
 	}
 	s.curCfg = cfg.Summary
-	if cfg.adaptiveOn() {
+	if !cfg.DisableAdaptiveSummaries {
 		s.planner = summary.NewPlanner(cfg.Summary, cfg.SummaryByteBudget)
 		s.heat = make(map[string]float64)
 		s.fpHeat = make([]atomic.Uint64, cfg.Schema.NumAttrs())
@@ -589,13 +508,10 @@ func (s *Server) Start() error {
 
 	s.refreshSummaries()
 
-	s.wg.Add(2)
+	s.wg.Add(3)
 	go s.aggregationLoop()
 	go s.heartbeatLoop()
-	if s.epochEnabled() {
-		s.wg.Add(1)
-		go s.membershipLoop()
-	}
+	go s.membershipLoop()
 	return nil
 }
 
@@ -687,14 +603,6 @@ func (s *Server) joinHopBudget(discovered int) int {
 // child branch until someone accepts, backtracking into other branches if
 // a descent dead-ends (server gone or all refusing).
 func (s *Server) Join(seedAddr string) error {
-	return s.join(seedAddr, false)
-}
-
-// join runs the Join descent. With stamp set, every join request carries
-// the membership epoch: only the merge path sets it, because the target
-// root proved it decodes wire v4 by answering probes — a plain rejoin
-// must stay unstamped so pre-epoch parents can still accept it.
-func (s *Server) join(seedAddr string, stamp bool) error {
 	tried := make(map[string]bool)
 	frontier := []string{seedAddr}
 	var lastErr error
@@ -710,16 +618,12 @@ func (s *Server) join(seedAddr string, stamp bool) error {
 			continue
 		}
 		tried[addr] = true
-		msg := &wire.Message{
+		rep, err := s.tr.Call(addr, s.stampEpoch(&wire.Message{
 			Kind: wire.KindJoin,
 			From: s.cfg.ID,
 			Addr: s.cfg.Addr,
 			Join: &wire.Join{ID: s.cfg.ID, Addr: s.cfg.Addr},
-		}
-		if stamp {
-			s.stampEpoch(msg)
-		}
-		rep, err := s.tr.Call(addr, msg)
+		}))
 		if err != nil {
 			lastErr = err // dead server: backtrack to others
 			unreachable++
@@ -742,20 +646,11 @@ func (s *Server) join(seedAddr string, stamp bool) error {
 			s.parentAddr = jr.ParentAddr
 			s.parentMisses = 0
 			s.parentReportMisses = 0
-			// A new (or re-joined) parent starts with no proven delta
-			// or adaptive capability and holds none of our versions.
-			s.parentV3 = false
+			// A new (or re-joined) parent holds none of our versions, and
+			// the epoch relationship restarts at the accept's stamp.
 			s.parentHaveVersion = 0
 			s.parentNeedFull = false
-			s.parentAdaptive = false
-			// Epoch state restarts with the new relationship; a stamped
-			// accept is the parent's v4 proof.
-			s.parentEpoch = 0
-			s.parentEpochCapable = false
-			if s.epochEnabled() && rep.Epoch != 0 {
-				s.parentEpoch = rep.Epoch
-				s.parentEpochCapable = true
-			}
+			s.parentEpoch = rep.Epoch
 			s.rememberLocked(jr.ParentID, jr.ParentAddr)
 			s.publishSnapshotLocked()
 			s.mu.Unlock()

@@ -18,7 +18,7 @@ type snapChild struct {
 	// its branch content version, address and failover alternates. The
 	// result cache stores the dep hashes an entry was computed from and
 	// revalidates them in lockstep on lookup, so a changed branch kills
-	// exactly the entries it could have influenced. Zero (a pre-v3 child
+	// exactly the entries it could have influenced. Zero (a child
 	// with no content version) marks the child uncacheable.
 	dep uint64
 }
@@ -74,7 +74,7 @@ type routingSnapshot struct {
 
 	// fpBase folds every child and replica dep hash into the snapshot's
 	// routing fingerprint base; queryFingerprint combines it with the live
-	// store epoch and owner generations to stamp wire-v5 replies. Zero
+	// store epoch and owner generations to stamp replies. Zero
 	// (some dependency is unversioned) suppresses fingerprints — clients
 	// then get no revalidation token and fall back to full resolves.
 	fpBase uint64

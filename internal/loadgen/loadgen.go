@@ -345,7 +345,6 @@ type Result struct {
 	CoarseAnswers            int           `json:"coarse_answers"`
 	AdmissionAdmitted        uint64        `json:"admission_admitted"`
 	AdmissionShed            uint64        `json:"admission_shed"`
-	AdmissionRejected        uint64        `json:"admission_rejected"`
 	HotQueries               int           `json:"hot_queries"`
 	HotCoarse                int           `json:"hot_coarse"`
 	HotFailures              int           `json:"hot_failures"`
@@ -775,21 +774,21 @@ func Run(cfg Config) (*Result, error) {
 
 	// Drive phase: Clients workers share one query index.
 	var (
-		qIdx       atomic.Int64
-		resMu      sync.Mutex
-		durs       = make([]time.Duration, 0, len(queries))
-		covSum     float64
-		covMin     = 1.0
-		failures   int
-		fpHops     int
-		fpByDepth  []int
-		redirs     int
-		cliHits    int
-		coarse     int
-		hotDurs    []time.Duration
-		hotCoarse  int
-		hotFailed  int
-		hotIssued  atomic.Int64
+		qIdx      atomic.Int64
+		resMu     sync.Mutex
+		durs      = make([]time.Duration, 0, len(queries))
+		covSum    float64
+		covMin    = 1.0
+		failures  int
+		fpHops    int
+		fpByDepth []int
+		redirs    int
+		cliHits   int
+		coarse    int
+		hotDurs   []time.Duration
+		hotCoarse int
+		hotFailed int
+		hotIssued atomic.Int64
 	)
 	bytesStart := ch.BytesMoved()
 	driveStart := time.Now()
@@ -925,6 +924,9 @@ func Run(cfg Config) (*Result, error) {
 				qctx, qcancel := context.WithTimeout(hotCtx, cfg.QueryTimeout)
 				_, qs, err := cli.ResolveContext(qctx, entry, queries[hrng.Intn(hotSet)])
 				qcancel()
+				if err != nil && hotCtx.Err() != nil {
+					return // cut off by the end of the drive, not a sample
+				}
 				hotIssued.Add(1)
 				m.HotQueries.Inc()
 				resMu.Lock()
@@ -1020,7 +1022,6 @@ func Run(cfg Config) (*Result, error) {
 			ai := srv.AdmissionInfo()
 			res.AdmissionAdmitted += ai.Admitted
 			res.AdmissionShed += ai.Shed
-			res.AdmissionRejected += ai.Rejected
 			di := srv.AdaptiveInfo()
 			res.SummaryReplans += di.Replans
 			res.ServerFPDescents += di.FPDescents

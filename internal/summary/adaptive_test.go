@@ -189,7 +189,7 @@ func TestValueSetCondense(t *testing.T) {
 	if set.Len() > 4 {
 		t.Fatalf("condensed set still holds %d values", set.Len())
 	}
-	if !set.HasWildcards() || !sum.HasWildcards() {
+	if !set.HasWildcards() {
 		t.Fatal("condensation must introduce wildcards")
 	}
 	if c := set.Counts["grid.site7.*"]; c != 4 {
@@ -237,67 +237,6 @@ func TestCondenseDeterminism(t *testing.T) {
 	merged.Condense()
 	if merged.ComputeVersion() != mono.ComputeVersion() {
 		t.Fatal("condense(merge(exact partials)) != condense(monolithic build)")
-	}
-}
-
-// TestFlattenTo checks the legacy-peer emission path: adaptive geometry
-// resamples back to the base, wildcard-holding value sets become saturated
-// Blooms (conservative, never a silent false negative on a legacy peer),
-// and the flattened copy carries a fresh deterministic version distinct
-// from the adaptive original's.
-func TestFlattenTo(t *testing.T) {
-	s := mixedSchema()
-	base := DefaultConfig()
-	base.Buckets = 16
-	adaptive := base
-	adaptive.Resolution = []AttrResolution{{Attr: "rate", Buckets: 64}}
-	adaptive.CondenseAbove = 2
-	sum := MustNew(s, adaptive)
-	for i := 0; i < 8; i++ {
-		// Two sibling subtrees of four leaves each: condensable to two
-		// prefix wildcards.
-		sum.AddRecord(mkRec(s, float64(i)/8, 0.5, fmt.Sprintf("dom.sub%d.n%d", i%2, i)))
-	}
-	sum.Condense()
-	if !sum.HasWildcards() {
-		t.Fatal("setup: condensation produced no wildcards")
-	}
-	sum.Origin = "srv1"
-	sum.ComputeVersion()
-
-	flat, err := sum.FlattenTo(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flat.Cfg.Uniform() || flat.Cfg.CondenseAbove != 0 {
-		t.Fatal("flattened summary must carry the uniform base config")
-	}
-	if len(flat.Hists[0].Counts) != base.Buckets {
-		t.Fatalf("flattened histogram has %d buckets, want %d", len(flat.Hists[0].Counts), base.Buckets)
-	}
-	if flat.Hists[0].Total != sum.Hists[0].Total {
-		t.Fatal("resampling lost histogram mass")
-	}
-	if flat.Sets[2] != nil || flat.Blooms[2] == nil || !flat.Blooms[2].Saturated() {
-		t.Fatal("wildcard set must flatten to a saturated Bloom")
-	}
-	if !flat.MatchEq(2, "dom.sub3.leaf") || !flat.MatchEq(2, "anything-at-all") {
-		t.Fatal("saturated flatten must be conservative (match everything)")
-	}
-	if flat.Records != sum.Records || flat.Origin != sum.Origin {
-		t.Fatal("flatten must preserve records and origin")
-	}
-	if flat.Version == 0 || flat.Version == sum.Version {
-		t.Fatalf("flattened version %d must be fresh and distinct from source %d", flat.Version, sum.Version)
-	}
-	// Determinism: flattening the same content twice yields the same version
-	// (the replica version-suppression protocol keys on it).
-	flat2, err := sum.FlattenTo(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat2.Version != flat.Version {
-		t.Fatal("FlattenTo version is not deterministic")
 	}
 }
 

@@ -113,64 +113,3 @@ func (sum *Summary) Condense() bool {
 	}
 	return changed
 }
-
-// HasWildcards reports whether any attribute's value set holds condensed
-// wildcards (the wire layer flags such summaries so pre-v6 peers are never
-// asked to evaluate them).
-func (sum *Summary) HasWildcards() bool {
-	for _, s := range sum.Sets {
-		if s != nil && s.HasWildcards() {
-			return true
-		}
-	}
-	return false
-}
-
-// FlattenTo re-expresses the summary in the exact uniform geometry of base,
-// for emission to peers that predate adaptive summaries. Histograms
-// resample to base.Buckets; Blooms fold/smear/saturate to base's bit count;
-// a value set holding condensed wildcards cannot be evaluated by a legacy
-// peer (it probes only the exact value — a silent false negative), so it is
-// replaced by a saturated Bloom: match-anything is conservative and costs
-// only extra descents into this branch. The result is stamped with a fresh
-// content version.
-func (sum *Summary) FlattenTo(base Config) (*Summary, error) {
-	base.Resolution = nil
-	base.CondenseAbove = 0
-	out, err := New(sum.Schema, base)
-	if err != nil {
-		return nil, err
-	}
-	for i := range sum.Hists {
-		switch {
-		case sum.Hists[i] != nil:
-			if err := out.Hists[i].MergeResample(sum.Hists[i]); err != nil {
-				return nil, err
-			}
-		case sum.Blooms[i] != nil:
-			if out.Blooms[i] == nil {
-				// Base is value-set mode but this attribute already
-				// degraded to a Bloom upstream; carry a base-geometry Bloom.
-				out.Sets[i] = nil
-				out.Blooms[i] = MustBloom(base.BloomBits, base.BloomHashes)
-			}
-			out.Blooms[i].MergeAny(sum.Blooms[i])
-		case sum.Sets[i] != nil:
-			if sum.Sets[i].HasWildcards() {
-				out.Sets[i] = nil
-				out.Blooms[i] = MustBloom(base.BloomBits, base.BloomHashes)
-				out.Blooms[i].Saturate()
-				out.Blooms[i].N = uint64(sum.Sets[i].Len())
-			} else if out.Sets[i] != nil {
-				out.Sets[i].Merge(sum.Sets[i])
-			} else {
-				mergeSetIntoBloom(out.Blooms[i], sum.Sets[i])
-			}
-		}
-	}
-	out.Records = sum.Records
-	out.Origin = sum.Origin
-	out.Expires = sum.Expires
-	out.ComputeVersion()
-	return out, nil
-}

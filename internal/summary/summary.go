@@ -100,10 +100,6 @@ func (c Config) BloomParamsFor(attr string) (nbits, k int) {
 	return nbits, k
 }
 
-// Uniform reports whether the config carries no per-attribute overrides
-// (and therefore encodes identically under codec v5).
-func (c Config) Uniform() bool { return len(c.Resolution) == 0 }
-
 // Equal reports whether two configs build identical summaries. Config is
 // no longer comparable with == because Resolution is a slice.
 func (c Config) Equal(o Config) bool {

@@ -59,7 +59,7 @@ func countedPeer(tb testing.TB, client, srv *TCP, h Handler, conns int) (addr st
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.serveConn(countingConn{conn, serverWrites}, h, ws)
+			srv.serveMux(countingConn{conn, serverWrites}, h, ws)
 		}()
 		client.mu.Lock()
 		client.adoptLocked(client.poolFor(addr), addr, countingConn{dialed, clientWrites})
@@ -90,31 +90,28 @@ func payloadEcho(m *wire.Message) *wire.Message {
 }
 
 // TestOneWritePerFrame: a request and its reply each leave in exactly one
-// Write, header included, whatever the payload size and codec.
+// Write, header included, whatever the payload size.
 func TestOneWritePerFrame(t *testing.T) {
-	for _, useGob := range []bool{false, true} {
-		client, addr, clientWrites, serverWrites := countedPair(t, payloadEcho)
-		client.UseGob = useGob
-		const calls = 50
-		for i := 0; i < calls; i++ {
-			payload := strings.Repeat("x", i*400) // up to ~20 kB: past bufio's 4 kB too
-			rep, err := client.Call(addr, &wire.Message{Kind: wire.KindAck, From: "c", Error: payload})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Error != payload {
-				t.Fatalf("call %d: reply carries %d payload bytes; want %d", i, len(rep.Error), len(payload))
-			}
+	client, addr, clientWrites, serverWrites := countedPair(t, payloadEcho)
+	const calls = 50
+	for i := 0; i < calls; i++ {
+		payload := strings.Repeat("x", i*400) // up to ~20 kB: past bufio's 4 kB too
+		rep, err := client.Call(addr, &wire.Message{Kind: wire.KindAck, From: "c", Error: payload})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := clientWrites.Load(); got != calls {
-			t.Errorf("gob=%v: %d requests took %d writes; want one each", useGob, calls, got)
+		if rep.Error != payload {
+			t.Fatalf("call %d: reply carries %d payload bytes; want %d", i, len(rep.Error), len(payload))
 		}
-		if got := serverWrites.Load(); got != calls {
-			t.Errorf("gob=%v: %d replies took %d writes; want one each", useGob, calls, got)
-		}
-		if d := client.Stats().Dials; d != 0 {
-			t.Errorf("gob=%v: client dialed %d connections beside the counted one", useGob, d)
-		}
+	}
+	if got := clientWrites.Load(); got != calls {
+		t.Errorf("%d requests took %d writes; want one each", calls, got)
+	}
+	if got := serverWrites.Load(); got != calls {
+		t.Errorf("%d replies took %d writes; want one each", calls, got)
+	}
+	if d := client.Stats().Dials; d != 0 {
+		t.Errorf("client dialed %d connections beside the counted one", d)
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -121,47 +122,70 @@ func TestTCPStaleConnRetry(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyInterop drives a pooled (v2) listener with a NoPool (v1)
-// caller and vice versa: the listener sniffs the frame version, so old and
-// new peers interoperate.
-func TestTCPLegacyInterop(t *testing.T) {
+// TestTCPRejectsForeignStreams: a listener speaks one frame format and one
+// codec version. A stream that opens with anything else (here the deleted v1
+// frame: a bare 4-byte length) is closed without a reply, and a well-framed
+// request whose payload is not in this codec version is answered with the
+// decode error, on a connection that stays usable.
+func TestTCPRejectsForeignStreams(t *testing.T) {
 	srvTr := NewTCP()
 	defer srvTr.Close()
 	addr := freeAddr(t)
-	closer, err := srvTr.Listen(addr, echoHandler("v2-srv"))
+	closer, err := srvTr.Listen(addr, echoHandler("srv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer.Close()
 
-	legacy := &TCP{NoPool: true}
-	rep, err := legacy.Call(addr, &wire.Message{Kind: wire.KindHeartbeat, From: "v1-client"})
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
-		t.Fatalf("v1 caller against v2 listener: %v", err)
+		t.Fatal(err)
 	}
-	if rep.Kind != wire.KindAck || rep.From != "v2-srv" {
-		t.Fatalf("unexpected reply %+v", rep)
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	v1 := append([]byte{0, 0, 0, 16}, make([]byte, 16)...)
+	if _, err := conn.Write(v1); err != nil {
+		t.Fatal(err)
 	}
-	if st := legacy.Stats(); st.Dials != 1 || st.Calls != 1 {
-		t.Fatalf("legacy stats = %+v; want 1 dial, 1 call", st)
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("listener answered a v1 frame with %d bytes; want the connection closed", n)
+	}
+
+	frame, err := wire.AppendEncode(make([]byte, headerV2Len), &wire.Message{Kind: wire.KindHeartbeat, From: "old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[headerV2Len+1]-- // the codec version byte, one behind
+	if err := sealFrame(frame, 7, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn2, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	_ = conn2.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn2.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	id, flags, payload, err := readFrameV2(bufio.NewReader(conn2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wire.Decode(*payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 7 || flags&flagResponse == 0 || rep.Kind != wire.KindError || !strings.Contains(rep.Error, "codec version") {
+		t.Fatalf("reply to an old-version payload: id=%d flags=%x %+v; want a KindError naming the codec version", id, flags, rep)
 	}
 }
 
-// TestWriteFrameOversize verifies the sender rejects oversize frames in
-// both framing versions instead of writing them and corrupting the stream.
-func TestWriteFrameOversize(t *testing.T) {
-	big := make([]byte, maxFrame+1)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, big); err == nil {
-		t.Fatal("v1 writer must reject an oversize frame")
-	} else if !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("writer put %d bytes on the wire before failing", buf.Len())
-	}
+// TestSealFrameOversize verifies the sender rejects an oversize frame
+// instead of writing it and corrupting the stream.
+func TestSealFrameOversize(t *testing.T) {
 	if err := sealFrame(make([]byte, headerV2Len+maxFrame+1), 1, 0); err == nil {
-		t.Fatal("v2 sender must reject an oversize frame before writing it")
+		t.Fatal("sender must reject an oversize frame before writing it")
 	}
 }
 

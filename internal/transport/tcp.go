@@ -17,14 +17,8 @@ import (
 	"roads/internal/wire"
 )
 
-// Frame formats.
-//
-// v1 (legacy, one exchange per connection): a 4-byte big-endian payload
-// length followed by the gob payload. Used by NoPool callers and still
-// accepted by listeners for compatibility with v1-only peers.
-//
-// v2 (pooled/multiplexed): a 16-byte header followed by the payload (binary
-// codec by default, gob when the peer asked in gob):
+// The frame format. There is one: a 16-byte header followed by the
+// wire-codec payload.
 //
 //	byte  0      magic 'R' (0x52)
 //	byte  1      format version (2)
@@ -33,12 +27,11 @@ import (
 //	bytes 4-11   request ID, big-endian uint64
 //	bytes 12-15  payload length, big-endian uint32
 //
-// Listeners tell the two apart from the first byte: a v1 length never
-// exceeds maxFrame (64 MiB, high byte 0x04), so 0x52 unambiguously marks a
-// v2 stream. A v2 connection carries many concurrent exchanges; responses
-// are matched to requests by ID, so they may arrive out of order.
+// A connection carries many concurrent exchanges; responses are matched to
+// requests by ID, so they may arrive out of order. A stream that opens with
+// anything but this header is closed.
 //
-// A v2 frame leaves in one Write: the message is encoded behind headerV2Len
+// A frame leaves in one Write: the message is encoded behind headerV2Len
 // reserved bytes of a pooled buffer and sealFrame fills the header in, so
 // with TCP_NODELAY a frame is one segment and the peer's bufio.Reader gets
 // it whole in one read.
@@ -64,37 +57,26 @@ const maxFrame = 64 << 20
 
 var errStaleConn = errors.New("transport: stale pooled connection")
 
-// TCP is the framed TCP transport: wire-codec payloads (binary by default,
-// gob for peers that ask in gob) in length-prefixed frames. By default it
-// keeps a per-peer pool of persistent connections and multiplexes
-// concurrent calls over them with v2 framed request IDs: a reader goroutine
+// TCP is the framed TCP transport: wire-codec payloads in length-prefixed
+// frames. It keeps a per-peer pool of persistent connections and multiplexes
+// concurrent calls over them with framed request IDs: a reader goroutine
 // per connection demuxes the replies, idle connections are reaped in the
 // background, and a call that lands on a connection the peer has meanwhile
 // closed is retried once on a fresh dial. Listeners run handlers on warm
-// worker goroutines (see workers). Set NoPool for the legacy v1 behaviour
-// (one dial and one exchange per call), kept as a measurable baseline and
-// for driving v1-only peers.
+// worker goroutines (see workers).
 type TCP struct {
 	// DialTimeout bounds connection setup; CallTimeout bounds the whole
 	// exchange. Zero values use wire.Deadline.
 	DialTimeout time.Duration
 	CallTimeout time.Duration
 	// IdleTimeout is how long a pooled connection may sit unused before
-	// the reaper closes it (default 30s). Listeners keep v2 sessions for
+	// the reaper closes it (default 30s). Listeners keep sessions for
 	// twice this, so the dialer normally reaps first.
 	IdleTimeout time.Duration
 	// MaxConnsPerPeer bounds the pool per destination (default 2). A new
 	// connection is dialed only while every pooled one is busy and the
 	// bound has not been reached.
 	MaxConnsPerPeer int
-	// NoPool selects the legacy path: one v1-framed exchange per dial.
-	NoPool bool
-	// UseGob sends outgoing requests in the legacy gob codec instead of
-	// the compact binary one, for driving peers that predate the binary
-	// codec (their listeners cannot decode binary payloads). Incoming
-	// requests are always answered in the codec they arrived in, so a
-	// binary-codec listener serves gob and binary dialers side by side.
-	UseGob bool
 
 	ctr    counters
 	nextID atomic.Uint64
@@ -194,11 +176,10 @@ func (c *tcpCloser) Close() error {
 	return err
 }
 
-// Listen implements Transport. Each accepted connection is sniffed: v2
-// streams are served as long-lived multiplexed sessions (each request
-// handed to one of the listener's handler workers), v1 connections get the
-// legacy single request/reply exchange. Close returns once the accept
-// loop, every connection reader and every worker has exited.
+// Listen implements Transport. Each accepted connection is served as a
+// long-lived multiplexed session, each request handed to one of the
+// listener's handler workers. Close returns once the accept loop, every
+// connection reader and every worker has exited.
 func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -224,52 +205,14 @@ func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
 				defer wg.Done()
 				defer closer.untrack(conn)
 				defer conn.Close()
-				t.serveConn(conn, h, ws)
+				t.serveMux(conn, h, ws)
 			}(conn)
 		}
 	}()
 	return closer, nil
 }
 
-func (t *TCP) serveConn(conn net.Conn, h Handler, ws *workers) {
-	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(t.callTimeout()))
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == frameMagic {
-		t.serveMux(conn, br, h, ws)
-		return
-	}
-	t.serveLegacy(conn, br, h)
-}
-
-// serveLegacy answers exactly one v1 request/reply exchange, replying in
-// the codec the request used (v1 peers are usually gob-only).
-func (t *TCP) serveLegacy(conn net.Conn, br *bufio.Reader, h Handler) {
-	_ = conn.SetDeadline(time.Now().Add(t.callTimeout()))
-	req, err := readFrame(br)
-	if err != nil {
-		return
-	}
-	t.ctr.bytesRecv.Add(uint64(4 + len(req)))
-	msg, err := wire.Decode(req)
-	if err != nil {
-		return
-	}
-	rep := h(msg)
-	bp, err := encodePooled(rep, !wire.IsBinary(req), 0)
-	if err != nil {
-		return
-	}
-	defer wire.PutBuf(bp)
-	if writeFrame(conn, *bp) == nil {
-		t.ctr.bytesSent.Add(uint64(4 + len(*bp)))
-	}
-}
-
-// muxSession is the server side of one v2 connection: what a worker needs
+// muxSession is the server side of one connection: what a worker needs
 // to answer a request read from it.
 type muxSession struct {
 	t    *TCP
@@ -278,12 +221,13 @@ type muxSession struct {
 	wmu  sync.Mutex // serializes reply frames
 }
 
-// serveMux serves a v2 session: requests are read in a loop and handed to
+// serveMux serves one session: requests are read in a loop and handed to
 // the listener's workers, so a slow handler never blocks this reader; each
 // reply is written back (under the session's write lock) tagged with its
-// request ID. The session ends when the peer closes the connection or it
-// sits idle past the server-side window.
-func (t *TCP) serveMux(conn net.Conn, br *bufio.Reader, h Handler, ws *workers) {
+// request ID. The session ends when the peer closes the connection, sends
+// anything but a frame, or sits idle past the server-side window.
+func (t *TCP) serveMux(conn net.Conn, h Handler, ws *workers) {
+	br := bufio.NewReader(conn)
 	sess := &muxSession{t: t, conn: conn, h: h}
 	idle := 2 * t.idleTimeout()
 	if ct := t.callTimeout(); idle < ct {
@@ -308,11 +252,10 @@ type job struct {
 	frame *[]byte
 }
 
-// serve decodes the request, runs the handler and writes the reply frame
-// in the codec the request arrived in.
+// serve decodes the request, runs the handler and writes the reply frame.
+// A request that does not decode is answered with the decode error.
 func (j job) serve() {
 	s := j.sess
-	inBinary := wire.IsBinary(*j.frame)
 	msg, err := wire.Decode(*j.frame)
 	wire.PutBuf(j.frame)
 	var rep *wire.Message
@@ -321,7 +264,7 @@ func (j job) serve() {
 	} else {
 		rep = s.h(msg)
 	}
-	out, err := encodePooled(rep, !inBinary, headerV2Len)
+	out, err := encodePooled(rep, headerV2Len)
 	if err != nil {
 		return
 	}
@@ -671,7 +614,7 @@ func (t *TCP) Call(addr string, req *wire.Message) (*wire.Message, error) {
 // unregistered, and a reply that arrives later is discarded by the read
 // loop while other in-flight calls on the same connection proceed.
 func (t *TCP) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
-	out, err := encodePooled(req, t.UseGob, headerV2Len)
+	out, err := encodePooled(req, headerV2Len)
 	if err != nil {
 		return nil, err
 	}
@@ -684,17 +627,10 @@ func (t *TCP) CallContext(ctx context.Context, addr string, req *wire.Message) (
 	t.ctr.inflight.Add(1)
 	defer t.ctr.inflight.Add(-1)
 
-	var in *[]byte
-	if t.NoPool {
-		var data []byte
-		data, err = t.callLegacy(ctx, addr, frame[headerV2Len:])
-		in = &data
-	} else {
-		in, err = t.callPooled(ctx, addr, frame, false)
-		if errors.Is(err, errStaleConn) && ctx.Err() == nil {
-			t.ctr.retries.Add(1)
-			in, err = t.callPooled(ctx, addr, frame, true)
-		}
+	in, err := t.callPooled(ctx, addr, frame, false)
+	if errors.Is(err, errStaleConn) && ctx.Err() == nil {
+		t.ctr.retries.Add(1)
+		in, err = t.callPooled(ctx, addr, frame, true)
 	}
 	if err != nil {
 		t.ctr.errors.Add(1)
@@ -720,7 +656,7 @@ func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
 	return t
 }
 
-// callPooled runs one v2 exchange over a pooled connection: frame is the
+// callPooled runs one exchange over a pooled connection: frame is the
 // encoded request behind its reserved header, the result the reply frame,
 // which the caller decodes and releases. Failures on a reused connection
 // surface as errStaleConn so Call can retry them once. Context expiry
@@ -797,64 +733,12 @@ func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh b
 	}
 }
 
-// callLegacy is the v1 baseline: dial, one framed exchange, close.
-func (t *TCP) callLegacy(ctx context.Context, addr string, data []byte) ([]byte, error) {
-	d := net.Dialer{Timeout: t.dialTimeout()}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	t.ctr.dials.Add(1)
-	_ = conn.SetDeadline(deadlineWithin(ctx, t.callTimeout()))
-	if err := writeFrame(conn, data); err != nil {
-		return nil, fmt.Errorf("transport: write to %s: %w", addr, err)
-	}
-	t.ctr.bytesSent.Add(uint64(4 + len(data)))
-	rep, err := readFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("transport: read from %s: %w", addr, err)
-	}
-	t.ctr.bytesRecv.Add(uint64(4 + len(rep)))
-	return rep, nil
-}
-
 // --- Framing ---
 
-// writeFrame writes a v1 frame, rejecting oversize payloads at the sender
-// so they fail cleanly instead of corrupting the stream.
-func writeFrame(w io.Writer, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", len(data), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// sealFrame fills in the v2 header of frame, a message encoded behind
+// sealFrame fills in the header of frame, a message encoded behind
 // headerV2Len reserved bytes, so the whole frame can leave in one Write. It
-// rejects oversize payloads at the sender, like writeFrame.
+// rejects oversize payloads at the sender, so they fail cleanly instead of
+// corrupting the stream.
 func sealFrame(frame []byte, id uint64, flags byte) error {
 	n := len(frame) - headerV2Len
 	if n > maxFrame {
@@ -869,7 +753,7 @@ func sealFrame(frame []byte, id uint64, flags byte) error {
 	return nil
 }
 
-// readFrameV2 reads one multiplexed frame's payload into a pooled buffer,
+// readFrameV2 reads one frame's payload into a pooled buffer,
 // which the caller owns until wire.PutBuf.
 func readFrameV2(br *bufio.Reader) (id uint64, flags byte, payload *[]byte, err error) {
 	hdr, err := br.Peek(headerV2Len)

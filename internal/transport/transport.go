@@ -2,7 +2,7 @@
 // prototype runs on, with two interchangeable implementations: an
 // in-process channel transport for tests, examples and benchmarks (with an
 // optional injected latency model), and a pooled, multiplexed TCP
-// transport (binary or gob frames) for real multi-process deployments.
+// transport for real multi-process deployments.
 // Both expose operational counters through Stats() and can publish them as
 // named roads_transport_* series on an obs.Registry via RegisterMetrics;
 // the Faulty chaos wrapper forwards both to the transport it wraps.
@@ -38,22 +38,11 @@ type Transport interface {
 
 // encodePooled serializes m into a buffer from wire's pool, behind reserve
 // zero bytes the caller fills in later (the TCP frame header, so header and
-// payload leave in one write): the compact binary codec by default, legacy
-// gob when useGob is set — for requests to peers that predate the binary
-// codec, and for replies to requests that arrived in gob, which is the
-// whole compatibility negotiation. The caller returns the buffer with
+// payload leave in one write). The caller returns the buffer with
 // wire.PutBuf and must not touch it afterwards.
-func encodePooled(m *wire.Message, useGob bool, reserve int) (*[]byte, error) {
+func encodePooled(m *wire.Message, reserve int) (*[]byte, error) {
 	bp := wire.GetBuf()
-	buf := append((*bp)[:0], reserved[:reserve]...)
-	var err error
-	if useGob {
-		var payload []byte
-		payload, err = wire.EncodeGob(m)
-		buf = append(buf, payload...)
-	} else {
-		buf, err = wire.AppendEncode(buf, m)
-	}
+	buf, err := wire.AppendEncode(append((*bp)[:0], reserved[:reserve]...), m)
 	if err != nil {
 		wire.PutBuf(bp) // *bp is still the buffer as the pool handed it out
 		return nil, err
@@ -99,11 +88,6 @@ type Chan struct {
 	// CallerAddr tags outgoing calls for the latency function; transports
 	// are per-process so a single caller address suffices.
 	CallerAddr string
-	// UseGob sends outgoing requests in the legacy gob codec instead of
-	// the binary one — the measurable baseline, and how a peer that
-	// predates the binary codec behaves. Replies always come back in the
-	// request's codec. Set before first use.
-	UseGob bool
 
 	ctr counters
 }
@@ -136,9 +120,9 @@ func (t *Chan) Listen(addr string, h Handler) (io.Closer, error) {
 	return &chanCloser{t: t, addr: addr}, nil
 }
 
-// Call implements Transport. The message is round-tripped through the gob
-// encoding so in-process behaviour matches TCP exactly (no shared
-// pointers, same encodability constraints).
+// Call implements Transport. The message is round-tripped through the wire
+// codec so in-process behaviour matches TCP exactly (no shared pointers,
+// same encodability constraints).
 func (t *Chan) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	return t.CallContext(context.Background(), addr, req)
 }
@@ -162,7 +146,7 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 	start := time.Now()
 	t.ctr.inflight.Add(1)
 	defer t.ctr.inflight.Add(-1)
-	reqBuf, err := encodePooled(req, t.UseGob, 0)
+	reqBuf, err := encodePooled(req, 0)
 	if err != nil {
 		t.ctr.errors.Add(1)
 		return nil, err
@@ -219,17 +203,15 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 
 // runHandler is the Chan transport's whole "remote" side: it decodes the
 // request, releases its buffer, invokes the handler, and encodes the reply
-// in the request's codec (the respond-in-kind negotiation) through a pooled
-// buffer, like a TCP listener does. The caller decodes and releases the
-// reply.
+// through a pooled buffer, like a TCP listener does. The caller decodes and
+// releases the reply.
 func runHandler(h Handler, req *[]byte) (*[]byte, error) {
-	inBinary := wire.IsBinary(*req)
 	decoded, err := wire.Decode(*req)
 	wire.PutBuf(req)
 	if err != nil {
 		return nil, err
 	}
-	return encodePooled(h(decoded), !inBinary, 0)
+	return encodePooled(h(decoded), 0)
 }
 
 // Stats returns a snapshot of the transport's counters. The Chan transport

@@ -192,20 +192,6 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func TestFrameLimit(t *testing.T) {
-	// A frame header claiming > maxFrame must be rejected.
-	srv, cli := net.Pipe()
-	defer srv.Close()
-	defer cli.Close()
-	go func() {
-		hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-		cli.Write(hdr)
-	}()
-	if _, err := readFrame(srv); err == nil {
-		t.Fatal("oversized frame must be rejected")
-	}
-}
-
 func TestChanAddrs(t *testing.T) {
 	tr := NewChan()
 	for i := 0; i < 3; i++ {

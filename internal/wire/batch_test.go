@@ -6,15 +6,14 @@ import (
 	"roads/internal/summary"
 )
 
-// TestKindValuesStable pins the wire values of the message kinds: new
-// kinds must append after KindReplicaBatch so deployed peers keep
-// understanding each other.
+// TestKindValuesStable pins the wire values of the message kinds
+// (KindReplicaPush is reserved but keeps its number).
 func TestKindValuesStable(t *testing.T) {
 	want := map[Kind]uint8{
 		KindJoin: 1, KindJoinReply: 2, KindSummaryReport: 3, KindReplicaPush: 4,
 		KindQuery: 5, KindQueryReply: 6, KindHeartbeat: 7, KindHeartbeatReply: 8,
 		KindLeave: 9, KindAck: 10, KindError: 11, KindStatus: 12,
-		KindStatusReply: 13, KindReplicaBatch: 14,
+		KindStatusReply: 13, KindReplicaBatch: 14, KindRootProbe: 15, KindRootProbeReply: 16,
 	}
 	for k, v := range want {
 		if uint8(k) != v {
@@ -24,7 +23,7 @@ func TestKindValuesStable(t *testing.T) {
 }
 
 // TestReplicaBatchRoundTrip encodes a batch of pushes and checks it
-// survives the gob round trip intact.
+// survives the round trip intact.
 func TestReplicaBatchRoundTrip(t *testing.T) {
 	schema := testSchema()
 	s, err := summary.New(schema, summary.DefaultConfig())

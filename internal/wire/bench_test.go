@@ -24,9 +24,9 @@ func benchSummaryDTO(b *testing.B, buckets int) *Message {
 		sum.AddRecord(r)
 	}
 	return &Message{
-		Kind:    KindReplicaPush,
-		From:    "bench",
-		Replica: &ReplicaPush{OriginID: "bench", Branch: FromSummary(sum)},
+		Kind:   KindSummaryReport,
+		From:   "bench",
+		Report: &SummaryReport{Summary: FromSummary(sum)},
 	}
 }
 
@@ -62,7 +62,7 @@ func BenchmarkSummaryDTORoundTrip(b *testing.B) {
 	msg := benchSummaryDTO(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := msg.Replica.Branch.ToSummary(schema); err != nil {
+		if _, err := msg.Report.Summary.ToSummary(schema); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,62 +1,20 @@
 package wire
 
-// The compact binary codec. Gob re-serializes full type descriptors on
-// every one-shot Encode, which makes each RPC pay kilobytes of schema and
-// thousands of reflection-driven allocations; this codec writes fields
-// positionally with varint integers, length-prefixed strings, and raw
-// little-endian arrays for histogram buckets and Bloom bitsets, so the hot
-// query and replica-push paths move only payload bytes.
+// The binary codec. It writes fields positionally with varint integers,
+// length-prefixed strings, and raw little-endian arrays for histogram
+// buckets and Bloom bitsets, so the hot query and replica-batch paths move
+// only payload bytes and allocate next to nothing.
 //
-// Layout: every binary payload starts with binMagic, a byte gob can never
-// emit first (gob streams open with a message byte count, whose first byte
-// is either <= 0x7f or >= 0xf8), so Decode distinguishes the two codecs
-// from the first byte and old gob peers interoperate without negotiation:
-// listeners answer in whichever codec the request arrived in.
+// Layout: every payload starts with binMagic and then binVersion. There is
+// one version. Every server in a federation runs the same code, so the
+// encoder writes exactly binVersion and the decoder rejects every other
+// version byte, and every payload that does not start with binMagic, with an
+// error — that check is input validation, not negotiation. To change the
+// format, change the layout and bump binVersion: the two sides of a rolling
+// upgrade then fail each other's calls visibly instead of misparsing.
 //
-// Compatibility rule: fields are appended in a fixed order per struct.
-// New fields are appended at the end of their struct's encoding and gated
-// on a binVersion bump: the encoder always writes the newest version, and
-// the decoder reads appended fields only when the payload's version has
-// them (see binReader.ver), so it still accepts every older version.
-// Changing or reordering existing fields is not allowed — that would
-// require a new magic byte, not just a version bump. Decoders reject
-// versions newer than they know instead of misparsing.
-//
-// Version history:
-//
-//	1 — initial layout.
-//	2 — QueryDTO gains TraceID/Trace/Path, QueryReply gains TraceInfo
-//	    (per-query hop tracing).
-//	3 — change-driven dissemination: SummaryReport and ReplicaPush gain
-//	    Version, Message gains Ack (AckInfo), Status gains the
-//	    dissemination counters. The encoder writes version 2 when a
-//	    message uses none of these (see encodeVersion), so all traffic
-//	    that a v2 peer could produce stays byte-identical and decodable
-//	    by v2 peers — v3 features activate only after capability
-//	    negotiation proves the receiver understands them.
-//	4 — epoch-fenced membership: Message gains Epoch (appended after
-//	    Ack) and RootProbe (KindRootProbe/KindRootProbeReply split-brain
-//	    probes). Same lowest-sufficient-version rule: a message with
-//	    Epoch == 0 and no RootProbe encodes exactly as before, so
-//	    pre-epoch traffic stays byte-identical and epoch stamping only
-//	    starts once capability negotiation proves the peer decodes v4.
-//	5 — result cache + admission control: QueryDTO gains Priority,
-//	    CacheFingerprint and WantFingerprint; QueryReply gains Coarse,
-//	    CoarseEstimate, NotModified and Fingerprint. Same rule again: a
-//	    query with all of them zero encodes as before, servers respond
-//	    in kind (v5 reply fields only when the request carried v5
-//	    fields), and clients that enable caching/priorities probe
-//	    optimistically and downgrade per address when a peer rejects the
-//	    version.
-//	6 — adaptive summaries: SummaryDTO gains Mode (adaptive-geometry and
-//	    condensed-wildcard bits) and a per-attribute resolution Plan,
-//	    both appended after the Bloom section; Message gains the
-//	    Adaptive capability flag (appended after the v4 epoch block).
-//	    Same rule again: a uniform, wildcard-free summary has Mode 0 and
-//	    an unflagged message encodes as before, so adaptive geometry
-//	    only reaches peers that proved the capability (children flag
-//	    replica-batch acks, parents flag pushes to proven children) —
-//	    everyone else receives summaries flattened to base geometry.
+// The version is 7 because six layouts came before it (the git history and
+// EXPERIMENTS.md have them); 1–6 are rejected like any other byte.
 
 import (
 	"encoding/binary"
@@ -71,13 +29,10 @@ import (
 )
 
 const (
-	// binMagic marks a binary-codec payload. It sits in the byte range a
-	// gob stream can never start with (0x80..0xf7).
+	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
-	// binVersion is the newest codec revision; the decoder accepts this
-	// and every earlier revision. The encoder writes the lowest revision
-	// that can carry the message (encodeVersion), not always the newest.
-	binVersion = 6
+	// binVersion is the one codec revision written and accepted.
+	binVersion = 7
 	// valueMinBytes is the least a record.Value takes on the wire: its
 	// float plus the length byte of an empty string.
 	valueMinBytes = 9
@@ -92,26 +47,14 @@ const (
 	hasJoin = 1 << iota
 	hasJoinReply
 	hasReport
-	hasReplica
 	hasBatch
 	hasQuery
 	hasQueryRep
 	hasHeartbeat
 	hasStatus
-	// hasAckInfo (v3) marks a Message.Ack payload, appended after Status.
-	// Only ever set on version-3 payloads: Ack != nil forces the encoder
-	// to version 3, and pre-v3 decoders reject version 3 outright.
 	hasAckInfo
-	// hasRootProbe (v4) marks a Message.RootProbe payload, appended after
-	// Ack/Epoch. Only ever set on version-4 payloads.
 	hasRootProbe
 )
-
-// IsBinary reports whether data is a binary-codec payload (as opposed to
-// gob). Transports use it to answer in the codec the request arrived in.
-func IsBinary(data []byte) bool {
-	return len(data) > 0 && data[0] == binMagic
-}
 
 // --- Buffer pool ---
 
@@ -166,9 +109,6 @@ type binReader struct {
 	b   []byte
 	off int
 	err error
-	// ver is the payload's codec revision; readers of version-gated
-	// appended fields check it before consuming bytes.
-	ver byte
 }
 
 func (r *binReader) fail(format string, args ...any) {
@@ -284,85 +224,13 @@ func (r *binReader) count(elemSize int) int {
 
 // --- Message ---
 
-// encodeVersion picks the lowest codec revision that can carry m: 5 when
-// the message uses any v5 field, 4 for v4 fields, 3 for v3 fields, 2
-// otherwise. Writing the lowest sufficient version keeps every message an
-// older peer could produce decodable by that peer's generation, which is
-// what lets mixed generations share one tree: newer features only appear
-// on the wire after the sender has proof the receiver understands them.
-// FuzzDecode's encode/decode fixed point tolerates this because a
-// re-encode of a decoded message is already normalized.
-func encodeVersion(m *Message) byte {
-	if m.Adaptive {
-		return 6
-	}
-	if m.Report != nil && m.Report.Summary != nil && m.Report.Summary.Mode != 0 {
-		return 6
-	}
-	if p := m.Replica; p != nil && replicaPushV6(p) {
-		return 6
-	}
-	if m.Batch != nil {
-		for _, p := range m.Batch.Pushes {
-			if p != nil && replicaPushV6(p) {
-				return 6
-			}
-		}
-	}
-	if q := m.Query; q != nil {
-		if q.Priority != 0 || q.CacheFingerprint != 0 || q.WantFingerprint {
-			return 5
-		}
-	}
-	if qr := m.QueryRep; qr != nil {
-		if qr.Coarse || qr.CoarseEstimate != 0 || qr.NotModified || qr.Fingerprint != 0 {
-			return 5
-		}
-	}
-	if m.Epoch != 0 || m.RootProbe != nil {
-		return 4
-	}
-	if m.Ack != nil {
-		return 3
-	}
-	if m.Report != nil && m.Report.Version != 0 {
-		return 3
-	}
-	if m.Replica != nil && m.Replica.Version != 0 {
-		return 3
-	}
-	if m.Batch != nil {
-		for _, p := range m.Batch.Pushes {
-			if p != nil && p.Version != 0 {
-				return 3
-			}
-		}
-	}
-	if st := m.Status; st != nil {
-		if st.SummaryRebuildsSkipped != 0 || st.ReportsSuppressed != 0 ||
-			st.ReplicaPushDelta != 0 || st.ReplicaPushFull != 0 ||
-			st.AntiEntropyRounds != 0 {
-			return 3
-		}
-	}
-	return 2
-}
-
-// replicaPushV6 reports whether a replica push carries any v6 summary
-// feature (adaptive geometry or condensed wildcards).
-func replicaPushV6(p *ReplicaPush) bool {
-	return (p.Branch != nil && p.Branch.Mode != 0) || (p.Local != nil && p.Local.Mode != 0)
-}
-
 // AppendEncode appends m's binary encoding to buf and returns the grown
 // slice. Pair with GetBuf/PutBuf to run the hot path allocation-free.
 func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("wire: encode nil message")
 	}
-	ver := encodeVersion(m)
-	b := append(buf, binMagic, ver)
-	b = append(b, byte(m.Kind))
+	b := append(buf, binMagic, binVersion, byte(m.Kind))
 	b = appendString(b, m.From)
 	b = appendString(b, m.Addr)
 	b = appendString(b, m.Error)
@@ -376,9 +244,6 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	}
 	if m.Report != nil {
 		bits |= hasReport
-	}
-	if m.Replica != nil {
-		bits |= hasReplica
 	}
 	if m.Batch != nil {
 		bits |= hasBatch
@@ -411,10 +276,7 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 		b = appendJoinReply(b, m.JoinReply)
 	}
 	if m.Report != nil {
-		b = appendReport(b, m.Report, ver)
-	}
-	if m.Replica != nil {
-		b = appendReplicaPush(b, m.Replica, ver)
+		b = appendReport(b, m.Report)
 	}
 	if m.Batch != nil {
 		b = appendUvarint(b, uint64(len(m.Batch.Pushes)))
@@ -424,41 +286,31 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 				continue
 			}
 			b = appendBool(b, true)
-			b = appendReplicaPush(b, p, ver)
+			b = appendReplicaPush(b, p)
 		}
 	}
 	if m.Query != nil {
-		b = appendQuery(b, m.Query, ver)
+		b = appendQuery(b, m.Query)
 	}
 	if m.QueryRep != nil {
-		b = appendQueryReply(b, m.QueryRep, ver)
+		b = appendQueryReply(b, m.QueryRep)
 	}
 	if m.Heartbeat != nil {
 		b = appendStrings(b, m.Heartbeat.RootPath)
 		b = appendStrings(b, m.Heartbeat.PathAddrs)
 	}
 	if m.Status != nil {
-		b = appendStatus(b, m.Status, ver)
+		b = appendStatus(b, m.Status)
 	}
 	if m.Ack != nil {
 		b = appendUvarint(b, m.Ack.HaveVersion)
 		b = appendBool(b, m.Ack.NeedFull)
 		b = appendStrings(b, m.Ack.NeedFullOrigins)
 	}
-	// v4: membership epoch + root-probe payload, appended per the
-	// compatibility rule. Only written on version-4 payloads, and a
-	// nonzero Epoch or non-nil RootProbe forces version 4.
-	if ver >= 4 {
-		b = appendUvarint(b, m.Epoch)
-		if m.RootProbe != nil {
-			b = appendString(b, m.RootProbe.RootID)
-			b = appendString(b, m.RootProbe.RootAddr)
-		}
-	}
-	// v6: adaptive-summaries capability flag, appended per the
-	// compatibility rule. A set flag forces version 6.
-	if ver >= 6 {
-		b = appendBool(b, m.Adaptive)
+	b = appendUvarint(b, m.Epoch)
+	if m.RootProbe != nil {
+		b = appendString(b, m.RootProbe.RootID)
+		b = appendString(b, m.RootProbe.RootAddr)
 	}
 	codecCounters.binaryEncodes.Inc()
 	return b, nil
@@ -472,9 +324,8 @@ func decodeBinary(data []byte) (*Message, error) {
 	if r.u8() != binMagic {
 		return nil, fmt.Errorf("wire: not a binary payload")
 	}
-	r.ver = r.u8()
-	if (r.ver < 1 || r.ver > binVersion) && r.err == nil {
-		return nil, fmt.Errorf("wire: unknown binary codec version %d", r.ver)
+	if ver := r.u8(); ver != binVersion && r.err == nil {
+		return nil, fmt.Errorf("wire: unknown binary codec version %d (this build speaks %d)", ver, binVersion)
 	}
 	kind, from, addr, errText := Kind(r.u8()), r.str(), r.str(), r.str()
 	bits := r.uvarint()
@@ -489,9 +340,6 @@ func decodeBinary(data []byte) (*Message, error) {
 	}
 	if bits&hasReport != 0 {
 		m.Report = readReport(r)
-	}
-	if bits&hasReplica != 0 {
-		m.Replica = readReplicaPush(r)
 	}
 	if bits&hasBatch != 0 {
 		n := r.count(1)
@@ -523,21 +371,16 @@ func decodeBinary(data []byte) (*Message, error) {
 	if bits&hasStatus != 0 {
 		m.Status = readStatus(r)
 	}
-	if r.ver >= 3 && bits&hasAckInfo != 0 {
+	if bits&hasAckInfo != 0 {
 		m.Ack = &AckInfo{
 			HaveVersion:     r.uvarint(),
 			NeedFull:        r.bool(),
 			NeedFullOrigins: readStrings(r),
 		}
 	}
-	if r.ver >= 4 {
-		m.Epoch = r.uvarint()
-		if bits&hasRootProbe != 0 {
-			m.RootProbe = &RootProbe{RootID: r.str(), RootAddr: r.str()}
-		}
-	}
-	if r.ver >= 6 {
-		m.Adaptive = r.bool()
+	m.Epoch = r.uvarint()
+	if bits&hasRootProbe != 0 {
+		m.RootProbe = &RootProbe{RootID: r.str(), RootAddr: r.str()}
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -660,18 +503,15 @@ func readRedirects(r *binReader, depth int) []RedirectInfo {
 	return out
 }
 
-func appendReport(b []byte, rep *SummaryReport, ver byte) []byte {
+func appendReport(b []byte, rep *SummaryReport) []byte {
 	b = appendBool(b, rep.Summary != nil)
 	if rep.Summary != nil {
-		b = appendSummary(b, rep.Summary, ver)
+		b = appendSummary(b, rep.Summary)
 	}
 	b = appendVarint(b, int64(rep.Depth))
 	b = appendVarint(b, int64(rep.Descendants))
 	b = appendRedirects(b, rep.Children)
-	if ver >= 3 {
-		b = appendUvarint(b, rep.Version)
-	}
-	return b
+	return appendUvarint(b, rep.Version)
 }
 
 func readReport(r *binReader) *SummaryReport {
@@ -682,13 +522,11 @@ func readReport(r *binReader) *SummaryReport {
 	rep.Depth = int(r.varint())
 	rep.Descendants = int(r.varint())
 	rep.Children = readRedirects(r, 0)
-	if r.ver >= 3 {
-		rep.Version = r.uvarint()
-	}
+	rep.Version = r.uvarint()
 	return rep
 }
 
-func appendReplicaPush(b []byte, p *ReplicaPush, ver byte) []byte {
+func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
 	b = appendString(b, p.OriginID)
 	b = appendString(b, p.OriginAddr)
 	var flags byte
@@ -703,17 +541,14 @@ func appendReplicaPush(b []byte, p *ReplicaPush, ver byte) []byte {
 	}
 	b = append(b, flags)
 	if p.Branch != nil {
-		b = appendSummary(b, p.Branch, ver)
+		b = appendSummary(b, p.Branch)
 	}
 	if p.Local != nil {
-		b = appendSummary(b, p.Local, ver)
+		b = appendSummary(b, p.Local)
 	}
 	b = appendVarint(b, int64(p.Level))
 	b = appendRedirects(b, p.Fallbacks)
-	if ver >= 3 {
-		b = appendUvarint(b, p.Version)
-	}
-	return b
+	return appendUvarint(b, p.Version)
 }
 
 func readReplicaPush(r *binReader) *ReplicaPush {
@@ -728,13 +563,11 @@ func readReplicaPush(r *binReader) *ReplicaPush {
 	}
 	p.Level = int(r.varint())
 	p.Fallbacks = readRedirects(r, 0)
-	if r.ver >= 3 {
-		p.Version = r.uvarint()
-	}
+	p.Version = r.uvarint()
 	return p
 }
 
-func appendQuery(b []byte, q *QueryDTO, ver byte) []byte {
+func appendQuery(b []byte, q *QueryDTO) []byte {
 	b = appendString(b, q.ID)
 	b = appendString(b, q.Requester)
 	b = appendBool(b, q.Start)
@@ -749,18 +582,12 @@ func appendQuery(b []byte, q *QueryDTO, ver byte) []byte {
 		b = appendF64(b, p.Hi)
 		b = appendString(b, p.Str)
 	}
-	// v2: trace fields, appended per the compatibility rule.
 	b = appendString(b, q.TraceID)
 	b = appendBool(b, q.Trace)
 	b = appendStrings(b, q.Path)
-	// v5: priority class + client-cache revalidation, appended per the
-	// compatibility rule. Any of them nonzero forces version 5.
-	if ver >= 5 {
-		b = append(b, q.Priority)
-		b = appendUvarint(b, q.CacheFingerprint)
-		b = appendBool(b, q.WantFingerprint)
-	}
-	return b
+	b = append(b, q.Priority)
+	b = appendUvarint(b, q.CacheFingerprint)
+	return appendBool(b, q.WantFingerprint)
 }
 
 func readQuery(r *binReader, q *QueryDTO) {
@@ -782,19 +609,15 @@ func readQuery(r *binReader, q *QueryDTO) {
 			Str:  r.str(),
 		})
 	}
-	if r.ver >= 2 {
-		q.TraceID = r.str()
-		q.Trace = r.bool()
-		q.Path = readStrings(r)
-	}
-	if r.ver >= 5 {
-		q.Priority = r.u8()
-		q.CacheFingerprint = r.uvarint()
-		q.WantFingerprint = r.bool()
-	}
+	q.TraceID = r.str()
+	q.Trace = r.bool()
+	q.Path = readStrings(r)
+	q.Priority = r.u8()
+	q.CacheFingerprint = r.uvarint()
+	q.WantFingerprint = r.bool()
 }
 
-func appendQueryReply(b []byte, qr *QueryReply, ver byte) []byte {
+func appendQueryReply(b []byte, qr *QueryReply) []byte {
 	b = appendUvarint(b, uint64(len(qr.Records)))
 	for i := range qr.Records {
 		rec := &qr.Records[i]
@@ -807,7 +630,6 @@ func appendQueryReply(b []byte, qr *QueryReply, ver byte) []byte {
 		}
 	}
 	b = appendRedirects(b, qr.Redirects)
-	// v2: per-server trace detail, appended per the compatibility rule.
 	b = appendBool(b, qr.Trace != nil)
 	if ti := qr.Trace; ti != nil {
 		b = appendString(b, ti.ServerID)
@@ -818,15 +640,14 @@ func appendQueryReply(b []byte, qr *QueryReply, ver byte) []byte {
 		b = appendStrings(b, ti.MatchedChildren)
 		b = appendStrings(b, ti.MatchedReplicas)
 	}
-	// v5: coarse-answer and cache-revalidation fields, appended per the
-	// compatibility rule. Any of them nonzero forces version 5.
-	if ver >= 5 {
-		b = appendBool(b, qr.Coarse)
+	// Coarse is CoarseEstimate's presence bit: only a coarse answer pays
+	// the estimate's eight bytes.
+	b = appendBool(b, qr.Coarse)
+	if qr.Coarse {
 		b = appendF64(b, qr.CoarseEstimate)
-		b = appendBool(b, qr.NotModified)
-		b = appendUvarint(b, qr.Fingerprint)
 	}
-	return b
+	b = appendBool(b, qr.NotModified)
+	return appendUvarint(b, qr.Fingerprint)
 }
 
 func readQueryReply(r *binReader, qr *QueryReply) {
@@ -861,7 +682,7 @@ func readQueryReply(r *binReader, qr *QueryReply) {
 		qr.Records = append(qr.Records, rec)
 	}
 	qr.Redirects = readRedirects(r, 0)
-	if r.ver >= 2 && r.bool() {
+	if r.bool() {
 		qr.Trace = &TraceInfo{
 			ServerID:        r.str(),
 			EvalMicros:      r.uvarint(),
@@ -872,15 +693,14 @@ func readQueryReply(r *binReader, qr *QueryReply) {
 			MatchedReplicas: readStrings(r),
 		}
 	}
-	if r.ver >= 5 {
-		qr.Coarse = r.bool()
+	if qr.Coarse = r.bool(); qr.Coarse {
 		qr.CoarseEstimate = r.f64()
-		qr.NotModified = r.bool()
-		qr.Fingerprint = r.uvarint()
 	}
+	qr.NotModified = r.bool()
+	qr.Fingerprint = r.uvarint()
 }
 
-func appendStatus(b []byte, st *Status, ver byte) []byte {
+func appendStatus(b []byte, st *Status) []byte {
 	b = appendString(b, st.ID)
 	b = appendString(b, st.Addr)
 	b = appendString(b, st.ParentID)
@@ -909,14 +729,11 @@ func appendStatus(b []byte, st *Status, ver byte) []byte {
 		b = appendUvarint(b, tr.P50Micros)
 		b = appendUvarint(b, tr.P99Micros)
 	}
-	if ver >= 3 {
-		b = appendUvarint(b, st.SummaryRebuildsSkipped)
-		b = appendUvarint(b, st.ReportsSuppressed)
-		b = appendUvarint(b, st.ReplicaPushDelta)
-		b = appendUvarint(b, st.ReplicaPushFull)
-		b = appendUvarint(b, st.AntiEntropyRounds)
-	}
-	return b
+	b = appendUvarint(b, st.SummaryRebuildsSkipped)
+	b = appendUvarint(b, st.ReportsSuppressed)
+	b = appendUvarint(b, st.ReplicaPushDelta)
+	b = appendUvarint(b, st.ReplicaPushFull)
+	return appendUvarint(b, st.AntiEntropyRounds)
 }
 
 func readStatus(r *binReader) *Status {
@@ -951,13 +768,11 @@ func readStatus(r *binReader) *Status {
 			P99Micros: r.uvarint(),
 		}
 	}
-	if r.ver >= 3 {
-		st.SummaryRebuildsSkipped = r.uvarint()
-		st.ReportsSuppressed = r.uvarint()
-		st.ReplicaPushDelta = r.uvarint()
-		st.ReplicaPushFull = r.uvarint()
-		st.AntiEntropyRounds = r.uvarint()
-	}
+	st.SummaryRebuildsSkipped = r.uvarint()
+	st.ReportsSuppressed = r.uvarint()
+	st.ReplicaPushDelta = r.uvarint()
+	st.ReplicaPushFull = r.uvarint()
+	st.AntiEntropyRounds = r.uvarint()
 	return st
 }
 
@@ -967,10 +782,9 @@ func readStatus(r *binReader) *Status {
 // little-endian uint32 bucket arrays, value sets as sorted (value, count)
 // pairs, and Bloom filters as raw little-endian uint64 bitsets. Raw arrays
 // beat per-element varints here: buckets and bitset words are dense and
-// uniformly sized, so the copy is one memmove each way. Version-6 payloads
-// append the Mode byte and resolution plan after the Bloom section; any
-// nonzero Mode forces the enclosing message to version 6 (encodeVersion).
-func appendSummary(b []byte, s *SummaryDTO, ver byte) []byte {
+// uniformly sized, so the copy is one memmove each way. The Mode byte and
+// the resolution plan follow the Bloom section.
+func appendSummary(b []byte, s *SummaryDTO) []byte {
 	b = appendString(b, s.Origin)
 	b = appendUvarint(b, s.Version)
 	b = appendUvarint(b, s.Records)
@@ -1017,18 +831,14 @@ func appendSummary(b []byte, s *SummaryDTO, ver byte) []byte {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	}
-	// v6: summary mode + resolution plan, appended per the compatibility
-	// rule.
-	if ver >= 6 {
-		b = append(b, s.Mode)
-		b = appendUvarint(b, uint64(len(s.Plan)))
-		for i := range s.Plan {
-			p := &s.Plan[i]
-			b = appendVarint(b, int64(p.Attr))
-			b = appendVarint(b, int64(p.Buckets))
-			b = appendVarint(b, int64(p.BloomBits))
-			b = appendVarint(b, int64(p.BloomHashes))
-		}
+	b = append(b, s.Mode)
+	b = appendUvarint(b, uint64(len(s.Plan)))
+	for i := range s.Plan {
+		p := &s.Plan[i]
+		b = appendVarint(b, int64(p.Attr))
+		b = appendVarint(b, int64(p.Buckets))
+		b = appendVarint(b, int64(p.BloomBits))
+		b = appendVarint(b, int64(p.BloomHashes))
 	}
 	return b
 }
@@ -1104,20 +914,18 @@ func readSummary(r *binReader) *SummaryDTO {
 		}
 		s.Blooms = append(s.Blooms, bl)
 	}
-	if r.ver >= 6 {
-		s.Mode = r.u8()
-		np := r.count(4)
-		if np > 0 {
-			s.Plan = make([]AttrPlanDTO, 0, np)
-		}
-		for i := 0; i < np && r.err == nil; i++ {
-			s.Plan = append(s.Plan, AttrPlanDTO{
-				Attr:        int(r.varint()),
-				Buckets:     int(r.varint()),
-				BloomBits:   int(r.varint()),
-				BloomHashes: int(r.varint()),
-			})
-		}
+	s.Mode = r.u8()
+	np := r.count(4)
+	if np > 0 {
+		s.Plan = make([]AttrPlanDTO, 0, np)
+	}
+	for i := 0; i < np && r.err == nil; i++ {
+		s.Plan = append(s.Plan, AttrPlanDTO{
+			Attr:        int(r.varint()),
+			Buckets:     int(r.varint()),
+			BloomBits:   int(r.varint()),
+			BloomHashes: int(r.varint()),
+		})
 	}
 	return s
 }

@@ -1,20 +1,15 @@
 // Package wire defines the messages ROADS servers exchange in the live
-// prototype and the two codecs that carry them: the compact positional
-// binary codec (the default — see binary.go) and the legacy gob codec,
-// kept for peers that predate it. Summaries, queries and records travel
-// as explicit DTOs so the wire format is independent of the in-memory
-// types (which hold unexported fields and shared pointers); Decode sniffs
-// the codec from the first payload byte and servers answer in the codec
-// the request arrived in, so both peer generations share one listener.
+// prototype and the one codec that carries them: a compact positional
+// binary format in a single version (see binary.go). Summaries, queries and
+// records travel as explicit DTOs so the wire format is independent of the
+// in-memory types (which hold unexported fields and shared pointers).
 //
 // The package also counts its own codec activity (encodes, decodes and
-// decode failures per codec) as process-wide atomics; RegisterMetrics
-// exposes them as roads_wire_* series on an obs.Registry.
+// decode failures) as process-wide atomics; RegisterMetrics exposes them as
+// roads_wire_* series on an obs.Registry.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"time"
@@ -35,8 +30,9 @@ const (
 	KindJoinReply
 	// KindSummaryReport carries a child's branch summary to its parent.
 	KindSummaryReport
-	// KindReplicaPush distributes branch summaries down and across the
-	// hierarchy for the replication overlay.
+	// KindReplicaPush is reserved: the single-replica push that
+	// KindReplicaBatch replaced. No server sends or handles it; the number
+	// stays taken so the kinds after it keep theirs.
 	KindReplicaPush
 	// KindQuery asks a server to evaluate a query.
 	KindQuery
@@ -59,15 +55,11 @@ const (
 	KindStatusReply
 	// KindReplicaBatch carries all of a parent's replica pushes for one
 	// child in a single message — one frame instead of O(replicas) calls
-	// per aggregation tick. New kinds append here so existing values stay
-	// stable on the wire; peers that predate batching still understand
-	// the individual KindReplicaPush form.
+	// per aggregation tick.
 	KindReplicaBatch
 	// KindRootProbe asks a server which root it currently follows; roots
 	// exchange probes to detect a split brain after a partition heals.
-	// KindRootProbeReply answers with the receiver's root view. Pre-epoch
-	// peers answer both with their generic unhandled-kind error, which
-	// probers treat as "not epoch-capable".
+	// KindRootProbeReply answers with the receiver's root view.
 	KindRootProbe
 	KindRootProbeReply
 )
@@ -81,44 +73,29 @@ type Message struct {
 	Join      *Join
 	JoinReply *JoinReply
 	Report    *SummaryReport
-	Replica   *ReplicaPush
 	Batch     *ReplicaBatch
 	Query     *QueryDTO
 	QueryRep  *QueryReply
 	Heartbeat *Heartbeat
 	Status    *Status
 	Error     string
-	// Ack carries delta-dissemination feedback on KindAck replies (wire
-	// v3). Its presence doubles as the capability signal: a peer that
-	// attaches AckInfo understands version-only refreshes, so senders may
-	// start suppressing redundant summary payloads toward it. Nil on
-	// plain acks and from pre-v3 peers.
+	// Ack carries delta-dissemination feedback on the KindAck replies to
+	// summary reports and replica batches; nil on plain acks.
 	Ack *AckInfo
-	// Epoch is the sender's membership epoch (wire v4). Epochs are
-	// monotonically increasing per federation: every recovery action
-	// (parent failover, root election, tree merge) bumps them, and
-	// receivers fence relationship messages that carry an epoch lower
-	// than the one they last recorded for that relationship, so a healed
-	// partition cannot resurrect a dead parent/child edge. Zero means
-	// "not stamped" (pre-epoch peer or epoch disabled); a nonzero value
-	// doubles as the epoch-capability signal.
+	// Epoch is the sender's membership epoch. Epochs are monotonically
+	// increasing per federation: every recovery action (parent failover,
+	// root election, tree merge) bumps them, and receivers fence
+	// relationship messages that carry an epoch lower than the one they
+	// last recorded for that relationship, so a healed partition cannot
+	// resurrect a dead parent/child edge. Every server stamps every
+	// message; zero means the sender is a client, not a server.
 	Epoch uint64
 	// RootProbe carries the split-brain probe payload on
-	// KindRootProbe/KindRootProbeReply messages (wire v4).
+	// KindRootProbe/KindRootProbeReply messages.
 	RootProbe *RootProbe
-	// Adaptive is the adaptive-summaries capability flag (wire v6). A
-	// sender sets it to announce it understands adaptive summary geometry
-	// (SummaryDTO Mode/Plan) and condensed value-set wildcards. Children
-	// attach it to replica-batch acks (legacy senders ignore ack contents
-	// they cannot decode, so the flag is a safe capability bootstrap, like
-	// v3's AckInfo); parents stamp it on pushes to proven children. Only
-	// after a peer has proven the capability may adaptive-geometry or
-	// condensed summaries be sent to it — everyone else gets summaries
-	// flattened to the uniform base geometry.
-	Adaptive bool
 }
 
-// RootProbe is the split-brain detection payload (wire v4). On a
+// RootProbe is the split-brain detection payload. On a
 // KindRootProbe request it names the probing root; on the reply it names
 // the root the receiver currently follows (its rootPath head). Two live
 // roots that learn of each other this way resolve the split: the
@@ -176,8 +153,8 @@ type Status struct {
 	// transport exposes them (pooled TCP and the in-process Chan both do).
 	Transport *TransportStatus
 
-	// Change-driven dissemination counters (wire v3; zero from older
-	// peers). SummaryRebuildsSkipped counts refresh ticks that reused
+	// Change-driven dissemination counters. SummaryRebuildsSkipped counts
+	// refresh ticks that reused
 	// cached summaries because nothing mutated; ReportsSuppressed counts
 	// version-only reports sent in place of full branch summaries;
 	// ReplicaPushDelta/ReplicaPushFull split pushed replica entries by
@@ -217,11 +194,11 @@ type SummaryReport struct {
 	// reporter die mid-query, its children can still route the query into
 	// the reporter's subtree.
 	Children []RedirectInfo
-	// Version is the reporter's branch-summary content version (wire v3).
-	// A report with Version set and Summary nil is a version-only
-	// heartbeat report: the parent already confirmed holding this version,
-	// so the report refreshes liveness and branch-shape metadata without
-	// retransmitting or re-decoding the summary. Zero from pre-v3 peers.
+	// Version is the reporter's branch-summary content version. A report
+	// with Version set and Summary nil is a version-only heartbeat report:
+	// the parent already confirmed holding this version, so the report
+	// refreshes liveness and branch-shape metadata without retransmitting
+	// or re-decoding the summary.
 	Version uint64
 }
 
@@ -277,12 +254,10 @@ type ReplicaPush struct {
 	// query into the origin's branch when the origin itself is
 	// unreachable. Propagated into redirect Alternates.
 	Fallbacks []RedirectInfo
-	// Version is the origin's branch-summary content version (wire v3).
-	// A push with Version set and Branch nil is a version-only TTL
-	// refresh: the receiver confirmed holding this version, so the entry
-	// renews the replica's soft-state lifetime without retransmitting the
-	// summary. On full pushes a non-zero Version additionally signals the
-	// sender speaks wire v3. Zero from pre-v3 peers.
+	// Version is the origin's branch-summary content version. A push with
+	// Version set and Branch nil is a version-only TTL refresh: the
+	// receiver confirmed holding this version, so the entry renews the
+	// replica's soft-state lifetime without retransmitting the summary.
 	Version uint64
 }
 
@@ -300,9 +275,7 @@ type ReplicaBatch struct {
 // evaluation (depth ≤ 5) ever produces.
 const MaxTracePath = 32
 
-// Priority classes a query may carry (wire v5). The zero value is the
-// default class, so pre-v5 peers — which never encode the field — are
-// indistinguishable from normal-priority requesters.
+// Priority classes a query may carry. The zero value is the default class.
 const (
 	// PriorityNormal is the default class: admitted while the
 	// requester's token bucket has budget, shed to a coarse answer under
@@ -347,11 +320,11 @@ type QueryDTO struct {
 	// routed through to reach the receiver, oldest first (the redirect
 	// chain from the start server). Capped at MaxTracePath entries.
 	Path []string
-	// Priority is the requester's priority class (wire v5, see the
-	// Priority* constants). Admission control never sheds PriorityHigh;
-	// PriorityLow goes first. Zero (PriorityNormal) from pre-v5 peers.
+	// Priority is the requester's priority class (see the Priority*
+	// constants). Admission control never sheds PriorityHigh; PriorityLow
+	// goes first.
 	Priority uint8
-	// CacheFingerprint revalidates a client-cached resolve (wire v5): the
+	// CacheFingerprint revalidates a client-cached resolve: the
 	// fingerprint the client got with its last full answer from this
 	// server. When it still matches the server's current routing state the
 	// server answers NotModified instead of re-evaluating, and the client
@@ -359,9 +332,8 @@ type QueryDTO struct {
 	// zero descent. Zero means "no cached answer to revalidate".
 	CacheFingerprint uint64
 	// WantFingerprint asks the server to stamp its current fingerprint on
-	// the reply (wire v5) so the client can cache the resolved answer and
-	// revalidate it later. Off by default: pre-v5 traffic never sees the
-	// field.
+	// the reply so the client can cache the resolved answer and revalidate
+	// it later.
 	WantFingerprint bool
 }
 
@@ -406,24 +378,22 @@ type QueryReply struct {
 	// Trace carries the server's evaluation detail when the query asked
 	// for it (QueryDTO.Trace); nil otherwise.
 	Trace *TraceInfo
-	// Coarse marks a degraded summary-only answer (wire v5): admission
-	// control or budget exhaustion shed the evaluation, so the reply
-	// carries no records or redirects — only CoarseEstimate. Clients must
-	// not treat a coarse answer as "no matches"; it means "not evaluated,
-	// roughly this many matches exist". Only sent to requesters whose
-	// query carried v5 fields; pre-v5 peers still get the legacy error
-	// shed.
+	// Coarse marks a degraded summary-only answer: admission control or
+	// budget exhaustion shed the evaluation, so the reply carries no
+	// records or redirects — only CoarseEstimate. Clients must not treat a
+	// coarse answer as "no matches"; it means "not evaluated, roughly this
+	// many matches exist".
 	Coarse bool
 	// CoarseEstimate is the server's summary-derived estimate of how many
-	// records under its branch match the query (wire v5, set on coarse
-	// answers).
+	// records under its branch match the query. It travels only on coarse
+	// answers; on the wire Coarse is its presence bit.
 	CoarseEstimate float64
-	// NotModified answers a CacheFingerprint revalidation (wire v5): the
-	// fingerprint still matches, the client's cached records are current,
-	// and the reply intentionally carries no records or redirects.
+	// NotModified answers a CacheFingerprint revalidation: the fingerprint
+	// still matches, the client's cached records are current, and the
+	// reply intentionally carries no records or redirects.
 	NotModified bool
-	// Fingerprint is the server's current routing-state fingerprint
-	// (wire v5), stamped when the query asked via WantFingerprint (or
+	// Fingerprint is the server's current routing-state fingerprint,
+	// stamped when the query asked via WantFingerprint (or
 	// revalidated one). It covers the branch summary version, every
 	// child/replica routing dependency, the local store epoch and owner
 	// generations — any change that could alter this server's answer
@@ -477,22 +447,19 @@ func AppendRecords(dst []RecordDTO, recs []*record.Record) []RecordDTO {
 	return dst
 }
 
-// Summary mode bits (wire v6). A summary with Mode 0 is uniform and
-// wildcard-free — byte-identical to its v5 encoding — so adaptive features
-// only force codec v6 when actually present.
+// Summary mode bits. A summary with Mode 0 is uniform and wildcard-free.
 const (
 	// SummaryModeAdaptive marks per-attribute geometry overrides: the
 	// DTO carries a resolution plan and its histograms/Blooms may differ
 	// from the uniform header geometry.
 	SummaryModeAdaptive uint8 = 1 << 0
 	// SummaryModeCondensed marks value sets holding condensed prefix
-	// wildcards ("a.b.*"), which pre-v6 peers would evaluate with false
-	// negatives; senders must flatten instead of sending these to them.
+	// wildcards ("a.b.*").
 	SummaryModeCondensed uint8 = 1 << 1
 )
 
 // AttrPlanDTO is one attribute's geometry override in a summary's
-// resolution plan (wire v6). Attr is the schema position.
+// resolution plan. Attr is the schema position.
 type AttrPlanDTO struct {
 	Attr        int
 	Buckets     int
@@ -515,11 +482,11 @@ type SummaryDTO struct {
 	Sets   []SetDTO
 	Blooms []BloomDTO
 
-	// Mode carries the SummaryMode* bits (wire v6); zero from older peers
-	// and for summaries in uniform geometry without wildcards.
+	// Mode carries the SummaryMode* bits; zero for summaries in uniform
+	// geometry without wildcards.
 	Mode uint8
 	// Plan lists the per-attribute geometry overrides when Mode has
-	// SummaryModeAdaptive set (wire v6).
+	// SummaryModeAdaptive set.
 	Plan []AttrPlanDTO
 }
 
@@ -546,8 +513,8 @@ type BloomDTO struct {
 }
 
 // FromSummary converts a summary to wire form. Adaptive geometry (per-attr
-// resolution overrides) and condensed wildcards stamp the v6 Mode bits and
-// plan; a uniform, wildcard-free summary encodes byte-identically to v5.
+// resolution overrides) and condensed wildcards stamp the Mode bits and the
+// plan.
 func FromSummary(s *summary.Summary) *SummaryDTO {
 	if s == nil {
 		return nil
@@ -593,7 +560,7 @@ func FromSummary(s *summary.Summary) *SummaryDTO {
 }
 
 // ToSummary reconstructs a summary against the shared schema. The summary
-// config is rebuilt from the DTO's histogram geometry; a v6 resolution plan
+// config is rebuilt from the DTO's histogram geometry; a resolution plan
 // (SummaryModeAdaptive) reintroduces the per-attribute overrides so the
 // per-attr geometry checks below stay strict even for adaptive summaries.
 func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error) {
@@ -679,14 +646,13 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 }
 
 // codecCounters tracks the process's codec activity: every transport in
-// the process funnels through Encode/EncodeGob/Decode, so one set of
-// package-level counters covers them all. A growing gob share on a
-// binary-era deployment means some peer is still dialing in the legacy
-// codec; growing decode errors mean corrupt frames are arriving.
+// the process funnels through AppendEncode/Decode, so one set of
+// package-level counters covers them all. Growing decode errors mean corrupt
+// frames, or frames in another codec version, are arriving.
 var codecCounters struct {
-	binaryEncodes, gobEncodes obs.Counter
-	binaryDecodes, gobDecodes obs.Counter
-	decodeErrors              obs.Counter
+	binaryEncodes obs.Counter
+	binaryDecodes obs.Counter
+	decodeErrors  obs.Counter
 }
 
 // RegisterMetrics exposes the process-wide codec counters as roads_wire_*
@@ -696,58 +662,28 @@ func RegisterMetrics(reg *obs.Registry) {
 	c := &codecCounters
 	reg.CounterFunc("roads_wire_binary_encodes_total",
 		"Messages encoded with the binary codec (process-wide).", c.binaryEncodes.Load)
-	reg.CounterFunc("roads_wire_gob_encodes_total",
-		"Messages encoded with the legacy gob codec (process-wide).", c.gobEncodes.Load)
 	reg.CounterFunc("roads_wire_binary_decodes_total",
 		"Messages decoded from the binary codec (process-wide).", c.binaryDecodes.Load)
-	reg.CounterFunc("roads_wire_gob_decodes_total",
-		"Messages decoded from the legacy gob codec (process-wide).", c.gobDecodes.Load)
 	reg.CounterFunc("roads_wire_decode_errors_total",
-		"Messages that failed to decode in either codec (process-wide).", c.decodeErrors.Load)
+		"Messages that failed to decode: corrupt, truncated, or not in this codec version (process-wide).", c.decodeErrors.Load)
 }
 
-// Encode serializes a message with the compact binary codec (see
-// binary.go). Peers that predate the codec are still reachable: EncodeGob
-// produces the legacy representation, and Decode accepts both.
+// Encode serializes a message with the binary codec (see binary.go).
 func Encode(m *Message) ([]byte, error) {
 	return AppendEncode(nil, m)
 }
 
-// EncodeGob serializes a message with the legacy gob codec, kept for
-// driving peers that predate the binary codec and as the benchmark
-// baseline. Gob re-sends its type descriptors on every one-shot encode,
-// which is exactly the per-RPC overhead the binary codec removes.
-func EncodeGob(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	codecCounters.gobEncodes.Inc()
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a message in either codec, distinguished by the
-// first payload byte: binMagic marks the binary codec, anything else is a
-// gob stream (whose first byte can never be binMagic). This is the whole
-// version negotiation — servers answer in the codec the request used, so
-// old gob-only peers and new binary peers share one listener.
+// Decode deserializes a binary-codec message. Anything else — another codec
+// version, a payload that does not start with binMagic, corrupt or truncated
+// input — is an error, counted in roads_wire_decode_errors_total.
 func Decode(data []byte) (*Message, error) {
-	if IsBinary(data) {
-		m, err := decodeBinary(data)
-		if err != nil {
-			codecCounters.decodeErrors.Inc()
-			return nil, err
-		}
-		codecCounters.binaryDecodes.Inc()
-		return m, nil
-	}
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+	m, err := decodeBinary(data)
+	if err != nil {
 		codecCounters.decodeErrors.Inc()
-		return nil, fmt.Errorf("wire: decode: %w", err)
+		return nil, err
 	}
-	codecCounters.gobDecodes.Inc()
-	return &m, nil
+	codecCounters.binaryDecodes.Inc()
+	return m, nil
 }
 
 // ErrorMessage builds a KindError reply.

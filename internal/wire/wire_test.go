@@ -40,7 +40,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not a message")); err == nil {
 		t.Fatal("garbage must fail to decode")
 	}
 }
@@ -61,7 +61,7 @@ func TestSummaryDTORoundTrip(t *testing.T) {
 	sum.Version = 7
 
 	dto := FromSummary(sum)
-	data, err := Encode(&Message{Kind: KindReplicaPush, Replica: &ReplicaPush{OriginID: "server-x", Branch: dto}})
+	data, err := Encode(&Message{Kind: KindSummaryReport, Report: &SummaryReport{Summary: dto}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSummaryDTORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decoded.Replica.Branch.ToSummary(schema)
+	back, err := decoded.Report.Summary.ToSummary(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRemoteError(t *testing.T) {
 // TestFailoverFieldsRoundTrip covers the deadline/failover additions: the
 // query's Budget, redirects with record estimates and alternates, child
 // lists on summary reports, and fallback holders on replica pushes all
-// survive the gob trip.
+// survive the codec.
 func TestFailoverFieldsRoundTrip(t *testing.T) {
 	q := query.New("q2", query.NewRange("cpu", 0, 1))
 	dto := FromQuery(q, true)
@@ -205,10 +205,10 @@ func TestFailoverFieldsRoundTrip(t *testing.T) {
 		Report: &SummaryReport{
 			Children: []RedirectInfo{{ID: "c", Addr: "addr-c", Records: 7}},
 		},
-		Replica: &ReplicaPush{
+		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{
 			OriginID: "b", OriginAddr: "addr-b",
 			Fallbacks: []RedirectInfo{{ID: "b1", Addr: "addr-b1", Records: 20}},
-		},
+		}}},
 		Status: &Status{QueriesShed: 3},
 	}
 	data, err := Encode(msg)
@@ -229,8 +229,8 @@ func TestFailoverFieldsRoundTrip(t *testing.T) {
 	if len(got.Report.Children) != 1 || got.Report.Children[0].Records != 7 {
 		t.Fatalf("report children changed: %+v", got.Report.Children)
 	}
-	if len(got.Replica.Fallbacks) != 1 || got.Replica.Fallbacks[0].ID != "b1" {
-		t.Fatalf("replica fallbacks changed: %+v", got.Replica.Fallbacks)
+	if fb := got.Batch.Pushes[0].Fallbacks; len(fb) != 1 || fb[0].ID != "b1" {
+		t.Fatalf("replica fallbacks changed: %+v", fb)
 	}
 	if got.Status.QueriesShed != 3 {
 		t.Fatalf("queries-shed count changed: %d", got.Status.QueriesShed)

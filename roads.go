@@ -179,7 +179,7 @@ func StartCluster(tr Transport, cfg ClusterConfig) (*Cluster, error) {
 // to owners' sharing policies.
 func NewClient(tr Transport, requester string) *Client { return live.NewClient(tr, requester) }
 
-// NewTCPTransport returns a pooled, multiplexed gob-over-TCP transport
+// NewTCPTransport returns a pooled, multiplexed TCP transport (binary wire codec)
 // for multi-process federations.
 func NewTCPTransport() Transport { return transport.NewTCP() }
 
