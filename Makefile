@@ -154,10 +154,13 @@ bench-fp:
 	  $(GO) run ./cmd/roads-load $(FPADAPTARGS) ; \
 	  $(GO) run ./cmd/roads-load $(FPCATARGS) ) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHFP)
 
-# bench-compare diffs two benchjson archives; defaults compare this PR's
-# archive against the PR-9 one (only the benchmarks present in both), e.g.
-#   make bench-fp && make bench-compare
-OLD ?= BENCH_pr9.json
-NEW ?= BENCH_pr10.json
+# bench-compare diffs two benchjson archives (only the benchmarks present
+# in both). Both are required — there is no default pair, because no pair
+# of committed archives is regenerated by every PR:
+#   make bench-compare OLD=BENCH_pr9.json NEW=BENCH_pr10.json
 bench-compare:
+ifeq ($(and $(OLD),$(NEW)),)
+	@echo "usage: make bench-compare OLD=<archive.json> NEW=<archive.json>" >&2; exit 2
+else
 	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
+endif

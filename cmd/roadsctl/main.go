@@ -62,8 +62,8 @@ func main() {
 		fmt.Printf("  served: %d queries (%d shed over budget), %d redirects, %d summary reports\n",
 			st.QueriesServed, st.QueriesShed, st.RedirectsIssued, st.SummariesRecv)
 		if st.SummaryRebuildsSkipped+st.ReportsSuppressed+st.ReplicaPushDelta+st.ReplicaPushFull > 0 {
-			fmt.Printf("  dissemination: %d rebuilds skipped, %d reports suppressed, %d delta / %d full push entries, %d anti-entropy rounds\n",
-				st.SummaryRebuildsSkipped, st.ReportsSuppressed, st.ReplicaPushDelta, st.ReplicaPushFull, st.AntiEntropyRounds)
+			fmt.Printf("  dissemination: %d rebuilds skipped, %d reports suppressed, %d delta / %d full push entries\n",
+				st.SummaryRebuildsSkipped, st.ReportsSuppressed, st.ReplicaPushDelta, st.ReplicaPushFull)
 		}
 		if tr := st.Transport; tr != nil {
 			fmt.Printf("  transport: %d calls (%d errors, %d retries), %d in-flight\n",

@@ -44,7 +44,6 @@ func main() {
 	degree := flag.Int("degree", 8, "max children")
 	tick := flag.Duration("tick", 2*time.Second, "aggregation/heartbeat period")
 	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
-	antiEntropy := flag.Int("anti-entropy-every", live.DefaultAntiEntropyEvery, "send full state every Nth aggregation tick even to up-to-date peers")
 	storeShards := flag.Int("store-shards", 0, "store shard count: records hash to shards, each maintaining its own indexes and partial summary (0 = library default)")
 	cacheBytes := flag.Int64("result-cache-bytes", 0, "query result cache LRU byte budget (0 = library default, negative = disable the cache)")
 	admissionRate := flag.Float64("admission-rate", 0, "per-requester admission token-bucket refill rate in queries/sec; over-budget requesters are shed to coarse summary-only answers (0 = admission off)")
@@ -113,7 +112,6 @@ func main() {
 	cfg.AggregateEvery = *tick
 	cfg.HeartbeatEvery = *tick
 	cfg.ReplicaTTLFloor = *ttlFloor
-	cfg.AntiEntropyEvery = *antiEntropy
 	cfg.MergeSeeds = mergeSeeds
 	cfg.StoreShards = *storeShards
 	cfg.ResultCacheBytes = *cacheBytes

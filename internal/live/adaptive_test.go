@@ -29,7 +29,6 @@ func adaptiveCluster(t *testing.T, tr transport.Transport, nHot int, mut func(id
 		return deltaServerCfg(t, tr, id, schema, func(c *Config) {
 			c.Summary.Buckets = 8
 			c.ReplanEvery = 1
-			c.AntiEntropyEvery = 1
 			if mut != nil {
 				mut(id, c)
 			}

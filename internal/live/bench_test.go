@@ -3,12 +3,16 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/summary"
 	"roads/internal/transport"
 	"roads/internal/wire"
 	"roads/internal/workload"
@@ -60,12 +64,12 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 }
 
 // BenchmarkPushReplicas measures one replica-propagation round from a
-// root to 16 children in the versioned steady state: one KindReplicaBatch
-// per child, entries version-only wherever the child acked the current
-// version. rpcs/op and wirebytes/op come from the transport's own counters.
-// The sub-benchmark keeps the name BENCH_pr14 archives it under, but
-// those runs pinned it to the full-push pipeline that no longer exists, so
-// the archived numbers stop being comparable here (see EXPERIMENTS.md).
+// root to 16 children in the steady state: one KindReplicaBatch per child,
+// a digest of the set the child acked. rpcs/op and wirebytes/op come from
+// the transport's own counters. The sub-benchmark keeps the name BENCH_pr14
+// archives it under, but those runs pinned it to the full-push pipeline that
+// no longer exists, so the archived numbers stop being comparable here (see
+// EXPERIMENTS.md).
 func BenchmarkPushReplicas(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		root, tr := benchStar(b, 16, 8)
@@ -137,9 +141,8 @@ func BenchmarkHandleQuery(b *testing.B) {
 
 // benchMidTier builds the three-level chain P ← M ← c1..c8 with parked
 // loops, every server holding recsPer records, and drives enough warmup
-// rounds that version acknowledgement has fully converged: M
-// suppresses its reports to P and ships version-only entries to the
-// children. Returns M (the server whose tick the benchmark measures), M's
+// rounds that acknowledgement has fully converged: M suppresses its
+// reports to P and sends its children digest batches. Returns M (the server whose tick the benchmark measures), M's
 // owner and record set (for churn injection), and the transport.
 func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.Record, *transport.Chan) {
 	b.Helper()
@@ -152,10 +155,6 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 		cfg.MaxChildren = children
 		cfg.AggregateEvery = time.Hour
 		cfg.HeartbeatEvery = time.Hour
-		// A longer-than-default anti-entropy cadence so the steady-state
-		// numbers are dominated by delta rounds; the periodic full round is
-		// still included in the measurement (1 tick in 64).
-		cfg.AntiEntropyEvery = 64
 		srv, err := NewServer(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
@@ -201,8 +200,7 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 // children, across churn rates: churn0 mutates nothing between ticks (the
 // steady state the change-driven pipeline targets), churn1 rewrites 1% of
 // the server's own records before every tick, churn100 rewrites all of
-// them. The 1-in-64 anti-entropy full rounds are included. rpcs/op and
-// wirebytes/op come from the transport's own counters. The sub-benchmarks
+// them. rpcs/op and wirebytes/op come from the transport's own counters. The sub-benchmarks
 // keep the names BENCH_pr5–pr8 archive them under; the full-rebuild
 // baseline arm ended with that pipeline (see EXPERIMENTS.md).
 func BenchmarkAggregationTick(b *testing.B) {
@@ -263,4 +261,142 @@ func BenchmarkCacheKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchKey = cacheKey("bench-client-0", -1, i%2 == 0, preds)
 	}
+}
+
+// kindSizer sizes every message that crosses it, request and reply, as the
+// TCP transport frames it (payload plus the 16-byte header), keyed by what
+// the message is — so a window's maintenance bytes can be split by kind.
+type kindSizer struct {
+	transport.Transport
+	mu    sync.Mutex
+	on    bool
+	count map[string]int
+	bytes map[string]int
+}
+
+// maintKind names a maintenance message by kind and form; "" for the rest.
+func maintKind(m *wire.Message, reply bool) string {
+	switch {
+	case m.Batch != nil && len(m.Batch.Pushes) == 0 && m.Batch.Count > 0:
+		return "batch, digest"
+	case m.Batch != nil:
+		for _, p := range m.Batch.Pushes {
+			if p != nil && p.Branch != nil {
+				return "batch, list with full entries"
+			}
+		}
+		return "batch, list of tags"
+	case m.Report != nil && m.Report.Summary != nil:
+		return "report, full"
+	case m.Report != nil:
+		return "report, version-only"
+	case m.Kind == wire.KindHeartbeat:
+		return "heartbeat request"
+	case m.Kind == wire.KindHeartbeatReply && m.Heartbeat != nil && m.Heartbeat.Unchanged:
+		return "heartbeat reply, unchanged"
+	case m.Kind == wire.KindHeartbeatReply:
+		return "heartbeat reply, full"
+	case m.Kind == wire.KindAck && reply:
+		return "ack"
+	}
+	return ""
+}
+
+func (k *kindSizer) note(m *wire.Message, reply bool) {
+	name := maintKind(m, reply)
+	if name == "" {
+		return
+	}
+	data, err := wire.Encode(m)
+	if err != nil {
+		return
+	}
+	k.mu.Lock()
+	if k.on {
+		k.count[name]++
+		k.bytes[name] += len(data) + 16
+	}
+	k.mu.Unlock()
+}
+
+func (k *kindSizer) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	k.note(req, false)
+	rep, err := k.Transport.Call(addr, req)
+	if err == nil {
+		k.note(rep, true)
+	}
+	return rep, err
+}
+
+// BenchmarkMaintenanceBytesByKind rebuilds the canonical benchmark's TCP
+// federation (64 servers on loopback, fan-out 4, tick 100 ms, 50 records and
+// 64-bucket summaries of 8 attributes per server), lets it converge, and
+// sizes every maintenance message of a 3.2 s window in which nothing changes,
+// by kind. Each metric is that kind's kB per node per second, counted at the
+// sender and at the receiver like the benchmark's maint_kb_per_node_s; their
+// sum is what that metric reports. EXPERIMENTS.md ("Maintenance bytes by
+// message kind") archives the table. Ports 20000–20063 must be free.
+func BenchmarkMaintenanceBytesByKind(b *testing.B) {
+	const (
+		servers = 64
+		fanOut  = 4
+		tick    = 100 * time.Millisecond
+		window  = 3200 * time.Millisecond
+	)
+	w := workload.MustGenerate(workload.Config{Nodes: servers, RecordsPerNode: 50, AttrsPerDist: 2},
+		rand.New(rand.NewSource(2008)))
+	scfg := summary.DefaultConfig()
+	scfg.Buckets = 64
+	tcp := transport.NewTCP()
+	defer tcp.Close()
+	sizer := &kindSizer{Transport: tcp, count: map[string]int{}, bytes: map[string]int{}}
+	cl, err := StartCluster(sizer, ClusterConfig{
+		N: servers, Schema: w.Schema, Summary: scfg, MaxChildren: fanOut, Tick: tick,
+		AddrFor: func(i int) string { return fmt.Sprintf("127.0.0.1:%d", 20000+i) },
+		JoinVia: func(i int) int { return (i - 1) / fanOut },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Stop()
+	for i := 0; i < servers; i++ {
+		o := policy.NewOwner(fmt.Sprintf("owner%d", i), w.Schema, nil)
+		o.SetRecords(w.PerNode[i])
+		if err := cl.AttachOwner(i, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := cl.WaitConverged(uint64(w.TotalRecords()), time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	time.Sleep(2 * time.Second) // the bench's warm-up: adaptive replans settle
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sizer.mu.Lock()
+		sizer.on = true
+		sizer.mu.Unlock()
+		time.Sleep(window)
+		sizer.mu.Lock()
+		sizer.on = false
+		sizer.mu.Unlock()
+	}
+	b.StopTimer()
+
+	perNodeSecond := func(bytes int) float64 {
+		return 2 * float64(bytes) / 1000 / servers / (float64(b.N) * window.Seconds())
+	}
+	names := make([]string, 0, len(sizer.count))
+	for name := range sizer.count {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	total := 0
+	for _, name := range names {
+		n, bytes := sizer.count[name], sizer.bytes[name]
+		total += bytes
+		b.Logf("%-32s %6d messages  mean %7.0f B  %7.3f kB/node/s", name, n/b.N, float64(bytes)/float64(n), perNodeSecond(bytes))
+		b.ReportMetric(perNodeSecond(bytes), strings.NewReplacer(" ", "_", ",", "").Replace(name)+"_kB/node/s")
+	}
+	b.ReportMetric(perNodeSecond(total), "total_kB/node/s")
 }

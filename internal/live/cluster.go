@@ -68,10 +68,6 @@ type ClusterConfig struct {
 	// JoinMaxHops overrides the servers' join hop cap (zero keeps the
 	// frontier-derived default; see Config.JoinMaxHops).
 	JoinMaxHops int
-	// AntiEntropyEvery overrides the servers' anti-entropy cadence (zero
-	// keeps DefaultAntiEntropyEvery); TTL tests raise it so soft-state
-	// liveness provably rides on version-only refreshes alone.
-	AntiEntropyEvery int
 	// MergeSeeds are the split-brain probe seed addresses handed to every
 	// server (Config.MergeSeeds); harnesses typically pass server 0's
 	// address so severed subtrees always have one well-known root to
@@ -180,7 +176,6 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 			scfg.ReplicaTTLFloor = cfg.ReplicaTTLFloor
 		}
 		scfg.JoinMaxHops = cfg.JoinMaxHops
-		scfg.AntiEntropyEvery = cfg.AntiEntropyEvery
 		scfg.MergeSeeds = cfg.MergeSeeds
 		scfg.MergeProbeEvery = cfg.MergeProbeEvery
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries

@@ -21,9 +21,6 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 	cfg := DefaultConfig(id, "addr-"+id, schema)
 	cfg.AggregateEvery = time.Hour
 	cfg.HeartbeatEvery = time.Hour
-	// Park the anti-entropy cadence too: tests that want full rounds set
-	// their own cadence via mut.
-	cfg.AntiEntropyEvery = 1 << 20
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -83,7 +80,7 @@ func childDelta(s *Server, id string) (version uint64, acked map[string]uint64) 
 	if !ok {
 		return 0, nil
 	}
-	return c.version, maps.Clone(c.acked)
+	return c.version, maps.Clone(c.push.acked)
 }
 
 // parentDelta snapshots the child-side delta state.
@@ -113,6 +110,17 @@ func replicaVersion(s *Server, origin string) (version uint64, received time.Tim
 	return r.version, r.received, true
 }
 
+// replicaTagOf is the tag the server derives from the replica it holds —
+// what its feeder's acked map must say for a digest to match.
+func replicaTagOf(s *Server, origin string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.replicas[origin]; ok {
+		return r.tag()
+	}
+	return 0
+}
+
 func setReplicaVersion(s *Server, origin string, v uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,22 +131,44 @@ func setReplicaVersion(s *Server, origin string, v uint64) bool {
 	return ok
 }
 
-// countingTransport counts, per message kind, what servers send through it
-// and how much of it is unversioned — so a test can assert that no
-// unversioned report or push entry ever leaves a server.
+// countingTransport records what servers send through it: unversioned
+// reports and push entries (none must ever leave a server), every summary
+// DTO a request carries, and the replica batches by form.
 type countingTransport struct {
 	*transport.Chan
 	mu          sync.Mutex
 	unversioned []string
+	summaries   int      // SummaryDTOs in reports and push entries
+	fullEntries []string // "parent>child:origin" per full push entry
+	lists       int      // list batches
+	digests     int      // digest batches
 }
 
 func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	ct.mu.Lock()
-	if req.Report != nil && req.Report.Version == 0 {
-		ct.unversioned = append(ct.unversioned, "report from "+req.From)
+	if req.Report != nil {
+		if req.Report.Version == 0 {
+			ct.unversioned = append(ct.unversioned, "report from "+req.From)
+		}
+		if req.Report.Summary != nil {
+			ct.summaries++
+		}
 	}
-	if req.Batch != nil {
-		for _, p := range req.Batch.Pushes {
+	if b := req.Batch; b != nil {
+		if len(b.Pushes) == 0 && b.Count > 0 {
+			ct.digests++
+		} else {
+			ct.lists++
+		}
+		for _, p := range b.Pushes {
+			if p.Branch == nil {
+				continue
+			}
+			ct.fullEntries = append(ct.fullEntries, req.From+">"+addr+":"+p.OriginID)
+			ct.summaries++
+			if p.Local != nil {
+				ct.summaries++
+			}
 			if p.Version == 0 {
 				ct.unversioned = append(ct.unversioned, "push of "+p.OriginID+" from "+req.From)
 			}
@@ -148,12 +178,28 @@ func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message
 	return ct.Chan.Call(addr, req)
 }
 
-// TestDeltaHandshakeAndSuppression pins that there is no handshake: on a
-// parked two-child star the first report and the first batch are already
-// versioned and acked, the second tick is version-only both ways, no
-// unversioned report or push entry is ever sent, replica TTLs are renewed
-// by version-only entries, and a steady-state round moves a small fraction
-// of the first full round's bytes.
+// reset forgets what was counted so far and returns the full entries seen.
+func (ct *countingTransport) reset() []string {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	full := ct.fullEntries
+	ct.summaries, ct.fullEntries, ct.lists, ct.digests = 0, nil, 0, 0
+	return full
+}
+
+func (ct *countingTransport) counts() (summaries, lists, digests int) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return ct.summaries, ct.lists, ct.digests
+}
+
+// TestDeltaHandshakeAndSuppression pins that there is no handshake and no
+// restatement: on a parked two-child star the first tick is a versioned
+// report and a list batch of full entries, acked at once; the second tick is
+// a version-only report and a digest batch; and from then on no summary is
+// ever put on the wire again, while every tick still renews the replicas'
+// soft-state TTL. A steady-state round moves a small fraction of the first
+// round's bytes.
 func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := &countingTransport{Chan: transport.NewChan()}
@@ -169,18 +215,25 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	if err := c2.Join(root.Addr()); err != nil {
 		t.Fatal(err)
 	}
+	tr.reset() // the joins primed the parent with one report each
 
 	// Tick one: everything goes in full, versioned, and is acked at once.
 	firstStart := tr.Stats()
 	driveRound(c1, c2, root)
 	firstEnd := tr.Stats()
+	if _, lists, digests := tr.counts(); lists != 2 || digests != 0 {
+		t.Fatalf("first tick sent %d list and %d digest batches; want 2 lists", lists, digests)
+	}
+	if full := tr.reset(); len(full) != 4 {
+		t.Fatalf("first tick shipped full entries %v; want 4 (sibling + ancestor to each child)", full)
+	}
 	branch := c1.snap.Load().branchSummary
 	ver, acked := childDelta(root, "c1")
 	if ver == 0 || ver != branch.Version {
 		t.Fatalf("root holds c1's branch at version %d after one tick; want %d", ver, branch.Version)
 	}
-	if acked["root"] == 0 || acked["c2"] == 0 {
-		t.Fatalf("c1 acked %v after the first batch; want root and c2 at their versions", acked)
+	if len(acked) != 2 || acked["root"] != replicaTagOf(c1, "root") || acked["c2"] != replicaTagOf(c1, "c2") {
+		t.Fatalf("c1 acked %v after the first batch; want root and c2 at the tags c1 derives", acked)
 	}
 	if have, needFull := parentDelta(c1); needFull || have != branch.Version {
 		t.Fatalf("after the first report c1 knows the parent holds version %d (needFull=%v); want %d", have, needFull, branch.Version)
@@ -188,9 +241,8 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	if _, recv, ok := replicaVersion(c1, "root"); !ok || recv.IsZero() {
 		t.Fatal("c1 holds no ancestor replica for root")
 	}
-	_, recvBefore, _ := replicaVersion(c1, "root")
 
-	// Tick two: version-only both ways.
+	// Tick two: a version-only report up, a digest batch down.
 	supBefore := c1.mx.reportsSuppressed.Load()
 	fullBefore := root.mx.pushFull.Load()
 	repsBefore := root.mx.summaryReports.Load()
@@ -201,8 +253,11 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	if got := c1.mx.reportsSuppressed.Load(); got != supBefore+1 {
 		t.Fatalf("second tick suppressed %d reports on c1; want exactly 1", got-supBefore)
 	}
+	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 2 {
+		t.Fatalf("second tick sent %d summaries, %d list and %d digest batches; want 2 digests and nothing else", summaries, lists, digests)
+	}
 	if got := root.mx.pushDelta.Load(); got != 4 {
-		t.Fatalf("second tick sent %d version-only push entries; want 4 (sibling + ancestor to each child)", got)
+		t.Fatalf("second tick confirmed %d push entries by digest; want 4 (sibling + ancestor at each child)", got)
 	}
 	if got := root.mx.pushFull.Load(); got != fullBefore {
 		t.Fatalf("second tick sent %d full push entries; want none", got-fullBefore)
@@ -216,11 +271,20 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	if st := c1.StatusSnapshot(); st.ReportsSuppressed == 0 {
 		t.Fatal("c1 status reports no suppressed report after two ticks")
 	}
-	if _, recvAfter, _ := replicaVersion(c1, "root"); !recvAfter.After(recvBefore) {
-		t.Fatal("version-only push did not renew the replica's soft-state TTL")
-	}
 	if got := root.BranchRecords(); got != 15 {
 		t.Fatalf("root branch covers %d records after suppression; want 15", got)
+	}
+
+	// Thereafter: digests only, zero summaries, and every one renews the TTL.
+	for i := 0; i < 40; i++ {
+		_, before, _ := replicaVersion(c1, "root")
+		driveRound(c1, c2, root)
+		if _, after, _ := replicaVersion(c1, "root"); !after.After(before) {
+			t.Fatalf("round %d: the digest batch did not renew the replica's soft-state TTL", i)
+		}
+	}
+	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 2*41 {
+		t.Fatalf("steady state sent %d summaries, %d list and %d digest batches; want 82 digests and nothing else", summaries, lists, digests)
 	}
 	if len(tr.unversioned) != 0 {
 		t.Fatalf("unversioned traffic was sent: %v", tr.unversioned)
@@ -228,70 +292,17 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 
 	fullBytes := (firstEnd.BytesSent - firstStart.BytesSent) + (firstEnd.BytesRecv - firstStart.BytesRecv)
 	steadyBytes := (steadyEnd.BytesSent - steadyStart.BytesSent) + (steadyEnd.BytesRecv - steadyStart.BytesRecv)
-	if steadyBytes*4 > fullBytes {
-		t.Fatalf("steady-state round moved %d bytes vs %d for the first full round; want at least a 4x reduction", steadyBytes, fullBytes)
-	}
-}
-
-// TestDeltaAntiEntropyRound pins the cadence: with AntiEntropyEvery=4, one
-// round in four goes full-state on both the report and the push path even
-// though every version matches, and the anti-entropy counter ticks.
-func TestDeltaAntiEntropyRound(t *testing.T) {
-	schema := record.DefaultSchema(2)
-	tr := transport.NewChan()
-	ae := func(c *Config) { c.AntiEntropyEvery = 4 }
-	root := deltaServerCfg(t, tr, "root", schema, ae)
-	c1 := deltaServerCfg(t, tr, "c1", schema, ae)
-	c2 := deltaServerCfg(t, tr, "c2", schema, ae)
-	attachDeltaOwner(t, root, schema, 4)
-	attachDeltaOwner(t, c1, schema, 4)
-	attachDeltaOwner(t, c2, schema, 4)
-	if err := c1.Join(root.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Join(root.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// Converge (one round does; extra rounds are harmless, and 8 keeps the
-	// window below clear of the rounds run so far).
-	for i := 0; i < 8; i++ {
-		driveRound(c1, c2, root)
-	}
-	if _, acked := childDelta(root, "c1"); len(acked) == 0 {
-		t.Fatal("c1 never acked a push")
-	}
-
-	// All servers tick in lockstep (Start ran round 1 on each), so the next
-	// four rounds contain exactly one anti-entropy round for every server.
-	ae0 := c1.mx.antiEntropyRounds.Load()
-	sup0 := c1.mx.reportsSuppressed.Load()
-	full0 := root.mx.pushFull.Load()
-	delta0 := root.mx.pushDelta.Load()
-	for i := 0; i < 4; i++ {
-		driveRound(c1, c2, root)
-	}
-	if got := c1.mx.antiEntropyRounds.Load() - ae0; got != 1 {
-		t.Fatalf("4 rounds contained %d anti-entropy rounds; want 1", got)
-	}
-	if got := c1.mx.reportsSuppressed.Load() - sup0; got != 3 {
-		t.Fatalf("c1 suppressed %d of 4 reports; want 3 (anti-entropy round goes full)", got)
-	}
-	// Root pushes 2 entries (sibling + ancestor) to each of 2 children per
-	// round: the anti-entropy round sends all 4 full, the other 3 rounds
-	// send all 4 version-only.
-	if got := root.mx.pushFull.Load() - full0; got != 4 {
-		t.Fatalf("anti-entropy window sent %d full push entries; want 4", got)
-	}
-	if got := root.mx.pushDelta.Load() - delta0; got != 12 {
-		t.Fatalf("anti-entropy window sent %d version-only push entries; want 12", got)
+	if steadyBytes*10 > fullBytes {
+		t.Fatalf("steady-state round moved %d bytes vs %d for the first full round; want at least a 10x reduction", steadyBytes, fullBytes)
 	}
 }
 
 // TestDeltaNeedFullRecovery diverges both directions of the protocol on
-// purpose and checks each recovers to full state within one round: a
-// parent that lost track of the child's version NAKs the version-only
-// report with NeedFull, and a child whose replica diverged NAKs the
-// version-only push with NeedFullOrigins.
+// purpose and checks each recovers without a restatement: a parent that lost
+// track of the child's version NAKs the version-only report with NeedFull and
+// gets the summary next round; a child whose replica diverged NAKs the digest
+// with NeedFull, then the tag-only entry of the list that follows with
+// NeedFullOrigins, and gets that one entry in full.
 func TestDeltaNeedFullRecovery(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
@@ -338,26 +349,33 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 		t.Fatal("suppression did not resume after recovery")
 	}
 
-	// Push path: the child's held replica diverges. The parent's next
-	// version-only entry is NAKed via NeedFullOrigins, the entry's acked
-	// version is dropped, and the round after that ships full state.
+	// Push path: the child's held replica diverges. The parent's digest is
+	// NAKed, the tag-only entry of the list batch that follows is NAKed via
+	// NeedFullOrigins and dropped from what the child is taken to hold, and
+	// the round after that ships the one entry in full.
 	wantVer, _, ok := replicaVersion(c1, "root")
 	if !ok || wantVer == 0 {
 		t.Fatalf("c1 holds no versioned root replica (ver=%d ok=%v)", wantVer, ok)
 	}
+	wantTag := replicaTagOf(c1, "root")
 	if !setReplicaVersion(c1, "root", 0xdead) {
 		t.Fatal("c1 lost the root replica")
 	}
-	root.pushReplicas() // version-only → NeedFullOrigins
-	if _, acked := childDelta(root, "c1"); acked["root"] != 0 {
-		t.Fatalf("NAKed origin still acked at version %d", acked["root"])
+	root.pushReplicas() // digest → NeedFull
+	root.pushReplicas() // list, tag-only → NeedFullOrigins
+	if _, acked := childDelta(root, "c1"); acked["root"] != 0 || acked["c2"] == 0 {
+		t.Fatalf("after the NAKed list c1 is taken to hold %v; want c2 only", acked)
 	}
-	root.pushReplicas() // full retransmit
+	full0 := root.mx.pushFull.Load()
+	root.pushReplicas() // list, the one entry in full
+	if got := root.mx.pushFull.Load() - full0; got != 1 {
+		t.Fatalf("recovery shipped %d full entries; want exactly the diverged one", got)
+	}
 	if got, _, _ := replicaVersion(c1, "root"); got != wantVer {
 		t.Fatalf("replica recovered to version %d; want %d", got, wantVer)
 	}
-	if _, acked := childDelta(root, "c1"); acked["root"] != wantVer {
-		t.Fatalf("recovered origin re-acked at %d; want %d", acked["root"], wantVer)
+	if _, acked := childDelta(root, "c1"); acked["root"] != wantTag {
+		t.Fatalf("recovered origin re-acked at %#x; want %#x", acked["root"], wantTag)
 	}
 }
 

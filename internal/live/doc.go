@@ -13,6 +13,14 @@
 // contacts concurrently. Membership is epoch-fenced (membership.go) so
 // partition healing cannot resurrect dead relationships.
 //
+// Upkeep is priced per change, not per tick. Each of the three exchanges on
+// a tree edge names what the peer should already hold and ships content only
+// on a mismatch: a report goes without its summary while the parent holds the
+// version, a replica batch is one digest of the child's whole replica set
+// while nothing in it changed, and a heartbeat reply is empty while the root
+// path and the siblings stand (digest.go has the three hashes; DESIGN.md §9
+// the protocol).
+//
 // Three read-path caches keep the hot paths off the server mutex (see
 // ARCHITECTURE.md for the full map):
 //

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,13 +77,14 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 			// and descendant counts — rebuilding the state from scratch
 			// clobbered the subtree shape until the next summary report
 			// and skewed join-placement decisions. What it acked does
-			// reset: the child may have restarted, and sending it
-			// version-only state it no longer holds would go unnoticed
-			// until anti-entropy. The epoch relationship restarts at the
-			// join's stamp for the same reason.
+			// reset: the child may have restarted, and the next batch
+			// then restates everything at once instead of finding out
+			// through a refused digest and a refused list. The epoch
+			// relationship restarts at the join's stamp for the same
+			// reason.
 			c.addr = msg.Join.Addr
 			c.lastSeen = time.Now()
-			c.acked = nil
+			c.push = pushState{}
 			c.epoch = msg.Epoch
 		} else {
 			s.children[msg.Join.ID] = &childState{
@@ -165,9 +167,9 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 			// branch in full.
 			return s.ackWith(&wire.AckInfo{NeedFull: true})
 		}
-		// The branch content did not change, so neither the branch merge
-		// epoch nor the routing snapshot needs touching — redirect record
-		// counts ride on c.branch, which stands.
+		// The branch content did not change, so the branch merge epoch
+		// stands, and so does the routing snapshot unless the child's own
+		// children did (below) — redirect record counts ride on c.branch.
 	case !ok:
 		// A child we do not know (e.g. state lost after restart): adopt it
 		// if capacity allows, otherwise tell it to rejoin.
@@ -180,17 +182,23 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
 	c.depth = report.Depth
 	c.descendants = report.Descendants
+	// The child's children are the failover alternates of redirects to it,
+	// and they can change under an unchanged branch (a grandchild without
+	// records joins or leaves).
+	kidsChanged := !sameRedirects(c.kids, report.Children)
 	c.kids = report.Children
 	c.lastSeen = time.Now()
 	if sum != nil {
 		// A full report with the same non-zero version restates unchanged
-		// content (anti-entropy round): swap the object but skip the branch
-		// re-merge. A report without a version must be assumed changed.
+		// content (the parent asked NeedFull): swap the object but skip the
+		// branch re-merge. A report without a version must be assumed changed.
 		if c.branch == nil || c.version != report.Version || report.Version == 0 {
 			s.childEpoch++
 		}
 		c.branch = sum
 		c.version = report.Version
+	}
+	if sum != nil || kidsChanged {
 		s.publishSnapshotLocked()
 	}
 	s.mx.summaryReports.Inc()
@@ -198,10 +206,16 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	return s.ackWith(&wire.AckInfo{HaveVersion: c.version})
 }
 
-// decodeReplica reconstructs one replica push's summaries against the
+func sameRedirects(a, b []wire.RedirectInfo) bool {
+	return slices.EqualFunc(a, b, func(x, y wire.RedirectInfo) bool {
+		return x.ID == y.ID && x.Addr == y.Addr && x.Records == y.Records && sameRedirects(x.Alternates, y.Alternates)
+	})
+}
+
+// decodeReplica reconstructs one full push entry's summaries against the
 // schema; decoding stays outside the server lock so slow summary rebuilds
 // never stall the handlers.
-func (s *Server) decodeReplica(p *wire.ReplicaPush) (*replicaState, error) {
+func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, error) {
 	if p == nil || p.Branch == nil {
 		return nil, fmt.Errorf("live: replica push without payload")
 	}
@@ -222,6 +236,8 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush) (*replicaState, error) {
 		received:   time.Now(),
 		fallbacks:  p.Fallbacks,
 		version:    p.Version,
+		meta:       replicaMeta(p.Ancestor, level, p.OriginAddr, p.Fallbacks),
+		via:        via,
 	}
 	if p.Local != nil {
 		local, err := p.Local.ToSummary(s.cfg.Schema)
@@ -233,27 +249,38 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush) (*replicaState, error) {
 	return rs, nil
 }
 
-// handleReplicaBatch stores a whole tick's worth of overlay replicas.
-// Every push is decoded first, then the batch is applied under a single
-// lock acquisition, so concurrent queries observe either the previous
-// overlay state or the complete new one — never a half-applied tick.
+// handleReplicaBatch takes a parent's per-tick statement of the overlay
+// replicas it refreshes here, in either form (see wire.ReplicaBatch).
 //
-// Version-only entries (Branch nil, Version set) renew the matching
-// replica's soft-state TTL without any summary decode; a mismatch or an
-// unknown origin lands in the ack's NeedFullOrigins so the sender
-// restates that origin in full next tick.
+// A digest batch is checked against the replicas held via the sender: on a
+// match all of them are confirmed current and their soft-state TTLs renewed,
+// otherwise nothing is touched and the ack says NeedFull.
+//
+// A list batch is decoded first, then applied under a single lock
+// acquisition, so concurrent queries observe either the previous overlay
+// state or the complete new one — never a half-applied tick. Full entries
+// replace the replica; tag-only entries renew the TTL of the replica they
+// name when its stored tag matches, and land in the ack's NeedFullOrigins
+// when it does not or the origin is unknown, so the sender restates that
+// origin in full next tick. Replicas held via the sender that the list leaves
+// out lose their feeder mark: the sender no longer refreshes them, and they
+// age out by TTL.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
-	if msg.Batch == nil {
+	b := msg.Batch
+	if b == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: replica batch without payload"))
 	}
-	states := make([]*replicaState, 0, len(msg.Batch.Pushes))
-	var versionOnly []*wire.ReplicaPush
-	for _, p := range msg.Batch.Pushes {
-		if p != nil && p.Branch == nil && p.Version != 0 {
-			versionOnly = append(versionOnly, p)
+	if len(b.Pushes) == 0 && b.Count > 0 {
+		return s.ackWith(&wire.AckInfo{NeedFull: !s.confirmDigest(msg)})
+	}
+	states := make([]*replicaState, 0, len(b.Pushes))
+	var tagOnly []*wire.ReplicaPush
+	for _, p := range b.Pushes {
+		if p != nil && p.Branch == nil && p.Tag != 0 {
+			tagOnly = append(tagOnly, p)
 			continue
 		}
-		rs, err := s.decodeReplica(p)
+		rs, err := s.decodeReplica(p, msg.From)
 		if err != nil {
 			return wire.ErrorMessage(s.cfg.ID, err)
 		}
@@ -262,37 +289,78 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	var needFull []string
 	now := time.Now()
 	s.mu.Lock()
+	s.listSeq++
 	for _, rs := range states {
 		if rs.originID != s.cfg.ID { // never replicate ourselves
+			rs.listed = s.listSeq
 			s.replicas[rs.originID] = rs
 		}
 	}
-	for _, p := range versionOnly {
+	for _, p := range tagOnly {
 		if p.OriginID == s.cfg.ID {
 			continue
 		}
 		r, ok := s.replicas[p.OriginID]
-		if !ok || r.version != p.Version {
+		if ok {
+			r.listed = s.listSeq
+		}
+		if !ok || r.tag() != p.Tag {
 			needFull = append(needFull, p.OriginID)
 			continue
 		}
-		// TTL refresh: the held replica is confirmed current. received is
-		// not part of the routing snapshot, so no republish is needed for
-		// a purely version-only batch.
+		// TTL refresh: the held replica is confirmed current. received and
+		// via are not part of the routing snapshot, so no republish is
+		// needed for a purely tag-only batch.
 		r.received = now
+		r.via = msg.From
 	}
-	if msg.From == s.parentID && msg.Epoch > s.parentEpoch {
-		// Plain max, not the fenced advance: a delayed push from before
-		// the parent's recovery rewrites no ancestry, so it is a benign
-		// race here rather than an accepted stale mutation.
-		s.parentEpoch = msg.Epoch
+	for _, r := range s.replicas {
+		if r.via == msg.From && r.listed != s.listSeq {
+			r.via = ""
+		}
 	}
+	s.noteParentEpochLocked(msg)
 	if len(states) > 0 {
 		s.publishSnapshotLocked()
 	}
 	s.mu.Unlock()
-	s.mx.replicaPushes.Add(uint64(len(states) + len(versionOnly)))
+	s.mx.replicaPushes.Add(uint64(len(states) + len(tagOnly)))
 	return s.ackWith(&wire.AckInfo{NeedFullOrigins: needFull})
+}
+
+// confirmDigest reports whether the digest batch matches the replicas held
+// via its sender, and renews them all if it does.
+func (s *Server) confirmDigest(msg *wire.Message) bool {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.noteParentEpochLocked(msg)
+	var held setDigest
+	for id, r := range s.replicas {
+		if r.via == msg.From {
+			held.add(id, r.tag())
+		}
+	}
+	if held.n != msg.Batch.Count || held.sum != msg.Batch.Digest {
+		return false
+	}
+	for _, r := range s.replicas {
+		if r.via == msg.From {
+			r.received = now
+		}
+	}
+	s.mx.replicaPushes.Add(uint64(held.n))
+	return true
+}
+
+// noteParentEpochLocked raises the recorded parent epoch to a batch's stamp.
+// Plain max, not the fenced advance: a delayed push from before the parent's
+// recovery rewrites no ancestry, so it is a benign race here rather than an
+// accepted stale mutation. Callers hold s.mu.
+func (s *Server) noteParentEpochLocked(msg *wire.Message) {
+	if msg.From == s.parentID && msg.Epoch > s.parentEpoch {
+		s.parentEpoch = msg.Epoch
+	}
 }
 
 // noteFPDescent closes the feedback loop behind adaptive summaries: a
@@ -570,7 +638,6 @@ func (s *Server) StatusSnapshot() *wire.Status {
 		ReportsSuppressed:      s.mx.reportsSuppressed.Load(),
 		ReplicaPushDelta:       s.mx.pushDelta.Load(),
 		ReplicaPushFull:        s.mx.pushFull.Load(),
-		AntiEntropyRounds:      s.mx.antiEntropyRounds.Load(),
 	}
 	if snap.branchSummary != nil {
 		st.BranchRecords = snap.branchSummary.Records
@@ -603,7 +670,9 @@ func (s *Server) handleStatus() *wire.Message {
 
 // handleHeartbeat refreshes the child's liveness and returns our root path
 // (so the child can rebuild its own) plus the child's sibling list (for
-// root election if we die while being the root).
+// root election if we die while being the root) — unless the request's hash
+// says the child holds exactly that already, in which case the reply says
+// so and carries neither.
 func (s *Server) handleHeartbeat(msg *wire.Message) *wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -614,22 +683,30 @@ func (s *Server) handleHeartbeat(msg *wire.Message) *wire.Message {
 		s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
 		c.lastSeen = time.Now()
 	}
-	sibs := make([]wire.RedirectInfo, 0, len(s.children))
+	hb := &wire.Heartbeat{}
+	var held setDigest
 	for _, c := range s.children {
 		if c.id != msg.From {
-			sibs = append(sibs, wire.RedirectInfo{ID: c.id, Addr: c.addr})
+			held.addSibling(c.id, c.addr)
 		}
 	}
-	sort.Slice(sibs, func(i, j int) bool { return sibs[i].ID < sibs[j].ID })
+	if msg.Heartbeat != nil && msg.Heartbeat.Have == ancestryHash(s.rootPath, s.rootPathAddrs, held) {
+		hb.Unchanged = true
+	} else {
+		hb.RootPath = append([]string(nil), s.rootPath...)
+		hb.PathAddrs = append([]string(nil), s.rootPathAddrs...)
+		for _, c := range s.children {
+			if c.id != msg.From {
+				hb.Siblings = append(hb.Siblings, wire.RedirectInfo{ID: c.id, Addr: c.addr})
+			}
+		}
+		sort.Slice(hb.Siblings, func(i, j int) bool { return hb.Siblings[i].ID < hb.Siblings[j].ID })
+	}
 	return s.stampEpoch(&wire.Message{
-		Kind: wire.KindHeartbeatReply,
-		From: s.cfg.ID,
-		Addr: s.cfg.Addr,
-		Heartbeat: &wire.Heartbeat{
-			RootPath:  append([]string(nil), s.rootPath...),
-			PathAddrs: append([]string(nil), s.rootPathAddrs...),
-		},
-		QueryRep: &wire.QueryReply{Redirects: sibs},
+		Kind:      wire.KindHeartbeatReply,
+		From:      s.cfg.ID,
+		Addr:      s.cfg.Addr,
+		Heartbeat: hb,
 	})
 }
 

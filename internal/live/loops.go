@@ -3,7 +3,6 @@ package live
 import (
 	"hash/fnv"
 	"log"
-	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -96,9 +95,6 @@ func (s *Server) refreshSummaries() {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	round := s.aggRound.Add(1)
-	if round%s.cfg.antiEntropyEvery() == 0 {
-		s.mx.antiEntropyRounds.Inc()
-	}
 	if s.planner != nil && round%s.cfg.replanEvery() == 0 {
 		s.replanLocked()
 	}
@@ -427,11 +423,10 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // Every report carries the branch content version, and while the parent
 // keeps confirming it holds the current version the summary payload is
 // dropped entirely — a version-only report still refreshes liveness and
-// branch shape but moves ~30 bytes instead of the full summary. Anti-entropy
-// rounds, a version mismatch (parent asked NeedFull), or any content change
-// switch back to full reports.
+// branch shape but moves ~30 bytes instead of the full summary. A version
+// mismatch (parent asked NeedFull) or any content change switches back to a
+// full report.
 func (s *Server) reportToParent() {
-	fullRound := s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	branch := s.branchSummary
@@ -447,7 +442,7 @@ func (s *Server) reportToParent() {
 		return
 	}
 	report.Version = branch.Version
-	if !needFull && !fullRound && branch.Version != 0 && haveVersion == branch.Version {
+	if !needFull && branch.Version != 0 && haveVersion == branch.Version {
 		s.mx.reportsSuppressed.Inc()
 	} else {
 		report.Summary = wire.FromSummary(branch)
@@ -484,17 +479,43 @@ func (s *Server) reportToParent() {
 	}
 }
 
-// versionOnly is the entry that stands in for p toward a child that already
-// confirmed holding p's version: origin identity, level and version, no
-// summaries. It renews the replica's TTL for a few dozen bytes.
-func versionOnly(p *wire.ReplicaPush) *wire.ReplicaPush {
-	return &wire.ReplicaPush{
-		OriginID:   p.OriginID,
-		OriginAddr: p.OriginAddr,
-		Ancestor:   p.Ancestor,
-		Level:      p.Level,
-		Version:    p.Version,
+// pushEntry is one origin this server refreshes at its children this tick:
+// a child's branch (for the child's siblings), this server itself, or a
+// replica it holds and hands one level down. It keeps the parts of a full
+// entry and builds the DTO only when some child needs it.
+type pushEntry struct {
+	origin, addr  string
+	branch, local *summary.Summary
+	ancestor      bool
+	level         int
+	fallbacks     []wire.RedirectInfo
+	version       uint64
+	tag           uint64
+	dto           *wire.ReplicaPush // the full entry, built on first use and shared by the children
+}
+
+// full is the entry with its summaries and metadata.
+func (e *pushEntry) full() *wire.ReplicaPush {
+	if e.dto == nil {
+		e.dto = &wire.ReplicaPush{
+			OriginID:   e.origin,
+			OriginAddr: e.addr,
+			Branch:     wire.FromSummary(e.branch),
+			Local:      wire.FromSummary(e.local),
+			Ancestor:   e.ancestor,
+			Level:      e.level,
+			Fallbacks:  e.fallbacks,
+			Version:    e.version,
+		}
 	}
+	return e.dto
+}
+
+// tagOnly is the entry that stands in for full toward a child that already
+// confirmed holding the tag: it renews the replica's TTL for the origin ID
+// and nine bytes.
+func (e *pushEntry) tagOnly() *wire.ReplicaPush {
+	return &wire.ReplicaPush{OriginID: e.origin, Tag: e.tag}
 }
 
 // pushReplicas distributes overlay state to every child: each sibling's
@@ -503,125 +524,135 @@ func versionOnly(p *wire.ReplicaPush) *wire.ReplicaPush {
 // ancestor-sibling replicas; ancestor replicas stay ancestors). After L
 // rounds every server holds exactly the paper's replica set.
 //
-// All pushes for one child travel in a single KindReplicaBatch message, so
-// a tick costs one call per child rather than one per (child × replica) —
-// the overlay-maintenance traffic the paper identifies as ROADS' dominant
-// overhead. Each full push DTO is built once and shared across the
-// per-child batches.
-//
-// Every push carries its origin's branch version, and the version each child
-// acked per origin is tracked. While the child holds the current version the
-// entry ships version-only (see versionOnly). A NeedFullOrigins ack or the
-// periodic anti-entropy round downgrades the affected entries to full.
+// One KindReplicaBatch per child per tick, in one of two forms (see
+// wire.ReplicaBatch). Every entry has a tag, the hash of all a full entry
+// would store (replicaTag), and the tags each child acknowledged are
+// remembered. While the set to send folds to the digest of what the child
+// acknowledged, nothing it holds can differ from what a restatement would
+// store, and the batch is that digest alone. Otherwise the batch lists the
+// set: full entries where the acknowledged tag differs, tag-only entries
+// elsewhere. A child that cannot match a digest answers NeedFull and is sent
+// the list; a child that cannot match a tag-only entry names the origin in
+// NeedFullOrigins and is sent that entry in full. Both corrections take
+// effect on the next tick, so no state needs a periodic restatement to heal.
 func (s *Server) pushReplicas() {
-	fullRound := s.aggRound.Load()%s.cfg.antiEntropyEvery() == 0
 	// Snapshot under the lock: childState fields are mutated in place by
 	// summary reports, so copy the values; summary objects themselves are
-	// replaced wholesale on update and never mutated after publish.
+	// replaced wholesale on update and never mutated after publish, and an
+	// acked map is never written once it is installed.
 	type childSnap struct {
 		id, addr string
-		branch   *summary.Summary
-		version  uint64
-		kids     []wire.RedirectInfo
-		acked    map[string]uint64
+		push     pushState
+		own      int // index of the child's own branch in entries, -1 if it has none yet
 	}
 	s.mu.Lock()
-	children := make([]childSnap, 0, len(s.children))
-	for _, c := range s.children {
-		children = append(children, childSnap{id: c.id, addr: c.addr, branch: c.branch,
-			version: c.version, kids: c.kids, acked: maps.Clone(c.acked)})
-	}
-	ownBranch := s.branchSummary
-	ownLocal := s.localSummary
-	reps := make([]*replicaState, 0, len(s.replicas))
-	for _, r := range s.replicas {
-		reps = append(reps, r)
-	}
-	s.mu.Unlock()
-	if len(children) == 0 {
+	if len(s.children) == 0 {
+		s.mu.Unlock()
 		return
 	}
-	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
-
+	children := make([]childSnap, 0, len(s.children))
+	entries := make([]pushEntry, 0, len(s.children)+1+len(s.replicas))
 	// Sibling branches: distance 1 from the child.
-	sibPush := make([]*wire.ReplicaPush, len(children))
-	for i, sib := range children {
-		if sib.branch == nil {
-			continue
+	for _, c := range s.children {
+		snap := childSnap{id: c.id, addr: c.addr, push: c.push, own: -1}
+		if c.branch != nil {
+			snap.own = len(entries)
+			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, branch: c.branch,
+				level: 1, fallbacks: c.kids, version: c.version})
 		}
-		sibPush[i] = &wire.ReplicaPush{
-			OriginID:   sib.id,
-			OriginAddr: sib.addr,
-			Branch:     wire.FromSummary(sib.branch),
-			Level:      1,
-			Fallbacks:  sib.kids,
-			Version:    sib.version,
-		}
+		children = append(children, snap)
 	}
 	// Everything else goes to every child alike: self as ancestor (branch +
 	// local piggyback, distance 1), then everything this server replicates
 	// (its siblings and ancestors become the child's ancestor-siblings and
 	// ancestors, one level further away).
-	shared := make([]*wire.ReplicaPush, 0, 1+len(reps))
-	if ownBranch != nil {
-		shared = append(shared, &wire.ReplicaPush{
-			OriginID:   s.cfg.ID,
-			OriginAddr: s.cfg.Addr,
-			Branch:     wire.FromSummary(ownBranch),
-			Local:      wire.FromSummary(ownLocal),
-			Ancestor:   true,
-			Level:      1,
-			Version:    ownBranch.Version,
-		})
+	if s.branchSummary != nil {
+		entries = append(entries, pushEntry{origin: s.cfg.ID, addr: s.cfg.Addr, branch: s.branchSummary,
+			local: s.localSummary, ancestor: true, level: 1, version: s.branchSummary.Version})
 	}
-	for _, r := range reps {
-		p := &wire.ReplicaPush{
-			OriginID:   r.originID,
-			OriginAddr: r.originAddr,
-			Branch:     wire.FromSummary(r.branch),
-			Ancestor:   r.ancestor,
-			Level:      r.level + 1,
-			Fallbacks:  r.fallbacks,
-			Version:    r.version,
+	for _, r := range s.replicas {
+		if _, isChild := s.children[r.originID]; isChild || r.originID == s.cfg.ID {
+			// A leftover from before a re-parenting. The child's own report
+			// (or this server itself) is the fresher statement of that
+			// origin, and one origin goes into a set once.
+			continue
 		}
+		e := pushEntry{origin: r.originID, addr: r.originAddr, branch: r.branch, ancestor: r.ancestor,
+			level: r.level + 1, fallbacks: r.fallbacks, version: r.version}
 		if r.ancestor {
-			p.Local = wire.FromSummary(r.local)
+			e.local = r.local
 		}
-		shared = append(shared, p)
+		entries = append(entries, e)
+	}
+	s.mu.Unlock()
+	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
+
+	var all setDigest
+	for i := range entries {
+		e := &entries[i]
+		e.tag = replicaTag(replicaMeta(e.ancestor, e.level, e.addr, e.fallbacks), e.version, e.local)
+		all.add(e.origin, e.tag)
 	}
 
-	for i, child := range children {
-		pushes := make([]*wire.ReplicaPush, 0, len(sibPush)+len(shared))
-		add := func(p *wire.ReplicaPush) {
-			if p.Version != 0 && !fullRound && child.acked[p.OriginID] == p.Version {
-				p = versionOnly(p)
-				s.mx.pushDelta.Inc()
-			} else {
-				s.mx.pushFull.Inc()
-			}
-			pushes = append(pushes, p)
+	for _, child := range children {
+		// The child's set is everything but its own branch.
+		set := all
+		if child.own >= 0 {
+			set = all.without(child.id, entries[child.own].tag)
 		}
-		for j, p := range sibPush {
-			if j != i && p != nil {
-				add(p)
-			}
-		}
-		for _, p := range shared {
-			add(p)
-		}
-		if len(pushes) == 0 {
+		if set.n == 0 {
 			continue
+		}
+		var batch *wire.ReplicaBatch
+		var listed map[string]uint64 // what a list batch states, by origin
+		if set == child.push.sum && !child.push.needList {
+			batch = &wire.ReplicaBatch{Digest: set.sum, Count: set.n}
+			s.mx.pushDelta.Add(uint64(set.n))
+		} else {
+			batch = &wire.ReplicaBatch{Pushes: make([]*wire.ReplicaPush, 0, set.n)}
+			listed = make(map[string]uint64, set.n)
+			for i := range entries {
+				e := &entries[i]
+				if i == child.own {
+					continue
+				}
+				// Unversioned content is never taken as held: it ships in
+				// full every tick and keeps the batch a list.
+				versioned := e.version != 0
+				if versioned {
+					listed[e.origin] = e.tag
+				}
+				if versioned && child.push.acked[e.origin] == e.tag {
+					batch.Pushes = append(batch.Pushes, e.tagOnly())
+					s.mx.pushDelta.Inc()
+				} else {
+					batch.Pushes = append(batch.Pushes, e.full())
+					s.mx.pushFull.Inc()
+				}
+			}
 		}
 		rep, err := s.tr.Call(child.addr, s.stampEpoch(&wire.Message{
 			Kind:  wire.KindReplicaBatch,
 			From:  s.cfg.ID,
 			Addr:  s.cfg.Addr,
-			Batch: &wire.ReplicaBatch{Pushes: pushes},
+			Batch: batch,
 		}))
 		if err != nil || rep.Ack == nil {
 			continue // unreachable, or the batch was refused: nothing learned
 		}
 		s.observeEpoch(rep.Epoch)
+		// What the child now holds via this server: the list, minus what it
+		// asked for in full. A confirmed digest leaves the record as it is.
+		var next pushState
+		if listed != nil {
+			for _, o := range rep.Ack.NeedFullOrigins {
+				delete(listed, o)
+			}
+			next.acked = listed
+			for o, tag := range listed {
+				next.sum.add(o, tag)
+			}
+		}
 		s.mu.Lock()
 		if c, ok := s.children[child.id]; ok {
 			if rep.Epoch > c.epoch {
@@ -630,18 +661,11 @@ func (s *Server) pushReplicas() {
 				// not an accepted stale mutation.
 				c.epoch = rep.Epoch
 			}
-			// Record what the child now holds, minus anything it
-			// explicitly asked refreshed.
-			if c.acked == nil {
-				c.acked = make(map[string]uint64, len(pushes))
-			}
-			for _, p := range pushes {
-				if p.Version != 0 {
-					c.acked[p.OriginID] = p.Version
-				}
-			}
-			for _, o := range rep.Ack.NeedFullOrigins {
-				delete(c.acked, o)
+			switch {
+			case listed != nil:
+				c.push = next
+			case rep.Ack.NeedFull:
+				c.push.needList = true
 			}
 		}
 		s.mu.Unlock()
@@ -683,14 +707,7 @@ func (s *Server) pruneDeadChildren() {
 // attracting redirects after its TTL. The window is generous (propagation
 // takes one aggregation tick per hierarchy level).
 func (s *Server) pruneStaleReplicas() {
-	ttl := time.Duration(4*s.cfg.HeartbeatMiss) * s.cfg.AggregateEvery
-	if floor := s.cfg.replicaTTLFloor(); ttl < floor {
-		// Floor (configurable via Config.ReplicaTTLFloor): a full push
-		// round must always fit inside the TTL, even when encoding runs
-		// far slower than the tick (loaded hosts, race detector);
-		// otherwise replicas flap and coverage never settles.
-		ttl = floor
-	}
+	ttl := s.cfg.replicaTTL()
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -711,7 +728,8 @@ func (s *Server) pruneStaleReplicas() {
 }
 
 // sendHeartbeat pings the parent; the reply refreshes the root path and
-// the sibling list (for root election). The reply is applied only if the
+// the sibling list (for root election) unless it says they are unchanged —
+// the request carries the hash of the ones held. The reply is applied only if the
 // parent is still the one the heartbeat was sent to (a slow reply from a
 // just-replaced parent must not overwrite post-rejoin ancestry) and only
 // if it is not fenced (stamped with an epoch below the parent's recorded
@@ -720,6 +738,10 @@ func (s *Server) sendHeartbeat() {
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	idle := s.tx == txNone
+	var have uint64
+	if parentAddr != "" {
+		have = s.heldAncestryLocked()
+	}
 	s.mu.Unlock()
 	if parentAddr == "" {
 		// Root: its root path is itself — but never clobber the path
@@ -737,9 +759,10 @@ func (s *Server) sendHeartbeat() {
 		return
 	}
 	rep, err := s.tr.Call(parentAddr, s.stampEpoch(&wire.Message{
-		Kind: wire.KindHeartbeat,
-		From: s.cfg.ID,
-		Addr: s.cfg.Addr,
+		Kind:      wire.KindHeartbeat,
+		From:      s.cfg.ID,
+		Addr:      s.cfg.Addr,
+		Heartbeat: &wire.Heartbeat{Have: have},
 	}))
 	if err != nil || wire.RemoteError(rep) != nil || rep.Heartbeat == nil {
 		s.noteParentMiss(missHeartbeat)
@@ -760,14 +783,29 @@ func (s *Server) sendHeartbeat() {
 		return // stale regime: fenced
 	}
 	s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
-	s.rootPath = append(append([]string(nil), rep.Heartbeat.RootPath...), s.cfg.ID)
-	s.rootPathAddrs = append(append([]string(nil), rep.Heartbeat.PathAddrs...), s.cfg.Addr)
-	if rep.QueryRep != nil {
-		s.siblingsOfMe = rep.QueryRep.Redirects
+	if !rep.Heartbeat.Unchanged {
+		s.rootPath = append(append([]string(nil), rep.Heartbeat.RootPath...), s.cfg.ID)
+		s.rootPathAddrs = append(append([]string(nil), rep.Heartbeat.PathAddrs...), s.cfg.Addr)
+		s.siblingsOfMe = rep.Heartbeat.Siblings
+		s.rememberPathLocked()
+		s.publishSnapshotLocked()
 	}
-	s.rememberPathLocked()
-	s.publishSnapshotLocked()
 	s.mu.Unlock()
+}
+
+// heldAncestryLocked hashes what this server holds of a heartbeat reply's
+// content — the root path above it and its siblings — the way the parent
+// hashes what it would send (ancestryHash). Callers hold s.mu.
+func (s *Server) heldAncestryLocked() uint64 {
+	n := len(s.rootPath) - 1
+	if n < 0 || len(s.rootPathAddrs) != n+1 {
+		return 0 // nothing coherent held: ask for the content
+	}
+	var sibs setDigest
+	for _, sib := range s.siblingsOfMe {
+		sibs.addSibling(sib.ID, sib.Addr)
+	}
+	return ancestryHash(s.rootPath[:n], s.rootPathAddrs[:n], sibs)
 }
 
 // missSource discriminates which loop observed a parent miss. The report

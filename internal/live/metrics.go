@@ -33,7 +33,6 @@ type serverMetrics struct {
 	reportsSuppressed *obs.Counter
 	pushDelta         *obs.Counter
 	pushFull          *obs.Counter
-	antiEntropyRounds *obs.Counter
 
 	// Membership-epoch counters (see membership.go).
 	fenced           *obs.Counter
@@ -84,11 +83,9 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reportsSuppressed: reg.Counter("roads_report_suppressed_total",
 			"Version-only reports sent in place of full branch summaries (the parent confirmed holding the current version)."),
 		pushDelta: reg.Counter("roads_replica_push_delta_total",
-			"Replica-batch entries sent version-only (TTL refresh, no summary payload)."),
+			"Replica entries confirmed without their summaries: tag-only entries of list batches, and every entry a digest batch stands for."),
 		pushFull: reg.Counter("roads_replica_push_full_total",
-			"Replica-batch entries sent with full summaries (new origin, changed version, NeedFull recovery or anti-entropy round)."),
-		antiEntropyRounds: reg.Counter("roads_antientropy_rounds_total",
-			"Aggregation rounds forced full-state by the anti-entropy cadence (Config.AntiEntropyEvery)."),
+			"Replica entries sent with their summaries (new origin, changed tag, or the child asked for the origin in full)."),
 		fenced: reg.Counter("roads_membership_fenced_total",
 			"Relationship messages rejected (or replies discarded) for carrying a membership epoch lower than the recorded one."),
 		elections: reg.Counter("roads_membership_elections_total",

@@ -50,13 +50,6 @@ type Config struct {
 	// DefaultReplicaTTLFloor; fast-tick tests may lower it, slow
 	// production deployments raise it.
 	ReplicaTTLFloor time.Duration
-	// AntiEntropyEvery is the anti-entropy cadence in aggregation ticks:
-	// every Nth tick sends full reports and full replica pushes even to
-	// peers that confirmed holding the current versions, bounding how
-	// long any divergence (lost state, metadata drift a version-only
-	// refresh does not carry) can persist. Zero uses
-	// DefaultAntiEntropyEvery.
-	AntiEntropyEvery int
 	// MergeSeeds are addresses this server probes for foreign roots while
 	// it is a root itself (split-brain detection), in addition to the
 	// ancestry it remembers from before a partition. Typically the
@@ -141,11 +134,11 @@ func DefaultConfig(id, addr string, schema *record.Schema) Config {
 // Config.ReplicaTTLFloor is zero.
 const DefaultReplicaTTLFloor = 5 * time.Second
 
-// DefaultAntiEntropyEvery is the anti-entropy cadence applied when
-// Config.AntiEntropyEvery is zero: one full-state round every 16
-// aggregation ticks. Version-only refreshes renew replica TTLs several
-// times per full round, so soft-state liveness never depends on the
-// full-state cadence.
+// DefaultAntiEntropyEvery was the cadence of the periodic full-state round.
+// No server behaviour depends on it any more: every tick confirms the whole
+// replica set by digest, so there is no round left to schedule. The constant
+// keeps its name and value because the canonical benchmark (bench/) sizes its
+// idle window in multiples of it.
 const DefaultAntiEntropyEvery = 16
 
 // DefaultReplanEvery is the adaptive replan cadence applied when
@@ -177,9 +170,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReplicaTTLFloor < 0 {
 		return fmt.Errorf("live: ReplicaTTLFloor must not be negative")
-	}
-	if c.AntiEntropyEvery < 0 {
-		return fmt.Errorf("live: AntiEntropyEvery must not be negative")
 	}
 	if c.MergeProbeEvery < 0 {
 		return fmt.Errorf("live: MergeProbeEvery must not be negative")
@@ -215,20 +205,21 @@ func (c Config) mergeProbeEvery() time.Duration {
 	return 4 * c.HeartbeatEvery
 }
 
-// antiEntropyEvery returns the configured anti-entropy cadence, defaulted.
-func (c Config) antiEntropyEvery() uint64 {
-	if c.AntiEntropyEvery > 0 {
-		return uint64(c.AntiEntropyEvery)
-	}
-	return DefaultAntiEntropyEvery
-}
-
 // replicaTTLFloor returns the configured floor, defaulted.
 func (c Config) replicaTTLFloor() time.Duration {
 	if c.ReplicaTTLFloor > 0 {
 		return c.ReplicaTTLFloor
 	}
 	return DefaultReplicaTTLFloor
+}
+
+// replicaTTL is how long an overlay replica lives without a refresh: sixteen
+// aggregation ticks at the default HeartbeatMiss (propagation takes one tick
+// per hierarchy level), floored by replicaTTLFloor — a push round must always
+// fit inside the TTL, even when encoding runs far slower than the tick (loaded
+// hosts, race detector); otherwise replicas flap and coverage never settles.
+func (c Config) replicaTTL() time.Duration {
+	return max(time.Duration(4*c.HeartbeatMiss)*c.AggregateEvery, c.replicaTTLFloor())
 }
 
 // childState tracks one child branch.
@@ -246,15 +237,28 @@ type childState struct {
 	// branch and gates childEpoch: a full report carrying the same version
 	// left the merged branch unchanged.
 	version uint64
-	// acked maps origin ID → the branch version this child last
-	// confirmed holding, so unchanged replicas ship as version-only TTL
-	// refreshes. Entries are dropped when the child asks for full state,
-	// and all of them when it rejoins.
-	acked map[string]uint64
+	// push is what this child last acknowledged of the replica set this
+	// server refreshes at it. Reset when the child rejoins.
+	push pushState
 	// epoch is the highest membership epoch this child stamped on a
 	// relationship message; lower-epoch heartbeats, reports and re-joins
 	// from it are fenced. Reset to the join's epoch when it rejoins.
 	epoch uint64
+}
+
+// pushState is the parent's record of the replica set one child holds via
+// it. acked maps origin ID → the tag the child confirmed in the last list
+// batch it acknowledged (the origins it asked for in full left out); the
+// map is replaced on every such ack and never written afterwards, so a
+// snapshot may keep reading it without the lock. sum is acked folded the way
+// a digest batch is: while the set to send folds to the same value nothing
+// changed and the digest alone goes out. needList is set when the child
+// answered a digest with NeedFull — what it holds is not what acked says — and
+// forces one list batch, whose ack rebuilds acked from the child's answer.
+type pushState struct {
+	acked    map[string]uint64
+	sum      setDigest
+	needList bool
 }
 
 // replicaState is one overlay replica.
@@ -272,10 +276,31 @@ type replicaState struct {
 	// fallbacks are the origin's children, carried on the push; they
 	// become failover Alternates on redirects to the origin.
 	fallbacks []wire.RedirectInfo
-	// version is the origin's branch content version carried on the push.
-	// A version-only refresh entry renews received only when it matches;
+	// version is the origin's branch content version carried on the push;
 	// forwarding this replica propagates the same version one level down.
 	version uint64
+	// meta is replicaMeta of ancestor, level, originAddr and fallbacks, none
+	// of which changes while this replicaState lives.
+	meta uint64
+	// listed is Server.listSeq of the last list batch that named this
+	// origin, so a batch can tell the replicas it named from the rest
+	// without building a set.
+	listed uint64
+	// via is the ID of the server whose batch last stated or confirmed
+	// this replica — its feeder. A feeder's list batch that leaves the
+	// origin out clears via: nobody refreshes the replica any more and it
+	// ages out by TTL. A feeder's digest covers exactly the replicas held
+	// via it.
+	via string
+}
+
+// tag hashes the replica as held, the way its feeder hashes the entry it
+// would send (replicaTag). A tag-only entry or a digest batch renews received
+// only while the two agree. The content versions are read at the moment of
+// the comparison, so it vouches for the summaries in memory now, not for a
+// label filed when the replica arrived.
+func (r *replicaState) tag() uint64 {
+	return replicaTag(r.meta, r.version, r.local)
 }
 
 // ownerCacheEntry is one cached owner export: the summary the owner
@@ -310,6 +335,7 @@ type Server struct {
 	siblingsOfMe  []wire.RedirectInfo // from heartbeat replies; root election
 	children      map[string]*childState
 	replicas      map[string]*replicaState
+	listSeq       uint64 // list batches applied; see replicaState.listed
 	localSummary  *summary.Summary
 	branchSummary *summary.Summary
 
@@ -355,8 +381,8 @@ type Server struct {
 	// ownerCache caches each summary-mode owner's export keyed by the
 	// owner's record-set generation. Guarded by refreshMu.
 	ownerCache map[*policy.Owner]ownerCacheEntry
-	// aggRound counts aggregation rounds (shared by refresh, report and
-	// push within one tick) for the anti-entropy cadence.
+	// aggRound counts aggregation rounds, for the replan cadence and
+	// RefreshInfo.
 	aggRound atomic.Uint64
 
 	// Adaptive-summary state. fpHeat accumulates false-positive descents

@@ -13,8 +13,10 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 7 because six layouts came before it (the git history and
-// EXPERIMENTS.md have them); 1–6 are rejected like any other byte.
+// The version is 8 because seven layouts came before it (the git history and
+// EXPERIMENTS.md have them); 1–7 are rejected like any other byte. Version 8
+// changed the replica batch (tagged entries, the digest form), the heartbeat
+// (Have, Unchanged, and the siblings moved into it) and the status reply.
 
 import (
 	"encoding/binary"
@@ -32,7 +34,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 7
+	binVersion = 8
 	// valueMinBytes is the least a record.Value takes on the wire: its
 	// float plus the length byte of an empty string.
 	valueMinBytes = 9
@@ -90,6 +92,12 @@ func appendString(b []byte, s string) []byte {
 
 func appendF64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// appendU64 writes a fixed-width value: hashes are uniformly spread, so a
+// varint would take nine or ten bytes for most of them.
+func appendU64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -160,18 +168,20 @@ func (r *binReader) varint() int64 {
 	return v
 }
 
-func (r *binReader) f64() float64 {
+func (r *binReader) u64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.remaining() < 8 {
-		r.fail("truncated float at byte %d", r.off)
+		r.fail("truncated 8-byte value at byte %d", r.off)
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	v := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8
 	return v
 }
+
+func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // strBytes returns the next length-prefixed string's bytes, still aliasing
 // the input; callers copy them.
@@ -279,15 +289,7 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 		b = appendReport(b, m.Report)
 	}
 	if m.Batch != nil {
-		b = appendUvarint(b, uint64(len(m.Batch.Pushes)))
-		for _, p := range m.Batch.Pushes {
-			if p == nil {
-				b = appendBool(b, false)
-				continue
-			}
-			b = appendBool(b, true)
-			b = appendReplicaPush(b, p)
-		}
+		b = appendBatch(b, m.Batch)
 	}
 	if m.Query != nil {
 		b = appendQuery(b, m.Query)
@@ -296,8 +298,7 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 		b = appendQueryReply(b, m.QueryRep)
 	}
 	if m.Heartbeat != nil {
-		b = appendStrings(b, m.Heartbeat.RootPath)
-		b = appendStrings(b, m.Heartbeat.PathAddrs)
+		b = appendHeartbeat(b, m.Heartbeat)
 	}
 	if m.Status != nil {
 		b = appendStatus(b, m.Status)
@@ -342,19 +343,7 @@ func decodeBinary(data []byte) (*Message, error) {
 		m.Report = readReport(r)
 	}
 	if bits&hasBatch != 0 {
-		n := r.count(1)
-		batch := &ReplicaBatch{}
-		if n > 0 {
-			batch.Pushes = make([]*ReplicaPush, 0, n)
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			if !r.bool() {
-				batch.Pushes = append(batch.Pushes, nil)
-				continue
-			}
-			batch.Pushes = append(batch.Pushes, readReplicaPush(r))
-		}
-		m.Batch = batch
+		m.Batch = readBatch(r)
 	}
 	if bits&hasQuery != 0 {
 		readQuery(r, m.Query)
@@ -366,7 +355,7 @@ func decodeBinary(data []byte) (*Message, error) {
 		readQueryReply(r, m.QueryRep)
 	}
 	if bits&hasHeartbeat != 0 {
-		m.Heartbeat = &Heartbeat{RootPath: readStrings(r), PathAddrs: readStrings(r)}
+		m.Heartbeat = readHeartbeat(r)
 	}
 	if bits&hasStatus != 0 {
 		m.Status = readStatus(r)
@@ -526,20 +515,73 @@ func readReport(r *binReader) *SummaryReport {
 	return rep
 }
 
+// A batch is its entry count and entries, then Count, then — on a digest
+// batch only, which is what a non-zero Count means — the eight Digest bytes.
+func appendBatch(b []byte, batch *ReplicaBatch) []byte {
+	b = appendUvarint(b, uint64(len(batch.Pushes)))
+	for _, p := range batch.Pushes {
+		if p == nil {
+			b = appendBool(b, false)
+			continue
+		}
+		b = appendBool(b, true)
+		b = appendReplicaPush(b, p)
+	}
+	b = appendVarint(b, int64(batch.Count))
+	if batch.Count != 0 {
+		b = appendU64(b, batch.Digest)
+	}
+	return b
+}
+
+func readBatch(r *binReader) *ReplicaBatch {
+	n := r.count(1)
+	batch := &ReplicaBatch{}
+	if n > 0 {
+		batch.Pushes = make([]*ReplicaPush, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		if !r.bool() {
+			batch.Pushes = append(batch.Pushes, nil)
+			continue
+		}
+		batch.Pushes = append(batch.Pushes, readReplicaPush(r))
+	}
+	if batch.Count = int(r.varint()); batch.Count != 0 {
+		batch.Digest = r.u64()
+	}
+	return batch
+}
+
+// Replica push flag bits. An entry is its origin and then either a body
+// (pushBody: everything but Tag) or, on a tag-only entry, the eight Tag bytes.
+const (
+	pushBranch = 1 << iota
+	pushLocal
+	pushAncestor
+	pushBody
+)
+
 func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
-	b = appendString(b, p.OriginID)
-	b = appendString(b, p.OriginAddr)
 	var flags byte
 	if p.Branch != nil {
-		flags |= 1
+		flags |= pushBranch
 	}
 	if p.Local != nil {
-		flags |= 2
+		flags |= pushLocal
 	}
 	if p.Ancestor {
-		flags |= 4
+		flags |= pushAncestor
 	}
+	if flags != 0 || p.OriginAddr != "" || p.Level != 0 || len(p.Fallbacks) > 0 || p.Version != 0 {
+		flags |= pushBody
+	}
+	b = appendString(b, p.OriginID)
 	b = append(b, flags)
+	if flags&pushBody == 0 {
+		return appendU64(b, p.Tag)
+	}
+	b = appendString(b, p.OriginAddr)
 	if p.Branch != nil {
 		b = appendSummary(b, p.Branch)
 	}
@@ -552,19 +594,70 @@ func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
 }
 
 func readReplicaPush(r *binReader) *ReplicaPush {
-	p := &ReplicaPush{OriginID: r.str(), OriginAddr: r.str()}
+	p := &ReplicaPush{OriginID: r.str()}
 	flags := r.u8()
-	p.Ancestor = flags&4 != 0
-	if flags&1 != 0 {
+	if flags&pushBody == 0 {
+		p.Tag = r.u64()
+		return p
+	}
+	p.OriginAddr = r.str()
+	p.Ancestor = flags&pushAncestor != 0
+	if flags&pushBranch != 0 {
 		p.Branch = readSummary(r)
 	}
-	if flags&2 != 0 {
+	if flags&pushLocal != 0 {
 		p.Local = readSummary(r)
 	}
 	p.Level = int(r.varint())
 	p.Fallbacks = readRedirects(r, 0)
 	p.Version = r.uvarint()
 	return p
+}
+
+// Heartbeat flag bits: Have and the content each travel only when set, so
+// a request is the flags and eight bytes and an Unchanged reply the flags
+// alone.
+const (
+	hbUnchanged = 1 << iota
+	hbHave
+	hbContent
+)
+
+func appendHeartbeat(b []byte, hb *Heartbeat) []byte {
+	var flags byte
+	if hb.Unchanged {
+		flags |= hbUnchanged
+	}
+	if hb.Have != 0 {
+		flags |= hbHave
+	}
+	if len(hb.RootPath) > 0 || len(hb.PathAddrs) > 0 || len(hb.Siblings) > 0 {
+		flags |= hbContent
+	}
+	b = append(b, flags)
+	if hb.Have != 0 {
+		b = appendU64(b, hb.Have)
+	}
+	if flags&hbContent != 0 {
+		b = appendStrings(b, hb.RootPath)
+		b = appendStrings(b, hb.PathAddrs)
+		b = appendRedirects(b, hb.Siblings)
+	}
+	return b
+}
+
+func readHeartbeat(r *binReader) *Heartbeat {
+	flags := r.u8()
+	hb := &Heartbeat{Unchanged: flags&hbUnchanged != 0}
+	if flags&hbHave != 0 {
+		hb.Have = r.u64()
+	}
+	if flags&hbContent != 0 {
+		hb.RootPath = readStrings(r)
+		hb.PathAddrs = readStrings(r)
+		hb.Siblings = readRedirects(r, 0)
+	}
+	return hb
 }
 
 func appendQuery(b []byte, q *QueryDTO) []byte {
@@ -732,8 +825,7 @@ func appendStatus(b []byte, st *Status) []byte {
 	b = appendUvarint(b, st.SummaryRebuildsSkipped)
 	b = appendUvarint(b, st.ReportsSuppressed)
 	b = appendUvarint(b, st.ReplicaPushDelta)
-	b = appendUvarint(b, st.ReplicaPushFull)
-	return appendUvarint(b, st.AntiEntropyRounds)
+	return appendUvarint(b, st.ReplicaPushFull)
 }
 
 func readStatus(r *binReader) *Status {
@@ -772,7 +864,6 @@ func readStatus(r *binReader) *Status {
 	st.ReportsSuppressed = r.uvarint()
 	st.ReplicaPushDelta = r.uvarint()
 	st.ReplicaPushFull = r.uvarint()
-	st.AntiEntropyRounds = r.uvarint()
 	return st
 }
 

@@ -97,15 +97,19 @@ func sampleMessages(tb testing.TB) []*Message {
 		}},
 		{Kind: KindReplicaBatch, From: "n5", Epoch: 7, Batch: &ReplicaBatch{Pushes: []*ReplicaPush{
 			{OriginID: "p1", OriginAddr: "pa1", Branch: dto, Level: 1, Version: 5},
+			// Untagged, unversioned full entry (what a hand-built push looks like).
 			{OriginID: "p2", OriginAddr: "pa2", Branch: bloomed, Level: 3, Fallbacks: alt},
-			// Version-only TTL refresh entry: no summaries at all.
-			{OriginID: "p3", OriginAddr: "pa3", Level: 2, Version: 99},
+			// Tag-only entry: origin and tag, nothing else.
+			{OriginID: "p3", Tag: 0xfeedfacecafebeef},
 			// Ancestor push: branch plus the origin's local summary.
 			{OriginID: "p4", OriginAddr: "pa4", Branch: dto, Local: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
 			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Local: adaptiveSummaryDTO()},
 			nil,
 		}}},
+		// Digest batch: no entries, the set's digest and size.
+		{Kind: KindReplicaBatch, From: "n5b", Addr: "addr5", Epoch: 7,
+			Batch: &ReplicaBatch{Digest: 0x8899aabbccddeeff, Count: 11}},
 		{Kind: KindQuery, From: "cli", Query: &QueryDTO{
 			ID: "q1", Requester: "alice", Start: true, Scope: -1, Budget: 750 * time.Millisecond,
 			Preds: []query.Predicate{
@@ -143,11 +147,15 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindQueryReply, From: "n6c", QueryRep: &QueryReply{
 			NotModified: true, Fingerprint: 0xdeadbeef,
 		}},
-		{Kind: KindHeartbeat, From: "n7", Epoch: 3, Heartbeat: &Heartbeat{
-			RootPath: []string{"root", "mid", "n7"}, PathAddrs: []string{"ra", "ma", "na"},
+		// Conditional heartbeat: the request names what the child holds, the
+		// reply is either the content or Unchanged.
+		{Kind: KindHeartbeat, From: "n7", Epoch: 3, Heartbeat: &Heartbeat{Have: 0xa1b2c3d4e5f60718}},
+		{Kind: KindHeartbeat, From: "n7b", Epoch: 3},
+		{Kind: KindHeartbeatReply, From: "n8", Epoch: 4, Heartbeat: &Heartbeat{
+			RootPath: []string{"root", "mid", "n8"}, PathAddrs: []string{"ra", "ma", "na"},
+			Siblings: []RedirectInfo{{ID: "sib", Addr: "sa"}},
 		}},
-		{Kind: KindHeartbeatReply, From: "n8", Heartbeat: &Heartbeat{RootPath: []string{"n8"}},
-			QueryRep: &QueryReply{Redirects: []RedirectInfo{{ID: "sib", Addr: "sa"}}}},
+		{Kind: KindHeartbeatReply, From: "n8b", Epoch: 4, Heartbeat: &Heartbeat{Unchanged: true}},
 		{Kind: KindLeave, From: "n9", Addr: "addr9"},
 		{Kind: KindAck, From: "n10"},
 		// Acks carrying delta-dissemination feedback.
@@ -169,7 +177,7 @@ func sampleMessages(tb testing.TB) []*Message {
 			SummariesRecv: 5, QueriesShed: 1, SummaryErrors: 2,
 			Transport:              &TransportStatus{Dials: 1, Reuses: 8, Calls: 9, BytesSent: 1000, BytesRecv: 2000, P50Micros: 120, P99Micros: 900},
 			SummaryRebuildsSkipped: 30, ReportsSuppressed: 12,
-			ReplicaPushDelta: 40, ReplicaPushFull: 6, AntiEntropyRounds: 3,
+			ReplicaPushDelta: 40, ReplicaPushFull: 6,
 		}},
 	}
 }
@@ -241,7 +249,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 8} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 9} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

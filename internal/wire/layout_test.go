@@ -1,0 +1,121 @@
+package wire
+
+import (
+	"bytes"
+	"testing"
+)
+
+// envelope is the bytes every golden message below starts with: magic,
+// version, kind, then From "p", empty Addr and Error, and the presence bits.
+func envelope(kind Kind, bits byte) []byte {
+	return []byte{binMagic, binVersion, byte(kind), 1, 'p', 0, 0, bits}
+}
+
+// TestBinaryGoldenBytes pins the exact bytes of the three steady-state
+// maintenance frames version 8 introduced — the digest batch, the tag-only
+// entry of a list batch and the conditional heartbeat in both directions —
+// so a layout change cannot go in without this table (and binVersion)
+// changing in the same commit.
+func TestBinaryGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  *Message
+		want []byte
+	}{
+		{"digest batch",
+			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
+				Batch: &ReplicaBatch{Digest: 0x0807060504030201, Count: 5}},
+			append(envelope(KindReplicaBatch, hasBatch),
+				0,                      // no entries
+				10,                     // Count 5, zigzag
+				1, 2, 3, 4, 5, 6, 7, 8, // Digest, little-endian
+				1, // Epoch
+			)},
+		{"list batch of one tag-only entry",
+			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
+				Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", Tag: 0x1817161514131211}}}},
+			append(envelope(KindReplicaBatch, hasBatch),
+				1,      // one entry
+				1,      // present
+				1, 'o', // OriginID
+				0,                                              // flags: no body
+				0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // Tag
+				0, // Count 0: a list batch, no Digest
+				1, // Epoch
+			)},
+		{"heartbeat request",
+			&Message{Kind: KindHeartbeat, From: "p", Epoch: 1, Heartbeat: &Heartbeat{Have: 0x2827262524232221}},
+			append(envelope(KindHeartbeat, hasHeartbeat),
+				hbHave,
+				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28,
+				1, // Epoch
+			)},
+		{"unchanged heartbeat reply",
+			&Message{Kind: KindHeartbeatReply, From: "p", Epoch: 1, Heartbeat: &Heartbeat{Unchanged: true}},
+			append(envelope(KindHeartbeatReply, hasHeartbeat),
+				hbUnchanged,
+				1, // Epoch
+			)},
+		{"full heartbeat reply",
+			&Message{Kind: KindHeartbeatReply, From: "p", Epoch: 1, Heartbeat: &Heartbeat{
+				RootPath: []string{"r"}, PathAddrs: []string{"a"}, Siblings: []RedirectInfo{{ID: "s", Addr: "b"}}}},
+			append(envelope(KindHeartbeatReply, hasHeartbeat),
+				hbContent,
+				1, 1, 'r', // RootPath
+				1, 1, 'a', // PathAddrs
+				1, 1, 's', 1, 'b', 0, 0, // Siblings: ID, Addr, Records, no alternates
+				1, // Epoch
+			)},
+	} {
+		got, err := Encode(tc.msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s encodes as\n  % x\nwant\n  % x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestBinaryHostileMaintenanceFields: the counts and fixed-width values
+// version 8 added are guarded like the rest — a count the remaining bytes
+// cannot hold fails before anything is allocated, and a digest, tag or Have
+// cut short is a truncation, not a zero.
+func TestBinaryHostileMaintenanceFields(t *testing.T) {
+	huge := appendUvarint(nil, 1<<40)
+	for name, data := range map[string][]byte{
+		"batch entry count":        append(envelope(KindReplicaBatch, hasBatch), huge...),
+		"digest cut short":         append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
+		"tag cut short":            append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
+		"fallback count":           append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
+		"have cut short":           append(envelope(KindHeartbeat, hasHeartbeat), hbHave, 1, 2, 3, 4),
+		"root path count":          append(append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent), huge...),
+		"sibling count":            append(append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent, 0, 0), huge...),
+		"content flag, no content": append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent),
+	} {
+		if m, err := Decode(data); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", name, m)
+		}
+	}
+}
+
+// TestTagOnlyEntryIsOriginAndTag: whatever else a tag-only entry is given,
+// the size of a list batch that confirms n held replicas grows by the
+// origin, one flag byte and the eight tag bytes per entry.
+func TestTagOnlyEntryIsOriginAndTag(t *testing.T) {
+	size := func(n int) int {
+		b := &ReplicaBatch{}
+		for i := 0; i < n; i++ {
+			b.Pushes = append(b.Pushes, &ReplicaPush{OriginID: "srv001", Tag: uint64(i) + 1})
+		}
+		data, err := Encode(&Message{Kind: KindReplicaBatch, From: "p", Batch: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	const perEntry = 1 + (1 + len("srv001")) + 1 + 8 // present, origin, flags, tag
+	if got := size(9) - size(1); got != 8*perEntry {
+		t.Fatalf("eight more tag-only entries cost %d bytes; want %d", got, 8*perEntry)
+	}
+}

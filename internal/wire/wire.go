@@ -107,20 +107,22 @@ type RootProbe struct {
 
 // AckInfo is the delta-dissemination feedback piggybacked on acks.
 // Receivers of summary reports and replica batches use it to tell the
-// sender what they hold, so the sender can ship version-only TTL refreshes
-// instead of full summaries — and to ask for full state again when a
-// version-only entry referenced content they don't hold.
+// sender what they hold, so the sender can ship a version or a digest
+// instead of full summaries — and to ask for content again when what the
+// sender referenced is not what they hold.
 type AckInfo struct {
 	// HaveVersion echoes the branch-summary version the acker now holds
 	// for the sender (summary-report acks). Zero means none/unknown.
 	HaveVersion uint64
-	// NeedFull asks the sender to send its full branch summary on the
-	// next report — set when a version-only report referenced a version
-	// the acker doesn't hold.
+	// NeedFull says the short form did not match what the acker holds: on a
+	// summary-report ack, the version-only report named a version it does
+	// not hold, so the next report carries the summary; on a replica-batch
+	// ack, the digest batch did not match the replicas it holds via the
+	// sender, so the next batch lists the entries.
 	NeedFull bool
-	// NeedFullOrigins lists replica origins whose version-only refresh
-	// entries referenced versions the acker doesn't hold; the sender
-	// downgrades those origins to full pushes on the next tick.
+	// NeedFullOrigins lists replica origins whose tag-only entries in a
+	// list batch named a tag the acker doesn't hold; the sender ships
+	// those origins in full on the next tick.
 	NeedFullOrigins []string
 }
 
@@ -158,12 +160,11 @@ type Status struct {
 	// cached summaries because nothing mutated; ReportsSuppressed counts
 	// version-only reports sent in place of full branch summaries;
 	// ReplicaPushDelta/ReplicaPushFull split pushed replica entries by
-	// form; AntiEntropyRounds counts the periodic forced-full rounds.
+	// form: confirmed by tag or digest, or shipped with their summaries.
 	SummaryRebuildsSkipped uint64
 	ReportsSuppressed      uint64
 	ReplicaPushDelta       uint64
 	ReplicaPushFull        uint64
-	AntiEntropyRounds      uint64
 }
 
 // TransportStatus is the wire form of a transport's counter snapshot:
@@ -226,16 +227,31 @@ type JoinReply struct {
 	Children []ChildInfo
 }
 
-// Heartbeat carries liveness plus the sender's root path (IDs from the
-// root down), which children use for rejoin and loop avoidance.
+// Heartbeat is the payload of both halves of the liveness exchange. The
+// reply's content is the parent's root path (IDs and addresses from the root
+// down, which the child uses for rejoin and loop avoidance) and the child's
+// siblings (for root election). That content rarely changes, so the request
+// carries a hash of what the child already holds and a parent that would
+// send the same again answers Unchanged instead.
 type Heartbeat struct {
 	RootPath  []string
 	PathAddrs []string
+	// Siblings are the parent's other children (ID and address).
+	Siblings []RedirectInfo
+	// Have, on a request, is the sender's hash of the RootPath, PathAddrs
+	// and Siblings it took from this parent's last full reply. Zero means
+	// it holds nothing and wants the content.
+	Have uint64
+	// Unchanged, on a reply, says the request's Have matches what this
+	// reply would carry, so it carries none of it.
+	Unchanged bool
 }
 
-// ReplicaPush distributes one origin's branch summary (and optionally the
-// origin's local-data summary when the origin is an ancestor of the
-// receiver).
+// ReplicaPush is one entry of a list batch: an origin the sender refreshes
+// at the receiver. A full entry distributes the origin's branch summary (and
+// the origin's local-data summary when the origin is an ancestor of the
+// receiver) with its routing metadata; a tag-only entry (Branch nil) is the
+// origin and Tag alone and confirms the replica the receiver already holds.
 type ReplicaPush struct {
 	OriginID   string
 	OriginAddr string
@@ -254,19 +270,37 @@ type ReplicaPush struct {
 	// query into the origin's branch when the origin itself is
 	// unreachable. Propagated into redirect Alternates.
 	Fallbacks []RedirectInfo
-	// Version is the origin's branch-summary content version. A push with
-	// Version set and Branch nil is a version-only TTL refresh: the
-	// receiver confirmed holding this version, so the entry renews the
-	// replica's soft-state lifetime without retransmitting the summary.
+	// Version is the origin's branch-summary content version; it travels on
+	// full entries only. Zero marks unversioned content, which is never
+	// confirmed by tag and ships in full every time.
 	Version uint64
+	// Tag is what a tag-only entry carries instead of all the above: the
+	// sender's hash of everything the full entry would store besides the
+	// summaries themselves — Version, the Local summary's version, Ancestor,
+	// Level, OriginAddr and Fallbacks. The receiver hashes the replica it
+	// holds the same way, renews its soft-state lifetime when the two agree
+	// and answers NeedFullOrigins otherwise, so nothing a full entry would
+	// change can differ between the two sides while the tags agree. A full
+	// entry carries no tag; the receiver derives it from what it stores.
+	Tag uint64
 }
 
-// ReplicaBatch bundles every replica push a parent owes one child into a
-// single message, so an aggregation tick costs one call per child instead
-// of one per (child × replica). Receivers apply the whole batch under a
-// single lock acquisition, making the overlay update atomic.
+// ReplicaBatch is what a parent sends one child per aggregation tick, in
+// one of two forms. A list batch (Pushes set) names every origin the
+// sender refreshes at the receiver — full entries where the receiver's
+// acknowledged tag differs, tag-only entries elsewhere — and thereby
+// defines that set: a replica the receiver holds via this sender that the
+// list leaves out is no longer refreshed by it. Receivers apply the whole
+// list under a single lock acquisition, making the overlay update atomic.
+// A digest batch (no Pushes, Count > 0) is sent while nothing changed since
+// the receiver acknowledged a whole list: Digest folds the (origin, tag)
+// pairs of that set and Count is its size. The receiver recomputes both
+// over the replicas it holds via the sender; on a match every one of them
+// is renewed, on a mismatch it acks NeedFull and gets a list batch next.
 type ReplicaBatch struct {
 	Pushes []*ReplicaPush
+	Digest uint64
+	Count  int
 }
 
 // MaxTracePath caps QueryDTO.Path: a trace records at most this many
