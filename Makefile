@@ -8,7 +8,8 @@ GO ?= go
 # chaos suite, the documentation checks, five seconds of fuzzing the one
 # wire decoder, and the canonical benchmark's own module (which `./...` at
 # the root does not reach). test/race/chaos depend on vet so a vet failure
-# stops the gate before any tests burn time.
+# stops the gate before any tests burn time; vet also fails on any file
+# `gofmt -l .` lists.
 tier1: build vet test race chaos docs-check fuzz-smoke bench-smoke
 
 build:
@@ -16,6 +17,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; }
 
 test: vet
 	$(GO) test ./...

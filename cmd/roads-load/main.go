@@ -49,7 +49,7 @@ func main() {
 	flag.DurationVar(&cfg.QueryTimeout, "query-timeout", 15*time.Second, "per-query resolve timeout")
 	flag.DurationVar(&cfg.MinDrive, "drive-min", 0, "keep the drive phase alive at least this long (wrap the query list)")
 	flag.DurationVar(&cfg.ConvergeTimeout, "converge-timeout", 5*time.Minute, "post-build convergence wait")
-	flag.DurationVar(&cfg.Tick, "tick", 250*time.Millisecond, "server aggregation/heartbeat period")
+	flag.DurationVar(&cfg.Tick, "tick", 250*time.Millisecond, "server maintenance period")
 	flag.IntVar(&cfg.Parallelism, "par", 0, "cluster build worker pool (0: library default)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload/schedule seed")
 	flag.DurationVar(&cfg.Churn.RecordEvery, "churn-records", 0, "interval between owner record-swap events (0: off)")

@@ -42,7 +42,7 @@ func main() {
 	records := flag.Int("records", 0, "synthetic records to host via a co-located owner")
 	buckets := flag.Int("buckets", 1000, "histogram buckets per attribute")
 	degree := flag.Int("degree", 8, "max children")
-	tick := flag.Duration("tick", 2*time.Second, "aggregation/heartbeat period")
+	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push")
 	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
 	storeShards := flag.Int("store-shards", 0, "store shard count: records hash to shards, each maintaining its own indexes and partial summary (0 = library default)")
 	cacheBytes := flag.Int64("result-cache-bytes", 0, "query result cache LRU byte budget (0 = library default, negative = disable the cache)")
@@ -110,7 +110,6 @@ func main() {
 	cfg.Summary = summary.Config{Buckets: *buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet, CondenseAbove: *condenseAbove}
 	cfg.MaxChildren = *degree
 	cfg.AggregateEvery = *tick
-	cfg.HeartbeatEvery = *tick
 	cfg.ReplicaTTLFloor = *ttlFloor
 	cfg.MergeSeeds = mergeSeeds
 	cfg.StoreShards = *storeShards

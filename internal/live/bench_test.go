@@ -31,7 +31,6 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 		cfg := DefaultConfig(fmt.Sprintf("n%02d", i), fmt.Sprintf("addr%02d", i), w.Schema)
 		cfg.MaxChildren = children
 		cfg.AggregateEvery = time.Hour
-		cfg.HeartbeatEvery = time.Hour
 		srv, err := NewServer(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
@@ -154,7 +153,6 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 		cfg := DefaultConfig(fmt.Sprintf("n%02d", i), fmt.Sprintf("addr%02d", i), w.Schema)
 		cfg.MaxChildren = children
 		cfg.AggregateEvery = time.Hour
-		cfg.HeartbeatEvery = time.Hour
 		srv, err := NewServer(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
@@ -290,12 +288,6 @@ func maintKind(m *wire.Message, reply bool) string {
 		return "report, full"
 	case m.Report != nil:
 		return "report, version-only"
-	case m.Kind == wire.KindHeartbeat:
-		return "heartbeat request"
-	case m.Kind == wire.KindHeartbeatReply && m.Heartbeat != nil && m.Heartbeat.Unchanged:
-		return "heartbeat reply, unchanged"
-	case m.Kind == wire.KindHeartbeatReply:
-		return "heartbeat reply, full"
 	case m.Kind == wire.KindAck && reply:
 		return "ack"
 	}

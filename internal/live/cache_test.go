@@ -48,7 +48,6 @@ func newCacheStar(t *testing.T, mut func(cfg *Config), childVals ...[]float64) (
 		cfg := DefaultConfig(id, "addr-"+id, schema)
 		cfg.MaxChildren = 8
 		cfg.AggregateEvery = time.Hour
-		cfg.HeartbeatEvery = time.Hour
 		// The default summary domain is the paper's unit range [0,1);
 		// widen it so the integer-valued test records land in distinct
 		// histogram buckets instead of collapsing into the last one.

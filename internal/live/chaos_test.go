@@ -142,7 +142,7 @@ func TestChaosCrashedRedirectTargetFailsOver(t *testing.T) {
 	}
 
 	// Crash the interior server. Its parent keeps redirecting to it for the
-	// whole heartbeat-miss window, so an immediate resolve hits the corpse.
+	// whole report-miss window, so an immediate resolve hits the corpse.
 	victim.Kill()
 	recs, stats, err := client.Resolve(root.Addr(), q)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestChaosCrashedRedirectTargetFailsOver(t *testing.T) {
 }
 
 // TestChaosOneWayPartition drops parent→child traffic only: the child's
-// heartbeats still flow up, so the hierarchy holds, but the replica pushes
+// reports still flow up, so the hierarchy holds, but the replica pushes
 // the child depends on vanish and its overlay replicas age out. Queries
 // from the root must stay complete throughout — routing is client-driven
 // and unaffected by the partitioned pair.
@@ -226,7 +226,7 @@ func TestChaosOneWayPartition(t *testing.T) {
 		t.Fatalf("child reattached to %q; the partition should not break child→parent traffic", pid)
 	}
 	if n := parent.NumChildren(); n != parentChildren {
-		t.Fatalf("%s went from %d to %d children; child heartbeats should have kept it", parent.ID(), parentChildren, n)
+		t.Fatalf("%s went from %d to %d children; the child's reports should have kept it", parent.ID(), parentChildren, n)
 	}
 
 	// Resolution from the root is unaffected: redirect traffic comes from
@@ -291,7 +291,7 @@ func TestChaosDelayedRepliesStraddleDeadline(t *testing.T) {
 	}
 
 	// Scope the rules to client queries so server maintenance traffic —
-	// heartbeats, summary reports, replica pushes — keeps its timing.
+	// summary reports, replica pushes — keeps its timing.
 	f.SetRules(
 		transport.FaultRule{From: "t", To: leafSlow.Addr(), Kind: wire.KindQuery,
 			Action: transport.FaultDelay, Delay: 2 * time.Second},

@@ -8,7 +8,6 @@ import (
 
 	"roads/internal/policy"
 	"roads/internal/record"
-	"roads/internal/store"
 	"roads/internal/summary"
 	"roads/internal/transport"
 )
@@ -59,23 +58,17 @@ type ClusterConfig struct {
 	// the whole cluster joins in one bounded-concurrency wave instead of
 	// serializing every join onto one caller.
 	Parallelism int
-	// Tick overrides the aggregation/heartbeat period (default 25ms).
+	// Tick overrides the maintenance period (default 25ms).
 	Tick time.Duration
 	// ReplicaTTLFloor overrides the servers' replica-TTL floor (zero
 	// keeps DefaultReplicaTTLFloor); fast-tick chaos tests lower it so
 	// crashed origins age out quickly.
 	ReplicaTTLFloor time.Duration
-	// JoinMaxHops overrides the servers' join hop cap (zero keeps the
-	// frontier-derived default; see Config.JoinMaxHops).
-	JoinMaxHops int
 	// MergeSeeds are the split-brain probe seed addresses handed to every
 	// server (Config.MergeSeeds); harnesses typically pass server 0's
 	// address so severed subtrees always have one well-known root to
 	// rediscover.
 	MergeSeeds []string
-	// MergeProbeEvery overrides the servers' split-brain probe cadence
-	// (zero derives 4× the heartbeat period; see Config.MergeProbeEvery).
-	MergeProbeEvery time.Duration
 	// DisableAdaptiveSummaries, SummaryByteBudget and ReplanEvery
 	// configure every server's feedback-driven resolution loop (see the
 	// Config fields of the same names); the zero values leave adaptation
@@ -83,15 +76,13 @@ type ClusterConfig struct {
 	DisableAdaptiveSummaries bool
 	SummaryByteBudget        int
 	ReplanEvery              int
-	Cost                     store.CostModel
-	// ResultCacheBytes, AdmissionRate, AdmissionBurst and Classifier are
-	// handed to every server verbatim (see the Config fields of the same
-	// names). The zero values keep the result cache at its default budget
-	// and admission control off.
+	// ResultCacheBytes, AdmissionRate and AdmissionBurst are handed to
+	// every server verbatim (see the Config fields of the same names). The
+	// zero values keep the result cache at its default budget and admission
+	// control off.
 	ResultCacheBytes int64
 	AdmissionRate    float64
 	AdmissionBurst   int
-	Classifier       *policy.Classifier
 }
 
 // parallelism returns the effective worker-pool width.
@@ -171,21 +162,16 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 			scfg.MaxChildren = cfg.MaxChildren
 		}
 		scfg.AggregateEvery = tick
-		scfg.HeartbeatEvery = tick
 		if cfg.ReplicaTTLFloor > 0 {
 			scfg.ReplicaTTLFloor = cfg.ReplicaTTLFloor
 		}
-		scfg.JoinMaxHops = cfg.JoinMaxHops
 		scfg.MergeSeeds = cfg.MergeSeeds
-		scfg.MergeProbeEvery = cfg.MergeProbeEvery
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries
 		scfg.SummaryByteBudget = cfg.SummaryByteBudget
 		scfg.ReplanEvery = cfg.ReplanEvery
-		scfg.Cost = cfg.Cost
 		scfg.ResultCacheBytes = cfg.ResultCacheBytes
 		scfg.AdmissionRate = cfg.AdmissionRate
 		scfg.AdmissionBurst = cfg.AdmissionBurst
-		scfg.Classifier = cfg.Classifier
 		srv, err := NewServer(scfg, tr)
 		if err != nil {
 			errs[i] = err

@@ -26,7 +26,7 @@ func TestCrashedLeafExpiresFromOverlay(t *testing.T) {
 	}
 	victim.Kill() // crash: no Leave messages
 
-	// Wait for heartbeat-miss detection + replica TTL (ticks are 25ms, so
+	// Wait for report-miss detection + replica TTL (ticks are 25ms, so
 	// the 4*miss*tick TTL is 400ms; give it ample slack).
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -103,7 +103,7 @@ func TestKillIdempotent(t *testing.T) {
 }
 
 // TestRootCrashElection kills the root abruptly: its children must detect
-// the death via heartbeat misses and elect the smallest-ID child as the
+// the death via missed reports and elect the smallest-ID child as the
 // new root (paper §III-A), with everyone else reattaching under it.
 func TestRootCrashElection(t *testing.T) {
 	cl, w := startWorkloadCluster(t, 7, 8, 52)

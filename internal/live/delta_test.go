@@ -20,7 +20,6 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 	t.Helper()
 	cfg := DefaultConfig(id, "addr-"+id, schema)
 	cfg.AggregateEvery = time.Hour
-	cfg.HeartbeatEvery = time.Hour
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -91,17 +91,17 @@ func (d setDigest) without(id string, tag uint64) setDigest {
 	return setDigest{sum: d.sum - pairHash(id, tag), n: d.n - 1}
 }
 
-// addSibling folds one sibling of a heartbeat reply (ID and address).
+// addSibling folds one sibling of an ancestry (ID and address).
 func (d *setDigest) addSibling(id, addr string) {
 	h := newDepHasher()
 	h.str(addr)
 	d.add(id, h.h)
 }
 
-// ancestryHash hashes the content of a heartbeat reply: the parent's root
+// ancestryHash hashes the ancestry a report ack can carry: the parent's root
 // path, the addresses along it, and the child's siblings folded by
 // addSibling. The parent computes it over what it would send, the child
-// over what it holds; equal hashes mean the reply would change nothing.
+// over what it holds; equal hashes mean the content would change nothing.
 func ancestryHash(path, addrs []string, siblings setDigest) uint64 {
 	h := newDepHasher()
 	h.u64(uint64(len(path)))

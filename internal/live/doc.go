@@ -1,7 +1,7 @@
 // Package live is the runnable ROADS prototype: real servers exchanging
 // wire messages over a pluggable transport (in-process or TCP), each
-// running its own goroutines for aggregation ticks, heartbeats, and query
-// serving. It mirrors the paper's Java prototype: the simulator
+// running its own goroutines for maintenance ticks, split-brain probing and
+// query serving. It mirrors the paper's Java prototype: the simulator
 // (internal/core) answers "what are the costs", the live stack answers
 // "does the protocol actually run".
 //
@@ -13,13 +13,14 @@
 // contacts concurrently. Membership is epoch-fenced (membership.go) so
 // partition healing cannot resurrect dead relationships.
 //
-// Upkeep is priced per change, not per tick. Each of the three exchanges on
-// a tree edge names what the peer should already hold and ships content only
-// on a mismatch: a report goes without its summary while the parent holds the
-// version, a replica batch is one digest of the child's whole replica set
-// while nothing in it changed, and a heartbeat reply is empty while the root
-// path and the siblings stand (digest.go has the three hashes; DESIGN.md §9
-// the protocol).
+// Upkeep is priced per change, not per tick. A tree edge carries two
+// exchanges a tick, the child's report and the parent's replica batch, and
+// each names what the peer should already hold and ships content only on a
+// mismatch: a report goes without its summary while the parent holds the
+// version, its ack without the root path and the siblings while the child
+// holds those, and a replica batch is one digest of the child's whole replica
+// set while nothing in it changed (digest.go has the three hashes; DESIGN.md
+// §9 the protocol). The report is also the liveness signal in both directions.
 //
 // Three read-path caches keep the hot paths off the server mutex (see
 // ARCHITECTURE.md for the full map):

@@ -1,0 +1,213 @@
+package live
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"roads/internal/record"
+	"roads/internal/transport"
+)
+
+// These tests pin what follows from there being one exchange up every tree
+// edge: one verdict per tick, so a refused child cannot be reassured by a
+// second signal; a NeedFull answer that is still a liveness refresh; and two
+// loop goroutines per server, all gone after Stop.
+
+// TestRefusedChildRejoins: a child its parent no longer lists and has no room
+// for is refused every report, gives the parent up after exactly HeartbeatMiss
+// of them, and the existing recovery and split-brain code bring the
+// federation back to one tree. With a separate heartbeat (last at 948f4b6)
+// the parent answered the orphan's heartbeat every tick, which reset the miss
+// count, and the orphan stayed outside the tree forever.
+func TestRefusedChildRejoins(t *testing.T) {
+	schema := record.DefaultSchema(2)
+	tr := transport.NewChan()
+	root := deltaServerCfg(t, tr, "root", schema, func(c *Config) { c.MaxChildren = 1 })
+	a := deltaServer(t, tr, "a", schema)
+	b := deltaServer(t, tr, "b", schema)
+	all := []*Server{a, b, root}
+	for _, s := range all {
+		attachDeltaOwner(t, s, schema, 3)
+	}
+	if err := a.Join(root.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	driveRound(a, root)
+	if got := root.BranchRecords(); got != 6 {
+		t.Fatalf("setup: root's branch covers %d records with a under it; want 6", got)
+	}
+
+	// What pruneDeadChildren does to a child that was slow for a spell; then
+	// b takes the only slot.
+	root.mu.Lock()
+	delete(root.children, "a")
+	root.childEpoch++
+	root.publishSnapshotLocked()
+	root.mu.Unlock()
+	if err := b.Join(root.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if pid := b.ParentID(); pid != "root" {
+		t.Fatalf("setup: b joined under %q; want root", pid)
+	}
+
+	miss := a.cfg.HeartbeatMiss
+	for i := 0; i < miss-1; i++ {
+		driveRound(all...)
+	}
+	if got, pid := a.mx.parentFailovers.Load(), a.ParentID(); got != 0 || pid != "root" {
+		t.Fatalf("after %d refused reports: %d failovers, parent %q; the threshold is %d", miss-1, got, pid, miss)
+	}
+	driveRound(all...)
+	if got, pid := a.mx.parentFailovers.Load(), a.ParentID(); got != 1 || pid != "" {
+		t.Fatalf("after %d refused reports: %d failovers, parent %q; want the parent given up and a recovery started", miss, got, pid)
+	}
+
+	// Recovery runs on its own goroutine; the split-brain probes and the
+	// rounds are driven by hand.
+	rng := rand.New(rand.NewSource(1))
+	healed := func() bool {
+		roots := 0
+		var covered uint64
+		for _, s := range all {
+			if s.IsRoot() {
+				roots++
+				covered = s.BranchRecords()
+			}
+		}
+		return roots == 1 && covered == 9
+	}
+	deadline := time.Now().Add(convergeTimeout)
+	for !healed() && time.Now().Before(deadline) {
+		for _, s := range all {
+			s.membershipTick(rng)
+		}
+		driveRound(all...)
+		time.Sleep(time.Millisecond)
+	}
+	if !healed() {
+		for _, s := range all {
+			t.Logf("%s: root=%v parent=%q branch=%d path=%v", s.ID(), s.IsRoot(), s.ParentID(), s.BranchRecords(), s.RootPath())
+		}
+		t.Fatal("the federation never came back to one root covering all 9 records")
+	}
+}
+
+// TestNeedFullStillRefreshesChild: a known child whose version-only report
+// names a version the parent does not hold is told NeedFull — and is still a
+// child that reported: liveness, epoch, branch shape and failover alternates
+// refreshed, ancestry verdict delivered.
+func TestNeedFullStillRefreshesChild(t *testing.T) {
+	schema := record.DefaultSchema(2)
+	ch := transport.NewChan()
+	tap := &ackTap{Transport: ch}
+	p := deltaServer(t, ch, "p", schema)
+	c := deltaServer(t, tap, "c", schema)
+	attachDeltaOwner(t, c, schema, 3)
+	if err := c.Join(p.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		driveRound(c, p)
+	}
+	if have, _ := parentDelta(c); have == 0 {
+		t.Fatal("setup: c never reached version-only reports")
+	}
+
+	// Everything a report refreshes changes at once: c gains a child, its
+	// epoch moves, it gains a sibling — and p loses track of its version.
+	g := deltaServer(t, ch, "g", schema)
+	if err := g.Join(c.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	d := deltaServer(t, ch, "d", schema)
+	if err := d.Join(p.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	c.observeEpoch(7)
+	setChildVersion(p, "c", 0xdead)
+	seen := childLastSeen(p, "c")
+
+	c.reportToParent()
+	ack := tap.last(t)
+	if !ack.NeedFull || ack.HaveVersion != 0 {
+		t.Fatalf("version-only report of a version p does not hold was acked %+v; want NeedFull", ack)
+	}
+	if a := ack.Ancestry; a == nil || len(a.Siblings) != 1 || a.Siblings[0].ID != "d" {
+		t.Fatalf("the NeedFull ack carries ancestry %+v; want it with the new sibling d", ack.Ancestry)
+	}
+	if _, needFull := parentDelta(c); !needFull {
+		t.Fatal("c did not take the NeedFull")
+	}
+	c.mu.Lock()
+	sibs := slices.Clone(c.siblingsOfMe)
+	c.mu.Unlock()
+	if len(sibs) != 1 || sibs[0].ID != "d" {
+		t.Fatalf("c holds siblings %v after the NeedFull ack; want d", sibs)
+	}
+
+	if !childLastSeen(p, "c").After(seen) {
+		t.Fatal("a report answered NeedFull did not refresh the child's liveness")
+	}
+	if got := childEpochState(p, "c"); got != 7 {
+		t.Fatalf("p records epoch %d for c after the report; want 7", got)
+	}
+	p.mu.Lock()
+	cs := p.children["c"]
+	depth, descendants, kids := cs.depth, cs.descendants, slices.Clone(cs.kids)
+	p.mu.Unlock()
+	if depth != 2 || descendants != 1 || len(kids) != 1 || kids[0].ID != "g" {
+		t.Fatalf("p holds c at depth %d, %d descendants, kids %v; want 2, 1 and g", depth, descendants, kids)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still for
+// 50 ms, so stragglers of earlier tests are not counted into a baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for held := 0; held < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, held = m, 0
+		} else {
+			held++
+		}
+	}
+	return n
+}
+
+// waitGoroutines polls up to a second for runtime.NumGoroutine to reach want
+// and fails with every goroutine's stack when it does not.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != want {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: %d goroutines; want %d\n%s", when, got, want, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestClusterStopLeavesNoGoroutines: a server at rest is two loop goroutines
+// — maintenance and split-brain probing — and Kill and Stop take both down.
+func TestClusterStopLeavesNoGoroutines(t *testing.T) {
+	const servers = 16
+	base := settledGoroutines()
+	cl, err := StartCluster(transport.NewChan(), ClusterConfig{
+		N: servers, Schema: record.DefaultSchema(2), MaxChildren: 4, Tick: time.Hour, // parked: at rest
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	waitGoroutines(t, base+2*servers, "16 servers at rest")
+	cl.Servers[servers-1].Kill()
+	waitGoroutines(t, base+2*(servers-1), "after killing one server")
+	cl.Stop()
+	waitGoroutines(t, base, "after Cluster.Stop")
+}

@@ -28,8 +28,6 @@ func (s *Server) handle(msg *wire.Message) *wire.Message {
 		return s.handleReplicaBatch(msg)
 	case wire.KindQuery:
 		return s.handleQuery(msg)
-	case wire.KindHeartbeat:
-		return s.handleHeartbeat(msg)
 	case wire.KindLeave:
 		return s.handleLeave(msg)
 	case wire.KindStatus:
@@ -135,13 +133,23 @@ func (s *Server) fencedLocked(c *childState, what string, msg *wire.Message) *wi
 		"live: %s from %s fenced: epoch %d < recorded %d", what, msg.From, msg.Epoch, c.epoch))
 }
 
-// handleSummaryReport ingests a child's branch summary. A version-only
-// report (Summary nil, Version set — sent once this server confirmed
-// holding the child's current branch version) refreshes the child's
-// liveness and shape metadata without any summary decode or re-merge; a
-// version mismatch answers NeedFull so the child resends in full next
-// tick. Full reports are acked with the version now held, which is what
-// lets the child start suppressing.
+// handleSummaryReport is the parent's half of the one exchange a child has
+// with it: it ingests the child's branch summary, refreshes the child's
+// liveness, epoch and branch shape, and answers with two verdicts. In order:
+// fence; adopt a sender this server does not know if capacity allows (state
+// lost after a restart, or the child was pruned during a slow spell), refuse
+// it with an error otherwise — the child counts refusals as misses and
+// rejoins; refresh; then the content verdict and the ancestry verdict.
+//
+// Content: a version-only report (Summary nil, Version set — sent once this
+// server confirmed holding the child's current branch version) costs no
+// summary decode or re-merge; a version this server does not hold answers
+// NeedFull so the child resends in full next tick. Full reports are acked
+// with the version now held, which is what lets the child start suppressing.
+//
+// Ancestry: our root path (so the child can rebuild its own) and the child's
+// sibling list (for root election if we die while being the root) — unless
+// the report's hash says the child holds exactly that already.
 func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	report := msg.Report
 	if report == nil || (report.Summary == nil && report.Version == 0) {
@@ -153,26 +161,13 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.children[msg.From]
-	if ok {
+	c, known := s.children[msg.From]
+	if known {
 		// Fenced before any mutation.
 		if rep := s.fencedLocked(c, "report", msg); rep != nil {
 			return rep
 		}
-	}
-	switch {
-	case sum == nil:
-		if !ok || c.branch == nil || c.version != report.Version {
-			// Unknown child or stale version: the sender must restate its
-			// branch in full.
-			return s.ackWith(&wire.AckInfo{NeedFull: true})
-		}
-		// The branch content did not change, so the branch merge epoch
-		// stands, and so does the routing snapshot unless the child's own
-		// children did (below) — redirect record counts ride on c.branch.
-	case !ok:
-		// A child we do not know (e.g. state lost after restart): adopt it
-		// if capacity allows, otherwise tell it to rejoin.
+	} else {
 		if len(s.children) >= s.cfg.MaxChildren {
 			return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: %s is not my child", msg.From))
 		}
@@ -188,7 +183,9 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	kidsChanged := !sameRedirects(c.kids, report.Children)
 	c.kids = report.Children
 	c.lastSeen = time.Now()
-	if sum != nil {
+	ack := &wire.AckInfo{}
+	switch {
+	case sum != nil:
 		// A full report with the same non-zero version restates unchanged
 		// content (the parent asked NeedFull): swap the object but skip the
 		// branch re-merge. A report without a version must be assumed changed.
@@ -197,13 +194,47 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 		}
 		c.branch = sum
 		c.version = report.Version
+		ack.HaveVersion = c.version
+	case c.branch == nil || c.version != report.Version:
+		ack.NeedFull = true // the sender must restate its branch in full
+	default:
+		// The branch content did not change, so the branch merge epoch
+		// stands, and so does the routing snapshot unless the child's own
+		// children did — redirect record counts ride on c.branch.
+		ack.HaveVersion = c.version
 	}
-	if sum != nil || kidsChanged {
+	if !known || sum != nil || kidsChanged {
 		s.publishSnapshotLocked()
 	}
 	s.mx.summaryReports.Inc()
-	// Confirm the version held so the child can suppress its next reports.
-	return s.ackWith(&wire.AckInfo{HaveVersion: c.version})
+	ack.Ancestry = s.ancestryLocked(msg.From, report.Have)
+	return s.ackWith(ack)
+}
+
+// ancestryLocked is the ancestry verdict for one child: what it should hold,
+// or nil when have — its hash of what it does hold — says it holds exactly
+// that. Callers hold s.mu.
+func (s *Server) ancestryLocked(child string, have uint64) *wire.Ancestry {
+	var sibs setDigest
+	for _, c := range s.children {
+		if c.id != child {
+			sibs.addSibling(c.id, c.addr)
+		}
+	}
+	if have == ancestryHash(s.rootPath, s.rootPathAddrs, sibs) {
+		return nil
+	}
+	a := &wire.Ancestry{
+		RootPath:  slices.Clone(s.rootPath),
+		PathAddrs: slices.Clone(s.rootPathAddrs),
+	}
+	for _, c := range s.children {
+		if c.id != child {
+			a.Siblings = append(a.Siblings, wire.RedirectInfo{ID: c.id, Addr: c.addr})
+		}
+	}
+	sort.Slice(a.Siblings, func(i, j int) bool { return a.Siblings[i].ID < a.Siblings[j].ID })
+	return a
 }
 
 func sameRedirects(a, b []wire.RedirectInfo) bool {
@@ -666,48 +697,6 @@ func (s *Server) StatusSnapshot() *wire.Status {
 // handleStatus answers a KindStatus probe with StatusSnapshot.
 func (s *Server) handleStatus() *wire.Message {
 	return &wire.Message{Kind: wire.KindStatusReply, From: s.cfg.ID, Addr: s.cfg.Addr, Status: s.StatusSnapshot()}
-}
-
-// handleHeartbeat refreshes the child's liveness and returns our root path
-// (so the child can rebuild its own) plus the child's sibling list (for
-// root election if we die while being the root) — unless the request's hash
-// says the child holds exactly that already, in which case the reply says
-// so and carries neither.
-func (s *Server) handleHeartbeat(msg *wire.Message) *wire.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.children[msg.From]; ok {
-		if rep := s.fencedLocked(c, "heartbeat", msg); rep != nil {
-			return rep
-		}
-		s.advanceRelEpochLocked(&c.epoch, msg.Epoch)
-		c.lastSeen = time.Now()
-	}
-	hb := &wire.Heartbeat{}
-	var held setDigest
-	for _, c := range s.children {
-		if c.id != msg.From {
-			held.addSibling(c.id, c.addr)
-		}
-	}
-	if msg.Heartbeat != nil && msg.Heartbeat.Have == ancestryHash(s.rootPath, s.rootPathAddrs, held) {
-		hb.Unchanged = true
-	} else {
-		hb.RootPath = append([]string(nil), s.rootPath...)
-		hb.PathAddrs = append([]string(nil), s.rootPathAddrs...)
-		for _, c := range s.children {
-			if c.id != msg.From {
-				hb.Siblings = append(hb.Siblings, wire.RedirectInfo{ID: c.id, Addr: c.addr})
-			}
-		}
-		sort.Slice(hb.Siblings, func(i, j int) bool { return hb.Siblings[i].ID < hb.Siblings[j].ID })
-	}
-	return s.stampEpoch(&wire.Message{
-		Kind:      wire.KindHeartbeatReply,
-		From:      s.cfg.ID,
-		Addr:      s.cfg.Addr,
-		Heartbeat: hb,
-	})
 }
 
 // handleLeave removes a departing parent or child.

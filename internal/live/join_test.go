@@ -12,7 +12,7 @@ import (
 	"roads/internal/transport"
 )
 
-// quietTick is a tick long enough that aggregation/heartbeat loops never
+// quietTick is a tick long enough that the maintenance loops never
 // fire during a structure-only test.
 const quietTick = time.Minute
 
@@ -43,7 +43,6 @@ func TestJoinDeeperThanLegacyHopCap(t *testing.T) {
 	lcfg := DefaultConfig("legacy-joiner", "legacy-joiner", cl.Schema)
 	lcfg.MaxChildren = 1
 	lcfg.AggregateEvery = quietTick
-	lcfg.HeartbeatEvery = quietTick
 	lcfg.JoinMaxHops = 256
 	legacy, err := NewServer(lcfg, tr)
 	if err != nil {
@@ -60,7 +59,6 @@ func TestJoinDeeperThanLegacyHopCap(t *testing.T) {
 	scfg := DefaultConfig("deep-joiner", "deep-joiner", cl.Schema)
 	scfg.MaxChildren = 1
 	scfg.AggregateEvery = quietTick
-	scfg.HeartbeatEvery = quietTick
 	srv, err := NewServer(scfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,6 @@ func TestJoinExplicitHopCapExhaustion(t *testing.T) {
 	scfg := DefaultConfig("capped-joiner", "capped-joiner", cl.Schema)
 	scfg.MaxChildren = 1
 	scfg.AggregateEvery = quietTick
-	scfg.HeartbeatEvery = quietTick
 	scfg.JoinMaxHops = 4
 	srv, err := NewServer(scfg, tr)
 	if err != nil {
@@ -136,7 +133,7 @@ func TestJoinAllRefusedDistinctError(t *testing.T) {
 	defer cl.Stop()
 
 	// Wait until the tail knows the root is its ancestor (root paths ride
-	// on heartbeats); before that the refusal wouldn't trigger.
+	// on report acks); before that the refusal wouldn't trigger.
 	tail := cl.Servers[2]
 	rootID := cl.Servers[0].ID()
 	deadline := time.Now().Add(10 * time.Second)

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,9 +31,10 @@ func jittered(d time.Duration, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * (0.9 + 0.2*rng.Float64()))
 }
 
-// aggregationLoop periodically refreshes the local and branch summaries,
-// reports the branch to the parent, and pushes overlay replicas to the
-// children (paper §III-B/C).
+// aggregationLoop is the one maintenance loop: every period it refreshes the
+// local and branch summaries, reports to the parent — the exchange that also
+// carries liveness and ancestry in both directions (paper §III-A/B) — pushes
+// overlay replicas to the children (§III-C) and ages out soft state.
 func (s *Server) aggregationLoop() {
 	defer s.wg.Done()
 	rng := loopRng(s.cfg.ID, 0xa99a)
@@ -49,24 +51,6 @@ func (s *Server) aggregationLoop() {
 			s.pruneDeadChildren()
 			s.pruneStaleReplicas()
 			timer.Reset(jittered(s.cfg.AggregateEvery, rng))
-		}
-	}
-}
-
-// heartbeatLoop exchanges liveness with the parent and triggers rejoin on
-// parent failure.
-func (s *Server) heartbeatLoop() {
-	defer s.wg.Done()
-	rng := loopRng(s.cfg.ID, 0x4bb4)
-	timer := time.NewTimer(jittered(s.cfg.HeartbeatEvery, rng))
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-			s.sendHeartbeat()
-			timer.Reset(jittered(s.cfg.HeartbeatEvery, rng))
 		}
 	}
 }
@@ -417,8 +401,9 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 	return out
 }
 
-// reportToParent sends the branch summary (with depth/descendant counts
-// piggybacked) up the hierarchy.
+// reportToParent is the one exchange a child has with its parent: it sends
+// the branch summary (with depth/descendant counts piggybacked) up the
+// hierarchy, and the ack brings down what the parent holds of it.
 //
 // Every report carries the branch content version, and while the parent
 // keeps confirming it holds the current version the summary payload is
@@ -426,22 +411,33 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // branch shape but moves ~30 bytes instead of the full summary. A version
 // mismatch (parent asked NeedFull) or any content change switches back to a
 // full report.
+//
+// Every report also carries the hash of the ancestry held — the root path
+// above this server and its siblings (for root election) — and the ack brings
+// the content only when the parent would say otherwise. A failed or refused
+// exchange is a miss, and HeartbeatMiss of them in a row are a dead parent.
+// The ack is applied only if the parent is still the one the report went to
+// (a slow reply from a just-replaced parent must not overwrite post-rejoin
+// ancestry) and only if it is not fenced (stamped with an epoch below the
+// parent's recorded one — a reply from before the parent's last recovery).
 func (s *Server) reportToParent() {
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	branch := s.branchSummary
+	if parentAddr == "" || branch == nil {
+		s.mu.Unlock()
+		return
+	}
 	report := &wire.SummaryReport{
 		Depth:       s.subtreeDepthLocked(),
 		Descendants: s.descendantsLocked(),
 		Children:    s.childRedirectsLocked(),
+		Version:     branch.Version,
+		Have:        s.heldAncestryLocked(),
 	}
 	haveVersion := s.parentHaveVersion
 	needFull := s.parentNeedFull
 	s.mu.Unlock()
-	if parentAddr == "" || branch == nil {
-		return
-	}
-	report.Version = branch.Version
 	if !needFull && branch.Version != 0 && haveVersion == branch.Version {
 		s.mx.reportsSuppressed.Inc()
 	} else {
@@ -453,29 +449,39 @@ func (s *Server) reportToParent() {
 		Addr:   s.cfg.Addr,
 		Report: report,
 	}))
-	if err != nil || wire.RemoteError(rep) != nil {
-		s.noteParentMiss(missReport)
+	if err != nil || rep.Ack == nil { // unreachable, or refused with an error
+		s.noteParentMiss(parentAddr)
 		return
 	}
-	s.noteParentOK()
 	s.observeEpoch(rep.Epoch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.parentAddr != parentAddr { // parent may have changed mid-flight
+	if s.parentAddr != parentAddr {
+		// The parent changed while the call was in flight: this ack
+		// describes the dead relationship, not the new one.
 		return
 	}
-	if rep.Epoch > s.parentEpoch {
-		s.parentEpoch = rep.Epoch
+	s.parentMisses = 0
+	if rep.Epoch != 0 && rep.Epoch < s.parentEpoch {
+		s.mx.fenced.Inc()
+		return // stale regime: fenced
 	}
-	if ack := rep.Ack; ack != nil {
-		switch {
-		case ack.NeedFull:
-			s.parentNeedFull = true
-			s.parentHaveVersion = 0
-		case ack.HaveVersion != 0:
-			s.parentHaveVersion = ack.HaveVersion
-			s.parentNeedFull = false
-		}
+	s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
+	ack := rep.Ack
+	switch {
+	case ack.NeedFull:
+		s.parentNeedFull = true
+		s.parentHaveVersion = 0
+	case ack.HaveVersion != 0:
+		s.parentHaveVersion = ack.HaveVersion
+		s.parentNeedFull = false
+	}
+	if a := ack.Ancestry; a != nil {
+		s.rootPath = append(slices.Clone(a.RootPath), s.cfg.ID)
+		s.rootPathAddrs = append(slices.Clone(a.PathAddrs), s.cfg.Addr)
+		s.siblingsOfMe = a.Siblings
+		s.rememberPathLocked()
+		s.publishSnapshotLocked()
 	}
 }
 
@@ -678,7 +684,7 @@ func (s *Server) pushReplicas() {
 // message handling runs slower than the tick never mistake slowness for
 // death.
 func (s *Server) pruneDeadChildren() {
-	deadline := time.Duration(s.cfg.HeartbeatMiss) * s.cfg.HeartbeatEvery
+	deadline := time.Duration(s.cfg.HeartbeatMiss) * s.cfg.AggregateEvery
 	if deadline < 2*time.Second {
 		deadline = 2 * time.Second
 	}
@@ -727,74 +733,8 @@ func (s *Server) pruneStaleReplicas() {
 	}
 }
 
-// sendHeartbeat pings the parent; the reply refreshes the root path and
-// the sibling list (for root election) unless it says they are unchanged —
-// the request carries the hash of the ones held. The reply is applied only if the
-// parent is still the one the heartbeat was sent to (a slow reply from a
-// just-replaced parent must not overwrite post-rejoin ancestry) and only
-// if it is not fenced (stamped with an epoch below the parent's recorded
-// one — a reply from before the parent's last recovery).
-func (s *Server) sendHeartbeat() {
-	s.mu.Lock()
-	parentAddr := s.parentAddr
-	idle := s.tx == txNone
-	var have uint64
-	if parentAddr != "" {
-		have = s.heldAncestryLocked()
-	}
-	s.mu.Unlock()
-	if parentAddr == "" {
-		// Root: its root path is itself — but never clobber the path
-		// while a recovery or merge is in flight; the failure handler
-		// still needs the pre-failure ancestry.
-		if idle {
-			s.mu.Lock()
-			if s.tx == txNone && s.parentAddr == "" {
-				s.rootPath = []string{s.cfg.ID}
-				s.rootPathAddrs = []string{s.cfg.Addr}
-				s.publishSnapshotLocked()
-			}
-			s.mu.Unlock()
-		}
-		return
-	}
-	rep, err := s.tr.Call(parentAddr, s.stampEpoch(&wire.Message{
-		Kind:      wire.KindHeartbeat,
-		From:      s.cfg.ID,
-		Addr:      s.cfg.Addr,
-		Heartbeat: &wire.Heartbeat{Have: have},
-	}))
-	if err != nil || wire.RemoteError(rep) != nil || rep.Heartbeat == nil {
-		s.noteParentMiss(missHeartbeat)
-		return
-	}
-	s.noteParentOK()
-	s.observeEpoch(rep.Epoch)
-	s.mu.Lock()
-	if s.parentAddr != parentAddr {
-		// The parent changed while the call was in flight: this reply
-		// describes the dead relationship's ancestry, not the new one's.
-		s.mu.Unlock()
-		return
-	}
-	if rep.Epoch != 0 && rep.Epoch < s.parentEpoch {
-		s.mu.Unlock()
-		s.mx.fenced.Inc()
-		return // stale regime: fenced
-	}
-	s.advanceRelEpochLocked(&s.parentEpoch, rep.Epoch)
-	if !rep.Heartbeat.Unchanged {
-		s.rootPath = append(append([]string(nil), rep.Heartbeat.RootPath...), s.cfg.ID)
-		s.rootPathAddrs = append(append([]string(nil), rep.Heartbeat.PathAddrs...), s.cfg.Addr)
-		s.siblingsOfMe = rep.Heartbeat.Siblings
-		s.rememberPathLocked()
-		s.publishSnapshotLocked()
-	}
-	s.mu.Unlock()
-}
-
-// heldAncestryLocked hashes what this server holds of a heartbeat reply's
-// content — the root path above it and its siblings — the way the parent
+// heldAncestryLocked hashes what this server holds of a report ack's
+// ancestry — the root path above it and its siblings — the way the parent
 // hashes what it would send (ancestryHash). Callers hold s.mu.
 func (s *Server) heldAncestryLocked() uint64 {
 	n := len(s.rootPath) - 1
@@ -808,33 +748,16 @@ func (s *Server) heldAncestryLocked() uint64 {
 	return ancestryHash(s.rootPath[:n], s.rootPathAddrs[:n], sibs)
 }
 
-// missSource discriminates which loop observed a parent miss. The report
-// and heartbeat loops tick independently; counting their misses in one
-// shared bucket reached HeartbeatMiss ~2× faster than configured, so each
-// source counts alone and failure is declared when either one reaches the
-// threshold by itself.
-type missSource int
-
-const (
-	missHeartbeat missSource = iota
-	missReport
-)
-
-func (s *Server) noteParentMiss(src missSource) {
+// noteParentMiss counts one failed or refused exchange with the parent at
+// parentAddr and, at HeartbeatMiss of them in a row, gives the parent up.
+func (s *Server) noteParentMiss(parentAddr string) {
 	s.mu.Lock()
-	switch src {
-	case missHeartbeat:
-		s.parentMisses++
-	case missReport:
-		s.parentReportMisses++
-	}
-	misses := s.parentMisses
-	if s.parentReportMisses > misses {
-		misses = s.parentReportMisses
-	}
 	var plan *rejoinPlan
-	if misses >= s.cfg.HeartbeatMiss && s.tx == txNone && s.parentAddr != "" {
-		plan = s.planRejoinLocked()
+	if s.parentAddr == parentAddr { // else it was replaced mid-flight, and the miss is not the new one's
+		s.parentMisses++
+		if s.parentMisses >= s.cfg.HeartbeatMiss && s.tx == txNone {
+			plan = s.planRejoinLocked()
+		}
 	}
 	s.mu.Unlock()
 	if plan != nil {
@@ -842,19 +765,12 @@ func (s *Server) noteParentMiss(src missSource) {
 	}
 }
 
-func (s *Server) noteParentOK() {
-	s.mu.Lock()
-	s.parentMisses = 0
-	s.parentReportMisses = 0
-	s.mu.Unlock()
-}
-
 // rejoinPlan captures, at the moment a parent failure is detected, the
 // state a recovery needs: which parent died, the surviving ancestry, and
-// the sibling list for root election. Capturing synchronously under the
-// lock matters — asynchronous handlers raced with the heartbeat loop,
-// which resets a parentless server's root path to itself, and a clobbered
-// path made orphans elect themselves root (hierarchy split).
+// the sibling list for root election. It is captured under the lock the
+// failure was detected under, so it is the ancestry the dead parent last
+// stated: an orphan planning from any other path elects itself root
+// (hierarchy split).
 type rejoinPlan struct {
 	deadID        string
 	ancestors     []string // addresses, nearest (grandparent) first
@@ -886,7 +802,6 @@ func (s *Server) planRejoinLocked() *rejoinPlan {
 	s.parentID = ""
 	s.parentAddr = ""
 	s.parentMisses = 0
-	s.parentReportMisses = 0
 	s.parentHaveVersion = 0
 	s.parentNeedFull = false
 	s.parentEpoch = 0

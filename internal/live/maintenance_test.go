@@ -14,9 +14,9 @@ import (
 )
 
 // These tests pin the maintenance protocol — tagged entries, list and digest
-// batches, conditional heartbeats — on parked-loop servers over Chan: every
-// round is driven by hand, nothing sleeps, and soft-state ageing is simulated
-// by backdating replicas.
+// batches, conditional ancestry on the report ack — on parked-loop servers
+// over Chan: every round is driven by hand, nothing sleeps, and soft-state
+// ageing is simulated by backdating replicas.
 
 // deltaStar builds a parked root with the named children joined to it, n
 // records each, and drives it to the digest steady state.
@@ -236,32 +236,33 @@ func TestRejoinedChildIsRestatedOnce(t *testing.T) {
 	}
 }
 
-// heartbeatTap records the heartbeat replies that come back through it.
-type heartbeatTap struct {
+// ackTap records the acks that come back to the summary reports sent
+// through it.
+type ackTap struct {
 	transport.Transport
-	mu      sync.Mutex
-	replies []*wire.Heartbeat
+	mu   sync.Mutex
+	acks []*wire.AckInfo
 }
 
-func (h *heartbeatTap) Call(addr string, req *wire.Message) (*wire.Message, error) {
-	rep, err := h.Transport.Call(addr, req)
-	if err == nil && req.Kind == wire.KindHeartbeat {
-		h.mu.Lock()
-		h.replies = append(h.replies, rep.Heartbeat)
-		h.mu.Unlock()
+func (a *ackTap) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	rep, err := a.Transport.Call(addr, req)
+	if err == nil && req.Kind == wire.KindSummaryReport {
+		a.mu.Lock()
+		a.acks = append(a.acks, rep.Ack)
+		a.mu.Unlock()
 	}
 	return rep, err
 }
 
-// last returns the most recent heartbeat reply.
-func (h *heartbeatTap) last(t *testing.T) *wire.Heartbeat {
+// last returns the most recent report ack.
+func (a *ackTap) last(t *testing.T) *wire.AckInfo {
 	t.Helper()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.replies) == 0 || h.replies[len(h.replies)-1] == nil {
-		t.Fatal("no heartbeat reply recorded")
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.acks) == 0 || a.acks[len(a.acks)-1] == nil {
+		t.Fatal("no report ack recorded")
 	}
-	return h.replies[len(h.replies)-1]
+	return a.acks[len(a.acks)-1]
 }
 
 func childLastSeen(s *Server, id string) time.Time {
@@ -273,47 +274,50 @@ func childLastSeen(s *Server, id string) time.Time {
 	return time.Time{}
 }
 
-// TestHeartbeatReplyIsConditional: the reply carries the root path and the
-// sibling list exactly when the hash the child sent does not match them. A
-// new sibling and a new root path each arrive on the next heartbeat, once;
-// an unchanged reply still counts as liveness on both sides.
-func TestHeartbeatReplyIsConditional(t *testing.T) {
+// TestReportAckAncestryIsConditional: the report ack carries the root path
+// and the sibling list exactly when the hash the child sent does not match
+// them. A new sibling and a new root path each arrive on the next report,
+// once; an ack without them still counts as liveness on both sides.
+func TestReportAckAncestryIsConditional(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	ch := transport.NewChan()
-	tap := &heartbeatTap{Transport: ch}
+	tap := &ackTap{Transport: ch}
 	root := deltaServer(t, ch, "root", schema)
 	c1 := deltaServer(t, tap, "c1", schema)
-	if err := c1.Join(root.Addr()); err != nil { // primes the root path
+	if err := c1.Join(root.Addr()); err != nil { // its one report primes the root path
 		t.Fatal(err)
 	}
-	if hb := tap.last(t); hb.Unchanged || !slices.Equal(hb.RootPath, []string{"root"}) {
-		t.Fatalf("first heartbeat reply %+v; want the root path in full", hb)
+	if a := tap.last(t).Ancestry; a == nil || !slices.Equal(a.RootPath, []string{"root"}) {
+		t.Fatalf("first report ack carries ancestry %+v; want the root path in full", a)
+	}
+	if path := c1.RootPath(); !slices.Equal(path, []string{"root", "c1"}) {
+		t.Fatalf("c1's root path after joining is %v; want root, c1", path)
 	}
 
 	seen := childLastSeen(root, "c1")
-	c1.sendHeartbeat()
-	if hb := tap.last(t); !hb.Unchanged || hb.RootPath != nil || hb.PathAddrs != nil || hb.Siblings != nil {
-		t.Fatalf("second heartbeat reply %+v; want Unchanged and no content", hb)
+	c1.reportToParent()
+	if a := tap.last(t).Ancestry; a != nil {
+		t.Fatalf("second report ack carries ancestry %+v; want none", a)
 	}
 	if !childLastSeen(root, "c1").After(seen) {
-		t.Fatal("an unchanged heartbeat did not refresh the child's liveness at the parent")
+		t.Fatal("a report did not refresh the child's liveness at the parent")
 	}
 	if path := c1.RootPath(); !slices.Equal(path, []string{"root", "c1"}) {
-		t.Fatalf("an unchanged reply altered the root path: %v", path)
+		t.Fatalf("an ack without ancestry altered the root path: %v", path)
 	}
 
-	// A sibling appears: delivered on the next heartbeat, once.
+	// A sibling appears: delivered on the next report, once.
 	c2 := deltaServer(t, ch, "c2", schema)
 	if err := c2.Join(root.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	c1.sendHeartbeat()
-	if hb := tap.last(t); hb.Unchanged || len(hb.Siblings) != 1 || hb.Siblings[0].ID != "c2" {
-		t.Fatalf("heartbeat after a sibling joined: %+v; want the content with c2 in it", hb)
+	c1.reportToParent()
+	if a := tap.last(t).Ancestry; a == nil || len(a.Siblings) != 1 || a.Siblings[0].ID != "c2" {
+		t.Fatalf("report ack after a sibling joined: %+v; want the ancestry with c2 in it", a)
 	}
-	c1.sendHeartbeat()
-	if hb := tap.last(t); !hb.Unchanged {
-		t.Fatalf("heartbeat after the sibling was delivered: %+v; want Unchanged", hb)
+	c1.reportToParent()
+	if a := tap.last(t).Ancestry; a != nil {
+		t.Fatalf("report ack after the sibling was delivered: %+v; want no ancestry", a)
 	}
 	c1.mu.Lock()
 	sibs := slices.Clone(c1.siblingsOfMe)
@@ -322,27 +326,28 @@ func TestHeartbeatReplyIsConditional(t *testing.T) {
 		t.Fatalf("c1 holds siblings %v; want c2", sibs)
 	}
 
-	// The root path grows above the parent: delivered on the next heartbeat.
+	// The root path grows above the parent: delivered on the next report.
 	top := deltaServer(t, ch, "top", schema)
 	if err := root.Join(top.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	c1.sendHeartbeat()
-	if hb := tap.last(t); hb.Unchanged || !slices.Equal(hb.RootPath, []string{"top", "root"}) {
-		t.Fatalf("heartbeat after the parent got a parent: %+v; want the new root path", hb)
+	c1.reportToParent()
+	if a := tap.last(t).Ancestry; a == nil || !slices.Equal(a.RootPath, []string{"top", "root"}) {
+		t.Fatalf("report ack after the parent got a parent: %+v; want the new root path", a)
 	}
 	if path := c1.RootPath(); !slices.Equal(path, []string{"top", "root", "c1"}) {
 		t.Fatalf("c1's root path is %v; want top, root, c1", path)
 	}
-	c1.sendHeartbeat()
-	if hb := tap.last(t); !hb.Unchanged {
-		t.Fatalf("heartbeat after the new path was delivered: %+v; want Unchanged", hb)
+	c1.reportToParent()
+	if a := tap.last(t).Ancestry; a != nil {
+		t.Fatalf("report ack after the new path was delivered: %+v; want no ancestry", a)
 	}
 
-	// A request without a hash (a client, an operator's probe) gets the content.
-	rep := root.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr()})
-	if hb := rep.Heartbeat; hb == nil || hb.Unchanged || len(hb.RootPath) != 2 {
-		t.Fatalf("hashless heartbeat answered %+v; want the content", rep.Heartbeat)
+	// A report without a hash (a hand-built one) gets the content.
+	rep := root.handle(&wire.Message{Kind: wire.KindSummaryReport, From: "c1", Addr: c1.Addr(),
+		Report: &wire.SummaryReport{Depth: 1, Version: 1}})
+	if rep.Ack == nil || rep.Ack.Ancestry == nil || len(rep.Ack.Ancestry.RootPath) != 2 {
+		t.Fatalf("hashless report answered %+v; want the ancestry", rep.Ack)
 	}
 }
 
@@ -447,17 +452,18 @@ func TestReplicaTagCoversMetadata(t *testing.T) {
 
 // TestMaintenanceByteBudget is the tier-1 guard on maintenance bytes: a
 // converged 21-server fan-out-4 hierarchy, every loop parked and driven by
-// hand for 32 rounds of heartbeat, report and replica batch, must move at
-// most 450 bytes per tree edge per round (requests and replies together; Chan
-// counts each encoding once and has no frame header) and encode no summary.
-// About 220 is measured; with the round that restated everything every 16
-// ticks (last at 915855c) the average was several thousand.
+// hand for 32 rounds of report and replica batch, must move at most 300 bytes
+// per tree edge per round in exactly two calls (requests and replies together;
+// Chan counts each encoding once and has no frame header) and encode no
+// summary. About 170 is measured; with a separate heartbeat (last at 948f4b6)
+// it was 217 in three calls, and with the round that restated everything every
+// 16 ticks (last at 915855c) the average was several thousand.
 func TestMaintenanceByteBudget(t *testing.T) {
 	const (
 		servers = 21
 		fanOut  = 4
 		rounds  = 32
-		budget  = 450
+		budget  = 300
 	)
 	schema := record.DefaultSchema(2)
 	tr := &countingTransport{Chan: transport.NewChan()}
@@ -479,12 +485,7 @@ func TestMaintenanceByteBudget(t *testing.T) {
 	// Children before parents, so one round carries a report all the way up.
 	bottomUp := slices.Clone(all)
 	slices.Reverse(bottomUp)
-	round := func() {
-		for _, s := range bottomUp {
-			s.sendHeartbeat()
-		}
-		driveRound(bottomUp...)
-	}
+	round := func() { driveRound(bottomUp...) }
 	for i := 0; i < 8; i++ {
 		round()
 	}
@@ -503,8 +504,8 @@ func TestMaintenanceByteBudget(t *testing.T) {
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != rounds*(servers-1) {
 		t.Fatalf("%d rounds encoded %d summaries and sent %d list, %d digest batches; want none, none and one digest per edge per round", rounds, summaries, lists, digests)
 	}
-	if calls := after.Calls - before.Calls; calls != 3*rounds*(servers-1) {
-		t.Fatalf("%d calls in %d rounds on %d edges; want three per edge per round", calls, rounds, servers-1)
+	if calls := after.Calls - before.Calls; calls != 2*rounds*(servers-1) {
+		t.Fatalf("%d calls in %d rounds on %d edges; want two per edge per round", calls, rounds, servers-1)
 	}
 	moved := (after.BytesSent - before.BytesSent) + (after.BytesRecv - before.BytesRecv)
 	perEdge := float64(moved) / float64(rounds*(servers-1))

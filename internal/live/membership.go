@@ -4,7 +4,7 @@ package live
 // adoption, rejoin, root election, tree merge) runs as a single-flight
 // transaction (txKind) stamped with a monotonically increasing membership
 // epoch that every server stamps on every relationship message it sends.
-// Epochs fence stale mutations — a heartbeat, report or re-join carrying
+// Epochs fence stale mutations — a report, its ack or a re-join carrying
 // an epoch lower than the one recorded for that relationship is rejected —
 // so a healed partition cannot resurrect a dead parent/child edge. On top
 // of the fence sits split-brain detection: roots periodically probe their
@@ -157,7 +157,7 @@ func (s *Server) rememberLocked(id, addr string) {
 }
 
 // rememberPathLocked records the current root path and sibling set —
-// called whenever a heartbeat reply refreshes them, so the pre-partition
+// called whenever a report ack refreshes them, so the pre-partition
 // ancestry survives in memory after the partition cuts it off.
 func (s *Server) rememberPathLocked() {
 	for i, id := range s.rootPath {
@@ -211,6 +211,9 @@ func otherWins(otherEpoch uint64, otherID string, ourEpoch uint64, ourID string)
 // ticks instead of bursting.
 const probesPerTick = 3
 
+// mergeProbeTicks is the split-brain probe cadence in maintenance periods.
+const mergeProbeTicks = 4
+
 // membershipLoop is the split-brain detection loop: while this server is
 // a root with no transaction in flight, it probes merge-seed and
 // remembered-ancestry addresses for foreign roots, and executes the merge
@@ -219,7 +222,8 @@ const probesPerTick = 3
 func (s *Server) membershipLoop() {
 	defer s.wg.Done()
 	rng := loopRng(s.cfg.ID, 0x3c7e)
-	timer := time.NewTimer(jittered(s.cfg.mergeProbeEvery(), rng))
+	every := mergeProbeTicks * s.cfg.AggregateEvery
+	timer := time.NewTimer(jittered(every, rng))
 	defer timer.Stop()
 	for {
 		select {
@@ -227,7 +231,7 @@ func (s *Server) membershipLoop() {
 			return
 		case <-timer.C:
 			s.membershipTick(rng)
-			timer.Reset(jittered(s.cfg.mergeProbeEvery(), rng))
+			timer.Reset(jittered(every, rng))
 		}
 	}
 }
@@ -352,7 +356,7 @@ func (s *Server) spawnRecovery(p *rejoinPlan) {
 }
 
 // recoveryBackoff is the inter-round backoff of the standing recovery
-// loop: one heartbeat period per elapsed round, capped at four — enough
+// loop: one maintenance period per elapsed round, capped at four — enough
 // for a briefly-slow ancestor to answer, without turning a long outage
 // into minutes between attempts.
 func (s *Server) recoveryBackoff(round int) time.Duration {
@@ -360,7 +364,7 @@ func (s *Server) recoveryBackoff(round int) time.Duration {
 	if n > 4 {
 		n = 4
 	}
-	return time.Duration(n) * s.cfg.HeartbeatEvery
+	return time.Duration(n) * s.cfg.AggregateEvery
 }
 
 // executeRecovery is the standing recovery loop for one parent loss. It
@@ -443,7 +447,6 @@ func (s *Server) becomeRoot() {
 	s.parentID = ""
 	s.parentAddr = ""
 	s.parentMisses = 0
-	s.parentReportMisses = 0
 	s.rootPath = []string{s.cfg.ID}
 	s.rootPathAddrs = []string{s.cfg.Addr}
 	s.publishSnapshotLocked()

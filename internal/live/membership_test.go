@@ -124,9 +124,10 @@ func TestEpochStampedFromFirstMessage(t *testing.T) {
 	// Replies are stamped whether or not the request was: zero on a request
 	// only means a client sent it.
 	for _, reqEpoch := range []uint64{c1.Epoch(), 0} {
-		rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr(), Epoch: reqEpoch})
+		rep := p.handle(&wire.Message{Kind: wire.KindSummaryReport, From: "c1", Addr: c1.Addr(), Epoch: reqEpoch,
+			Report: &wire.SummaryReport{Depth: 1, Version: 1}})
 		if wire.RemoteError(rep) != nil || rep.Epoch != p.Epoch() {
-			t.Fatalf("reply to a heartbeat stamped %d: %+v; want it stamped %d", reqEpoch, rep, p.Epoch())
+			t.Fatalf("ack of a report stamped %d: %+v; want it stamped %d", reqEpoch, rep, p.Epoch())
 		}
 	}
 
@@ -163,10 +164,14 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Advance the recorded relationship epoch to 5 via a stamped heartbeat.
-	rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr(), Epoch: 5})
+	// Advance the recorded relationship epoch to 5 via a stamped report.
+	report := func(epoch uint64) *wire.Message {
+		return &wire.Message{Kind: wire.KindSummaryReport, From: "c1", Addr: c1.Addr(), Epoch: epoch,
+			Report: &wire.SummaryReport{Depth: 1, Version: 1}}
+	}
+	rep := p.handle(report(5))
 	if wire.RemoteError(rep) != nil {
-		t.Fatalf("stamped heartbeat rejected: %v", wire.RemoteError(rep))
+		t.Fatalf("stamped report rejected: %v", wire.RemoteError(rep))
 	}
 	if epoch := childEpochState(p, "c1"); epoch != 5 {
 		t.Fatalf("recorded epoch %d after stamp; want 5", epoch)
@@ -174,9 +179,7 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 
 	fencedBefore := p.mx.fenced.Load()
 	stale := []*wire.Message{
-		{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr(), Epoch: 3},
-		{Kind: wire.KindSummaryReport, From: "c1", Addr: c1.Addr(), Epoch: 3,
-			Report: &wire.SummaryReport{Version: 1}},
+		report(3),
 		{Kind: wire.KindJoin, From: "c1", Addr: c1.Addr(), Epoch: 3,
 			Join: &wire.Join{ID: "c1", Addr: c1.Addr()}},
 	}
@@ -192,8 +195,8 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 		t.Fatalf("fenced traffic moved the recorded epoch to %d", epoch)
 	}
 	// Unstamped traffic (zero: not from a server) is never fenced.
-	if rep := p.handle(&wire.Message{Kind: wire.KindHeartbeat, From: "c1", Addr: c1.Addr()}); wire.RemoteError(rep) != nil {
-		t.Fatalf("unstamped heartbeat fenced: %v", wire.RemoteError(rep))
+	if rep := p.handle(report(0)); wire.RemoteError(rep) != nil {
+		t.Fatalf("unstamped report fenced: %v", wire.RemoteError(rep))
 	}
 	// A current-epoch re-join passes the fence.
 	if rep := p.handle(&wire.Message{Kind: wire.KindJoin, From: "c1", Addr: c1.Addr(), Epoch: 6,
@@ -205,19 +208,34 @@ func TestEpochFencesStaleMutations(t *testing.T) {
 	}
 }
 
-// --- parent-miss accounting (per-source counters) ---
+// --- parent-miss accounting ---
 
-// TestParentMissPerSourceDetection pins the detection-time contract: the
-// heartbeat and report loops miss independently, and failure is declared
-// only when ONE source reaches HeartbeatMiss by itself. The old shared
-// bucket reached the threshold ~2× faster than configured when both loops
-// were missing — interleaved misses below the per-source threshold must
-// not trigger recovery.
-func TestParentMissPerSourceDetection(t *testing.T) {
+// hijackTransport wraps a Transport and lets a test intercept Call: what the
+// hijack returns stands in for the callee's answer, unless it returns nothing.
+type hijackTransport struct {
+	transport.Transport
+	hijack func(addr string, req *wire.Message) (*wire.Message, error)
+}
+
+func (h *hijackTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	if h.hijack != nil {
+		if rep, err := h.hijack(addr, req); rep != nil || err != nil {
+			return rep, err
+		}
+	}
+	return h.Transport.Call(addr, req)
+}
+
+// TestParentDeclaredDeadAfterExactMisses pins the detection-time contract of
+// the one failure detector: a parent is given up after exactly HeartbeatMiss
+// consecutive failed reports — not sooner, and one success in between resets
+// the count.
+func TestParentDeclaredDeadAfterExactMisses(t *testing.T) {
 	schema := record.DefaultSchema(2)
-	tr := transport.NewChan()
-	p := deltaServerCfg(t, tr, "p", schema, nil)
-	c := deltaServerCfg(t, tr, "c", schema, nil) // DefaultConfig: HeartbeatMiss = 4
+	ch := transport.NewChan()
+	hj := &hijackTransport{Transport: ch}
+	p := deltaServerCfg(t, ch, "p", schema, nil)
+	c := deltaServerCfg(t, hj, "c", schema, nil) // DefaultConfig: HeartbeatMiss = 4
 	if err := c.Join(p.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -225,25 +243,38 @@ func TestParentMissPerSourceDetection(t *testing.T) {
 	if miss < 2 {
 		t.Fatalf("HeartbeatMiss = %d; test needs >= 2", miss)
 	}
+	unreachable := func(addr string, req *wire.Message) (*wire.Message, error) {
+		return nil, fmt.Errorf("test: %s unreachable", addr)
+	}
 
-	// 2×(miss-1) interleaved misses: each source stays below the
-	// threshold. The buggy shared bucket would have fired at `miss` total.
+	// One short of the threshold, then a success, then one short again: had
+	// the success not reset the count, the second run would cross it.
+	for run := 0; run < 2; run++ {
+		hj.hijack = unreachable
+		for i := 0; i < miss-1; i++ {
+			c.reportToParent()
+		}
+		if got := c.mx.parentFailovers.Load(); got != 0 {
+			t.Fatalf("run %d: recovery triggered after %d failed reports; the threshold is %d", run, miss-1, miss)
+		}
+		if pid := c.ParentID(); pid != "p" {
+			t.Fatalf("run %d: parent dropped to %q below the miss threshold", run, pid)
+		}
+		hj.hijack = nil
+		c.reportToParent()
+	}
+
+	// The parent dies: detection happens at exactly the configured count.
+	p.Kill()
 	for i := 0; i < miss-1; i++ {
-		c.noteParentMiss(missHeartbeat)
-		c.noteParentMiss(missReport)
+		c.reportToParent()
 	}
 	if got := c.mx.parentFailovers.Load(); got != 0 {
-		t.Fatalf("recovery triggered after %d interleaved misses (threshold %d per source); shared-bucket double counting is back", 2*(miss-1), miss)
+		t.Fatalf("recovery triggered %d failed reports into the outage; the threshold is %d", miss-1, miss)
 	}
-	if pid := c.ParentID(); pid != "p" {
-		t.Fatalf("parent dropped to %q below the miss threshold", pid)
-	}
-
-	// One more miss from a single source crosses its threshold: detection
-	// happens now, exactly at the configured count.
-	c.noteParentMiss(missHeartbeat)
+	c.reportToParent()
 	if got := c.mx.parentFailovers.Load(); got != 1 {
-		t.Fatalf("parent failovers = %d after source reached %d misses; want 1", got, miss)
+		t.Fatalf("parent failovers = %d after %d consecutive failed reports; want 1", got, miss)
 	}
 	// The orphan has no ancestors and no siblings, so the recovery claims
 	// the root role promptly.
@@ -254,35 +285,22 @@ func TestParentMissPerSourceDetection(t *testing.T) {
 	if !c.IsRoot() {
 		t.Fatal("orphan with no ancestors or siblings never claimed the root role")
 	}
-	// A recovered (parentless) server ignores further misses.
-	c.noteParentMiss(missReport)
+	// A recovered (parentless) server has nobody to miss.
+	c.reportToParent()
 	if got := c.mx.parentFailovers.Load(); got != 1 {
 		t.Fatalf("parentless server planned another failover (count %d)", got)
 	}
 }
 
-// --- stale heartbeat replies (parent changed mid-flight) ---
+// --- stale and fenced report acks ---
 
-// hijackTransport wraps a Transport and lets a test intercept Call.
-type hijackTransport struct {
-	transport.Transport
-	hijack func(addr string, req *wire.Message) (*wire.Message, bool)
-}
-
-func (h *hijackTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
-	if h.hijack != nil {
-		if rep, ok := h.hijack(addr, req); ok {
-			return rep, nil
-		}
-	}
-	return h.Transport.Call(addr, req)
-}
-
-// TestHeartbeatStaleReplyDiscarded pins the stale-parent guard in
-// sendHeartbeat: when the parent changes while a heartbeat is in flight
-// (a rejoin won the race), the old parent's reply describes the dead
-// relationship's ancestry and must not clobber the post-rejoin root path.
-func TestHeartbeatStaleReplyDiscarded(t *testing.T) {
+// TestReportAckFromReplacedParentDiscarded pins the two guards on the reply
+// half of the merged exchange. When the parent changes while a report is in
+// flight (a rejoin won the race), the old parent's ack describes the dead
+// relationship and must not clobber the post-rejoin root path or delta state.
+// And an ack stamped below the parent's recorded epoch — sent before the
+// parent's last recovery — is fenced: counted, and nothing of it applied.
+func TestReportAckFromReplacedParentDiscarded(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	ch := transport.NewChan()
 	hj := &hijackTransport{Transport: ch}
@@ -292,50 +310,85 @@ func TestHeartbeatStaleReplyDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	staleReply := func() *wire.Message {
+	staleAck := func(epoch uint64) *wire.Message {
 		return &wire.Message{
-			Kind: wire.KindHeartbeatReply, From: "p", Addr: p.Addr(),
-			Heartbeat: &wire.Heartbeat{RootPath: []string{"stale-root"}, PathAddrs: []string{"addr-stale-root"}},
+			Kind: wire.KindAck, From: "p", Addr: p.Addr(), Epoch: epoch,
+			Ack: &wire.AckInfo{HaveVersion: 0xbad, Ancestry: &wire.Ancestry{
+				RootPath: []string{"stale-root"}, PathAddrs: []string{"addr-stale-root"}}},
 		}
 	}
 
-	// While the heartbeat is in flight, a rejoin moves the parent: the
-	// reply that then lands is from the replaced relationship.
-	hj.hijack = func(addr string, req *wire.Message) (*wire.Message, bool) {
-		if req.Kind != wire.KindHeartbeat {
-			return nil, false
+	// While the report is in flight, a rejoin moves the parent: the ack
+	// that then lands is from the replaced relationship.
+	hj.hijack = func(addr string, req *wire.Message) (*wire.Message, error) {
+		if req.Kind != wire.KindSummaryReport {
+			return nil, nil
 		}
 		c.mu.Lock()
 		c.parentID, c.parentAddr = "q", "addr-q"
 		c.rootPath = []string{"q", "c"}
 		c.rootPathAddrs = []string{"addr-q", c.Addr()}
+		c.parentHaveVersion = 0
 		c.publishSnapshotLocked()
 		c.mu.Unlock()
-		return staleReply(), true
+		return staleAck(0), nil
 	}
-	c.sendHeartbeat()
+	c.reportToParent()
 	if path := rootPathOf(c); len(path) != 2 || path[0] != "q" {
-		t.Fatalf("stale heartbeat reply clobbered the post-rejoin root path: %v", path)
+		t.Fatalf("stale report ack clobbered the post-rejoin root path: %v", path)
 	}
 	if pid := c.ParentID(); pid != "q" {
-		t.Fatalf("parent rewritten to %q by a stale reply", pid)
+		t.Fatalf("parent rewritten to %q by a stale ack", pid)
+	}
+	if have, _ := parentDelta(c); have != 0 {
+		t.Fatalf("stale ack told c its new parent holds version %#x", have)
 	}
 
-	// Control: the identical reply applies when the parent is unchanged —
-	// proving the guard (not some other rejection) discarded it above.
+	// Back under p, whose recorded epoch is now 9: an ack stamped 4 is from
+	// before p's last recovery.
 	c.mu.Lock()
 	c.parentID, c.parentAddr = "p", p.Addr()
+	c.parentEpoch = 9
 	c.publishSnapshotLocked()
 	c.mu.Unlock()
-	hj.hijack = func(addr string, req *wire.Message) (*wire.Message, bool) {
-		if req.Kind != wire.KindHeartbeat {
-			return nil, false
+	hj.hijack = func(addr string, req *wire.Message) (*wire.Message, error) {
+		if req.Kind != wire.KindSummaryReport {
+			return nil, nil
 		}
-		return staleReply(), true
+		return staleAck(4), nil
 	}
-	c.sendHeartbeat()
+	fenced := c.mx.fenced.Load()
+	c.reportToParent()
+	if got := c.mx.fenced.Load() - fenced; got != 1 {
+		t.Fatalf("an ack stamped 4 under a recorded parent epoch of 9 moved the fenced counter by %d; want 1", got)
+	}
+	if path := rootPathOf(c); len(path) != 2 || path[0] != "q" {
+		t.Fatalf("fenced ack rewrote the root path: %v", path)
+	}
+	if have, _ := parentDelta(c); have != 0 {
+		t.Fatalf("fenced ack told c its parent holds version %#x", have)
+	}
+	if got := parentEpochState(c); got != 9 {
+		t.Fatalf("fenced ack moved the recorded parent epoch to %d", got)
+	}
+	if c.mx.epochRegressions.Load() != 0 {
+		t.Fatal("the fence let an epoch regression through")
+	}
+
+	// Control: the identical ack at a current epoch applies — proving the
+	// guards (not some other rejection) discarded it above.
+	hj.hijack = func(addr string, req *wire.Message) (*wire.Message, error) {
+		if req.Kind != wire.KindSummaryReport {
+			return nil, nil
+		}
+		return staleAck(9), nil
+	}
+	c.reportToParent()
 	if path := rootPathOf(c); len(path) != 2 || path[0] != "stale-root" {
-		t.Fatalf("control reply did not apply: %v", path)
+		t.Fatalf("control ack did not apply: %v", path)
+	}
+	if have, _ := parentDelta(c); have != 0xbad {
+		t.Fatalf("control ack left the confirmed version at %#x", have)
 	}
 }
 

@@ -54,7 +54,6 @@ func TestRejoinPreservesChildState(t *testing.T) {
 		// Park the background loops so reports only flow when the test
 		// sends them.
 		cfg.AggregateEvery = time.Hour
-		cfg.HeartbeatEvery = time.Hour
 		srv, err := NewServer(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +163,6 @@ func TestReplicaBatchAtomic(t *testing.T) {
 	tr := transport.NewChan()
 	cfg := DefaultConfig("dst", "dst-addr", schema)
 	cfg.AggregateEvery = time.Hour
-	cfg.HeartbeatEvery = time.Hour
 	srv, err := NewServer(cfg, tr)
 	if err != nil {
 		t.Fatal(err)

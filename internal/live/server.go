@@ -36,12 +36,15 @@ type Config struct {
 	// value to bound join cost explicitly (e.g. latency-sensitive rejoin
 	// paths that would rather fail fast than walk a thousand servers).
 	JoinMaxHops int
-	// AggregateEvery is the summary refresh period (t_s). Small values
-	// make tests fast; production would use minutes.
+	// AggregateEvery is the one maintenance period (the paper's t_s): every
+	// period a server refreshes its summaries, reports to its parent — the
+	// exchange that is also the liveness signal in both directions — and
+	// pushes replicas to its children. The recovery backoff, the split-brain
+	// probe cadence (four periods) and the dead-child window derive from it.
+	// Small values make tests fast; production would use minutes.
 	AggregateEvery time.Duration
-	// HeartbeatEvery is the parent/child liveness period.
-	HeartbeatEvery time.Duration
-	// HeartbeatMiss is how many missed periods mark a peer dead.
+	// HeartbeatMiss is how many consecutive periods without a successful
+	// report exchange mark a peer dead.
 	HeartbeatMiss int
 	// ReplicaTTLFloor is the minimum overlay-replica TTL regardless of how
 	// fast the ticks run: a full push round must always fit inside the TTL
@@ -55,9 +58,6 @@ type Config struct {
 	// ancestry it remembers from before a partition. Typically the
 	// cluster's well-known seed servers.
 	MergeSeeds []string
-	// MergeProbeEvery is the split-brain probe cadence. Zero derives
-	// 4×HeartbeatEvery.
-	MergeProbeEvery time.Duration
 	// DisableAdaptiveSummaries stops this server's planner from ever
 	// replanning: no false-positive heat is folded into resolution plans
 	// and the summaries it builds keep the uniform Config.Summary geometry
@@ -83,8 +83,6 @@ type Config struct {
 	// label-free, so two servers sharing a registry would collide on
 	// names — and tests and simulations run many servers per process.
 	Metrics *obs.Registry
-	// Cost models the store backend.
-	Cost store.CostModel
 	// StoreShards is the server store's shard count. Records hash to
 	// shards by ID; each shard keeps its own lock, indexes and an
 	// incrementally maintained partial summary, so store churn
@@ -124,7 +122,6 @@ func DefaultConfig(id, addr string, schema *record.Schema) Config {
 		Summary:         scfg,
 		MaxChildren:     8,
 		AggregateEvery:  50 * time.Millisecond,
-		HeartbeatEvery:  50 * time.Millisecond,
 		HeartbeatMiss:   4,
 		ReplicaTTLFloor: DefaultReplicaTTLFloor,
 	}
@@ -165,14 +162,11 @@ func (c Config) Validate() error {
 	if c.JoinMaxHops < 0 {
 		return fmt.Errorf("live: JoinMaxHops must not be negative")
 	}
-	if c.AggregateEvery <= 0 || c.HeartbeatEvery <= 0 || c.HeartbeatMiss <= 0 {
-		return fmt.Errorf("live: periods and HeartbeatMiss must be positive")
+	if c.AggregateEvery <= 0 || c.HeartbeatMiss <= 0 {
+		return fmt.Errorf("live: AggregateEvery and HeartbeatMiss must be positive")
 	}
 	if c.ReplicaTTLFloor < 0 {
 		return fmt.Errorf("live: ReplicaTTLFloor must not be negative")
-	}
-	if c.MergeProbeEvery < 0 {
-		return fmt.Errorf("live: MergeProbeEvery must not be negative")
 	}
 	if c.AdmissionRate < 0 {
 		return fmt.Errorf("live: AdmissionRate must not be negative")
@@ -195,14 +189,6 @@ func (c Config) replanEvery() uint64 {
 		return uint64(c.ReplanEvery)
 	}
 	return DefaultReplanEvery
-}
-
-// mergeProbeEvery returns the split-brain probe cadence, defaulted.
-func (c Config) mergeProbeEvery() time.Duration {
-	if c.MergeProbeEvery > 0 {
-		return c.MergeProbeEvery
-	}
-	return 4 * c.HeartbeatEvery
 }
 
 // replicaTTLFloor returns the configured floor, defaulted.
@@ -241,8 +227,8 @@ type childState struct {
 	// server refreshes at it. Reset when the child rejoins.
 	push pushState
 	// epoch is the highest membership epoch this child stamped on a
-	// relationship message; lower-epoch heartbeats, reports and re-joins
-	// from it are fenced. Reset to the join's epoch when it rejoins.
+	// relationship message; lower-epoch reports and re-joins from it are
+	// fenced. Reset to the join's epoch when it rejoins.
 	epoch uint64
 }
 
@@ -321,18 +307,15 @@ type Server struct {
 	store      *store.Store
 	parentID   string
 	parentAddr string
-	// parentMisses / parentReportMisses count consecutive failed parent
-	// calls per source loop (heartbeat vs. report). The loops tick
-	// independently, so a shared counter reached HeartbeatMiss ~2× faster
-	// than configured; failure is declared when either source alone does.
-	parentMisses       int
-	parentReportMisses int
+	// parentMisses counts consecutive failed or refused reports to the
+	// parent; at HeartbeatMiss the parent is given up (noteParentMiss).
+	parentMisses int
 	// tx is the structural mutation currently in flight (recovery, merge);
 	// structural mutations are single-flight, see membership.go.
 	tx            txKind
 	rootPath      []string
 	rootPathAddrs []string
-	siblingsOfMe  []wire.RedirectInfo // from heartbeat replies; root election
+	siblingsOfMe  []wire.RedirectInfo // from report acks; root election
 	children      map[string]*childState
 	replicas      map[string]*replicaState
 	listSeq       uint64 // list batches applied; see replicaState.listed
@@ -450,7 +433,7 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := store.NewWithOptions(cfg.Schema, cfg.Cost, store.Options{Shards: cfg.StoreShards})
+	st := store.NewWithOptions(cfg.Schema, store.CostModel{}, store.Options{Shards: cfg.StoreShards})
 	// The refresh exports the store summary as a merge of per-shard
 	// partials maintained on write (see refreshSummaries).
 	if err := st.EnableSummaries(cfg.Summary); err != nil {
@@ -534,15 +517,14 @@ func (s *Server) Start() error {
 
 	s.refreshSummaries()
 
-	s.wg.Add(3)
+	s.wg.Add(2)
 	go s.aggregationLoop()
-	go s.heartbeatLoop()
 	go s.membershipLoop()
 	return nil
 }
 
 // Kill shuts the server down abruptly — no Leave messages, simulating a
-// crash. Peers must discover the death through missed heartbeats and
+// crash. Peers must discover the death through missed reports and
 // soft-state expiry. Intended for failure-injection tests and chaos demos.
 func (s *Server) Kill() { s.shutdown(false) }
 
@@ -671,7 +653,6 @@ func (s *Server) Join(seedAddr string) error {
 			s.parentID = jr.ParentID
 			s.parentAddr = jr.ParentAddr
 			s.parentMisses = 0
-			s.parentReportMisses = 0
 			// A new (or re-joined) parent holds none of our versions, and
 			// the epoch relationship restarts at the accept's stamp.
 			s.parentHaveVersion = 0
@@ -682,7 +663,6 @@ func (s *Server) Join(seedAddr string) error {
 			s.mu.Unlock()
 			// Prime the parent's view and our root path immediately.
 			s.reportToParent()
-			s.sendHeartbeat()
 			return nil
 		}
 		// Descend least-depth first, then fewest descendants (the

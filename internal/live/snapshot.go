@@ -39,8 +39,8 @@ type snapReplica struct {
 }
 
 // routingSnapshot is the immutable routing state the hot paths read. Write
-// paths (joins, leaves, summary reports, replica pushes, pruning,
-// heartbeat root-path updates) rebuild it copy-on-write under s.mu and
+// paths (joins, leaves, summary reports and their acks' root-path updates,
+// replica pushes, pruning) rebuild it copy-on-write under s.mu and
 // publish it through s.snap, so handleQuery and handleStatus evaluate one
 // consistent view loaded with a single atomic pointer read and never take
 // the server lock. Everything reachable from a published snapshot is

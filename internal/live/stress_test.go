@@ -21,7 +21,6 @@ func stressServer(t *testing.T) *Server {
 	schema := record.DefaultSchema(2)
 	cfg := DefaultConfig("S", "addr-S", schema)
 	cfg.AggregateEvery = time.Hour
-	cfg.HeartbeatEvery = time.Hour
 	srv, err := NewServer(cfg, transport.NewChan())
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +225,8 @@ func TestQueryChurnStress(t *testing.T) {
 				Join: &wire.Join{ID: id, Addr: addr}})
 			srv.handle(&wire.Message{Kind: wire.KindSummaryReport, From: id, Addr: addr,
 				Report: &wire.SummaryReport{Summary: stressSummary(t, schema, uint64(i%7+1)), Depth: 1}})
-			srv.handle(&wire.Message{Kind: wire.KindHeartbeat, From: id, Addr: addr})
+			srv.handle(&wire.Message{Kind: wire.KindSummaryReport, From: id, Addr: addr,
+				Report: &wire.SummaryReport{Version: 1, Depth: 1}}) // version-only: answered NeedFull
 			if i%3 == 2 {
 				srv.handle(&wire.Message{Kind: wire.KindLeave, From: id, Addr: addr})
 			}

@@ -127,7 +127,7 @@ type Config struct {
 	QueryTimeout time.Duration
 	MinDrive     time.Duration
 	// ConvergeTimeout bounds the post-build wait for full coverage
-	// (default 2m). Tick is the servers' aggregation/heartbeat period
+	// (default 2m). Tick is the servers' maintenance period
 	// (default 50ms). Parallelism bounds the cluster build worker pool
 	// (default: live's own default).
 	ConvergeTimeout time.Duration
@@ -398,7 +398,7 @@ func Run(cfg Config) (*Result, error) {
 	// The in-process transport carries everything; partition churn wraps it
 	// in the fault injector so whole address sets can be severed mid-run.
 	// The Chan handle stays visible for byte accounting either way. Dropped
-	// calls black-hole briefly relative to the tick so severed heartbeats
+	// calls black-hole briefly relative to the tick so severed reports
 	// fail fast instead of serializing behind multi-second holes.
 	ch := transport.NewChan()
 	var tr transport.Transport = ch
@@ -1100,7 +1100,6 @@ func reviveServer(cl *live.Cluster, tr transport.Transport, cfg Config, sumCfg s
 	scfg.Summary = sumCfg
 	scfg.MaxChildren = cfg.FanOut
 	scfg.AggregateEvery = cfg.Tick
-	scfg.HeartbeatEvery = cfg.Tick
 	scfg.ResultCacheBytes = cfg.ResultCacheBytes
 	scfg.AdmissionRate = cfg.AdmissionRate
 	scfg.AdmissionBurst = cfg.AdmissionBurst

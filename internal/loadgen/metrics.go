@@ -50,9 +50,9 @@ type Metrics struct {
 // names.
 func RegisterMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Queries:     reg.Counter("roads_loadgen_queries_total", "Queries the load harness has issued."),
-		Failures:    reg.Counter("roads_loadgen_query_failures_total", "Load-harness queries that returned an error (timeouts included)."),
-		FPDescents:  reg.Counter("roads_loadgen_fp_descents_total", "Answered redirect hops that yielded neither records nor further redirects (false-positive descents)."),
+		Queries:    reg.Counter("roads_loadgen_queries_total", "Queries the load harness has issued."),
+		Failures:   reg.Counter("roads_loadgen_query_failures_total", "Load-harness queries that returned an error (timeouts included)."),
+		FPDescents: reg.Counter("roads_loadgen_fp_descents_total", "Answered redirect hops that yielded neither records nor further redirects (false-positive descents)."),
 		FPDepth: reg.Histogram("roads_loadgen_fp_depth",
 			"Tree depth (redirect-chain length) at which false-positive descents bottomed out; unit is hops, not time.",
 			[]time.Duration{1, 2, 3, 4, 5, 6, 8, 12}),
@@ -69,6 +69,6 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 			"Resolves shed by admission to coarse summary-only answers (main and hot clients combined)."),
 		HotQueries: reg.Counter("roads_loadgen_hot_queries_total",
 			"Resolves issued by the hot-tenant clients (Config.HotClients)."),
-		Latency:     reg.Histogram("roads_loadgen_query_seconds", "End-to-end query resolve latency.", obs.DefaultLatencyBounds()),
+		Latency: reg.Histogram("roads_loadgen_query_seconds", "End-to-end query resolve latency.", obs.DefaultLatencyBounds()),
 	}
 }

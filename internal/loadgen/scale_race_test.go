@@ -8,7 +8,7 @@ func init() {
 	partitionQueries = 150
 	partitionMinDrive = 7 * time.Second
 	// A slower fabric tick keeps race-detector scheduling delays from
-	// reading as heartbeat misses, which would spiral into spurious
+	// reading as missed reports, which would spiral into spurious
 	// elections and merge thrash.
 	partitionTick = 100 * time.Millisecond
 	writeQueries = 100

@@ -13,10 +13,10 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 8 because seven layouts came before it (the git history and
-// EXPERIMENTS.md have them); 1–7 are rejected like any other byte. Version 8
-// changed the replica batch (tagged entries, the digest form), the heartbeat
-// (Have, Unchanged, and the siblings moved into it) and the status reply.
+// The version is 9 because eight layouts came before it (the git history and
+// EXPERIMENTS.md have them); 1–8 are rejected like any other byte. Version 9
+// dropped the heartbeat payload: the summary report carries its Have and the
+// report's ack its content (AckInfo.Ancestry).
 
 import (
 	"encoding/binary"
@@ -34,7 +34,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 8
+	binVersion = 9
 	// valueMinBytes is the least a record.Value takes on the wire: its
 	// float plus the length byte of an empty string.
 	valueMinBytes = 9
@@ -52,7 +52,6 @@ const (
 	hasBatch
 	hasQuery
 	hasQueryRep
-	hasHeartbeat
 	hasStatus
 	hasAckInfo
 	hasRootProbe
@@ -264,9 +263,6 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	if m.QueryRep != nil {
 		bits |= hasQueryRep
 	}
-	if m.Heartbeat != nil {
-		bits |= hasHeartbeat
-	}
 	if m.Status != nil {
 		bits |= hasStatus
 	}
@@ -297,9 +293,6 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	if m.QueryRep != nil {
 		b = appendQueryReply(b, m.QueryRep)
 	}
-	if m.Heartbeat != nil {
-		b = appendHeartbeat(b, m.Heartbeat)
-	}
 	if m.Status != nil {
 		b = appendStatus(b, m.Status)
 	}
@@ -307,6 +300,7 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 		b = appendUvarint(b, m.Ack.HaveVersion)
 		b = appendBool(b, m.Ack.NeedFull)
 		b = appendStrings(b, m.Ack.NeedFullOrigins)
+		b = appendAncestry(b, m.Ack.Ancestry)
 	}
 	b = appendUvarint(b, m.Epoch)
 	if m.RootProbe != nil {
@@ -354,9 +348,6 @@ func decodeBinary(data []byte) (*Message, error) {
 		}
 		readQueryReply(r, m.QueryRep)
 	}
-	if bits&hasHeartbeat != 0 {
-		m.Heartbeat = readHeartbeat(r)
-	}
 	if bits&hasStatus != 0 {
 		m.Status = readStatus(r)
 	}
@@ -365,6 +356,7 @@ func decodeBinary(data []byte) (*Message, error) {
 			HaveVersion:     r.uvarint(),
 			NeedFull:        r.bool(),
 			NeedFullOrigins: readStrings(r),
+			Ancestry:        readAncestry(r),
 		}
 	}
 	m.Epoch = r.uvarint()
@@ -500,7 +492,8 @@ func appendReport(b []byte, rep *SummaryReport) []byte {
 	b = appendVarint(b, int64(rep.Depth))
 	b = appendVarint(b, int64(rep.Descendants))
 	b = appendRedirects(b, rep.Children)
-	return appendUvarint(b, rep.Version)
+	b = appendUvarint(b, rep.Version)
+	return appendU64(b, rep.Have)
 }
 
 func readReport(r *binReader) *SummaryReport {
@@ -512,6 +505,7 @@ func readReport(r *binReader) *SummaryReport {
 	rep.Descendants = int(r.varint())
 	rep.Children = readRedirects(r, 0)
 	rep.Version = r.uvarint()
+	rep.Have = r.u64()
 	return rep
 }
 
@@ -614,50 +608,27 @@ func readReplicaPush(r *binReader) *ReplicaPush {
 	return p
 }
 
-// Heartbeat flag bits: Have and the content each travel only when set, so
-// a request is the flags and eight bytes and an Unchanged reply the flags
-// alone.
-const (
-	hbUnchanged = 1 << iota
-	hbHave
-	hbContent
-)
-
-func appendHeartbeat(b []byte, hb *Heartbeat) []byte {
-	var flags byte
-	if hb.Unchanged {
-		flags |= hbUnchanged
-	}
-	if hb.Have != 0 {
-		flags |= hbHave
-	}
-	if len(hb.RootPath) > 0 || len(hb.PathAddrs) > 0 || len(hb.Siblings) > 0 {
-		flags |= hbContent
-	}
-	b = append(b, flags)
-	if hb.Have != 0 {
-		b = appendU64(b, hb.Have)
-	}
-	if flags&hbContent != 0 {
-		b = appendStrings(b, hb.RootPath)
-		b = appendStrings(b, hb.PathAddrs)
-		b = appendRedirects(b, hb.Siblings)
+// An ack's ancestry is a presence byte and, behind it, the two paths and
+// the siblings.
+func appendAncestry(b []byte, a *Ancestry) []byte {
+	b = appendBool(b, a != nil)
+	if a != nil {
+		b = appendStrings(b, a.RootPath)
+		b = appendStrings(b, a.PathAddrs)
+		b = appendRedirects(b, a.Siblings)
 	}
 	return b
 }
 
-func readHeartbeat(r *binReader) *Heartbeat {
-	flags := r.u8()
-	hb := &Heartbeat{Unchanged: flags&hbUnchanged != 0}
-	if flags&hbHave != 0 {
-		hb.Have = r.u64()
+func readAncestry(r *binReader) *Ancestry {
+	if !r.bool() {
+		return nil
 	}
-	if flags&hbContent != 0 {
-		hb.RootPath = readStrings(r)
-		hb.PathAddrs = readStrings(r)
-		hb.Siblings = readRedirects(r, 0)
+	return &Ancestry{
+		RootPath:  readStrings(r),
+		PathAddrs: readStrings(r),
+		Siblings:  readRedirects(r, 0),
 	}
-	return hb
 }
 
 func appendQuery(b []byte, q *QueryDTO) []byte {

@@ -85,11 +85,16 @@ func sampleMessages(tb testing.TB) []*Message {
 			Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 11, Alternates: alt}},
 			Version:  77,
 		}},
-		// Version-only heartbeat report: summary omitted, version set,
-		// epoch-stamped like everything a server sends.
+		// Version-only report: summary omitted, version and the hash of the
+		// ancestry held set, epoch-stamped like everything a server sends.
 		{Kind: KindSummaryReport, From: "n3b", Epoch: 12, Report: &SummaryReport{
-			Depth: 3, Descendants: 9, Version: 0xfeedbeef,
+			Depth: 3, Descendants: 9, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718,
 			Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 11}},
+		}},
+		// The first report after a join: the summary in full and the hash of
+		// whatever ancestry the joiner still holds.
+		{Kind: KindSummaryReport, From: "n3d", Addr: "addr3", Epoch: 2, Report: &SummaryReport{
+			Summary: dto, Depth: 1, Version: 5, Have: 0x0102030405060708,
 		}},
 		// Adaptive geometry and condensed wildcards: Mode bits and plan.
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
@@ -147,15 +152,9 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindQueryReply, From: "n6c", QueryRep: &QueryReply{
 			NotModified: true, Fingerprint: 0xdeadbeef,
 		}},
-		// Conditional heartbeat: the request names what the child holds, the
-		// reply is either the content or Unchanged.
-		{Kind: KindHeartbeat, From: "n7", Epoch: 3, Heartbeat: &Heartbeat{Have: 0xa1b2c3d4e5f60718}},
-		{Kind: KindHeartbeat, From: "n7b", Epoch: 3},
-		{Kind: KindHeartbeatReply, From: "n8", Epoch: 4, Heartbeat: &Heartbeat{
-			RootPath: []string{"root", "mid", "n8"}, PathAddrs: []string{"ra", "ma", "na"},
-			Siblings: []RedirectInfo{{ID: "sib", Addr: "sa"}},
-		}},
-		{Kind: KindHeartbeatReply, From: "n8b", Epoch: 4, Heartbeat: &Heartbeat{Unchanged: true}},
+		// A reserved kind is still an envelope that round-trips: the transport
+		// tests send KindHeartbeat as their no-op message.
+		{Kind: KindHeartbeat, From: "n7", Epoch: 3},
 		{Kind: KindLeave, From: "n9", Addr: "addr9"},
 		{Kind: KindAck, From: "n10"},
 		// Acks carrying delta-dissemination feedback.
@@ -163,6 +162,17 @@ func sampleMessages(tb testing.TB) []*Message {
 			HaveVersion: 42, NeedFull: true, NeedFullOrigins: []string{"o1", "o2"},
 		}},
 		{Kind: KindAck, From: "n10c", Ack: &AckInfo{HaveVersion: 0xfeedbeef}},
+		// Report acks whose ancestry verdict is the content: the report's
+		// Have did not match. n10c above is the matching case.
+		{Kind: KindAck, From: "n10d", Epoch: 4, Ack: &AckInfo{HaveVersion: 7, Ancestry: &Ancestry{
+			RootPath: []string{"root", "mid", "n10d"}, PathAddrs: []string{"ra", "ma", "na"},
+			Siblings: []RedirectInfo{{ID: "sib", Addr: "sa"}},
+		}}},
+		{Kind: KindAck, From: "n10e", Epoch: 4, Ack: &AckInfo{NeedFull: true, Ancestry: &Ancestry{
+			RootPath: []string{"n10e"}, PathAddrs: []string{"na"},
+		}}},
+		// Present but empty: the presence byte, not the content, says "apply".
+		{Kind: KindAck, From: "n10f", Ack: &AckInfo{Ancestry: &Ancestry{}}},
 		// Split-brain probe and its reply.
 		{Kind: KindRootProbe, From: "r2", Addr: "r2a", Epoch: 5,
 			RootProbe: &RootProbe{RootID: "r2", RootAddr: "r2a"}},
@@ -241,7 +251,7 @@ func TestBinaryDeterministic(t *testing.T) {
 // byte and a payload in another codec altogether (gob's framing starts with
 // a byte count, never binMagic) are errors, each counted.
 func TestBinaryRejectsOtherVersions(t *testing.T) {
-	valid, err := Encode(&Message{Kind: KindHeartbeat, From: "n", Epoch: 1})
+	valid, err := Encode(&Message{Kind: KindAck, From: "n", Epoch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +259,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 9} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 10} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

@@ -7,15 +7,15 @@ import (
 
 // envelope is the bytes every golden message below starts with: magic,
 // version, kind, then From "p", empty Addr and Error, and the presence bits.
-func envelope(kind Kind, bits byte) []byte {
-	return []byte{binMagic, binVersion, byte(kind), 1, 'p', 0, 0, bits}
+func envelope(kind Kind, bits uint64) []byte {
+	return appendUvarint([]byte{binMagic, binVersion, byte(kind), 1, 'p', 0, 0}, bits)
 }
 
-// TestBinaryGoldenBytes pins the exact bytes of the three steady-state
-// maintenance frames version 8 introduced — the digest batch, the tag-only
-// entry of a list batch and the conditional heartbeat in both directions —
-// so a layout change cannot go in without this table (and binVersion)
-// changing in the same commit.
+// TestBinaryGoldenBytes pins the exact bytes of the steady-state
+// maintenance frames — the digest batch, the tag-only entry of a list batch,
+// the version-only report with its ancestry hash and the report ack with and
+// without ancestry — so a layout change cannot go in without this table (and
+// binVersion) changing in the same commit.
 func TestBinaryGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -43,24 +43,32 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, // Count 0: a list batch, no Digest
 				1, // Epoch
 			)},
-		{"heartbeat request",
-			&Message{Kind: KindHeartbeat, From: "p", Epoch: 1, Heartbeat: &Heartbeat{Have: 0x2827262524232221}},
-			append(envelope(KindHeartbeat, hasHeartbeat),
-				hbHave,
-				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28,
+		{"version-only report",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 1, Version: 3, Have: 0x2827262524232221}},
+			append(envelope(KindSummaryReport, hasReport),
+				0,    // no summary
+				2, 0, // Depth 1 and Descendants 0, zigzag
+				0,                                              // no children
+				3,                                              // Version
+				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, // Have
 				1, // Epoch
 			)},
-		{"unchanged heartbeat reply",
-			&Message{Kind: KindHeartbeatReply, From: "p", Epoch: 1, Heartbeat: &Heartbeat{Unchanged: true}},
-			append(envelope(KindHeartbeatReply, hasHeartbeat),
-				hbUnchanged,
+		{"report ack, ancestry held",
+			&Message{Kind: KindAck, From: "p", Epoch: 1, Ack: &AckInfo{HaveVersion: 3}},
+			append(envelope(KindAck, hasAckInfo),
+				3, // HaveVersion
+				0, // NeedFull
+				0, // no NeedFullOrigins
+				0, // no ancestry
 				1, // Epoch
 			)},
-		{"full heartbeat reply",
-			&Message{Kind: KindHeartbeatReply, From: "p", Epoch: 1, Heartbeat: &Heartbeat{
-				RootPath: []string{"r"}, PathAddrs: []string{"a"}, Siblings: []RedirectInfo{{ID: "s", Addr: "b"}}}},
-			append(envelope(KindHeartbeatReply, hasHeartbeat),
-				hbContent,
+		{"report ack with ancestry",
+			&Message{Kind: KindAck, From: "p", Epoch: 1, Ack: &AckInfo{HaveVersion: 3, Ancestry: &Ancestry{
+				RootPath: []string{"r"}, PathAddrs: []string{"a"}, Siblings: []RedirectInfo{{ID: "s", Addr: "b"}}}}},
+			append(envelope(KindAck, hasAckInfo),
+				3, 0, 0, // HaveVersion, NeedFull, NeedFullOrigins
+				1,         // ancestry present
 				1, 1, 'r', // RootPath
 				1, 1, 'a', // PathAddrs
 				1, 1, 's', 1, 'b', 0, 0, // Siblings: ID, Addr, Records, no alternates
@@ -77,21 +85,22 @@ func TestBinaryGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestBinaryHostileMaintenanceFields: the counts and fixed-width values
-// version 8 added are guarded like the rest — a count the remaining bytes
-// cannot hold fails before anything is allocated, and a digest, tag or Have
-// cut short is a truncation, not a zero.
+// TestBinaryHostileMaintenanceFields: the counts and fixed-width values of
+// the maintenance frames are guarded like the rest — a count the remaining
+// bytes cannot hold fails before anything is allocated, and a digest, tag or
+// Have cut short is a truncation, not a zero.
 func TestBinaryHostileMaintenanceFields(t *testing.T) {
 	huge := appendUvarint(nil, 1<<40)
 	for name, data := range map[string][]byte{
-		"batch entry count":        append(envelope(KindReplicaBatch, hasBatch), huge...),
-		"digest cut short":         append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
-		"tag cut short":            append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
-		"fallback count":           append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
-		"have cut short":           append(envelope(KindHeartbeat, hasHeartbeat), hbHave, 1, 2, 3, 4),
-		"root path count":          append(append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent), huge...),
-		"sibling count":            append(append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent, 0, 0), huge...),
-		"content flag, no content": append(envelope(KindHeartbeatReply, hasHeartbeat), hbContent),
+		"batch entry count":         append(envelope(KindReplicaBatch, hasBatch), huge...),
+		"digest cut short":          append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
+		"tag cut short":             append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
+		"fallback count":            append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
+		"have cut short":            append(envelope(KindSummaryReport, hasReport), 0, 2, 0, 0, 3, 1, 2, 3, 4),
+		"root path count":           append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1), huge...),
+		"path address count":        append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0), huge...),
+		"sibling count":             append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0, 0), huge...),
+		"ancestry flag, no content": append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1),
 	} {
 		if m, err := Decode(data); err == nil {
 			t.Errorf("%s: decoded as %+v, want an error", name, m)

@@ -38,10 +38,11 @@ const (
 	KindQuery
 	// KindQueryReply returns matching records and redirect targets.
 	KindQueryReply
-	// KindHeartbeat is the periodic parent/child liveness exchange, also
-	// carrying the sender's root path.
+	// KindHeartbeat and KindHeartbeatReply are reserved: the separate
+	// liveness exchange that the summary report and its ack absorbed. No
+	// server sends or handles them; the numbers stay taken so the kinds
+	// after them keep theirs.
 	KindHeartbeat
-	// KindHeartbeatReply acknowledges a heartbeat.
 	KindHeartbeatReply
 	// KindLeave announces a graceful departure to parent and children.
 	KindLeave
@@ -76,7 +77,6 @@ type Message struct {
 	Batch     *ReplicaBatch
 	Query     *QueryDTO
 	QueryRep  *QueryReply
-	Heartbeat *Heartbeat
 	Status    *Status
 	Error     string
 	// Ack carries delta-dissemination feedback on the KindAck replies to
@@ -124,6 +124,22 @@ type AckInfo struct {
 	// list batch named a tag the acker doesn't hold; the sender ships
 	// those origins in full on the next tick.
 	NeedFullOrigins []string
+	// Ancestry, on a summary-report ack, is what the reporter should hold of
+	// its position in the tree. Nil means the report's Have matches it, so
+	// the ack carries none of it.
+	Ancestry *Ancestry
+}
+
+// Ancestry is a parent's statement of a child's position: the parent's root
+// path (IDs and addresses from the root down, which the child uses for
+// rejoin and loop avoidance) and the child's siblings (for root election).
+// It rarely changes, so a report carries a hash of what the child holds and
+// the ack carries the content only when the parent would say otherwise.
+type Ancestry struct {
+	RootPath  []string
+	PathAddrs []string
+	// Siblings are the parent's other children (ID and address).
+	Siblings []RedirectInfo
 }
 
 // Status is a server's operational snapshot, for monitoring tools.
@@ -196,11 +212,14 @@ type SummaryReport struct {
 	// the reporter's subtree.
 	Children []RedirectInfo
 	// Version is the reporter's branch-summary content version. A report
-	// with Version set and Summary nil is a version-only heartbeat report:
-	// the parent already confirmed holding this version, so the report
-	// refreshes liveness and branch-shape metadata without retransmitting
-	// or re-decoding the summary.
+	// with Version set and Summary nil is a version-only report: the parent
+	// already confirmed holding this version, so the report refreshes
+	// liveness and branch-shape metadata without retransmitting or
+	// re-decoding the summary.
 	Version uint64
+	// Have is the reporter's hash of the Ancestry it took from this parent's
+	// acks. Zero means it holds nothing and wants the content.
+	Have uint64
 }
 
 // Join asks to become a child.
@@ -225,26 +244,6 @@ type JoinReply struct {
 	ParentAddr string
 	// Children to try next when not accepted, least-depth first.
 	Children []ChildInfo
-}
-
-// Heartbeat is the payload of both halves of the liveness exchange. The
-// reply's content is the parent's root path (IDs and addresses from the root
-// down, which the child uses for rejoin and loop avoidance) and the child's
-// siblings (for root election). That content rarely changes, so the request
-// carries a hash of what the child already holds and a parent that would
-// send the same again answers Unchanged instead.
-type Heartbeat struct {
-	RootPath  []string
-	PathAddrs []string
-	// Siblings are the parent's other children (ID and address).
-	Siblings []RedirectInfo
-	// Have, on a request, is the sender's hash of the RootPath, PathAddrs
-	// and Siblings it took from this parent's last full reply. Zero means
-	// it holds nothing and wants the content.
-	Have uint64
-	// Unchanged, on a reply, says the request's Have matches what this
-	// reply would carry, so it carries none of it.
-	Unchanged bool
 }
 
 // ReplicaPush is one entry of a list batch: an origin the sender refreshes

@@ -214,7 +214,7 @@ func NewStore(schema *Schema, cost CostModel) *Store { return store.New(schema, 
 // ScopeAll searches the entire hierarchy in System.ResolveScoped.
 const ScopeAll = core.ScopeAll
 
-// DefaultTick is a sensible live aggregation/heartbeat period for demos
+// DefaultTick is a sensible live maintenance period for demos
 // (production deployments would use minutes, per the paper's soft-state
 // design).
 const DefaultTick = 100 * time.Millisecond
