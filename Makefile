@@ -55,7 +55,7 @@ bench-smoke:
 # bench-transport runs the RPC hot path's microbenchmarks — one pooled TCP
 # round trip (serial and parallel, with allocations and writes per call),
 # one batched replica-push round in the versioned steady state, the
-# result-cache key and the query-reply decode — and archives them as
+# client cache key and the query-reply decode — and archives them as
 # BENCH_pr14.json via cmd/benchjson. The dial-per-call and per-replica-push
 # baseline arms are gone; EXPERIMENTS.md ("Archived baselines") says which
 # archive holds them and that PushReplicas/batched changed workload.
@@ -102,12 +102,15 @@ bench-load:
 	( $(GO) run ./cmd/roads-load $(LOADARGS) ; \
 	  $(GO) run ./cmd/roads-load $(LOADPARTARGS) ) | tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHLOAD)
 
-# bench-cache runs the result-cache / admission-control load harness three
-# times and archives all lines as BENCH_pr9.json via cmd/benchjson:
+# bench-cache runs the client-cache / admission-control load harness three
+# times and archives all lines as BENCH_pr9.json via cmd/benchjson (the
+# archived file dates from when servers also cached results, and has a
+# cache-hit-rate column these runs no longer print; EXPERIMENTS.md "Archived
+# baselines"):
 #   1. unloaded baseline — high-priority drive clients with repeat-query
-#      traffic and client+server caches on (the p99 yardstick),
+#      traffic and their client caches on (the p99 yardstick),
 #   2. hot tenant — a shared low-priority identity flooding a small repeat
-#      set while record churn keeps invalidating cached answers, with no
+#      set while record churn keeps moving the fingerprints, with no
 #      admission control (everyone's p99 degrades),
 #   3. hot tenant + admission — same flood, but per-requester token
 #      buckets shed the over-budget tenant to coarse summary-only answers;

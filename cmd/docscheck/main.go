@@ -3,11 +3,14 @@
 //  1. Every relative markdown link in the repo's *.md files must point at a
 //     file that exists (external http(s)/mailto links are skipped — CI has
 //     no network).
-//  2. Every metric name the live stack registers must appear in
-//     OPERATIONS.md, so the operator catalog can never silently fall
-//     behind the code. The check builds the registry exactly the way
-//     roadsd does — transport + wire codec + live server, plus the load
-//     harness counters — and greps the handbook for each resulting name.
+//  2. The metric catalog in OPERATIONS.md must match the series the live
+//     stack registers, in both directions: every registered name appears
+//     in the handbook, and every `roads_*` name heading a row of one of
+//     its metric tables is registered — so the operator catalog can
+//     neither fall behind the code nor keep rows for series that are gone.
+//     The check builds the registry exactly the way roadsd does —
+//     transport + wire codec + live server, plus the load harness
+//     counters.
 //  3. The roadsd and roadsctl flag tables in OPERATIONS.md must match the
 //     flags those commands actually register: the check go/ast-parses each
 //     command's source for flag.* registrations and fails on drift in
@@ -64,7 +67,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files OK, metrics catalog complete, flag tables match\n", len(mdFiles))
+	fmt.Printf("docscheck: %d markdown files OK, metrics catalog and flag tables match\n", len(mdFiles))
 }
 
 // markdownFiles lists every tracked *.md file under root, skipping
@@ -122,8 +125,32 @@ func checkLinks(root, file string) []string {
 	return failures
 }
 
+// metricRowRe matches a metric table row: a table line whose first cell is
+// a backticked series name, e.g. "| `roads_children` | gauge | ... |".
+var metricRowRe = regexp.MustCompile("^\\|\\s*`(roads_[a-z0-9_]+)`")
+
+// catalogDrift compares the handbook text with the registered series names:
+// a registered name the text never mentions, and a metric table row for a
+// name nothing registers, are one failure each.
+func catalogDrift(ops string, registered []string) []string {
+	var failures []string
+	known := make(map[string]bool, len(registered))
+	for _, name := range registered {
+		known[name] = true
+		if !strings.Contains(ops, name) {
+			failures = append(failures, fmt.Sprintf("OPERATIONS.md: registered metric %q is not documented", name))
+		}
+	}
+	for _, line := range strings.Split(ops, "\n") {
+		if m := metricRowRe.FindStringSubmatch(line); m != nil && !known[m[1]] {
+			failures = append(failures, fmt.Sprintf("OPERATIONS.md: the metric tables document %q but nothing registers it", m[1]))
+		}
+	}
+	return failures
+}
+
 // checkMetricsCatalog registers every metric the way roadsd does and
-// verifies OPERATIONS.md names each of them.
+// checks OPERATIONS.md against the result with catalogDrift.
 func checkMetricsCatalog(root string) []string {
 	reg := obs.NewRegistry()
 	tr := transport.NewChan()
@@ -141,14 +168,7 @@ func checkMetricsCatalog(root string) []string {
 	if err != nil {
 		return []string{fmt.Sprintf("%s: %v (the metrics catalog lives there)", opsPath, err)}
 	}
-	ops := string(data)
-	var failures []string
-	for _, name := range reg.Names() {
-		if !strings.Contains(ops, name) {
-			failures = append(failures, fmt.Sprintf("OPERATIONS.md: registered metric %q is not documented", name))
-		}
-	}
-	return failures
+	return catalogDrift(string(data), reg.Names())
 }
 
 // flagTableCommands maps the OPERATIONS.md section heading that carries a

@@ -66,9 +66,8 @@ func main() {
 	flag.Float64Var(&cfg.RepeatFraction, "repeat-frac", 0, "probability a drive client re-issues an already-issued query (repeat-query cache workload)")
 	flag.BoolVar(&cfg.ClientCache, "client-cache", false, "enable the drive clients' fingerprint-validated record caches")
 	clientPrio := flag.Int("client-priority", 0, "wire priority class the drive clients claim (0 normal, 1 low, 2 high)")
-	flag.BoolVar(&cfg.Untraced, "untraced", false, "disable per-query tracing (traced queries bypass the server result cache; FP-descent stats report zero)")
+	flag.BoolVar(&cfg.Untraced, "untraced", false, "disable per-query tracing (no trace payload on any hop's reply; FP-descent stats report zero)")
 	flag.IntVar(&cfg.HotClients, "hot-clients", 0, "extra low-priority hot-tenant clients hammering a small query set for the whole drive (0: off)")
-	flag.Int64Var(&cfg.ResultCacheBytes, "result-cache-bytes", 0, "per-server result cache LRU byte budget (0: library default, negative: disabled)")
 	flag.Float64Var(&cfg.AdmissionRate, "admission-rate", 0, "per-requester admission token refill rate in queries/sec on every server (0: admission off)")
 	flag.IntVar(&cfg.AdmissionBurst, "admission-burst", 0, "per-requester admission token burst (0: derived from rate)")
 	promOut := flag.String("metrics-out", "", "also write the harness metrics registry (Prometheus text) to this file")
@@ -114,10 +113,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "membership: final roots %d, final coverage %.4f, %d merges, %d epoch regressions\n",
 			res.FinalRoots, res.FinalCoverage, res.MembershipMerges, res.EpochRegressions)
 	}
-	if res.ServerCacheHits+res.ServerCacheMisses > 0 {
-		fmt.Fprintf(os.Stderr, "result cache: %.4f hit rate (%d hits / %d misses), %d invalidations, %d evictions, %d client cache hits\n",
-			res.ServerCacheHitRate, res.ServerCacheHits, res.ServerCacheMisses,
-			res.ServerCacheInvalidations, res.ServerCacheEvictions, res.ClientCacheHits)
+	if res.ClientCacheHits > 0 {
+		fmt.Fprintf(os.Stderr, "client cache: %d resolves confirmed NotModified\n", res.ClientCacheHits)
 	}
 	if res.HotQueries > 0 || res.AdmissionAdmitted+res.AdmissionShed > 0 {
 		fmt.Fprintf(os.Stderr, "admission: %d admitted, %d shed; hot tenant %d queries (%d coarse, %d failed, p99 %v)\n",
@@ -182,8 +179,8 @@ func main() {
 			res.RefreshSkipRate, res.RefreshBusySeconds, res.OwnerShardRebuilds, res.OwnerPartialMerges)
 	}
 	if cfg.RepeatFraction > 0 || cfg.ClientCache || cfg.AdmissionRate > 0 || cfg.HotClients > 0 {
-		fmt.Printf("\t%.4f cache-hit-rate\t%d client-cache-hits\t%d admission-shed\t%d hot-queries\t%d hot-coarse\t%d hot-failures",
-			res.ServerCacheHitRate, res.ClientCacheHits, res.AdmissionShed,
+		fmt.Printf("\t%d client-cache-hits\t%d admission-shed\t%d hot-queries\t%d hot-coarse\t%d hot-failures",
+			res.ClientCacheHits, res.AdmissionShed,
 			res.HotQueries, res.HotCoarse, res.HotFailures)
 	}
 	if cfg.QuerySkew > 0 || !cfg.DisableAdaptive {

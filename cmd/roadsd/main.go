@@ -45,7 +45,6 @@ func main() {
 	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push")
 	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
 	storeShards := flag.Int("store-shards", 0, "store shard count: records hash to shards, each maintaining its own indexes and partial summary (0 = library default)")
-	cacheBytes := flag.Int64("result-cache-bytes", 0, "query result cache LRU byte budget (0 = library default, negative = disable the cache)")
 	admissionRate := flag.Float64("admission-rate", 0, "per-requester admission token-bucket refill rate in queries/sec; over-budget requesters are shed to coarse summary-only answers (0 = admission off)")
 	admissionBurst := flag.Int("admission-burst", 0, "per-requester admission token-bucket burst capacity (0 = derive from -admission-rate)")
 	noAdaptive := flag.Bool("no-adaptive", false, "never replan this server's summary resolution: the summaries it builds keep the static -buckets geometry (it still ingests and forwards whatever geometry its peers send)")
@@ -113,7 +112,6 @@ func main() {
 	cfg.ReplicaTTLFloor = *ttlFloor
 	cfg.MergeSeeds = mergeSeeds
 	cfg.StoreShards = *storeShards
-	cfg.ResultCacheBytes = *cacheBytes
 	cfg.AdmissionRate = *admissionRate
 	cfg.AdmissionBurst = *admissionBurst
 	cfg.DisableAdaptiveSummaries = *noAdaptive

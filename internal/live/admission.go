@@ -1,10 +1,12 @@
 package live
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"roads/internal/query"
 	"roads/internal/wire"
 )
 
@@ -121,6 +123,20 @@ func (a *admission) reapLocked(now time.Time) bool {
 	}
 	a.nextReap = now.Add(idle)
 	return false
+}
+
+// coarseReply builds the degraded answer admission control and
+// budget shedding return instead of an error: no records or redirects, just
+// the summary-derived match estimate for the whole branch.
+func (s *Server) coarseReply(snap *routingSnapshot, q *query.Query) wire.QueryReply {
+	rep := wire.QueryReply{Coarse: true}
+	if snap.branchSummary != nil {
+		est := q.EstimateMatches(snap.branchSummary)
+		if !math.IsNaN(est) && !math.IsInf(est, 0) {
+			rep.CoarseEstimate = est
+		}
+	}
+	return rep
 }
 
 // requesters returns how many identities have a bucket of their own.

@@ -246,9 +246,9 @@ func BenchmarkAggregationTick(b *testing.B) {
 // benchKey keeps BenchmarkCacheKey's result alive.
 var benchKey string
 
-// BenchmarkCacheKey builds the result-cache key of the canonical broad
+// BenchmarkCacheKey builds the client cache key of the canonical broad
 // query shape (three range predicates, given out of canonical order), which
-// every cacheable query pays once per contacted server.
+// a caching client pays once per resolve.
 func BenchmarkCacheKey(b *testing.B) {
 	preds := []query.Predicate{
 		query.NewRange("a7", 0.25012, 0.50012),
@@ -257,7 +257,8 @@ func BenchmarkCacheKey(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchKey = cacheKey("bench-client-0", -1, i%2 == 0, preds)
+		var buf [256]byte
+		benchKey = string(appendCacheKey(buf[:0], "bench-client-0", -1, preds))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +105,14 @@ func churnChild(t *testing.T, child *Server, o *policy.Owner, schema *record.Sch
 	child.reportToParent()
 }
 
+// cutView is a view that hides the records valued cut and above.
+func cutView(cut float64) policy.View {
+	return policy.View{
+		Name:   "cut",
+		Filter: func(r *record.Record) bool { return r.Values[0].Num < cut },
+	}
+}
+
 // queryMsg builds a handler-level query message.
 func queryMsg(id, requester string, lo, hi float64) *wire.Message {
 	return &wire.Message{
@@ -160,14 +169,7 @@ func TestCacheHitServesRepeatQueryWithZeroChildRPCs(t *testing.T) {
 	if len(recs2) != len(recs1) {
 		t.Fatalf("cache hit returned %d records; want %d", len(recs2), len(recs1))
 	}
-	ids := func(rs []*record.Record) map[string]bool {
-		m := make(map[string]bool, len(rs))
-		for _, r := range rs {
-			m[r.Owner+"/"+r.ID] = true
-		}
-		return m
-	}
-	if !reflect.DeepEqual(ids(recs1), ids(recs2)) {
+	if !reflect.DeepEqual(recordIDs(recs1), recordIDs(recs2)) {
 		t.Fatal("cache hit returned a different record set")
 	}
 
@@ -198,185 +200,136 @@ func TestCacheHitServesRepeatQueryWithZeroChildRPCs(t *testing.T) {
 	}
 }
 
-// TestResultCacheExactInvalidation proves invalidation precision on the
-// server-side cache: churning child B's branch kills exactly the entries
-// whose queries B could have answered, while entries over untouched
-// branches keep hitting.
-func TestResultCacheExactInvalidation(t *testing.T) {
-	root, children, owners, _, schema := newCacheStar(t, nil,
-		rangeOf(0, 6), rangeOf(100, 6))
-
-	qA := func() *wire.Message { return queryMsg("qa", "tester", 0, 50) }
-	qB := func() *wire.Message { return queryMsg("qb", "tester", 100, 150) }
-	eval := func(m *wire.Message) *wire.QueryReply {
-		rep := root.handleQuery(m)
-		if err := wire.RemoteError(rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep.QueryRep
-	}
-
-	// Warm both entries, then prove they hit.
-	eval(qA())
-	eval(qB())
-	if info := root.CacheInfo(); info.Entries != 2 || info.Misses != 2 {
-		t.Fatalf("after warmup: %+v; want 2 entries, 2 misses", info)
-	}
-	eval(qA())
-	eval(qB())
-	if info := root.CacheInfo(); info.Hits != 2 || info.Invalidations != 0 {
-		t.Fatalf("after repeats: %+v; want 2 hits, 0 invalidations", info)
-	}
-
-	// Churn branch B. qA's entry depends on B only as a non-match, and B
-	// still does not match qA — the entry must survive. qB's entry
-	// matched B, so it must die and re-evaluate to the new answer.
-	churnChild(t, children[1], owners[1], schema, "fresh", 105)
-	repA := eval(qA())
-	if info := root.CacheInfo(); info.Hits != 3 || info.Invalidations != 0 {
-		t.Fatalf("qA after churning B: %+v; want a surviving hit (3 hits, 0 invalidations)", info)
-	}
-	if len(repA.Redirects) != 1 || repA.Redirects[0].ID != children[0].ID() {
-		t.Fatalf("qA redirects %+v; want exactly child A", repA.Redirects)
-	}
-	repB := eval(qB())
-	if info := root.CacheInfo(); info.Invalidations != 1 || info.Hits != 3 {
-		t.Fatalf("qB after churning B: %+v; want exactly 1 invalidation", info)
-	}
-	if len(repB.Redirects) != 1 || repB.Redirects[0].Records != 7 {
-		t.Fatalf("qB redirects %+v; want child B with 7 records", repB.Redirects)
-	}
-
-	// The re-cached qB entry hits again.
-	eval(qB())
-	if info := root.CacheInfo(); info.Hits != 4 {
-		t.Fatalf("qB re-repeat: %+v; want 4 hits", info)
-	}
-}
-
-// TestCachedAnswersMatchFreshUnderChurn is the property test: under
-// randomized churn of child branches, root-attached owner records and
-// per-requester views, a cached answer is always byte-identical to a fresh
-// evaluation of the same query — the traced path bypasses the cache, so
-// encoding both replies and comparing bytes is an exact oracle.
+// TestCachedAnswersMatchFreshUnderChurn is the property test of the one
+// cache of query answers: under randomized churn of child branches, the
+// entry server's own owner, and per-requester views at the entry server and
+// at a remote owner, a caching client's answer is the record set a plain
+// client resolves at the same moment. Queries enter at the root and at a
+// child, so the fingerprint is exercised over children and over replicas.
 func TestCachedAnswersMatchFreshUnderChurn(t *testing.T) {
-	root, children, owners, _, schema := newCacheStar(t, nil,
+	root, children, owners, tr, schema := newCacheStar(t, nil,
 		rangeOf(0, 10), rangeOf(60, 10), rangeOf(120, 10))
 	rootOwner := policy.NewOwner("oroot", schema, nil)
 	rootOwner.SetRecords(numRecords(schema, "oroot", "oroot", rangeOf(200, 10)))
 	if err := root.AttachOwner(rootOwner); err != nil {
 		t.Fatal(err)
 	}
+	// One hand-driven round (children before the root) leaves every
+	// server's routing snapshot reflecting every earlier write and view
+	// change.
+	all := append(slices.Clone(children), root)
+	driveRound(all...)
 
 	rng := rand.New(rand.NewSource(42))
-	queries := make([]*wire.Message, 0, 5)
+	var queries []*query.Query
 	for i := 0; i < 5; i++ {
 		lo := rng.Float64() * 220
-		queries = append(queries, queryMsg(fmt.Sprintf("q%d", i), "tester", lo, lo+20+rng.Float64()*80))
+		queries = append(queries, query.New(fmt.Sprintf("q%d", i), query.NewRange("a0", lo, lo+20+rng.Float64()*80)))
 	}
 	// Two ranges that differ only past three significant digits, around a
 	// root-owner record at exactly 205: each must get its own answer.
 	queries = append(queries,
-		queryMsg("near-with", "tester", 100.4, 205.0004),
-		queryMsg("near-sans", "tester", 100.4, 204.9996))
-	fresh := func(m *wire.Message) []byte {
-		tm := &wire.Message{Kind: m.Kind, From: m.From, Query: &wire.QueryDTO{}}
-		*tm.Query = *m.Query
-		tm.Query.Trace = true
-		rep := root.handleQuery(tm)
-		if err := wire.RemoteError(rep); err != nil {
-			t.Fatal(err)
-		}
-		rep.QueryRep.Trace = nil // strip the per-request trace payload
-		data, err := wire.Encode(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	cached := func(m *wire.Message) []byte {
-		rep := root.handleQuery(m)
-		if err := wire.RemoteError(rep); err != nil {
-			t.Fatal(err)
-		}
-		data, err := wire.Encode(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
+		query.New("near-with", query.NewRange("a0", 100.4, 205.0004)),
+		query.New("near-sans", query.NewRange("a0", 100.4, 204.9996)))
+	caching := NewClient(tr, "tester")
+	caching.CacheResults = true
+	plain := NewClient(tr, "tester")
+	entries := []string{root.Addr(), children[0].Addr()}
 
+	type cacheSlot struct {
+		entry string
+		q     int
+	}
+	cachedOnce := make(map[cacheSlot]bool)
+	hits, missesAfterChurn := 0, 0
 	serial := 0
 	for round := 0; round < 40; round++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0: // grow a random child branch
 			i := rng.Intn(len(children))
 			serial++
 			churnChild(t, children[i], owners[i], schema,
 				fmt.Sprintf("n%03d", serial), rng.Float64()*180)
-		case 1: // restate a branch unchanged (anti-entropy shape)
-			i := rng.Intn(len(children))
-			children[i].refreshSummaries()
-			children[i].reportToParent()
+		case 1: // restate a branch unchanged
 		case 2: // mutate the root owner's record set
 			serial++
 			r := record.New(schema, fmt.Sprintf("ro%03d", serial), "oroot")
 			r.Values[0].Num = 200 + rng.Float64()*20
 			rootOwner.AddRecords(r)
-		case 3: // flip the requester's view
-			cut := 200 + rng.Float64()*20
-			rootOwner.Policy.SetView("tester", policy.View{
-				Name:   "cut",
-				Filter: func(r *record.Record) bool { return r.Values[0].Num < cut },
-			})
+		case 3: // flip the requester's view at the root
+			rootOwner.Policy.SetView("tester", cutView(200+rng.Float64()*20))
+		case 4: // flip the requester's view at a remote owner
+			i := rng.Intn(len(owners))
+			owners[i].Policy.SetView("tester", cutView(float64(60*i)+rng.Float64()*12))
 		}
-		for _, m := range queries {
-			got := cached(m)
-			want := fresh(m)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d query %s: cached reply differs from fresh evaluation", round, m.Query.ID)
+		driveRound(all...)
+		for _, entry := range entries {
+			for qi, q := range queries {
+				got, stats, err := caching.Resolve(entry, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := plain.Resolve(entry, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(recordIDs(got), recordIDs(want)) {
+					t.Fatalf("round %d query %s via %s (cache hit %v): caching client got %d records, plain client %d",
+						round, q.ID, entry, stats.CacheHit, len(got), len(want))
+				}
+				slot := cacheSlot{entry, qi}
+				switch {
+				case stats.CacheHit:
+					hits++
+				case cachedOnce[slot]:
+					missesAfterChurn++
+				}
+				cachedOnce[slot] = true
 			}
 		}
 	}
-	if info := root.CacheInfo(); info.Hits == 0 {
-		t.Fatal("property run never hit the cache — the oracle tested nothing")
+	if hits == 0 || missesAfterChurn == 0 {
+		t.Fatalf("property run saw %d cache hits and %d misses after churn — the oracle tested nothing", hits, missesAfterChurn)
 	}
 }
 
-// TestResultCacheConcurrentChurnHammer drives lookups and invalidating
-// churn concurrently; under -race (the tier1 race gate runs this package)
-// it proves the cache's locking, and the final check proves the cache
-// still answers exactly like a fresh evaluation afterward.
-func TestResultCacheConcurrentChurnHammer(t *testing.T) {
-	root, children, owners, _, schema := newCacheStar(t, nil,
+// TestClientCacheConcurrentChurnHammer has four goroutines resolve through
+// one shared caching client while two others churn the federation; under
+// -race (the tier1 race gate runs this package) it proves the client cache's
+// locking, and the final check proves the cache still answers exactly like
+// a plain client afterward.
+func TestClientCacheConcurrentChurnHammer(t *testing.T) {
+	root, children, owners, tr, schema := newCacheStar(t, nil,
 		rangeOf(0, 8), rangeOf(80, 8))
 	rootOwner := policy.NewOwner("oroot", schema, nil)
 	rootOwner.SetRecords(numRecords(schema, "oroot", "oroot", rangeOf(160, 8)))
 	if err := root.AttachOwner(rootOwner); err != nil {
 		t.Fatal(err)
 	}
+	caching := NewClient(tr, "tester")
+	caching.CacheResults = true
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				lo := rng.Float64() * 180
-				rep := root.handleQuery(queryMsg(fmt.Sprintf("h%d", i%7), "tester", lo, lo+40))
-				if err := wire.RemoteError(rep); err != nil {
+				// A small hot set, so the goroutines hit, miss and store
+				// under the same keys.
+				lo := float64((i + g) % 5 * 40)
+				if _, _, err := caching.Resolve(root.Addr(), query.New("h", query.NewRange("a0", lo, lo+60))); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(int64(g))
+		}(g)
 	}
 	wg.Add(2)
 	go func() { // churn child branches
@@ -403,11 +356,7 @@ func TestResultCacheConcurrentChurnHammer(t *testing.T) {
 			r := record.New(schema, fmt.Sprintf("hr%04d", i), "oroot")
 			r.Values[0].Num = 160 + float64(i%8)
 			rootOwner.AddRecords(r)
-			cut := 160 + float64(i%10)
-			rootOwner.Policy.SetView("tester", policy.View{
-				Name:   "cut",
-				Filter: func(r *record.Record) bool { return r.Values[0].Num < cut },
-			})
+			rootOwner.Policy.SetView("tester", cutView(160+float64(i%10)))
 		}
 	}()
 	time.Sleep(300 * time.Millisecond)
@@ -415,19 +364,110 @@ func TestResultCacheConcurrentChurnHammer(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles the cache must still be exact.
-	m := queryMsg("after", "tester", 0, 250)
-	rep1 := root.handleQuery(m)
-	tm := queryMsg("after", "tester", 0, 250)
-	tm.Query.Trace = true
-	rep2 := root.handleQuery(tm)
-	if err := wire.RemoteError(rep1); err != nil {
+	driveRound(append(children, root)...)
+	plain := NewClient(tr, "tester")
+	for lo := 0.0; lo < 200; lo += 40 {
+		q := query.New("after", query.NewRange("a0", lo, lo+60))
+		got, _, err := caching.Resolve(root.Addr(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := plain.Resolve(root.Addr(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(recordIDs(got), recordIDs(want)) {
+			t.Fatalf("[%g,%g] after concurrent churn: caching client got %d records, plain client %d",
+				lo, lo+60, len(got), len(want))
+		}
+	}
+}
+
+// TestRestartedServerDoesNotConfirmOldFingerprint: the store epoch and owner
+// generations in the fingerprint count mutations, so a server restarted under
+// the same address over different records — loaded by the same number of
+// mutations — would repeat its previous incarnation's fingerprint and answer
+// NotModified to a client holding that incarnation's records.
+func TestRestartedServerDoesNotConfirmOldFingerprint(t *testing.T) {
+	schema := record.DefaultSchema(1)
+	tr := transport.NewChan()
+	start := func(ownerVals []float64, prefix string) *Server {
+		cfg := DefaultConfig("solo", "addr-solo", schema)
+		cfg.AggregateEvery = time.Hour
+		cfg.Summary.Max = 1000
+		srv, err := NewServer(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := policy.NewOwner("o", schema, nil)
+		o.SetRecords(numRecords(schema, "o", prefix, ownerVals))
+		if err := srv.AttachOwner(o); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	cli := NewClient(tr, "tester")
+	cli.CacheResults = true
+	q := query.New("q", query.NewRange("a0", -1, 2000))
+
+	first := start(rangeOf(0, 8), "old")
+	recs, _, err := cli.Resolve(first.Addr(), q)
+	if err != nil || len(recs) != 8 {
+		t.Fatalf("first incarnation: %d records, err %v; want 8", len(recs), err)
+	}
+	if _, stats, _ := cli.Resolve(first.Addr(), q); !stats.CacheHit {
+		t.Fatal("fixture: the repeat resolve against the first incarnation should hit")
+	}
+	first.Kill()
+
+	second := start(rangeOf(500, 3), "new")
+	defer second.Stop()
+	recs, stats, err := cli.Resolve(second.Addr(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.RemoteError(rep2); err != nil {
+	if stats.CacheHit || len(recs) != 3 {
+		t.Fatalf("after the restart: cache hit %v with %d records; want a fresh resolve of the 3 new records",
+			stats.CacheHit, len(recs))
+	}
+}
+
+// TestRemoteViewFlipReachesCachingClient: an owner keeps final control over
+// its answers (paper §III-A) wherever it is attached. A view flipped at an
+// owner behind a child changes no summarized content, so it has to travel as
+// content of its own — the summaries' PolicyRev — for the entry server's
+// fingerprint to move and a caching client to resolve again.
+func TestRemoteViewFlipReachesCachingClient(t *testing.T) {
+	root, children, owners, tr, _ := newCacheStar(t, nil, rangeOf(0, 8), rangeOf(100, 8))
+	caching := NewClient(tr, "tester")
+	caching.CacheResults = true
+	plain := NewClient(tr, "tester")
+	q := query.New("q", query.NewRange("a0", -1, 2000))
+	if recs, _, err := caching.Resolve(root.Addr(), q); err != nil || len(recs) != 16 {
+		t.Fatalf("before the flip: %d records, err %v; want 16", len(recs), err)
+	}
+
+	owners[0].Policy.SetView("tester", policy.View{
+		Name:   "hide-all",
+		Filter: func(*record.Record) bool { return false },
+	})
+	children[0].refreshSummaries()
+	children[0].reportToParent()
+	root.refreshSummaries()
+
+	want, _, err := plain.Resolve(root.Addr(), q)
+	if err != nil || len(want) != 8 {
+		t.Fatalf("plain client after the flip: %d records, err %v; want 8", len(want), err)
+	}
+	got, stats, err := caching.Resolve(root.Addr(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep2.QueryRep.Trace = nil
-	if !reflect.DeepEqual(rep1.QueryRep, rep2.QueryRep) {
-		t.Fatal("cached reply differs from fresh evaluation after concurrent churn")
+	if stats.CacheHit || !reflect.DeepEqual(recordIDs(got), recordIDs(want)) {
+		t.Fatalf("caching client after the flip: cache hit %v with %d records; want the plain client's %d",
+			stats.CacheHit, len(got), len(want))
 	}
 }

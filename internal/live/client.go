@@ -3,8 +3,10 @@ package live
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -314,7 +316,7 @@ func (c *Client) ResolveScopedContext(ctx context.Context, startAddr string, q *
 	if c.CacheResults {
 		var buf [256]byte
 		kb := append(append(buf[:0], startAddr...), 0)
-		ckey = string(appendCacheKey(kb, c.Requester, scope, true, q.Preds))
+		ckey = string(appendCacheKey(kb, c.Requester, scope, q.Preds))
 		r.cachedRecs, r.cachedFP = c.cacheGet(ckey)
 	}
 
@@ -537,6 +539,64 @@ func (r *resolve) absorb(t target, rep *wire.Message, attempts int, lastRTT time
 	}
 	_, records := r.enqueueLocked(batch{rds: qr.Redirects, kind: hopRedirect, via: rep.From, path: nextPath})
 	r.known += records
+}
+
+// appendCacheKey appends a query's cache identity to b: the requester
+// (owner views differ per requester), the scope, and the predicate set in
+// canonical order so textually reordered conjunctions share one entry (the
+// caller prefixes the entry address). Every field goes in exactly — strings
+// length-prefixed, range bounds as their float bits — so two queries share
+// a key only when they are the same query; a rendering of the bounds would
+// merge ranges that differ past its precision and serve one the other's
+// answer. The query ID is deliberately excluded — it does not change the
+// answer.
+func appendCacheKey(b []byte, requester string, scope int, preds []query.Predicate) []byte {
+	b = binary.AppendUvarint(b, uint64(len(requester)))
+	b = append(b, requester...)
+	b = binary.AppendVarint(b, int64(scope))
+	// Insertion sort over indexes: queries have a handful of predicates,
+	// and this keeps the whole key off the heap.
+	var orderBuf [8]int
+	order := orderBuf[:0]
+	if len(preds) > len(orderBuf) {
+		order = make([]int, 0, len(preds))
+	}
+	for i := range preds {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && predLess(&preds[i], &preds[order[j-1]]); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for _, i := range order {
+		p := &preds[i]
+		b = binary.AppendUvarint(b, uint64(len(p.Attr)))
+		b = append(b, p.Attr...)
+		b = append(b, byte(p.Op))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Lo))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.Hi))
+		b = binary.AppendUvarint(b, uint64(len(p.Str)))
+		b = append(b, p.Str...)
+	}
+	return b
+}
+
+// predLess is the canonical predicate order of cache keys.
+func predLess(a, b *query.Predicate) bool {
+	if a.Attr != b.Attr {
+		return a.Attr < b.Attr
+	}
+	if a.Op != b.Op {
+		return a.Op < b.Op
+	}
+	if la, lb := math.Float64bits(a.Lo), math.Float64bits(b.Lo); la != lb {
+		return la < lb
+	}
+	if ha, hb := math.Float64bits(a.Hi), math.Float64bits(b.Hi); ha != hb {
+		return ha < hb
+	}
+	return a.Str < b.Str
 }
 
 // clientCacheEntry is one cached resolve: the deduplicated record set and

@@ -76,13 +76,11 @@ type ClusterConfig struct {
 	DisableAdaptiveSummaries bool
 	SummaryByteBudget        int
 	ReplanEvery              int
-	// ResultCacheBytes, AdmissionRate and AdmissionBurst are handed to
-	// every server verbatim (see the Config fields of the same names). The
-	// zero values keep the result cache at its default budget and admission
-	// control off.
-	ResultCacheBytes int64
-	AdmissionRate    float64
-	AdmissionBurst   int
+	// AdmissionRate and AdmissionBurst are handed to every server verbatim
+	// (see the Config fields of the same names). The zero values keep
+	// admission control off.
+	AdmissionRate  float64
+	AdmissionBurst int
 }
 
 // parallelism returns the effective worker-pool width.
@@ -169,7 +167,6 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries
 		scfg.SummaryByteBudget = cfg.SummaryByteBudget
 		scfg.ReplanEvery = cfg.ReplanEvery
-		scfg.ResultCacheBytes = cfg.ResultCacheBytes
 		scfg.AdmissionRate = cfg.AdmissionRate
 		scfg.AdmissionBurst = cfg.AdmissionBurst
 		srv, err := NewServer(scfg, tr)

@@ -30,6 +30,35 @@ func nonZero(h uint64) uint64 {
 	return h
 }
 
+// depHasher is FNV-64a over a sequence of strings and integers.
+type depHasher struct{ h uint64 }
+
+func newDepHasher() depHasher { return depHasher{h: 14695981039346656037} } // FNV-64a offset
+
+func (d *depHasher) str(s string) {
+	for i := 0; i < len(s); i++ {
+		d.h = (d.h ^ uint64(s[i])) * 1099511628211
+	}
+	d.h = (d.h ^ 0xff) * 1099511628211 // terminator: "ab","c" ≠ "a","bc"
+}
+
+func (d *depHasher) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		d.h = (d.h ^ (v & 0xff)) * 1099511628211
+		v >>= 8
+	}
+}
+
+func (d *depHasher) redirects(rds []wire.RedirectInfo) {
+	d.u64(uint64(len(rds)))
+	for _, rd := range rds {
+		d.str(rd.ID)
+		d.str(rd.Addr)
+		d.u64(rd.Records)
+		d.redirects(rd.Alternates)
+	}
+}
+
 // replicaMeta hashes the routing metadata of a push entry: everything a full
 // entry carries besides the summaries and their versions. A stored replica's
 // metadata never changes (a new full entry replaces the replica), so the

@@ -22,19 +22,21 @@
 // set while nothing in it changed (digest.go has the three hashes; DESIGN.md
 // §9 the protocol). The report is also the liveness signal in both directions.
 //
-// Three read-path caches keep the hot paths off the server mutex (see
+// Two read-path caches keep the hot paths off the server mutex (see
 // ARCHITECTURE.md for the full map):
 //
 //   - the routing snapshot (snapshot.go): an immutable copy-on-write view
 //     of owners, children and replicas, republished by every write path and
 //     read with one atomic load;
 //   - the owner export cache (loops.go): per-owner summaries keyed by
-//     record-set generation, so refresh ticks skip unchanged owners;
-//   - the query result cache (cache.go): complete replies keyed by
-//     normalized predicates and revalidated against the exact version set
-//     they were computed from, with a per-requester admission layer
-//     (admission.go) shedding over-budget tenants to coarse summary-only
-//     answers.
+//     record-set generation and view revision, so refresh ticks skip
+//     unchanged owners.
+//
+// A server keeps no query answers: the one cache of them is the client's
+// (client.go), revalidated by the fingerprint the entry server computes from
+// that snapshot and its live local state (queryFingerprint). In front of the
+// query path a per-requester admission layer (admission.go) sheds over-budget
+// tenants to coarse summary-only answers.
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
 // tests and the load harness.

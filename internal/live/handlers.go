@@ -484,42 +484,11 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 		}
 	}
 
-	// Result cache: traced queries bypass (their replies carry per-query
-	// trace payloads). A hit is revalidated against the live store epoch,
-	// owner generations and the snapshot's dep hashes inside lookup, so it
-	// is byte-identical to the evaluation below.
 	tracing := msg.Query.Trace
-	caching := s.resultCache != nil && !tracing
-	var key string
-	if caching {
-		key = cacheKey(msg.Query.Requester, msg.Query.Scope, msg.Query.Start, msg.Query.Preds)
-		if rep, age, ok := s.resultCache.lookup(s, snap, key, q); ok {
-			// rep is a shallow copy: the shared entry is never mutated.
-			if msg.Query.WantFingerprint {
-				rep.Fingerprint = fp
-			}
-			s.mx.cacheHitAge.Observe(age)
-			s.mx.queries.Inc()
-			s.mx.redirects.Add(uint64(len(rep.Redirects)))
-			s.mx.evalLatency.Observe(time.Since(began))
-			s.noteFPDescent(msg.Query, &rep)
-			return wrap(rep)
-		}
-	}
-
 	out, reply := s.newQueryReply()
 	// Trace collection is opt-in per query; the untraced hot path never
 	// touches these.
 	var matchedChildren, matchedReplicas []string
-
-	// Local dependency versions are captured before the work they cover:
-	// tagging results computed from older state with a newer version would
-	// let a stale entry validate.
-	storeEpoch := s.store.Epoch()
-	var ownerDeps []ownerDep
-	if caching && len(snap.owners) > 0 {
-		ownerDeps = make([]ownerDep, len(snap.owners))
-	}
 
 	// Local matches: the trusted store plus each summary-mode owner's
 	// policy-filtered answer (the "final control" step).
@@ -531,10 +500,7 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if overBudget() {
 		return shed()
 	}
-	for i, o := range snap.owners {
-		if ownerDeps != nil {
-			ownerDeps[i] = ownerDep{gen: o.Generation(), rev: o.Policy.Rev()}
-		}
+	for _, o := range snap.owners {
 		if o.Policy.Mode != policy.ExportSummary {
 			continue // records-mode owners answer via the store
 		}
@@ -552,42 +518,22 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	// first contact (paper Fig. 2: redirected servers search their own
 	// branches). The snapshot pre-built each redirect and pre-filtered
 	// replicas shadowed by a child, so this is pure summary matching.
-	// When caching, every match decision is recorded as a dep: the entry
-	// dies exactly when a decision could flip.
-	var childDeps, replicaDeps []cacheDep
-	if caching {
-		nc, n := len(snap.children), len(snap.children)
-		if msg.Query.Start {
-			n += len(snap.replicas)
-		}
-		deps := make([]cacheDep, n)
-		childDeps, replicaDeps = deps[:nc:nc], deps[nc:]
-	}
-	for i, c := range snap.children {
-		matched := c.branch != nil && q.MatchSummary(c.branch)
-		if matched {
+	for _, c := range snap.children {
+		if c.branch != nil && q.MatchSummary(c.branch) {
 			reply.Redirects = append(reply.Redirects, c.ri)
 			if tracing {
 				matchedChildren = append(matchedChildren, c.ri.ID)
 			}
 		}
-		if caching {
-			childDeps[i] = cacheDep{id: c.ri.ID, dep: c.dep, matched: matched, inScope: true}
-		}
 	}
 	if msg.Query.Start {
-		for i, r := range snap.replicas {
+		for _, r := range snap.replicas {
 			inScope := msg.Query.Scope < 0 || r.level <= msg.Query.Scope
-			matched := false
 			if inScope && q.MatchSummary(r.match) {
-				matched = true
 				reply.Redirects = append(reply.Redirects, r.ri)
 				if tracing {
 					matchedReplicas = append(matchedReplicas, r.ri.ID)
 				}
-			}
-			if caching {
-				replicaDeps[i] = cacheDep{id: r.ri.ID, dep: r.dep, matched: matched, inScope: inScope}
 			}
 		}
 	}
@@ -604,23 +550,6 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 			MatchedChildren: matchedChildren,
 			MatchedReplicas: matchedReplicas,
 		}
-	}
-	if caching {
-		// The entry holds a shallow copy taken before the fingerprint goes
-		// in: fingerprints are per-request (WantFingerprint), not part of
-		// the shared answer.
-		s.resultCache.insert(&cacheEntry{
-			key:        key,
-			reply:      *reply,
-			size:       replySize(key, reply),
-			storeEpoch: storeEpoch,
-			ownerDeps:  ownerDeps,
-			children:   childDeps,
-			replicas:   replicaDeps,
-			start:      msg.Query.Start,
-			scope:      msg.Query.Scope,
-			insertedAt: time.Now(),
-		})
 	}
 	if msg.Query.WantFingerprint {
 		reply.Fingerprint = fp

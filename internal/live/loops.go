@@ -67,11 +67,12 @@ const exportWorkers = 4
 // a silently skipped refresh means the advertised state is going stale
 // while queries still succeed.
 //
-// The rebuild is change-driven: the store part is cached against the
-// store's mutation epoch, each owner's export is cached against the owner's
-// record-set generation, and the branch re-merge is skipped while neither the local content hash nor
-// the child epoch moved — so a steady-state tick costs a few counter
-// reads instead of O(records × attributes) work. Owners that did change
+// The rebuild is change-driven: the store caches its own export against its
+// mutation epoch, each owner's export is cached against the owner's
+// record-set generation and view revision, and the branch re-merge is
+// skipped while neither the local content hash nor the child epoch moved —
+// so a steady-state tick costs a few counter reads instead of
+// O(records × attributes) work. Owners that did change
 // re-export concurrently on a bounded worker pool.
 func (s *Server) refreshSummaries() {
 	start := time.Now()
@@ -84,23 +85,18 @@ func (s *Server) refreshSummaries() {
 	}
 	failed := false
 
-	// Store part: rebuild only when the store's mutation epoch moved.
-	// The epoch is read before the summary, so a concurrent mutation can
-	// only make the cached summary newer than its epoch claims — the next
-	// tick re-exports. Never the stale direction. The re-export itself is
-	// the store's merge of per-shard partial summaries (maintained
-	// incrementally on write), so even a changed tick costs the shards
-	// touched since the last export, not O(records × attributes).
-	storeFresh := false
-	if epoch := s.store.Epoch(); !s.haveStore || epoch != s.storeEpoch {
-		sum, err := s.store.ExportSummary()
-		if err != nil {
-			s.noteSummaryError(err)
-			return
-		}
-		s.storeSummary, s.storeEpoch, s.haveStore = sum, epoch, true
-		storeFresh = true
+	// Store part: the store hands back the summary it last merged until its
+	// mutation epoch moves (or a replan re-keys its geometry), so a new
+	// pointer is what "changed" means. A re-export is a merge of per-shard
+	// partial summaries maintained on write, so even a changed tick costs
+	// the shards touched since the last export, not O(records × attributes).
+	sum, err := s.store.ExportSummary()
+	if err != nil {
+		s.noteSummaryError(err)
+		return
 	}
+	storeFresh := sum != s.storeSummary
+	s.storeSummary = sum
 
 	// Owner part: reuse cached exports for unchanged owners; re-export
 	// the rest (concurrently when several changed at once).
@@ -116,7 +112,7 @@ func (s *Server) refreshSummaries() {
 		if o.Policy.Mode != policy.ExportSummary {
 			continue // records-mode data already sits in the store
 		}
-		if e, ok := s.ownerCache[o]; ok && e.gen == o.Generation() {
+		if e, ok := s.ownerCache[o]; ok && e.gen == o.Generation() && e.sum.PolicyRev == o.Policy.Rev() {
 			exports[i] = e.sum
 			continue
 		}
@@ -279,7 +275,6 @@ func (s *Server) replanLocked() {
 		return
 	}
 	s.curCfg = newCfg
-	s.haveStore = false
 	for o := range s.ownerCache {
 		delete(s.ownerCache, o)
 	}

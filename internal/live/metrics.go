@@ -42,10 +42,7 @@ type serverMetrics struct {
 	orphanRetries    *obs.Counter
 	epochRegressions *obs.Counter
 
-	// Result-cache series bumped on the query path (the cache's own
-	// hit/miss/eviction counters surface as CounterFuncs over its
-	// atomics); both stay zero while the cache is disabled.
-	cacheHitAge *obs.Histogram
+	// Fingerprint revalidations confirmed (see handleQuery).
 	notModified *obs.Counter
 
 	// Adaptive-summary series. fpDescents counts regardless of
@@ -98,9 +95,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Recovery rounds retried after every candidate parent failed — the orphan keeps retrying instead of dangling as an accidental root."),
 		epochRegressions: reg.Counter("roads_membership_epoch_regressions_total",
 			"Accepted relationship messages that would move a recorded membership epoch backward; the fencing invariant is that this stays zero."),
-		cacheHitAge: reg.Histogram("roads_cache_hit_age_seconds",
-			"Age of the cached reply on each result-cache hit (insertion to hit; canonical obs bucket ladder).",
-			obs.DefaultLatencyBounds()),
 		notModified: reg.Counter("roads_cache_not_modified_total",
 			"Queries answered NotModified because the requester's cached fingerprint still matched — zero evaluation, zero descent."),
 		fpDescents: reg.Counter("roads_fp_descents_total",
@@ -108,54 +102,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		replans: reg.Counter("roads_summary_replans_total",
 			"Adaptive replans that changed the installed summary geometry (plans identical to the current one do not count)."),
 	}
-	reg.CounterFunc("roads_cache_hits_total",
-		"Result-cache lookups whose entry revalidated against the current version set and was served.",
-		func() uint64 {
-			if rc := s.resultCache; rc != nil {
-				return rc.hits.Load()
-			}
-			return 0
-		})
-	reg.CounterFunc("roads_cache_misses_total",
-		"Result-cache lookups that found no entry or invalidated a stale one (each falls through to a fresh evaluation).",
-		func() uint64 {
-			if rc := s.resultCache; rc != nil {
-				return rc.misses.Load()
-			}
-			return 0
-		})
-	reg.CounterFunc("roads_cache_evictions_total",
-		"Result-cache entries evicted by the LRU byte budget (Config.ResultCacheBytes).",
-		func() uint64 {
-			if rc := s.resultCache; rc != nil {
-				return rc.evictions.Load()
-			}
-			return 0
-		})
-	reg.CounterFunc("roads_cache_invalidations_total",
-		"Result-cache entries dropped at lookup because a dependency version moved (store epoch, owner generation or view revision, child/replica dep hash).",
-		func() uint64 {
-			if rc := s.resultCache; rc != nil {
-				return rc.invalidations.Load()
-			}
-			return 0
-		})
-	reg.GaugeFunc("roads_cache_entries",
-		"Result-cache entries currently resident.", func() float64 {
-			if rc := s.resultCache; rc != nil {
-				entries, _ := rc.info()
-				return float64(entries)
-			}
-			return 0
-		})
-	reg.GaugeFunc("roads_cache_bytes",
-		"Result-cache resident bytes (estimated; bounded by Config.ResultCacheBytes).", func() float64 {
-			if rc := s.resultCache; rc != nil {
-				_, bytes := rc.info()
-				return float64(bytes)
-			}
-			return 0
-		})
 	reg.CounterFunc("roads_admission_admitted_total",
 		"Queries the admission layer let through (PriorityHigh always; others while their token bucket holds).",
 		func() uint64 {

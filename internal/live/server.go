@@ -89,12 +89,6 @@ type Config struct {
 	// re-summarizes touched shards instead of rebuilding the whole store's
 	// summary. Zero uses store.DefaultShards.
 	StoreShards int
-	// ResultCacheBytes is the query result cache's LRU byte budget. Zero
-	// uses DefaultResultCacheBytes; negative disables the cache. Cached
-	// replies are revalidated against the exact version set they were
-	// computed from (store epoch, owner generations, child/replica dep
-	// hashes), so a hit is always byte-identical to a fresh evaluation.
-	ResultCacheBytes int64
 	// AdmissionRate is the per-requester admission budget in queries per
 	// second. Zero disables admission control entirely. Requesters over
 	// budget are shed to a coarse summary-only answer; PriorityHigh is
@@ -137,6 +131,16 @@ const DefaultReplicaTTLFloor = 5 * time.Second
 // keeps its name and value because the canonical benchmark (bench/) sizes its
 // idle window in multiples of it.
 const DefaultAntiEntropyEvery = 16
+
+// CacheInfo was the observable state of the server-side query result cache.
+// There is no such cache any more — a server retains nothing per query, and
+// the one cache of query answers is the client's (Client.CacheResults). The
+// type and the method keep their names, and the method returns the zero
+// value, because the canonical benchmark (bench/) reads these four counters.
+type CacheInfo struct{ Hits, Misses, Evictions, Invalidations uint64 }
+
+// CacheInfo returns the zero value; see the type.
+func (s *Server) CacheInfo() CacheInfo { return CacheInfo{} }
 
 // DefaultReplanEvery is the adaptive replan cadence applied when
 // Config.ReplanEvery is zero: the planner re-evaluates the false-positive
@@ -290,8 +294,9 @@ func (r *replicaState) tag() uint64 {
 }
 
 // ownerCacheEntry is one cached owner export: the summary the owner
-// exported at record-set generation gen. While Generation() still returns
-// gen the cached summary is current and the export is skipped.
+// exported at record-set generation gen, which carries the view revision it
+// was exported at (Summary.PolicyRev). While the owner still reports both
+// the cached summary is current and the export is skipped.
 type ownerCacheEntry struct {
 	gen uint64
 	sum *summary.Summary
@@ -354,15 +359,13 @@ type Server struct {
 	// caches below are its private state, and tests drive refreshes
 	// concurrently with the aggregation loop.
 	refreshMu sync.Mutex
-	// storeSummary caches the summary built from the store at storeEpoch;
-	// while the epoch matches, the O(records × attributes) rebuild is
-	// skipped. Guarded by refreshMu.
+	// storeSummary is the store's last export; the store returns the same
+	// pointer until its content or geometry changes, and the local rebuild
+	// is skipped while it does. Guarded by refreshMu.
 	storeSummary *summary.Summary
-	storeEpoch   uint64
-	haveStore    bool
 	haveBranch   bool
 	// ownerCache caches each summary-mode owner's export keyed by the
-	// owner's record-set generation. Guarded by refreshMu.
+	// owner's record-set generation and view revision. Guarded by refreshMu.
 	ownerCache map[*policy.Owner]ownerCacheEntry
 	// aggRound counts aggregation rounds, for the replan cadence and
 	// RefreshInfo.
@@ -395,14 +398,10 @@ type Server struct {
 	// publishSnapshotLocked while holding s.mu.
 	snap atomic.Pointer[routingSnapshot]
 
-	// resultCache caches complete query replies keyed by normalized
-	// predicates and revalidated against exact dependency versions (nil
-	// when disabled). admission is the per-requester token-bucket layer
-	// (nil when disabled). Both are built in NewServer before the first
-	// snapshot publish and never replaced, so the handlers read them
-	// without synchronization.
-	resultCache *resultCache
-	admission   *admission
+	// admission is the per-requester token-bucket layer (nil when
+	// disabled). It is built in NewServer before the first snapshot publish
+	// and never replaced, so the handlers read it without synchronization.
+	admission *admission
 
 	// mx holds the operational counters (monotone since startup) as named
 	// obs series. The counters are atomics, not mutex-guarded fields: the
@@ -447,7 +446,6 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		replicas:     make(map[string]*replicaState),
 		knownServers: make(map[string]string),
 		ownerCache:   make(map[*policy.Owner]ownerCacheEntry),
-		resultCache:  newResultCache(cfg.ResultCacheBytes),
 		admission:    newAdmission(cfg.AdmissionRate, cfg.AdmissionBurst),
 		stop:         make(chan struct{}),
 		startTime:    time.Now(),

@@ -14,13 +14,6 @@ import (
 type snapChild struct {
 	branch *summary.Summary
 	ri     wire.RedirectInfo
-	// dep hashes everything about this child a query reply can depend on:
-	// its branch content version, address and failover alternates. The
-	// result cache stores the dep hashes an entry was computed from and
-	// revalidates them in lockstep on lookup, so a changed branch kills
-	// exactly the entries it could have influenced. Zero (a child
-	// with no content version) marks the child uncacheable.
-	dep uint64
 }
 
 // snapReplica is one overlay replica as the query path sees it. match is
@@ -32,10 +25,6 @@ type snapReplica struct {
 	level int
 	match *summary.Summary
 	ri    wire.RedirectInfo
-	// dep mirrors snapChild.dep for the replica: origin identity, level
-	// (scope filtering keys on it) and content version. Zero marks it
-	// uncacheable (unversioned push).
-	dep uint64
 }
 
 // routingSnapshot is the immutable routing state the hot paths read. Write
@@ -72,11 +61,13 @@ type routingSnapshot struct {
 	// each non-ancestor replica's branch plus each ancestor's local data.
 	covered uint64
 
-	// fpBase folds every child and replica dep hash into the snapshot's
-	// routing fingerprint base; queryFingerprint combines it with the live
-	// store epoch and owner generations to stamp replies. Zero
-	// (some dependency is unversioned) suppresses fingerprints — clients
-	// then get no revalidation token and fall back to full resolves.
+	// fpBase hashes everything about the children and replicas a query
+	// reply can depend on: each one's identity, address, content version and
+	// failover alternates, and a replica's level (scope filtering keys on
+	// it). queryFingerprint combines it with the live local state to stamp
+	// replies. Zero (some child or replica carries no content version)
+	// suppresses fingerprints — clients then get no revalidation token and
+	// fall back to full resolves.
 	fpBase uint64
 }
 
@@ -99,6 +90,10 @@ func (s *Server) publishSnapshotLocked() {
 	if s.branchSummary != nil {
 		snap.covered = s.branchSummary.Records
 	}
+	// routes folds one hash per child and replica for fpBase; the fold is a
+	// sum, so the map walks below need no order.
+	var routes setDigest
+	versioned := true
 	if n := len(s.children); n > 0 {
 		snap.children = make([]snapChild, 0, n)
 		for _, c := range s.children {
@@ -109,14 +104,14 @@ func (s *Server) publishSnapshotLocked() {
 			if c.branch != nil {
 				sc.ri.Records = c.branch.Records
 			}
-			if c.version != 0 {
-				dh := newDepHasher()
-				dh.u64(c.version)
-				dh.str(c.id)
-				dh.str(c.addr)
-				dh.redirects(c.kids)
-				sc.dep = dh.h
+			if c.version == 0 {
+				versioned = false
 			}
+			dh := newDepHasher()
+			dh.u64(c.version)
+			dh.str(c.addr)
+			dh.redirects(c.kids)
+			routes.add(c.id, dh.h)
 			snap.children = append(snap.children, sc)
 		}
 		sort.Slice(snap.children, func(i, j int) bool {
@@ -159,45 +154,55 @@ func (s *Server) publishSnapshotLocked() {
 					Alternates: r.fallbacks,
 				}
 			}
-			if version != 0 {
-				dh := newDepHasher()
-				dh.u64(version)
-				dh.str(r.originID)
-				dh.str(r.originAddr)
-				dh.u64(uint64(r.level))
-				if r.ancestor {
-					dh.u64(1)
-				} else {
-					dh.u64(0)
-					dh.redirects(r.fallbacks)
-				}
-				sr.dep = dh.h
+			if version == 0 {
+				versioned = false
 			}
+			dh := newDepHasher()
+			dh.u64(version)
+			dh.str(r.originAddr)
+			dh.u64(uint64(r.level))
+			if r.ancestor {
+				dh.u64(1)
+			} else {
+				dh.u64(0)
+				dh.redirects(r.fallbacks)
+			}
+			routes.add(r.originID, dh.h)
 			snap.replicas = append(snap.replicas, sr)
 		}
 		sort.Slice(snap.replicas, func(i, j int) bool {
 			return snap.replicas[i].ri.ID < snap.replicas[j].ri.ID
 		})
 	}
-	fb := newDepHasher()
-	fb.u64(uint64(len(snap.children)))
-	for i := range snap.children {
-		if snap.children[i].dep == 0 {
-			fb.h = 0
-			break
-		}
-		fb.u64(snap.children[i].dep)
-	}
-	if fb.h != 0 {
+	if versioned {
+		fb := newDepHasher()
+		fb.u64(uint64(len(snap.children)))
 		fb.u64(uint64(len(snap.replicas)))
-		for i := range snap.replicas {
-			if snap.replicas[i].dep == 0 {
-				fb.h = 0
-				break
-			}
-			fb.u64(snap.replicas[i].dep)
-		}
+		fb.u64(routes.sum)
+		snap.fpBase = nonZero(fb.h)
 	}
-	snap.fpBase = fb.h
 	s.snap.Store(snap)
+}
+
+// queryFingerprint derives the reply fingerprint for the snapshot: its
+// routing base folded with this server's incarnation — the store epoch and
+// the owner generations are mutation counters, which a restarted server
+// repeats over different content — and the live local state: store epoch,
+// owner record-set generations and view revisions. A remote owner's view
+// revision reaches fpBase through the summary versions it is part of. Zero
+// (no fingerprint, "don't cache") when any child or replica is unversioned.
+func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
+	if snap.fpBase == 0 {
+		return 0
+	}
+	h := newDepHasher()
+	h.u64(snap.fpBase)
+	h.u64(uint64(s.startTime.UnixNano()))
+	h.u64(s.store.Epoch())
+	h.u64(uint64(len(snap.owners)))
+	for _, o := range snap.owners {
+		h.u64(o.Generation())
+		h.u64(o.Policy.Rev())
+	}
+	return nonZero(h.h) // zero is reserved for "unavailable"
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,58 @@ func TestHandleQueryLockFree(t *testing.T) {
 
 	if got := srv.mx.queries.Load(); got != 100 {
 		t.Fatalf("queriesServed = %d, want 100", got)
+	}
+}
+
+// TestServerRetainsNothingPerQuery pins the other half of that contract:
+// a query leaves nothing behind. Fifty thousand distinct queries — entering
+// at the root of a 16-child star (16 children to match) and at one of its
+// children (16 versioned replicas to match), as start and as redirected
+// contacts, from two requesters — must not grow the heap or the goroutine
+// count. TestHandleQueryLockFree watches s.mu only; a per-server structure
+// keyed by query, behind a lock of its own, passed it for ten PRs.
+func TestServerRetainsNothingPerQuery(t *testing.T) {
+	vals := make([][]float64, 16)
+	for i := range vals {
+		vals[i] = rangeOf(float64(50*i), 8)
+	}
+	root, children, _, _, _ := newCacheStar(t, func(cfg *Config) { cfg.MaxChildren = 16 }, vals...)
+	if got := children[0].NumReplicas(); got != 16 {
+		t.Fatalf("fixture: child holds %d replicas; want 15 siblings and the root", got)
+	}
+	if root.queryFingerprint(root.snap.Load()) == 0 || children[0].queryFingerprint(children[0].snap.Load()) == 0 {
+		t.Fatal("fixture: a child or replica is unversioned")
+	}
+	drive := func(n int) {
+		for i := 0; i < n; i++ {
+			lo := float64(i) * 0.016
+			m := queryMsg("q", [2]string{"tester", "auditor"}[i%2], lo, lo+100)
+			m.Query.Start = i%4 < 2
+			srv := root
+			if i%8 < 4 {
+				srv = children[0]
+			}
+			if err := wire.RemoteError(srv.handle(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	drive(1000) // lazily built state is not per-query state
+	goroutines, before := runtime.NumGoroutine(), heap()
+	drive(50000)
+	after := heap()
+	if grew := int64(after) - int64(before); grew > 1<<20 {
+		t.Fatalf("heap grew by %d bytes over 50000 queries; a server must retain nothing per query", grew)
+	}
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Fatalf("goroutines %d → %d over 50000 queries", goroutines, got)
 	}
 }
 

@@ -11,10 +11,9 @@
 // economics, and (under partition churn) the split-brain exposure and
 // post-heal re-convergence the membership-epoch protocol delivers. The
 // cache/admission knobs (Config.RepeatFraction, ClientCache, HotClients,
-// ResultCacheBytes, AdmissionRate) add a hot-tenant overload mode that
-// measures result-cache hit rates and the p99 protection admission gives
-// high-priority traffic while a low-priority tenant is shed to coarse
-// answers.
+// AdmissionRate) add a hot-tenant overload mode that measures client-cache
+// hits and the p99 protection admission gives high-priority traffic while a
+// low-priority tenant is shed to coarse answers.
 //
 // cmd/roads-load is the CLI front-end; `make bench-load` and
 // `make bench-cache` archive runs as BENCH_*.json via cmd/benchjson (see

@@ -135,8 +135,8 @@ type Config struct {
 	Parallelism     int
 	// RepeatFraction, when positive, makes each drive client re-issue an
 	// already-issued query with that probability instead of advancing to
-	// a fresh one — the repeat-query workload the PR 9 result cache is
-	// built to serve.
+	// a fresh one — the repeat-query workload the clients' caches
+	// (ClientCache) are built to serve.
 	RepeatFraction float64
 	// ClientCache enables the drive clients' fingerprint-validated
 	// record caches (live.Client.CacheResults); ClientPriority is the
@@ -144,9 +144,9 @@ type Config struct {
 	// runs, so the admission layer protects them from the hot tenant).
 	ClientCache    bool
 	ClientPriority uint8
-	// Untraced disables per-query tracing. Traced queries bypass the
-	// server result cache by design, so cache-measuring runs must set it;
-	// FP-descent accounting, which rides on traces, reports zero then.
+	// Untraced disables per-query tracing, which adds a trace payload to
+	// every hop's reply; latency-measuring runs set it. FP-descent
+	// accounting, which rides on traces, reports zero then.
 	Untraced bool
 	// HotClients, when positive, adds that many extra low-priority
 	// clients sharing one requester identity ("hot-tenant") that hammer a
@@ -155,13 +155,10 @@ type Config struct {
 	// separately (HotQueries, HotCoarse, HotFailures, HotLatencyP99) and
 	// never enter the main latency/coverage stats.
 	HotClients int
-	// ResultCacheBytes, AdmissionRate and AdmissionBurst configure every
-	// server's result cache and admission layer. ResultCacheBytes follows
-	// live.Config: zero takes the default budget, negative disables the
-	// cache. AdmissionRate zero leaves admission off.
-	ResultCacheBytes int64
-	AdmissionRate    float64
-	AdmissionBurst   int
+	// AdmissionRate and AdmissionBurst configure every server's admission
+	// layer. AdmissionRate zero leaves admission off.
+	AdmissionRate  float64
+	AdmissionBurst int
 	// Seed makes workload, placement and schedule deterministic
 	// (default 1).
 	Seed int64
@@ -328,27 +325,21 @@ type Result struct {
 	EpochRegressions  int     `json:"epoch_regressions"`
 	MembershipMerges  int     `json:"membership_merges"`
 
-	// Result-cache and admission results (all zero unless the run enables
+	// Client-cache and admission results (all zero unless the run enables
 	// the cache/admission paths). Server-side counters are summed across
-	// alive servers at drive end; ServerCacheHitRate is hits over
-	// hits+misses. ClientCacheHits counts main-client resolves served off
-	// the client cache via a NotModified revalidation; CoarseAnswers the
-	// main-client resolves shed to coarse summary-only answers (stays
-	// zero while main clients run PriorityHigh). The Hot* fields tally
-	// the hot tenant's traffic separately.
-	ServerCacheHits          uint64        `json:"server_cache_hits"`
-	ServerCacheMisses        uint64        `json:"server_cache_misses"`
-	ServerCacheHitRate       float64       `json:"server_cache_hit_rate"`
-	ServerCacheInvalidations uint64        `json:"server_cache_invalidations"`
-	ServerCacheEvictions     uint64        `json:"server_cache_evictions"`
-	ClientCacheHits          int           `json:"client_cache_hits"`
-	CoarseAnswers            int           `json:"coarse_answers"`
-	AdmissionAdmitted        uint64        `json:"admission_admitted"`
-	AdmissionShed            uint64        `json:"admission_shed"`
-	HotQueries               int           `json:"hot_queries"`
-	HotCoarse                int           `json:"hot_coarse"`
-	HotFailures              int           `json:"hot_failures"`
-	HotLatencyP99            time.Duration `json:"hot_latency_p99_ns"`
+	// alive servers at drive end. ClientCacheHits counts main-client
+	// resolves served off the client cache via a NotModified revalidation;
+	// CoarseAnswers the main-client resolves shed to coarse summary-only
+	// answers (stays zero while main clients run PriorityHigh). The Hot*
+	// fields tally the hot tenant's traffic separately.
+	ClientCacheHits   int           `json:"client_cache_hits"`
+	CoarseAnswers     int           `json:"coarse_answers"`
+	AdmissionAdmitted uint64        `json:"admission_admitted"`
+	AdmissionShed     uint64        `json:"admission_shed"`
+	HotQueries        int           `json:"hot_queries"`
+	HotCoarse         int           `json:"hot_coarse"`
+	HotFailures       int           `json:"hot_failures"`
+	HotLatencyP99     time.Duration `json:"hot_latency_p99_ns"`
 }
 
 // Run executes one load run: build the hierarchy, attach owners, wait for
@@ -404,16 +395,15 @@ func Run(cfg Config) (*Result, error) {
 	var tr transport.Transport = ch
 	var faulty *transport.Faulty
 	ccfg := live.ClusterConfig{
-		N:                cfg.Servers,
-		Schema:           w.Schema,
-		Summary:          sumCfg,
-		MaxChildren:      cfg.FanOut,
-		JoinVia:          func(i int) int { return parents[i] },
-		Parallelism:      cfg.Parallelism,
-		Tick:             cfg.Tick,
-		ResultCacheBytes: cfg.ResultCacheBytes,
-		AdmissionRate:    cfg.AdmissionRate,
-		AdmissionBurst:   cfg.AdmissionBurst,
+		N:              cfg.Servers,
+		Schema:         w.Schema,
+		Summary:        sumCfg,
+		MaxChildren:    cfg.FanOut,
+		JoinVia:        func(i int) int { return parents[i] },
+		Parallelism:    cfg.Parallelism,
+		Tick:           cfg.Tick,
+		AdmissionRate:  cfg.AdmissionRate,
+		AdmissionBurst: cfg.AdmissionBurst,
 
 		DisableAdaptiveSummaries: cfg.DisableAdaptive,
 		SummaryByteBudget:        cfg.SummaryByteBudget,
@@ -818,7 +808,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				if cfg.RepeatFraction > 0 && k > 0 && wrng.Float64() < cfg.RepeatFraction {
 					// Re-issue an already-issued query: the repeat-query
-					// workload the result cache serves. The ticket is still
+					// workload the client cache serves. The ticket is still
 					// consumed, so the total issue count is unchanged.
 					k = int64(wrng.Intn(int(min64(k, int64(len(queries))))))
 				}
@@ -1014,11 +1004,6 @@ func Run(cfg Config) (*Result, error) {
 			res.RefreshTicks += ri.Ticks
 			res.RefreshSkipped += ri.Skipped
 			res.RefreshBusySeconds += ri.BusySeconds
-			ci := srv.CacheInfo()
-			res.ServerCacheHits += ci.Hits
-			res.ServerCacheMisses += ci.Misses
-			res.ServerCacheInvalidations += ci.Invalidations
-			res.ServerCacheEvictions += ci.Evictions
 			ai := srv.AdmissionInfo()
 			res.AdmissionAdmitted += ai.Admitted
 			res.AdmissionShed += ai.Shed
@@ -1029,9 +1014,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	aliveMu.Unlock()
-	if lookups := res.ServerCacheHits + res.ServerCacheMisses; lookups > 0 {
-		res.ServerCacheHitRate = float64(res.ServerCacheHits) / float64(lookups)
-	}
 	res.EpochRegressions = int(regress)
 	res.MembershipMerges = int(mMerges)
 	if res.RefreshTicks > 0 {
@@ -1100,7 +1082,6 @@ func reviveServer(cl *live.Cluster, tr transport.Transport, cfg Config, sumCfg s
 	scfg.Summary = sumCfg
 	scfg.MaxChildren = cfg.FanOut
 	scfg.AggregateEvery = cfg.Tick
-	scfg.ResultCacheBytes = cfg.ResultCacheBytes
 	scfg.AdmissionRate = cfg.AdmissionRate
 	scfg.AdmissionBurst = cfg.AdmissionBurst
 	scfg.DisableAdaptiveSummaries = cfg.DisableAdaptive

@@ -321,7 +321,7 @@ func TestLoadgenPartitionChurn(t *testing.T) {
 // TestLoadgenHotTenantCacheMode exercises the PR 9 overload mode end to
 // end at small scale: caching clients replay a repeat-heavy workload at
 // high priority while a low-priority hot tenant hammers a tiny query set
-// through rate-limited servers. The run must surface server cache hits,
+// through rate-limited servers. The run must surface client cache hits,
 // shed the hot tenant to coarse answers rather than errors, and keep the
 // high-priority traffic fully answered.
 func TestLoadgenHotTenantCacheMode(t *testing.T) {
@@ -358,11 +358,8 @@ func TestLoadgenHotTenantCacheMode(t *testing.T) {
 	if res.CoarseAnswers != 0 {
 		t.Fatalf("%d high-priority queries were shed to coarse answers", res.CoarseAnswers)
 	}
-	if res.ServerCacheHits == 0 {
-		t.Fatal("repeat-heavy untraced workload produced no server cache hits")
-	}
-	if res.ServerCacheHitRate <= 0 || res.ServerCacheHitRate > 1 {
-		t.Fatalf("cache hit rate out of range: %g", res.ServerCacheHitRate)
+	if res.ClientCacheHits == 0 {
+		t.Fatal("repeat-heavy workload with caching clients produced no client cache hits")
 	}
 	if res.HotQueries == 0 {
 		t.Fatal("hot tenant never issued a query")
@@ -379,7 +376,7 @@ func TestLoadgenHotTenantCacheMode(t *testing.T) {
 	if got := m.HotQueries.Load(); got != uint64(res.HotQueries) {
 		t.Fatalf("metrics/result hot-query mismatch: %d/%d", got, res.HotQueries)
 	}
-	t.Logf("hit-rate=%.3f client-hits=%d hot=%d coarse=%d shed=%d p99=%v hot-p99=%v",
-		res.ServerCacheHitRate, res.ClientCacheHits, res.HotQueries,
+	t.Logf("client-hits=%d hot=%d coarse=%d shed=%d p99=%v hot-p99=%v",
+		res.ClientCacheHits, res.HotQueries,
 		res.HotCoarse, res.AdmissionShed, res.LatencyP99, res.HotLatencyP99)
 }

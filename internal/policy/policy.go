@@ -204,7 +204,10 @@ func (o *Owner) StoreStats() store.Stats {
 // ExportSummary builds the summary the owner publishes to its attachment
 // point. Regardless of views, the summary covers all records — summaries
 // are coarse enough that exposure is acceptable, which is the premise of
-// the design; fine-grained control happens at answer time.
+// the design; fine-grained control happens at answer time. What the summary
+// does carry of the views is their revision (Summary.PolicyRev), so that a
+// view change travels as far as a record write does and a requester holding
+// a cached answer finds out.
 //
 // The export is a merge of the store's per-shard partial summaries
 // (content- and version-identical to a monolithic FromRecords build), so
@@ -228,6 +231,10 @@ func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 	// (historically callers own the export outright and may mutate it).
 	out := sum.Clone()
 	out.Origin = o.ID
+	if rev := o.Policy.Rev(); rev != 0 {
+		out.PolicyRev = rev
+		out.ComputeVersion()
+	}
 	return out, nil
 }
 

@@ -114,6 +114,19 @@ func TestExportSummaryCoversAllRecords(t *testing.T) {
 	if !sum.MatchEq(1, "internal") {
 		t.Fatal("summary covers all records regardless of views")
 	}
+	// What a view change does to the export is re-version it.
+	if sum.PolicyRev != 0 {
+		t.Fatalf("PolicyRev = %d before any view was set; want 0", sum.PolicyRev)
+	}
+	o.Policy.SetView("guest", View{Name: "public"})
+	flipped, err := o.ExportSummary(cfg)
+	if err != nil {
+		t.Fatalf("ExportSummary: %v", err)
+	}
+	if flipped.PolicyRev != 1 || flipped.Version == sum.Version {
+		t.Fatalf("after SetView: PolicyRev %d, version %d (was %d); want revision 1 under a new version",
+			flipped.PolicyRev, flipped.Version, sum.Version)
+	}
 }
 
 func TestExportRecordsRespectsMode(t *testing.T) {

@@ -167,6 +167,12 @@ type Summary struct {
 
 	// Records counts how many records this summary condenses.
 	Records uint64
+	// PolicyRev is the sum of the view revisions (policy.Policy.Rev) of the
+	// owners whose records this summary condenses. Owners apply views at
+	// answer time, so a view change alters no summarized content, yet it
+	// alters answers; carried as content and hashed into Version, it
+	// re-versions every branch above the owner the way a record write does.
+	PolicyRev uint64
 
 	// Origin identifies the server or owner whose branch this summarizes.
 	Origin string
@@ -336,6 +342,7 @@ func (sum *Summary) Merge(other *Summary) error {
 		}
 	}
 	sum.Records += other.Records
+	sum.PolicyRev += other.PolicyRev
 	return nil
 }
 
@@ -389,7 +396,8 @@ func (sum *Summary) MatchEq(i int, v string) bool {
 }
 
 // ComputeVersion hashes the summarized content (record count, histogram
-// buckets, value sets, Bloom bitsets — not origin or expiry metadata) into
+// buckets, value sets, Bloom bitsets, and the policy revision when there is
+// one — not origin or expiry metadata) into
 // Version and returns it. Two summaries condensing identical data hash
 // identically, so downstream equality checks — "does my parent already
 // hold this branch?" — cost one uint64 compare instead of a bucket-wise
@@ -437,6 +445,10 @@ func (sum *Summary) ComputeVersion() uint64 {
 			}
 		}
 	}
+	if sum.PolicyRev != 0 {
+		w(4) // no attribute section starts with this word
+		w(sum.PolicyRev)
+	}
 	v := h.Sum64()
 	if v == 0 {
 		v = 1
@@ -465,15 +477,16 @@ func (sum *Summary) Touch(now time.Time, ttl time.Duration) {
 // overlay so that in-process simulations do not alias state).
 func (sum *Summary) Clone() *Summary {
 	c := &Summary{
-		Schema:  sum.Schema,
-		Cfg:     sum.Cfg,
-		Hists:   make([]*Histogram, len(sum.Hists)),
-		Sets:    make([]*ValueSet, len(sum.Sets)),
-		Blooms:  make([]*Bloom, len(sum.Blooms)),
-		Records: sum.Records,
-		Origin:  sum.Origin,
-		Version: sum.Version,
-		Expires: sum.Expires,
+		Schema:    sum.Schema,
+		Cfg:       sum.Cfg,
+		Hists:     make([]*Histogram, len(sum.Hists)),
+		Sets:      make([]*ValueSet, len(sum.Sets)),
+		Blooms:    make([]*Bloom, len(sum.Blooms)),
+		Records:   sum.Records,
+		PolicyRev: sum.PolicyRev,
+		Origin:    sum.Origin,
+		Version:   sum.Version,
+		Expires:   sum.Expires,
 	}
 	for i := range sum.Hists {
 		if sum.Hists[i] != nil {
@@ -492,7 +505,8 @@ func (sum *Summary) Clone() *Summary {
 // Equal reports whether two summaries condense identical data (ignores
 // origin/version/expiry metadata).
 func (sum *Summary) Equal(other *Summary) bool {
-	if other == nil || sum.Records != other.Records || len(sum.Hists) != len(other.Hists) {
+	if other == nil || sum.Records != other.Records || sum.PolicyRev != other.PolicyRev ||
+		len(sum.Hists) != len(other.Hists) {
 		return false
 	}
 	for i := range sum.Hists {

@@ -80,6 +80,30 @@ func TestComputeVersionContentHash(t *testing.T) {
 		t.Fatal("merge left the version unchanged")
 	}
 
+	// A policy revision is content: it moves the hash, adds up through
+	// merges, survives a clone and tells two summaries apart — and a zero
+	// one leaves the hash where it was.
+	p := a.Clone()
+	p.PolicyRev = 3
+	if p.ComputeVersion() == a.Version {
+		t.Fatal("a policy revision left the version unchanged")
+	}
+	if p.Equal(a) || !p.Equal(p.Clone()) {
+		t.Fatal("Equal ignores the policy revision, or Clone drops it")
+	}
+	p2 := a.Clone()
+	p2.PolicyRev = 4
+	if err := p.Merge(p2); err != nil {
+		t.Fatal(err)
+	}
+	if p.PolicyRev != 7 {
+		t.Fatalf("merged policy revision %d; want 7", p.PolicyRev)
+	}
+	p2.PolicyRev = 0
+	if p2.ComputeVersion() != a.Version {
+		t.Fatal("a zero policy revision changed the content hash")
+	}
+
 	// An empty summary still stamps non-zero.
 	e := MustNew(s, cfg)
 	if e.ComputeVersion() == 0 {

@@ -13,10 +13,10 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 9 because eight layouts came before it (the git history and
-// EXPERIMENTS.md have them); 1–8 are rejected like any other byte. Version 9
-// dropped the heartbeat payload: the summary report carries its Have and the
-// report's ack its content (AckInfo.Ancestry).
+// The version is 10 because nine layouts came before it (the git history and
+// EXPERIMENTS.md have them); 1–9 are rejected like any other byte. Version 10
+// added one uvarint to the summary header, SummaryDTO.PolicyRev; queries and
+// replies are laid out as in version 9.
 
 import (
 	"encoding/binary"
@@ -34,7 +34,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 9
+	binVersion = 10
 	// valueMinBytes is the least a record.Value takes on the wire: its
 	// float plus the length byte of an empty string.
 	valueMinBytes = 9
@@ -850,6 +850,7 @@ func appendSummary(b []byte, s *SummaryDTO) []byte {
 	b = appendString(b, s.Origin)
 	b = appendUvarint(b, s.Version)
 	b = appendUvarint(b, s.Records)
+	b = appendUvarint(b, s.PolicyRev)
 	b = appendVarint(b, int64(s.Buckets))
 	b = appendF64(b, s.Min)
 	b = appendF64(b, s.Max)
@@ -907,12 +908,13 @@ func appendSummary(b []byte, s *SummaryDTO) []byte {
 
 func readSummary(r *binReader) *SummaryDTO {
 	s := &SummaryDTO{
-		Origin:  r.str(),
-		Version: r.uvarint(),
-		Records: r.uvarint(),
-		Buckets: int(r.varint()),
-		Min:     r.f64(),
-		Max:     r.f64(),
+		Origin:    r.str(),
+		Version:   r.uvarint(),
+		Records:   r.uvarint(),
+		PolicyRev: r.uvarint(),
+		Buckets:   int(r.varint()),
+		Min:       r.f64(),
+		Max:       r.f64(),
 	}
 
 	nh := r.count(3)

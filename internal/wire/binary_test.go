@@ -100,6 +100,15 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
 			Version: 41, Depth: 2, Summary: adaptiveSummaryDTO(),
 		}},
+		// A branch over owners with view revisions: the summed revision rides
+		// in the summary header.
+		{Kind: KindSummaryReport, From: "n3e", Epoch: 3, Report: &SummaryReport{
+			Version: 9, Depth: 1, Summary: func() *SummaryDTO {
+				s := *dto
+				s.PolicyRev = 1<<40 + 7
+				return &s
+			}(),
+		}},
 		{Kind: KindReplicaBatch, From: "n5", Epoch: 7, Batch: &ReplicaBatch{Pushes: []*ReplicaPush{
 			{OriginID: "p1", OriginAddr: "pa1", Branch: dto, Level: 1, Version: 5},
 			// Untagged, unversioned full entry (what a hand-built push looks like).
@@ -259,7 +268,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 10} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

@@ -14,8 +14,8 @@ func envelope(kind Kind, bits uint64) []byte {
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
 // maintenance frames — the digest batch, the tag-only entry of a list batch,
 // the version-only report with its ancestry hash and the report ack with and
-// without ancestry — so a layout change cannot go in without this table (and
-// binVersion) changing in the same commit.
+// without ancestry — and of a summary's header, so a layout change cannot go
+// in without this table (and binVersion) changing in the same commit.
 func TestBinaryGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -52,6 +52,27 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0,                                              // no children
 				3,                                              // Version
 				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, // Have
+				1, // Epoch
+			)},
+		{"full report, summary header",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
+					Origin: "o", Version: 3, Records: 2, PolicyRev: 5, Buckets: 4, Min: 0, Max: 1}}},
+			append(envelope(KindSummaryReport, hasReport),
+				1,      // summary present
+				1, 'o', // Origin
+				3,                      // Version
+				2,                      // Records
+				5,                      // PolicyRev
+				8,                      // Buckets 4, zigzag
+				0, 0, 0, 0, 0, 0, 0, 0, // Min
+				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0, little-endian
+				0, 0, 0, // no histograms, value sets or Bloom filters
+				0, 0, // Mode, no plan
+				2, 0, // Depth 1 and Descendants 0, zigzag
+				0,                      // no children
+				3,                      // Version
+				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
 		{"report ack, ancestry held",

@@ -504,12 +504,13 @@ type AttrPlanDTO struct {
 // counts; categorical attributes carry either the value-set counts or the
 // Bloom bits.
 type SummaryDTO struct {
-	Origin  string
-	Version uint64
-	Records uint64
-	Buckets int
-	Min     float64
-	Max     float64
+	Origin    string
+	Version   uint64
+	Records   uint64
+	PolicyRev uint64
+	Buckets   int
+	Min       float64
+	Max       float64
 
 	Hists  []HistDTO
 	Sets   []SetDTO
@@ -553,12 +554,13 @@ func FromSummary(s *summary.Summary) *SummaryDTO {
 		return nil
 	}
 	dto := &SummaryDTO{
-		Origin:  s.Origin,
-		Version: s.Version,
-		Records: s.Records,
-		Buckets: s.Cfg.Buckets,
-		Min:     s.Cfg.Min,
-		Max:     s.Cfg.Max,
+		Origin:    s.Origin,
+		Version:   s.Version,
+		Records:   s.Records,
+		PolicyRev: s.PolicyRev,
+		Buckets:   s.Cfg.Buckets,
+		Min:       s.Cfg.Min,
+		Max:       s.Cfg.Max,
 	}
 	for i := range s.Hists {
 		if h := s.Hists[i]; h != nil {
@@ -644,6 +646,7 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 	s.Origin = dto.Origin
 	s.Version = dto.Version
 	s.Records = dto.Records
+	s.PolicyRev = dto.PolicyRev
 	for _, h := range dto.Hists {
 		if h.Attr < 0 || h.Attr >= schema.NumAttrs() || s.Hists[h.Attr] == nil {
 			return nil, fmt.Errorf("wire: histogram for invalid attr %d", h.Attr)
