@@ -54,14 +54,17 @@ bench-smoke:
 
 # bench-transport runs the RPC hot path's microbenchmarks — one pooled TCP
 # round trip (serial and parallel, with allocations and writes per call),
-# one batched replica-push round in the versioned steady state, the
-# client cache key and the query-reply decode — and archives them as
+# one in-process round trip and one fresh broad resolve of a 64-server
+# federation over either transport (each under a context that cannot be
+# cancelled and under one with a deadline; the tcp arms need ports
+# 20100–20163), one batched replica-push round in the versioned steady
+# state, the client cache key and the query-reply decode — and archives them as
 # BENCH_pr14.json via cmd/benchjson. The dial-per-call and per-replica-push
 # baseline arms are gone; EXPERIMENTS.md ("Archived baselines") says which
 # archive holds them and that PushReplicas/batched changed workload.
 BENCHTRANSPORT ?= BENCH_pr14.json
 bench-transport:
-	$(GO) test -bench 'BenchmarkTCPCall|BenchmarkPushReplicas|BenchmarkCacheKey|BenchmarkDecodeQueryReply' -benchmem -run '^$$' ./internal/transport/ ./internal/live/ ./internal/wire/ \
+	$(GO) test -bench 'BenchmarkTCPCall|BenchmarkChanCall|BenchmarkResolve|BenchmarkPushReplicas|BenchmarkCacheKey|BenchmarkDecodeQueryReply' -benchmem -run '^$$' ./internal/transport/ ./internal/live/ ./internal/wire/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o $(BENCHTRANSPORT)
 
 # bench runs the query-hot-path, wire-codec, aggregation-tick, and

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -392,4 +393,59 @@ func BenchmarkMaintenanceBytesByKind(b *testing.B) {
 		b.ReportMetric(perNodeSecond(bytes), strings.NewReplacer(" ", "_", ",", "").Replace(name)+"_kB/node/s")
 	}
 	b.ReportMetric(perNodeSecond(total), "total_kB/node/s")
+}
+
+// BenchmarkResolve measures one fresh broad resolve against the canonical
+// benchmark's 64-server federation, built once per transport and at rest
+// (parkedFederation), so an iteration is the client's fan-out, the contacts'
+// round trips and the handlers, and nothing else. The background arms pass
+// the context library callers and the benchmark pass, one that cannot be
+// cancelled; the deadline arms pass one with a deadline far away, as
+// cmd/roads-load and roadsctl do, which on Chan still costs a goroutine and a
+// channel per contact (the only way to abandon an in-process handler) and on
+// TCP lets the context end the wait in place of the transport's timer. The
+// tcp arms need ports 20100–20163.
+func BenchmarkResolve(b *testing.B) {
+	transports := []struct {
+		name    string
+		tr      func() transport.Transport
+		addrFor func(int) string
+	}{
+		{"chan", func() transport.Transport { return transport.NewChan() }, nil},
+		{"tcp", func() transport.Transport { return transport.NewTCP() },
+			func(i int) string { return fmt.Sprintf("127.0.0.1:%d", 20100+i) }},
+	}
+	for _, tc := range transports {
+		b.Run(tc.name, func(b *testing.B) {
+			tr := tc.tr()
+			if c, ok := tr.(interface{ Close() error }); ok {
+				b.Cleanup(func() { _ = c.Close() }) // after the federation's Stop
+			}
+			cl, queries := parkedFederation(b, tr, tc.addrFor)
+			client := NewClient(tr, "bench")
+			next := 0
+			for _, mode := range []string{"background", "deadline"} {
+				b.Run(mode, func(b *testing.B) {
+					contacts := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ctx, cancel := context.Background(), context.CancelFunc(func() {})
+						if mode == "deadline" {
+							ctx, cancel = context.WithTimeout(ctx, time.Minute)
+						}
+						_, stats, err := client.ResolveContext(ctx, cl.Servers[next%len(cl.Servers)].Addr(), queries[next%len(queries)])
+						cancel()
+						if err != nil || stats.Failed > 0 {
+							b.Fatalf("resolve: %v, %+v", err, stats)
+						}
+						next++
+						contacts += stats.Contacted
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(contacts)/float64(b.N), "contacts/op")
+				})
+			}
+		})
+	}
 }

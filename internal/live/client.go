@@ -25,19 +25,20 @@ const DefaultClientCacheBytes = 1 << 20
 // Client resolves queries against a live ROADS deployment by following
 // redirects, querying redirect targets concurrently — up to MaxConcurrent
 // contacts at once, exactly the fan-out the overlay enables.
-// Each contact is bounded by Timeout, retried with exponential backoff,
-// and — when it stays unreachable — failed over to alternate replica
-// holders of the same branch, so a crashed or partitioned server costs
-// retries rather than its whole subtree.
+// Each attempt at a contact is bounded by Timeout, a failed one retried with
+// exponential backoff, and a contact that stays unreachable failed over to
+// alternate replica holders of the same branch, so a crashed or partitioned
+// server costs retries rather than its whole subtree.
 type Client struct {
 	tr transport.Transport
 	// Requester is the identity presented to owners' sharing policies.
 	Requester string
 	// MaxConcurrent bounds parallel contacts (default 16).
 	MaxConcurrent int
-	// Timeout bounds each individual server contact (default
-	// wire.Deadline). The overall resolve deadline comes from the
-	// caller's context; each contact's budget is the smaller of the two.
+	// Timeout bounds each attempt at a server contact (default
+	// wire.Deadline); a retry gets a full Timeout of its own. The overall
+	// resolve deadline comes from the caller's context; each attempt's
+	// budget is the smaller of the two.
 	Timeout time.Duration
 	// Retries is how many times a failed contact is retried (on top of
 	// the first attempt) before failing over to alternates. NewClient
@@ -158,7 +159,8 @@ type HopTrace struct {
 	// (server IDs, excluding the contact itself), capped at
 	// wire.MaxTracePath entries.
 	Path []string
-	// Attempts is how many attempts the contact burned (1 = no retries).
+	// Attempts is how many attempts the contact burned (1 = no retries;
+	// 0 = never sent, the resolve's deadline had already passed).
 	Attempts int
 	// RTT is the round-trip time of the final attempt.
 	RTT time.Duration
@@ -280,18 +282,22 @@ type resolve struct {
 	stats   QueryStats
 }
 
-// ResolveScopedContext is ResolveScoped bounded by ctx. Every server
-// contact gets at most min(Timeout, remaining deadline); failed contacts
-// are retried with backoff and then failed over to the alternate replica
-// holders the redirecting server named, so the resolve routes around dead
-// or partitioned servers instead of silently dropping their subtrees.
+// ResolveScopedContext is ResolveScoped bounded by ctx. Every attempt at a
+// server contact gets at most min(Timeout, remaining deadline); failed
+// contacts are retried with backoff and then failed over to the alternate
+// replica holders the redirecting server named, so the resolve routes around
+// dead or partitioned servers instead of silently dropping their subtrees.
+//
+// The timeout rides on the resolve's one context as a value the transport
+// enforces (transport.WithCallTimeout), so nothing is armed per contact. Over
+// the in-process Chan transport that leaves a handler that never returns
+// unbounded unless ctx can be cancelled.
 func (c *Client) ResolveScopedContext(ctx context.Context, startAddr string, q *query.Query, scope int) ([]*record.Record, QueryStats, error) {
 	begin := time.Now()
 	q = q.Clone()
 	q.Requester = c.Requester
 	r := &resolve{
 		c:       c,
-		ctx:     ctx,
 		q:       q,
 		scope:   scope,
 		timeout: c.Timeout,
@@ -312,6 +318,7 @@ func (c *Client) ResolveScopedContext(ctx context.Context, startAddr string, q *
 	if r.retries < 0 {
 		r.retries = 0
 	}
+	r.ctx = transport.WithCallTimeout(ctx, r.timeout)
 	var ckey string
 	if c.CacheResults {
 		var buf [256]byte
@@ -406,9 +413,9 @@ func (r *resolve) worker() {
 	r.drain()
 }
 
-// call makes one contact: the query to t with this contact's budget,
-// retried with backoff. It returns the final reply or error, the attempts
-// burned and the last attempt's round-trip time.
+// call makes one contact: the query to t, every attempt with a budget of
+// its own, retried with backoff. It returns the final reply or error, the
+// attempts sent and the last attempt's round-trip time.
 func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.Duration, err error) {
 	c := r.c
 	start := t.kind == hopStart
@@ -425,19 +432,29 @@ func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.
 		dto.CacheFingerprint = r.cachedFP
 	}
 	req := &wire.Message{Kind: wire.KindQuery, From: c.Requester, Query: dto}
+	deadline, bounded := r.ctx.Deadline()
 	for attempt := 0; ; attempt++ {
-		attempts = attempt + 1
-		cctx, cancel := context.WithTimeout(r.ctx, r.timeout)
-		// The budget the server sees is this contact's real deadline —
-		// the per-contact timeout clipped by the overall resolve
-		// deadline — so it can shed work the client has abandoned.
-		if dl, ok := cctx.Deadline(); ok {
-			dto.Budget = time.Until(dl)
-		}
 		sent := time.Now()
-		rep, err = c.tr.CallContext(cctx, t.addr, req)
+		// The budget the server sees is what the transport enforces on
+		// this attempt — the per-contact timeout clipped by the overall
+		// resolve deadline — so it can shed work the client has abandoned.
+		dto.Budget = r.timeout
+		if bounded {
+			if left := deadline.Sub(sent); left < dto.Budget {
+				dto.Budget = left
+			}
+		}
+		if dto.Budget <= 0 {
+			// Nothing is left to spend, and on the wire a budget of zero
+			// or less would read as no limit.
+			if err = r.ctx.Err(); err == nil {
+				err = context.DeadlineExceeded // ctx may lag its deadline by a moment
+			}
+			return nil, attempts, lastRTT, fmt.Errorf("live: contact not attempted: %w", err)
+		}
+		attempts = attempt + 1
+		rep, err = c.tr.CallContext(r.ctx, t.addr, req)
 		lastRTT = time.Since(sent)
-		cancel()
 		if err == nil {
 			err = wire.RemoteError(rep)
 		}

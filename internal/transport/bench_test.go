@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"roads/internal/wire"
 )
@@ -62,6 +64,36 @@ func BenchmarkTCPCall(b *testing.B) {
 		b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
 		b.ReportMetric(float64(writes()-startWrites)/float64(b.N), "writes/op")
 	})
+}
+
+// BenchmarkChanCall measures one in-process round trip — both codec passes
+// and the handler — under the two kinds of context a caller can pass: one
+// that cannot be cancelled, for which the handler runs on the caller's
+// goroutine, and one with a deadline, for which the call starts a goroutine
+// and waits on a channel so that it can abandon a handler that never returns.
+func BenchmarkChanCall(b *testing.B) {
+	for _, mode := range []string{"background", "deadline"} {
+		b.Run(mode, func(b *testing.B) {
+			tr := NewChan()
+			if _, err := tr.Listen("srv", echoHandler("srv")); err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			if mode == "deadline" {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Hour)
+				defer cancel()
+			}
+			msg := &wire.Message{Kind: wire.KindHeartbeat, From: "bench"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.CallContext(ctx, "srv", msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTCPCallParallel is the same round trip under concurrency: calls

@@ -147,44 +147,66 @@ func TestTCPCallContextStalledHandler(t *testing.T) {
 
 // TestTCPCancelDoesNotPoisonConnection: abandoning one call must leave the
 // pooled connection healthy — the late reply is discarded and subsequent
-// calls on the same connection succeed without a redial.
+// calls on the same connection succeed without a redial — whether the wait
+// was ended by the context's own deadline or by a call timeout riding on a
+// context that cannot be cancelled.
 func TestTCPCancelDoesNotPoisonConnection(t *testing.T) {
-	srv := NewTCP()
-	slow := make(chan struct{})
-	addr := freeAddr(t)
-	closer, err := srv.Listen(addr, func(m *wire.Message) *wire.Message {
-		if m.Kind == wire.KindHeartbeat {
-			<-slow // only heartbeats stall
-		}
-		return &wire.Message{Kind: wire.KindAck, From: "srv"}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
+	const wait = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		bound func() (context.Context, context.CancelFunc)
+	}{
+		{"context deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), wait)
+		}},
+		{"call timeout", func() (context.Context, context.CancelFunc) {
+			return WithCallTimeout(context.Background(), wait), func() {}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewTCP()
+			slow := make(chan struct{})
+			addr := freeAddr(t)
+			closer, err := srv.Listen(addr, func(m *wire.Message) *wire.Message {
+				if m.Kind == wire.KindHeartbeat {
+					<-slow // only heartbeats stall
+				}
+				return &wire.Message{Kind: wire.KindAck, From: "srv"}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closer.Close()
 
-	tr := NewTCP()
-	defer tr.Close()
-	// Prime the pool.
-	if _, err := tr.Call(addr, &wire.Message{Kind: wire.KindAck}); err != nil {
-		t.Fatal(err)
-	}
-	dialsBefore := tr.Stats().Dials
+			tr := NewTCP()
+			defer tr.Close()
+			// Prime the pool.
+			if _, err := tr.Call(addr, &wire.Message{Kind: wire.KindAck}); err != nil {
+				t.Fatal(err)
+			}
+			dialsBefore := tr.Stats().Dials
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, cerr := tr.CallContext(ctx, addr, &wire.Message{Kind: wire.KindHeartbeat})
-	cancel()
-	if cerr == nil {
-		t.Fatal("stalled call must time out")
-	}
-	close(slow) // the late reply now flows; it must be discarded harmlessly
+			ctx, cancel := tc.bound()
+			start := time.Now()
+			_, cerr := tr.CallContext(ctx, addr, &wire.Message{Kind: wire.KindHeartbeat})
+			el := time.Since(start)
+			cancel()
+			if !errors.Is(cerr, context.DeadlineExceeded) {
+				t.Fatalf("stalled call returned %v; want DeadlineExceeded", cerr)
+			}
+			if el < wait || el > wait+5*time.Second {
+				t.Fatalf("stalled call returned after %v; want near %v", el, wait)
+			}
+			close(slow) // the late reply now flows; it must be discarded harmlessly
 
-	for i := 0; i < 5; i++ {
-		if _, err := tr.Call(addr, &wire.Message{Kind: wire.KindAck}); err != nil {
-			t.Fatalf("call %d after abandoned call failed: %v", i, err)
-		}
-	}
-	if d := tr.Stats().Dials; d != dialsBefore {
-		t.Fatalf("abandoned call poisoned the pool: %d dials, want %d", d, dialsBefore)
+			for i := 0; i < 5; i++ {
+				if _, err := tr.Call(addr, &wire.Message{Kind: wire.KindAck}); err != nil {
+					t.Fatalf("call %d after abandoned call failed: %v", i, err)
+				}
+			}
+			if d := tr.Stats().Dials; d != dialsBefore {
+				t.Fatalf("abandoned call poisoned the pool: %d dials, want %d", d, dialsBefore)
+			}
+		})
 	}
 }

@@ -18,7 +18,8 @@ type FaultAction uint8
 
 const (
 	// FaultDrop black-holes the request: the call blocks until the
-	// caller's context expires (bounded by MaxBlackhole) and then fails.
+	// caller's context or call timeout expires (bounded by MaxBlackhole)
+	// and then fails.
 	// The peer never sees the message, so a From/To pair gives a one-way
 	// partition: A→B traffic vanishes while B→A flows normally.
 	FaultDrop FaultAction = iota + 1
@@ -134,8 +135,9 @@ func Down(addr string) FaultRule {
 type Faulty struct {
 	inner Transport
 	// MaxBlackhole bounds how long a dropped call blocks when the
-	// caller's context carries no deadline (default 2s). Keeps Call —
-	// which has no context — from hanging forever on a drop rule.
+	// caller's context carries neither a deadline nor a call timeout
+	// (default 2s). Keeps Call — which has no context — from hanging
+	// forever on a drop rule.
 	MaxBlackhole time.Duration
 
 	mu    sync.Mutex
@@ -204,17 +206,28 @@ func (f *Faulty) Call(addr string, req *wire.Message) (*wire.Message, error) {
 }
 
 // CallContext implements Transport: the first live matching rule fires,
-// then the call proceeds (delay) or fails (drop, error).
+// then the call proceeds (delay) or fails (drop, error). Injected waits end
+// with the caller's context or call timeout, like a wait on a real socket.
 func (f *Faulty) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
 	rule, ok := f.pick(addr, req)
 	if !ok {
 		return f.inner.CallContext(ctx, addr, req)
 	}
+	deadline := callDeadline(ctx)
 	switch rule.Action {
 	case FaultDelay:
 		f.delayed.Add(1)
-		if err := sleepCtx(ctx, rule.Delay); err != nil {
+		if err := sleepCall(ctx, rule.Delay, deadline); err != nil {
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, err)
+		}
+		if callTimeoutOf(ctx) > 0 {
+			// The delay came out of this call's budget: the wrapped
+			// transport gets what is left of it, not a fresh one.
+			left := time.Until(deadline)
+			if left <= 0 {
+				return nil, fmt.Errorf("transport: call to %s: %w", addr, context.DeadlineExceeded)
+			}
+			ctx = WithCallTimeout(ctx, left)
 		}
 		return f.inner.CallContext(ctx, addr, req)
 	case FaultError:
@@ -230,7 +243,7 @@ func (f *Faulty) CallContext(ctx context.Context, addr string, req *wire.Message
 		if hole <= 0 {
 			hole = 2 * time.Second
 		}
-		if err := sleepCtx(ctx, hole); err != nil {
+		if err := sleepCall(ctx, hole, deadline); err != nil {
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, err)
 		}
 		return nil, fmt.Errorf("transport: call to %s dropped (injected)", addr)

@@ -84,6 +84,51 @@ func TestFaultyDropBoundedByContext(t *testing.T) {
 	}
 }
 
+// TestFaultyCallTimeoutBoundsInjectedWaits: under a context nothing can
+// cancel, a call timeout ends a black hole and an injected delay when it
+// runs out — the peer never sees the request — and a delay it outlasts is
+// taken out of what the wrapped transport may then spend.
+func TestFaultyCallTimeoutBoundsInjectedWaits(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	for _, rule := range []FaultRule{
+		{To: "b", Action: FaultDrop},
+		{To: "b", Action: FaultDelay, Delay: 5 * time.Minute},
+	} {
+		f := faultyFixture(t, 1)
+		f.MaxBlackhole = 5 * time.Minute
+		f.SetRules(rule)
+		start := time.Now()
+		_, err := f.CallContext(WithCallTimeout(context.Background(), timeout), "b", &wire.Message{Kind: wire.KindAck, From: "a"})
+		if el := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || el < timeout || el > timeout+5*time.Second {
+			t.Errorf("%v: returned %v after %v; want DeadlineExceeded near %v", rule.Action, err, el, timeout)
+		}
+		if n := f.Stats().Calls; n != 0 {
+			t.Errorf("%v: the wrapped transport made %d calls; want none", rule.Action, n)
+		}
+	}
+
+	inner := &timeoutRecorder{}
+	f := NewFaulty(inner, 1)
+	f.SetRules(FaultRule{Action: FaultDelay, Delay: 20 * time.Millisecond})
+	if _, err := f.CallContext(WithCallTimeout(context.Background(), time.Minute), "b", &wire.Message{Kind: wire.KindAck}); err != nil {
+		t.Fatal(err)
+	}
+	if inner.got <= 0 || inner.got > time.Minute-20*time.Millisecond {
+		t.Errorf("after a 20ms delay the wrapped transport was given a call timeout of %v; want what is left of the minute", inner.got)
+	}
+}
+
+// timeoutRecorder is a Transport that records the call timeout it is handed.
+type timeoutRecorder struct {
+	Transport
+	got time.Duration
+}
+
+func (r *timeoutRecorder) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
+	r.got = callTimeoutOf(ctx)
+	return &wire.Message{Kind: wire.KindAck}, nil
+}
+
 func TestFaultyDelayElapses(t *testing.T) {
 	f := faultyFixture(t, 1)
 	f.SetRules(FaultRule{To: "a", Action: FaultDelay, Delay: 60 * time.Millisecond})

@@ -150,8 +150,10 @@ func TestConcurrentCallersNeverTearFrames(t *testing.T) {
 	}
 }
 
-// TestAbandonedCallsKeepBuffersAndConnectionSound races context deadlines
-// against replies: handlers answer after about as long as callers wait, so
+// TestAbandonedCallsKeepBuffersAndConnectionSound races callers' deadlines —
+// context deadlines and call timeouts alternately, the latter ended by the
+// call's own timer — against replies: handlers answer after about as long as
+// callers wait, so
 // some calls get their reply, some give up before it arrives (the reader
 // releases the frame), and some give up just as the reader hands it over
 // (abandon releases it). A frame released twice would be handed to two
@@ -189,7 +191,11 @@ func TestAbandonedCallsKeepBuffersAndConnectionSound(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				// Deadlines from half to one and a half handler waits.
-				ctx, cancel := context.WithTimeout(context.Background(), wait/2+time.Duration(i%11)*wait/10)
+				d := wait/2 + time.Duration(i%11)*wait/10
+				ctx, cancel := WithCallTimeout(context.Background(), d), context.CancelFunc(func() {})
+				if i%2 == 0 {
+					ctx, cancel = context.WithTimeout(context.Background(), d)
+				}
 				ok, err := call(ctx, wire.KindHeartbeat, fmt.Sprintf("c%d-%d", c, i))
 				cancel()
 				if err != nil {

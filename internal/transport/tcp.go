@@ -484,6 +484,9 @@ func (t *TCP) getConn(ctx context.Context, addr string, fresh bool) (*peerConn, 
 	t.mu.Unlock()
 
 	d := net.Dialer{Timeout: t.dialTimeout()}
+	if ct := callTimeoutOf(ctx); ct > 0 && ct < d.Timeout {
+		d.Timeout = ct
+	}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 
 	t.mu.Lock()
@@ -646,22 +649,13 @@ func (t *TCP) CallContext(ctx context.Context, addr string, req *wire.Message) (
 	return rep, err
 }
 
-// deadlineWithin returns now+d, clamped to ctx's deadline when that comes
-// sooner — I/O deadlines must never outlive the caller's budget.
-func deadlineWithin(ctx context.Context, d time.Duration) time.Time {
-	t := time.Now().Add(d)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(t) {
-		return cd
-	}
-	return t
-}
-
 // callPooled runs one exchange over a pooled connection: frame is the
 // encoded request behind its reserved header, the result the reply frame,
-// which the caller decodes and releases. Failures on a reused connection
-// surface as errStaleConn so Call can retry them once. Context expiry
-// abandons only this call's waiter; the connection and its other in-flight
-// exchanges stay healthy.
+// which the caller decodes and releases. The exchange may take CallTimeout,
+// or the caller's own call timeout (WithCallTimeout) or context deadline
+// when that is sooner. Failures on a reused connection surface as
+// errStaleConn so Call can retry them once. Expiry abandons only this call's
+// waiter; the connection and its other in-flight exchanges stay healthy.
 func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh bool) (*[]byte, error) {
 	pc, reused, err := t.getConn(ctx, addr, fresh)
 	if err != nil {
@@ -685,8 +679,20 @@ func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh b
 		pc.touch()
 	}()
 
+	limit := t.callTimeout()
+	if d := callTimeoutOf(ctx); d > 0 && d < limit {
+		limit = d
+	}
+	deadline := time.Now().Add(limit)
+	// When ctx's own deadline is no later than that, ctx.Done() ends the
+	// wait in time and no timer has to.
+	ctxEnds := false
+	if cd, ok := ctx.Deadline(); ok && !cd.After(deadline) {
+		deadline, ctxEnds = cd, true
+	}
+
 	pc.wmu.Lock()
-	_ = pc.conn.SetWriteDeadline(deadlineWithin(ctx, t.callTimeout()))
+	_ = pc.conn.SetWriteDeadline(deadline)
 	n, werr := pc.conn.Write(frame)
 	pc.wmu.Unlock()
 	if werr != nil {
@@ -694,10 +700,7 @@ func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh b
 		if n == 0 && errors.Is(werr, os.ErrDeadlineExceeded) {
 			// The deadline passed before a byte left (a caller with next to
 			// no budget): the stream is intact and only this call is over.
-			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-				werr = context.DeadlineExceeded // ctx itself may lag its deadline by a moment
-			}
-			return nil, fmt.Errorf("transport: call to %s: %w", addr, werr)
+			return nil, fmt.Errorf("transport: call to %s: %w", addr, context.DeadlineExceeded)
 		}
 		pc.fail(errStaleConn)
 		if reused {
@@ -707,11 +710,9 @@ func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh b
 	}
 	t.ctr.bytesSent.Add(uint64(len(frame)))
 
-	// The call timeout needs its own timer only when the context does not
-	// already end the wait sooner.
 	var timedOut <-chan time.Time
-	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > t.callTimeout() {
-		timer := time.NewTimer(t.callTimeout())
+	if !ctxEnds {
+		timer := time.NewTimer(limit)
 		defer timer.Stop()
 		timedOut = timer.C
 	}
@@ -729,7 +730,7 @@ func (t *TCP) callPooled(ctx context.Context, addr string, frame []byte, fresh b
 		return nil, fmt.Errorf("transport: call to %s: %w", addr, ctx.Err())
 	case <-timedOut:
 		pc.abandon(id, ch)
-		return nil, fmt.Errorf("transport: call to %s timed out after %v", addr, t.callTimeout())
+		return nil, fmt.Errorf("transport: call to %s: no reply within %v: %w", addr, limit, context.DeadlineExceeded)
 	}
 }
 

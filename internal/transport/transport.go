@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"roads/internal/obs"
@@ -32,8 +33,45 @@ type Transport interface {
 	// CallContext is Call bounded by ctx: cancellation or deadline expiry
 	// releases the caller promptly with the context's error, even when the
 	// remote handler never replies. The request may still reach (or have
-	// reached) the peer — cancellation only abandons the wait.
+	// reached) the peer — cancellation only abandons the wait. A timeout
+	// attached with WithCallTimeout bounds the call the same way, counted
+	// from the moment the call starts.
 	CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error)
+}
+
+type callTimeoutKey struct{}
+
+// WithCallTimeout returns ctx carrying d as the time every call made under
+// it may take, counted from that call's start. It is a value, not a timer:
+// the returned context's Done and Deadline are ctx's own, so a caller that
+// makes many calls under one budget per call — live.Client makes one per
+// server it contacts — attaches it once instead of deriving a
+// context.WithTimeout for each. Each transport enforces it where it already
+// waits: TCP on the socket and the wait for the reply, Faulty on its injected
+// drops and delays, Chan on its injected latency. A Chan handler itself can
+// only be abandoned under a context that can be cancelled (see
+// Chan.CallContext).
+func WithCallTimeout(ctx context.Context, d time.Duration) context.Context {
+	return context.WithValue(ctx, callTimeoutKey{}, d)
+}
+
+// callTimeoutOf returns the timeout WithCallTimeout attached to ctx, or 0.
+func callTimeoutOf(ctx context.Context) time.Duration {
+	d, _ := ctx.Value(callTimeoutKey{}).(time.Duration)
+	return d
+}
+
+// callDeadline returns when a call starting now under ctx has to give up:
+// the call timeout from now, or ctx's own deadline when that is sooner. The
+// zero time means neither is set.
+func callDeadline(ctx context.Context) time.Time {
+	dl, _ := ctx.Deadline()
+	if d := callTimeoutOf(ctx); d > 0 {
+		if t := time.Now().Add(d); dl.IsZero() || t.Before(dl) {
+			return t
+		}
+	}
+	return dl
 }
 
 // encodePooled serializes m into a buffer from wire's pool, behind reserve
@@ -54,14 +92,23 @@ func encodePooled(m *wire.Message, reserve int) (*[]byte, error) {
 // reserved is the zero filler encodePooled puts in front of a message.
 var reserved [headerV2Len]byte
 
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// sleepCall sleeps for d on behalf of a call that has to give up at deadline
+// (a callDeadline; zero for none): it returns early with ctx's error when ctx
+// ends, and after sleeping only up to the deadline with
+// context.DeadlineExceeded when d would cross it.
+func sleepCall(ctx context.Context, d time.Duration, deadline time.Time) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
+	var expired error
+	if !deadline.IsZero() {
+		if left := time.Until(deadline); left < d {
+			d, expired = left, context.DeadlineExceeded
+		}
+	}
 	if ctx.Done() == nil {
 		time.Sleep(d)
-		return nil
+		return expired
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -69,7 +116,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-t.C:
-		return nil
+		return expired
 	}
 }
 
@@ -80,21 +127,46 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // optional injected latency, which makes latency experiments reproducible
 // without sockets.
 type Chan struct {
-	mu       sync.RWMutex
-	handlers map[string]Handler
+	// handlers is read on every call and written only by Listen and Close,
+	// which copy the map (under mu) and publish the copy.
+	mu       sync.Mutex
+	handlers atomic.Pointer[map[string]Handler]
 	// Latency, if set, returns the one-way delay between two addresses;
-	// each Call sleeps twice (request + reply).
+	// each Call sleeps twice (request + reply). Set it before the first call.
 	Latency func(from, to string) time.Duration
 	// CallerAddr tags outgoing calls for the latency function; transports
-	// are per-process so a single caller address suffices.
+	// are per-process so a single caller address suffices. Set it before
+	// the first call.
 	CallerAddr string
 
 	ctr counters
 }
 
 // NewChan creates an empty in-process transport.
-func NewChan() *Chan {
-	return &Chan{handlers: make(map[string]Handler)}
+func NewChan() *Chan { return &Chan{} }
+
+// table returns the current handler map, which is never written again.
+func (t *Chan) table() map[string]Handler {
+	if m := t.handlers.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// update publishes a copy of the handler map with addr bound to h, or
+// unbound when h is nil. Callers hold t.mu.
+func (t *Chan) update(addr string, h Handler) {
+	old := t.table()
+	next := make(map[string]Handler, len(old)+1)
+	for a, oh := range old {
+		next[a] = oh
+	}
+	if h != nil {
+		next[addr] = h
+	} else {
+		delete(next, addr)
+	}
+	t.handlers.Store(&next)
 }
 
 type chanCloser struct {
@@ -105,7 +177,7 @@ type chanCloser struct {
 func (c *chanCloser) Close() error {
 	c.t.mu.Lock()
 	defer c.t.mu.Unlock()
-	delete(c.t.handlers, c.addr)
+	c.t.update(c.addr, nil)
 	return nil
 }
 
@@ -113,10 +185,10 @@ func (c *chanCloser) Close() error {
 func (t *Chan) Listen(addr string, h Handler) (io.Closer, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.handlers[addr]; dup {
+	if _, dup := t.table()[addr]; dup {
 		return nil, fmt.Errorf("transport: address %q already in use", addr)
 	}
-	t.handlers[addr] = h
+	t.update(addr, h)
 	return &chanCloser{t: t, addr: addr}, nil
 }
 
@@ -130,15 +202,16 @@ func (t *Chan) Call(addr string, req *wire.Message) (*wire.Message, error) {
 // CallContext implements Transport. With a cancellable context the remote
 // handler runs on its own goroutine so a stalled peer cannot pin the
 // caller past its deadline: the caller is released with ctx.Err() and the
-// abandoned handler finishes (or stalls) on its own. With a plain
-// background context the handler runs inline on the caller's goroutine,
-// exactly the pre-context behaviour.
+// abandoned handler finishes (or stalls) on its own. With a context that
+// cannot be cancelled (ctx.Done() == nil: a background context, with or
+// without values such as WithCallTimeout's) the handler runs inline on the
+// caller's goroutine, exactly the pre-context behaviour; a call timeout then
+// bounds only the injected latency, since nothing can interrupt a function
+// call.
 func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
-	t.mu.RLock()
-	h := t.handlers[addr]
+	h := t.table()[addr]
 	lat := t.Latency
 	caller := t.CallerAddr
-	t.mu.RUnlock()
 	if h == nil {
 		t.ctr.errors.Add(1)
 		return nil, fmt.Errorf("transport: no server at %q", addr)
@@ -152,8 +225,10 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 		return nil, err
 	}
 	t.ctr.bytesSent.Add(uint64(len(*reqBuf)))
+	var deadline time.Time
 	if lat != nil {
-		if err := sleepCtx(ctx, lat(caller, addr)); err != nil {
+		deadline = callDeadline(ctx)
+		if err := sleepCall(ctx, lat(caller, addr), deadline); err != nil {
 			wire.PutBuf(reqBuf)
 			t.ctr.errors.Add(1)
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, err)
@@ -191,7 +266,7 @@ func (t *Chan) CallContext(ctx context.Context, addr string, req *wire.Message) 
 	defer wire.PutBuf(repBuf)
 	t.ctr.bytesRecv.Add(uint64(len(*repBuf)))
 	if lat != nil {
-		if err := sleepCtx(ctx, lat(addr, caller)); err != nil {
+		if err := sleepCall(ctx, lat(addr, caller), deadline); err != nil {
 			t.ctr.errors.Add(1)
 			return nil, fmt.Errorf("transport: call to %s: %w", addr, err)
 		}
@@ -231,10 +306,9 @@ func (t *Chan) BytesMoved() int64 {
 
 // Addrs returns the registered addresses (diagnostics).
 func (t *Chan) Addrs() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.handlers))
-	for a := range t.handlers {
+	handlers := t.table()
+	out := make([]string, 0, len(handlers))
+	for a := range handlers {
 		out = append(out, a)
 	}
 	return out
