@@ -1,4 +1,4 @@
-// Command docscheck guards the repository's documentation in three ways:
+// Command docscheck guards the repository's documentation in four ways:
 //
 //  1. Every relative markdown link in the repo's *.md files must point at a
 //     file that exists (external http(s)/mailto links are skipped — CI has
@@ -9,13 +9,17 @@
 //     its metric tables is registered — so the operator catalog can
 //     neither fall behind the code nor keep rows for series that are gone.
 //     The check builds the registry exactly the way roadsd does —
-//     transport + wire codec + live server, plus the load harness
-//     counters.
+//     transport + wire codec + live server.
 //  3. The roadsd and roadsctl flag tables in OPERATIONS.md must match the
 //     flags those commands actually register: the check go/ast-parses each
 //     command's source for flag.* registrations and fails on drift in
 //     either direction — a documented flag the code no longer defines, or
 //     a defined flag the table does not document.
+//  4. In README.md, ARCHITECTURE.md, OPERATIONS.md and DESIGN.md, every repo
+//     path (cmd/…, internal/…, examples/…, bench/…, BENCH_*.json) written in
+//     a code span or a code fence must exist, and every `make <target>`
+//     written there must be a target the Makefile defines — deleting a
+//     command, a package or a target cannot leave the docs describing it.
 //
 // Run via `make docs-check` (part of the tier1 gate). Exit status is
 // non-zero when any check fails; every failure is listed, not just the
@@ -35,7 +39,6 @@ import (
 	"strings"
 
 	"roads/internal/live"
-	"roads/internal/loadgen"
 	"roads/internal/obs"
 	"roads/internal/record"
 	"roads/internal/transport"
@@ -59,6 +62,7 @@ func main() {
 	}
 	failures = append(failures, checkMetricsCatalog(root)...)
 	failures = append(failures, checkFlagTables(root)...)
+	failures = append(failures, checkRepoRefs(root)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -67,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files OK, metrics catalog and flag tables match\n", len(mdFiles))
+	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables and repo references match\n", len(mdFiles))
 }
 
 // markdownFiles lists every tracked *.md file under root, skipping
@@ -156,7 +160,6 @@ func checkMetricsCatalog(root string) []string {
 	tr := transport.NewChan()
 	tr.RegisterMetrics(reg)
 	wire.RegisterMetrics(reg)
-	loadgen.RegisterMetrics(reg)
 	cfg := live.DefaultConfig("docscheck", "docscheck-addr", record.DefaultSchema(2))
 	cfg.Metrics = reg
 	if _, err := live.NewServer(cfg, tr); err != nil {
@@ -308,4 +311,82 @@ func definedFlags(dir string) (map[string]bool, error) {
 		}
 	}
 	return flags, nil
+}
+
+// refDocs are the documents whose repo paths and make targets must exist.
+var refDocs = []string{"README.md", "ARCHITECTURE.md", "OPERATIONS.md", "DESIGN.md"}
+
+var (
+	// codeSpanRe matches an inline code span; spans wrap across the lines of
+	// a hard-wrapped paragraph, so staleRefs applies it paragraph by paragraph.
+	codeSpanRe = regexp.MustCompile("`[^`]+`")
+	// repoPathRe matches a path under one of the repo's source trees or a
+	// root benchmark archive. Globs (BENCH_*.json) do not match.
+	repoPathRe = regexp.MustCompile(`\b(?:(?:cmd|internal|examples|bench)/[A-Za-z0-9_./-]*|BENCH_[A-Za-z0-9_]+\.json)`)
+	makeCallRe = regexp.MustCompile(`\bmake +([a-z0-9][a-z0-9-]*)`)
+	// makeTargetRe matches a rule line of the Makefile ("name:" but not the
+	// "NAME := value" assignment).
+	makeTargetRe = regexp.MustCompile(`(?m)^([a-z0-9][a-z0-9-]*):(?:[^=]|$)`)
+)
+
+// staleRefs returns one failure for every repo path in text's code spans and
+// code fences that exists rejects, and for every `make <target>` there that
+// targets lacks. A path is judged without its trailing "/", "/..." or ".".
+func staleRefs(doc, text string, exists func(path string) bool, targets map[string]bool) []string {
+	var code []string
+	for i, block := range strings.Split(text, "```") {
+		if i%2 == 1 {
+			code = append(code, block)
+			continue
+		}
+		for _, para := range strings.Split(block, "\n\n") {
+			code = append(code, codeSpanRe.FindAllString(para, -1)...)
+		}
+	}
+	var failures []string
+	seen := make(map[string]bool)
+	for _, c := range code {
+		for _, p := range repoPathRe.FindAllString(c, -1) {
+			p = strings.TrimRight(p, "./")
+			if !seen[p] && !exists(p) {
+				failures = append(failures, fmt.Sprintf("%s: names %q, which does not exist", doc, p))
+			}
+			seen[p] = true
+		}
+		for _, m := range makeCallRe.FindAllStringSubmatch(c, -1) {
+			call := "make " + m[1]
+			if !seen[call] && !targets[m[1]] {
+				failures = append(failures, fmt.Sprintf("%s: names %q, which the Makefile does not define", doc, call))
+			}
+			seen[call] = true
+		}
+	}
+	return failures
+}
+
+// checkRepoRefs runs staleRefs over refDocs against the tree and the
+// Makefile under root.
+func checkRepoRefs(root string) []string {
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return []string{fmt.Sprintf("Makefile: %v (the docs' make targets are checked against it)", err)}
+	}
+	targets := make(map[string]bool)
+	for _, m := range makeTargetRe.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(filepath.Join(root, path))
+		return err == nil
+	}
+	var failures []string
+	for _, doc := range refDocs {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", doc, err))
+			continue
+		}
+		failures = append(failures, staleRefs(doc, string(data), exists, targets)...)
+	}
+	return failures
 }

@@ -31,3 +31,39 @@ func TestCatalogDrift(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleRefs runs the repo-reference check over code spans, a span that
+// wraps a line, code fences and prose, against a tree of four paths and a
+// Makefile of two targets.
+func TestStaleRefs(t *testing.T) {
+	tree := map[string]bool{"cmd": true, "cmd/roadsd": true, "internal/live": true, "internal/live/cluster.go": true}
+	exists := func(p string) bool { return tree[p] }
+	targets := map[string]bool{"tier1": true, "chaos": true}
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"paths and targets that exist",
+			"See `cmd/`, `cmd/roadsd`, `internal/live/cluster.go:18` and `go test ./internal/live/...`; run `make tier1`.", nil},
+		{"prose and globs are not references",
+			"The cmd/gone tool would make sense of `BENCH_*.json` archives.", nil},
+		{"a deleted command, once per document",
+			"`cmd/gone` builds `go run ./cmd/gone -n 3`.",
+			[]string{`X.md: names "cmd/gone", which does not exist`}},
+		{"a span wrapped across a line",
+			"Run `go test -race\n./internal/gone/` now.",
+			[]string{`X.md: names "internal/gone", which does not exist`}},
+		{"a deleted archive and a deleted target in a span",
+			"`make old-target` writes `BENCH_old.json`.",
+			[]string{`X.md: names "make old-target", which the Makefile does not define`,
+				`X.md: names "BENCH_old.json", which does not exist`}},
+		{"a code fence",
+			"Text.\n\n```bash\nmake chaos && make old-target\ngo run ./cmd/roadsd\nbash bench/run.sh -smoke\n```\n",
+			[]string{`X.md: names "bench/run.sh", which does not exist`,
+				`X.md: names "make old-target", which the Makefile does not define`}},
+	} {
+		if got := staleRefs("X.md", tc.text, exists, targets); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %q; want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -66,10 +66,10 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 // BenchmarkPushReplicas measures one replica-propagation round from a
 // root to 16 children in the steady state: one KindReplicaBatch per child,
 // a digest of the set the child acked. rpcs/op and wirebytes/op come from
-// the transport's own counters. The sub-benchmark keeps the name BENCH_pr14
-// archives it under, but those runs pinned it to the full-push pipeline that
-// no longer exists, so the archived numbers stop being comparable here (see
-// EXPERIMENTS.md).
+// the transport's own counters. The sub-benchmark keeps the name its archived
+// runs used, but those pinned it to the full-push pipeline that no longer
+// exists, so the archived numbers are not comparable with it (EXPERIMENTS.md,
+// "Archived baselines").
 func BenchmarkPushReplicas(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		root, tr := benchStar(b, 16, 8)
@@ -91,9 +91,9 @@ func BenchmarkPushReplicas(b *testing.B) {
 // child branches and 8 overlay replicas — every query matches all of
 // them, so the handler does the full local-search + redirect-matching
 // walk against the lock-free routing snapshot; parallel runs a querier per
-// core. The sub-benchmarks keep the names BENCH_pr3–pr8 archive them
-// under; the mutex baseline arm ended with the locking query path (see
-// EXPERIMENTS.md).
+// core. The sub-benchmarks keep the names their archived runs used; the
+// mutex baseline arm ended with the locking query path (EXPERIMENTS.md,
+// "Archived baselines").
 func BenchmarkHandleQuery(b *testing.B) {
 	b.Run("snapshot", func(b *testing.B) {
 		root, _ := benchStar(b, 16, 8)
@@ -200,8 +200,8 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 // steady state the change-driven pipeline targets), churn1 rewrites 1% of
 // the server's own records before every tick, churn100 rewrites all of
 // them. rpcs/op and wirebytes/op come from the transport's own counters. The sub-benchmarks
-// keep the names BENCH_pr5–pr8 archive them under; the full-rebuild
-// baseline arm ended with that pipeline (see EXPERIMENTS.md).
+// keep the names their archived runs used; the full-rebuild baseline arm
+// ended with that pipeline (EXPERIMENTS.md, "Archived baselines").
 func BenchmarkAggregationTick(b *testing.B) {
 	for _, churn := range []struct {
 		name string
@@ -401,7 +401,7 @@ func BenchmarkMaintenanceBytesByKind(b *testing.B) {
 // round trips and the handlers, and nothing else. The background arms pass
 // the context library callers and the benchmark pass, one that cannot be
 // cancelled; the deadline arms pass one with a deadline far away, as
-// cmd/roads-load and roadsctl do, which on Chan still costs a goroutine and a
+// roadsctl -deadline does, which on Chan still costs a goroutine and a
 // channel per contact (the only way to abandon an in-process handler) and on
 // TCP lets the context end the wait in place of the transport's timer. The
 // tcp arms need ports 20100–20163.

@@ -15,7 +15,7 @@ import (
 // Cluster is a convenience harness that spins up n live servers on one
 // transport, joins them into a hierarchy, and waits for aggregation and
 // replication to converge. Tests, examples, the prototype benchmark and
-// the load harness (internal/loadgen) all build on it.
+// the canonical benchmark (bench/) all build on it.
 type Cluster struct {
 	Servers []*Server
 	Tr      transport.Transport
@@ -23,17 +23,16 @@ type Cluster struct {
 
 	// Effective settings StartCluster resolved, kept for the convergence
 	// heuristics (WaitConverged derives the replica soft-state TTL from
-	// them) and for Stop's worker pool.
+	// them).
 	tick     time.Duration
 	ttlFloor time.Duration
-	par      int
 }
 
-// defaultClusterParallelism is the worker-pool width StartCluster and Stop
-// use when ClusterConfig.Parallelism is zero. Wide enough that a
-// thousand-server cluster builds in a few join waves instead of one server
-// at a time, narrow enough not to commandeer the machine.
-const defaultClusterParallelism = 8
+// clusterParallelism is the width of the worker pool that starts, joins and
+// stops a cluster's servers. Wide enough that a thousand-server cluster
+// builds in a few join waves instead of one server at a time, narrow enough
+// not to commandeer the machine.
+const clusterParallelism = 8
 
 // ClusterConfig configures StartCluster.
 type ClusterConfig struct {
@@ -51,13 +50,6 @@ type ClusterConfig struct {
 	// harnesses build exact deep or wide topologies: point each server at
 	// its intended parent and size MaxChildren so the parent has capacity.
 	JoinVia func(i int) int
-	// Parallelism bounds the worker pool that starts, joins and stops
-	// servers (default defaultClusterParallelism; 1 restores the fully
-	// serial construction). Joins run in waves: a server joins as soon as
-	// its JoinVia seed is attached, so with the default seed (server 0)
-	// the whole cluster joins in one bounded-concurrency wave instead of
-	// serializing every join onto one caller.
-	Parallelism int
 	// Tick overrides the maintenance period (default 25ms).
 	Tick time.Duration
 	// ReplicaTTLFloor overrides the servers' replica-TTL floor (zero
@@ -83,25 +75,10 @@ type ClusterConfig struct {
 	AdmissionBurst int
 }
 
-// parallelism returns the effective worker-pool width.
-func (cfg ClusterConfig) parallelism() int {
-	if cfg.Parallelism > 0 {
-		return cfg.Parallelism
-	}
-	return defaultClusterParallelism
-}
-
-// runPool runs fn(i) for every i in [0,n) on at most par goroutines.
-func runPool(par, n int, fn func(int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+// runPool runs fn(i) for every i in [0,n) on at most clusterParallelism
+// goroutines.
+func runPool(n int, fn func(int)) {
+	par := min(clusterParallelism, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(par)
@@ -141,17 +118,15 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 	if tick == 0 {
 		tick = 25 * time.Millisecond
 	}
-	par := cfg.parallelism()
 	cl := &Cluster{
 		Tr:       tr,
 		Schema:   cfg.Schema,
 		Servers:  make([]*Server, cfg.N),
 		tick:     tick,
 		ttlFloor: cfg.ReplicaTTLFloor,
-		par:      par,
 	}
 	errs := make([]error, cfg.N)
-	runPool(par, cfg.N, func(i int) {
+	runPool(cfg.N, func(i int) {
 		scfg := DefaultConfig(fmt.Sprintf("srv%03d", i), addrFor(i), cfg.Schema)
 		if cfg.Summary.Buckets > 0 {
 			scfg.Summary = cfg.Summary
@@ -217,7 +192,7 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("live: cluster JoinVia placement never attaches servers %v", rest)
 		}
 		waveErrs := make([]error, len(wave))
-		runPool(par, len(wave), func(w int) {
+		runPool(len(wave), func(w int) {
 			i := wave[w]
 			via := 0
 			if cfg.JoinVia != nil {
@@ -293,18 +268,10 @@ func lagDetail(lag []string) string {
 // stand before declaring it structural. A transient overshoot — a stale
 // replica still double-counting a branch that moved or died — heals by
 // soft-state expiry within one replica TTL plus a prune tick, so the grace
-// is twice the effective TTL (mirroring pruneStaleReplicas' computation)
-// plus generous slack for loaded or race-instrumented runs.
+// is twice the TTL the cluster's servers run (pruneStaleReplicas) plus
+// generous slack for loaded or race-instrumented runs.
 func (cl *Cluster) overshootGrace() time.Duration {
-	// DefaultConfig's HeartbeatMiss (4): cluster servers always run it.
-	ttl := time.Duration(4*4) * cl.tick
-	floor := cl.ttlFloor
-	if floor <= 0 {
-		floor = DefaultReplicaTTLFloor
-	}
-	if ttl < floor {
-		ttl = floor
-	}
+	ttl := Config{AggregateEvery: cl.tick, ReplicaTTLFloor: cl.ttlFloor}.replicaTTL()
 	return 2*ttl + 8*cl.tick + time.Second
 }
 
@@ -376,11 +343,7 @@ func (cl *Cluster) Root() *Server {
 // the cluster's worker pool — a thousand-server teardown costs a few
 // parallel waves, not a thousand serial Leave fan-outs.
 func (cl *Cluster) Stop() {
-	par := cl.par
-	if par <= 0 {
-		par = defaultClusterParallelism
-	}
-	runPool(par, len(cl.Servers), func(i int) {
+	runPool(len(cl.Servers), func(i int) {
 		if srv := cl.Servers[i]; srv != nil {
 			srv.Stop()
 		}

@@ -39,5 +39,5 @@
 // tenants to coarse summary-only answers.
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
-// tests and the load harness.
+// tests and the canonical benchmark.
 package live

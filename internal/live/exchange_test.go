@@ -17,7 +17,7 @@ import (
 // loop goroutines per server, all gone after Stop.
 
 // TestRefusedChildRejoins: a child its parent no longer lists and has no room
-// for is refused every report, gives the parent up after exactly HeartbeatMiss
+// for is refused every report, gives the parent up after exactly heartbeatMiss
 // of them, and the existing recovery and split-brain code bring the
 // federation back to one tree. With a separate heartbeat (last at 948f4b6)
 // the parent answered the orphan's heartbeat every tick, which reset the miss
@@ -54,7 +54,7 @@ func TestRefusedChildRejoins(t *testing.T) {
 		t.Fatalf("setup: b joined under %q; want root", pid)
 	}
 
-	miss := a.cfg.HeartbeatMiss
+	const miss = heartbeatMiss
 	for i := 0; i < miss-1; i++ {
 		driveRound(all...)
 	}

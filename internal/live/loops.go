@@ -302,8 +302,8 @@ func (s *Server) noteSummaryOK() {
 // RefreshInfo is a snapshot of the summary-refresh pipeline's economics:
 // how many refresh ticks ran, how many reused every cached summary, how
 // much wall time the refreshes consumed, and the store's partial-summary
-// maintenance counters. The load harness reads it to report refresh CPU
-// and rebuild-skip rates under write churn.
+// maintenance counters. The canonical benchmark reads it to report refresh
+// CPU and rebuild-skip shares under write churn.
 type RefreshInfo struct {
 	// Ticks counts aggregation refresh rounds run; Skipped the subset
 	// that reused every cached summary (store, owners and children all
@@ -410,7 +410,7 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // Every report also carries the hash of the ancestry held — the root path
 // above this server and its siblings (for root election) — and the ack brings
 // the content only when the parent would say otherwise. A failed or refused
-// exchange is a miss, and HeartbeatMiss of them in a row are a dead parent.
+// exchange is a miss, and heartbeatMiss of them in a row are a dead parent.
 // The ack is applied only if the parent is still the one the report went to
 // (a slow reply from a just-replaced parent must not overwrite post-rejoin
 // ancestry) and only if it is not fenced (stamped with an epoch below the
@@ -679,7 +679,7 @@ func (s *Server) pushReplicas() {
 // message handling runs slower than the tick never mistake slowness for
 // death.
 func (s *Server) pruneDeadChildren() {
-	deadline := time.Duration(s.cfg.HeartbeatMiss) * s.cfg.AggregateEvery
+	deadline := heartbeatMiss * s.cfg.AggregateEvery
 	if deadline < 2*time.Second {
 		deadline = 2 * time.Second
 	}
@@ -744,13 +744,13 @@ func (s *Server) heldAncestryLocked() uint64 {
 }
 
 // noteParentMiss counts one failed or refused exchange with the parent at
-// parentAddr and, at HeartbeatMiss of them in a row, gives the parent up.
+// parentAddr and, at heartbeatMiss of them in a row, gives the parent up.
 func (s *Server) noteParentMiss(parentAddr string) {
 	s.mu.Lock()
 	var plan *rejoinPlan
 	if s.parentAddr == parentAddr { // else it was replaced mid-flight, and the miss is not the new one's
 		s.parentMisses++
-		if s.parentMisses >= s.cfg.HeartbeatMiss && s.tx == txNone {
+		if s.parentMisses >= heartbeatMiss && s.tx == txNone {
 			plan = s.planRejoinLocked()
 		}
 	}

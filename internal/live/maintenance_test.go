@@ -183,7 +183,7 @@ func TestReplicaSoftStateUnderDigests(t *testing.T) {
 
 	// The feeder goes silent: nothing renews, and the TTL is what it was.
 	if want := 16 * time.Hour; ttl != want {
-		t.Fatalf("replica TTL is %v on a one-hour tick; want 4 x HeartbeatMiss ticks = %v", ttl, want)
+		t.Fatalf("replica TTL is %v on a one-hour tick; want 4 x heartbeatMiss ticks = %v", ttl, want)
 	}
 	backdate(c1, ttl-time.Minute)
 	c1.pruneStaleReplicas()

@@ -82,8 +82,8 @@ func (s *Server) observeEpoch(e uint64) {
 // advanceRelEpochLocked raises a recorded relationship epoch (a child's
 // or the parent's) to e. A lower e is refused and counted as an epoch
 // regression — the fence checks run before any call to this, so the
-// counter staying zero is the protocol invariant the loadgen partition
-// runs assert. Callers hold s.mu.
+// counter staying zero is the protocol invariant the partition chaos
+// tests assert. Callers hold s.mu.
 func (s *Server) advanceRelEpochLocked(cur *uint64, e uint64) bool {
 	if e == 0 {
 		return true

@@ -227,7 +227,7 @@ func (h *hijackTransport) Call(addr string, req *wire.Message) (*wire.Message, e
 }
 
 // TestParentDeclaredDeadAfterExactMisses pins the detection-time contract of
-// the one failure detector: a parent is given up after exactly HeartbeatMiss
+// the one failure detector: a parent is given up after exactly heartbeatMiss
 // consecutive failed reports — not sooner, and one success in between resets
 // the count.
 func TestParentDeclaredDeadAfterExactMisses(t *testing.T) {
@@ -235,14 +235,11 @@ func TestParentDeclaredDeadAfterExactMisses(t *testing.T) {
 	ch := transport.NewChan()
 	hj := &hijackTransport{Transport: ch}
 	p := deltaServerCfg(t, ch, "p", schema, nil)
-	c := deltaServerCfg(t, hj, "c", schema, nil) // DefaultConfig: HeartbeatMiss = 4
+	c := deltaServerCfg(t, hj, "c", schema, nil)
 	if err := c.Join(p.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	miss := c.cfg.HeartbeatMiss
-	if miss < 2 {
-		t.Fatalf("HeartbeatMiss = %d; test needs >= 2", miss)
-	}
+	const miss = heartbeatMiss
 	unreachable := func(addr string, req *wire.Message) (*wire.Message, error) {
 		return nil, fmt.Errorf("test: %s unreachable", addr)
 	}
@@ -472,76 +469,112 @@ func awaitCoverage(t *testing.T, cl *Cluster, skip map[int]bool, total uint64, w
 // severed side elects its own root under a bumped epoch, and after the
 // heal the split-brain probes discover the twin root and fold the trees
 // back into exactly one — with full coverage restored and zero epoch
-// regressions anywhere.
+// regressions anywhere. The small row heals the moment the split shows, while
+// the old root still lists the severed head as its child; the large row holds
+// each partition until both sides have written the other off, and repeats the
+// cycle on whatever tree the first merge left.
 func TestChaosPartitionHealMerge(t *testing.T) {
-	const n, recsPer = 13, 2
-	cl, f := startMembershipCluster(t, n, 3, 81, nil)
-	attachChaosOwners(t, cl, recsPer, -1)
-	root := cl.Root()
-	if root == nil {
-		t.Fatal("no root")
-	}
+	const recsPer = 2
+	for _, tc := range []struct {
+		name              string
+		n, fanOut, cycles int
+		hold              bool
+		seed              int64
+	}{
+		{"13 servers, 1 cycle", 13, 3, 1, false, 81},
+		{"120 servers, 2 cycles", 120, 4, 2, true, 83},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mut func(*ClusterConfig)
+			if tc.n >= 100 {
+				if testing.Short() {
+					t.Skip("scale partition test skipped in -short mode")
+				}
+				// A complete fan-out tree, four levels deep at 120 servers.
+				mut = func(cfg *ClusterConfig) { cfg.JoinVia = func(i int) int { return (i - 1) / tc.fanOut } }
+			}
+			cl, f := startMembershipCluster(t, tc.n, tc.fanOut, tc.seed, mut)
+			attachChaosOwners(t, cl, recsPer, -1)
+			var merges uint64
+			for cycle := 1; cycle <= tc.cycles; cycle++ {
+				root := cl.Root()
+				if root == nil {
+					t.Fatal("no root")
+				}
 
-	// Sever the smallest-ID root child's subtree: as the election winner
-	// among its ex-siblings (none smaller), it claims the root role the
-	// moment it detects the loss — the fastest possible split.
-	var victim *Server
-	var victimIdx int
-	for i, srv := range cl.Servers {
-		if srv.ParentID() == root.ID() && (victim == nil || srv.ID() < victim.ID()) {
-			victim, victimIdx = srv, i
-		}
-	}
-	if victim == nil {
-		t.Fatal("root has no children")
-	}
-	severed := subtreeOf(cl, victimIdx)
-	if len(severed) == n {
-		t.Fatal("victim subtree is the whole cluster")
-	}
-	var sideA, sideB []string
-	for i, srv := range cl.Servers {
-		if severed[i] {
-			sideA = append(sideA, srv.ID())
-		} else {
-			sideB = append(sideB, srv.ID())
-		}
-	}
-	epochBefore := victim.Epoch()
-	f.SetRules(transport.PartitionSets(sideA, sideB)...)
+				// Sever the smallest-ID root child's subtree: as the election
+				// winner among its ex-siblings (none smaller), it claims the
+				// root role the moment it detects the loss — the fastest
+				// possible split.
+				var victim *Server
+				var victimIdx int
+				for i, srv := range cl.Servers {
+					if srv.ParentID() == root.ID() && (victim == nil || srv.ID() < victim.ID()) {
+						victim, victimIdx = srv, i
+					}
+				}
+				if victim == nil {
+					t.Fatal("root has no children")
+				}
+				severed := subtreeOf(cl, victimIdx)
+				if len(severed) == tc.n {
+					t.Fatal("victim subtree is the whole cluster")
+				}
+				kept := make(map[int]bool, tc.n)
+				var sideA, sideB []string
+				for i, srv := range cl.Servers {
+					if severed[i] {
+						sideA = append(sideA, srv.ID())
+					} else {
+						kept[i] = true
+						sideB = append(sideB, srv.ID())
+					}
+				}
+				epochBefore := victim.Epoch()
+				droppedBefore, _, _ := f.Injected()
+				f.SetRules(transport.PartitionSets(sideA, sideB)...)
 
-	// Split-brain: the severed side elects its own root.
-	roots := awaitRootCount(t, cl, nil, 2, "during partition")
-	split := roots[0]
-	if split == root {
-		split = roots[1]
-	}
-	if !severed[victimIdx] || !victim.IsRoot() {
-		t.Fatalf("severed subtree elected %s, expected its head %s", split.ID(), victim.ID())
-	}
-	if got := victim.Epoch(); got <= epochBefore {
-		t.Fatalf("election did not bump the epoch: %d -> %d", epochBefore, got)
-	}
-	if dropped, _, _ := f.Injected(); dropped == 0 {
-		t.Fatal("partition rules never fired")
-	}
+				// Split-brain: the severed side elects its own root.
+				awaitRootCount(t, cl, nil, 2, fmt.Sprintf("during partition %d", cycle))
+				if !victim.IsRoot() {
+					t.Fatalf("partition %d: the severed subtree's head %s did not claim the root role", cycle, victim.ID())
+				}
+				if got := victim.Epoch(); got <= epochBefore {
+					t.Fatalf("election did not bump the epoch: %d -> %d", epochBefore, got)
+				}
+				if dropped, _, _ := f.Injected(); dropped == droppedBefore {
+					t.Fatal("partition rules never fired")
+				}
+				if tc.hold {
+					// Until each side serves exactly its own records: the old
+					// root has given the severed head up and every replica of
+					// the other side has aged out, so the merge re-attaches a
+					// subtree that was written off, not one nobody had missed.
+					awaitCoverage(t, cl, severed, uint64(len(sideB)*recsPer), fmt.Sprintf("main side, partition %d", cycle))
+					awaitCoverage(t, cl, kept, uint64(len(sideA)*recsPer), fmt.Sprintf("severed side, partition %d", cycle))
+				}
 
-	// Heal: the twin roots must discover each other (the severed root
-	// remembers its pre-partition ancestry) and merge to exactly one.
-	f.ClearRules()
-	awaitRootCount(t, cl, nil, 1, "after heal")
-	if err := cl.WaitConverged(uint64(n*recsPer), convergeTimeout); err != nil {
-		t.Fatalf("post-merge convergence: %v", err)
-	}
-	sum := sumMembership(cl, nil)
-	if sum.Merges == 0 {
-		t.Fatal("trees reunified without a recorded merge")
-	}
-	if sum.Elections == 0 {
-		t.Fatal("split happened without a recorded election")
-	}
-	if sum.EpochRegressions != 0 {
-		t.Fatalf("epoch fencing invariant violated: %d regressions", sum.EpochRegressions)
+				// Heal: the twin roots must discover each other (the severed
+				// root remembers its pre-partition ancestry) and merge to
+				// exactly one.
+				f.ClearRules()
+				awaitRootCount(t, cl, nil, 1, fmt.Sprintf("after heal %d", cycle))
+				if err := cl.WaitConverged(uint64(tc.n*recsPer), convergeTimeout); err != nil {
+					t.Fatalf("convergence after merge %d: %v", cycle, err)
+				}
+				sum := sumMembership(cl, nil)
+				if sum.Merges <= merges {
+					t.Fatalf("heal %d reunified the trees without a recorded merge", cycle)
+				}
+				merges = sum.Merges
+				if sum.Elections == 0 {
+					t.Fatal("split happened without a recorded election")
+				}
+				if sum.EpochRegressions != 0 {
+					t.Fatalf("epoch fencing invariant violated after heal %d: %d regressions", cycle, sum.EpochRegressions)
+				}
+			}
+		})
 	}
 }
 

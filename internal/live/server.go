@@ -43,9 +43,6 @@ type Config struct {
 	// probe cadence (four periods) and the dead-child window derive from it.
 	// Small values make tests fast; production would use minutes.
 	AggregateEvery time.Duration
-	// HeartbeatMiss is how many consecutive periods without a successful
-	// report exchange mark a peer dead.
-	HeartbeatMiss int
 	// ReplicaTTLFloor is the minimum overlay-replica TTL regardless of how
 	// fast the ticks run: a full push round must always fit inside the TTL
 	// even when encoding runs far slower than the tick (loaded hosts, race
@@ -116,10 +113,13 @@ func DefaultConfig(id, addr string, schema *record.Schema) Config {
 		Summary:         scfg,
 		MaxChildren:     8,
 		AggregateEvery:  50 * time.Millisecond,
-		HeartbeatMiss:   4,
 		ReplicaTTLFloor: DefaultReplicaTTLFloor,
 	}
 }
+
+// heartbeatMiss is how many consecutive periods without a successful report
+// exchange mark a peer dead.
+const heartbeatMiss = 4
 
 // DefaultReplicaTTLFloor is the replica-TTL floor applied when
 // Config.ReplicaTTLFloor is zero.
@@ -166,8 +166,8 @@ func (c Config) Validate() error {
 	if c.JoinMaxHops < 0 {
 		return fmt.Errorf("live: JoinMaxHops must not be negative")
 	}
-	if c.AggregateEvery <= 0 || c.HeartbeatMiss <= 0 {
-		return fmt.Errorf("live: AggregateEvery and HeartbeatMiss must be positive")
+	if c.AggregateEvery <= 0 {
+		return fmt.Errorf("live: AggregateEvery must be positive")
 	}
 	if c.ReplicaTTLFloor < 0 {
 		return fmt.Errorf("live: ReplicaTTLFloor must not be negative")
@@ -203,13 +203,13 @@ func (c Config) replicaTTLFloor() time.Duration {
 	return DefaultReplicaTTLFloor
 }
 
-// replicaTTL is how long an overlay replica lives without a refresh: sixteen
-// aggregation ticks at the default HeartbeatMiss (propagation takes one tick
-// per hierarchy level), floored by replicaTTLFloor — a push round must always
+// replicaTTL is how long an overlay replica lives without a refresh: four
+// failure windows, sixteen aggregation ticks (propagation takes one tick per
+// hierarchy level), floored by replicaTTLFloor — a push round must always
 // fit inside the TTL, even when encoding runs far slower than the tick (loaded
 // hosts, race detector); otherwise replicas flap and coverage never settles.
 func (c Config) replicaTTL() time.Duration {
-	return max(time.Duration(4*c.HeartbeatMiss)*c.AggregateEvery, c.replicaTTLFloor())
+	return max(4*heartbeatMiss*c.AggregateEvery, c.replicaTTLFloor())
 }
 
 // childState tracks one child branch.
@@ -313,7 +313,7 @@ type Server struct {
 	parentID   string
 	parentAddr string
 	// parentMisses counts consecutive failed or refused reports to the
-	// parent; at HeartbeatMiss the parent is given up (noteParentMiss).
+	// parent; at heartbeatMiss the parent is given up (noteParentMiss).
 	parentMisses int
 	// tx is the structural mutation currently in flight (recovery, merge);
 	// structural mutations are single-flight, see membership.go.
@@ -417,7 +417,7 @@ type Server struct {
 	// from it.
 	lastRefresh atomic.Int64
 	// refreshBusyNs accumulates wall time spent inside refreshSummaries —
-	// the refresh-CPU number the load harness reports against skip rates.
+	// the refresh-CPU number RefreshInfo reports against skip rates.
 	refreshBusyNs atomic.Int64
 	startTime     time.Time
 

@@ -36,9 +36,9 @@ func benchCluster(b *testing.B, connsPerPeer int) (client *TCP, addrs []string, 
 // round-robining the destination like overlay maintenance traffic does. The
 // reported conns/op and wirebytes/op come from the transport's own counters,
 // writes/op (both directions: 2 means one write per frame) from the counting
-// connections. The sub-benchmark keeps the name BENCH_pr14 archives it
-// under; its dial-per-call baseline arm ended with the v1 frame (see
-// EXPERIMENTS.md).
+// connections. The sub-benchmark keeps the name its archived runs used; the
+// dial-per-call baseline arm ended with the v1 frame (EXPERIMENTS.md,
+// "Archived baselines").
 func BenchmarkTCPCall(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		client, addrs, writes := benchCluster(b, 1)

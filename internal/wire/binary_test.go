@@ -421,8 +421,8 @@ func FuzzDecode(f *testing.F) {
 // BenchmarkCodec measures the codec on the hot replica shape (one push
 // carrying a 200-bucket summary with value sets): Encode, Decode, and the
 // full round trip. The encode path uses the pooled buffer exactly as the
-// transports do. The sub-benchmark names are the ones BENCH_pr3–pr8 archive;
-// their gob arms ended with the gob codec (see EXPERIMENTS.md).
+// transports do. The sub-benchmarks keep the names their archived runs used;
+// the gob arms ended with the gob codec (EXPERIMENTS.md, "Archived baselines").
 func BenchmarkCodec(b *testing.B) {
 	msg := &Message{
 		Kind: KindReplicaBatch,

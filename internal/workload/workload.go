@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"roads/internal/query"
 	"roads/internal/record"
@@ -88,14 +87,6 @@ type Config struct {
 	// CategoricalVocab is the vocabulary size per categorical attribute
 	// (default 16 when CategoricalAttrs > 0).
 	CategoricalVocab int
-	// CategoricalDepth, when > 1, draws categorical values as dotted paths
-	// of that many segments ("s2.m1.v7") instead of flat tokens: interior
-	// segments draw from a fan of catInteriorFan, the leaf from the
-	// vocabulary, and each node keeps catHomeBias of its values under a
-	// per-node home top segment. Dense per-node subtrees are what value-set
-	// condensation collapses into prefix wildcards; depth <= 1 reproduces
-	// the flat vocabulary exactly (same RNG stream).
-	CategoricalDepth int
 }
 
 // DefaultConfig returns the paper's §V defaults: 320 nodes x 500 records,
@@ -121,7 +112,7 @@ func (c Config) Validate() error {
 	if c.WindowLen < 0 || c.WindowLen > 1 {
 		return fmt.Errorf("workload: WindowLen must be in [0,1], got %g", c.WindowLen)
 	}
-	if c.CategoricalAttrs < 0 || c.CategoricalVocab < 0 || c.CategoricalDepth < 0 {
+	if c.CategoricalAttrs < 0 || c.CategoricalVocab < 0 {
 		return fmt.Errorf("workload: categorical settings must be non-negative")
 	}
 	return nil
@@ -133,37 +124,6 @@ func (c Config) vocab() int {
 		return c.CategoricalVocab
 	}
 	return 16
-}
-
-const (
-	// catInteriorFan is the branching factor of interior segments of
-	// hierarchical categorical values (and the number of distinct home
-	// subtrees nodes cluster under).
-	catInteriorFan = 4
-	// catHomeBias is the fraction of a node's hierarchical categorical
-	// values that fall under its home top-level segment.
-	catHomeBias = 0.8
-)
-
-// catValue draws one categorical value. With CategoricalDepth <= 1 it is a
-// flat vocabulary token; otherwise a dotted path of CategoricalDepth
-// segments whose top segment is the node's home subtree with probability
-// catHomeBias. Pass home < 0 (queries) for an unbiased draw.
-func (c Config) catValue(home int, rng *rand.Rand) string {
-	if c.CategoricalDepth <= 1 {
-		return fmt.Sprintf("v%d", rng.Intn(c.vocab()))
-	}
-	top := home
-	if top < 0 || rng.Float64() >= catHomeBias {
-		top = rng.Intn(catInteriorFan)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "s%d", top)
-	for d := 1; d < c.CategoricalDepth-1; d++ {
-		fmt.Fprintf(&b, ".m%d", rng.Intn(catInteriorFan))
-	}
-	fmt.Fprintf(&b, ".v%d", rng.Intn(c.vocab()))
-	return b.String()
 }
 
 // windowLen returns the effective Window-distribution window length.
@@ -229,10 +189,6 @@ func Generate(cfg Config, rng *rand.Rand) (*Workload, error) {
 	}
 	for node := 0; node < cfg.Nodes; node++ {
 		// Per-node placement parameters.
-		catHome := 0
-		if cfg.CategoricalAttrs > 0 && cfg.CategoricalDepth > 1 {
-			catHome = rng.Intn(catInteriorFan)
-		}
 		windowStarts := make([]float64, nAttrs)
 		for i := 0; i < nAttrs; i++ {
 			if cfg.DistOfAttr(i) == Window {
@@ -280,7 +236,7 @@ func Generate(cfg Config, rng *rand.Rand) (*Workload, error) {
 				r.SetNum(i, v)
 			}
 			for ci := 0; ci < cfg.CategoricalAttrs; ci++ {
-				r.SetStr(nAttrs+ci, cfg.catValue(catHome, rng))
+				r.SetStr(nAttrs+ci, fmt.Sprintf("v%d", rng.Intn(cfg.vocab())))
 			}
 			recs[k] = r
 		}
@@ -327,37 +283,10 @@ func (w *Workload) TotalRecords() int {
 // is well defined.
 var queryDimPattern = []Dist{Uniform, Window, Gaussian, Pareto, Uniform, Window, Uniform, Window}
 
-// hotQueryNarrowing divides rangeLen for the hot dimension of a skewed
-// query: narrow ranges against coarse histogram buckets are what produce
-// near-miss false-positive descents.
-const hotQueryNarrowing = 4
-
 // GenQuery builds one query with dims dimensions, each a range of length
 // rangeLen placed uniformly at random, over distinct attributes following
 // the paper's family mix.
 func (w *Workload) GenQuery(id string, dims int, rangeLen float64, rng *rand.Rand) (*query.Query, error) {
-	return w.genQuery(id, dims, rangeLen, false, rng)
-}
-
-// GenQuerySkewed is GenQuery, except that with probability skew the query
-// becomes "hot": its first dimension is a narrow range (rangeLen /
-// hotQueryNarrowing) on the first Window-family attribute, and — when the
-// workload has categorical attributes — an extra Eq predicate on c0 draws
-// an unbiased value from the categorical vocabulary. Hot queries
-// concentrate false-positive pressure on a single attribute, which is the
-// signal adaptive summary resolution feeds on.
-func (w *Workload) GenQuerySkewed(id string, dims int, rangeLen, skew float64, rng *rand.Rand) (*query.Query, error) {
-	if skew < 0 || skew > 1 {
-		return nil, fmt.Errorf("workload: skew %g out of [0,1]", skew)
-	}
-	hot := false
-	if skew > 0 {
-		hot = rng.Float64() < skew
-	}
-	return w.genQuery(id, dims, rangeLen, hot, rng)
-}
-
-func (w *Workload) genQuery(id string, dims int, rangeLen float64, hot bool, rng *rand.Rand) (*query.Query, error) {
 	if dims <= 0 || dims > w.Cfg.NumAttrs() {
 		return nil, fmt.Errorf("workload: query dims %d out of range [1,%d]", dims, w.Cfg.NumAttrs())
 	}
@@ -365,17 +294,8 @@ func (w *Workload) genQuery(id string, dims int, rangeLen float64, hot bool, rng
 		return nil, fmt.Errorf("workload: rangeLen %g out of (0,1]", rangeLen)
 	}
 	used := make(map[int]bool, dims)
-	preds := make([]query.Predicate, 0, dims+1)
-	start := 0
-	if hot {
-		hotAttr := w.Cfg.AttrsOf(Window)[0]
-		used[hotAttr] = true
-		narrow := rangeLen / hotQueryNarrowing
-		lo := rng.Float64() * (1 - narrow)
-		preds = append(preds, query.NewRange(w.Schema.Attr(hotAttr).Name, lo, lo+narrow))
-		start = 1
-	}
-	for d := start; d < dims; d++ {
+	preds := make([]query.Predicate, 0, dims)
+	for d := 0; d < dims; d++ {
 		family := queryDimPattern[d%len(queryDimPattern)]
 		attrs := w.Cfg.AttrsOf(family)
 		// Pick an unused attribute from the family; fall back to any
@@ -400,10 +320,6 @@ func (w *Workload) genQuery(id string, dims int, rangeLen float64, hot bool, rng
 		lo := rng.Float64() * (1 - rangeLen)
 		preds = append(preds, query.NewRange(w.Schema.Attr(attr).Name, lo, lo+rangeLen))
 	}
-	if hot && w.Cfg.CategoricalAttrs > 0 {
-		name := fmt.Sprintf("c%d", 0)
-		preds = append(preds, query.NewEq(name, w.Cfg.catValue(-1, rng)))
-	}
 	q := query.New(id, preds...)
 	if err := q.Bind(w.Schema); err != nil {
 		return nil, err
@@ -413,14 +329,9 @@ func (w *Workload) genQuery(id string, dims int, rangeLen float64, hot bool, rng
 
 // GenQueries builds n queries via GenQuery.
 func (w *Workload) GenQueries(n, dims int, rangeLen float64, rng *rand.Rand) ([]*query.Query, error) {
-	return w.GenQueriesSkewed(n, dims, rangeLen, 0, rng)
-}
-
-// GenQueriesSkewed builds n queries via GenQuerySkewed.
-func (w *Workload) GenQueriesSkewed(n, dims int, rangeLen, skew float64, rng *rand.Rand) ([]*query.Query, error) {
 	out := make([]*query.Query, n)
 	for i := range out {
-		q, err := w.GenQuerySkewed(fmt.Sprintf("q%d", i), dims, rangeLen, skew, rng)
+		q, err := w.GenQuery(fmt.Sprintf("q%d", i), dims, rangeLen, rng)
 		if err != nil {
 			return nil, err
 		}
