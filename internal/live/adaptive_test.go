@@ -252,7 +252,7 @@ func TestAdaptiveChildrenUnderStaticParent(t *testing.T) {
 	cold.mu.Lock()
 	fwd := cold.replicas["hot"]
 	cold.mu.Unlock()
-	if fwd == nil || len(fwd.branch.Cfg.Resolution) == 0 {
+	if fwd == nil || len(fwd.sum.Cfg.Resolution) == 0 {
 		t.Fatal("the adaptive child's branch did not reach its sibling in its native geometry")
 	}
 

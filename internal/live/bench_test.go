@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func BenchmarkHandleQuery(b *testing.B) {
 			pushes[i] = &wire.ReplicaPush{
 				OriginID:   fmt.Sprintf("sib%d", i),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i),
-				Branch:     wire.FromSummary(root.snap.Load().localSummary),
+				Summary:    wire.FromSummary(root.snap.Load().localSummary),
 				Level:      1,
 			}
 		}
@@ -281,7 +282,7 @@ func maintKind(m *wire.Message, reply bool) string {
 		return "batch, digest"
 	case m.Batch != nil:
 		for _, p := range m.Batch.Pushes {
-			if p != nil && p.Branch != nil {
+			if p != nil && p.Summary != nil {
 				return "batch, list with full entries"
 			}
 		}
@@ -322,15 +323,37 @@ func (k *kindSizer) Call(addr string, req *wire.Message) (*wire.Message, error) 
 	return rep, err
 }
 
-// BenchmarkMaintenanceBytesByKind rebuilds the canonical benchmark's TCP
-// federation (64 servers on loopback, fan-out 4, tick 100 ms, 50 records and
-// 64-bucket summaries of 8 attributes per server), lets it converge, and
-// sizes every maintenance message of a 3.2 s window in which nothing changes,
-// by kind. Each metric is that kind's kB per node per second, counted at the
-// sender and at the receiver like the benchmark's maint_kb_per_node_s; their
-// sum is what that metric reports. EXPERIMENTS.md ("Maintenance bytes by
-// message kind") archives the table. Ports 20000–20063 must be free.
+// BenchmarkMaintenanceBytesByKind prices maintenance in two arms. idle
+// rebuilds the canonical benchmark's TCP federation (64 servers on loopback,
+// fan-out 4, tick 100 ms, 50 records and 64-bucket summaries of 8 attributes
+// per server), lets it converge, and sizes every maintenance message of a
+// 3.2 s window in which nothing changes, by kind. Each metric is that kind's
+// kB per node per second, counted at the sender and at the receiver like the
+// benchmark's maint_kb_per_node_s; their sum is what that metric reports.
+// EXPERIMENTS.md ("Maintenance bytes by message kind") archives the table.
+// Ports 20000–20063 must be free. write adds one record at a leaf of the same
+// federation, parked on Chan, and drives rounds until the write has settled:
+// summaries/write counts the summaries put on the wire and bytes/write the
+// encoded size of the reports and batches that carried them.
 func BenchmarkMaintenanceBytesByKind(b *testing.B) {
+	b.Run("idle", benchIdleMaintenance)
+	b.Run("write", func(b *testing.B) {
+		tr := &countingTransport{Chan: transport.NewChan()}
+		cl, _ := parkedFederation(b, tr, nil)
+		leaf := cl.Servers[len(cl.Servers)-1]
+		tr.reset()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			writeAndSettle(b, cl, tr, leaf, fmt.Sprintf("write-%d", i))
+		}
+		b.StopTimer()
+		summaries, _, _ := tr.counts()
+		b.ReportMetric(float64(summaries)/float64(b.N), "summaries/write")
+		b.ReportMetric(float64(tr.summaryBytes)/float64(b.N), "bytes/write")
+	})
+}
+
+func benchIdleMaintenance(b *testing.B) {
 	const (
 		servers = 64
 		fanOut  = 4
@@ -395,6 +418,26 @@ func BenchmarkMaintenanceBytesByKind(b *testing.B) {
 	b.ReportMetric(perNodeSecond(total), "total_kB/node/s")
 }
 
+// contactTally sorts the non-start query contacts a client makes through it
+// by what they returned: nothing at all (empty), or redirects but no
+// records (relay).
+type contactTally struct {
+	transport.Transport
+	empty, relay atomic.Int64
+}
+
+func (c *contactTally) CallContext(ctx context.Context, addr string, req *wire.Message) (*wire.Message, error) {
+	rep, err := c.Transport.CallContext(ctx, addr, req)
+	if err == nil && req.Kind == wire.KindQuery && !req.Query.Start && rep.QueryRep != nil && len(rep.QueryRep.Records) == 0 {
+		if len(rep.QueryRep.Redirects) == 0 {
+			c.empty.Add(1)
+		} else {
+			c.relay.Add(1)
+		}
+	}
+	return rep, err
+}
+
 // BenchmarkResolve measures one fresh broad resolve against the canonical
 // benchmark's 64-server federation, built once per transport and at rest
 // (parkedFederation), so an iteration is the client's fan-out, the contacts'
@@ -403,8 +446,10 @@ func BenchmarkMaintenanceBytesByKind(b *testing.B) {
 // cancelled; the deadline arms pass one with a deadline far away, as
 // roadsctl -deadline does, which on Chan still costs a goroutine and a
 // channel per contact (the only way to abandon an in-process handler) and on
-// TCP lets the context end the wait in place of the transport's timer. The
-// tcp arms need ports 20100–20163.
+// TCP lets the context end the wait in place of the transport's timer. Of
+// contacts/op, empty_contacts/op returned nothing and relay_contacts/op only
+// redirects: the contacts a perfect router would spare. The tcp arms need
+// ports 20100–20163.
 func BenchmarkResolve(b *testing.B) {
 	transports := []struct {
 		name    string
@@ -422,11 +467,14 @@ func BenchmarkResolve(b *testing.B) {
 				b.Cleanup(func() { _ = c.Close() }) // after the federation's Stop
 			}
 			cl, queries := parkedFederation(b, tr, tc.addrFor)
-			client := NewClient(tr, "bench")
+			tally := &contactTally{Transport: tr}
+			client := NewClient(tally, "bench")
 			next := 0
 			for _, mode := range []string{"background", "deadline"} {
 				b.Run(mode, func(b *testing.B) {
 					contacts := 0
+					tally.empty.Store(0)
+					tally.relay.Store(0)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -444,6 +492,8 @@ func BenchmarkResolve(b *testing.B) {
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(contacts)/float64(b.N), "contacts/op")
+					b.ReportMetric(float64(tally.empty.Load())/float64(b.N), "empty_contacts/op")
+					b.ReportMetric(float64(tally.relay.Load())/float64(b.N), "relay_contacts/op")
 				})
 			}
 		})

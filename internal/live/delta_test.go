@@ -132,19 +132,23 @@ func setReplicaVersion(s *Server, origin string, v uint64) bool {
 
 // countingTransport records what servers send through it: unversioned
 // reports and push entries (none must ever leave a server), every summary
-// DTO a request carries, and the replica batches by form.
+// DTO a request carries and the encoded bytes of the requests that carry
+// one, and the replica batches by form.
 type countingTransport struct {
 	*transport.Chan
-	mu          sync.Mutex
-	unversioned []string
-	summaries   int      // SummaryDTOs in reports and push entries
-	fullEntries []string // "parent>child:origin" per full push entry
-	lists       int      // list batches
-	digests     int      // digest batches
+	mu           sync.Mutex
+	unversioned  []string
+	summaries    int      // SummaryDTOs in reports and push entries
+	summaryBytes int      // encoded size of the requests carrying them
+	fullEntries  []string // "parent>child:origin" per full push entry
+	ancestors    []string // "child:origin" per full ancestor entry
+	lists        int      // list batches
+	digests      int      // digest batches
 }
 
 func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
 	ct.mu.Lock()
+	summaries := ct.summaries
 	if req.Report != nil {
 		if req.Report.Version == 0 {
 			ct.unversioned = append(ct.unversioned, "report from "+req.From)
@@ -160,18 +164,22 @@ func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message
 			ct.lists++
 		}
 		for _, p := range b.Pushes {
-			if p.Branch == nil {
+			if p.Summary == nil {
 				continue
 			}
 			ct.fullEntries = append(ct.fullEntries, req.From+">"+addr+":"+p.OriginID)
 			ct.summaries++
-			if p.Local != nil {
-				ct.summaries++
+			if p.Ancestor {
+				ct.ancestors = append(ct.ancestors, addr+":"+p.OriginID)
 			}
 			if p.Version == 0 {
 				ct.unversioned = append(ct.unversioned, "push of "+p.OriginID+" from "+req.From)
 			}
 		}
+	}
+	if ct.summaries > summaries {
+		data, _ := wire.Encode(req)
+		ct.summaryBytes += len(data)
 	}
 	ct.mu.Unlock()
 	return ct.Chan.Call(addr, req)
@@ -182,7 +190,7 @@ func (ct *countingTransport) reset() []string {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	full := ct.fullEntries
-	ct.summaries, ct.fullEntries, ct.lists, ct.digests = 0, nil, 0, 0
+	ct.summaries, ct.summaryBytes, ct.fullEntries, ct.ancestors, ct.lists, ct.digests = 0, 0, nil, nil, 0, 0
 	return full
 }
 

@@ -1,9 +1,6 @@
 package live
 
-import (
-	"roads/internal/summary"
-	"roads/internal/wire"
-)
+import "roads/internal/wire"
 
 // The three hashes behind "send a digest of what the peer should already
 // hold; ship content only on mismatch". They are compared only between two
@@ -60,7 +57,7 @@ func (d *depHasher) redirects(rds []wire.RedirectInfo) {
 }
 
 // replicaMeta hashes the routing metadata of a push entry: everything a full
-// entry carries besides the summaries and their versions. A stored replica's
+// entry carries besides the summary and its version. A stored replica's
 // metadata never changes (a new full entry replaces the replica), so the
 // holder hashes it once, when the replica arrives.
 func replicaMeta(ancestor bool, level int, addr string, fallbacks []wire.RedirectInfo) uint64 {
@@ -76,20 +73,14 @@ func replicaMeta(ancestor bool, level int, addr string, fallbacks []wire.Redirec
 	return h.h
 }
 
-// replicaTag is an entry's identity: its metadata hash and the two content
-// versions that stand for its summaries — the branch's, and the local
-// summary's where the entry carries one. Two entries for one origin with
-// equal tags would store identical replicas, so a receiver holding the tag
-// needs nothing resent.
-func replicaTag(meta, version uint64, local *summary.Summary) uint64 {
+// replicaTag is an entry's identity: its metadata hash and the content
+// version of its one summary. Two entries for one origin with equal tags
+// would store identical replicas, so a receiver holding the tag needs
+// nothing resent.
+func replicaTag(meta, version uint64) uint64 {
 	h := newDepHasher()
 	h.u64(meta)
 	h.u64(version)
-	if local != nil {
-		h.u64(local.Version)
-	} else {
-		h.u64(0)
-	}
 	return nonZero(h.h)
 }
 

@@ -243,14 +243,14 @@ func sameRedirects(a, b []wire.RedirectInfo) bool {
 	})
 }
 
-// decodeReplica reconstructs one full push entry's summaries against the
+// decodeReplica reconstructs one full push entry's summary against the
 // schema; decoding stays outside the server lock so slow summary rebuilds
 // never stall the handlers.
 func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, error) {
-	if p == nil || p.Branch == nil {
+	if p == nil || p.Summary == nil {
 		return nil, fmt.Errorf("live: replica push without payload")
 	}
-	branch, err := p.Branch.ToSummary(s.cfg.Schema)
+	sum, err := p.Summary.ToSummary(s.cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -258,10 +258,10 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 	if level <= 0 {
 		level = 1
 	}
-	rs := &replicaState{
+	return &replicaState{
 		originID:   p.OriginID,
 		originAddr: p.OriginAddr,
-		branch:     branch,
+		sum:        sum,
 		ancestor:   p.Ancestor,
 		level:      level,
 		received:   time.Now(),
@@ -269,15 +269,7 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 		version:    p.Version,
 		meta:       replicaMeta(p.Ancestor, level, p.OriginAddr, p.Fallbacks),
 		via:        via,
-	}
-	if p.Local != nil {
-		local, err := p.Local.ToSummary(s.cfg.Schema)
-		if err != nil {
-			return nil, err
-		}
-		rs.local = local
-	}
-	return rs, nil
+	}, nil
 }
 
 // handleReplicaBatch takes a parent's per-tick statement of the overlay
@@ -307,7 +299,7 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	states := make([]*replicaState, 0, len(b.Pushes))
 	var tagOnly []*wire.ReplicaPush
 	for _, p := range b.Pushes {
-		if p != nil && p.Branch == nil && p.Tag != 0 {
+		if p != nil && p.Summary == nil && p.Tag != 0 {
 			tagOnly = append(tagOnly, p)
 			continue
 		}
@@ -427,11 +419,13 @@ func (s *Server) noteFPDescent(q *wire.QueryDTO, rep *wire.QueryReply) {
 // client has already given up on this contact, so finishing the work
 // would only burn server time nobody is waiting on.
 //
-// The happy path acquires no locks at all: one atomic load of the routing
+// The happy path takes no server lock: one atomic load of the routing
 // snapshot pins a consistent view of owners, children and replicas for the
-// whole evaluation (the store carries its own lock), and the counters are
-// atomics. Concurrent joins, reports and replica pushes publish fresh
-// snapshots without ever blocking a query.
+// whole evaluation, and the counters are atomics. Concurrent joins, reports
+// and replica pushes publish fresh snapshots without ever blocking a query.
+// The locks that remain are the data's own: each summary-mode owner's answer
+// takes its store's snapMu (Store.Records) and its policy's RWMutex, and the
+// trusted store's shard read-locks are taken only when it holds records.
 func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if msg.Query == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: query without payload"))
@@ -492,13 +486,15 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 
 	// Local matches: the trusted store plus each summary-mode owner's
 	// policy-filtered answer (the "final control" step).
-	sres, err := s.store.Search(q)
-	if err != nil {
-		return wire.ErrorMessage(s.cfg.ID, err)
-	}
-	reply.Records = wire.AppendRecords(reply.Records, sres.Records)
-	if overBudget() {
-		return shed()
+	if s.store.Len() > 0 {
+		sres, err := s.store.Search(q)
+		if err != nil {
+			return wire.ErrorMessage(s.cfg.ID, err)
+		}
+		reply.Records = wire.AppendRecords(reply.Records, sres.Records)
+		if overBudget() {
+			return shed()
+		}
 	}
 	for _, o := range snap.owners {
 		if o.Policy.Mode != policy.ExportSummary {

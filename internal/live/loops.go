@@ -481,28 +481,28 @@ func (s *Server) reportToParent() {
 }
 
 // pushEntry is one origin this server refreshes at its children this tick:
-// a child's branch (for the child's siblings), this server itself, or a
-// replica it holds and hands one level down. It keeps the parts of a full
-// entry and builds the DTO only when some child needs it.
+// a child's branch (for the child's siblings), this server's local summary
+// (for its descendants), or a replica it holds and hands one level down. It
+// keeps the parts of a full entry and builds the DTO only when some child
+// needs it.
 type pushEntry struct {
-	origin, addr  string
-	branch, local *summary.Summary
-	ancestor      bool
-	level         int
-	fallbacks     []wire.RedirectInfo
-	version       uint64
-	tag           uint64
-	dto           *wire.ReplicaPush // the full entry, built on first use and shared by the children
+	origin, addr string
+	sum          *summary.Summary
+	ancestor     bool
+	level        int
+	fallbacks    []wire.RedirectInfo
+	version      uint64
+	tag          uint64
+	dto          *wire.ReplicaPush // the full entry, built on first use and shared by the children
 }
 
-// full is the entry with its summaries and metadata.
+// full is the entry with its summary and metadata.
 func (e *pushEntry) full() *wire.ReplicaPush {
 	if e.dto == nil {
 		e.dto = &wire.ReplicaPush{
 			OriginID:   e.origin,
 			OriginAddr: e.addr,
-			Branch:     wire.FromSummary(e.branch),
-			Local:      wire.FromSummary(e.local),
+			Summary:    wire.FromSummary(e.sum),
 			Ancestor:   e.ancestor,
 			Level:      e.level,
 			Fallbacks:  e.fallbacks,
@@ -520,10 +520,14 @@ func (e *pushEntry) tagOnly() *wire.ReplicaPush {
 }
 
 // pushReplicas distributes overlay state to every child: each sibling's
-// branch summary, this server's own branch+local (ancestor push), and all
+// branch summary, this server's own local summary (ancestor push), and all
 // replicas this server holds (sibling replicas become the child's
 // ancestor-sibling replicas; ancestor replicas stay ancestors). After L
-// rounds every server holds exactly the paper's replica set.
+// rounds every server holds exactly the paper's replica set. Every entry
+// carries the one summary its holders route on — an ancestor's branch is a
+// merge of summaries its descendants already hold — so a write ships one
+// summary to each other server: the writer's local to its descendants, and
+// the branch of the writer's ancestor on its side to everyone else.
 //
 // One KindReplicaBatch per child per tick, in one of two forms (see
 // wire.ReplicaBatch). Every entry has a tag, the hash of all a full entry
@@ -558,18 +562,18 @@ func (s *Server) pushReplicas() {
 		snap := childSnap{id: c.id, addr: c.addr, push: c.push, own: -1}
 		if c.branch != nil {
 			snap.own = len(entries)
-			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, branch: c.branch,
+			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, sum: c.branch,
 				level: 1, fallbacks: c.kids, version: c.version})
 		}
 		children = append(children, snap)
 	}
-	// Everything else goes to every child alike: self as ancestor (branch +
-	// local piggyback, distance 1), then everything this server replicates
-	// (its siblings and ancestors become the child's ancestor-siblings and
+	// Everything else goes to every child alike: self as ancestor (local
+	// summary, distance 1), then everything this server replicates (its
+	// siblings and ancestors become the child's ancestor-siblings and
 	// ancestors, one level further away).
-	if s.branchSummary != nil {
-		entries = append(entries, pushEntry{origin: s.cfg.ID, addr: s.cfg.Addr, branch: s.branchSummary,
-			local: s.localSummary, ancestor: true, level: 1, version: s.branchSummary.Version})
+	if s.localSummary != nil {
+		entries = append(entries, pushEntry{origin: s.cfg.ID, addr: s.cfg.Addr, sum: s.localSummary,
+			ancestor: true, level: 1, version: s.localSummary.Version})
 	}
 	for _, r := range s.replicas {
 		if _, isChild := s.children[r.originID]; isChild || r.originID == s.cfg.ID {
@@ -578,12 +582,8 @@ func (s *Server) pushReplicas() {
 			// origin, and one origin goes into a set once.
 			continue
 		}
-		e := pushEntry{origin: r.originID, addr: r.originAddr, branch: r.branch, ancestor: r.ancestor,
-			level: r.level + 1, fallbacks: r.fallbacks, version: r.version}
-		if r.ancestor {
-			e.local = r.local
-		}
-		entries = append(entries, e)
+		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
+			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version})
 	}
 	s.mu.Unlock()
 	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
@@ -591,7 +591,7 @@ func (s *Server) pushReplicas() {
 	var all setDigest
 	for i := range entries {
 		e := &entries[i]
-		e.tag = replicaTag(replicaMeta(e.ancestor, e.level, e.addr, e.fallbacks), e.version, e.local)
+		e.tag = replicaTag(replicaMeta(e.ancestor, e.level, e.addr, e.fallbacks), e.version)
 		all.add(e.origin, e.tag)
 	}
 

@@ -436,8 +436,8 @@ func TestReplicaTagCoversMetadata(t *testing.T) {
 		c.mu.Lock()
 		r := c.replicas["root"]
 		var local uint64
-		if r != nil && r.local != nil {
-			local = r.local.Records
+		if r != nil {
+			local = r.sum.Records
 		}
 		c.mu.Unlock()
 		if local != 4 {
@@ -447,6 +447,116 @@ func TestReplicaTagCoversMetadata(t *testing.T) {
 	// Root's entry to both children, and c2's changed branch to c1.
 	if got := root.mx.pushFull.Load() - full0; got != 3 {
 		t.Fatalf("the moved record cost %d full entries; want 3", got)
+	}
+}
+
+// writeAndSettle adds one record to srv's owner and drives the federation's
+// rounds until one puts no summary on the wire.
+func writeAndSettle(tb testing.TB, cl *Cluster, tr *countingTransport, srv *Server, id string) {
+	tb.Helper()
+	srv.mu.Lock()
+	o := srv.owners[0]
+	srv.mu.Unlock()
+	r := o.Records()[0].Clone()
+	r.ID = id
+	o.AddRecords(r)
+	for round := 0; ; round++ {
+		if round == 16 {
+			tb.Fatalf("one write still ships summaries after %d rounds", round)
+		}
+		before, _, _ := tr.counts()
+		driveRound(cl.Servers...)
+		if after, _, _ := tr.counts(); after == before {
+			return
+		}
+	}
+}
+
+// paperReplicaSet is the replica set the paper gives a server: its siblings,
+// its ancestors and their siblings, read off the tree the servers report.
+func paperReplicaSet(cl *Cluster, srv *Server) []string {
+	parent := map[string]string{}
+	children := map[string][]string{}
+	for _, s := range cl.Servers {
+		if p := s.ParentID(); p != "" {
+			parent[s.ID()] = p
+			children[p] = append(children[p], s.ID())
+		}
+	}
+	var set []string
+	for node := srv.ID(); parent[node] != ""; node = parent[node] {
+		p := parent[node]
+		set = append(set, p)
+		for _, sib := range children[p] {
+			if sib != node {
+				set = append(set, sib)
+			}
+		}
+	}
+	slices.Sort(set)
+	return set
+}
+
+// TestWriteShipsOneSummaryPerServer: a write costs one summary per other
+// server. A record added at a leaf of the parked 64-server federation reaches
+// each other server once — up the root path as reports, everywhere else as
+// the branch of the writer's ancestor on that side — and moves no ancestor
+// entry, since no ancestor's local data changed. While ancestor entries also
+// carried the ancestor's branch (last at 3234915), the same write shipped 225
+// summaries. A record added at an interior server ships its local summary
+// once to each of its descendants. Replica sets stay the paper's, and
+// coverage ends exact.
+func TestWriteShipsOneSummaryPerServer(t *testing.T) {
+	tr := &countingTransport{Chan: transport.NewChan()}
+	cl, _ := parkedFederation(t, tr, nil)
+	others := len(cl.Servers) - 1
+	total := cl.Servers[0].BranchRecords()
+
+	tr.reset()
+	writeAndSettle(t, cl, tr, cl.Servers[others], "write-at-leaf")
+	summaries, _, _ := tr.counts()
+	t.Logf("leaf write: %d summaries, %d bytes of reports and batches", summaries, tr.summaryBytes)
+	if summaries > others {
+		t.Errorf("a leaf write shipped %d summaries; want at most one per other server, %d", summaries, others)
+	}
+	if len(tr.ancestors) != 0 {
+		t.Errorf("a leaf write shipped ancestor entries %v; no ancestor's local data changed", tr.ancestors)
+	}
+
+	interior := cl.Servers[1]
+	var want []string
+	for _, s := range cl.Servers {
+		if slices.Contains(s.RootPath(), interior.ID()) && s != interior {
+			want = append(want, s.Addr()+":"+interior.ID())
+		}
+	}
+	tr.reset()
+	writeAndSettle(t, cl, tr, interior, "write-at-interior")
+	summaries, _, _ = tr.counts()
+	got := slices.Clone(tr.ancestors)
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) != 20 || !slices.Equal(got, want) {
+		t.Errorf("an interior write shipped ancestor entries %v; want its local summary once to each of its 20 descendants %v", got, want)
+	}
+	if summaries > others {
+		t.Errorf("an interior write shipped %d summaries; want at most %d", summaries, others)
+	}
+
+	for _, s := range cl.Servers {
+		if got := s.CoveredRecords(); got != total+2 {
+			t.Errorf("%s covers %d records after both writes; want %d", s.ID(), got, total+2)
+		}
+		var held []string
+		s.mu.Lock()
+		for id := range s.replicas {
+			held = append(held, id)
+		}
+		s.mu.Unlock()
+		slices.Sort(held)
+		if want := paperReplicaSet(cl, s); !slices.Equal(held, want) {
+			t.Errorf("%s holds replicas %v; the paper's set is %v", s.ID(), held, want)
+		}
 	}
 }
 

@@ -181,8 +181,8 @@ func TestReplicaBatchAtomic(t *testing.T) {
 		Kind: wire.KindReplicaBatch,
 		From: "parent",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib1", OriginAddr: "sib1-addr", Branch: sum, Level: 1},
-			{OriginID: "anc1", OriginAddr: "anc1-addr", Branch: sum, Local: sum, Ancestor: true, Level: 2},
+			{OriginID: "sib1", OriginAddr: "sib1-addr", Summary: sum, Level: 1},
+			{OriginID: "anc1", OriginAddr: "anc1-addr", Summary: sum, Ancestor: true, Level: 2},
 		}},
 	}
 	rep, err := tr.Call(srv.Addr(), good)
@@ -199,8 +199,8 @@ func TestReplicaBatchAtomic(t *testing.T) {
 		Kind: wire.KindReplicaBatch,
 		From: "parent",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib2", OriginAddr: "sib2-addr", Branch: sum, Level: 1},
-			{OriginID: "sib3", OriginAddr: "sib3-addr", Branch: &corrupt, Level: 1},
+			{OriginID: "sib2", OriginAddr: "sib2-addr", Summary: sum, Level: 1},
+			{OriginID: "sib3", OriginAddr: "sib3-addr", Summary: &corrupt, Level: 1},
 		}},
 	}
 	rep, err = tr.Call(srv.Addr(), bad)

@@ -254,9 +254,10 @@ type pushState struct {
 // replicaState is one overlay replica.
 type replicaState struct {
 	originID, originAddr string
-	branch               *summary.Summary
-	local                *summary.Summary // ancestors only
-	ancestor             bool
+	// sum is what queries match and coverage counts: the origin's branch
+	// for a sibling-class replica, its local data for an ancestor.
+	sum      *summary.Summary
+	ancestor bool
 	// level is the origin's distance in hierarchy levels (1 = own
 	// sibling or parent); scoped queries filter on it.
 	level int
@@ -266,8 +267,8 @@ type replicaState struct {
 	// fallbacks are the origin's children, carried on the push; they
 	// become failover Alternates on redirects to the origin.
 	fallbacks []wire.RedirectInfo
-	// version is the origin's branch content version carried on the push;
-	// forwarding this replica propagates the same version one level down.
+	// version is sum's content version carried on the push; forwarding
+	// this replica propagates the same version one level down.
 	version uint64
 	// meta is replicaMeta of ancestor, level, originAddr and fallbacks, none
 	// of which changes while this replicaState lives.
@@ -286,11 +287,9 @@ type replicaState struct {
 
 // tag hashes the replica as held, the way its feeder hashes the entry it
 // would send (replicaTag). A tag-only entry or a digest batch renews received
-// only while the two agree. The content versions are read at the moment of
-// the comparison, so it vouches for the summaries in memory now, not for a
-// label filed when the replica arrived.
+// only while the two agree.
 func (r *replicaState) tag() uint64 {
-	return replicaTag(r.meta, r.version, r.local)
+	return replicaTag(r.meta, r.version)
 }
 
 // ownerCacheEntry is one cached owner export: the summary the owner

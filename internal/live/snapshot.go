@@ -17,10 +17,10 @@ type snapChild struct {
 }
 
 // snapReplica is one overlay replica as the query path sees it. match is
-// the summary queries are tested against — the origin's branch for
-// sibling-class replicas, its local data for ancestors (an ancestor
-// redirect covers only the ancestor's own data, which nothing replicates,
-// so ancestors also carry no alternates).
+// the replica's one summary — the origin's branch for sibling-class
+// replicas, its local data for ancestors (an ancestor redirect covers only
+// the ancestor's own data, which nothing replicates, so ancestors also carry
+// no alternates).
 type snapReplica struct {
 	level int
 	match *summary.Summary
@@ -48,8 +48,7 @@ type routingSnapshot struct {
 	// redirect order). replicas is sorted by origin ID and pre-filtered:
 	// entries shadowed by this server itself or by a current child are
 	// dropped at build time (the child's own branch summary is always the
-	// fresher route), as are ancestor entries that pushed no local
-	// summary. The per-query work is reduced to pure matching.
+	// fresher route). The per-query work is reduced to pure matching.
 	children []snapChild
 	replicas []snapReplica
 
@@ -57,8 +56,8 @@ type routingSnapshot struct {
 	// of the redirect candidates, so Status/NumReplicas keep reporting the
 	// raw overlay size.
 	numReplicas int
-	// covered is the precomputed CoveredRecords value: own branch plus
-	// each non-ancestor replica's branch plus each ancestor's local data.
+	// covered is the precomputed CoveredRecords value: own branch plus each
+	// replica's summary (a sibling-class branch, an ancestor's local data).
 	covered uint64
 
 	// fpBase hashes everything about the children and replicas a query
@@ -121,53 +120,24 @@ func (s *Server) publishSnapshotLocked() {
 	if n := len(s.replicas); n > 0 {
 		snap.replicas = make([]snapReplica, 0, n)
 		for id, r := range s.replicas {
-			if r.ancestor {
-				if r.local != nil {
-					snap.covered += r.local.Records
-				}
-			} else if r.branch != nil {
-				snap.covered += r.branch.Records
-			}
+			snap.covered += r.sum.Records
 			if id == s.cfg.ID {
 				continue
 			}
 			if _, isChild := s.children[id]; isChild {
 				continue
 			}
-			sr := snapReplica{level: r.level}
-			version := r.version
-			if r.ancestor {
-				if r.local == nil {
-					continue
-				}
-				sr.match = r.local
-				sr.ri = wire.RedirectInfo{ID: r.originID, Addr: r.originAddr, Records: r.local.Records}
-				// The ancestor route matches on its local data, which the
-				// push versions independently of the branch.
-				version = r.local.Version
-			} else {
-				sr.match = r.branch
-				sr.ri = wire.RedirectInfo{
-					ID:         r.originID,
-					Addr:       r.originAddr,
-					Records:    r.branch.Records,
-					Alternates: r.fallbacks,
-				}
+			sr := snapReplica{level: r.level, match: r.sum,
+				ri: wire.RedirectInfo{ID: r.originID, Addr: r.originAddr, Records: r.sum.Records}}
+			if !r.ancestor {
+				sr.ri.Alternates = r.fallbacks
 			}
-			if version == 0 {
+			if r.version == 0 {
 				versioned = false
 			}
-			dh := newDepHasher()
-			dh.u64(version)
-			dh.str(r.originAddr)
-			dh.u64(uint64(r.level))
-			if r.ancestor {
-				dh.u64(1)
-			} else {
-				dh.u64(0)
-				dh.redirects(r.fallbacks)
-			}
-			routes.add(r.originID, dh.h)
+			// The tag covers the version, address, level, class and
+			// alternates: everything of the replica a reply can show.
+			routes.add(r.originID, r.tag())
 			snap.replicas = append(snap.replicas, sr)
 		}
 		sort.Slice(snap.replicas, func(i, j int) bool {

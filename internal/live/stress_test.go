@@ -149,7 +149,7 @@ func TestServerRetainsNothingPerQuery(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	drive(1000) // lazily built state is not per-query state
-	goroutines, before := runtime.NumGoroutine(), heap()
+	goroutines, before := settledGoroutines(), heap()
 	drive(50000)
 	after := heap()
 	if grew := int64(after) - int64(before); grew > 1<<20 {
@@ -176,7 +176,7 @@ func TestReplicaBatchNoTornReads(t *testing.T) {
 			pushes[i] = &wire.ReplicaPush{
 				OriginID:   fmt.Sprintf("sib%d", i),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i),
-				Branch:     stressSummary(t, schema, n),
+				Summary:    stressSummary(t, schema, n),
 				Level:      1,
 			}
 		}
@@ -294,7 +294,7 @@ func TestQueryChurnStress(t *testing.T) {
 			pushes := []*wire.ReplicaPush{{
 				OriginID:   fmt.Sprintf("sib%d", i%3),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i%3),
-				Branch:     stressSummary(t, schema, uint64(i%5+1)),
+				Summary:    stressSummary(t, schema, uint64(i%5+1)),
 				Level:      1,
 			}}
 			srv.handle(&wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",

@@ -38,8 +38,8 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 		From: "parent",
 		Addr: "parent-addr",
 		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{
-			{OriginID: "sib", OriginAddr: "sib-addr", Branch: dto, Level: 1},
-			{OriginID: "anc", OriginAddr: "anc-addr", Branch: dto, Local: dto, Ancestor: true, Level: 2},
+			{OriginID: "sib", OriginAddr: "sib-addr", Summary: dto, Level: 1},
+			{OriginID: "anc", OriginAddr: "anc-addr", Summary: dto, Ancestor: true, Level: 2},
 		}},
 	}
 	data, err := Encode(msg)
@@ -54,16 +54,16 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	p0, p1 := got.Batch.Pushes[0], got.Batch.Pushes[1]
-	if p0.OriginID != "sib" || p0.Level != 1 || p0.Ancestor || p0.Local != nil {
+	if p0.OriginID != "sib" || p0.Level != 1 || p0.Ancestor || p0.Summary == nil {
 		t.Fatalf("push 0 mismatch: %+v", p0)
 	}
-	if p1.OriginID != "anc" || p1.Level != 2 || !p1.Ancestor || p1.Local == nil {
+	if p1.OriginID != "anc" || p1.Level != 2 || !p1.Ancestor || p1.Summary == nil {
 		t.Fatalf("push 1 mismatch: %+v", p1)
 	}
-	if p1.Branch.Records != 42 {
-		t.Fatalf("summary payload lost: %+v", p1.Branch)
+	if p1.Summary.Records != 42 {
+		t.Fatalf("summary payload lost: %+v", p1.Summary)
 	}
-	if _, err := p1.Branch.ToSummary(schema); err != nil {
+	if _, err := p1.Summary.ToSummary(schema); err != nil {
 		t.Fatalf("decoded summary must rebuild: %v", err)
 	}
 }

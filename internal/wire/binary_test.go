@@ -110,17 +110,28 @@ func sampleMessages(tb testing.TB) []*Message {
 			}(),
 		}},
 		{Kind: KindReplicaBatch, From: "n5", Epoch: 7, Batch: &ReplicaBatch{Pushes: []*ReplicaPush{
-			{OriginID: "p1", OriginAddr: "pa1", Branch: dto, Level: 1, Version: 5},
+			{OriginID: "p1", OriginAddr: "pa1", Summary: dto, Level: 1, Version: 5},
 			// Untagged, unversioned full entry (what a hand-built push looks like).
-			{OriginID: "p2", OriginAddr: "pa2", Branch: bloomed, Level: 3, Fallbacks: alt},
+			{OriginID: "p2", OriginAddr: "pa2", Summary: bloomed, Level: 3, Fallbacks: alt},
 			// Tag-only entry: origin and tag, nothing else.
 			{OriginID: "p3", Tag: 0xfeedfacecafebeef},
-			// Ancestor push: branch plus the origin's local summary.
-			{OriginID: "p4", OriginAddr: "pa4", Branch: dto, Local: bloomed,
+			// Ancestor push: the origin's local summary.
+			{OriginID: "p4", OriginAddr: "pa4", Summary: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
-			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Local: adaptiveSummaryDTO()},
+			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: adaptiveSummaryDTO()},
 			nil,
 		}}},
+		// Histogram counts at the uvarint boundaries: one byte up to 127,
+		// two from 128, four at 2^21, five at the top of uint32.
+		{Kind: KindSummaryReport, From: "n3f", Report: &SummaryReport{Version: 6, Depth: 1, Summary: &SummaryDTO{
+			Origin: "n3f", Version: 6, Records: 255, Buckets: 4, Max: 1,
+			Hists: []HistDTO{{Attr: 0, Total: 255, Counts: []uint32{0, 127, 128, 0}}},
+		}}},
+		{Kind: KindReplicaBatch, From: "n5c", Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{
+			OriginID: "p7", OriginAddr: "pa7", Level: 1, Version: 8, Summary: &SummaryDTO{
+				Origin: "p7", Version: 8, Records: 1<<21 + 1<<32 - 1, Buckets: 2, Max: 1,
+				Hists: []HistDTO{{Attr: 0, Total: 1<<21 + 1<<32 - 1, Counts: []uint32{1 << 21, math.MaxUint32}}},
+			}}}}},
 		// Digest batch: no entries, the set's digest and size.
 		{Kind: KindReplicaBatch, From: "n5b", Addr: "addr5", Epoch: 7,
 			Batch: &ReplicaBatch{Digest: 0x8899aabbccddeeff, Count: 11}},
@@ -268,7 +279,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled
@@ -429,7 +440,7 @@ func BenchmarkCodec(b *testing.B) {
 		From: "srv001", Addr: "10.0.0.1:7000",
 		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{
 			OriginID: "srv002", OriginAddr: "10.0.0.2:7000",
-			Branch: sampleSummaryDTO(b, 200, 100), Level: 1,
+			Summary: sampleSummaryDTO(b, 200, 100), Level: 1,
 			Fallbacks: []RedirectInfo{{ID: "srv003", Addr: "10.0.0.3:7000", Records: 50}},
 		}}},
 	}

@@ -75,6 +75,31 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
+		{"full report, histogram counts",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
+					Origin: "o", Version: 3, Buckets: 4, Max: 1,
+					Hists: []HistDTO{{Attr: 0, Total: 1<<21 + 255, Counts: []uint32{0, 127, 128, 1 << 21}}}}}},
+			append(envelope(KindSummaryReport, hasReport),
+				1,      // summary present
+				1, 'o', // Origin
+				3, 0, 0, 8, // Version, Records, PolicyRev, Buckets 4 zigzag
+				0, 0, 0, 0, 0, 0, 0, 0, // Min
+				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
+				1,                      // one histogram
+				0,                      // Attr 0, zigzag
+				0xff, 0x81, 0x80, 0x01, // Total 2^21+255, uvarint
+				4,          // four buckets
+				0x00,       // 0
+				0x7f,       // 127: the largest one-byte count
+				0x80, 0x01, // 128
+				0x80, 0x80, 0x80, 0x01, // 2^21
+				0, 0, // no value sets or Bloom filters
+				0, 0, // Mode, no plan
+				2, 0, 0, 3, // Depth, Descendants, no children, Version
+				0, 0, 0, 0, 0, 0, 0, 0, // Have
+				1, // Epoch
+			)},
 		{"report ack, ancestry held",
 			&Message{Kind: KindAck, From: "p", Epoch: 1, Ack: &AckInfo{HaveVersion: 3}},
 			append(envelope(KindAck, hasAckInfo),
@@ -108,20 +133,29 @@ func TestBinaryGoldenBytes(t *testing.T) {
 
 // TestBinaryHostileMaintenanceFields: the counts and fixed-width values of
 // the maintenance frames are guarded like the rest — a count the remaining
-// bytes cannot hold fails before anything is allocated, and a digest, tag or
-// Have cut short is a truncation, not a zero.
+// bytes cannot hold fails before anything is allocated, and a digest, tag,
+// Have or histogram count cut short is a truncation, not a zero.
 func TestBinaryHostileMaintenanceFields(t *testing.T) {
 	huge := appendUvarint(nil, 1<<40)
+	// A full report up to the bucket count of its summary's one histogram.
+	hist := func(tail ...byte) []byte {
+		b := append(envelope(KindSummaryReport, hasReport), 1, 1, 'o', 3, 0, 0, 8)
+		b = append(b, make([]byte, 16)...) // Min, Max
+		return append(append(b, 1, 0, 4), tail...)
+	}
 	for name, data := range map[string][]byte{
-		"batch entry count":         append(envelope(KindReplicaBatch, hasBatch), huge...),
-		"digest cut short":          append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
-		"tag cut short":             append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
-		"fallback count":            append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
-		"have cut short":            append(envelope(KindSummaryReport, hasReport), 0, 2, 0, 0, 3, 1, 2, 3, 4),
-		"root path count":           append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1), huge...),
-		"path address count":        append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0), huge...),
-		"sibling count":             append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0, 0), huge...),
-		"ancestry flag, no content": append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1),
+		"histogram bucket count":       hist(huge...),
+		"histogram count cut short":    hist(2, 0x05, 0x80),
+		"histogram count over 32 bits": hist(1, 0x80, 0x80, 0x80, 0x80, 0x10),
+		"batch entry count":            append(envelope(KindReplicaBatch, hasBatch), huge...),
+		"digest cut short":             append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
+		"tag cut short":                append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
+		"fallback count":               append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
+		"have cut short":               append(envelope(KindSummaryReport, hasReport), 0, 2, 0, 0, 3, 1, 2, 3, 4),
+		"root path count":              append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1), huge...),
+		"path address count":           append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0), huge...),
+		"sibling count":                append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0, 0), huge...),
+		"ancestry flag, no content":    append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1),
 	} {
 		if m, err := Decode(data); err == nil {
 			t.Errorf("%s: decoded as %+v, want an error", name, m)

@@ -247,17 +247,17 @@ type JoinReply struct {
 }
 
 // ReplicaPush is one entry of a list batch: an origin the sender refreshes
-// at the receiver. A full entry distributes the origin's branch summary (and
-// the origin's local-data summary when the origin is an ancestor of the
-// receiver) with its routing metadata; a tag-only entry (Branch nil) is the
-// origin and Tag alone and confirms the replica the receiver already holds.
+// at the receiver. A full entry distributes the one summary of the origin the
+// receiver routes on, with its routing metadata; a tag-only entry (Summary
+// nil) is the origin and Tag alone and confirms the replica the receiver
+// already holds.
 type ReplicaPush struct {
 	OriginID   string
 	OriginAddr string
-	Branch     *SummaryDTO
-	// Local is the origin's local-data summary; only set on ancestor
-	// pushes (see core: ancestorLocal).
-	Local *SummaryDTO
+	// Summary is the origin's branch summary on a sibling-class entry, and
+	// its local-data summary on an ancestor entry: a redirect to an ancestor
+	// covers only the ancestor's own data.
+	Summary *SummaryDTO
 	// Ancestor marks pushes whose origin is an ancestor of the receiver.
 	Ancestor bool
 	// Level is the origin's distance from the receiver in hierarchy
@@ -269,18 +269,18 @@ type ReplicaPush struct {
 	// query into the origin's branch when the origin itself is
 	// unreachable. Propagated into redirect Alternates.
 	Fallbacks []RedirectInfo
-	// Version is the origin's branch-summary content version; it travels on
-	// full entries only. Zero marks unversioned content, which is never
-	// confirmed by tag and ships in full every time.
+	// Version is the content version of Summary; it travels on full entries
+	// only. Zero marks unversioned content, which is never confirmed by tag
+	// and ships in full every time.
 	Version uint64
 	// Tag is what a tag-only entry carries instead of all the above: the
 	// sender's hash of everything the full entry would store besides the
-	// summaries themselves — Version, the Local summary's version, Ancestor,
-	// Level, OriginAddr and Fallbacks. The receiver hashes the replica it
-	// holds the same way, renews its soft-state lifetime when the two agree
-	// and answers NeedFullOrigins otherwise, so nothing a full entry would
-	// change can differ between the two sides while the tags agree. A full
-	// entry carries no tag; the receiver derives it from what it stores.
+	// summary itself — Version, Ancestor, Level, OriginAddr and Fallbacks.
+	// The receiver hashes the replica it holds the same way, renews its
+	// soft-state lifetime when the two agree and answers NeedFullOrigins
+	// otherwise, so nothing a full entry would change can differ between the
+	// two sides while the tags agree. A full entry carries no tag; the
+	// receiver derives it from what it stores.
 	Tag uint64
 }
 
