@@ -20,6 +20,10 @@
 //     a code span or a code fence must exist, and every `make <target>`
 //     written there must be a target the Makefile defines — deleting a
 //     command, a package or a target cannot leave the docs describing it.
+//  5. The codec version ARCHITECTURE.md §2 names ("currently N") and the
+//     one the verify skill names ("one codec version (N)") must be the
+//     version the wire package writes — a format change cannot leave either
+//     describing the previous one.
 //
 // Run via `make docs-check` (part of the tier1 gate). Exit status is
 // non-zero when any check fails; every failure is listed, not just the
@@ -63,6 +67,7 @@ func main() {
 	failures = append(failures, checkMetricsCatalog(root)...)
 	failures = append(failures, checkFlagTables(root)...)
 	failures = append(failures, checkRepoRefs(root)...)
+	failures = append(failures, checkCodecVersion(root)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -71,7 +76,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables and repo references match\n", len(mdFiles))
+	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables, repo references and codec version match\n", len(mdFiles))
 }
 
 // markdownFiles lists every tracked *.md file under root, skipping
@@ -389,4 +394,71 @@ func checkRepoRefs(root string) []string {
 		failures = append(failures, staleRefs(doc, string(data), exists, targets)...)
 	}
 	return failures
+}
+
+// codecVersionDocs are the documents that name the codec version — a glob,
+// since the verify skill sits in a tool's dot-directory — with the "## "
+// section that does (empty: the whole document) and the phrase, whose first
+// submatch is the number.
+var codecVersionDocs = []struct {
+	glob, heading string
+	re            *regexp.Regexp
+}{
+	{"ARCHITECTURE.md", "## 2. ", regexp.MustCompile(`currently (\d+)`)},
+	{filepath.Join(".*", "skills", "verify", "SKILL.md"), "", regexp.MustCompile(`one codec version \((\d+)\)`)},
+}
+
+// versionDrift returns a failure when text does not name a version through
+// re, and one for every version it names that is not want.
+func versionDrift(doc, text string, re *regexp.Regexp, want int) []string {
+	matches := re.FindAllStringSubmatch(text, -1)
+	if len(matches) == 0 {
+		return []string{fmt.Sprintf("%s: names no codec version (%q); the wire package writes %d", doc, re, want)}
+	}
+	var failures []string
+	for _, m := range matches {
+		if n, err := strconv.Atoi(m[1]); err != nil || n != want {
+			failures = append(failures, fmt.Sprintf("%s: names codec version %s; the wire package writes %d", doc, m[1], want))
+		}
+	}
+	return failures
+}
+
+// checkCodecVersion runs versionDrift over codecVersionDocs against the
+// version wire writes.
+func checkCodecVersion(root string) []string {
+	var failures []string
+	for _, d := range codecVersionDocs {
+		paths, _ := filepath.Glob(filepath.Join(root, d.glob)) // the patterns are well-formed
+		if len(paths) == 0 {
+			failures = append(failures, fmt.Sprintf("%s: no such document (it names the codec version)", d.glob))
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				failures = append(failures, fmt.Sprintf("%s: %v", path, err))
+				continue
+			}
+			text := string(data)
+			if d.heading != "" {
+				text = section(text, d.heading)
+			}
+			failures = append(failures, versionDrift(path, text, d.re, wire.Version)...)
+		}
+	}
+	return failures
+}
+
+// section returns the "## " section of text whose heading starts with
+// heading, and nothing when no heading does.
+func section(text, heading string) string {
+	start := strings.Index(text, "\n"+heading)
+	if start < 0 {
+		return ""
+	}
+	rest := text[start+1:]
+	if end := strings.Index(rest, "\n## "); end >= 0 {
+		return rest[:end]
+	}
+	return rest
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"slices"
 	"testing"
 )
@@ -27,6 +28,35 @@ func TestCatalogDrift(t *testing.T) {
 				`OPERATIONS.md: the metric tables document "roads_children" but nothing registers it`}},
 	} {
 		if got := catalogDrift(ops, tc.registered); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %q; want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestVersionDrift runs the codec-version check over both documents'
+// phrasings, a section cut out of a document, and the ways they drift.
+func TestVersionDrift(t *testing.T) {
+	arch := codecVersionDocs[0].re
+	skill := codecVersionDocs[1].re
+	const doc = "# A\n\n## 1. Packages\n\nUp to version 9, currently 3 packages.\n\n" +
+		"## 2. The wire format\n\nthe version byte — currently 12. Version 12 adds a bit.\n\n## 3. Caches\n"
+	for _, tc := range []struct {
+		name, text string
+		re         *regexp.Regexp
+		want       []string
+	}{
+		{"the section names the version", section(doc, "## 2. "), arch, nil},
+		{"another section's count is not the version", section(doc, "## 1. "), arch,
+			[]string{`X.md: names codec version 3; the wire package writes 12`}},
+		{"the skill names the version", "There is one codec version (12) and one TCP frame.", skill, nil},
+		{"the skill names the previous version", "There is one codec version (11) and one TCP frame.", skill,
+			[]string{`X.md: names codec version 11; the wire package writes 12`}},
+		{"a rewording names none", "There is a single codec version, 12.", skill,
+			[]string{`X.md: names no codec version ("one codec version \\((\\d+)\\)"); the wire package writes 12`}},
+		{"a missing section names none", section(doc, "## 4. "), arch,
+			[]string{`X.md: names no codec version ("currently (\\d+)"); the wire package writes 12`}},
+	} {
+		if got := versionDrift("X.md", tc.text, tc.re, 12); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: got %q; want %q", tc.name, got, tc.want)
 		}
 	}

@@ -37,6 +37,7 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		parkEarlyRounds(srv)
 		if err := srv.Start(); err != nil {
 			b.Fatal(err)
 		}
@@ -159,6 +160,7 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 		if err != nil {
 			b.Fatal(err)
 		}
+		parkEarlyRounds(srv)
 		if err := srv.Start(); err != nil {
 			b.Fatal(err)
 		}

@@ -60,6 +60,7 @@ func newCacheStar(t *testing.T, mut func(cfg *Config), childVals ...[]float64) (
 		if err != nil {
 			t.Fatal(err)
 		}
+		parkEarlyRounds(srv)
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -399,6 +400,7 @@ func TestRestartedServerDoesNotConfirmOldFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		parkEarlyRounds(srv)
 		o := policy.NewOwner("o", schema, nil)
 		o.SetRecords(numRecords(schema, "o", prefix, ownerVals))
 		if err := srv.AttachOwner(o); err != nil {

@@ -21,11 +21,12 @@ import (
 
 // parkedFederation builds the canonical benchmark's federation — 64 servers,
 // fan-out 4, 50 records and 64-bucket summaries of 8 attributes per server —
-// converged and at rest: the tick is an hour and the maintenance rounds that
-// converge it are driven from here, so while a test or benchmark resolves
-// against it nothing else runs, allocates or starts goroutines. The queries
-// are the benchmark's fresh broad ones (3 of 8 dimensions, a quarter of each
-// range, some fifty servers contacted).
+// converged and at rest: the tick is an hour, early rounds are parked from
+// the start and the maintenance rounds that converge it are driven from here,
+// so while a test or benchmark resolves against it nothing else runs,
+// allocates or starts goroutines. The queries are the benchmark's fresh broad
+// ones (3 of 8 dimensions, a quarter of each range, some fifty servers
+// contacted).
 func parkedFederation(tb testing.TB, tr transport.Transport, addrFor func(int) string) (*Cluster, []*query.Query) {
 	tb.Helper()
 	const servers, fanOut = 64, 4
@@ -33,15 +34,29 @@ func parkedFederation(tb testing.TB, tr transport.Transport, addrFor func(int) s
 		rand.New(rand.NewSource(2008)))
 	scfg := summary.DefaultConfig()
 	scfg.Buckets = 64
-	cl, err := StartCluster(tr, ClusterConfig{
-		N: servers, Schema: w.Schema, Summary: scfg, MaxChildren: fanOut, Tick: time.Hour,
-		AddrFor: addrFor,
-		JoinVia: func(i int) int { return (i - 1) / fanOut },
-	})
-	if err != nil {
-		tb.Fatal(err)
+	if addrFor == nil {
+		addrFor = func(i int) string { return fmt.Sprintf("srv%03d", i) }
 	}
+	cl := &Cluster{Tr: tr, Schema: w.Schema, tick: time.Hour}
 	tb.Cleanup(cl.Stop)
+	for i := 0; i < servers; i++ {
+		cfg := DefaultConfig(fmt.Sprintf("srv%03d", i), addrFor(i), w.Schema)
+		cfg.Summary, cfg.MaxChildren, cfg.AggregateEvery = scfg, fanOut, time.Hour
+		srv, err := NewServer(cfg, tr)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		parkEarlyRounds(srv)
+		if err := srv.Start(); err != nil {
+			tb.Fatal(err)
+		}
+		cl.Servers = append(cl.Servers, srv)
+		if i > 0 {
+			if err := srv.Join(cl.Servers[(i-1)/fanOut].Addr()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 	for i := range cl.Servers {
 		o := policy.NewOwner(fmt.Sprintf("owner%d", i), w.Schema, nil)
 		o.SetRecords(w.PerNode[i])

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,9 @@ import (
 )
 
 // deltaServerCfg builds a parked-loop server (background loops effectively
-// off) so tests drive aggregation rounds deterministically by calling
-// refreshSummaries/reportToParent/pushReplicas themselves.
+// off, early rounds parked) so tests drive aggregation rounds
+// deterministically by calling refreshSummaries/reportToParent/pushReplicas
+// themselves.
 func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *record.Schema, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := DefaultConfig(id, "addr-"+id, schema)
@@ -27,12 +29,21 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 	if err != nil {
 		t.Fatal(err)
 	}
+	parkEarlyRounds(srv)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Stop)
 	return srv
 }
+
+// parkEarlyRounds keeps srv from running early rounds, so that the rounds a
+// test drives by hand are all the maintenance traffic there is. Call it
+// before Start: joins and attached owners ask for early rounds at once.
+func parkEarlyRounds(srv *Server) { srv.earlyAt.Store(math.MaxInt64) }
+
+// unparkEarlyRounds lets srv's next request for an early round run at once.
+func unparkEarlyRounds(srv *Server) { srv.earlyAt.Store(0) }
 
 func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema) *Server {
 	t.Helper()

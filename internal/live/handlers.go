@@ -95,6 +95,7 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 		}
 		s.rememberLocked(msg.Join.ID, msg.Join.Addr)
 		s.publishSnapshotLocked()
+		s.requestEarly() // the joiner's replica set, without waiting for the period
 		return s.stampEpoch(&wire.Message{
 			Kind: wire.KindJoinReply,
 			From: s.cfg.ID,
@@ -189,8 +190,14 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 		// A full report with the same non-zero version restates unchanged
 		// content (the parent asked NeedFull): swap the object but skip the
 		// branch re-merge. A report without a version must be assumed changed.
+		// Changed urgent content is passed on in an early round.
 		if c.branch == nil || c.version != report.Version || report.Version == 0 {
 			s.childEpoch++
+			c.urgent = report.Urgent
+			if report.Urgent {
+				s.childUrgent = true
+				s.requestEarly()
+			}
 		}
 		c.branch = sum
 		c.version = report.Version
@@ -269,6 +276,7 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 		version:    p.Version,
 		meta:       replicaMeta(p.Ancestor, level, p.OriginAddr, p.Fallbacks),
 		via:        via,
+		urgent:     p.Urgent,
 	}, nil
 }
 
@@ -287,7 +295,8 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 // when it does not or the origin is unknown, so the sender restates that
 // origin in full next tick. Replicas held via the sender that the list leaves
 // out lose their feeder mark: the sender no longer refreshes them, and they
-// age out by TTL.
+// age out by TTL. An urgent full entry that changes a replica asks for an
+// early round, which passes it on to the children.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	b := msg.Batch
 	if b == nil {
@@ -314,10 +323,14 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	s.mu.Lock()
 	s.listSeq++
 	for _, rs := range states {
-		if rs.originID != s.cfg.ID { // never replicate ourselves
-			rs.listed = s.listSeq
-			s.replicas[rs.originID] = rs
+		if rs.originID == s.cfg.ID { // never replicate ourselves
+			continue
 		}
+		if old := s.replicas[rs.originID]; rs.urgent && len(s.children) > 0 && (old == nil || old.tag() != rs.tag()) {
+			s.requestEarly()
+		}
+		rs.listed = s.listSeq
+		s.replicas[rs.originID] = rs
 	}
 	for _, p := range tagOnly {
 		if p.OriginID == s.cfg.ID {

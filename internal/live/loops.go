@@ -31,27 +31,67 @@ func jittered(d time.Duration, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * (0.9 + 0.2*rng.Float64()))
 }
 
-// aggregationLoop is the one maintenance loop: every period it refreshes the
-// local and branch summaries, reports to the parent — the exchange that also
-// carries liveness and ancestry in both directions (paper §III-A/B) — pushes
-// overlay replicas to the children (§III-C) and ages out soft state.
+// aggregationLoop is the one maintenance loop. Every period it runs a
+// periodic round: it refreshes the local and branch summaries, reports to
+// the parent — the exchange that also carries liveness and ancestry in both
+// directions (paper §III-A/B) — pushes overlay replicas to the children
+// (§III-C) and ages out soft state.
+//
+// Between periods it runs early rounds, when a write signal, an urgent report
+// or entry, or an accepted join asks for one (requestEarly): content only, so
+// a write crosses each hop in milliseconds instead of half a period on
+// average. At most one early round starts per half period; a request inside
+// that gap waits out the rest of it, and a periodic round that comes first
+// carries what the request was for. The periodic timer never moves.
 func (s *Server) aggregationLoop() {
 	defer s.wg.Done()
 	rng := loopRng(s.cfg.ID, 0xa99a)
 	timer := time.NewTimer(jittered(s.cfg.AggregateEvery, rng))
 	defer timer.Stop()
+	var held <-chan time.Time // fires when a request waiting out the gap may run
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-timer.C:
-			s.refreshSummaries()
-			s.reportToParent()
-			s.pushReplicas()
-			s.pruneDeadChildren()
-			s.pruneStaleReplicas()
+			select {
+			case <-s.wake:
+			default:
+			}
+			held = nil
+			s.round(false)
 			timer.Reset(jittered(s.cfg.AggregateEvery, rng))
+			continue
+		case <-s.wake:
+			if wait := time.Until(time.Unix(0, s.earlyAt.Load())); wait > 0 {
+				if held == nil {
+					held = time.After(wait)
+				}
+				continue
+			}
+		case <-held:
 		}
+		held = nil
+		s.earlyAt.Store(time.Now().Add(s.cfg.AggregateEvery / 2).UnixNano())
+		s.round(true)
+	}
+}
+
+// round runs one aggregation round. An early round carries content only:
+// it reports only a branch the parent does not hold and sends only list
+// batches, to the children whose set moved. It counts no parent miss, does
+// not advance the replan cadence and prunes nothing — liveness, replans and
+// ageing stay with the periodic round.
+func (s *Server) round(early bool) {
+	if early {
+		s.mx.earlyRounds.Inc()
+	}
+	s.refresh(early)
+	s.report(early)
+	s.push(early)
+	if !early {
+		s.pruneDeadChildren()
+		s.pruneStaleReplicas()
 	}
 }
 
@@ -74,15 +114,29 @@ const exportWorkers = 4
 // so a steady-state tick costs a few counter reads instead of
 // O(records × attributes) work. Owners that did change
 // re-export concurrently on a bounded worker pool.
-func (s *Server) refreshSummaries() {
+//
+// A local summary rebuilt after an owner's write signal is urgent content,
+// and so is a branch rebuilt from it or from an urgent child branch. An
+// early round's refresh (early) neither counts toward the replan cadence nor
+// replans.
+func (s *Server) refreshSummaries() { s.refresh(false) }
+
+func (s *Server) refresh(early bool) {
 	start := time.Now()
 	defer func() { s.refreshBusyNs.Add(time.Since(start).Nanoseconds()) }()
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	round := s.aggRound.Add(1)
-	if s.planner != nil && round%s.cfg.replanEvery() == 0 {
-		s.replanLocked()
+	if !early {
+		round := s.aggRound.Add(1)
+		if s.planner != nil && round%s.cfg.replanEvery() == 0 {
+			s.replanLocked()
+		}
 	}
+	// An owner signals after its write, so the exports below see every write
+	// counted here.
+	writes := s.writes.Load()
+	wrote := writes != s.seenWrites
+	s.seenWrites = writes
 	failed := false
 
 	// Store part: the store hands back the summary it last merged until its
@@ -202,7 +256,9 @@ func (s *Server) refreshSummaries() {
 		(s.localSummary == nil || local.Version != s.localSummary.Version)
 	if !localDirty && s.haveBranch && s.childEpoch == s.lastChildEpoch {
 		s.mu.Unlock()
-		s.mx.rebuildsSkipped.Inc()
+		if !early {
+			s.mx.rebuildsSkipped.Inc()
+		}
 		s.lastRefresh.Store(time.Now().UnixNano())
 		if !failed {
 			s.noteSummaryOK()
@@ -211,7 +267,12 @@ func (s *Server) refreshSummaries() {
 	}
 	if localDirty {
 		s.localSummary = local
+		s.localUrgent = wrote
 	}
+	if (localDirty && wrote) || s.childUrgent {
+		s.branchUrgent = true
+	}
+	s.childUrgent = false
 	branch := s.localSummary.Clone()
 	branch.Origin = s.cfg.ID
 	for _, c := range s.children {
@@ -305,11 +366,12 @@ func (s *Server) noteSummaryOK() {
 // maintenance counters. The canonical benchmark reads it to report refresh
 // CPU and rebuild-skip shares under write churn.
 type RefreshInfo struct {
-	// Ticks counts aggregation refresh rounds run; Skipped the subset
+	// Ticks counts periodic aggregation rounds run; Skipped the subset
 	// that reused every cached summary (store, owners and children all
-	// unchanged).
-	Ticks   uint64
-	Skipped uint64
+	// unchanged). EarlyRounds counts early rounds (aggregationLoop).
+	Ticks       uint64
+	Skipped     uint64
+	EarlyRounds uint64
 	// BusySeconds is total wall time spent inside refreshSummaries.
 	BusySeconds float64
 	// StoreShardRebuilds / StorePartialMerges / StoreExportsCached are the
@@ -325,6 +387,7 @@ func (s *Server) RefreshInfo() RefreshInfo {
 	return RefreshInfo{
 		Ticks:              s.aggRound.Load(),
 		Skipped:            s.mx.rebuildsSkipped.Load(),
+		EarlyRounds:        s.mx.earlyRounds.Load(),
 		BusySeconds:        float64(s.refreshBusyNs.Load()) / 1e9,
 		StoreShardRebuilds: st.ShardRebuilds,
 		StorePartialMerges: st.PartialMerges,
@@ -415,11 +478,23 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // (a slow reply from a just-replaced parent must not overwrite post-rejoin
 // ancestry) and only if it is not fenced (stamped with an epoch below the
 // parent's recorded one — a reply from before the parent's last recovery).
-func (s *Server) reportToParent() {
+//
+// A full report is urgent while the branch holds urgent content the parent
+// has not confirmed. An early round's report (early) goes only when the
+// parent lacks the branch, and its failure is no miss: the failure detector
+// counts periodic exchanges only.
+func (s *Server) reportToParent() { s.report(false) }
+
+func (s *Server) report(early bool) {
 	s.mu.Lock()
 	parentAddr := s.parentAddr
 	branch := s.branchSummary
 	if parentAddr == "" || branch == nil {
+		s.mu.Unlock()
+		return
+	}
+	held := !s.parentNeedFull && branch.Version != 0 && s.parentHaveVersion == branch.Version
+	if early && held {
 		s.mu.Unlock()
 		return
 	}
@@ -429,11 +504,10 @@ func (s *Server) reportToParent() {
 		Children:    s.childRedirectsLocked(),
 		Version:     branch.Version,
 		Have:        s.heldAncestryLocked(),
+		Urgent:      !held && s.branchUrgent,
 	}
-	haveVersion := s.parentHaveVersion
-	needFull := s.parentNeedFull
 	s.mu.Unlock()
-	if !needFull && branch.Version != 0 && haveVersion == branch.Version {
+	if held {
 		s.mx.reportsSuppressed.Inc()
 	} else {
 		report.Summary = wire.FromSummary(branch)
@@ -445,7 +519,9 @@ func (s *Server) reportToParent() {
 		Report: report,
 	}))
 	if err != nil || rep.Ack == nil { // unreachable, or refused with an error
-		s.noteParentMiss(parentAddr)
+		if !early {
+			s.noteParentMiss(parentAddr)
+		}
 		return
 	}
 	s.observeEpoch(rep.Epoch)
@@ -470,6 +546,9 @@ func (s *Server) reportToParent() {
 	case ack.HaveVersion != 0:
 		s.parentHaveVersion = ack.HaveVersion
 		s.parentNeedFull = false
+		if s.branchSummary != nil && s.branchSummary.Version == ack.HaveVersion {
+			s.branchUrgent = false // the parent holds it
+		}
 	}
 	if a := ack.Ancestry; a != nil {
 		s.rootPath = append(slices.Clone(a.RootPath), s.cfg.ID)
@@ -493,6 +572,7 @@ type pushEntry struct {
 	fallbacks    []wire.RedirectInfo
 	version      uint64
 	tag          uint64
+	urgent       bool
 	dto          *wire.ReplicaPush // the full entry, built on first use and shared by the children
 }
 
@@ -507,6 +587,7 @@ func (e *pushEntry) full() *wire.ReplicaPush {
 			Level:      e.level,
 			Fallbacks:  e.fallbacks,
 			Version:    e.version,
+			Urgent:     e.urgent,
 		}
 	}
 	return e.dto
@@ -540,7 +621,14 @@ func (e *pushEntry) tagOnly() *wire.ReplicaPush {
 // the list; a child that cannot match a tag-only entry names the origin in
 // NeedFullOrigins and is sent that entry in full. Both corrections take
 // effect on the next tick, so no state needs a periodic restatement to heal.
-func (s *Server) pushReplicas() {
+//
+// A full entry is urgent when its summary came in urgent (or, for this
+// server's own local summary, was rebuilt after a write). An early round's
+// push (early) sends list batches only: a child whose set has not moved gets
+// nothing until the period.
+func (s *Server) pushReplicas() { s.push(false) }
+
+func (s *Server) push(early bool) {
 	// Snapshot under the lock: childState fields are mutated in place by
 	// summary reports, so copy the values; summary objects themselves are
 	// replaced wholesale on update and never mutated after publish, and an
@@ -563,7 +651,7 @@ func (s *Server) pushReplicas() {
 		if c.branch != nil {
 			snap.own = len(entries)
 			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, sum: c.branch,
-				level: 1, fallbacks: c.kids, version: c.version})
+				level: 1, fallbacks: c.kids, version: c.version, urgent: c.urgent})
 		}
 		children = append(children, snap)
 	}
@@ -573,7 +661,7 @@ func (s *Server) pushReplicas() {
 	// ancestors, one level further away).
 	if s.localSummary != nil {
 		entries = append(entries, pushEntry{origin: s.cfg.ID, addr: s.cfg.Addr, sum: s.localSummary,
-			ancestor: true, level: 1, version: s.localSummary.Version})
+			ancestor: true, level: 1, version: s.localSummary.Version, urgent: s.localUrgent})
 	}
 	for _, r := range s.replicas {
 		if _, isChild := s.children[r.originID]; isChild || r.originID == s.cfg.ID {
@@ -583,7 +671,7 @@ func (s *Server) pushReplicas() {
 			continue
 		}
 		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
-			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version})
+			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version, urgent: r.urgent})
 	}
 	s.mu.Unlock()
 	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
@@ -607,6 +695,9 @@ func (s *Server) pushReplicas() {
 		var batch *wire.ReplicaBatch
 		var listed map[string]uint64 // what a list batch states, by origin
 		if set == child.push.sum && !child.push.needList {
+			if early {
+				continue
+			}
 			batch = &wire.ReplicaBatch{Digest: set.sum, Count: set.n}
 			s.mx.pushDelta.Add(uint64(set.n))
 		} else {

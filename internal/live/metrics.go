@@ -33,6 +33,7 @@ type serverMetrics struct {
 	reportsSuppressed *obs.Counter
 	pushDelta         *obs.Counter
 	pushFull          *obs.Counter
+	earlyRounds       *obs.Counter
 
 	// Membership-epoch counters (see membership.go).
 	fenced           *obs.Counter
@@ -83,6 +84,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Replica entries confirmed without their summaries: tag-only entries of list batches, and every entry a digest batch stands for."),
 		pushFull: reg.Counter("roads_replica_push_full_total",
 			"Replica entries sent with their summaries (new origin, changed tag, or the child asked for the origin in full)."),
+		earlyRounds: reg.Counter("roads_early_rounds_total",
+			"Content-only aggregation rounds run between periods because a record write, an urgent report or entry, or a join arrived (at most one per half period)."),
 		fenced: reg.Counter("roads_membership_fenced_total",
 			"Relationship messages rejected (or replies discarded) for carrying a membership epoch lower than the recorded one."),
 		elections: reg.Counter("roads_membership_elections_total",

@@ -58,6 +58,7 @@ func TestRejoinPreservesChildState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		parkEarlyRounds(srv)
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -167,6 +168,7 @@ func TestReplicaBatchAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parkEarlyRounds(srv)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,9 @@ type Config struct {
 	// period a server refreshes its summaries, reports to its parent — the
 	// exchange that is also the liveness signal in both directions — and
 	// pushes replicas to its children. The recovery backoff, the split-brain
-	// probe cadence (four periods) and the dead-child window derive from it.
-	// Small values make tests fast; production would use minutes.
+	// probe cadence (four periods), the dead-child window and the early-round
+	// rate limit (half a period) derive from it. Small values make tests
+	// fast; production would use minutes.
 	AggregateEvery time.Duration
 	// ReplicaTTLFloor is the minimum overlay-replica TTL regardless of how
 	// fast the ticks run: a full push round must always fit inside the TTL
@@ -234,6 +235,8 @@ type childState struct {
 	// relationship message; lower-epoch reports and re-joins from it are
 	// fenced. Reset to the join's epoch when it rejoins.
 	epoch uint64
+	// urgent is the Urgent bit of the report that brought branch.
+	urgent bool
 }
 
 // pushState is the parent's record of the replica set one child holds via
@@ -283,6 +286,9 @@ type replicaState struct {
 	// ages out by TTL. A feeder's digest covers exactly the replicas held
 	// via it.
 	via string
+	// urgent is the Urgent bit of the entry that brought sum; forwarding the
+	// replica passes it on.
+	urgent bool
 }
 
 // tag hashes the replica as held, the way its feeder hashes the entry it
@@ -366,9 +372,33 @@ type Server struct {
 	// ownerCache caches each summary-mode owner's export keyed by the
 	// owner's record-set generation and view revision. Guarded by refreshMu.
 	ownerCache map[*policy.Owner]ownerCacheEntry
-	// aggRound counts aggregation rounds, for the replan cadence and
-	// RefreshInfo.
+	// aggRound counts periodic aggregation rounds, for the replan cadence
+	// and RefreshInfo.
 	aggRound atomic.Uint64
+
+	// Early rounds (aggregationLoop). wake asks the loop for one; it is
+	// buffered, so a request made while one is pending is absorbed by it.
+	// earlyAt is the unix-nano time before which no early round may start,
+	// half a period after the last one began. writes counts the write
+	// signals of the attached owners; seenWrites is the count the last
+	// refresh saw, guarded by refreshMu.
+	wake       chan struct{}
+	earlyAt    atomic.Int64
+	writes     atomic.Uint64
+	seenWrites uint64
+
+	// Urgency, guarded by s.mu: content that carries a record write (or a
+	// join) travels in early rounds, anything else at the period. localUrgent
+	// marks the published local summary, childUrgent a child branch taken in
+	// since the last branch rebuild, and branchUrgent a branch the parent has
+	// not confirmed holding. childState.urgent and replicaState.urgent mark
+	// the rest.
+	localUrgent, childUrgent, branchUrgent bool
+
+	// exported is what each records-mode owner's store copy holds, by
+	// record ID, for syncRecords. Guarded by syncMu.
+	syncMu   sync.Mutex
+	exported map[*policy.Owner]map[string]*record.Record
 
 	// Adaptive-summary state. fpHeat accumulates false-positive descents
 	// per schema attribute (bumped lock-free on the query path; drained by
@@ -445,6 +475,8 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		replicas:     make(map[string]*replicaState),
 		knownServers: make(map[string]string),
 		ownerCache:   make(map[*policy.Owner]ownerCacheEntry),
+		exported:     make(map[*policy.Owner]map[string]*record.Record),
+		wake:         make(chan struct{}, 1),
 		admission:    newAdmission(cfg.AdmissionRate, cfg.AdmissionBurst),
 		stop:         make(chan struct{}),
 		startTime:    time.Now(),
@@ -476,20 +508,75 @@ func (s *Server) ID() string { return s.cfg.ID }
 func (s *Server) Addr() string { return s.cfg.Addr }
 
 // AttachOwner attaches a resource owner locally. Owners in ExportRecords
-// mode have their records copied into the server's store.
+// mode have their records copied into the server's store, and the copy
+// follows every later write. The attachment and each write count as urgent
+// content: they leave in an early round.
 func (s *Server) AttachOwner(o *policy.Owner) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.owners = append(s.owners, o)
-	if o.Policy.Mode == policy.ExportRecords {
-		recs, err := o.ExportRecords()
-		if err != nil {
+	records := o.Policy.Mode == policy.ExportRecords
+	o.OnChange(func() {
+		if records {
+			_ = s.syncRecords(o) // cannot fail: the owner exports records
+		}
+		s.noteWrite()
+	})
+	if records {
+		if err := s.syncRecords(o); err != nil {
 			return err
 		}
-		s.store.Add(recs...)
 	}
+	s.mu.Lock()
+	s.owners = append(s.owners, o)
 	s.publishSnapshotLocked()
+	s.mu.Unlock()
+	s.noteWrite()
 	return nil
+}
+
+// syncRecords brings the store's copy of a records-mode owner's records up
+// to the owner's: records the owner no longer holds are removed, new and
+// replaced ones upserted, and the rest left alone. The owner is read under
+// syncMu, so of two concurrent syncs the later one applies the later state.
+func (s *Server) syncRecords(o *policy.Owner) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	recs, err := o.ExportRecords()
+	if err != nil {
+		return err
+	}
+	held := s.exported[o]
+	now := make(map[string]*record.Record, len(recs))
+	var upsert []*record.Record
+	for _, r := range recs {
+		now[r.ID] = r
+		if held[r.ID] != r {
+			upsert = append(upsert, r)
+		}
+	}
+	var gone []string
+	for id := range held {
+		if now[id] == nil {
+			gone = append(gone, id)
+		}
+	}
+	s.store.Remove(gone...)
+	s.store.Update(upsert...)
+	s.exported[o] = now
+	return nil
+}
+
+// noteWrite takes an attached owner's write signal: the next refresh counts
+// the local content urgent, and an early round is asked for.
+func (s *Server) noteWrite() {
+	s.writes.Add(1)
+	s.requestEarly()
+}
+
+// requestEarly asks the aggregation loop for an early round.
+func (s *Server) requestEarly() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Start begins listening and runs the background loops. The server starts
@@ -655,6 +742,9 @@ func (s *Server) Join(seedAddr string) error {
 			s.parentHaveVersion = 0
 			s.parentNeedFull = false
 			s.parentEpoch = rep.Epoch
+			// The branch is news to the new parent: it passes it on in an
+			// early round.
+			s.branchUrgent = true
 			s.rememberLocked(jr.ParentID, jr.ParentAddr)
 			s.publishSnapshotLocked()
 			s.mu.Unlock()

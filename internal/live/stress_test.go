@@ -26,6 +26,7 @@ func stressServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parkEarlyRounds(srv)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,4 +4,7 @@ package live
 
 import "time"
 
-func init() { convergeTimeout = 8 * time.Minute }
+func init() {
+	convergeTimeout = 8 * time.Minute
+	earlyPropagationBound = 10 * time.Second
+}

@@ -141,6 +141,11 @@ type Owner struct {
 	expMu      sync.Mutex
 	expEnabled bool
 	expCfg     summary.Config
+
+	// hookMu guards hooks, the change hooks OnChange registered. A slice
+	// once installed is never written, so changed reads it after unlocking.
+	hookMu sync.Mutex
+	hooks  []func()
 }
 
 // NewOwner creates an owner with the given policy (nil means a default
@@ -155,26 +160,56 @@ func NewOwner(id string, schema *record.Schema, pol *Policy) *Owner {
 	return &Owner{ID: id, Schema: schema, Policy: pol, st: st}
 }
 
+// OnChange registers fn as a change hook: it runs after every write to the
+// owner's record set — SetRecords, AddRecords, RemoveRecords that removed
+// something, UpdateRecords — on the writing goroutine, once Records and
+// Generation show the write. The server the owner attaches to registers one,
+// so a write travels the federation at once instead of at the next
+// aggregation period. fn must not block.
+func (o *Owner) OnChange(fn func()) {
+	o.hookMu.Lock()
+	defer o.hookMu.Unlock()
+	o.hooks = append(o.hooks[:len(o.hooks):len(o.hooks)], fn)
+}
+
+// changed runs the change hooks.
+func (o *Owner) changed() {
+	o.hookMu.Lock()
+	hooks := o.hooks
+	o.hookMu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
+}
+
 // SetRecords replaces the owner's record set.
 func (o *Owner) SetRecords(recs []*record.Record) {
 	o.st.Replace(recs)
+	o.changed()
 }
 
 // AddRecords appends records.
 func (o *Owner) AddRecords(recs ...*record.Record) {
 	o.st.Add(recs...)
+	o.changed()
 }
 
 // RemoveRecords deletes the records stored under the given IDs, returning
 // how many were present.
 func (o *Owner) RemoveRecords(ids ...string) int {
-	return o.st.Remove(ids...)
+	n := o.st.Remove(ids...)
+	if n > 0 {
+		o.changed()
+	}
+	return n
 }
 
 // UpdateRecords upserts records by ID (present IDs replace, absent IDs
 // append), returning how many replaced an existing record.
 func (o *Owner) UpdateRecords(recs ...*record.Record) int {
-	return o.st.Update(recs...)
+	n := o.st.Update(recs...)
+	o.changed()
+	return n
 }
 
 // Generation returns the owner's record-set mutation counter. A caller

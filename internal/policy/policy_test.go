@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"roads/internal/query"
@@ -177,5 +178,24 @@ func TestOwnerAddRecords(t *testing.T) {
 	}
 	if len(o.Records()) != 2 {
 		t.Fatal("Records() length mismatch")
+	}
+}
+
+// TestOwnerChangeHooks: every hook runs once per write, after the write is
+// visible, and a removal that removed nothing is no write.
+func TestOwnerChangeHooks(t *testing.T) {
+	s := camSchema()
+	o := NewOwner("orgA", s, nil)
+	var seen []int
+	o.OnChange(func() { seen = append(seen, o.NumRecords()) })
+	calls := 0
+	o.OnChange(func() { calls++ })
+	o.SetRecords([]*record.Record{rec(s, "r1", 0.1, "x")})
+	o.AddRecords(rec(s, "r2", 0.2, "x"))
+	o.UpdateRecords(rec(s, "r2", 0.3, "y"))
+	o.RemoveRecords("absent")
+	o.RemoveRecords("r1")
+	if want := []int{1, 2, 2, 1}; !slices.Equal(seen, want) || calls != len(want) {
+		t.Fatalf("hooks saw record counts %v in %d calls; want %v, one call per write", seen, calls, want)
 	}
 }

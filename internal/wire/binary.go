@@ -13,11 +13,14 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 11 because ten layouts came before it (the git history and
-// EXPERIMENTS.md have them); 1–10 are rejected like any other byte. Version 11
-// writes histogram bucket counts as uvarints instead of four-byte words and
-// gives a replica push one summary instead of a branch and a local one;
-// queries and replies are laid out as in version 10.
+// The version is 12 because eleven layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–11 are rejected like any other byte.
+// Version 12 is version 11 with an urgent bit in the summary report's
+// presence byte and in a full replica entry's flags; no frame that carries no
+// summary changed by a byte. Version 11 wrote histogram bucket counts as
+// uvarints instead of four-byte words and gave a replica push one summary
+// instead of a branch and a local one; queries and replies are laid out as in
+// version 10.
 
 import (
 	"encoding/binary"
@@ -35,7 +38,10 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 11
+	binVersion = 12
+	// Version is binVersion for other packages: the documents name it, and
+	// cmd/docscheck holds them to it.
+	Version = binVersion
 	// valueMinBytes is the least a record.Value takes on the wire: its
 	// float plus the length byte of an empty string.
 	valueMinBytes = 9
@@ -485,8 +491,22 @@ func readRedirects(r *binReader, depth int) []RedirectInfo {
 	return out
 }
 
+// A report opens with its presence byte: reportSummary when the summary
+// follows, reportUrgent when the report is urgent.
+const (
+	reportSummary = 1 << iota
+	reportUrgent
+)
+
 func appendReport(b []byte, rep *SummaryReport) []byte {
-	b = appendBool(b, rep.Summary != nil)
+	var flags byte
+	if rep.Summary != nil {
+		flags |= reportSummary
+	}
+	if rep.Urgent {
+		flags |= reportUrgent
+	}
+	b = append(b, flags)
 	if rep.Summary != nil {
 		b = appendSummary(b, rep.Summary)
 	}
@@ -498,8 +518,9 @@ func appendReport(b []byte, rep *SummaryReport) []byte {
 }
 
 func readReport(r *binReader) *SummaryReport {
-	rep := &SummaryReport{}
-	if r.bool() {
+	flags := r.u8()
+	rep := &SummaryReport{Urgent: flags&reportUrgent != 0}
+	if flags&reportSummary != 0 {
 		rep.Summary = readSummary(r)
 	}
 	rep.Depth = int(r.varint())
@@ -554,6 +575,7 @@ const (
 	pushSummary = 1 << iota
 	pushAncestor
 	pushBody
+	pushUrgent
 )
 
 func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
@@ -563,6 +585,9 @@ func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
 	}
 	if p.Ancestor {
 		flags |= pushAncestor
+	}
+	if p.Urgent {
+		flags |= pushUrgent
 	}
 	if flags != 0 || p.OriginAddr != "" || p.Level != 0 || len(p.Fallbacks) > 0 || p.Version != 0 {
 		flags |= pushBody
@@ -590,6 +615,7 @@ func readReplicaPush(r *binReader) *ReplicaPush {
 	}
 	p.OriginAddr = r.str()
 	p.Ancestor = flags&pushAncestor != 0
+	p.Urgent = flags&pushUrgent != 0
 	if flags&pushSummary != 0 {
 		p.Summary = readSummary(r)
 	}

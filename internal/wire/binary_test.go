@@ -96,6 +96,11 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindSummaryReport, From: "n3d", Addr: "addr3", Epoch: 2, Report: &SummaryReport{
 			Summary: dto, Depth: 1, Version: 5, Have: 0x0102030405060708,
 		}},
+		// An urgent report: the branch carries a write the parent passes on
+		// in an early round.
+		{Kind: KindSummaryReport, From: "n3u", Addr: "addr3", Epoch: 4, Report: &SummaryReport{
+			Summary: dto, Depth: 2, Descendants: 1, Version: 78, Have: 0x1112131415161718, Urgent: true,
+		}},
 		// Adaptive geometry and condensed wildcards: Mode bits and plan.
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
 			Version: 41, Depth: 2, Summary: adaptiveSummaryDTO(),
@@ -119,6 +124,10 @@ func sampleMessages(tb testing.TB) []*Message {
 			{OriginID: "p4", OriginAddr: "pa4", Summary: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
 			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: adaptiveSummaryDTO()},
+			// Urgent full entries: a sibling's branch and an ancestor's local
+			// summary that carry a write.
+			{OriginID: "p6", OriginAddr: "pa6", Summary: dto, Level: 2, Version: 6, Urgent: true},
+			{OriginID: "p8", OriginAddr: "pa8", Summary: bloomed, Ancestor: true, Level: 1, Version: 9, Urgent: true},
 			nil,
 		}}},
 		// Histogram counts at the uvarint boundaries: one byte up to 127,
@@ -279,7 +288,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

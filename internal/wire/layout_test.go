@@ -11,11 +11,23 @@ func envelope(kind Kind, bits uint64) []byte {
 	return appendUvarint([]byte{binMagic, binVersion, byte(kind), 1, 'p', 0, 0}, bits)
 }
 
+// goldenSummary is the encoding of SummaryDTO{Origin: "o", Version: 3,
+// Buckets: 4, Max: 1}.
+var goldenSummary = []byte{
+	1, 'o', // Origin
+	3, 0, 0, 8, // Version, Records, PolicyRev, Buckets 4 zigzag
+	0, 0, 0, 0, 0, 0, 0, 0, // Min
+	0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
+	0, 0, 0, // no histograms, value sets or Bloom filters
+	0, 0, // Mode, no plan
+}
+
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
 // maintenance frames — the digest batch, the tag-only entry of a list batch,
 // the version-only report with its ancestry hash and the report ack with and
-// without ancestry — and of a summary's header, so a layout change cannot go
-// in without this table (and binVersion) changing in the same commit.
+// without ancestry — of a summary's header, and of where the urgent bit sits
+// on a full report and a full entry, so a layout change cannot go in without
+// this table (and binVersion) changing in the same commit.
 func TestBinaryGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -100,6 +112,34 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
+		{"urgent full report",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 1, Version: 3, Urgent: true, Summary: &SummaryDTO{
+					Origin: "o", Version: 3, Buckets: 4, Max: 1}}},
+			append(append(envelope(KindSummaryReport, hasReport),
+				reportSummary|reportUrgent), // presence byte: summary, urgent
+				append(goldenSummary,
+					2, 0, 0, 3, // Depth, Descendants, no children, Version
+					0, 0, 0, 0, 0, 0, 0, 0, // Have
+					1, // Epoch
+				)...)},
+		{"list batch of one urgent full entry",
+			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
+				Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3, Urgent: true,
+					Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}}}},
+			append(append(envelope(KindReplicaBatch, hasBatch),
+				1,      // one entry
+				1,      // present
+				1, 'o', // OriginID
+				pushSummary|pushBody|pushUrgent, // flags
+				1, 'a',                          // OriginAddr
+			), append(goldenSummary,
+				2, // Level 1, zigzag
+				0, // no fallbacks
+				3, // Version
+				0, // Count 0: a list batch, no Digest
+				1, // Epoch
+			)...)},
 		{"report ack, ancestry held",
 			&Message{Kind: KindAck, From: "p", Epoch: 1, Ack: &AckInfo{HaveVersion: 3}},
 			append(envelope(KindAck, hasAckInfo),

@@ -220,6 +220,10 @@ type SummaryReport struct {
 	// Have is the reporter's hash of the Ancestry it took from this parent's
 	// acks. Zero means it holds nothing and wants the content.
 	Have uint64
+	// Urgent marks a Summary that carries a record write (or a join) the
+	// parent has not confirmed: the parent passes it on in an early round
+	// instead of at its next aggregation period.
+	Urgent bool
 }
 
 // Join asks to become a child.
@@ -282,6 +286,9 @@ type ReplicaPush struct {
 	// two sides while the tags agree. A full entry carries no tag; the
 	// receiver derives it from what it stores.
 	Tag uint64
+	// Urgent marks a full entry whose Summary carries a record write: a
+	// receiver that takes it in passes it on in an early round.
+	Urgent bool
 }
 
 // ReplicaBatch is what a parent sends one child per aggregation tick, in
