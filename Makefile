@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos docs-check fuzz-smoke bench-smoke
+.PHONY: tier1 build vet test examples race chaos docs-check fuzz-smoke bench-smoke
 
 # tier1 is the gate every change must pass: full build + vet + full test
-# suite, plus race-enabled runs of the concurrency-heavy packages (the
-# live protocol stack and the pooled transport), the fault-injection
-# chaos suite, the documentation checks, five seconds of fuzzing the one
-# wire decoder, and the canonical benchmark's own module (which `./...` at
-# the root does not reach). test/race/chaos depend on vet so a vet failure
+# suite, every example run to completion, plus race-enabled runs of the
+# concurrency-heavy packages (the live protocol stack and the pooled
+# transport), the fault-injection chaos suite, the documentation checks,
+# five seconds of fuzzing the one wire decoder, and the canonical
+# benchmark's own module (which `./...` at the root does not reach). test/race/chaos depend on vet so a vet failure
 # stops the gate before any tests burn time; vet also fails on any file
 # `gofmt -l .` lists.
-tier1: build vet test race chaos docs-check fuzz-smoke bench-smoke
+tier1: build vet test examples race chaos docs-check fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,16 @@ vet:
 
 test: vet
 	$(GO) test ./...
+
+# examples runs every program under examples/ to completion, each within two
+# minutes: they are the documented tour of the system and have no tests of
+# their own, so this is what notices when one stops working or one of its
+# checks fails.
+examples: vet
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		timeout 120s $(GO) run ./$$d >/dev/null || { echo "$$d failed or timed out"; exit 1; }; \
+	done
 
 race: vet
 	$(GO) test -race ./internal/live/... ./internal/transport/... ./internal/wire/... ./internal/store/...

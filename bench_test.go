@@ -13,7 +13,6 @@ import (
 
 	"roads/internal/analysis"
 	"roads/internal/coords"
-	"roads/internal/core"
 	"roads/internal/experiment"
 	"roads/internal/live"
 	"roads/internal/netsim"
@@ -250,62 +249,16 @@ func BenchmarkAblationCategorical(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEquiDepth compares equi-width and equi-depth summaries
-// on the workload's Pareto-skewed attribute: range-count estimation error
-// at equal space (the "different aggregation methods" of paper §III-B).
-func BenchmarkAblationEquiDepth(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	w := workload.MustGenerate(workload.Config{Nodes: 4, RecordsPerNode: 5000, AttrsPerDist: 4}, rng)
-	attr := w.Cfg.AttrsOf(workload.Pareto)[0]
-	var vals []float64
-	for _, r := range w.AllRecords() {
-		vals = append(vals, r.Num(attr))
-	}
-	const m = 50
-	ew := summary.MustHistogram(m, 0, 1)
-	for _, v := range vals {
-		ew.Add(v)
-	}
-	ed, err := summary.BuildEquiDepth(vals, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ewErr, edErr float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ewErr, edErr = 0, 0
-		for trial := 0; trial < 40; trial++ {
-			lo := 0.05 + rng.Float64()*0.2
-			hi := lo + 0.02
-			truth := 0.0
-			for _, v := range vals {
-				if v >= lo && v <= hi {
-					truth++
-				}
-			}
-			ewErr += abs(ew.CountRange(lo, hi) - truth)
-			edErr += abs(ed.CountRange(lo, hi) - truth)
-		}
-	}
-	if edErr > 0 {
-		b.ReportMetric(ewErr/edErr, "equiwidth/equidepth-error")
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // BenchmarkAblationParallelDescent compares the live client's concurrent
 // redirect fan-out against sequential contact, the mechanism behind the
 // paper's "search multiple branches in parallel" latency advantage.
 func BenchmarkAblationParallelDescent(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	w := workload.MustGenerate(workload.Config{Nodes: 10, RecordsPerNode: 40, AttrsPerDist: 2}, rng)
-	space := coords.MustNewSpace(11, coords.DefaultConfig(), rng)
+	space, err := coords.NewSpace(11, coords.DefaultConfig(), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr := transport.NewChan()
 	tr.Latency = func(from, to string) time.Duration {
 		return space.Latency(liveHost(from, 10), liveHost(to, 10)) / 8 // scaled down to keep the bench quick
@@ -354,78 +307,14 @@ func BenchmarkAblationParallelDescent(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationJoinPolicy compares the paper's least-depth join
-// descent against random parent selection: tree depth drives latency.
-func BenchmarkAblationJoinPolicy(b *testing.B) {
-	const n = 256
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i) + 1))
-		schema := workload.MustGenerate(workload.Config{Nodes: 2, RecordsPerNode: 1, AttrsPerDist: 1}, rng).Schema
-		sim := netsim.New(netsim.ConstLatency(time.Millisecond))
-		cfg := core.DefaultConfig()
-		cfg.MaxChildren = 8
-		cfg.Summary.Buckets = 10
-
-		balanced, err := core.NewSystem(schema, cfg, sim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < n; j++ {
-			if _, err := balanced.AddServer(fmt.Sprintf("s%04d", j), j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(balanced.Tree.Depth()), "balanced-depth")
-		// The worst unbalanced alternative is a degree-1 chain; the paper's
-		// rule keeps depth logarithmic. Report the chain depth for contrast.
-		b.ReportMetric(float64(n), "chain-depth")
-	}
-}
-
-// BenchmarkCoreResolve measures raw simulator query-resolution throughput.
-func BenchmarkCoreResolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	w := workload.MustGenerate(workload.Config{Nodes: 64, RecordsPerNode: 100, AttrsPerDist: 4}, rng)
-	space := coords.MustNewSpace(64, coords.DefaultConfig(), rng)
-	sim := netsim.New(space)
-	cfg := core.DefaultConfig()
-	cfg.Summary.Buckets = 300
-	sys, err := core.NewSystem(w.Schema, cfg, sim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("s%03d", i)
-		if _, err := sys.AddServer(id, i); err != nil {
-			b.Fatal(err)
-		}
-		o := policy.NewOwner(fmt.Sprintf("o%d", i), w.Schema, nil)
-		o.SetRecords(w.PerNode[i])
-		if err := sys.AttachOwner(id, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := sys.Aggregate(); err != nil {
-		b.Fatal(err)
-	}
-	queries, err := w.GenQueries(64, 6, 0.25, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := sys.Resolve(q.Clone(), fmt.Sprintf("s%03d", i%64)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSwordResolve measures raw SWORD resolution throughput.
 func BenchmarkSwordResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	w := workload.MustGenerate(workload.Config{Nodes: 64, RecordsPerNode: 100, AttrsPerDist: 4}, rng)
-	space := coords.MustNewSpace(64, coords.DefaultConfig(), rng)
+	space, err := coords.NewSpace(64, coords.DefaultConfig(), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sim := netsim.New(space)
 	sys, err := sword.New(w.Schema, sword.DefaultConfig(), sim, 64)
 	if err != nil {

@@ -1,4 +1,4 @@
-// Command docscheck guards the repository's documentation in four ways:
+// Command docscheck guards the repository's documentation in six ways:
 //
 //  1. Every relative markdown link in the repo's *.md files must point at a
 //     file that exists (external http(s)/mailto links are skipped — CI has
@@ -24,6 +24,8 @@
 //     one the verify skill names ("one codec version (N)") must be the
 //     version the wire package writes — a format change cannot leave either
 //     describing the previous one.
+//  6. The newest CHANGES.md entry (its last non-empty line) must be at most
+//     changesEntryLimit characters long.
 //
 // Run via `make docs-check` (part of the tier1 gate). Exit status is
 // non-zero when any check fails; every failure is listed, not just the
@@ -41,6 +43,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"roads/internal/live"
 	"roads/internal/obs"
@@ -68,6 +71,7 @@ func main() {
 	failures = append(failures, checkFlagTables(root)...)
 	failures = append(failures, checkRepoRefs(root)...)
 	failures = append(failures, checkCodecVersion(root)...)
+	failures = append(failures, checkChangesBudget(root)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -76,7 +80,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables, repo references and codec version match\n", len(mdFiles))
+	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables, repo references and codec version match, newest change entry within budget\n", len(mdFiles))
 }
 
 // markdownFiles lists every tracked *.md file under root, skipping
@@ -461,4 +465,30 @@ func section(text, heading string) string {
 		return rest[:end]
 	}
 	return rest
+}
+
+// changesEntryLimit is how many characters the newest CHANGES.md entry may
+// hold: it says what a change did for the next reader, and the details
+// belong in the documents it names.
+const changesEntryLimit = 1200
+
+// entryOverBudget returns a failure when the newest entry of a CHANGES.md
+// text — one entry per line, the newest last — is longer than limit
+// characters.
+func entryOverBudget(text string, limit int) []string {
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	newest := lines[len(lines)-1]
+	if n := utf8.RuneCountInString(newest); n > limit {
+		return []string{fmt.Sprintf("CHANGES.md: the newest entry is %d characters; the budget is %d", n, limit)}
+	}
+	return nil
+}
+
+// checkChangesBudget runs entryOverBudget over root's CHANGES.md.
+func checkChangesBudget(root string) []string {
+	data, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		return []string{fmt.Sprintf("CHANGES.md: %v", err)}
+	}
+	return entryOverBudget(string(data), changesEntryLimit)
 }

@@ -97,3 +97,25 @@ func TestStaleRefs(t *testing.T) {
 		}
 	}
 }
+
+// TestChangesBudget runs the entry-length check over entries at, past and
+// well under the budget, with the newest last.
+func TestChangesBudget(t *testing.T) {
+	const limit = 10
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"at the budget", "PR 1: old\nPR 2: new", nil},
+		{"past the budget", "PR 1: old\nPR 2: newest",
+			[]string{"CHANGES.md: the newest entry is 12 characters; the budget is 10"}},
+		{"an old entry past the budget", "PR 1: a long old entry\n\nPR 2: new\n", nil},
+		{"trailing blank lines", "PR 2: newest one\n\n\n",
+			[]string{"CHANGES.md: the newest entry is 16 characters; the budget is 10"}},
+		{"characters, not bytes", "PR 2: ±±±±", nil},
+	} {
+		if got := entryOverBudget(tc.text, limit); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %q; want %q", tc.name, got, tc.want)
+		}
+	}
+}

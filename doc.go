@@ -1,9 +1,10 @@
 // Package roads is a from-scratch Go reproduction of "A Replication
 // Overlay Assisted Resource Discovery Service for Federated Systems"
-// (Yang, Ye, Liu — ICPP 2008): the ROADS resource-discovery service, the
-// SWORD and centralized-repository baselines it is evaluated against, a
-// discrete-event simulator regenerating every figure of the paper's
-// evaluation, and a live goroutine-per-server prototype.
+// (Yang, Ye, Liu — ICPP 2008): the ROADS resource-discovery service as
+// live goroutine-per-server nodes, the SWORD and centralized-repository
+// baselines it is evaluated against, and a harness that regenerates every
+// figure of the paper's evaluation by running the live protocol in-process
+// over a modelled wide-area network.
 //
 // The library lives under internal/ (see README.md for the architecture
 // map); the runnable entry points are the commands under cmd/, the

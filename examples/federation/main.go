@@ -10,13 +10,14 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
-	"roads/internal/coords"
-	"roads/internal/core"
-	"roads/internal/netsim"
+	"roads/internal/live"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/summary"
+	"roads/internal/transport"
 )
 
 func main() {
@@ -27,24 +28,24 @@ func main() {
 		{Name: "site", Kind: record.Categorical},
 	})
 
-	rng := rand.New(rand.NewSource(21))
-	space := coords.MustNewSpace(4, coords.DefaultConfig(), rng)
-	sim := netsim.New(space)
-	cfg := core.DefaultConfig()
-	cfg.Summary.Buckets = 64
-	sys, err := core.NewSystem(schema, cfg, sim)
+	// Server providers: a neutral exchange runs the root; three orgs run
+	// their own servers under it (Fig. 1's structure).
+	sites := []string{"exchange", "alpha-srv", "beta-srv", "gamma-srv"}
+	scfg := summary.DefaultConfig()
+	scfg.Buckets = 64
+	tr := transport.NewChan()
+	cl, err := live.StartCluster(tr, live.ClusterConfig{
+		N:       len(sites),
+		Schema:  schema,
+		Summary: scfg,
+		AddrFor: func(i int) string { return sites[i] },
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Stop()
 
-	// Server providers: a neutral exchange runs the root; three orgs run
-	// their own servers under it (Fig. 1's structure).
-	for i, id := range []string{"exchange", "alpha-srv", "beta-srv", "gamma-srv"} {
-		if _, err := sys.AddServer(id, i); err != nil {
-			log.Fatal(err)
-		}
-	}
-
+	rng := rand.New(rand.NewSource(21))
 	mkRecords := func(org string, n int, tiers []string) []*record.Record {
 		recs := make([]*record.Record, n)
 		for i := range recs {
@@ -61,7 +62,7 @@ func main() {
 	// Org alpha trusts its own server: raw records live on alpha-srv.
 	alpha := policy.NewOwner("alpha", schema, policy.NewPolicy(policy.ExportRecords))
 	alpha.SetRecords(mkRecords("alpha", 30, []string{"public", "partner", "internal"}))
-	if err := sys.AttachOwner("alpha-srv", alpha); err != nil {
+	if err := cl.AttachOwner(1, alpha); err != nil {
 		log.Fatal(err)
 	}
 
@@ -79,33 +80,43 @@ func main() {
 	})
 	beta := policy.NewOwner("beta", schema, betaPolicy)
 	beta.SetRecords(mkRecords("beta", 30, []string{"public", "partner", "internal"}))
-	if err := sys.AttachOwner("exchange", beta); err != nil {
+	if err := cl.AttachOwner(0, beta); err != nil {
 		log.Fatal(err)
 	}
 
 	// Org gamma shares everything it has, from its own server.
 	gamma := policy.NewOwner("gamma", schema, nil)
 	gamma.SetRecords(mkRecords("gamma", 30, []string{"public"}))
-	if err := sys.AttachOwner("gamma-srv", gamma); err != nil {
+	if err := cl.AttachOwner(3, gamma); err != nil {
 		log.Fatal(err)
 	}
 
-	if err := sys.Aggregate(); err != nil {
+	if err := cl.WaitConverged(90, time.Minute); err != nil {
 		log.Fatal(err)
 	}
 
 	ask := func(requester string) {
 		q := query.New("gpu-hunt", query.NewAbove("gpu", 0.5))
-		q.Requester = requester
-		res, err := sys.ResolveAndRetrieve(q, "alpha-srv")
+		recs, _, err := live.NewClient(tr, requester).Resolve("alpha-srv", q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		perOrg := map[string]int{}
-		for _, r := range res.Records {
+		for _, r := range recs {
 			perOrg[r.Owner]++
 		}
-		fmt.Printf("requester %-8s -> %2d records (by org: %v)\n", requester, len(res.Records), perOrg)
+		// Each org's share is what its own policy gives this requester.
+		q.Requester = requester
+		for _, o := range []*policy.Owner{alpha, beta, gamma} {
+			allowed, err := o.Answer(q)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if perOrg[o.ID] != len(allowed) {
+				log.Fatalf("requester %s got %d of %s's records; its policy allows %d", requester, perOrg[o.ID], o.ID, len(allowed))
+			}
+		}
+		fmt.Printf("requester %-8s -> %2d records (by org: %v)\n", requester, len(recs), perOrg)
 	}
 
 	fmt.Println("same query, different requesters — owners retain final control:")

@@ -1,6 +1,6 @@
 // Quickstart: build a small ROADS federation in-process, attach resource
-// owners, aggregate summaries, and resolve a multi-dimensional range query
-// from an arbitrary server — the minimal end-to-end tour of the public
+// owners, let the summaries aggregate, and resolve a multi-dimensional range
+// query from an arbitrary server — the minimal end-to-end tour of the public
 // pieces (records, owners, the hierarchy, summaries, queries).
 package main
 
@@ -10,12 +10,12 @@ import (
 	"math/rand"
 	"time"
 
-	"roads/internal/coords"
-	"roads/internal/core"
-	"roads/internal/netsim"
+	"roads/internal/live"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/summary"
+	"roads/internal/transport"
 )
 
 func main() {
@@ -29,34 +29,36 @@ func main() {
 		{Name: "arch", Kind: record.Categorical}, // CPU architecture
 	})
 
-	// 2. A simulated wide-area network and a ROADS deployment of 12
-	// servers (degree 3, so we get a real multi-level hierarchy).
-	rng := rand.New(rand.NewSource(7))
-	space := coords.MustNewSpace(12, coords.DefaultConfig(), rng)
-	sim := netsim.New(space)
-
-	cfg := core.DefaultConfig()
-	cfg.MaxChildren = 3
-	cfg.Summary.Buckets = 100
-	sys, err := core.NewSystem(schema, cfg, sim)
+	// 2. Twelve live servers on the in-process transport, joined into one
+	// hierarchy of degree 3 (server i under server (i-1)/3), so it has
+	// three levels.
+	const n = 12
+	scfg := summary.DefaultConfig()
+	scfg.Buckets = 100
+	tr := transport.NewChan()
+	cl, err := live.StartCluster(tr, live.ClusterConfig{
+		N: n, Schema: schema, Summary: scfg, MaxChildren: 3,
+		JoinVia: func(i int) int { return (i - 1) / 3 },
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Stop()
 
-	// 3. Twelve organizations, each hosting a server and sharing a handful
-	// of machines. Owners export only summaries — detailed records never
-	// leave them.
+	// 3. Twelve organizations, each attached to its own server and sharing
+	// a handful of machines. Owners export only summaries — detailed
+	// records never leave them.
+	rng := rand.New(rand.NewSource(7))
 	oses := []string{"linux", "bsd", "solaris"}
 	archs := []string{"x86", "sparc", "ppc"}
-	for i := 0; i < 12; i++ {
-		id := fmt.Sprintf("org%02d", i)
-		if _, err := sys.AddServer(id, i); err != nil {
-			log.Fatal(err)
-		}
-		owner := policy.NewOwner(id+"-resources", schema, nil)
+	total := 0
+	owners := make([]*policy.Owner, n)
+	for i := 0; i < n; i++ {
+		org := fmt.Sprintf("org%02d", i)
+		owner := policy.NewOwner(org+"-resources", schema, nil)
 		var recs []*record.Record
 		for m := 0; m < 20; m++ {
-			r := record.New(schema, fmt.Sprintf("%s-machine%02d", id, m), id)
+			r := record.New(schema, fmt.Sprintf("%s-machine%02d", org, m), org)
 			r.SetNum(0, rng.Float64())
 			r.SetNum(1, rng.Float64())
 			r.SetNum(2, rng.Float64())
@@ -65,19 +67,25 @@ func main() {
 			recs = append(recs, r)
 		}
 		owner.SetRecords(recs)
-		if err := sys.AttachOwner(id, owner); err != nil {
+		if err := cl.AttachOwner(i, owner); err != nil {
 			log.Fatal(err)
 		}
+		total += len(recs)
+		owners[i] = owner
 	}
 
-	// 4. One soft-state refresh: owners export summaries, branches
-	// aggregate bottom-up, and the replication overlay spreads them.
-	if err := sys.Aggregate(); err != nil {
+	// 4. Summaries aggregate bottom-up and the replication overlay spreads
+	// them, until every server can route to every record.
+	if err := cl.WaitConverged(uint64(total), time.Minute); err != nil {
 		log.Fatal(err)
 	}
-	root, _ := sys.Server(sys.Tree.Root().ID)
+	levels := 0
+	for _, srv := range cl.Servers {
+		levels = max(levels, len(srv.RootPath()))
+	}
+	root := cl.Root()
 	fmt.Printf("hierarchy: %d servers, %d levels; root %s sees %d records\n",
-		sys.NumServers(), sys.Tree.Depth(), root.ID, root.BranchSummary().Records)
+		len(cl.Servers), levels, root.ID(), root.BranchRecords())
 
 	// 5. A multi-dimensional range query, started at an arbitrary server —
 	// the overlay means no root round trip.
@@ -86,17 +94,29 @@ func main() {
 		query.NewAbove("mem", 0.5),
 		query.NewEq("os", "linux"),
 	)
-	res, err := sys.ResolveAndRetrieve(q, "org07")
+	start := cl.Servers[7]
+	recs, stats, err := live.NewClient(tr, "quickstart").Resolve(start.Addr(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("query %q from org07:\n", q)
-	fmt.Printf("  contacted %d of %d servers, forwarding latency %v, %d bytes\n",
-		len(res.Contacted), sys.NumServers(), res.Latency.Round(time.Millisecond), res.QueryBytes)
-	fmt.Printf("  %d matching machines from %d owners:\n", len(res.Records), len(res.Endpoints))
-	for i, r := range res.Records {
+	// The resolve must find as many records as the owners themselves match.
+	want := 0
+	for _, o := range owners {
+		matches, err := o.Answer(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		want += len(matches)
+	}
+	if len(recs) != want {
+		log.Fatalf("query %q found %d records; the owners hold %d matches", q, len(recs), want)
+	}
+	fmt.Printf("query %q from %s:\n", q, start.ID())
+	fmt.Printf("  contacted %d of %d servers in %v\n", stats.Contacted, len(cl.Servers), stats.Elapsed.Round(time.Microsecond))
+	fmt.Printf("  %d matching machines:\n", len(recs))
+	for i, r := range recs {
 		if i == 5 {
-			fmt.Printf("    ... and %d more\n", len(res.Records)-5)
+			fmt.Printf("    ... and %d more\n", len(recs)-5)
 			break
 		}
 		fmt.Printf("    %s (cpu=%.2f mem=%.2f os=%s)\n", r.ID, r.Num(0), r.Num(1), r.Str(3))

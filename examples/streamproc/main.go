@@ -11,12 +11,12 @@ import (
 	"math/rand"
 	"time"
 
-	"roads/internal/coords"
-	"roads/internal/core"
-	"roads/internal/netsim"
+	"roads/internal/live"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/summary"
+	"roads/internal/transport"
 )
 
 func main() {
@@ -31,29 +31,35 @@ func main() {
 		{Name: "encoding", Kind: record.Categorical},
 	})
 
-	rng := rand.New(rand.NewSource(42))
+	// One live server per site, joined into a hierarchy of degree 3: site i
+	// under site (i-1)/3.
 	const sites = 9
-	space := coords.MustNewSpace(sites, coords.DefaultConfig(), rng)
-	sim := netsim.New(space)
-	cfg := core.DefaultConfig()
-	cfg.MaxChildren = 3
-	cfg.Summary.Buckets = 128
-	sys, err := core.NewSystem(schema, cfg, sim)
+	scfg := summary.DefaultConfig()
+	scfg.Buckets = 128
+	tr := transport.NewChan()
+	cl, err := live.StartCluster(tr, live.ClusterConfig{
+		N:           sites,
+		Schema:      schema,
+		Summary:     scfg,
+		MaxChildren: 3,
+		AddrFor:     func(i int) string { return fmt.Sprintf("site%d", i) },
+		JoinVia:     func(i int) int { return (i - 1) / 3 },
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Stop()
 
+	rng := rand.New(rand.NewSource(42))
 	types := []string{"camera", "microphone", "traffic-sensor"}
 	encodings := map[string][]string{
 		"camera":         {"MPEG2", "MPEG4", "H264"},
 		"microphone":     {"PCM", "MP3"},
 		"traffic-sensor": {"CSV", "XML"},
 	}
+	owners := make([]*policy.Owner, sites)
 	for i := 0; i < sites; i++ {
 		site := fmt.Sprintf("site%d", i)
-		if _, err := sys.AddServer(site, i); err != nil {
-			log.Fatal(err)
-		}
 		owner := policy.NewOwner(site+"-feeds", schema, nil)
 		var feeds []*record.Record
 		for f := 0; f < 40; f++ {
@@ -68,11 +74,12 @@ func main() {
 			feeds = append(feeds, r)
 		}
 		owner.SetRecords(feeds)
-		if err := sys.AttachOwner(site, owner); err != nil {
+		if err := cl.AttachOwner(i, owner); err != nil {
 			log.Fatal(err)
 		}
+		owners[i] = owner
 	}
-	if err := sys.Aggregate(); err != nil {
+	if err := cl.WaitConverged(sites*40, time.Minute); err != nil {
 		log.Fatal(err)
 	}
 
@@ -96,16 +103,27 @@ func main() {
 			query.NewAbove("freshness", 0.5),
 		),
 	}
+	planner := live.NewClient(tr, "planner")
 	for _, q := range jobs {
 		start := fmt.Sprintf("site%d", rng.Intn(sites))
-		res, err := sys.ResolveAndRetrieve(q, start)
+		feeds, stats, err := planner.Resolve(start, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("job %-18s from %s: %2d feeds, %d/%d sites contacted, latency %v\n",
-			q.ID, start, len(res.Records), len(res.Contacted), sites,
-			res.Latency.Round(time.Millisecond))
-		for i, r := range res.Records {
+		want := 0
+		for _, o := range owners {
+			matches, err := o.Answer(q)
+			if err != nil {
+				log.Fatal(err)
+			}
+			want += len(matches)
+		}
+		if len(feeds) != want {
+			log.Fatalf("job %s found %d feeds; the sites hold %d matches", q.ID, len(feeds), want)
+		}
+		fmt.Printf("job %-18s from %s: %2d feeds, %d/%d sites contacted in %v\n",
+			q.ID, start, len(feeds), stats.Contacted, sites, stats.Elapsed.Round(time.Microsecond))
+		for i, r := range feeds {
 			if i == 3 {
 				fmt.Printf("    ...\n")
 				break

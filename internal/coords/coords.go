@@ -113,15 +113,6 @@ func NewSpace(n int, cfg Config, rng *rand.Rand) (*Space, error) {
 	return s, nil
 }
 
-// MustNewSpace is NewSpace that panics on error.
-func MustNewSpace(n int, cfg Config, rng *rand.Rand) *Space {
-	s, err := NewSpace(n, cfg, rng)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func (s *Space) meanPairwiseDistance(rng *rand.Rand) float64 {
 	n := len(s.points)
 	if n < 2 {

@@ -22,7 +22,7 @@ func TestNewSpaceValidation(t *testing.T) {
 
 func TestLatencySymmetricAndZeroSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := MustNewSpace(50, DefaultConfig(), rng)
+	s := mustSpace(t, 50, DefaultConfig(), rng)
 	for i := 0; i < 50; i++ {
 		if s.Latency(i, i) != 0 {
 			t.Fatalf("self latency of %d must be 0", i)
@@ -40,7 +40,7 @@ func TestLatencyFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := DefaultConfig()
 	cfg.MinLatency = 5 * time.Millisecond
-	s := MustNewSpace(100, cfg, rng)
+	s := mustSpace(t, 100, cfg, rng)
 	for i := 0; i < 100; i++ {
 		for j := 0; j < 100; j++ {
 			if i != j && s.Latency(i, j) < cfg.MinLatency {
@@ -54,7 +54,7 @@ func TestMeanCalibration(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cfg := DefaultConfig()
 	cfg.MeanLatency = 80 * time.Millisecond
-	s := MustNewSpace(200, cfg, rng)
+	s := mustSpace(t, 200, cfg, rng)
 	mean := s.MeanLatency()
 	lo := time.Duration(float64(cfg.MeanLatency) * 0.8)
 	hi := time.Duration(float64(cfg.MeanLatency) * 1.2)
@@ -67,7 +67,7 @@ func TestUniformPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cfg := DefaultConfig()
 	cfg.Clusters = 0 // uniform
-	s := MustNewSpace(100, cfg, rng)
+	s := mustSpace(t, 100, cfg, rng)
 	if s.N() != 100 {
 		t.Fatalf("N = %d; want 100", s.N())
 	}
@@ -79,7 +79,7 @@ func TestUniformPlacement(t *testing.T) {
 
 func TestLargeSpaceSampledCalibration(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	s := MustNewSpace(1000, DefaultConfig(), rng) // > maxExact path
+	s := mustSpace(t, 1000, DefaultConfig(), rng) // > maxExact path
 	got := s.Latency(0, 999)
 	if got < 0 {
 		t.Fatalf("negative latency %v", got)
@@ -88,7 +88,7 @@ func TestLargeSpaceSampledCalibration(t *testing.T) {
 
 func TestSingleHostSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := MustNewSpace(1, DefaultConfig(), rng)
+	s := mustSpace(t, 1, DefaultConfig(), rng)
 	if s.Latency(0, 0) != 0 {
 		t.Fatal("single host latency to self must be 0")
 	}
@@ -114,7 +114,7 @@ func TestPointDistance(t *testing.T) {
 // simplification shared with the paper's synthesized model).
 func TestTriangleInequalityQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	s := MustNewSpace(64, DefaultConfig(), rng)
+	s := mustSpace(t, 64, DefaultConfig(), rng)
 	f := func(a, b, c uint8) bool {
 		i, j, k := int(a)%64, int(b)%64, int(c)%64
 		dij := s.Point(i).Distance(s.Point(j))
@@ -125,4 +125,14 @@ func TestTriangleInequalityQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustSpace is NewSpace that fails the test on error.
+func mustSpace(t *testing.T, n int, cfg Config, rng *rand.Rand) *Space {
+	t.Helper()
+	s, err := NewSpace(n, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

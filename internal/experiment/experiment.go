@@ -1,7 +1,11 @@
 // Package experiment reproduces the paper's evaluation (§V): each sweep
 // regenerates the data behind one or more figures, running ROADS and the
 // SWORD / centralized baselines on identical workloads, latency spaces and
-// query streams. Figures sharing a sweep are computed in one pass:
+// query streams. ROADS is the live protocol — real servers exchanging
+// encoded messages over the in-process transport (federation.go) — and its
+// latency is a model applied to the redirect tree each traced resolve
+// followed; SWORD and the central repository run on netsim. Figures sharing
+// a sweep are computed in one pass:
 //
 //	SweepNodes       -> Figs. 3, 4, 5  (latency / update / query overhead vs n)
 //	SweepDims        -> Figs. 6, 7     (latency / query overhead vs query dims)
@@ -18,11 +22,8 @@ import (
 	"time"
 
 	"roads/internal/coords"
-	"roads/internal/core"
 	"roads/internal/netsim"
-	"roads/internal/policy"
 	"roads/internal/store"
-	"roads/internal/summary"
 	"roads/internal/sword"
 	"roads/internal/workload"
 )
@@ -156,7 +157,7 @@ func (s *Series) Format() string {
 	return b.String()
 }
 
-// pointConfig is the full parameter set of one simulated data point.
+// pointConfig is the full parameter set of one data point.
 type pointConfig struct {
 	nodes, records, dims, degree, buckets int
 	queryRange                            float64
@@ -167,28 +168,28 @@ type pointConfig struct {
 	meanLatency                           time.Duration
 	trSeconds, tsSeconds                  float64
 	cost                                  store.CostModel
-	runROADS, runSWORD                    bool
-	overlayEnabled                        bool
+	runSWORD                              bool
+	// idle measures the at-rest maintenance traffic; rootStart also
+	// resolves every query entering at the root (the overlay ablation).
+	idle, rootStart bool
 }
 
 func (o Options) point(seed int64) pointConfig {
 	return pointConfig{
-		nodes:          o.Nodes,
-		records:        o.RecordsPerNode,
-		dims:           o.Dims,
-		degree:         o.Degree,
-		buckets:        o.Buckets,
-		queryRange:     o.QueryRange,
-		windowLen:      o.WindowLen,
-		queries:        o.Queries,
-		seed:           seed,
-		meanLatency:    o.MeanLatency,
-		trSeconds:      o.TrSeconds,
-		tsSeconds:      o.TsSeconds,
-		cost:           o.Cost,
-		runROADS:       true,
-		runSWORD:       true,
-		overlayEnabled: true,
+		nodes:       o.Nodes,
+		records:     o.RecordsPerNode,
+		dims:        o.Dims,
+		degree:      o.Degree,
+		buckets:     o.Buckets,
+		queryRange:  o.QueryRange,
+		windowLen:   o.WindowLen,
+		queries:     o.Queries,
+		seed:        seed,
+		meanLatency: o.MeanLatency,
+		trSeconds:   o.TrSeconds,
+		tsSeconds:   o.TsSeconds,
+		cost:        o.Cost,
+		runSWORD:    true,
 	}
 }
 
@@ -199,46 +200,67 @@ type pointResult struct {
 	roadsQueryBytes  float64
 	swordQueryBytes  float64
 	roadsUpdateBps   float64 // bytes per second
+	roadsIdleBps     float64
 	swordUpdateBps   float64
 	roadsContacted   float64
 	roadsDepth       float64
 	swordSegmentSize float64
 	// roadsRootHit is the fraction of queries that contacted the root —
-	// the root-bottleneck measure the overlay is meant to eliminate.
-	roadsRootHit float64
+	// the root-bottleneck measure the overlay is meant to eliminate. The
+	// rootStart* fields are the same query stream entering at the root.
+	roadsRootHit       float64
+	rootStartLatencyMs float64
+	rootStartRootHit   float64
 }
 
-// buildROADS constructs and aggregates a ROADS deployment over the
-// workload, one summary-mode owner per server.
-func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*core.System, *netsim.Sim, error) {
-	sim := netsim.New(space)
-	ccfg := core.DefaultConfig()
-	ccfg.MaxChildren = cfg.degree
-	ccfg.OverlayEnabled = cfg.overlayEnabled
-	ccfg.Summary = summary.Config{Buckets: cfg.buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet}
-	ccfg.Cost = cfg.cost
-	sys, err := core.NewSystem(w.Schema, ccfg, sim)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < cfg.nodes; i++ {
-		id := fmt.Sprintf("s%04d", i)
-		if _, err := sys.AddServer(id, i); err != nil {
-			return nil, nil, err
-		}
-		o := policy.NewOwner(fmt.Sprintf("owner%d", i), w.Schema, nil)
-		o.SetRecords(w.PerNode[i])
-		if err := sys.AttachOwner(id, o); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := sys.Aggregate(); err != nil {
-		return nil, nil, err
-	}
-	return sys, sim, nil
+// add accumulates o into r, field by field.
+func (r *pointResult) add(o pointResult) {
+	r.roadsLatencyMs += o.roadsLatencyMs
+	r.swordLatencyMs += o.swordLatencyMs
+	r.roadsQueryBytes += o.roadsQueryBytes
+	r.swordQueryBytes += o.swordQueryBytes
+	r.roadsUpdateBps += o.roadsUpdateBps
+	r.roadsIdleBps += o.roadsIdleBps
+	r.swordUpdateBps += o.swordUpdateBps
+	r.roadsContacted += o.roadsContacted
+	r.roadsDepth += o.roadsDepth
+	r.swordSegmentSize += o.swordSegmentSize
+	r.roadsRootHit += o.roadsRootHit
+	r.rootStartLatencyMs += o.rootStartLatencyMs
+	r.rootStartRootHit += o.rootStartRootHit
 }
 
-// runPoint simulates one data point: identical workload, delay space, query
+// scale multiplies every field of r by f.
+func (r *pointResult) scale(f float64) {
+	r.roadsLatencyMs *= f
+	r.swordLatencyMs *= f
+	r.roadsQueryBytes *= f
+	r.swordQueryBytes *= f
+	r.roadsUpdateBps *= f
+	r.roadsIdleBps *= f
+	r.swordUpdateBps *= f
+	r.roadsContacted *= f
+	r.roadsDepth *= f
+	r.swordSegmentSize *= f
+	r.roadsRootHit *= f
+	r.rootStartLatencyMs *= f
+	r.rootStartRootHit *= f
+}
+
+// ms renders a duration in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// newSpace synthesizes the point's wide-area delay space: host i is server
+// i (ROADS) and node i (SWORD).
+func newSpace(nodes int, meanLatency time.Duration, rng *rand.Rand) (*coords.Space, error) {
+	return coords.NewSpace(nodes, coords.Config{
+		MeanLatency: meanLatency,
+		MinLatency:  time.Millisecond,
+		Clusters:    8,
+	}, rng)
+}
+
+// runPoint runs one data point: identical workload, delay space, query
 // stream and start nodes for both systems.
 func runPoint(cfg pointConfig) (pointResult, error) {
 	var res pointResult
@@ -254,11 +276,7 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 	if err != nil {
 		return res, err
 	}
-	space, err := coords.NewSpace(cfg.nodes, coords.Config{
-		MeanLatency: cfg.meanLatency,
-		MinLatency:  time.Millisecond,
-		Clusters:    8,
-	}, rng)
+	space, err := newSpace(cfg.nodes, cfg.meanLatency, rng)
 	if err != nil {
 		return res, err
 	}
@@ -271,40 +289,43 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 		starts[i] = rng.Intn(cfg.nodes)
 	}
 
-	if cfg.runROADS {
-		sys, _, err := buildROADS(w, space, cfg)
+	f, err := buildROADS(w, space, cfg)
+	if err != nil {
+		return res, err
+	}
+	defer f.stop()
+	res.roadsUpdateBps = float64(f.updateBytes) / cfg.tsSeconds
+	res.roadsIdleBps = f.idleBytes / cfg.tsSeconds
+	res.roadsDepth = float64(f.depth)
+	for qi, q := range queries {
+		r, err := f.resolve(q, f.addrs[starts[qi]], starts[qi])
 		if err != nil {
 			return res, err
 		}
-		epochBytes, err := sys.UpdateBytesPerEpoch()
-		if err != nil {
-			return res, err
+		res.roadsLatencyMs += ms(r.latency)
+		res.roadsQueryBytes += float64(r.bytes)
+		res.roadsContacted += float64(r.contacted)
+		if r.root {
+			res.roadsRootHit++
 		}
-		res.roadsUpdateBps = float64(epochBytes) / cfg.tsSeconds
-		res.roadsDepth = float64(sys.Tree.Depth())
-		rootID := sys.Tree.Root().ID
-		var latSum, byteSum, contactSum, rootHits float64
-		for qi, q := range queries {
-			sr, err := sys.Resolve(q.Clone(), fmt.Sprintf("s%04d", starts[qi]))
+		if cfg.rootStart {
+			r, err := f.resolve(q, f.root, starts[qi])
 			if err != nil {
 				return res, err
 			}
-			latSum += float64(sr.Latency.Milliseconds())
-			byteSum += float64(sr.QueryBytes)
-			contactSum += float64(len(sr.Contacted))
-			for _, id := range sr.Contacted {
-				if id == rootID {
-					rootHits++
-					break
-				}
+			res.rootStartLatencyMs += ms(r.latency)
+			if r.root {
+				res.rootStartRootHit++
 			}
 		}
-		n := float64(len(queries))
-		res.roadsLatencyMs = latSum / n
-		res.roadsQueryBytes = byteSum / n
-		res.roadsContacted = contactSum / n
-		res.roadsRootHit = rootHits / n
 	}
+	n := float64(len(queries))
+	res.roadsLatencyMs /= n
+	res.roadsQueryBytes /= n
+	res.roadsContacted /= n
+	res.roadsRootHit /= n
+	res.rootStartLatencyMs /= n
+	res.rootStartRootHit /= n
 
 	if cfg.runSWORD {
 		sim := netsim.New(space)
@@ -328,7 +349,6 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 			byteSum += float64(sr.QueryBytes)
 			segSum += float64(sr.SegmentSize)
 		}
-		n := float64(len(queries))
 		res.swordLatencyMs = latSum / n
 		res.swordQueryBytes = byteSum / n
 		res.swordSegmentSize = segSum / n
@@ -346,27 +366,8 @@ func averagePoints(base pointConfig, runs int, seed int64) (pointResult, error) 
 		if err != nil {
 			return acc, err
 		}
-		acc.roadsLatencyMs += pr.roadsLatencyMs
-		acc.swordLatencyMs += pr.swordLatencyMs
-		acc.roadsQueryBytes += pr.roadsQueryBytes
-		acc.swordQueryBytes += pr.swordQueryBytes
-		acc.roadsUpdateBps += pr.roadsUpdateBps
-		acc.swordUpdateBps += pr.swordUpdateBps
-		acc.roadsContacted += pr.roadsContacted
-		acc.roadsDepth += pr.roadsDepth
-		acc.swordSegmentSize += pr.swordSegmentSize
-		acc.roadsRootHit += pr.roadsRootHit
+		acc.add(pr)
 	}
-	f := float64(runs)
-	acc.roadsLatencyMs /= f
-	acc.swordLatencyMs /= f
-	acc.roadsQueryBytes /= f
-	acc.swordQueryBytes /= f
-	acc.roadsUpdateBps /= f
-	acc.swordUpdateBps /= f
-	acc.roadsContacted /= f
-	acc.roadsDepth /= f
-	acc.swordSegmentSize /= f
-	acc.roadsRootHit /= f
+	acc.scale(1 / float64(runs))
 	return acc, nil
 }

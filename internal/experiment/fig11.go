@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"roads/internal/central"
-	"roads/internal/coords"
 	"roads/internal/netsim"
 	"roads/internal/stats"
 	"roads/internal/workload"
@@ -27,6 +26,11 @@ type SelectivityResult struct {
 // modelled backend retrieval cost. ROADS retrieves from matching servers in
 // parallel; the central repository retrieves everything sequentially at one
 // server — which is exactly why ROADS catches up as selectivity grows.
+//
+// A ROADS query's response time is its model latency plus the slowest
+// server that returned records: that server's cost-model charge for
+// answering from its owner, its trip back to the client and the transfer
+// time of the record bytes it returned.
 func SweepSelectivity(opt Options, targets []float64, perGroup int) (*SelectivityResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -54,11 +58,7 @@ func SweepSelectivity(opt Options, targets []float64, perGroup int) (*Selectivit
 			if err != nil {
 				return nil, err
 			}
-			space, err := coords.NewSpace(opt.Nodes, coords.Config{
-				MeanLatency: opt.MeanLatency,
-				MinLatency:  time.Millisecond,
-				Clusters:    8,
-			}, rng)
+			space, err := newSpace(opt.Nodes, opt.MeanLatency, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -68,13 +68,11 @@ func SweepSelectivity(opt Options, targets []float64, perGroup int) (*Selectivit
 			}
 			queries := groups[0].Queries
 
-			cfg := opt.point(seed)
-			rsys, _, err := buildROADS(w, space, cfg)
+			f, err := buildROADS(w, space, opt.point(seed))
 			if err != nil {
 				return nil, err
 			}
-			csim := netsim.New(space)
-			repo := central.New(w.Schema, opt.Cost, csim, 0)
+			repo := central.New(w.Schema, opt.Cost, netsim.New(space), 0)
 			repo.ExportAll(w.PerNode)
 
 			all := w.AllRecords()
@@ -82,14 +80,17 @@ func SweepSelectivity(opt Options, targets []float64, perGroup int) (*Selectivit
 				start := rng.Intn(opt.Nodes)
 				rq := q.Clone()
 				rq.ID = fmt.Sprintf("g%d-r%d-q%d", gi, run, qi)
-				rres, err := rsys.ResolveAndRetrieve(rq, fmt.Sprintf("s%04d", start))
+				f.m.takeReturned()
+				r, err := f.resolve(rq, f.addrs[start], start)
 				if err != nil {
+					f.stop()
 					return nil, err
 				}
-				roadsTimes = append(roadsTimes, rres.ResponseTime)
+				roadsTimes = append(roadsTimes, f.responseTime(r, start, w, opt))
 
 				cres, err := repo.Resolve(q.Clone(), start)
 				if err != nil {
+					f.stop()
 					return nil, err
 				}
 				centralTimes = append(centralTimes, cres.ResponseTime)
@@ -97,6 +98,7 @@ func SweepSelectivity(opt Options, targets []float64, perGroup int) (*Selectivit
 				selSum += float64(len(cres.Records)) / float64(len(all))
 				selCount++
 			}
+			f.stop()
 		}
 		measured[gi] = selSum / float64(selCount)
 		s.add(target*100, map[string]float64{
@@ -107,4 +109,22 @@ func SweepSelectivity(opt Options, targets []float64, perGroup int) (*Selectivit
 		})
 	}
 	return &SelectivityResult{Series: s, MeasuredSelectivity: measured}, nil
+}
+
+// responseTime is the Fig. 11 total response time of resolution r with the
+// client at host client.
+func (f *federation) responseTime(r resolution, client int, w *workload.Workload, opt Options) time.Duration {
+	returned := f.m.takeReturned()
+	total := r.latency
+	for _, h := range r.hops {
+		if h.Records == 0 {
+			continue
+		}
+		i := f.host[h.Addr]
+		charge := opt.Cost.PerQuery +
+			time.Duration(len(w.PerNode[i]))*opt.Cost.PerScan +
+			time.Duration(h.Records)*opt.Cost.PerRecord
+		total = max(total, r.latency+charge+f.sim.LatencyBetween(i, client)+f.sim.TransferTime(returned[h.Addr]))
+	}
+	return total
 }

@@ -28,18 +28,19 @@ func SweepNodes(opt Options, nodesAxis []int) (*NodesSweepResult, error) {
 	}
 	out := &NodesSweepResult{
 		Fig3Latency: newSeries("Fig. 3", "nodes", "query latency (ms)", "ROADS", "SWORD"),
-		Fig4Update:  newSeries("Fig. 4", "nodes", "update overhead (bytes/s)", "ROADS", "SWORD"),
+		Fig4Update:  newSeries("Fig. 4", "nodes", "update overhead (bytes/s)", "ROADS", "ROADS idle", "SWORD"),
 		Fig5Query:   newSeries("Fig. 5", "nodes", "query overhead (bytes)", "ROADS", "SWORD"),
 	}
 	for _, n := range nodesAxis {
 		cfg := opt.point(opt.Seed)
 		cfg.nodes = n
+		cfg.idle = true
 		pr, err := averagePoints(cfg, opt.Runs, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
 		out.Fig3Latency.add(float64(n), map[string]float64{"ROADS": pr.roadsLatencyMs, "SWORD": pr.swordLatencyMs})
-		out.Fig4Update.add(float64(n), map[string]float64{"ROADS": pr.roadsUpdateBps, "SWORD": pr.swordUpdateBps})
+		out.Fig4Update.add(float64(n), map[string]float64{"ROADS": pr.roadsUpdateBps, "ROADS idle": pr.roadsIdleBps, "SWORD": pr.swordUpdateBps})
 		out.Fig5Query.add(float64(n), map[string]float64{"ROADS": pr.roadsQueryBytes, "SWORD": pr.swordQueryBytes})
 	}
 	return out, nil
@@ -86,16 +87,17 @@ func SweepRecords(opt Options, recordsAxis []int) (*Series, error) {
 	if recordsAxis == nil {
 		recordsAxis = []int{50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
 	}
-	s := newSeries("Fig. 8", "records per node", "update overhead (bytes/s)", "ROADS", "SWORD")
+	s := newSeries("Fig. 8", "records per node", "update overhead (bytes/s)", "ROADS", "ROADS idle", "SWORD")
 	for _, k := range recordsAxis {
 		cfg := opt.point(opt.Seed)
 		cfg.records = k
 		cfg.queries = 1 // updates only; one token query keeps validation happy
+		cfg.idle = true
 		pr, err := averagePoints(cfg, opt.Runs, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
-		s.add(float64(k), map[string]float64{"ROADS": pr.roadsUpdateBps, "SWORD": pr.swordUpdateBps})
+		s.add(float64(k), map[string]float64{"ROADS": pr.roadsUpdateBps, "ROADS idle": pr.roadsIdleBps, "SWORD": pr.swordUpdateBps})
 	}
 	return s, nil
 }
@@ -147,15 +149,17 @@ func SweepDegree(opt Options, degreeAxis []int) (*Series, error) {
 
 // AblationResult compares design variants (DESIGN.md §5).
 type AblationResult struct {
-	// OverlayLatency compares query latency with and without the
-	// replication overlay (root-start basic hierarchy).
+	// OverlayLatency compares query latency with the replication overlay
+	// (enter at any server) and without it (enter at the root, which holds
+	// no replicas: the basic hierarchy).
 	OverlayLatency *Series
 	// RootLoad compares the fraction of queries that traverse the root.
 	RootLoad *Series
 }
 
 // SweepOverlayAblation measures what the replication overlay buys: latency
-// and root load with the overlay on vs off, across system sizes.
+// and root load of the same federation and query stream entered at a random
+// server and at the root, across system sizes.
 func SweepOverlayAblation(opt Options, nodesAxis []int) (*AblationResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -168,21 +172,16 @@ func SweepOverlayAblation(opt Options, nodesAxis []int) (*AblationResult, error)
 		RootLoad:       newSeries("Ablation: root load", "nodes", "root-hit fraction", "overlay", "root-start"),
 	}
 	for _, n := range nodesAxis {
-		withCfg := opt.point(opt.Seed)
-		withCfg.nodes = n
-		withCfg.runSWORD = false
-		with, err := averagePoints(withCfg, opt.Runs, opt.Seed)
+		cfg := opt.point(opt.Seed)
+		cfg.nodes = n
+		cfg.runSWORD = false
+		cfg.rootStart = true
+		pr, err := averagePoints(cfg, opt.Runs, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
-		withoutCfg := withCfg
-		withoutCfg.overlayEnabled = false
-		without, err := averagePoints(withoutCfg, opt.Runs, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.OverlayLatency.add(float64(n), map[string]float64{"overlay": with.roadsLatencyMs, "root-start": without.roadsLatencyMs})
-		out.RootLoad.add(float64(n), map[string]float64{"overlay": with.roadsRootHit, "root-start": without.roadsRootHit})
+		out.OverlayLatency.add(float64(n), map[string]float64{"overlay": pr.roadsLatencyMs, "root-start": pr.rootStartLatencyMs})
+		out.RootLoad.add(float64(n), map[string]float64{"overlay": pr.roadsRootHit, "root-start": pr.rootStartRootHit})
 	}
 	return out, nil
 }

@@ -43,7 +43,15 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 func parkEarlyRounds(srv *Server) { srv.earlyAt.Store(math.MaxInt64) }
 
 // unparkEarlyRounds lets srv's next request for an early round run at once.
-func unparkEarlyRounds(srv *Server) { srv.earlyAt.Store(0) }
+// A request made while parked that the loop has not taken yet is dropped
+// first: it would spend the early round on nothing the test did.
+func unparkEarlyRounds(srv *Server) {
+	select {
+	case <-srv.wake:
+	default:
+	}
+	srv.earlyAt.Store(0)
+}
 
 func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema) *Server {
 	t.Helper()

@@ -1,9 +1,8 @@
-// Package live is the runnable ROADS prototype: real servers exchanging
-// wire messages over a pluggable transport (in-process or TCP), each
-// running its own goroutines for maintenance ticks, split-brain probing and
-// query serving. It mirrors the paper's Java prototype: the simulator
-// (internal/core) answers "what are the costs", the live stack answers
-// "does the protocol actually run".
+// Package live is the ROADS protocol: real servers exchanging wire
+// messages over a pluggable transport (in-process or TCP), each running its
+// own goroutines for maintenance ticks, split-brain probing and query
+// serving. It is the one implementation: roadsd deploys it, and the paper's
+// figures (internal/experiment) measure it on the in-process transport.
 //
 // A Server is one node of the hierarchy. Children report branch summaries
 // upward each aggregation tick (loops.go), parents push overlay replicas
@@ -39,5 +38,5 @@
 // tenants to coarse summary-only answers.
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
-// tests and the canonical benchmark.
+// tests, examples, the figures and the canonical benchmark.
 package live

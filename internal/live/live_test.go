@@ -4,12 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"roads/internal/central"
+	"roads/internal/netsim"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
+	"roads/internal/store"
 	"roads/internal/transport"
 	"roads/internal/workload"
 )
@@ -62,12 +67,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestClusterConvergesAndQueries: a converged cluster answers every query
+// exactly as the centralized repository holding all the records does,
+// whichever server the query enters at.
 func TestClusterConvergesAndQueries(t *testing.T) {
-	cl, w := startWorkloadCluster(t, 8, 30, 1)
+	const n, recsPer = 10, 40
+	cl, w := startWorkloadCluster(t, n, recsPer, 77)
+	repo := central.New(w.Schema, store.CostModel{}, netsim.New(netsim.ConstLatency(0)), 0)
+	repo.ExportAll(w.PerNode)
 	rng := rand.New(rand.NewSource(2))
 	client := NewClient(cl.Tr, "tester")
+	ids := func(recs []*record.Record) []string {
+		out := make([]string, len(recs))
+		for i, r := range recs {
+			out[i] = r.Owner + "/" + r.ID
+		}
+		sort.Strings(out)
+		return out
+	}
 
-	queries, err := w.GenQueries(5, 3, 0.4, rng)
+	queries, err := w.GenQueries(12, 3, 0.35, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +97,13 @@ func TestClusterConvergesAndQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		want := 0
-		for _, r := range w.AllRecords() {
-			if q.MatchRecord(r) {
-				want++
-			}
+		want, err := repo.Resolve(q.Clone(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(recs) != want {
-			t.Fatalf("query %d from %s: got %d records; want %d (contacted %v)",
-				qi, start.ID(), len(recs), want, stats.Servers)
+		if got, want := ids(recs), ids(want.Records); !slices.Equal(got, want) {
+			t.Fatalf("query %d from %s: got %d records, the central repository %d (contacted %v)",
+				qi, start.ID(), len(got), len(want), stats.Servers)
 		}
 		if stats.Contacted == 0 {
 			t.Fatal("must contact at least the start server")

@@ -670,6 +670,13 @@ func (s *Server) push(early bool) {
 			// origin, and one origin goes into a set once.
 			continue
 		}
+		if r.via != s.parentID {
+			// Nobody states this origin here any more: the parent's list left
+			// it out, or it came from a former parent. It ages out by TTL, and
+			// passing it on would keep renewing it at the children until then,
+			// so a dead origin would age out one level at a time.
+			continue
+		}
 		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
 			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version, urgent: r.urgent})
 	}

@@ -624,3 +624,59 @@ func TestMaintenanceByteBudget(t *testing.T) {
 		t.Fatalf("steady state moves %.0f bytes per edge per round; the budget is %d", perEdge, budget)
 	}
 }
+
+// TestCoverageCountsRoutedReplicasOnly moves a server under its sibling. The
+// adopter still holds the newcomer as a sibling replica — nothing deletes a
+// replica whose origin becomes a child; it ages out by TTL — and must not
+// count those records a second time: its own branch covers them now.
+func TestCoverageCountsRoutedReplicasOnly(t *testing.T) {
+	tr := transport.NewChan()
+	root, kids := deltaStar(t, tr, 2, "a", "b")
+	a, b := kids[0], kids[1]
+	if _, held := replicaVia(a, "b"); !held {
+		t.Fatal("a does not hold its sibling b")
+	}
+	root.handle(&wire.Message{Kind: wire.KindLeave, From: b.ID(), Addr: b.Addr()})
+	if err := b.Join(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	driveRound(b, a, root)
+	if _, held := replicaVia(a, "b"); !held {
+		t.Fatal("a no longer holds its replica of b; the test needs that leftover")
+	}
+	for _, s := range []*Server{root, a, b} {
+		if got := s.CoveredRecords(); got != 6 {
+			t.Errorf("%s covers %d records; the federation holds 6", s.ID(), got)
+		}
+	}
+}
+
+// TestUnstatedReplicaIsNotForwarded: once its parent's list leaves an origin
+// out, a server stops passing that replica on, so its children stop renewing
+// it as well and a dead origin ages out of every level within one TTL rather
+// than one level per TTL.
+func TestUnstatedReplicaIsNotForwarded(t *testing.T) {
+	tr := transport.NewChan()
+	root, kids := deltaStar(t, tr, 2, "a", "b")
+	a, b := kids[0], kids[1]
+	schema := record.DefaultSchema(2)
+	a1 := deltaServer(t, tr, "a1", schema)
+	attachDeltaOwner(t, a1, schema, 2)
+	if err := a1.Join(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		driveRound(a1, a, b, root)
+	}
+	if via, held := replicaVia(a1, "b"); !held || via != "a" {
+		t.Fatalf("a1 holds b via %q (held %v); want via a", via, held)
+	}
+	root.handle(&wire.Message{Kind: wire.KindLeave, From: b.ID(), Addr: b.Addr()})
+	driveRound(root, a)
+	if via, held := replicaVia(a, "b"); !held || via != "" {
+		t.Fatalf("a holds b via %q (held %v); want a leftover nobody states", via, held)
+	}
+	if via, _ := replicaVia(a1, "b"); via != "" {
+		t.Fatalf("a1 still renews b via %q after root stopped stating it to a", via)
+	}
+}

@@ -814,9 +814,10 @@ func (s *Server) NumReplicas() int {
 
 // CoveredRecords returns how many records this server can currently route
 // queries to: its own branch, plus each non-ancestor replica's branch,
-// plus each ancestor's locally attached data. Because those sets partition
-// the hierarchy, the value equals the federation's total record count
-// exactly when the overlay has fully converged.
+// plus each ancestor's locally attached data — only the replicas it routes
+// on, not a leftover whose origin is now its child. Because those sets
+// partition the hierarchy, the value equals the federation's total record
+// count exactly when the overlay has fully converged.
 func (s *Server) CoveredRecords() uint64 {
 	return s.snap.Load().covered
 }

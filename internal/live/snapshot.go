@@ -56,8 +56,10 @@ type routingSnapshot struct {
 	// of the redirect candidates, so Status/NumReplicas keep reporting the
 	// raw overlay size.
 	numReplicas int
-	// covered is the precomputed CoveredRecords value: own branch plus each
-	// replica's summary (a sibling-class branch, an ancestor's local data).
+	// covered is the precomputed CoveredRecords value: own branch plus the
+	// summary of each replica in replicas (a sibling-class branch, an
+	// ancestor's local data). A held replica the snapshot does not route on
+	// is counted nowhere: its records are the own branch's already.
 	covered uint64
 
 	// fpBase hashes everything about the children and replicas a query
@@ -120,13 +122,13 @@ func (s *Server) publishSnapshotLocked() {
 	if n := len(s.replicas); n > 0 {
 		snap.replicas = make([]snapReplica, 0, n)
 		for id, r := range s.replicas {
-			snap.covered += r.sum.Records
 			if id == s.cfg.ID {
 				continue
 			}
 			if _, isChild := s.children[id]; isChild {
 				continue
 			}
+			snap.covered += r.sum.Records
 			sr := snapReplica{level: r.level, match: r.sum,
 				ri: wire.RedirectInfo{ID: r.originID, Addr: r.originAddr, Records: r.sum.Records}}
 			if !r.ancestor {

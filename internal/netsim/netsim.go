@@ -1,8 +1,10 @@
 // Package netsim is a discrete-event network simulator: a virtual clock, an
 // event queue, and per-message byte accounting split into the traffic
-// classes the paper measures (resource updates, query forwarding, hierarchy
-// maintenance). Both ROADS and the SWORD/centralized baselines run on it so
-// their latency and overhead numbers are directly comparable.
+// classes the paper measures (resource updates, query forwarding and
+// responses). The SWORD and centralized baselines run on it, and its
+// latency model prices the redirect trees of the live ROADS servers the
+// figures measure, so their latency and overhead numbers are directly
+// comparable.
 package netsim
 
 import (
@@ -23,8 +25,6 @@ const (
 	Query
 	// Response covers redirects and result returns.
 	Response
-	// Maintenance covers heartbeats, join and rejoin traffic.
-	Maintenance
 	numClasses
 )
 
@@ -36,8 +36,6 @@ func (c MsgClass) String() string {
 		return "query"
 	case Response:
 		return "response"
-	case Maintenance:
-		return "maintenance"
 	default:
 		return fmt.Sprintf("class(%d)", uint8(c))
 	}
@@ -97,9 +95,7 @@ func (s *Stats) TotalBytes() int64 {
 }
 
 // Sim is the discrete-event simulator. It is single-goroutine: events run
-// sequentially in virtual-time order, so handlers need no locking. (The
-// experiment harness achieves parallelism by running independent Sims on
-// separate goroutines, one per run/seed.)
+// sequentially in virtual-time order, so handlers need no locking.
 type Sim struct {
 	now   time.Duration
 	seq   uint64
@@ -116,9 +112,6 @@ type Sim struct {
 func New(net Latency) *Sim {
 	return &Sim{net: net}
 }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.now }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t time.Duration, fn func()) {

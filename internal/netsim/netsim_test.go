@@ -40,7 +40,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 	var hit time.Duration
 	s.After(10*time.Millisecond, func() {
 		s.After(5*time.Millisecond, func() {
-			hit = s.Now()
+			hit = s.now
 		})
 	})
 	s.Run()
@@ -70,7 +70,7 @@ func TestPastSchedulingClamps(t *testing.T) {
 func TestSendAccountsAndDelivers(t *testing.T) {
 	s := New(ConstLatency(7 * time.Millisecond))
 	var deliveredAt time.Duration
-	s.Send(0, 1, Query, 100, func() { deliveredAt = s.Now() })
+	s.Send(0, 1, Query, 100, func() { deliveredAt = s.now })
 	s.Run()
 	if deliveredAt != 7*time.Millisecond {
 		t.Fatalf("delivered at %v; want 7ms", deliveredAt)
@@ -96,9 +96,8 @@ func TestAccountAndTotals(t *testing.T) {
 	s.Account(Update, 10)
 	s.Account(Query, 20)
 	s.Account(Response, 30)
-	s.Account(Maintenance, 40)
-	if got := s.Stats.TotalBytes(); got != 100 {
-		t.Fatalf("TotalBytes = %d; want 100", got)
+	if got := s.Stats.TotalBytes(); got != 60 {
+		t.Fatalf("TotalBytes = %d; want 60", got)
 	}
 	s.ResetStats()
 	if s.Stats.TotalBytes() != 0 {
@@ -115,8 +114,8 @@ func TestRunUntil(t *testing.T) {
 	if len(ran) != 1 || ran[0] != 1 {
 		t.Fatalf("RunUntil ran %v; want [1]", ran)
 	}
-	if s.Now() != 15*time.Millisecond {
-		t.Fatalf("Now = %v; want 15ms", s.Now())
+	if s.now != 15*time.Millisecond {
+		t.Fatalf("now = %v; want 15ms", s.now)
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d; want 1", s.Pending())
@@ -138,7 +137,7 @@ func TestConstLatencySelf(t *testing.T) {
 }
 
 func TestMsgClassString(t *testing.T) {
-	for c, want := range map[MsgClass]string{Update: "update", Query: "query", Response: "response", Maintenance: "maintenance"} {
+	for c, want := range map[MsgClass]string{Update: "update", Query: "query", Response: "response"} {
 		if c.String() != want {
 			t.Fatalf("%d.String() = %q; want %q", c, c.String(), want)
 		}
@@ -158,7 +157,7 @@ func TestBandwidthTransferTime(t *testing.T) {
 		t.Fatal("non-positive sizes transfer instantly")
 	}
 	var deliveredAt time.Duration
-	s.Send(0, 1, Query, 500000, func() { deliveredAt = s.Now() })
+	s.Send(0, 1, Query, 500000, func() { deliveredAt = s.now })
 	s.Run()
 	want := 10*time.Millisecond + 500*time.Millisecond
 	if deliveredAt != want {

@@ -219,11 +219,6 @@ func (o *Owner) Generation() uint64 {
 	return o.st.Epoch()
 }
 
-// NumRecords returns the record count.
-func (o *Owner) NumRecords() int {
-	return o.st.Len()
-}
-
 // Records returns the owner's records in store-shard order (shared
 // immutable slice; do not mutate).
 func (o *Owner) Records() []*record.Record {

@@ -173,11 +173,8 @@ func TestOwnerAddRecords(t *testing.T) {
 	o := NewOwner("orgA", s, nil)
 	o.AddRecords(rec(s, "r1", 0.1, "x"))
 	o.AddRecords(rec(s, "r2", 0.2, "x"))
-	if o.NumRecords() != 2 {
-		t.Fatalf("NumRecords = %d; want 2", o.NumRecords())
-	}
 	if len(o.Records()) != 2 {
-		t.Fatal("Records() length mismatch")
+		t.Fatalf("%d records; want 2", len(o.Records()))
 	}
 }
 
@@ -187,7 +184,7 @@ func TestOwnerChangeHooks(t *testing.T) {
 	s := camSchema()
 	o := NewOwner("orgA", s, nil)
 	var seen []int
-	o.OnChange(func() { seen = append(seen, o.NumRecords()) })
+	o.OnChange(func() { seen = append(seen, len(o.Records())) })
 	calls := 0
 	o.OnChange(func() { calls++ })
 	o.SetRecords([]*record.Record{rec(s, "r1", 0.1, "x")})

@@ -173,7 +173,7 @@ func (r *Record) Validate(s *Schema) error {
 }
 
 // SizeBytes is the wire size of the record used for message accounting in
-// the simulator: 8 bytes per numeric value, string length per categorical
+// the simulated baselines: 8 bytes per numeric value, string length per categorical
 // value, plus a small fixed header for the ID.
 func (r *Record) SizeBytes(s *Schema) int {
 	size := 16 // id + owner header

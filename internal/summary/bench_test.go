@@ -85,36 +85,3 @@ func BenchmarkBloomAddContains(b *testing.B) {
 		bl.Contains(keys[i%len(keys)])
 	}
 }
-
-func BenchmarkEquiDepthBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	vals := make([]float64, 10000)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildEquiDepth(vals, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEquiDepthMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	mk := func() *EquiDepth {
-		vals := make([]float64, 5000)
-		for i := range vals {
-			vals[i] = rng.Float64()
-		}
-		ed, _ := BuildEquiDepth(vals, 100)
-		return ed
-	}
-	x, y := mk(), mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := x.Merge(y, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Package summary implements ROADS's constant-size resource summaries
-// (paper §II-B): per-attribute histograms — equi-width or equi-depth —
-// for numeric attributes, and value sets or Bloom filters for categorical
+// (paper §II-B): per-attribute equi-width histograms for numeric
+// attributes, and value sets or Bloom filters for categorical
 // ones. A Summary is what an owner voluntarily exports instead of its raw
 // records, what servers merge bottom-up into branch summaries, and what
 // the replication overlay copies across the hierarchy. The essential
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"time"
 
 	"roads/internal/record"
 )
@@ -54,8 +53,6 @@ type Config struct {
 	// BloomBits and BloomHashes size the Bloom filters when Categorical is
 	// UseBloom.
 	BloomBits, BloomHashes int
-	// TTL is the soft-state lifetime of a summary. Zero means no expiry.
-	TTL time.Duration
 	// Resolution carries per-attribute geometry overrides (the adaptive
 	// plan). Nil means uniform geometry — wire-identical to the static
 	// configuration. Entries for unknown attributes are ignored.
@@ -105,7 +102,7 @@ func (c Config) BloomParamsFor(attr string) (nbits, k int) {
 func (c Config) Equal(o Config) bool {
 	if c.Buckets != o.Buckets || c.Min != o.Min || c.Max != o.Max ||
 		c.Categorical != o.Categorical || c.BloomBits != o.BloomBits ||
-		c.BloomHashes != o.BloomHashes || c.TTL != o.TTL ||
+		c.BloomHashes != o.BloomHashes ||
 		c.CondenseAbove != o.CondenseAbove || len(c.Resolution) != len(o.Resolution) {
 		return false
 	}
@@ -151,8 +148,8 @@ func (c Config) Validate() error {
 // Summary is the condensed representation of a set of resource records: one
 // per-attribute summary for each schema attribute. Summaries are what
 // owners export, what servers aggregate bottom-up, and what the replication
-// overlay copies around. They carry soft-state metadata (origin, version,
-// expiry) so stale state ages out as the paper requires.
+// overlay copies around. They carry their origin and a content version, so a
+// holder can tell an unchanged summary from a new one with one compare.
 type Summary struct {
 	Schema *record.Schema
 	Cfg    Config
@@ -179,11 +176,8 @@ type Summary struct {
 	// Version identifies the summarized content. FromRecords stamps it
 	// with the ComputeVersion content hash, so two summaries condensing
 	// identical data carry equal versions and an equality check costs one
-	// uint64 compare; the simulator's Touch still bumps it per refresh.
-	// Zero means unstamped (pre-versioning producers).
+	// uint64 compare. Zero means unstamped.
 	Version uint64
-	// Expires is the soft-state deadline; zero time means no expiry.
-	Expires time.Time
 }
 
 // New creates an empty summary for the schema.
@@ -397,7 +391,7 @@ func (sum *Summary) MatchEq(i int, v string) bool {
 
 // ComputeVersion hashes the summarized content (record count, histogram
 // buckets, value sets, Bloom bitsets, and the policy revision when there is
-// one — not origin or expiry metadata) into
+// one — not origin metadata) into
 // Version and returns it. Two summaries condensing identical data hash
 // identically, so downstream equality checks — "does my parent already
 // hold this branch?" — cost one uint64 compare instead of a bucket-wise
@@ -460,19 +454,6 @@ func (sum *Summary) ComputeVersion() uint64 {
 // Empty reports whether the summary condenses zero records.
 func (sum *Summary) Empty() bool { return sum.Records == 0 }
 
-// Expired reports whether the soft state has aged out at time now.
-func (sum *Summary) Expired(now time.Time) bool {
-	return !sum.Expires.IsZero() && now.After(sum.Expires)
-}
-
-// Touch refreshes the soft-state deadline to now+ttl and bumps the version.
-func (sum *Summary) Touch(now time.Time, ttl time.Duration) {
-	sum.Version++
-	if ttl > 0 {
-		sum.Expires = now.Add(ttl)
-	}
-}
-
 // Clone returns a deep copy (used when replicating summaries around the
 // overlay so that in-process simulations do not alias state).
 func (sum *Summary) Clone() *Summary {
@@ -486,7 +467,6 @@ func (sum *Summary) Clone() *Summary {
 		PolicyRev: sum.PolicyRev,
 		Origin:    sum.Origin,
 		Version:   sum.Version,
-		Expires:   sum.Expires,
 	}
 	for i := range sum.Hists {
 		if sum.Hists[i] != nil {
@@ -503,7 +483,7 @@ func (sum *Summary) Clone() *Summary {
 }
 
 // Equal reports whether two summaries condense identical data (ignores
-// origin/version/expiry metadata).
+// origin/version metadata).
 func (sum *Summary) Equal(other *Summary) bool {
 	if other == nil || sum.Records != other.Records || sum.PolicyRev != other.PolicyRev ||
 		len(sum.Hists) != len(other.Hists) {

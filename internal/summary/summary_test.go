@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"roads/internal/record"
 )
@@ -151,26 +150,6 @@ func TestSummaryMergeSchemaMismatch(t *testing.T) {
 	b := MustNew(record.DefaultSchema(8), cfg)
 	if err := a.Merge(b); err == nil {
 		t.Fatal("expected error merging different schema arity")
-	}
-}
-
-func TestSummarySoftState(t *testing.T) {
-	s := mixedSchema()
-	sum := MustNew(s, DefaultConfig())
-	now := time.Unix(1000, 0)
-	sum.Touch(now, time.Minute)
-	if sum.Version != 1 {
-		t.Fatalf("Version = %d; want 1", sum.Version)
-	}
-	if sum.Expired(now.Add(30 * time.Second)) {
-		t.Fatal("should not be expired before TTL")
-	}
-	if !sum.Expired(now.Add(2 * time.Minute)) {
-		t.Fatal("should be expired after TTL")
-	}
-	fresh := MustNew(s, DefaultConfig())
-	if fresh.Expired(now) {
-		t.Fatal("zero-expiry summary never expires")
 	}
 }
 

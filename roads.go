@@ -1,13 +1,9 @@
 package roads
 
 import (
-	"math/rand"
 	"time"
 
-	"roads/internal/coords"
-	"roads/internal/core"
 	"roads/internal/live"
-	"roads/internal/netsim"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
@@ -113,33 +109,6 @@ type SummaryConfig = summary.Config
 // histograms over [0,1]).
 func DefaultSummaryConfig() SummaryConfig { return summary.DefaultConfig() }
 
-// --- Simulated deployments (internal/core) ---
-
-// System is a simulated ROADS deployment with exact byte and latency
-// accounting; it regenerates the paper's figures.
-type System = core.System
-
-// SystemConfig configures a simulated deployment.
-type SystemConfig = core.Config
-
-// SearchResult reports one resolved query.
-type SearchResult = core.SearchResult
-
-// DefaultSystemConfig returns the paper's simulation defaults.
-func DefaultSystemConfig() SystemConfig { return core.DefaultConfig() }
-
-// NewSimulatedSystem creates a deployment over n simulated wide-area hosts
-// (synthesized 5-D delay space seeded from seed). Add servers with
-// System.AddServer(id, hostIndex) for hostIndex < n.
-func NewSimulatedSystem(schema *Schema, cfg SystemConfig, n int, seed int64) (*System, error) {
-	rng := rand.New(rand.NewSource(seed))
-	space, err := coords.NewSpace(n, coords.DefaultConfig(), rng)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSystem(schema, cfg, netsim.New(space))
-}
-
 // --- Live deployments (internal/live) ---
 
 // Server is one live ROADS server (goroutine loops, wire messages).
@@ -210,9 +179,6 @@ type CostModel = store.CostModel
 
 // NewStore creates an indexed store.
 func NewStore(schema *Schema, cost CostModel) *Store { return store.New(schema, cost) }
-
-// ScopeAll searches the entire hierarchy in System.ResolveScoped.
-const ScopeAll = core.ScopeAll
 
 // DefaultTick is a sensible live maintenance period for demos
 // (production deployments would use minutes, per the paper's soft-state

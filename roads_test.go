@@ -1,72 +1,11 @@
 package roads_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"roads"
 )
-
-// TestFacadeSimulated drives the whole public surface through the
-// simulated path: schema, owners, policies, system, query, scope.
-func TestFacadeSimulated(t *testing.T) {
-	schema, err := roads.NewSchema([]roads.Attribute{
-		{Name: "cpu", Kind: roads.Numeric},
-		{Name: "os", Kind: roads.Categorical},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := roads.DefaultSystemConfig()
-	cfg.MaxChildren = 3
-	cfg.Summary.Buckets = 100
-	sys, err := roads.NewSimulatedSystem(schema, cfg, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		id := fmt.Sprintf("org%d", i)
-		if _, err := sys.AddServer(id, i); err != nil {
-			t.Fatal(err)
-		}
-		owner := roads.NewOwner(id+"-owner", schema, nil)
-		r := roads.NewRecord(schema, fmt.Sprintf("m%d", i), id)
-		r.SetNum(0, float64(i)/6)
-		r.SetStr(1, "linux")
-		owner.SetRecords([]*roads.Record{r})
-		if err := sys.AttachOwner(id, owner); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sys.Aggregate(); err != nil {
-		t.Fatal(err)
-	}
-	q := roads.NewQuery("q", roads.Above("cpu", 0.4), roads.Eq("os", "linux"))
-	res, err := sys.ResolveAndRetrieve(q, "org2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 3 { // cpu in {3/6, 4/6, 5/6}
-		t.Fatalf("got %d records; want 3", len(res.Records))
-	}
-	// Parsed query agrees with the built one.
-	pq, err := roads.ParseQuery("pq", "cpu>0.4; os=linux")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := sys.ResolveAndRetrieve(pq, "org2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Records) != len(res.Records) {
-		t.Fatalf("parsed query found %d; built query found %d", len(res2.Records), len(res.Records))
-	}
-	// Scoped search compiles and runs through the facade.
-	if _, err := sys.ResolveScoped(q.Clone(), "org2", roads.ScopeAll); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestFacadeLive drives the live path through the facade: cluster,
 // transport, client, policies.
@@ -114,5 +53,17 @@ func TestFacadeLive(t *testing.T) {
 	}
 	if stats.Contacted == 0 {
 		t.Fatal("no servers contacted")
+	}
+	// A parsed query agrees with the built one.
+	pq, err := roads.ParseQuery("pq", "gpu>0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	precs, _, err := client.Resolve(cl.Servers[1].Addr(), pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(precs) != len(recs) {
+		t.Fatalf("parsed query found %d records; built query found %d", len(precs), len(recs))
 	}
 }
