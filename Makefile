@@ -7,9 +7,9 @@ GO ?= go
 # concurrency-heavy packages (the live protocol stack and the pooled
 # transport), the fault-injection chaos suite, the documentation checks,
 # five seconds of fuzzing the one wire decoder, and the canonical
-# benchmark's own module (which `./...` at the root does not reach). test/race/chaos depend on vet so a vet failure
-# stops the gate before any tests burn time; vet also fails on any file
-# `gofmt -l .` lists.
+# benchmark's own module (which `./...` at the root does not reach).
+# test/examples/race/chaos depend on vet so a vet failure stops the gate
+# before any tests burn time; vet also fails on any file `gofmt -l .` lists.
 tier1: build vet test examples race chaos docs-check fuzz-smoke bench-smoke
 
 build:

@@ -1,12 +1,14 @@
 // Command roads-sim regenerates the paper's simulation figures (3-10),
 // the prototype-benchmark figure (11), and the ablation studies, printing
-// each series as an aligned table.
+// each series as an aligned table, and prints the paper's closed-form
+// analysis (§IV: Eqs. 1-4 and Table I).
 //
 // Usage:
 //
 //	roads-sim -fig 3            # one figure (3,4,5 share a sweep; so do 6,7)
 //	roads-sim -fig all          # everything
 //	roads-sim -fig ablation     # overlay + bucket ablations
+//	roads-sim -fig analysis     # Eqs. 1-4 + Table I, paper and sim presets
 //	roads-sim -runs 3 -queries 100 -nodes 320   # scale knobs
 package main
 
@@ -17,11 +19,12 @@ import (
 	"os"
 	"time"
 
+	"roads/internal/analysis"
 	"roads/internal/experiment"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3|4|5|6|7|8|9|10|11|ablation|churn|all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3|4|5|6|7|8|9|10|11|ablation|churn|analysis|all")
 	runs := flag.Int("runs", 10, "independent runs to average (paper: 10)")
 	queries := flag.Int("queries", 500, "queries per run (paper: 500)")
 	nodes := flag.Int("nodes", 320, "default node count (paper: 320)")
@@ -94,6 +97,23 @@ func emit(s *experiment.Series) error {
 func run(fig string, opt experiment.Options) error {
 	wantNodes := fig == "3" || fig == "4" || fig == "5" || fig == "all"
 	wantDims := fig == "6" || fig == "7" || fig == "all"
+
+	if fig == "analysis" || fig == "all" {
+		// The sim preset is the §V setting at this run's scale: one owner
+		// per server, -nodes of them, -records each, -buckets per histogram.
+		sim := analysis.SimParams()
+		sim.N, sim.NServers = float64(opt.Nodes), float64(opt.Nodes)
+		sim.K, sim.M = float64(opt.RecordsPerNode), float64(opt.Buckets)
+		for _, preset := range []struct {
+			name string
+			p    analysis.Params
+		}{{"paper (Table I setting)", analysis.PaperParams()}, {"sim (§V setting)", sim}} {
+			if err := preset.p.Validate(); err != nil {
+				return err
+			}
+			fmt.Printf("Analysis, %s preset\n%s\n", preset.name, analysis.Report(preset.p))
+		}
+	}
 
 	if wantNodes {
 		res, err := experiment.SweepNodes(opt, nil)
@@ -188,7 +208,7 @@ func run(fig string, opt experiment.Options) error {
 		}
 	}
 	switch fig {
-	case "3", "4", "5", "6", "7", "8", "9", "10", "11", "ablation", "churn", "all":
+	case "3", "4", "5", "6", "7", "8", "9", "10", "11", "ablation", "churn", "analysis", "all":
 		return nil
 	}
 	return fmt.Errorf("unknown -fig %q", fig)

@@ -15,7 +15,6 @@ import (
 	"roads/internal/live"
 	"roads/internal/query"
 	"roads/internal/transport"
-	"roads/internal/wire"
 )
 
 type predList []query.Predicate
@@ -39,7 +38,6 @@ func main() {
 	deadline := flag.Duration("deadline", 10*time.Second, "overall resolve deadline; servers shed work that cannot meet it")
 	retries := flag.Int("retries", 1, "retries per failed server contact before failing over to alternate replica holders")
 	trace := flag.Bool("trace", false, "trace the resolve: print every server contact with its redirect path, per-hop latency, and the server's summary-match decisions")
-	priority := flag.String("priority", "normal", "admission priority class claimed on the wire: low, normal or high (servers may pin a different class per requester)")
 	var preds predList
 	flag.Var(&preds, "q", "predicate attr=lo:hi, attr=value, attr>v or attr<v (repeatable)")
 	flag.Parse()
@@ -86,22 +84,6 @@ func main() {
 	client := live.NewClient(transport.NewTCP(), *requester)
 	client.Retries = *retries
 	client.Trace = *trace
-	// Marks the request wire-v5 even at the default (normal) priority, so
-	// an admission-controlled server sheds an over-budget requester to a
-	// coarse answer instead of the pre-v5 error; old servers still work
-	// via the client's per-address downgrade.
-	client.CacheResults = true
-	switch *priority {
-	case "low":
-		client.Priority = wire.PriorityLow
-	case "normal":
-		client.Priority = wire.PriorityNormal
-	case "high":
-		client.Priority = wire.PriorityHigh
-	default:
-		fmt.Fprintf(os.Stderr, "roadsctl: -priority must be low, normal or high, got %q\n", *priority)
-		os.Exit(2)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *deadline)
 	defer cancel()
 	recs, stats, err := client.ResolveContext(ctx, *server, q)
@@ -113,7 +95,7 @@ func main() {
 	fmt.Printf("matched %d records via %d servers in %v (estimated coverage %.0f%%)\n",
 		len(recs), stats.Contacted, stats.Elapsed.Round(0), 100*stats.Coverage)
 	if stats.Coarse > 0 {
-		fmt.Printf("degraded: %d server(s) shed this query to a coarse summary-only answer (~%.0f matching records estimated); retry later or raise -priority\n",
+		fmt.Printf("degraded: %d server(s) ran out of deadline budget and answered with a coarse summary-only estimate (~%.0f matching records); retry later or raise -deadline\n",
 			stats.Coarse, stats.CoarseEstimate)
 	}
 	if stats.Retried > 0 || stats.FailedOver > 0 {

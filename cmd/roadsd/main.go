@@ -44,12 +44,8 @@ func main() {
 	degree := flag.Int("degree", 8, "max children")
 	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push")
 	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
-	storeShards := flag.Int("store-shards", 0, "store shard count: records hash to shards, each maintaining its own indexes and partial summary (0 = library default)")
-	admissionRate := flag.Float64("admission-rate", 0, "per-requester admission token-bucket refill rate in queries/sec; over-budget requesters are shed to coarse summary-only answers (0 = admission off)")
-	admissionBurst := flag.Int("admission-burst", 0, "per-requester admission token-bucket burst capacity (0 = derive from -admission-rate)")
 	noAdaptive := flag.Bool("no-adaptive", false, "never replan this server's summary resolution: the summaries it builds keep the static -buckets geometry (it still ingests and forwards whatever geometry its peers send)")
 	summaryBudget := flag.Int("summary-budget", 0, "summary byte budget the adaptive planner reallocates within (0 = unbounded)")
-	replanEvery := flag.Int("replan-every", 0, "aggregation rounds between adaptive resolution replans (0 = library default)")
 	condenseAbove := flag.Int("condense-above", 0, "collapse categorical value sets larger than this into dotted-prefix wildcards (0 = off)")
 	var mergeSeeds stringsFlag
 	flag.Var(&mergeSeeds, "merge-seed", "well-known address this server probes for a foreign root while it is a root itself, to detect and merge a split brain (repeatable; the -join seed is remembered automatically)")
@@ -111,12 +107,8 @@ func main() {
 	cfg.AggregateEvery = *tick
 	cfg.ReplicaTTLFloor = *ttlFloor
 	cfg.MergeSeeds = mergeSeeds
-	cfg.StoreShards = *storeShards
-	cfg.AdmissionRate = *admissionRate
-	cfg.AdmissionBurst = *admissionBurst
 	cfg.DisableAdaptiveSummaries = *noAdaptive
 	cfg.SummaryByteBudget = *summaryBudget
-	cfg.ReplanEvery = *replanEvery
 
 	reg := obs.NewRegistry()
 	tr := transport.NewTCP()

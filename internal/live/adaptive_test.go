@@ -16,8 +16,8 @@ import (
 )
 
 // adaptiveCluster builds a parked-loop root with two leaf children over
-// tr, with coarse 8-bucket summaries and a replan every aggregation round
-// so tests drive the feedback loop deterministically via driveRound. The
+// tr, with coarse 8-bucket summaries, so tests drive the feedback loop
+// deterministically via driveRound (a replan every replanEvery rounds). The
 // first child hosts nHot records clustered in a0's lowest 1/16th — narrow
 // queries just above the cluster match the coarse bucket but no records,
 // the exact false-positive shape adaptation exists to kill. The second
@@ -28,7 +28,6 @@ func adaptiveCluster(t *testing.T, tr transport.Transport, nHot int, mut func(id
 	mk := func(id string) *Server {
 		return deltaServerCfg(t, tr, id, schema, func(c *Config) {
 			c.Summary.Buckets = 8
-			c.ReplanEvery = 1
 			if mut != nil {
 				mut(id, c)
 			}
@@ -122,8 +121,8 @@ func TestAdaptiveFeedbackKillsFPDescents(t *testing.T) {
 	}
 
 	// Fold the heat: replan on the hot child, re-export, report up, and
-	// let the root push the refreshed state around.
-	for i := 0; i < 3; i++ {
+	// let the root push the refreshed state around — three replans.
+	for i := 0; i < 3*replanEvery; i++ {
 		driveRound(hot, cold, root)
 		driveRound(root)
 	}
@@ -180,7 +179,7 @@ func TestAdaptiveDisabledStaticBaseline(t *testing.T) {
 		t.Fatal("static baseline must still count false-positive descents")
 	}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 3*replanEvery; i++ {
 		driveRound(hot, cold, root)
 		driveRound(root)
 	}
@@ -228,7 +227,7 @@ func TestAdaptiveChildrenUnderStaticParent(t *testing.T) {
 	rounds(2)
 	// Heat the hot child so its reports carry a real plan.
 	fpQueries(t, tr, root, 12, 0)
-	rounds(3)
+	rounds(3 * replanEvery)
 	if di := hot.AdaptiveInfo(); di.Replans == 0 || di.PlanDeviation == 0 {
 		t.Fatalf("adaptive child never refined: %+v", di)
 	}

@@ -18,9 +18,12 @@ import (
 	"roads/internal/wire"
 )
 
-// DefaultClientCacheBytes is the client result cache's byte budget applied
-// when CacheBytes is zero.
-const DefaultClientCacheBytes = 1 << 20
+// clientCacheBytes is the client result cache's byte budget.
+const clientCacheBytes = 1 << 20
+
+// retryBackoff is the base retry delay, doubled per attempt with ±25% jitter
+// and capped at a second.
+const retryBackoff = 20 * time.Millisecond
 
 // Client resolves queries against a live ROADS deployment by following
 // redirects, querying redirect targets concurrently — up to MaxConcurrent
@@ -44,9 +47,6 @@ type Client struct {
 	// the first attempt) before failing over to alternates. NewClient
 	// sets 1; negative disables retries.
 	Retries int
-	// Backoff is the base retry delay, doubled per attempt with ±25%
-	// jitter (default 20ms, capped at 1s).
-	Backoff time.Duration
 	// Trace enables per-hop query tracing: the client stamps each resolve
 	// with a trace ID, asks every contacted server for its evaluation
 	// trace (wire.TraceInfo), and records each contact as a HopTrace in
@@ -54,19 +54,15 @@ type Client struct {
 	// failover stand-ins spawned for them. Tracing adds a few fields per
 	// hop on the wire and is off by default.
 	Trace bool
-	// Priority is the admission priority class stamped on every contact
-	// (see wire.PriorityNormal/Low/High). Zero claims the normal class.
-	Priority uint8
 	// CacheResults caches each resolve's deduplicated record set keyed by
 	// (entry address, normalized query) together with the entry server's
 	// reply fingerprint. A repeat resolve then sends one revalidation
 	// query carrying the fingerprint: if the entry server answers
 	// NotModified the cached records are returned with zero descent — the
 	// whole repeat costs exactly one RPC. Any fingerprint change falls
-	// back to a full resolve. Off by default.
+	// back to a full resolve. Off by default; the cache holds at most 1 MiB
+	// (clientCacheBytes).
 	CacheResults bool
-	// CacheBytes bounds the client cache (0 = DefaultClientCacheBytes).
-	CacheBytes int64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -134,9 +130,8 @@ type QueryStats struct {
 	// records returned are the cached set and no descent happened.
 	CacheHit bool
 	// Coarse counts contacts that answered with a degraded summary-only
-	// reply (admission control or budget shedding): no records,
-	// only an estimate. CoarseEstimate sums those servers' estimated
-	// match counts.
+	// reply (shed over its deadline budget): no records, only an estimate.
+	// CoarseEstimate sums those servers' estimated match counts.
 	Coarse         int
 	CoarseEstimate float64
 }
@@ -426,7 +421,6 @@ func (r *resolve) call(t target) (rep *wire.Message, attempts int, lastRTT time.
 		dto.TraceID = r.stats.TraceID
 		dto.Path = t.path
 	}
-	dto.Priority = c.Priority
 	if start && c.CacheResults {
 		dto.WantFingerprint = true
 		dto.CacheFingerprint = r.cachedFP
@@ -646,11 +640,7 @@ func (c *Client) cacheStore(key string, records []*record.Record, fp uint64) {
 	for _, r := range records {
 		size += int64(len(r.ID)+len(r.Owner)+48) + int64(len(r.Values))*24
 	}
-	budget := c.CacheBytes
-	if budget <= 0 {
-		budget = DefaultClientCacheBytes
-	}
-	if size > budget {
+	if size > clientCacheBytes {
 		return
 	}
 	c.cacheMu.Lock()
@@ -667,7 +657,7 @@ func (c *Client) cacheStore(key string, records []*record.Record, fp uint64) {
 	e := &clientCacheEntry{key: key, records: records, fp: fp, size: size}
 	c.cacheByKey[key] = c.cacheLRU.PushFront(e)
 	c.cacheBytes += size
-	for c.cacheBytes > budget {
+	for c.cacheBytes > clientCacheBytes {
 		back := c.cacheLRU.Back()
 		if back == nil {
 			break
@@ -694,11 +684,7 @@ func (c *Client) newTraceID() string {
 // backoff sleeps for the attempt's exponential backoff with ±25% jitter;
 // it reports false when ctx expired instead.
 func (c *Client) backoff(ctx context.Context, attempt int) bool {
-	base := c.Backoff
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	d := base << uint(attempt)
+	d := retryBackoff << uint(attempt)
 	if d > time.Second {
 		d = time.Second
 	}

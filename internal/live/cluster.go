@@ -61,18 +61,12 @@ type ClusterConfig struct {
 	// address so severed subtrees always have one well-known root to
 	// rediscover.
 	MergeSeeds []string
-	// DisableAdaptiveSummaries, SummaryByteBudget and ReplanEvery
-	// configure every server's feedback-driven resolution loop (see the
-	// Config fields of the same names); the zero values leave adaptation
-	// on with an unbounded plan budget at the default replan cadence.
+	// DisableAdaptiveSummaries and SummaryByteBudget configure every
+	// server's feedback-driven resolution loop (see the Config fields of the
+	// same names); the zero values leave adaptation on with an unbounded
+	// plan budget.
 	DisableAdaptiveSummaries bool
 	SummaryByteBudget        int
-	ReplanEvery              int
-	// AdmissionRate and AdmissionBurst are handed to every server verbatim
-	// (see the Config fields of the same names). The zero values keep
-	// admission control off.
-	AdmissionRate  float64
-	AdmissionBurst int
 }
 
 // runPool runs fn(i) for every i in [0,n) on at most clusterParallelism
@@ -141,9 +135,6 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		scfg.MergeSeeds = cfg.MergeSeeds
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries
 		scfg.SummaryByteBudget = cfg.SummaryByteBudget
-		scfg.ReplanEvery = cfg.ReplanEvery
-		scfg.AdmissionRate = cfg.AdmissionRate
-		scfg.AdmissionBurst = cfg.AdmissionBurst
 		srv, err := NewServer(scfg, tr)
 		if err != nil {
 			errs[i] = err

@@ -42,15 +42,31 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 // before Start: joins and attached owners ask for early rounds at once.
 func parkEarlyRounds(srv *Server) { srv.earlyAt.Store(math.MaxInt64) }
 
-// unparkEarlyRounds lets srv's next request for an early round run at once.
-// A request made while parked that the loop has not taken yet is dropped
-// first: it would spend the early round on nothing the test did.
-func unparkEarlyRounds(srv *Server) {
-	select {
-	case <-srv.wake:
-	default:
+// unparkEarlyRounds lets each server's next request for an early round run at
+// once. A request made while parked that a loop has not taken yet is dropped
+// first: it would spend the early round on nothing the test did. A request a
+// loop took just before the unpark but had not checked yet still runs, and
+// gates that server for half a period; so servers are unparked again until
+// a settle window passes in which none of them ran an early round.
+func unparkEarlyRounds(servers ...*Server) {
+	const settle = 20 * time.Millisecond
+	for pending := servers; len(pending) > 0; {
+		for _, s := range pending {
+			select {
+			case <-s.wake:
+			default:
+			}
+			s.earlyAt.Store(0)
+		}
+		time.Sleep(settle)
+		var ran []*Server
+		for _, s := range servers {
+			if s.earlyAt.Load() != 0 {
+				ran = append(ran, s)
+			}
+		}
+		pending = ran
 	}
-	srv.earlyAt.Store(0)
 }
 
 func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema) *Server {

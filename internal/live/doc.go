@@ -33,9 +33,9 @@
 //
 // A server keeps no query answers: the one cache of them is the client's
 // (client.go), revalidated by the fingerprint the entry server computes from
-// that snapshot and its live local state (queryFingerprint). In front of the
-// query path a per-requester admission layer (admission.go) sheds over-budget
-// tenants to coarse summary-only answers.
+// that snapshot and its live local state (queryFingerprint). A query whose
+// deadline budget runs out mid-evaluation is shed to a coarse summary-only
+// answer; there is no admission layer in front of the query path.
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
 // tests, examples, the figures and the canonical benchmark.

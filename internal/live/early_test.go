@@ -99,8 +99,8 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	ticks := make([]uint64, len(cl.Servers))
 	for i, s := range cl.Servers {
 		ticks[i] = s.RefreshInfo().Ticks
-		unparkEarlyRounds(s)
 	}
+	unparkEarlyRounds(cl.Servers...)
 	before := earlyRounds(cl)
 
 	leaf := cl.Servers[len(cl.Servers)-1]
@@ -127,9 +127,7 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	t.Logf("a leaf write reached all %d servers in %v, in %d early rounds", len(cl.Servers), took, ran)
 
 	// A forced replan at an interior server, reported by hand.
-	for _, s := range cl.Servers {
-		unparkEarlyRounds(s)
-	}
+	unparkEarlyRounds(cl.Servers...)
 	before = earlyRounds(cl)
 	mid := cl.Servers[5]
 	mid.fpHeat[0].Add(1000)

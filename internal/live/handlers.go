@@ -2,11 +2,13 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
 
 	"roads/internal/policy"
+	"roads/internal/query"
 	"roads/internal/transport"
 	"roads/internal/wire"
 )
@@ -454,19 +456,6 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 		*payload = rep
 		return out
 	}
-
-	// Admission first, before any evaluation work: an over-budget
-	// requester is shed to a coarse summary-only answer. The effective
-	// class is the operator's pinned one when a Classifier is configured —
-	// a requester cannot promote itself past admission by claiming
-	// PriorityHigh.
-	if s.admission != nil {
-		prio := s.cfg.Classifier.ClassFor(msg.Query.Requester, msg.Query.Priority)
-		if !s.admission.admit(msg.Query.Requester, prio) {
-			return wrap(s.coarseReply(snap, q))
-		}
-	}
-
 	overBudget := func() bool {
 		return msg.Query.Budget > 0 && time.Since(began) > msg.Query.Budget
 	}
@@ -568,6 +557,20 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	s.mx.evalLatency.Observe(time.Since(began))
 	s.noteFPDescent(msg.Query, reply)
 	return out
+}
+
+// coarseReply builds the degraded answer a query shed over its deadline budget
+// gets instead of an error: no records or redirects, just the
+// summary-derived match estimate for the whole branch.
+func (s *Server) coarseReply(snap *routingSnapshot, q *query.Query) wire.QueryReply {
+	rep := wire.QueryReply{Coarse: true}
+	if snap.branchSummary != nil {
+		est := q.EstimateMatches(snap.branchSummary)
+		if !math.IsNaN(est) && !math.IsInf(est, 0) {
+			rep.CoarseEstimate = est
+		}
+	}
+	return rep
 }
 
 // newQueryReply returns a query reply message from this server and its

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"roads/internal/policy"
 	"roads/internal/record"
 	"roads/internal/transport"
+	"roads/internal/wire"
 )
 
 // quietTick is a tick long enough that the maintenance loops never
@@ -37,25 +39,6 @@ func TestJoinDeeperThanLegacyHopCap(t *testing.T) {
 	}
 	defer cl.Stop()
 
-	// First prove the topology genuinely needs more than the legacy cap:
-	// a joiner pinned to exactly 256 hops (the old hard-coded limit) must
-	// run out of budget mid-descent.
-	lcfg := DefaultConfig("legacy-joiner", "legacy-joiner", cl.Schema)
-	lcfg.MaxChildren = 1
-	lcfg.AggregateEvery = quietTick
-	lcfg.JoinMaxHops = 256
-	legacy, err := NewServer(lcfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Stop()
-	if err := legacy.Join(cl.Servers[0].Addr()); !errors.Is(err, ErrJoinHopsExhausted) {
-		t.Fatalf("a 256-hop budget must exhaust in a %d-deep chain, got: %v", n, err)
-	}
-
 	scfg := DefaultConfig("deep-joiner", "deep-joiner", cl.Schema)
 	scfg.MaxChildren = 1
 	scfg.AggregateEvery = quietTick
@@ -75,42 +58,49 @@ func TestJoinDeeperThanLegacyHopCap(t *testing.T) {
 	}
 }
 
-// TestJoinExplicitHopCapExhaustion pins the distinct error for a
-// too-small explicit budget: the descent runs out of hops with servers
-// still queued, which is ErrJoinHopsExhausted — not ErrJoinRefused.
-func TestJoinExplicitHopCapExhaustion(t *testing.T) {
-	const n = 12
+// TestJoinCallsEachServerOnce: a descent ends because it calls every address
+// at most once, however the replies point at each other. Twenty-four servers
+// each refuse the join and name all the others as children; Join calls every
+// one of them exactly once and then reports ErrJoinRefused.
+func TestJoinCallsEachServerOnce(t *testing.T) {
+	const n = 24
 	tr := transport.NewChan()
-	cl, err := StartCluster(tr, ClusterConfig{
-		N:           n,
-		Schema:      record.DefaultSchema(2),
-		MaxChildren: 1,
-		JoinVia:     func(i int) int { return i - 1 },
-		Tick:        quietTick,
-	})
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("refuser%02d", i)
+	}
+	calls := make([]atomic.Int32, n)
+	for i, addr := range addrs {
+		var kids []wire.ChildInfo
+		for _, other := range addrs {
+			if other != addr {
+				kids = append(kids, wire.ChildInfo{ID: other, Addr: other, Depth: 1})
+			}
+		}
+		closer, err := tr.Listen(addr, func(msg *wire.Message) *wire.Message {
+			if msg.Kind != wire.KindJoin {
+				return wire.ErrorMessage(addr, fmt.Errorf("unexpected %v", msg.Kind))
+			}
+			calls[i].Add(1)
+			return &wire.Message{Kind: wire.KindJoinReply, From: addr, Addr: addr,
+				JoinReply: &wire.JoinReply{Children: kids}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closer.Close()
+	}
+	srv, err := NewServer(DefaultConfig("joiner", "joiner", record.DefaultSchema(2)), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Stop()
-
-	scfg := DefaultConfig("capped-joiner", "capped-joiner", cl.Schema)
-	scfg.MaxChildren = 1
-	scfg.AggregateEvery = quietTick
-	scfg.JoinMaxHops = 4
-	srv, err := NewServer(scfg, tr)
-	if err != nil {
-		t.Fatal(err)
+	if err := srv.Join(addrs[0]); !errors.Is(err, ErrJoinRefused) {
+		t.Fatalf("want ErrJoinRefused once every server has refused, got: %v", err)
 	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	err = srv.Join(cl.Servers[0].Addr())
-	if !errors.Is(err, ErrJoinHopsExhausted) {
-		t.Fatalf("want ErrJoinHopsExhausted from a 4-hop budget in a %d-chain, got: %v", n, err)
-	}
-	if errors.Is(err, ErrJoinRefused) {
-		t.Fatalf("hop exhaustion must not also read as refusal: %v", err)
+	for i := range calls {
+		if got := calls[i].Load(); got != 1 {
+			t.Errorf("%s was called %d times, want exactly once", addrs[i], got)
+		}
 	}
 }
 
@@ -151,9 +141,6 @@ func TestJoinAllRefusedDistinctError(t *testing.T) {
 	err = cl.Servers[0].Join(tail.Addr())
 	if !errors.Is(err, ErrJoinRefused) {
 		t.Fatalf("want ErrJoinRefused when every candidate trips loop avoidance, got: %v", err)
-	}
-	if errors.Is(err, ErrJoinHopsExhausted) {
-		t.Fatalf("refusal must not also read as hop exhaustion: %v", err)
 	}
 }
 

@@ -128,7 +128,7 @@ func (s *Server) refresh(early bool) {
 	defer s.refreshMu.Unlock()
 	if !early {
 		round := s.aggRound.Add(1)
-		if s.planner != nil && round%s.cfg.replanEvery() == 0 {
+		if s.planner != nil && round%replanEvery == 0 {
 			s.replanLocked()
 		}
 	}

@@ -105,29 +105,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		replans: reg.Counter("roads_summary_replans_total",
 			"Adaptive replans that changed the installed summary geometry (plans identical to the current one do not count)."),
 	}
-	reg.CounterFunc("roads_admission_admitted_total",
-		"Queries the admission layer let through (PriorityHigh always; others while their token bucket holds).",
-		func() uint64 {
-			if a := s.admission; a != nil {
-				return a.admitted.Load()
-			}
-			return 0
-		})
-	reg.CounterFunc("roads_admission_shed_total",
-		"Queries shed to coarse summary-only answers because the requester was over its admission budget.",
-		func() uint64 {
-			if a := s.admission; a != nil {
-				return a.shed.Load()
-			}
-			return 0
-		})
-	reg.GaugeFunc("roads_admission_requesters",
-		"Requester identities holding a token bucket of their own (bounded; the rest share the anonymous bucket).", func() float64 {
-			if a := s.admission; a != nil {
-				return float64(a.requesters())
-			}
-			return 0
-		})
 	reg.CounterFunc("roads_store_shard_rebuilds_total",
 		"Store shard partial-summary rebuilds — the single-shard fallback taken when removals made a shard's partial stale (Bloom mode or the tracked-deletion threshold) or it was never built.",
 		func() uint64 { return s.store.Stats().ShardRebuilds })
@@ -137,10 +114,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	reg.CounterFunc("roads_summary_exports_cached_total",
 		"Store summary exports served entirely from the merged cache because the store epoch had not moved.",
 		func() uint64 { return s.store.Stats().ExportsCached })
-	reg.GaugeFunc("roads_store_shards",
-		"Configured store shard count.", func() float64 {
-			return float64(s.store.NumShards())
-		})
 	reg.GaugeFunc("roads_children",
 		"Current child count.", func() float64 {
 			return float64(len(s.snap.Load().children))

@@ -28,14 +28,6 @@ type Config struct {
 	Summary summary.Config
 	// MaxChildren caps the hierarchy degree.
 	MaxChildren int
-	// JoinMaxHops caps how many servers one Join descent may visit. Zero
-	// (the default) derives the cap from the discovered frontier: the
-	// budget grows as the descent uncovers more of the topology, so joins
-	// into arbitrarily deep or wide hierarchies never spuriously exhaust
-	// it while genuine redirect cycles still terminate. Set a positive
-	// value to bound join cost explicitly (e.g. latency-sensitive rejoin
-	// paths that would rather fail fast than walk a thousand servers).
-	JoinMaxHops int
 	// AggregateEvery is the one maintenance period (the paper's t_s): every
 	// period a server refreshes its summaries, reports to its parent — the
 	// exchange that is also the liveness signal in both directions — and
@@ -70,37 +62,12 @@ type Config struct {
 	// from the coldest attributes when over. Zero leaves the plan
 	// unbounded (every attribute may climb to the ladder ceiling).
 	SummaryByteBudget int
-	// ReplanEvery is the adaptive replan cadence in aggregation ticks:
-	// every Nth refresh folds the accumulated false-positive heat into
-	// the planner and installs the resulting geometry. Zero uses
-	// DefaultReplanEvery.
-	ReplanEvery int
 	// Metrics is the obs registry the server's named series register into
 	// (roadsd passes one shared registry per process and serves it at
 	// /metrics). Nil gives the server a private registry: series are
 	// label-free, so two servers sharing a registry would collide on
 	// names — and tests and simulations run many servers per process.
 	Metrics *obs.Registry
-	// StoreShards is the server store's shard count. Records hash to
-	// shards by ID; each shard keeps its own lock, indexes and an
-	// incrementally maintained partial summary, so store churn
-	// re-summarizes touched shards instead of rebuilding the whole store's
-	// summary. Zero uses store.DefaultShards.
-	StoreShards int
-	// AdmissionRate is the per-requester admission budget in queries per
-	// second. Zero disables admission control entirely. Requesters over
-	// budget are shed to a coarse summary-only answer; PriorityHigh is
-	// never shed.
-	AdmissionRate float64
-	// AdmissionBurst is the token-bucket depth (how many queries a
-	// requester may burst above the sustained rate). Zero derives
-	// 2×AdmissionRate, floored at 1.
-	AdmissionBurst int
-	// Classifier optionally pins requester identities to priority classes
-	// server-side, overriding the priority their queries claim — the
-	// serving site keeps final control over scheduling just as owners keep
-	// it over answers. Nil trusts the wire priority.
-	Classifier *policy.Classifier
 }
 
 // DefaultConfig returns test-friendly defaults for the given identity.
@@ -143,12 +110,11 @@ type CacheInfo struct{ Hits, Misses, Evictions, Invalidations uint64 }
 // CacheInfo returns the zero value; see the type.
 func (s *Server) CacheInfo() CacheInfo { return CacheInfo{} }
 
-// DefaultReplanEvery is the adaptive replan cadence applied when
-// Config.ReplanEvery is zero: the planner re-evaluates the false-positive
-// heat every 4 aggregation ticks — slow enough that heat accumulates into
-// a signal, fast enough that a hot attribute refines within a few refresh
-// periods.
-const DefaultReplanEvery = 4
+// replanEvery is the adaptive replan cadence: the planner re-evaluates the
+// false-positive heat every 4 aggregation ticks — slow enough that heat
+// accumulates into a signal, fast enough that a hot attribute refines within
+// a few refresh periods.
+const replanEvery = 4
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -164,36 +130,16 @@ func (c Config) Validate() error {
 	if c.MaxChildren <= 0 {
 		return fmt.Errorf("live: MaxChildren must be positive")
 	}
-	if c.JoinMaxHops < 0 {
-		return fmt.Errorf("live: JoinMaxHops must not be negative")
-	}
 	if c.AggregateEvery <= 0 {
 		return fmt.Errorf("live: AggregateEvery must be positive")
 	}
 	if c.ReplicaTTLFloor < 0 {
 		return fmt.Errorf("live: ReplicaTTLFloor must not be negative")
 	}
-	if c.AdmissionRate < 0 {
-		return fmt.Errorf("live: AdmissionRate must not be negative")
-	}
-	if c.AdmissionBurst < 0 {
-		return fmt.Errorf("live: AdmissionBurst must not be negative")
-	}
 	if c.SummaryByteBudget < 0 {
 		return fmt.Errorf("live: SummaryByteBudget must not be negative")
 	}
-	if c.ReplanEvery < 0 {
-		return fmt.Errorf("live: ReplanEvery must not be negative")
-	}
 	return nil
-}
-
-// replanEvery returns the configured replan cadence, defaulted.
-func (c Config) replanEvery() uint64 {
-	if c.ReplanEvery > 0 {
-		return uint64(c.ReplanEvery)
-	}
-	return DefaultReplanEvery
 }
 
 // replicaTTLFloor returns the configured floor, defaulted.
@@ -427,11 +373,6 @@ type Server struct {
 	// publishSnapshotLocked while holding s.mu.
 	snap atomic.Pointer[routingSnapshot]
 
-	// admission is the per-requester token-bucket layer (nil when
-	// disabled). It is built in NewServer before the first snapshot publish
-	// and never replaced, so the handlers read it without synchronization.
-	admission *admission
-
 	// mx holds the operational counters (monotone since startup) as named
 	// obs series. The counters are atomics, not mutex-guarded fields: the
 	// query hot path bumps them without touching s.mu, and a /metrics
@@ -461,7 +402,7 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := store.NewWithOptions(cfg.Schema, store.CostModel{}, store.Options{Shards: cfg.StoreShards})
+	st := store.New(cfg.Schema, store.CostModel{})
 	// The refresh exports the store summary as a merge of per-shard
 	// partials maintained on write (see refreshSummaries).
 	if err := st.EnableSummaries(cfg.Summary); err != nil {
@@ -477,7 +418,6 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		ownerCache:   make(map[*policy.Owner]ownerCacheEntry),
 		exported:     make(map[*policy.Owner]map[string]*record.Record),
 		wake:         make(chan struct{}, 1),
-		admission:    newAdmission(cfg.AdmissionRate, cfg.AdmissionBurst),
 		stop:         make(chan struct{}),
 		startTime:    time.Now(),
 	}
@@ -650,60 +590,23 @@ func (s *Server) shutdown(graceful bool) {
 	}
 }
 
-// Join errors, distinguishable with errors.Is. They separate the two ways
-// a descent can end without a parent: the hop budget ran out while
-// unexplored branches remained (a topology-vs-Config.JoinMaxHops problem —
-// the join might have succeeded with a bigger budget), and the frontier
-// genuinely drained (every reachable server refused or was unreachable —
-// more budget would not have helped).
-var (
-	// ErrJoinHopsExhausted reports a Join that hit its hop cap with
-	// candidate servers still unexplored.
-	ErrJoinHopsExhausted = errors.New("join hop budget exhausted")
-	// ErrJoinRefused reports a Join whose every discovered candidate
-	// refused the join or was unreachable.
-	ErrJoinRefused = errors.New("no server accepted the join")
-)
-
-// defaultJoinHopFloor is the minimum derived hop budget when
-// Config.JoinMaxHops is zero. The derived budget scales with the
-// discovered topology beyond this floor.
-const defaultJoinHopFloor = 256
-
-// joinHopBudget returns how many descent hops a Join may burn given how
-// many addresses it has discovered so far (visited plus still-queued). An
-// explicit Config.JoinMaxHops wins outright; the default budget is twice
-// the discovered count (every discovered server may be visited once and
-// skipped once as a queued duplicate), floored at defaultJoinHopFloor —
-// so the budget grows with the topology the descent uncovers and a
-// thousand-server tree of full or refusing branches can be walked end to
-// end, while a redirect cycle (stale child lists pointing at each other)
-// still terminates instead of spinning forever.
-func (s *Server) joinHopBudget(discovered int) int {
-	if s.cfg.JoinMaxHops > 0 {
-		return s.cfg.JoinMaxHops
-	}
-	budget := 2 * discovered
-	if budget < defaultJoinHopFloor {
-		budget = defaultJoinHopFloor
-	}
-	return budget
-}
+// ErrJoinRefused reports a Join whose every discovered candidate refused the
+// join or was unreachable; distinguishable with errors.Is.
+var ErrJoinRefused = errors.New("no server accepted the join")
 
 // Join attaches the server under the hierarchy reachable at seedAddr,
 // descending per the paper: query the contact, follow the least-depth
 // child branch until someone accepts, backtracking into other branches if
-// a descent dead-ends (server gone or all refusing).
+// a descent dead-ends (server gone or all refusing). Every address is
+// called at most once, so the descent ends after as many calls as it
+// discovers servers, however deep the tree or however stale child lists
+// point back at each other.
 func (s *Server) Join(seedAddr string) error {
 	tried := make(map[string]bool)
 	frontier := []string{seedAddr}
 	var lastErr error
 	refused, unreachable := 0, 0
-	for hops := 0; len(frontier) > 0; hops++ {
-		if budget := s.joinHopBudget(len(tried) + len(frontier)); hops >= budget {
-			return fmt.Errorf("live: %w after %d hops (%d servers visited, %d still queued; raise Config.JoinMaxHops)",
-				ErrJoinHopsExhausted, hops, len(tried), len(frontier))
-		}
+	for len(frontier) > 0 {
 		addr := frontier[0]
 		frontier = frontier[1:]
 		if tried[addr] || addr == s.cfg.Addr {
@@ -774,8 +677,7 @@ func (s *Server) Join(seedAddr string) error {
 		frontier = append(next, frontier...)
 	}
 	// Frontier drained: every discovered server was tried and none
-	// accepted. Unlike a hop-budget exhaustion this is final — there is
-	// nothing left to explore.
+	// accepted.
 	if lastErr != nil {
 		return fmt.Errorf("live: %w (%d refused, %d unreachable): last error: %v",
 			ErrJoinRefused, refused, unreachable, lastErr)

@@ -153,9 +153,6 @@ func NewWithOptions(schema *record.Schema, cost CostModel, opts Options) *Store 
 // Schema returns the store's schema.
 func (st *Store) Schema() *record.Schema { return st.schema }
 
-// NumShards returns the shard count.
-func (st *Store) NumShards() int { return len(st.shards) }
-
 // fnv32a is FNV-1a over the record ID; inlined so per-record shard routing
 // allocates nothing.
 func fnv32a(s string) uint32 {

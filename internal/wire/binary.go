@@ -13,14 +13,14 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 12 because eleven layouts came before it (the git history
-// and EXPERIMENTS.md have them); 1–11 are rejected like any other byte.
-// Version 12 is version 11 with an urgent bit in the summary report's
-// presence byte and in a full replica entry's flags; no frame that carries no
-// summary changed by a byte. Version 11 wrote histogram bucket counts as
-// uvarints instead of four-byte words and gave a replica push one summary
-// instead of a branch and a local one; queries and replies are laid out as in
-// version 10.
+// The version is 13 because twelve layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–12 are rejected like any other byte.
+// Version 13 is version 12 without the query's priority byte, which went with
+// admission control; no other frame changed. Version 12 added an urgent bit
+// to the summary report's presence byte and to a full replica entry's flags.
+// Version 11 wrote histogram bucket counts as uvarints instead of four-byte
+// words and gave a replica push one summary instead of a branch and a local
+// one.
 
 import (
 	"encoding/binary"
@@ -38,7 +38,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 12
+	binVersion = 13
 	// Version is binVersion for other packages: the documents name it, and
 	// cmd/docscheck holds them to it.
 	Version = binVersion
@@ -666,7 +666,6 @@ func appendQuery(b []byte, q *QueryDTO) []byte {
 	b = appendString(b, q.TraceID)
 	b = appendBool(b, q.Trace)
 	b = appendStrings(b, q.Path)
-	b = append(b, q.Priority)
 	b = appendUvarint(b, q.CacheFingerprint)
 	return appendBool(b, q.WantFingerprint)
 }
@@ -693,7 +692,6 @@ func readQuery(r *binReader, q *QueryDTO) {
 	q.TraceID = r.str()
 	q.Trace = r.bool()
 	q.Path = readStrings(r)
-	q.Priority = r.u8()
 	q.CacheFingerprint = r.uvarint()
 	q.WantFingerprint = r.bool()
 }

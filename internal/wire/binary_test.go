@@ -152,14 +152,14 @@ func sampleMessages(tb testing.TB) []*Message {
 			},
 			TraceID: "74ace5f00d15c0de", Trace: true, Path: []string{"root", "mid"},
 		}},
-		// Priority class and client-cache revalidation.
+		// Client-cache fingerprint request and revalidation.
 		{Kind: KindQuery, From: "cli", Addr: "ca", Query: &QueryDTO{
 			ID: "q2", Requester: "tenant-a", Start: true, Scope: -1,
-			Priority: PriorityHigh, WantFingerprint: true,
+			WantFingerprint: true,
 		}},
 		{Kind: KindQuery, From: "cli", Query: &QueryDTO{
 			ID: "q3", Requester: "tenant-b", Scope: 2,
-			Priority: PriorityLow, CacheFingerprint: 0xdeadbeef,
+			CacheFingerprint: 0xdeadbeef,
 		}},
 		{Kind: KindQueryReply, From: "n6", QueryRep: &QueryReply{
 			Records: []RecordDTO{
@@ -288,7 +288,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

@@ -25,9 +25,10 @@ var goldenSummary = []byte{
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
 // maintenance frames — the digest batch, the tag-only entry of a list batch,
 // the version-only report with its ancestry hash and the report ack with and
-// without ancestry — of a summary's header, and of where the urgent bit sits
-// on a full report and a full entry, so a layout change cannot go in without
-// this table (and binVersion) changing in the same commit.
+// without ancestry — of a summary's header, of where the urgent bit sits
+// on a full report and a full entry, and of a query's fields in order, so a
+// layout change cannot go in without this table (and binVersion) changing in
+// the same commit.
 func TestBinaryGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -159,6 +160,22 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				1, 1, 'a', // PathAddrs
 				1, 1, 's', 1, 'b', 0, 0, // Siblings: ID, Addr, Records, no alternates
 				1, // Epoch
+			)},
+		{"query, no priority byte between the path and the fingerprint",
+			&Message{Kind: KindQuery, From: "p", Query: &QueryDTO{
+				ID: "q", Requester: "r", Start: true, Scope: -1, Budget: 2, WantFingerprint: true}},
+			append(envelope(KindQuery, hasQuery),
+				1, 'q', // ID
+				1, 'r', // Requester
+				1,    // Start
+				1,    // Scope -1, zigzag
+				4,    // Budget 2ns, zigzag
+				0,    // no predicates
+				0, 0, // TraceID, Trace
+				0, // no path
+				0, // CacheFingerprint
+				1, // WantFingerprint
+				0, // Epoch
 			)},
 	} {
 		got, err := Encode(tc.msg)

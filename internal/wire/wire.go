@@ -315,20 +315,6 @@ type ReplicaBatch struct {
 // evaluation (depth ≤ 5) ever produces.
 const MaxTracePath = 32
 
-// Priority classes a query may carry. The zero value is the default class.
-const (
-	// PriorityNormal is the default class: admitted while the
-	// requester's token bucket has budget, shed to a coarse answer under
-	// overload.
-	PriorityNormal uint8 = 0
-	// PriorityLow marks background/batch traffic: first to be shed to
-	// coarse answers when a server is overloaded.
-	PriorityLow uint8 = 1
-	// PriorityHigh marks interactive/operator traffic: never shed by
-	// admission control (deadline shedding still applies).
-	PriorityHigh uint8 = 2
-)
-
 // QueryDTO is the wire form of a query.
 type QueryDTO struct {
 	ID        string
@@ -360,10 +346,6 @@ type QueryDTO struct {
 	// routed through to reach the receiver, oldest first (the redirect
 	// chain from the start server). Capped at MaxTracePath entries.
 	Path []string
-	// Priority is the requester's priority class (see the Priority*
-	// constants). Admission control never sheds PriorityHigh; PriorityLow
-	// goes first.
-	Priority uint8
 	// CacheFingerprint revalidates a client-cached resolve: the
 	// fingerprint the client got with its last full answer from this
 	// server. When it still matches the server's current routing state the
@@ -418,8 +400,8 @@ type QueryReply struct {
 	// Trace carries the server's evaluation detail when the query asked
 	// for it (QueryDTO.Trace); nil otherwise.
 	Trace *TraceInfo
-	// Coarse marks a degraded summary-only answer: admission control or
-	// budget exhaustion shed the evaluation, so the reply carries no
+	// Coarse marks a degraded summary-only answer: the query's deadline
+	// budget ran out and the evaluation was shed, so the reply carries no
 	// records or redirects — only CoarseEstimate. Clients must not treat a
 	// coarse answer as "no matches"; it means "not evaluated, roughly this
 	// many matches exist".
