@@ -675,9 +675,6 @@ func (c *Client) cacheStore(key string, records []*record.Record, fp uint64) {
 func (c *Client) newTraceID() string {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
-	if c.rng == nil { // zero-valued Client (not via NewClient)
-		c.rng = rand.New(rand.NewSource(1))
-	}
 	return fmt.Sprintf("%016x", c.rng.Uint64())
 }
 
@@ -689,9 +686,6 @@ func (c *Client) backoff(ctx context.Context, attempt int) bool {
 		d = time.Second
 	}
 	c.rngMu.Lock()
-	if c.rng == nil { // zero-valued Client (not via NewClient)
-		c.rng = rand.New(rand.NewSource(1))
-	}
 	d = time.Duration(float64(d) * (0.75 + 0.5*c.rng.Float64()))
 	c.rngMu.Unlock()
 	timer := time.NewTimer(d)

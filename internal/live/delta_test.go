@@ -422,13 +422,17 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 }
 
 // TestDeltaRefreshSkipsUnchanged pins the incremental-refresh contract: a
-// tick with no store mutation, no owner generation bump and no child change
-// skips the rebuild entirely, and any of those changes un-skips it.
+// tick with no owner write and no child change skips the rebuild entirely,
+// and a write to an owner of either mode un-skips it.
 func TestDeltaRefreshSkipsUnchanged(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
 	srv := deltaServer(t, tr, "solo", schema)
 	o := attachDeltaOwner(t, srv, schema, 10)
+	trusted := policy.NewOwner("trusted", schema, policy.NewPolicy(policy.ExportRecords))
+	if err := srv.AttachOwner(trusted); err != nil {
+		t.Fatal(err)
+	}
 
 	srv.refreshSummaries() // absorbs the owner attached after Start
 	srv.refreshSummaries() // sees no change
@@ -456,14 +460,11 @@ func TestDeltaRefreshSkipsUnchanged(t *testing.T) {
 		t.Fatalf("second unchanged refresh skipped %d rebuilds total; want 2", got)
 	}
 
-	// Store mutation un-skips: the epoch moved.
-	r := record.New(schema, "direct-1", "direct")
-	r.SetNum(0, 0.5)
-	r.SetNum(1, 0.5)
-	srv.store.Add(r)
+	// A records-mode owner's write un-skips: its export moved.
+	trusted.AddRecords(deltaRecords(schema, "trusted", 1)...)
 	srv.refreshSummaries()
 	if got := srv.mx.rebuildsSkipped.Load(); got != 2 {
-		t.Fatal("refresh after a store mutation must rebuild")
+		t.Fatal("refresh after a records-mode owner's write must rebuild")
 	}
 	if got := srv.BranchRecords(); got != 12 {
 		t.Fatalf("rebuilt branch covers %d records; want 12", got)

@@ -27,9 +27,10 @@
 //   - the routing snapshot (snapshot.go): an immutable copy-on-write view
 //     of owners, children and replicas, republished by every write path and
 //     read with one atomic load;
-//   - the owner export cache (loops.go): per-owner summaries keyed by
-//     record-set generation and view revision, so refresh ticks skip
-//     unchanged owners.
+//   - the owner export cache (policy.Owner.ExportSummary): each owner hands
+//     back the same summary pointer until its records, views or the
+//     requested geometry change, so refresh ticks skip unchanged owners.
+//     The server keeps no copy of any owner's records or summary.
 //
 // A server keeps no query answers: the one cache of them is the client's
 // (client.go), revalidated by the fingerprint the entry server computes from

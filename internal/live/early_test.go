@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -288,40 +287,4 @@ func TestRecordsModeOwnerWritesReachTheFederation(t *testing.T) {
 		}
 	}
 	t.Fatalf("the federation answers %v two seconds after the owner replaced r1 with r2; want [r2-r0]", ids)
-}
-
-// TestRecordsModeStoreFollowsConcurrentWrites: writers racing on one
-// records-mode owner leave the server's store holding exactly the owner's
-// records.
-func TestRecordsModeStoreFollowsConcurrentWrites(t *testing.T) {
-	schema := record.DefaultSchema(2)
-	srv := deltaServer(t, transport.NewChan(), "s", schema)
-	o := policy.NewOwner("trusted", schema, policy.NewPolicy(policy.ExportRecords))
-	if err := srv.AttachOwner(o); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				recs := deltaRecords(schema, fmt.Sprintf("w%d-%d", w, i), 2)
-				o.AddRecords(recs...)
-				o.RemoveRecords(recs[0].ID)
-			}
-		}(w)
-	}
-	wg.Wait()
-	ids := func(recs []*record.Record) []string {
-		out := make([]string, len(recs))
-		for i, r := range recs {
-			out[i] = r.ID
-		}
-		slices.Sort(out)
-		return out
-	}
-	if got, want := ids(srv.store.Records()), ids(o.Records()); len(want) != 200 || !slices.Equal(got, want) {
-		t.Fatalf("the store holds %d records, the owner %d; want the owner's 200, the same", len(got), len(want))
-	}
 }

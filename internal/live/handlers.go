@@ -9,6 +9,7 @@ import (
 
 	"roads/internal/policy"
 	"roads/internal/query"
+	"roads/internal/record"
 	"roads/internal/transport"
 	"roads/internal/wire"
 )
@@ -438,9 +439,9 @@ func (s *Server) noteFPDescent(q *wire.QueryDTO, rep *wire.QueryReply) {
 // snapshot pins a consistent view of owners, children and replicas for the
 // whole evaluation, and the counters are atomics. Concurrent joins, reports
 // and replica pushes publish fresh snapshots without ever blocking a query.
-// The locks that remain are the data's own: each summary-mode owner's answer
-// takes its store's snapMu (Store.Records) and its policy's RWMutex, and the
-// trusted store's shard read-locks are taken only when it holds records.
+// The locks that remain are the data's own: each owner's answer takes its
+// store's snapMu (Store.Records), and a summary-mode owner's its policy's
+// RWMutex too.
 func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	if msg.Query == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: query without payload"))
@@ -486,25 +487,18 @@ func (s *Server) handleQuery(msg *wire.Message) *wire.Message {
 	// touches these.
 	var matchedChildren, matchedReplicas []string
 
-	// Local matches: the trusted store plus each summary-mode owner's
-	// policy-filtered answer (the "final control" step).
-	if s.store.Len() > 0 {
-		sres, err := s.store.Search(q)
-		if err != nil {
-			return wire.ErrorMessage(s.cfg.ID, err)
-		}
-		reply.Records = wire.AppendRecords(reply.Records, sres.Records)
-		if overBudget() {
-			return shed()
-		}
-	}
+	// Local matches: every record of a records-mode owner that matches (the
+	// owner handed its records to this server, views and all), and each
+	// summary-mode owner's policy-filtered answer (the "final control" step).
 	for _, o := range snap.owners {
-		if o.Policy.Mode != policy.ExportSummary {
-			continue // records-mode owners answer via the store
-		}
-		ans, err := o.Answer(q)
-		if err != nil {
-			return wire.ErrorMessage(s.cfg.ID, err)
+		var ans []*record.Record
+		if o.Policy.Mode == policy.ExportRecords {
+			ans = q.Filter(o.Records())
+		} else {
+			var err error
+			if ans, err = o.Answer(q); err != nil {
+				return wire.ErrorMessage(s.cfg.ID, err)
+			}
 		}
 		reply.Records = wire.AppendRecords(reply.Records, ans)
 		if overBudget() {

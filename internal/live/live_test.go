@@ -176,7 +176,10 @@ func TestVoluntarySharingOverWire(t *testing.T) {
 	}
 }
 
-func TestTrustedExportServedFromStore(t *testing.T) {
+// TestRecordsModeAnswersIgnoreViews: a records-mode owner handed its records
+// to the server, so its answer is every matching record whatever its views
+// say, while a summary-mode owner beside it keeps final control.
+func TestRecordsModeAnswersIgnoreViews(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
 	cl, err := StartCluster(tr, ClusterConfig{N: 2, Schema: schema, MaxChildren: 4})
@@ -185,25 +188,34 @@ func TestTrustedExportServedFromStore(t *testing.T) {
 	}
 	defer cl.Stop()
 
-	o := policy.NewOwner("own", schema, policy.NewPolicy(policy.ExportRecords))
-	r := record.New(schema, "r1", "own")
-	r.SetNum(0, 0.7)
-	r.SetNum(1, 0.7)
-	o.SetRecords([]*record.Record{r})
-	if err := cl.AttachOwner(1, o); err != nil {
+	denyAll := policy.View{Name: "deny", Filter: func(*record.Record) bool { return false }}
+	trustedPol := policy.NewPolicy(policy.ExportRecords)
+	trustedPol.DefaultView = denyAll
+	trusted := policy.NewOwner("trusted", schema, trustedPol)
+	trusted.SetRecords(deltaRecords(schema, "trusted", 2))
+	privatePol := policy.NewPolicy(policy.ExportSummary)
+	privatePol.DefaultView = denyAll
+	private := policy.NewOwner("private", schema, privatePol)
+	private.SetRecords(deltaRecords(schema, "private", 2))
+	for _, o := range []*policy.Owner{trusted, private} {
+		if err := cl.AttachOwner(1, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.WaitConverged(4, convergeTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WaitConverged(1, convergeTimeout); err != nil {
-		t.Fatal(err)
-	}
-	client := NewClient(tr, "any")
-	q := query.New("q", query.NewRange("a0", 0.6, 0.8))
-	recs, _, err := client.Resolve(cl.Servers[0].Addr(), q)
+	recs, _, err := NewClient(tr, "any").Resolve(cl.Servers[0].Addr(), matchAllQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].ID != "r1" {
-		t.Fatalf("got %v; want the trusted record once", recs)
+	var ids []string
+	for _, r := range recs {
+		ids = append(ids, r.ID)
+	}
+	slices.Sort(ids)
+	if want := []string{"trusted-r0", "trusted-r1"}; !slices.Equal(ids, want) {
+		t.Fatalf("resolved %v; want every record of the records-mode owner, %v, and none of the summary-mode owner's", ids, want)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
-	"roads/internal/policy"
 	"roads/internal/summary"
 	"roads/internal/wire"
 )
@@ -95,25 +93,20 @@ func (s *Server) round(early bool) {
 	}
 }
 
-// exportWorkers bounds the concurrent owner exports one refresh runs:
-// exports are independent CPU-bound FromRecords builds, but one refresh
-// must not commandeer the whole machine.
-const exportWorkers = 4
-
-// refreshSummaries rebuilds the local summary (store + owners) and the
-// branch summary (local + children). Failures never abort serving — the
-// previous summaries stay published — but they are counted
+// refreshSummaries rebuilds the local summary (the attached owners' exports)
+// and the branch summary (local + children). Failures never abort serving —
+// the previous summaries stay published — but they are counted
 // (Status.SummaryErrors) and logged on each OK→failing transition, because
 // a silently skipped refresh means the advertised state is going stale
 // while queries still succeed.
 //
-// The rebuild is change-driven: the store caches its own export against its
-// mutation epoch, each owner's export is cached against the owner's
-// record-set generation and view revision, and the branch re-merge is
-// skipped while neither the local content hash nor the child epoch moved —
-// so a steady-state tick costs a few counter reads instead of
-// O(records × attributes) work. Owners that did change
-// re-export concurrently on a bounded worker pool.
+// The rebuild is change-driven: each owner caches its own export and hands
+// back the same pointer until its records, its views or the requested
+// geometry change, the local rebuild is skipped while every pointer matches
+// the last merged one, and the branch re-merge is skipped while neither the
+// local content hash nor the child epoch moved — so a steady-state tick costs
+// a mutex and a few counter reads per owner instead of
+// O(records × attributes) work.
 //
 // A local summary rebuilt after an owner's write signal is urgent content,
 // and so is a branch rebuilt from it or from an urgent child branch. An
@@ -137,116 +130,48 @@ func (s *Server) refresh(early bool) {
 	writes := s.writes.Load()
 	wrote := writes != s.seenWrites
 	s.seenWrites = writes
-	failed := false
 
-	// Store part: the store hands back the summary it last merged until its
-	// mutation epoch moves (or a replan re-keys its geometry), so a new
-	// pointer is what "changed" means. A re-export is a merge of per-shard
-	// partial summaries maintained on write, so even a changed tick costs
-	// the shards touched since the last export, not O(records × attributes).
-	sum, err := s.store.ExportSummary()
-	if err != nil {
-		s.noteSummaryError(err)
-		return
-	}
-	storeFresh := sum != s.storeSummary
-	s.storeSummary = sum
-
-	// Owner part: reuse cached exports for unchanged owners; re-export
-	// the rest (concurrently when several changed at once).
-	s.mu.Lock()
-	owners := append([]*policy.Owner(nil), s.owners...)
-	s.mu.Unlock()
-	exports := make([]*summary.Summary, len(owners)) // cached or fresh, nil = skip
-	gens := make([]uint64, len(owners))
-	errs := make([]error, len(owners))
-	fresh := make([]bool, len(owners))
-	var need []int
-	for i, o := range owners {
-		if o.Policy.Mode != policy.ExportSummary {
-			continue // records-mode data already sits in the store
-		}
-		if e, ok := s.ownerCache[o]; ok && e.gen == o.Generation() && e.sum.PolicyRev == o.Policy.Rev() {
-			exports[i] = e.sum
-			continue
-		}
-		need = append(need, i)
-	}
 	// Owners export in the current adaptive geometry (curCfg is refresh
 	// state, stable while refreshMu is held; it equals Config.Summary when
-	// adaptation is off or the plan is at base).
-	curCfg := s.curCfg
-	export := func(i int) {
-		o := owners[i]
-		// Generation before export: a mutation landing between the two
-		// makes the cached summary newer than its generation claims, so
-		// the next tick re-exports — never the stale direction.
-		gens[i] = o.Generation()
-		exports[i], errs[i] = o.ExportSummary(curCfg)
-		fresh[i] = true
-	}
-	if len(need) > 1 {
-		workers := exportWorkers
-		if workers > len(need) {
-			workers = len(need)
+	// adaptation is off or the plan is at base). A failed export is left out
+	// (nil): a partial summary beats a stale one.
+	s.mu.Lock()
+	owners := s.owners
+	s.mu.Unlock()
+	exports := make([]*summary.Summary, len(owners))
+	failed := false
+	for i, o := range owners {
+		sum, err := o.ExportSummary(s.curCfg)
+		if err != nil {
+			s.noteSummaryError(err)
+			failed = true
+			continue
 		}
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					export(i)
-				}
-			}()
-		}
-		for _, i := range need {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for _, i := range need {
-			export(i)
-		}
+		exports[i] = sum
 	}
 
-	// Merge phase (serialized, owner order — deterministic content hash).
-	// Skipped entirely when nothing changed: the published local summary
-	// is still current.
-	rebuildLocal := storeFresh || len(need) > 0
+	// Merge phase (owner order — deterministic content hash). Skipped when
+	// every export is the one last merged and nothing failed then: the
+	// published local summary is still current. A failure forces the next
+	// round to rebuild, so a failing owner is recounted every round.
+	rebuildLocal := !s.haveBranch || s.mergeFailed || !slices.Equal(exports, s.merged)
 	var local *summary.Summary
 	if rebuildLocal {
-		local = s.storeSummary.Clone()
-		for i, o := range owners {
-			if o.Policy.Mode != policy.ExportSummary {
-				continue
-			}
-			if fresh[i] && errs[i] != nil {
-				// Skip this owner's contribution but keep the rest of the
-				// refresh: a partial summary beats a stale one. Not cached,
-				// so every tick retries (and keeps counting the error).
-				s.noteSummaryError(errs[i])
-				failed = true
-				continue
-			}
-			if exports[i] == nil {
-				continue
-			}
-			if err := local.Merge(exports[i]); err != nil {
+		var err error
+		if local, err = summary.New(s.cfg.Schema, s.curCfg); err != nil {
+			s.noteSummaryError(err)
+			return
+		}
+		for _, sum := range exports {
+			if err := local.Merge(sum); err != nil {
 				s.noteSummaryError(err)
 				failed = true
-				delete(s.ownerCache, o) // retry (and recount) next tick
-				continue
-			}
-			if fresh[i] {
-				s.ownerCache[o] = ownerCacheEntry{gen: gens[i], sum: exports[i]}
 			}
 		}
 		local.Origin = s.cfg.ID
 		local.ComputeVersion()
 	}
+	s.merged, s.mergeFailed = exports, failed
 
 	// Branch part: re-merge only when the local content or a child branch
 	// actually changed; otherwise the whole refresh was a no-op and the
@@ -305,10 +230,9 @@ func (s *Server) refresh(early bool) {
 // and installs the resulting geometry as the current export configuration.
 // Callers hold refreshMu. Drained heat decays by half each replan (EWMA),
 // so an attribute that stops attracting false-positive descents cools off
-// and its resolution drifts back to base. A changed plan re-keys every
-// summary source: the store re-summarizes under the new geometry and the
-// owner export cache is dropped so owners re-export (Owner.ExportSummary
-// re-enables its own store on a config change by itself).
+// and its resolution drifts back to base. A changed plan needs nothing
+// dropped: the next refresh asks every owner for an export in the new
+// geometry, and Owner.ExportSummary re-keys its own store on a config change.
 func (s *Server) replanLocked() {
 	for i := range s.fpHeat {
 		h := s.fpHeat[i].Swap(0)
@@ -328,17 +252,13 @@ func (s *Server) replanLocked() {
 	if newCfg.Equal(s.curCfg) {
 		return
 	}
-	// Re-key the store's partial summaries to the new geometry before
-	// adopting it; on failure the previous geometry stays installed and
-	// the next replan retries.
-	if err := s.store.EnableSummaries(newCfg); err != nil {
+	// On an invalid plan the previous geometry stays installed and the next
+	// replan retries.
+	if err := newCfg.Validate(); err != nil {
 		s.noteSummaryError(err)
 		return
 	}
 	s.curCfg = newCfg
-	for o := range s.ownerCache {
-		delete(s.ownerCache, o)
-	}
 	s.mx.replans.Inc()
 }
 
@@ -361,37 +281,27 @@ func (s *Server) noteSummaryOK() {
 }
 
 // RefreshInfo is a snapshot of the summary-refresh pipeline's economics:
-// how many refresh ticks ran, how many reused every cached summary, how
-// much wall time the refreshes consumed, and the store's partial-summary
-// maintenance counters. The canonical benchmark reads it to report refresh
-// CPU and rebuild-skip shares under write churn.
+// how many refresh ticks ran, how many reused every cached summary and how
+// much wall time the refreshes consumed. The canonical benchmark reads it to
+// report refresh CPU and rebuild-skip shares under write churn.
 type RefreshInfo struct {
 	// Ticks counts periodic aggregation rounds run; Skipped the subset
-	// that reused every cached summary (store, owners and children all
+	// that reused every cached summary (owners and children all
 	// unchanged). EarlyRounds counts early rounds (aggregationLoop).
 	Ticks       uint64
 	Skipped     uint64
 	EarlyRounds uint64
 	// BusySeconds is total wall time spent inside refreshSummaries.
 	BusySeconds float64
-	// StoreShardRebuilds / StorePartialMerges / StoreExportsCached are the
-	// server store's partial-summary counters (see store.Stats).
-	StoreShardRebuilds uint64
-	StorePartialMerges uint64
-	StoreExportsCached uint64
 }
 
 // RefreshInfo returns the refresh pipeline counters.
 func (s *Server) RefreshInfo() RefreshInfo {
-	st := s.store.Stats()
 	return RefreshInfo{
-		Ticks:              s.aggRound.Load(),
-		Skipped:            s.mx.rebuildsSkipped.Load(),
-		EarlyRounds:        s.mx.earlyRounds.Load(),
-		BusySeconds:        float64(s.refreshBusyNs.Load()) / 1e9,
-		StoreShardRebuilds: st.ShardRebuilds,
-		StorePartialMerges: st.PartialMerges,
-		StoreExportsCached: st.ExportsCached,
+		Ticks:       s.aggRound.Load(),
+		Skipped:     s.mx.rebuildsSkipped.Load(),
+		EarlyRounds: s.mx.earlyRounds.Load(),
+		BusySeconds: float64(s.refreshBusyNs.Load()) / 1e9,
 	}
 }
 

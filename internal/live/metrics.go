@@ -77,7 +77,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Query evaluation latency on this server (canonical obs bucket ladder).",
 			obs.DefaultLatencyBounds()),
 		rebuildsSkipped: reg.Counter("roads_summary_rebuilds_skipped_total",
-			"Refresh ticks that reused every cached summary because neither the store, an owner, nor a child branch changed."),
+			"Refresh ticks that reused every cached summary because neither an owner nor a child branch changed."),
 		reportsSuppressed: reg.Counter("roads_report_suppressed_total",
 			"Version-only reports sent in place of full branch summaries (the parent confirmed holding the current version)."),
 		pushDelta: reg.Counter("roads_replica_push_delta_total",
@@ -105,15 +105,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		replans: reg.Counter("roads_summary_replans_total",
 			"Adaptive replans that changed the installed summary geometry (plans identical to the current one do not count)."),
 	}
-	reg.CounterFunc("roads_store_shard_rebuilds_total",
-		"Store shard partial-summary rebuilds — the single-shard fallback taken when removals made a shard's partial stale (Bloom mode or the tracked-deletion threshold) or it was never built.",
-		func() uint64 { return s.store.Stats().ShardRebuilds })
-	reg.CounterFunc("roads_summary_partial_merges_total",
-		"Store shard partials folded into merged summary exports (K per non-cached export for a K-shard store).",
-		func() uint64 { return s.store.Stats().PartialMerges })
-	reg.CounterFunc("roads_summary_exports_cached_total",
-		"Store summary exports served entirely from the merged cache because the store epoch had not moved.",
-		func() uint64 { return s.store.Stats().ExportsCached })
 	reg.GaugeFunc("roads_children",
 		"Current child count.", func() float64 {
 			return float64(len(s.snap.Load().children))

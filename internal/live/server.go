@@ -12,7 +12,6 @@ import (
 	"roads/internal/obs"
 	"roads/internal/policy"
 	"roads/internal/record"
-	"roads/internal/store"
 	"roads/internal/summary"
 	"roads/internal/transport"
 	"roads/internal/wire"
@@ -244,15 +243,6 @@ func (r *replicaState) tag() uint64 {
 	return replicaTag(r.meta, r.version)
 }
 
-// ownerCacheEntry is one cached owner export: the summary the owner
-// exported at record-set generation gen, which carries the view revision it
-// was exported at (Summary.PolicyRev). While the owner still reports both
-// the cached summary is current and the export is skipped.
-type ownerCacheEntry struct {
-	gen uint64
-	sum *summary.Summary
-}
-
 // Server is one live ROADS server.
 type Server struct {
 	cfg Config
@@ -260,7 +250,6 @@ type Server struct {
 
 	mu         sync.Mutex
 	owners     []*policy.Owner
-	store      *store.Store
 	parentID   string
 	parentAddr string
 	// parentMisses counts consecutive failed or refused reports to the
@@ -310,14 +299,14 @@ type Server struct {
 	// caches below are its private state, and tests drive refreshes
 	// concurrently with the aggregation loop.
 	refreshMu sync.Mutex
-	// storeSummary is the store's last export; the store returns the same
-	// pointer until its content or geometry changes, and the local rebuild
-	// is skipped while it does. Guarded by refreshMu.
-	storeSummary *summary.Summary
-	haveBranch   bool
-	// ownerCache caches each summary-mode owner's export keyed by the
-	// owner's record-set generation and view revision. Guarded by refreshMu.
-	ownerCache map[*policy.Owner]ownerCacheEntry
+	// merged are the owner exports the local summary was last built from, in
+	// owner order; an owner returns the same export pointer until its records,
+	// views or the requested geometry change, and the local rebuild is skipped
+	// while every pointer matches. mergeFailed forces the next rebuild (and so
+	// a recount) after an owner failed. Guarded by refreshMu.
+	merged      []*summary.Summary
+	mergeFailed bool
+	haveBranch  bool
 	// aggRound counts periodic aggregation rounds, for the replan cadence
 	// and RefreshInfo.
 	aggRound atomic.Uint64
@@ -340,11 +329,6 @@ type Server struct {
 	// not confirmed holding. childState.urgent and replicaState.urgent mark
 	// the rest.
 	localUrgent, childUrgent, branchUrgent bool
-
-	// exported is what each records-mode owner's store copy holds, by
-	// record ID, for syncRecords. Guarded by syncMu.
-	syncMu   sync.Mutex
-	exported map[*policy.Owner]map[string]*record.Record
 
 	// Adaptive-summary state. fpHeat accumulates false-positive descents
 	// per schema attribute (bumped lock-free on the query path; drained by
@@ -402,21 +386,12 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := store.New(cfg.Schema, store.CostModel{})
-	// The refresh exports the store summary as a merge of per-shard
-	// partials maintained on write (see refreshSummaries).
-	if err := st.EnableSummaries(cfg.Summary); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:          cfg,
 		tr:           tr,
-		store:        st,
 		children:     make(map[string]*childState),
 		replicas:     make(map[string]*replicaState),
 		knownServers: make(map[string]string),
-		ownerCache:   make(map[*policy.Owner]ownerCacheEntry),
-		exported:     make(map[*policy.Owner]map[string]*record.Record),
 		wake:         make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		startTime:    time.Now(),
@@ -447,60 +422,17 @@ func (s *Server) ID() string { return s.cfg.ID }
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.cfg.Addr }
 
-// AttachOwner attaches a resource owner locally. Owners in ExportRecords
-// mode have their records copied into the server's store, and the copy
-// follows every later write. The attachment and each write count as urgent
-// content: they leave in an early round.
+// AttachOwner attaches a resource owner locally. The server keeps no copy
+// of the owner's records or summary: every refresh asks the owner for its
+// export, and every query for its matches. The attachment and each write
+// count as urgent content: they leave in an early round.
 func (s *Server) AttachOwner(o *policy.Owner) error {
-	records := o.Policy.Mode == policy.ExportRecords
-	o.OnChange(func() {
-		if records {
-			_ = s.syncRecords(o) // cannot fail: the owner exports records
-		}
-		s.noteWrite()
-	})
-	if records {
-		if err := s.syncRecords(o); err != nil {
-			return err
-		}
-	}
+	o.OnChange(s.noteWrite)
 	s.mu.Lock()
 	s.owners = append(s.owners, o)
 	s.publishSnapshotLocked()
 	s.mu.Unlock()
 	s.noteWrite()
-	return nil
-}
-
-// syncRecords brings the store's copy of a records-mode owner's records up
-// to the owner's: records the owner no longer holds are removed, new and
-// replaced ones upserted, and the rest left alone. The owner is read under
-// syncMu, so of two concurrent syncs the later one applies the later state.
-func (s *Server) syncRecords(o *policy.Owner) error {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	recs, err := o.ExportRecords()
-	if err != nil {
-		return err
-	}
-	held := s.exported[o]
-	now := make(map[string]*record.Record, len(recs))
-	var upsert []*record.Record
-	for _, r := range recs {
-		now[r.ID] = r
-		if held[r.ID] != r {
-			upsert = append(upsert, r)
-		}
-	}
-	var gone []string
-	for id := range held {
-		if now[id] == nil {
-			gone = append(gone, id)
-		}
-	}
-	s.store.Remove(gone...)
-	s.store.Update(upsert...)
-	s.exported[o] = now
 	return nil
 }
 

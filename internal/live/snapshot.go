@@ -157,10 +157,10 @@ func (s *Server) publishSnapshotLocked() {
 }
 
 // queryFingerprint derives the reply fingerprint for the snapshot: its
-// routing base folded with this server's incarnation — the store epoch and
-// the owner generations are mutation counters, which a restarted server
-// repeats over different content — and the live local state: store epoch,
-// owner record-set generations and view revisions. A remote owner's view
+// routing base folded with this server's incarnation — the owner
+// generations are mutation counters, which a restarted server repeats over
+// different content — and the live local state: owner record-set
+// generations and view revisions. A remote owner's view
 // revision reaches fpBase through the summary versions it is part of. Zero
 // (no fingerprint, "don't cache") when any child or replica is unversioned.
 func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
@@ -170,7 +170,6 @@ func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
 	h := newDepHasher()
 	h.u64(snap.fpBase)
 	h.u64(uint64(s.startTime.UnixNano()))
-	h.u64(s.store.Epoch())
 	h.u64(uint64(len(snap.owners)))
 	for _, o := range snap.owners {
 		h.u64(o.Generation())

@@ -26,7 +26,8 @@ const (
 	// in the paper's Fig. 1).
 	ExportSummary ExportMode = iota
 	// ExportRecords exports the detailed records to the attachment point —
-	// appropriate only when the owner controls that server (owner C).
+	// appropriate only when the owner controls that server (owner C). The
+	// server answers for it with every matching record; views do not apply.
 	ExportRecords
 )
 
@@ -135,12 +136,15 @@ type Owner struct {
 
 	st *store.Store
 
-	// expMu guards the lazily enabled export configuration: the store's
+	// expMu guards the lazily enabled export configuration — the store's
 	// partial summaries encode bucket/filter geometry, so they follow the
-	// config the attachment point asks for.
-	expMu      sync.Mutex
-	expEnabled bool
-	expCfg     summary.Config
+	// config the attachment point asks for — and the stamped export: expOut
+	// was stamped from the store export expFrom at view revision expRev.
+	expMu           sync.Mutex
+	expEnabled      bool
+	expCfg          summary.Config
+	expFrom, expOut *summary.Summary
+	expRev          uint64
 
 	// hookMu guards hooks, the change hooks OnChange registered. A slice
 	// once installed is never written, so changed reads it after unlocking.
@@ -243,38 +247,39 @@ func (o *Owner) StoreStats() store.Stats {
 // (content- and version-identical to a monolithic FromRecords build), so
 // its cost scales with the shards touched since the last export, not with
 // the owner's record count.
+//
+// The export is cached: while the record set, the view revision and cfg all
+// stay put, every call returns the same pointer, for the cost of a mutex, a
+// config compare and an atomic load. A new pointer therefore means the
+// export changed. The returned summary is shared — callers must Clone it
+// before they mutate it.
 func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 	o.expMu.Lock()
+	defer o.expMu.Unlock()
 	if !o.expEnabled || !cfg.Equal(o.expCfg) {
 		if err := o.st.EnableSummaries(cfg); err != nil {
-			o.expMu.Unlock()
 			return nil, err
 		}
 		o.expEnabled, o.expCfg = true, cfg
 	}
-	o.expMu.Unlock()
+	// The store hands back the summary it last merged until its epoch or its
+	// geometry moves, so its pointer keys the record set and cfg at once.
 	sum, err := o.st.ExportSummary()
 	if err != nil {
 		return nil, err
 	}
-	// The store's summary is shared/cached; hand the caller its own copy
-	// (historically callers own the export outright and may mutate it).
+	rev := o.Policy.Rev()
+	if sum == o.expFrom && rev == o.expRev {
+		return o.expOut, nil
+	}
 	out := sum.Clone()
 	out.Origin = o.ID
-	if rev := o.Policy.Rev(); rev != 0 {
+	if rev != 0 {
 		out.PolicyRev = rev
 		out.ComputeVersion()
 	}
+	o.expFrom, o.expOut, o.expRev = sum, out, rev
 	return out, nil
-}
-
-// ExportRecords returns the records the owner pushes to a trusted
-// attachment point, or an error if the policy forbids raw export.
-func (o *Owner) ExportRecords() ([]*record.Record, error) {
-	if o.Policy.Mode != ExportRecords {
-		return nil, fmt.Errorf("policy: owner %s exports summaries only", o.ID)
-	}
-	return o.st.Records(), nil
 }
 
 // Answer resolves a query at the owner: it matches the query against the

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"roads/internal/query"
@@ -130,20 +132,99 @@ func TestExportSummaryCoversAllRecords(t *testing.T) {
 	}
 }
 
-func TestExportRecordsRespectsMode(t *testing.T) {
+// TestExportSummaryCache pins the owner's one export cache: the export is
+// shared while nothing it depends on moves, and a write, a view change or
+// another config each give a new pointer with the right content.
+func TestExportSummaryCache(t *testing.T) {
 	s := camSchema()
-	summaryOnly := NewOwner("orgA", s, NewPolicy(ExportSummary))
-	if _, err := summaryOnly.ExportRecords(); err == nil {
-		t.Fatal("summary-mode owner must refuse raw export")
+	o := NewOwner("orgA", s, nil)
+	o.SetRecords([]*record.Record{rec(s, "r1", 0.25, "public"), rec(s, "r2", 0.75, "internal")})
+	cfg := summary.DefaultConfig()
+	cfg.Buckets = 100
+	export := func(cfg summary.Config) *summary.Summary {
+		t.Helper()
+		sum, err := o.ExportSummary(cfg)
+		if err != nil {
+			t.Fatalf("ExportSummary: %v", err)
+		}
+		return sum
 	}
-	trusting := NewOwner("orgB", s, NewPolicy(ExportRecords))
-	trusting.SetRecords([]*record.Record{rec(s, "r1", 0.5, "public")})
-	recs, err := trusting.ExportRecords()
+
+	first := export(cfg)
+	if again := export(cfg); again != first {
+		t.Fatal("unchanged owner exported a new summary; want the cached one")
+	}
+
+	o.UpdateRecords(rec(s, "r3", 0.5, "public"))
+	written := export(cfg)
+	want, err := summary.FromRecords(s, cfg, o.Records())
 	if err != nil {
-		t.Fatalf("ExportRecords: %v", err)
+		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("exported %d records; want 1", len(recs))
+	if written == first || written.Version != want.Version || written.Records != 3 {
+		t.Fatalf("after a write: same pointer %v, version %d, %d records; want a new export at version %d over 3 records",
+			written == first, written.Version, written.Records, want.Version)
+	}
+	if export(cfg) != written {
+		t.Fatal("the export after a write is not cached")
+	}
+
+	o.Policy.SetView("guest", View{Name: "public"})
+	viewed := export(cfg)
+	if viewed == written || viewed.PolicyRev != written.PolicyRev+1 || viewed.Version == written.Version {
+		t.Fatalf("after SetView: same pointer %v, PolicyRev %d (was %d), version changed %v; want a new export, revision +1, new version",
+			viewed == written, viewed.PolicyRev, written.PolicyRev, viewed.Version != written.Version)
+	}
+
+	coarse := cfg
+	coarse.Buckets = 10
+	if other := export(coarse); other == viewed || other.Hists[0].Buckets() != 10 {
+		t.Fatal("another config must give a new export in its own geometry")
+	}
+}
+
+// TestExportSummaryCacheRace runs exports against concurrent writes (go test
+// -race): every export must be a consistent snapshot, and once the writers
+// stop the cached export must cover the final record set.
+func TestExportSummaryCacheRace(t *testing.T) {
+	s := camSchema()
+	o := NewOwner("orgA", s, nil)
+	cfg := summary.DefaultConfig()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				o.UpdateRecords(rec(s, fmt.Sprintf("w%d-%d", w, i%20), float64(i%10)/10, "x"))
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				sum, err := o.ExportSummary(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sum.Records > 40 || sum.Hists[0].Total != sum.Records {
+					t.Errorf("export covers %d records with %d histogram entries; want a consistent snapshot of at most 40",
+						sum.Records, sum.Hists[0].Total)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sum, err := o.ExportSummary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Records != 40 {
+		t.Fatalf("final export covers %d records; want 40", sum.Records)
 	}
 }
 
