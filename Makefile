@@ -4,8 +4,8 @@ GO ?= go
 
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, every example run to completion, plus race-enabled runs of the
-# concurrency-heavy packages (the live protocol stack and the pooled
-# transport), the fault-injection chaos suite, the documentation checks,
+# concurrency-heavy packages (the live protocol stack, the pooled
+# transport and the owners' copy-on-write records), the fault-injection chaos suite, the documentation checks,
 # five seconds of fuzzing the one wire decoder, and the canonical
 # benchmark's own module (which `./...` at the root does not reach).
 # test/examples/race/chaos depend on vet so a vet failure stops the gate
@@ -33,7 +33,7 @@ examples: vet
 	done
 
 race: vet
-	$(GO) test -race ./internal/live/... ./internal/transport/... ./internal/wire/... ./internal/store/...
+	$(GO) test -race ./internal/live/... ./internal/transport/... ./internal/wire/... ./internal/store/... ./internal/policy/...
 
 # chaos drives the deterministic fault-injection transport through the
 # failure scenarios in internal/live/chaos_test.go (crashed redirect

@@ -1,4 +1,4 @@
-// Command docscheck guards the repository's documentation in six ways:
+// Command docscheck guards the repository's documentation in seven ways:
 //
 //  1. Every relative markdown link in the repo's *.md files must point at a
 //     file that exists (external http(s)/mailto links are skipped — CI has
@@ -26,6 +26,10 @@
 //     describing the previous one.
 //  6. The newest CHANGES.md entry (its last non-empty line) must be at most
 //     changesEntryLimit characters long.
+//  7. In the same four documents, every `Test…`, `Benchmark…` or `Fuzz…`
+//     name written alone in a code span must be declared as a func in some
+//     _test.go file — deleting or renaming a test cannot leave the docs
+//     citing it as evidence. EXPERIMENTS.md is an archive and is exempt.
 //
 // Run via `make docs-check` (part of the tier1 gate). Exit status is
 // non-zero when any check fails; every failure is listed, not just the
@@ -59,7 +63,7 @@ func main() {
 	}
 	var failures []string
 
-	mdFiles, err := markdownFiles(root)
+	mdFiles, err := repoFiles(root, ".md")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(1)
@@ -72,6 +76,7 @@ func main() {
 	failures = append(failures, checkRepoRefs(root)...)
 	failures = append(failures, checkCodecVersion(root)...)
 	failures = append(failures, checkChangesBudget(root)...)
+	failures = append(failures, checkTestNames(root)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -80,12 +85,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d failure(s)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables, repo references and codec version match, newest change entry within budget\n", len(mdFiles))
+	fmt.Printf("docscheck: %d markdown files OK, metrics catalog, flag tables, repo references and codec version match, newest change entry within budget, cited tests exist\n", len(mdFiles))
 }
 
-// markdownFiles lists every tracked *.md file under root, skipping
-// dot-directories and testdata.
-func markdownFiles(root string) ([]string, error) {
+// repoFiles lists every file under root whose name ends in suffix,
+// skipping dot-directories and testdata.
+func repoFiles(root, suffix string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -98,7 +103,7 @@ func markdownFiles(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, ".md") {
+		if strings.HasSuffix(name, suffix) {
 			out = append(out, path)
 		}
 		return nil
@@ -338,10 +343,9 @@ var (
 	makeTargetRe = regexp.MustCompile(`(?m)^([a-z0-9][a-z0-9-]*):(?:[^=]|$)`)
 )
 
-// staleRefs returns one failure for every repo path in text's code spans and
-// code fences that exists rejects, and for every `make <target>` there that
-// targets lacks. A path is judged without its trailing "/", "/..." or ".".
-func staleRefs(doc, text string, exists func(path string) bool, targets map[string]bool) []string {
+// codeSpans returns text's code fences and, paragraph by paragraph, its
+// inline code spans.
+func codeSpans(text string) []string {
 	var code []string
 	for i, block := range strings.Split(text, "```") {
 		if i%2 == 1 {
@@ -352,9 +356,16 @@ func staleRefs(doc, text string, exists func(path string) bool, targets map[stri
 			code = append(code, codeSpanRe.FindAllString(para, -1)...)
 		}
 	}
+	return code
+}
+
+// staleRefs returns one failure for every repo path in text's code spans and
+// code fences that exists rejects, and for every `make <target>` there that
+// targets lacks. A path is judged without its trailing "/", "/..." or ".".
+func staleRefs(doc, text string, exists func(path string) bool, targets map[string]bool) []string {
 	var failures []string
 	seen := make(map[string]bool)
-	for _, c := range code {
+	for _, c := range codeSpans(text) {
 		for _, p := range repoPathRe.FindAllString(c, -1) {
 			p = strings.TrimRight(p, "./")
 			if !seen[p] && !exists(p) {
@@ -491,4 +502,60 @@ func checkChangesBudget(root string) []string {
 		return []string{fmt.Sprintf("CHANGES.md: %v", err)}
 	}
 	return entryOverBudget(string(data), changesEntryLimit)
+}
+
+var (
+	// testSpanRe matches a code span that is a test, benchmark or fuzz
+	// target name and nothing else.
+	testSpanRe = regexp.MustCompile("^`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)`$")
+	// testFuncRe matches the declaration of one in a _test.go file.
+	testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+)
+
+// staleTestNames returns one failure for every test name that text's code
+// spans cite and defined lacks.
+func staleTestNames(doc, text string, defined map[string]bool) []string {
+	var failures []string
+	seen := make(map[string]bool)
+	for _, c := range codeSpans(text) {
+		m := testSpanRe.FindStringSubmatch(c)
+		if m == nil || seen[m[1]] {
+			continue
+		}
+		seen[m[1]] = true
+		if !defined[m[1]] {
+			failures = append(failures, fmt.Sprintf("%s: cites %s, which no _test.go file declares", doc, m[1]))
+		}
+	}
+	return failures
+}
+
+// checkTestNames runs staleTestNames over refDocs against the test
+// functions declared under root, skipping dot-directories and testdata.
+func checkTestNames(root string) []string {
+	testFiles, err := repoFiles(root, "_test.go")
+	if err != nil {
+		return []string{fmt.Sprintf("listing test files: %v", err)}
+	}
+	defined := make(map[string]bool)
+	var failures []string
+	for _, f := range testFiles {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", f, err))
+			continue
+		}
+		for _, m := range testFuncRe.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+	}
+	for _, doc := range refDocs {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", doc, err))
+			continue
+		}
+		failures = append(failures, staleTestNames(doc, string(data), defined)...)
+	}
+	return failures
 }

@@ -119,3 +119,27 @@ func TestChangesBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleTestNames runs the cited-test check over spans that name a
+// declared test, a deleted one, a name inside a longer span, and a fence.
+func TestStaleTestNames(t *testing.T) {
+	defined := map[string]bool{"TestKept": true, "BenchmarkKept": true}
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"declared names", "`TestKept` and `BenchmarkKept` pin it.", nil},
+		{"a deleted test, once per document",
+			"`TestGone` pins it; see `TestGone` and `FuzzGone`.",
+			[]string{"X.md: cites TestGone, which no _test.go file declares",
+				"X.md: cites FuzzGone, which no _test.go file declares"}},
+		{"a span wrapped across a line", "See\n`BenchmarkGone`\nhere.",
+			[]string{"X.md: cites BenchmarkGone, which no _test.go file declares"}},
+		{"run patterns and prose are not citations",
+			"Run `go test -run 'TestGone|TestKept'` or read TestGone.\n\n```\nTestGone\n```\n", nil},
+	} {
+		if got := staleTestNames("X.md", tc.text, defined); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %q; want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 
 	"roads/internal/query"
 	"roads/internal/record"
-	"roads/internal/store"
 	"roads/internal/summary"
 )
 
@@ -124,27 +123,41 @@ func (p *Policy) Apply(requester string, recs []*record.Record) []*record.Record
 // the unit of autonomy in the federation — the entity that exports data and
 // makes the final call on query answers.
 //
-// The records live in a sharded no-index store (internal/store), so owner
-// mutations are first-class — SetRecords, AddRecords, RemoveRecords,
-// UpdateRecords — and summary export rides the store's incrementally
-// maintained per-shard partials: a churn of k records re-summarizes the
-// touched shards' deltas, not the whole owner.
+// The owner keeps its records itself, in one copy-on-write slice: a
+// published element is never rewritten, appends land in capacity headroom
+// past every published length, and removals and updates install a fresh
+// array, so a Records snapshot never changes under its holder. Beside the
+// records it keeps one exact summary of them, which every write updates in
+// place — AddRecord for an added record, an exact RemoveRecord for a
+// removed or replaced one. SetRecords, a different export config, or a
+// removal from a Bloom-mode summary (Bloom filters cannot subtract) marks
+// it stale instead, and the next export rebuilds it from the records.
 type Owner struct {
 	ID     string
 	Schema *record.Schema
 	Policy *Policy
 
-	st *store.Store
+	// mu guards the record set and its summary.
+	mu      sync.RWMutex
+	records []*record.Record
+	// byID maps record ID -> position; built by the first removal or
+	// update (append-only owners never pay for it) and kept by every write
+	// after it. On duplicate IDs the newest position wins.
+	byID map[string]int
+	// gen counts the writes that changed the record set; see Generation.
+	gen uint64
+	// sum is the exact summary of records under sumCfg: never condensed,
+	// never stamped. Nil means stale.
+	sum      *summary.Summary
+	sumCfg   summary.Config
+	rebuilds uint64
 
-	// expMu guards the lazily enabled export configuration — the store's
-	// partial summaries encode bucket/filter geometry, so they follow the
-	// config the attachment point asks for — and the stamped export: expOut
-	// was stamped from the store export expFrom at view revision expRev.
-	expMu           sync.Mutex
-	expEnabled      bool
-	expCfg          summary.Config
-	expFrom, expOut *summary.Summary
-	expRev          uint64
+	// expMu guards the stamped export: expOut was built at generation
+	// expGen, view revision expRev and config expCfg.
+	expMu          sync.Mutex
+	expOut         *summary.Summary
+	expGen, expRev uint64
+	expCfg         summary.Config
 
 	// hookMu guards hooks, the change hooks OnChange registered. A slice
 	// once installed is never written, so changed reads it after unlocking.
@@ -158,10 +171,7 @@ func NewOwner(id string, schema *record.Schema, pol *Policy) *Owner {
 	if pol == nil {
 		pol = NewPolicy(ExportSummary)
 	}
-	// Owners answer queries by full filter passes (final control applies
-	// per-requester views anyway), so the store skips index maintenance.
-	st := store.NewWithOptions(schema, store.CostModel{}, store.Options{NoIndex: true})
-	return &Owner{ID: id, Schema: schema, Policy: pol, st: st}
+	return &Owner{ID: id, Schema: schema, Policy: pol}
 }
 
 // OnChange registers fn as a change hook: it runs after every write to the
@@ -188,51 +198,155 @@ func (o *Owner) changed() {
 
 // SetRecords replaces the owner's record set.
 func (o *Owner) SetRecords(recs []*record.Record) {
-	o.st.Replace(recs)
+	o.mu.Lock()
+	o.records = append(recs[:0:0], recs...)
+	o.byID = nil
+	o.sum = nil
+	o.gen++
+	o.mu.Unlock()
 	o.changed()
 }
 
-// AddRecords appends records.
+// AddRecords appends records. N one-record calls cost O(N) in total:
+// append grows the slice with headroom and writes only past every
+// published length.
 func (o *Owner) AddRecords(recs ...*record.Record) {
-	o.st.Add(recs...)
+	if len(recs) > 0 {
+		o.mu.Lock()
+		base := len(o.records)
+		o.records = append(o.records, recs...)
+		for j, r := range recs {
+			if o.byID != nil {
+				o.byID[r.ID] = base + j
+			}
+			if o.sum != nil {
+				o.sum.AddRecord(r)
+			}
+		}
+		o.gen++
+		o.mu.Unlock()
+	}
 	o.changed()
 }
 
 // RemoveRecords deletes the records stored under the given IDs, returning
-// how many were present.
+// how many were present. Removing only absent IDs is no write.
 func (o *Owner) RemoveRecords(ids ...string) int {
-	n := o.st.Remove(ids...)
-	if n > 0 {
-		o.changed()
+	o.mu.Lock()
+	o.ensureByIDLocked()
+	drop := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if p, ok := o.byID[id]; ok {
+			drop[p] = true
+		}
 	}
-	return n
+	if len(drop) == 0 {
+		o.mu.Unlock()
+		return 0
+	}
+	next := make([]*record.Record, 0, len(o.records)-len(drop))
+	for j, r := range o.records {
+		if drop[j] {
+			o.subtractLocked(r)
+			continue
+		}
+		next = append(next, r)
+	}
+	o.records = next
+	o.byID = nil
+	o.ensureByIDLocked()
+	o.gen++
+	o.mu.Unlock()
+	o.changed()
+	return len(drop)
 }
 
 // UpdateRecords upserts records by ID (present IDs replace, absent IDs
 // append), returning how many replaced an existing record.
 func (o *Owner) UpdateRecords(recs ...*record.Record) int {
-	n := o.st.Update(recs...)
+	replaced := 0
+	if len(recs) > 0 {
+		o.mu.Lock()
+		o.ensureByIDLocked()
+		next := make([]*record.Record, len(o.records), len(o.records)+len(recs))
+		copy(next, o.records)
+		for _, r := range recs {
+			if p, ok := o.byID[r.ID]; ok {
+				o.subtractLocked(next[p])
+				next[p] = r
+				replaced++
+			} else {
+				o.byID[r.ID] = len(next)
+				next = append(next, r)
+			}
+			if o.sum != nil {
+				o.sum.AddRecord(r)
+			}
+		}
+		o.records = next
+		o.gen++
+		o.mu.Unlock()
+	}
 	o.changed()
-	return n
+	return replaced
 }
 
-// Generation returns the owner's record-set mutation counter. A caller
+func (o *Owner) ensureByIDLocked() {
+	if o.byID != nil {
+		return
+	}
+	o.byID = make(map[string]int, len(o.records))
+	for j, r := range o.records {
+		o.byID[r.ID] = j
+	}
+}
+
+// subtractLocked takes one record out of the summary, or marks the summary
+// stale when it holds a Bloom filter, which cannot subtract.
+func (o *Owner) subtractLocked(r *record.Record) {
+	if o.sum == nil {
+		return
+	}
+	if !o.sum.Subtractable() {
+		o.sum = nil
+		return
+	}
+	_ = o.sum.RemoveRecord(r)
+}
+
+// Generation returns the owner's record-set write counter. A caller
 // holding a summary exported at generation N may keep serving it while
 // Generation still returns N.
 func (o *Owner) Generation() uint64 {
-	return o.st.Epoch()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.gen
 }
 
-// Records returns the owner's records in store-shard order (shared
-// immutable slice; do not mutate).
+// Records returns the owner's records: a snapshot no later write changes,
+// capped at its length. Callers must not mutate it.
 func (o *Owner) Records() []*record.Record {
-	return o.st.Records()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.records[:len(o.records):len(o.records)]
 }
 
-// StoreStats returns the owner store's maintenance counters (shard partial
-// rebuilds, partial merges, cached exports) for harness reporting.
-func (o *Owner) StoreStats() store.Stats {
-	return o.st.Stats()
+// StoreStats is the owner's summary maintenance counters under the names
+// the canonical benchmark (bench/) reads. It exists only for that frozen
+// benchmark and goes with ROADMAP item 1.
+type StoreStats struct {
+	// ShardRebuilds counts full rebuilds of the owner's summary from its
+	// records.
+	ShardRebuilds uint64
+	// PartialMerges is always zero: there are no partial summaries.
+	PartialMerges uint64
+}
+
+// StoreStats returns the owner's summary maintenance counters.
+func (o *Owner) StoreStats() StoreStats {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return StoreStats{ShardRebuilds: o.rebuilds}
 }
 
 // ExportSummary builds the summary the owner publishes to its attachment
@@ -243,43 +357,51 @@ func (o *Owner) StoreStats() store.Stats {
 // view change travels as far as a record write does and a requester holding
 // a cached answer finds out.
 //
-// The export is a merge of the store's per-shard partial summaries
-// (content- and version-identical to a monolithic FromRecords build), so
-// its cost scales with the shards touched since the last export, not with
-// the owner's record count.
-//
-// The export is cached: while the record set, the view revision and cfg all
-// stay put, every call returns the same pointer, for the cost of a mutex, a
-// config compare and an atomic load. A new pointer therefore means the
-// export changed. The returned summary is shared — callers must Clone it
-// before they mutate it.
+// The export is a clone of the owner's exact summary, condensed, stamped
+// with the owner's ID and view revision, and versioned: content- and
+// version-identical to summary.FromRecords over Records() stamped the same
+// way. It is cached: while the generation, the view revision and cfg all
+// stay put, every call returns the same pointer, for the cost of two
+// mutexes and a config compare. A new pointer therefore means the export
+// changed. The returned summary is shared — callers must Clone it before
+// they mutate it.
 func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 	o.expMu.Lock()
 	defer o.expMu.Unlock()
-	if !o.expEnabled || !cfg.Equal(o.expCfg) {
-		if err := o.st.EnableSummaries(cfg); err != nil {
-			return nil, err
-		}
-		o.expEnabled, o.expCfg = true, cfg
+	rev := o.Policy.Rev()
+	if o.expOut != nil && o.expGen == o.Generation() && o.expRev == rev && cfg.Equal(o.expCfg) {
+		return o.expOut, nil
 	}
-	// The store hands back the summary it last merged until its epoch or its
-	// geometry moves, so its pointer keys the record set and cfg at once.
-	sum, err := o.st.ExportSummary()
+	out, gen, err := o.summaryClone(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rev := o.Policy.Rev()
-	if sum == o.expFrom && rev == o.expRev {
-		return o.expOut, nil
-	}
-	out := sum.Clone()
+	out.Condense()
 	out.Origin = o.ID
-	if rev != 0 {
-		out.PolicyRev = rev
-		out.ComputeVersion()
-	}
-	o.expFrom, o.expOut, o.expRev = sum, out, rev
+	out.PolicyRev = rev
+	out.ComputeVersion()
+	o.expOut, o.expGen, o.expRev, o.expCfg = out, gen, rev, cfg
 	return out, nil
+}
+
+// summaryClone returns a copy of the exact summary under cfg and the
+// generation it covers, first rebuilding the summary from the records when
+// it is stale or was kept under another config.
+func (o *Owner) summaryClone(cfg summary.Config) (*summary.Summary, uint64, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.sum == nil || !cfg.Equal(o.sumCfg) {
+		sum, err := summary.New(o.Schema, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, r := range o.records {
+			sum.AddRecord(r)
+		}
+		o.sum, o.sumCfg = sum, cfg
+		o.rebuilds++
+	}
+	return o.sum.Clone(), o.gen, nil
 }
 
 // Answer resolves a query at the owner: it matches the query against the
@@ -292,6 +414,6 @@ func (o *Owner) Answer(q *query.Query) ([]*record.Record, error) {
 			return nil, err
 		}
 	}
-	matched := q.Filter(o.st.Records())
+	matched := q.Filter(o.Records())
 	return o.Policy.Apply(q.Requester, matched), nil
 }

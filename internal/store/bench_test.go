@@ -1,14 +1,12 @@
 package store
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
 
 	"roads/internal/query"
 	"roads/internal/record"
-	"roads/internal/summary"
 )
 
 func benchStore(b *testing.B, indexed bool, n int) *Store {
@@ -54,131 +52,21 @@ func BenchmarkSearchIndexed10k(b *testing.B) { benchQuery(b, benchStore(b, true,
 func BenchmarkSearchScan10k(b *testing.B)    { benchQuery(b, benchStore(b, false, 10000)) }
 func BenchmarkSearchIndexed1k(b *testing.B)  { benchQuery(b, benchStore(b, true, 1000)) }
 func BenchmarkSearchScan1k(b *testing.B)     { benchQuery(b, benchStore(b, false, 1000)) }
+
+// BenchmarkIndexRebuild10k times the first search over 10k records: the
+// index build it runs under the write lock plus the search itself.
 func BenchmarkIndexRebuild10k(b *testing.B) {
-	st := benchStore(b, true, 10000)
+	built := benchStore(b, true, 10000)
+	recs := built.Records()
 	q := query.New("q", query.NewRange("a0", 0, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Replace(st.Records()) // marks dirty
+		b.StopTimer()
+		st := New(built.Schema(), CostModel{})
+		st.Add(recs...)
+		b.StartTimer()
 		if _, err := st.Search(q); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func ingestRecords(schema *record.Schema, n int) []*record.Record {
-	rng := rand.New(rand.NewSource(2))
-	recs := make([]*record.Record, n)
-	for i := range recs {
-		r := record.New(schema, fmt.Sprintf("g%06d", i), "o")
-		for j := 0; j < schema.NumAttrs(); j++ {
-			r.SetNum(j, rng.Float64())
-		}
-		recs[i] = r
-	}
-	return recs
-}
-
-// BenchmarkShardedIngest measures one-record-at-a-time bulk ingest. The
-// interesting read is across sizes: ns/op must scale linearly with n (the
-// pre-sharding Store.Add copied the whole slice per call, making this
-// quadratic). The shard axis shows hash fan-out costs nothing.
-func BenchmarkShardedIngest(b *testing.B) {
-	schema := record.DefaultSchema(8)
-	for _, n := range []int{10000, 20000, 40000} {
-		recs := ingestRecords(schema, n)
-		for _, shards := range []int{1, 16} {
-			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					st := NewWithOptions(schema, CostModel{}, Options{Shards: shards})
-					for _, r := range recs {
-						st.Add(r)
-					}
-					if st.Len() != n {
-						b.Fatalf("Len = %d, want %d", st.Len(), n)
-					}
-				}
-			})
-		}
-	}
-}
-
-// churnUpdates rewrites k randomly chosen records (fresh values, existing
-// IDs) through Update, the write pattern of a resource owner whose
-// inventory drifts between summary refreshes.
-func churnUpdates(st *Store, schema *record.Schema, n, k int, rng *rand.Rand) {
-	if k == 0 {
-		return
-	}
-	recs := make([]*record.Record, k)
-	for i := range recs {
-		r := record.New(schema, fmt.Sprintf("g%06d", rng.Intn(n)), "o")
-		for j := 0; j < schema.NumAttrs(); j++ {
-			r.SetNum(j, rng.Float64())
-		}
-		recs[i] = r
-	}
-	st.Update(recs...)
-}
-
-// BenchmarkExportChurn is the PR's headline comparison: the per-refresh
-// cost of producing an owner summary over a 100k-record store at 0%, 1%
-// and 100% churn between refreshes. "monolithic" is the pre-sharding
-// behaviour — every refresh rebuilds the summary from all records
-// (summary.FromRecords). "sharded" maintains per-shard partials
-// incrementally and merges them at export. The churn writes themselves
-// run between timed regions (both designs pay the same write cost, and
-// it is measured separately by BenchmarkShardedIngest); the timed export
-// therefore carries whatever the churn provoked — the full rebuild for
-// monolithic, the stale-shard rebuilds plus the K-way merge for sharded.
-// At 0% churn the sharded export is a cache hit; at 1% only the removal
-// threshold's occasional single-shard rebuild survives; at 100% every
-// shard rebuilds, but on the export worker pool instead of serially.
-func BenchmarkExportChurn(b *testing.B) {
-	schema := record.DefaultSchema(8)
-	cfg := summary.Config{Buckets: 64, Min: 0, Max: 1, Categorical: summary.UseValueSet}
-	const n = 100000
-	base := ingestRecords(schema, n)
-	for _, churnPct := range []int{0, 1, 100} {
-		churnN := n * churnPct / 100
-		b.Run(fmt.Sprintf("churn=%d/mode=monolithic", churnPct), func(b *testing.B) {
-			st := NewWithOptions(schema, CostModel{}, Options{Shards: 1, NoIndex: true})
-			st.Add(base...)
-			rng := rand.New(rand.NewSource(17))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if churnN > 0 {
-					b.StopTimer()
-					churnUpdates(st, schema, n, churnN, rng)
-					b.StartTimer()
-				}
-				if _, err := summary.FromRecords(schema, cfg, st.Records()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("churn=%d/mode=sharded", churnPct), func(b *testing.B) {
-			st := NewWithOptions(schema, CostModel{}, Options{Shards: 16})
-			st.Add(base...)
-			if err := st.EnableSummaries(cfg); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.ExportSummary(); err != nil { // warm the partials
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(17))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if churnN > 0 {
-					b.StopTimer()
-					churnUpdates(st, schema, n, churnN, rng)
-					b.StartTimer()
-				}
-				if _, err := st.ExportSummary(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

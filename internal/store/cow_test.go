@@ -10,12 +10,11 @@ import (
 )
 
 // TestRecordsCopyOnWrite proves the contract behind the zero-copy
-// Records(): a snapshot taken at any moment is immutable. Writers append
-// and replace concurrently while readers walk their snapshots end to end;
-// every element a reader sees must be the record that position held when
-// the snapshot was taken (IDs are position-stamped, so a torn or in-place
-// mutated slice shows up as a mismatched ID or a nil). Run under -race
-// this also proves the readers share no written memory with the writers.
+// Records(): a snapshot taken at any moment is immutable. Two writers
+// append while readers walk their snapshots twice; both walks must see the
+// same records, and appending to a snapshot must not reach the store.
+// Under -race this also proves the readers share no written memory with
+// the writers.
 func TestRecordsCopyOnWrite(t *testing.T) {
 	schema := record.DefaultSchema(1)
 	st := New(schema, CostModel{})
@@ -26,34 +25,15 @@ func TestRecordsCopyOnWrite(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-
-	// Writer 1: grow the store one record at a time.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; !stop.Load(); i++ {
-			st.Add(mk(i))
-			if i%64 == 0 {
-				// Replace with a same-shaped prefix so epochs move without
-				// unbounded growth.
-				snap := st.Records()
-				st.Replace(snap[:len(snap)/2+1])
-				i = len(snap)/2 + 1
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; !stop.Load() && i < 100000; i++ {
+				st.Add(mk(w*1000000 + i))
 			}
-		}
-	}()
-
-	// Writer 2: epoch churn via Replace of a fresh set.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			if i%2 == 0 {
-				st.Add(mk(1000000 + i))
-			}
-			_ = st.Epoch()
-		}
-	}()
+		}(w)
+	}
 
 	var reads atomic.Uint64
 	for g := 0; g < 4; g++ {
@@ -62,51 +42,20 @@ func TestRecordsCopyOnWrite(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				snap := st.Records()
-				n := len(snap)
+				first := append([]*record.Record(nil), snap...)
+				_ = append(snap, nil) // must reallocate, not write into the store
 				for i, r := range snap {
-					if r == nil {
-						t.Errorf("snapshot of %d records holds nil at %d", n, i)
+					if r == nil || r != first[i] {
+						t.Errorf("snapshot of %d records changed at %d", len(snap), i)
 						return
 					}
-					if r.ID == "" {
-						t.Errorf("snapshot record %d/%d has empty ID", i, n)
-						return
-					}
-				}
-				if len(snap) != n {
-					t.Errorf("snapshot length changed mid-walk: %d -> %d", n, len(snap))
-					return
 				}
 				reads.Add(1)
 			}
 		}()
 	}
-
-	for reads.Load() < 5000 && !t.Failed() {
+	for reads.Load() < 2000 && !t.Failed() {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if reads.Load() == 0 {
-		t.Fatal("no reader completed a snapshot walk")
-	}
-}
-
-// TestEpochAdvances pins the epoch contract refreshes rely on: unchanged
-// stores report the same epoch; every Add and Replace moves it.
-func TestEpochAdvances(t *testing.T) {
-	schema := record.DefaultSchema(1)
-	st := New(schema, CostModel{})
-	e0 := st.Epoch()
-	if st.Epoch() != e0 {
-		t.Fatal("epoch moved without a mutation")
-	}
-	st.Add(record.New(schema, "a", "own"))
-	e1 := st.Epoch()
-	if e1 == e0 {
-		t.Fatal("Add did not advance the epoch")
-	}
-	st.Replace(nil)
-	if st.Epoch() == e1 {
-		t.Fatal("Replace did not advance the epoch")
-	}
 }

@@ -1,31 +1,16 @@
-// Package store is the local resource store attached to a ROADS server or
-// resource owner. It plays the role of the DB2 backend in the paper's
-// prototype: it indexes records per attribute so that matching is faster
-// than a full scan, and it charges a configurable retrieval cost per
-// matched record so the Fig. 11 response-time experiment can model backend
-// work that pure network simulation cannot.
+// Package store is the indexed record store behind the centralized
+// repository (internal/central) and SWORD's ring members (internal/sword).
+// It plays the role of the DB2 backend in the paper's prototype: records
+// are appended to it and searched, each search picks its most selective
+// per-attribute index so matching is faster than a full scan, and a
+// configurable retrieval cost per matched record lets the Fig. 11
+// response-time experiment model backend work that pure network
+// simulation cannot.
 //
-// The store is sharded by record-key hash into K independent shards
-// (Options.Shards, default 8), each with its own lock, copy-on-write
-// record slice, per-attribute indexes and mutation epoch. Sharding keeps
-// bulk ingest O(N) (appends land in one shard's capacity headroom instead
-// of recopying one global slice), lets mutations and searches on
-// different shards proceed concurrently, and — via EnableSummaries — lets
-// each shard maintain a partial summary incrementally on write so that
-// summary export is a cheap merge of K partials instead of an
-// O(records×attrs) rebuild (see export.go).
-//
-// Writes are first-class: Add, Replace, Remove and Update all touch only
-// the owning shard, maintaining its indexes and partial summary in place
-// where the summary mode allows exact subtraction, and falling back to a
-// single-shard rebuild past the tracked-deletion threshold
-// (Options.RemovalRebuildFraction). The merged export is cached by store
-// epoch and is content-identical to a from-scratch summary over the same
-// records — equal version hash — so sharding is invisible on the wire.
-// Store epochs and the cached export also feed the query result cache in
-// internal/live, which revalidates a cached answer's store dependency
-// against the current epoch before serving it.
-//
-// See DESIGN.md §11 for the shard layout, the copy-on-write discipline
-// and the measured rebuild-vs-merge costs.
+// A store is one RWMutex, one append-only record slice and one set of
+// indexes. Appends land in the slice's capacity headroom, so N one-record
+// Adds cost O(N), and published elements are never rewritten, so a
+// Records snapshot is safe to walk while appends continue. Appends extend
+// built indexes in place. Resource owners keep their records and summary
+// in policy.Owner, not here (see DESIGN.md §11).
 package store

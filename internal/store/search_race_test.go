@@ -3,40 +3,34 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"roads/internal/query"
 	"roads/internal/record"
 )
 
-// TestSearchSeesIndexesOfTheSliceItWalks is the regression for Search
-// checking the indexes under one lock hold and searching under another. A
-// writer keeps removing the shard's first record and appending it again, so
-// every removal shifts every record down one position and dirties the
-// indexes; every other record matches the query. A search that walks the
-// slice with the positions of a slice one mutation older either indexes
-// past its end or lands on the non-matching neighbours and returns almost
-// nothing. With one lock hold per search every result has all the matching
-// records but the one in flight.
+// TestSearchSeesIndexesOfTheSliceItWalks pins that a search's indexes and
+// the record slice it walks come from one lock hold. A writer appends
+// records one at a time, every other one matching the query, while
+// searchers race it; the first search builds the indexes under the write
+// lock while appends are landing. Every search must return at least the
+// matching records whose Add returned before it started: a search that
+// walked a newer slice with older indexes, or the reverse, would miss
+// appended records or index past the slice it holds.
 func TestSearchSeesIndexesOfTheSliceItWalks(t *testing.T) {
 	const (
-		n         = 64
-		rotations = 1500
+		n         = 1000
 		searchers = 4
 	)
 	schema := record.DefaultSchema(1)
-	st := NewWithOptions(schema, CostModel{}, Options{Shards: 1})
-	recs := make([]*record.Record, n)
-	for i := range recs {
-		recs[i] = record.New(schema, fmt.Sprintf("r%02d", i), "o")
-		recs[i].SetNum(0, float64(i%2)) // even: 0, matches; odd: 1, does not
-	}
-	st.Add(recs...)
+	st := New(schema, CostModel{})
 	q := query.New("q", query.NewRange("a0", -0.5, 0.5))
 	if err := q.Bind(schema); err != nil { // searchers share it read-only
 		t.Fatal(err)
 	}
 
+	var added atomic.Int64 // matching records whose Add has returned
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for s := 0; s < searchers; s++ {
@@ -49,23 +43,30 @@ func TestSearchSeesIndexesOfTheSliceItWalks(t *testing.T) {
 					return
 				default:
 				}
+				floor := int(added.Load())
 				res, err := st.Search(q)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(res.Records) < n/2-1 {
-					t.Errorf("search returned %d records; at least %d always match", len(res.Records), n/2-1)
+				if len(res.Records) < floor {
+					t.Errorf("search returned %d records; %d matching records were added before it started", len(res.Records), floor)
 					return
 				}
 			}
 		}()
 	}
-	for i := 0; i < rotations; i++ {
-		r := recs[i%n]
-		st.Remove(r.ID)
+	for i := 0; i < n; i++ {
+		r := record.New(schema, fmt.Sprintf("r%04d", i), "o")
+		r.SetNum(0, float64(i%2)) // even: 0, matches; odd: 1, does not
 		st.Add(r)
+		if i%2 == 0 {
+			added.Add(1)
+		}
 	}
 	close(done)
 	wg.Wait()
+	if res, _ := st.Search(q); len(res.Records) != n/2 {
+		t.Fatalf("final search matched %d, want %d", len(res.Records), n/2)
+	}
 }

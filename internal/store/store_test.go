@@ -120,31 +120,6 @@ func TestCostModelCharges(t *testing.T) {
 	}
 }
 
-func TestReplaceRebuildsIndexes(t *testing.T) {
-	st := New(mixedSchema(), CostModel{})
-	fill(st, 100, 5)
-	q := query.New("q", query.NewRange("cpu", 0, 1))
-	if _, err := st.Search(q); err != nil {
-		t.Fatal(err)
-	}
-	s := st.Schema()
-	r := record.New(s, "only", "o")
-	r.SetNum(0, 0.5)
-	r.SetNum(1, 0.5)
-	r.SetStr(2, "linux")
-	st.Replace([]*record.Record{r})
-	if st.Len() != 1 {
-		t.Fatalf("Len after Replace = %d; want 1", st.Len())
-	}
-	res, err := st.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || res.Records[0].ID != "only" {
-		t.Fatal("Replace did not refresh search results")
-	}
-}
-
 func TestCategoricalIndexExact(t *testing.T) {
 	st := New(mixedSchema(), CostModel{})
 	fill(st, 300, 6)

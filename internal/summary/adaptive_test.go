@@ -208,8 +208,9 @@ func TestValueSetCondense(t *testing.T) {
 }
 
 // TestCondenseDeterminism: condensing a merge of exact partials equals
-// condensing a monolithic build — the property the sharded store's export
-// cache and the version-suppression protocol both rest on.
+// condensing a monolithic build — the property owner exports (a condensed
+// clone of an exact summary) and the version-suppression protocol both
+// rest on.
 func TestCondenseDeterminism(t *testing.T) {
 	s := mixedSchema()
 	cfg := DefaultConfig()
@@ -226,7 +227,7 @@ func TestCondenseDeterminism(t *testing.T) {
 	merged := MustNew(s, cfg)
 	for part := 0; part < 3; part++ {
 		ps := MustNew(s, cfg)
-		ps.Cfg.CondenseAbove = 0 // partials stay exact, like shard partials
+		ps.Cfg.CondenseAbove = 0 // partials stay exact
 		for i := part; i < 12; i += 3 {
 			ps.AddRecord(recs[i])
 		}

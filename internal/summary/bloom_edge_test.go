@@ -163,13 +163,11 @@ func TestBloomMergeAnySaturation(t *testing.T) {
 	}
 }
 
-// TestStoreBloomShardPartialMerge drives Bloom-carrying summaries through
-// the sharded store's partial-summary pipeline (incremental per-shard
-// partials, first-class removes): because Blooms are not subtractable,
-// removals must trigger shard rebuilds — never bit subtraction — and the
-// exported whole must always equal a from-scratch rebuild of the records
-// actually present. The store package owns that pipeline; this test pins
-// the summary-side contract it depends on (Subtractable gating).
+// TestStoreBloomShardPartialMerge pins the summary-side contract of Bloom
+// mode: summaries of disjoint record sets merge into exactly the summary of
+// their union, and a Bloom-carrying summary reports itself
+// non-subtractable, so an owner rebuilds it on removal instead of clearing
+// bits (policy.Owner keys off Subtractable).
 func TestStoreBloomShardPartialMerge(t *testing.T) {
 	s := mixedSchema()
 	cfg := bloomCfg(256, 4)

@@ -275,8 +275,8 @@ func (sum *Summary) RemoveRecord(r *record.Record) error {
 // zeroed) value counts, so a summary of those kinds tracks removals
 // without drift — removing a record yields the same content (and the same
 // ComputeVersion) as rebuilding without it. Bloom filters cannot clear
-// bits, so any summary holding one must rebuild instead; the sharded
-// store's tracked-deletion fallback keys off this.
+// bits, so any summary holding one must rebuild instead; an owner's
+// summary (policy.Owner) falls back to a rebuild off this.
 func (sum *Summary) Subtractable() bool {
 	for i := range sum.Blooms {
 		if sum.Blooms[i] != nil {

@@ -417,8 +417,8 @@ type QueryReply struct {
 	// Fingerprint is the server's current routing-state fingerprint,
 	// stamped when the query asked via WantFingerprint (or
 	// revalidated one). It covers the branch summary version, every
-	// child/replica routing dependency, the local store epoch and owner
-	// generations — any change that could alter this server's answer
+	// child/replica routing dependency and the owners' generations and
+	// view revisions — any change that could alter this server's answer
 	// changes the fingerprint. Zero means "unavailable, don't cache".
 	Fingerprint uint64
 }

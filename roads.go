@@ -1,13 +1,10 @@
 package roads
 
 import (
-	"time"
-
 	"roads/internal/live"
 	"roads/internal/policy"
 	"roads/internal/query"
 	"roads/internal/record"
-	"roads/internal/store"
 	"roads/internal/summary"
 	"roads/internal/transport"
 )
@@ -155,32 +152,3 @@ func NewTCPTransport() Transport { return transport.NewTCP() }
 // NewInProcessTransport returns an in-process transport for tests, demos
 // and benchmarks (optionally with injected latency; see transport.Chan).
 func NewInProcessTransport() *transport.Chan { return transport.NewChan() }
-
-// TransportStats is a snapshot of a transport's operational counters
-// (dials vs pooled reuses, in-flight calls, bytes, latency histogram).
-type TransportStats = transport.Stats
-
-// StatsOf returns the transport's counters when it exposes them (both
-// built-in transports do).
-func StatsOf(tr Transport) (TransportStats, bool) {
-	if s, ok := tr.(transport.Statser); ok {
-		return s.Stats(), true
-	}
-	return TransportStats{}, false
-}
-
-// --- Stores ---
-
-// Store is an indexed local record store with a backend cost model.
-type Store = store.Store
-
-// CostModel charges virtual time for backend work.
-type CostModel = store.CostModel
-
-// NewStore creates an indexed store.
-func NewStore(schema *Schema, cost CostModel) *Store { return store.New(schema, cost) }
-
-// DefaultTick is a sensible live maintenance period for demos
-// (production deployments would use minutes, per the paper's soft-state
-// design).
-const DefaultTick = 100 * time.Millisecond
