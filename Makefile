@@ -5,7 +5,9 @@ GO ?= go
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, every example run to completion, plus race-enabled runs of the
 # concurrency-heavy packages (the live protocol stack, the pooled
-# transport and the owners' copy-on-write records), the fault-injection chaos suite, the documentation checks,
+# transport and the owners' copy-on-write records) and of one stepped figure
+# build (rounds on the experiment's goroutine, handlers and resolve workers
+# beside it), the fault-injection chaos suite, the documentation checks,
 # five seconds of fuzzing the one wire decoder, and the canonical
 # benchmark's own module (which `./...` at the root does not reach).
 # test/examples/race/chaos depend on vet so a vet failure stops the gate
@@ -34,6 +36,7 @@ examples: vet
 
 race: vet
 	$(GO) test -race ./internal/live/... ./internal/transport/... ./internal/wire/... ./internal/store/... ./internal/policy/...
+	$(GO) test -race -run TestQueryColumnsDeterministic ./internal/experiment/
 
 # chaos drives the deterministic fault-injection transport through the
 # failure scenarios in internal/live/chaos_test.go (crashed redirect

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"errors"
 	"math/rand"
 
 	"roads/internal/live"
+	"roads/internal/stats"
 	"roads/internal/workload"
 )
 
@@ -41,22 +43,22 @@ func SweepChurn(opt Options, failFracs []float64) (*ChurnResult, error) {
 	s := newSeries("Churn", "failed fraction", "recall",
 		"stale recall", "post-repair recall", "surviving data")
 
-	for _, frac := range failFracs {
-		var staleSum, repairSum, survivingSum float64
-		for run := 0; run < opt.Runs; run++ {
-			stale, repaired, err := churnRun(opt, opt.Seed+int64(run), frac)
-			if err != nil {
-				return nil, err
-			}
-			staleSum += stale
-			repairSum += repaired
-			survivingSum += 1 - frac
-		}
-		f := float64(opt.Runs)
+	n := opt.Runs
+	stale, repaired := make([]float64, len(failFracs)*n), make([]float64, len(failFracs)*n)
+	errs := make([]error, len(stale))
+	// A run mostly waits for real timers to detect the crashes and age the
+	// replicas out, so the runs wait side by side.
+	inFlight(len(stale), opt.Nodes, func(i int) {
+		stale[i], repaired[i], errs[i] = churnRun(opt, opt.Seed+int64(i%n), failFracs[i/n])
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for fi, frac := range failFracs {
 		s.add(frac, map[string]float64{
-			"stale recall":       staleSum / f,
-			"post-repair recall": repairSum / f,
-			"surviving data":     survivingSum / f,
+			"stale recall":       stats.Mean(stale[fi*n : (fi+1)*n]),
+			"post-repair recall": stats.Mean(repaired[fi*n : (fi+1)*n]),
+			"surviving data":     1 - frac,
 		})
 	}
 	return &ChurnResult{Series: s}, nil
@@ -84,6 +86,9 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 		return 0, 0, err
 	}
 	defer f.stop()
+	// Repair needs real timers. An idle round moves nothing on a settled
+	// federation, so the queries still read the state the build settled on.
+	f.cl.Run()
 
 	// Crash frac of the non-root servers.
 	failCount := int(frac * float64(opt.Nodes))

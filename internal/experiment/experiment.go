@@ -16,9 +16,11 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"roads/internal/coords"
@@ -169,9 +171,9 @@ type pointConfig struct {
 	trSeconds, tsSeconds                  float64
 	cost                                  store.CostModel
 	runSWORD                              bool
-	// idle measures the at-rest maintenance traffic; rootStart also
-	// resolves every query entering at the root (the overlay ablation).
-	idle, rootStart bool
+	// rootStart also resolves every query entering at the root (the
+	// overlay ablation).
+	rootStart bool
 }
 
 func (o Options) point(seed int64) pointConfig {
@@ -295,7 +297,7 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 	}
 	defer f.stop()
 	res.roadsUpdateBps = float64(f.updateBytes) / cfg.tsSeconds
-	res.roadsIdleBps = f.idleBytes / cfg.tsSeconds
+	res.roadsIdleBps = float64(f.idleBytes) / cfg.tsSeconds
 	res.roadsDepth = float64(f.depth)
 	for qi, q := range queries {
 		r, err := f.resolve(q, f.addrs[starts[qi]], starts[qi])
@@ -358,16 +360,35 @@ func runPoint(cfg pointConfig) (pointResult, error) {
 
 // averagePoints runs cfg for each seed and averages the results.
 func averagePoints(base pointConfig, runs int, seed int64) (pointResult, error) {
-	var acc pointResult
-	for r := 0; r < runs; r++ {
+	prs := make([]pointResult, runs)
+	errs := make([]error, runs)
+	inFlight(runs, base.nodes, func(r int) {
 		cfg := base
 		cfg.seed = seed + int64(r)
-		pr, err := runPoint(cfg)
-		if err != nil {
-			return acc, err
-		}
+		prs[r], errs[r] = runPoint(cfg)
+	})
+	var acc pointResult
+	for _, pr := range prs {
 		acc.add(pr)
 	}
 	acc.scale(1 / float64(runs))
-	return acc, nil
+	return acc, errors.Join(errs...)
+}
+
+// inFlight calls run(i) for every i in [0,n) on goroutines, as many at once
+// as hold at most 640 servers of nodes each (the largest point of the quick
+// node sweep). Every run builds and reads its own stepped federation, so
+// running them side by side changes no result.
+func inFlight(n, nodes int, run func(i int)) {
+	sem := make(chan struct{}, max(1, 640/nodes))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			run(i)
+		}()
+	}
+	wg.Wait()
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -107,36 +106,12 @@ func TestSweepDimsShapes(t *testing.T) {
 
 func TestSweepRecordsShapes(t *testing.T) {
 	t.Parallel()
-	// How often an early round resends a branch depends on when its
-	// children's reports arrive, so one run's update bytes spread by about
-	// ±10% around the mean, with outliers past ±15% (one pair of runs in
-	// twenty put the two points 47% apart). The mean of six seeds per point
-	// keeps the ratio within ±10% (twenty repeats, 0.90 to 1.10). The seeds
-	// run side by side: a build mostly waits on aggregation periods.
-	const seeds = 6
-	results := make([]*Series, seeds)
-	errs := make([]error, seeds)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := tiny()
-			o.Seed += int64(i)
-			results[i], errs[i] = SweepRecords(o, []int{50, 250})
-		}()
+	res, err := SweepRecords(tiny(), []int{50, 250})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	var r0, r1, s0, s1 float64
-	for i, res := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		r0 += res.Y["ROADS"][0] / seeds
-		r1 += res.Y["ROADS"][1] / seeds
-		s0 += res.Y["SWORD"][0] / seeds
-		s1 += res.Y["SWORD"][1] / seeds
-	}
+	r0, r1 := res.Y["ROADS"][0], res.Y["ROADS"][1]
+	s0, s1 := res.Y["SWORD"][0], res.Y["SWORD"][1]
 	// Fig. 8: ROADS constant, SWORD linear in records. Constant within a
 	// tolerance: histogram counts travel as uvarints, so a count past 127
 	// costs a second byte.
@@ -296,28 +271,36 @@ func TestSweepChurn(t *testing.T) {
 	}
 }
 
-// TestQueryColumnsDeterministic: the query side reads a settled federation
-// through traced hops, so two runs of one seed agree exactly on latency,
-// query bytes and servers contacted.
+// TestQueryColumnsDeterministic: a federation is built stepped and the query
+// side reads it through traced hops, so two runs of one seed agree exactly on
+// latency, query bytes, and update and idle bytes.
 func TestQueryColumnsDeterministic(t *testing.T) {
 	t.Parallel()
 	o := tiny()
 	o.Nodes, o.Queries = 40, 20
-	var runs [2]*DimsSweepResult
-	for i := range runs {
-		res, err := SweepDims(o, []int{3})
-		if err != nil {
+	var dims [2]*DimsSweepResult
+	var nodes [2]*NodesSweepResult
+	for i := range dims {
+		var err error
+		if dims[i], err = SweepDims(o, []int{3}); err != nil {
 			t.Fatal(err)
 		}
-		runs[i] = res
+		if nodes[i], err = SweepNodes(o, []int{40}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, pair := range [][2]*Series{
-		{runs[0].Fig6Latency, runs[1].Fig6Latency},
-		{runs[0].Fig7Query, runs[1].Fig7Query},
+	for _, c := range []struct {
+		pair [2]*Series
+		col  string
+	}{
+		{[2]*Series{dims[0].Fig6Latency, dims[1].Fig6Latency}, "ROADS"},
+		{[2]*Series{dims[0].Fig7Query, dims[1].Fig7Query}, "ROADS"},
+		{[2]*Series{nodes[0].Fig4Update, nodes[1].Fig4Update}, "ROADS"},
+		{[2]*Series{nodes[0].Fig4Update, nodes[1].Fig4Update}, "ROADS idle"},
 	} {
-		a, b := pair[0].Y["ROADS"][0], pair[1].Y["ROADS"][0]
+		a, b := c.pair[0].Y[c.col][0], c.pair[1].Y[c.col][0]
 		if a != b {
-			t.Errorf("%s: two runs of one seed give %g and %g", pair[0].Name, a, b)
+			t.Errorf("%s %s: two runs of one seed give %g and %g", c.pair[0].Name, c.col, a, b)
 		}
 	}
 }

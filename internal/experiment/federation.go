@@ -22,19 +22,15 @@ import (
 )
 
 const (
-	// tick is every federation's aggregation period. The figures read bytes
-	// and traced hops, never wall time, so the tick only sets how long a
-	// build takes: a write crosses each hop in an early round, at most one
-	// per half tick per server.
+	// tick is the aggregation period of a federation's loops, which run only
+	// for the churn sweep's repair: builds are stepped.
 	tick = 50 * time.Millisecond
 	// replicaTTLFloor lets the churn sweep's crashed origins age out of the
 	// overlay within about two seconds instead of live's default five.
 	replicaTTLFloor = 2 * time.Second
-	// convergeTimeout bounds every wait for a federation to settle.
+	// convergeTimeout bounds the churn sweep's wait for the survivors to
+	// repair the federation.
 	convergeTimeout = 2 * time.Minute
-	// idlePeriods is how many aggregation periods the at-rest maintenance
-	// traffic is averaged over.
-	idlePeriods = 8
 	// processingDelay is the latency model's per-hop evaluation time.
 	processingDelay = 2 * time.Millisecond
 )
@@ -51,9 +47,6 @@ const kinds = int(wire.KindRootProbeReply) + 1
 type meter struct {
 	transport.Transport
 	bytes [kinds]atomic.Int64
-	// content counts maintenance calls that carried a summary or a replica
-	// list; it stops moving once every server holds its final state.
-	content atomic.Int64
 
 	mu       sync.Mutex
 	returned map[string]int // record bytes per server address since takeReturned
@@ -83,9 +76,6 @@ func (m *meter) CallContext(ctx context.Context, addr string, req *wire.Message)
 		r := *req
 		r.Query = &q
 		counted = &r
-	case req.Kind == wire.KindSummaryReport && req.Report != nil && req.Report.Summary != nil,
-		req.Kind == wire.KindReplicaBatch && req.Batch != nil && len(req.Batch.Pushes) > 0:
-		m.content.Add(1)
 	}
 	m.bytes[req.Kind].Add(encodedSize(counted))
 	rep, err := m.Transport.CallContext(ctx, addr, req)
@@ -154,8 +144,8 @@ func (m *meter) takeReturned() map[string]int {
 }
 
 // federation is one data point's ROADS deployment: live servers on the
-// in-process transport, placed as an exact tree, each with one summary-mode
-// owner attached once the empty tree had settled.
+// in-process transport, placed as an exact tree and stepped, each with one
+// summary-mode owner attached once the empty tree had settled.
 type federation struct {
 	cl     *live.Cluster
 	m      *meter
@@ -169,23 +159,24 @@ type federation struct {
 	host  map[string]int
 	root  string
 	depth int // servers on the longest root path
-	// updateBytes are the maintenance bytes from owner attach to
-	// convergence; idleBytes the maintenance bytes per aggregation period
-	// at rest (zero unless the point asked for them).
+	// updateBytes are the maintenance bytes from owner attach until the
+	// federation has settled; idleBytes those of one step at rest, a
+	// periodic round on every server.
 	updateBytes int64
-	idleBytes   float64
+	idleBytes   int64
 }
 
-// buildROADS starts a federation over the workload and waits until it has
-// converged and settled: every server routes to every record, and no
-// maintenance message carries content any more.
+// buildROADS builds a stepped federation over the workload and settles it:
+// every server routes to every record, and a round on every server moves
+// nothing any more. Its loops do not run: every run of a seed reads the
+// same federation.
 func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*federation, error) {
 	parents, err := loadgen.Placement(cfg.nodes, cfg.degree, 0)
 	if err != nil {
 		return nil, err
 	}
 	m := newMeter(transport.NewChan())
-	cl, err := live.StartCluster(m, live.ClusterConfig{
+	cl, err := live.NewCluster(m, live.ClusterConfig{
 		N:                        cfg.nodes,
 		Schema:                   w.Schema,
 		Summary:                  summary.Config{Buckets: cfg.buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet},
@@ -207,7 +198,7 @@ func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*fe
 	f.client = live.NewClient(m, "experiment")
 	f.client.Trace = true
 	f.client.Retries = -1 // a crashed server stays crashed
-	if err := f.settle(); err != nil {
+	if err := cl.Settle(); err != nil {
 		f.stop()
 		return nil, err
 	}
@@ -220,45 +211,23 @@ func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*fe
 			return nil, err
 		}
 	}
-	if err := cl.WaitConverged(uint64(w.TotalRecords()), convergeTimeout); err != nil {
+	// A settled federation covers every record or never will: no wait.
+	if err := cl.Settle(); err != nil {
+		f.stop()
+		return nil, err
+	}
+	if err := cl.WaitConverged(uint64(w.TotalRecords()), 0); err != nil {
 		f.stop()
 		return nil, err
 	}
 	f.updateBytes = m.maintenance() - before
-	if err := f.settle(); err != nil {
-		f.stop()
-		return nil, err
-	}
 	for _, srv := range cl.Servers {
 		f.depth = max(f.depth, len(srv.RootPath()))
 	}
-	if cfg.idle {
-		before, began := m.maintenance(), time.Now()
-		time.Sleep(idlePeriods * tick)
-		f.idleBytes = float64(m.maintenance()-before) * float64(tick) / float64(time.Since(began))
-	}
+	before = m.maintenance()
+	cl.Step()
+	f.idleBytes = m.maintenance() - before
 	return f, nil
-}
-
-// settle waits until no maintenance call has carried content for two
-// periods: every server then holds its final routing state, down to the
-// record counts on its redirects, so every run of a seed reads the same
-// federation.
-func (f *federation) settle() error {
-	deadline := time.Now().Add(convergeTimeout)
-	last, quiet := f.m.content.Load(), 0
-	for quiet < 2 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: maintenance still carried content after %v", convergeTimeout)
-		}
-		time.Sleep(tick)
-		if n := f.m.content.Load(); n != last {
-			last, quiet = n, 0
-		} else {
-			quiet++
-		}
-	}
-	return nil
 }
 
 // stop crashes every server — no Leave round, nothing is left to measure —

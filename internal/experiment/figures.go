@@ -34,7 +34,6 @@ func SweepNodes(opt Options, nodesAxis []int) (*NodesSweepResult, error) {
 	for _, n := range nodesAxis {
 		cfg := opt.point(opt.Seed)
 		cfg.nodes = n
-		cfg.idle = true
 		pr, err := averagePoints(cfg, opt.Runs, opt.Seed)
 		if err != nil {
 			return nil, err
@@ -92,7 +91,6 @@ func SweepRecords(opt Options, recordsAxis []int) (*Series, error) {
 		cfg := opt.point(opt.Seed)
 		cfg.records = k
 		cfg.queries = 1 // updates only; one token query keeps validation happy
-		cfg.idle = true
 		pr, err := averagePoints(cfg, opt.Runs, opt.Seed)
 		if err != nil {
 			return nil, err

@@ -37,8 +37,7 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		parkEarlyRounds(srv)
-		if err := srv.Start(); err != nil {
+		if err := srv.listen(); err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(srv.Stop)
@@ -160,8 +159,7 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 		if err != nil {
 			b.Fatal(err)
 		}
-		parkEarlyRounds(srv)
-		if err := srv.Start(); err != nil {
+		if err := srv.listen(); err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(srv.Stop)
@@ -346,7 +344,7 @@ func BenchmarkMaintenanceBytesByKind(b *testing.B) {
 		tr.reset()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			writeAndSettle(b, cl, tr, leaf, fmt.Sprintf("write-%d", i))
+			writeAndSettle(b, cl, leaf, fmt.Sprintf("write-%d", i))
 		}
 		b.StopTimer()
 		summaries, _, _ := tr.counts()

@@ -37,35 +37,24 @@ func rangeOf(lo float64, n int) []float64 {
 	return out
 }
 
-// newCacheStar builds a parked-loop star: one root, one child per childVals
-// entry, each child holding a summary-mode owner with those attribute
-// values, branches reported up. Loops are parked (hour-long ticks) so the
-// test drives every refresh and report deterministically.
+// newCacheStar builds a star: one root, one child per childVals entry, each
+// child holding a summary-mode owner with those attribute values, branches
+// reported up. No loop runs, so the test drives every refresh and report
+// deterministically.
 func newCacheStar(t *testing.T, mut func(cfg *Config), childVals ...[]float64) (*Server, []*Server, []*policy.Owner, *transport.Chan, *record.Schema) {
 	t.Helper()
 	schema := record.DefaultSchema(1)
 	tr := transport.NewChan()
 	mk := func(id string) *Server {
-		cfg := DefaultConfig(id, "addr-"+id, schema)
-		cfg.MaxChildren = 8
-		cfg.AggregateEvery = time.Hour
-		// The default summary domain is the paper's unit range [0,1);
-		// widen it so the integer-valued test records land in distinct
-		// histogram buckets instead of collapsing into the last one.
-		cfg.Summary.Max = 1000
-		if mut != nil {
-			mut(&cfg)
-		}
-		srv, err := NewServer(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parkEarlyRounds(srv)
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		return srv
+		return deltaServerCfg(t, tr, id, schema, func(cfg *Config) {
+			// The default summary domain is the paper's unit range [0,1);
+			// widen it so the integer-valued test records land in distinct
+			// histogram buckets instead of collapsing into the last one.
+			cfg.Summary.Max = 1000
+			if mut != nil {
+				mut(cfg)
+			}
+		})
 	}
 	root := mk("root")
 	children := make([]*Server, 0, len(childVals))
@@ -400,13 +389,12 @@ func TestRestartedServerDoesNotConfirmOldFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parkEarlyRounds(srv)
 		o := policy.NewOwner("o", schema, nil)
 		o.SetRecords(numRecords(schema, "o", prefix, ownerVals))
 		if err := srv.AttachOwner(o); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Start(); err != nil {
+		if err := srv.listen(); err != nil {
 			t.Fatal(err)
 		}
 		return srv

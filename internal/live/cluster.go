@@ -14,14 +14,15 @@ import (
 
 // Cluster is a convenience harness that spins up n live servers on one
 // transport, joins them into a hierarchy, and waits for aggregation and
-// replication to converge. Tests, examples, the prototype benchmark and
-// the canonical benchmark (bench/) all build on it.
+// replication to converge. Tests, examples, the figures and the canonical
+// benchmark (bench/) all build on it. A stepped cluster (NewCluster) runs no
+// loops: Step and Settle drive its rounds, and Run starts the loops.
 type Cluster struct {
 	Servers []*Server
 	Tr      transport.Transport
 	Schema  *record.Schema
 
-	// Effective settings StartCluster resolved, kept for the convergence
+	// Effective settings NewCluster resolved, kept for the convergence
 	// heuristics (WaitConverged derives the replica soft-state TTL from
 	// them).
 	tick     time.Duration
@@ -91,13 +92,25 @@ func runPool(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// StartCluster launches the servers and joins 1..n-1 into the hierarchy.
-// Server starts run on a bounded worker pool, and joins run in waves of
-// the same width: every server whose join seed (JoinVia, default server 0)
-// is already attached joins concurrently, so a deep explicit placement
-// costs one wave per level and the default flat seed costs a single wave —
-// not one serial join per server.
+// StartCluster builds the cluster as NewCluster does but starts each
+// server's loops as soon as it listens, before the joins: the joins' early
+// rounds then run while the cluster builds, not in one burst after it whose
+// rate-limit window the owners' first writes would wait out.
 func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
+	return newCluster(tr, cfg, true)
+}
+
+// NewCluster creates the servers, has them listen and joins 1..n-1 into the
+// hierarchy, and starts no loop. Listens run on a bounded worker pool, and
+// joins run in waves of the same width: every server whose join seed
+// (JoinVia, default server 0) is already attached joins concurrently, so a
+// deep explicit placement costs one wave per level and the default flat seed
+// costs a single wave — not one serial join per server.
+func NewCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
+	return newCluster(tr, cfg, false)
+}
+
+func newCluster(tr transport.Transport, cfg ClusterConfig, run bool) (*Cluster, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("live: cluster needs at least one server")
 	}
@@ -118,6 +131,10 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		Servers:  make([]*Server, cfg.N),
 		tick:     tick,
 		ttlFloor: cfg.ReplicaTTLFloor,
+	}
+	joinVia := cfg.JoinVia
+	if joinVia == nil {
+		joinVia = func(int) int { return 0 }
 	}
 	errs := make([]error, cfg.N)
 	runPool(cfg.N, func(i int) {
@@ -140,15 +157,20 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 			errs[i] = err
 			return
 		}
-		if err := srv.Start(); err != nil {
+		if err := srv.listen(); err != nil {
 			errs[i] = err
 			return
 		}
+		if run {
+			srv.run()
+		}
 		cl.Servers[i] = srv
 	})
-	if err := cl.compact(errs); err != nil {
-		cl.Stop()
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			cl.Stop()
+			return nil, err
+		}
 	}
 
 	// Join waves: a server may join once its seed is attached. With the
@@ -164,10 +186,7 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		wave := make([]int, 0, len(pending))
 		rest := pending[:0]
 		for _, i := range pending {
-			via := 0
-			if cfg.JoinVia != nil {
-				via = cfg.JoinVia(i)
-			}
+			via := joinVia(i)
 			if via < 0 || via >= cfg.N || via == i {
 				cl.Stop()
 				return nil, fmt.Errorf("live: cluster JoinVia(%d) = %d is not another server index", i, via)
@@ -185,11 +204,7 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 		waveErrs := make([]error, len(wave))
 		runPool(len(wave), func(w int) {
 			i := wave[w]
-			via := 0
-			if cfg.JoinVia != nil {
-				via = cfg.JoinVia(i)
-			}
-			waveErrs[w] = cl.Servers[i].Join(cl.Servers[via].Addr())
+			waveErrs[w] = cl.Servers[i].Join(cl.Servers[joinVia(i)].Addr())
 		})
 		for w, err := range waveErrs {
 			if err != nil {
@@ -203,23 +218,75 @@ func StartCluster(tr transport.Transport, cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// compact verifies every server slot was built; on failure it keeps the
-// started subset so Stop can clean up, and returns the first error.
-func (cl *Cluster) compact(errs []error) error {
-	var first error
-	alive := cl.Servers[:0]
-	for i, srv := range cl.Servers {
-		if srv != nil {
-			alive = append(alive, srv)
+// Run starts every server's loops; a running cluster is not stepped.
+func (cl *Cluster) Run() {
+	for _, srv := range cl.Servers {
+		srv.run()
+	}
+}
+
+// settleSteps bounds Settle: a write crosses the tree in one step's early
+// rounds, a join's replica set in a step per level.
+const settleSteps = 64
+
+// Step runs one round of the federation on the caller's goroutine: the
+// queued early rounds until none is left, children first (reverse index
+// order, as a server joins after its seed), so that a parent takes in all
+// its children's branches before it reports and pushes, as the loops' rate
+// limit lets it; then a periodic round on every server in index order. It
+// reports whether any server's routing content (fpBase, covered count or
+// branch version) moved.
+func (cl *Cluster) Step() bool { return len(cl.step()) > 0 }
+
+// step is Step, returning the IDs of the servers whose content moved.
+func (cl *Cluster) step() []string {
+	type content struct{ fp, covered, version uint64 }
+	read := func(s *Server) content {
+		snap := s.snap.Load()
+		c := content{fp: snap.fpBase, covered: snap.covered}
+		if snap.branchSummary != nil {
+			c.version = snap.branchSummary.Version
 		}
-		if errs[i] != nil && first == nil {
-			first = errs[i]
+		return c
+	}
+	before := make([]content, len(cl.Servers))
+	for i, s := range cl.Servers {
+		before[i] = read(s)
+	}
+	for queued := true; queued; {
+		queued = false
+		for i := len(cl.Servers) - 1; i >= 0; i-- {
+			s := cl.Servers[i]
+			select {
+			case <-s.wake:
+				s.round(true)
+				queued = true
+			default:
+			}
 		}
 	}
-	if first != nil {
-		cl.Servers = alive
+	for _, s := range cl.Servers {
+		s.round(false)
 	}
-	return first
+	var moved []string
+	for i, s := range cl.Servers {
+		if read(s) != before[i] {
+			moved = append(moved, s.ID())
+		}
+	}
+	return moved
+}
+
+// Settle steps until a step moves nothing, and fails when settleSteps steps
+// all moved something.
+func (cl *Cluster) Settle() error {
+	var moved []string
+	for i := 0; i < settleSteps; i++ {
+		if moved = cl.step(); len(moved) == 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("live: cluster still moving after %d steps: %s", settleSteps, lagDetail(moved))
 }
 
 // AttachOwner attaches an owner at server index i.

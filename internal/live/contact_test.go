@@ -21,12 +21,11 @@ import (
 
 // parkedFederation builds the canonical benchmark's federation — 64 servers,
 // fan-out 4, 50 records and 64-bucket summaries of 8 attributes per server —
-// converged and at rest: the tick is an hour, early rounds are parked from
-// the start and the maintenance rounds that converge it are driven from here,
-// so while a test or benchmark resolves against it nothing else runs,
-// allocates or starts goroutines. The queries are the benchmark's fresh broad
-// ones (3 of 8 dimensions, a quarter of each range, some fifty servers
-// contacted).
+// stepped and settled, so while a test or benchmark resolves against it
+// nothing else runs, allocates or starts goroutines. The hour-long tick keeps
+// a later step from taking a child that has not reported for a while for
+// dead. The queries are the benchmark's fresh broad ones (3 of 8 dimensions,
+// a quarter of each range, some fifty servers contacted).
 func parkedFederation(tb testing.TB, tr transport.Transport, addrFor func(int) string) (*Cluster, []*query.Query) {
 	tb.Helper()
 	const servers, fanOut = 64, 4
@@ -34,29 +33,12 @@ func parkedFederation(tb testing.TB, tr transport.Transport, addrFor func(int) s
 		rand.New(rand.NewSource(2008)))
 	scfg := summary.DefaultConfig()
 	scfg.Buckets = 64
-	if addrFor == nil {
-		addrFor = func(i int) string { return fmt.Sprintf("srv%03d", i) }
+	cl, err := NewCluster(tr, ClusterConfig{N: servers, Schema: w.Schema, Summary: scfg, MaxChildren: fanOut,
+		AddrFor: addrFor, JoinVia: func(i int) int { return (i - 1) / fanOut }, Tick: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	cl := &Cluster{Tr: tr, Schema: w.Schema, tick: time.Hour}
 	tb.Cleanup(cl.Stop)
-	for i := 0; i < servers; i++ {
-		cfg := DefaultConfig(fmt.Sprintf("srv%03d", i), addrFor(i), w.Schema)
-		cfg.Summary, cfg.MaxChildren, cfg.AggregateEvery = scfg, fanOut, time.Hour
-		srv, err := NewServer(cfg, tr)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		parkEarlyRounds(srv)
-		if err := srv.Start(); err != nil {
-			tb.Fatal(err)
-		}
-		cl.Servers = append(cl.Servers, srv)
-		if i > 0 {
-			if err := srv.Join(cl.Servers[(i-1)/fanOut].Addr()); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
 	for i := range cl.Servers {
 		o := policy.NewOwner(fmt.Sprintf("owner%d", i), w.Schema, nil)
 		o.SetRecords(w.PerNode[i])
@@ -64,21 +46,7 @@ func parkedFederation(tb testing.TB, tr transport.Transport, addrFor func(int) s
 			tb.Fatal(err)
 		}
 	}
-	total := uint64(w.TotalRecords())
-	for round := 0; ; round++ {
-		under, over := cl.coverageLag(total)
-		if len(under)+len(over) == 0 {
-			break
-		}
-		if round == 32 {
-			tb.Fatalf("federation did not converge in %d driven rounds; under: %s; over: %s", round, lagDetail(under), lagDetail(over))
-		}
-		for _, srv := range cl.Servers {
-			srv.refreshSummaries()
-			srv.reportToParent()
-			srv.pushReplicas()
-		}
-	}
+	settle(tb, cl, uint64(w.TotalRecords()))
 	queries, err := w.GenQueries(256, 3, 0.25, rand.New(rand.NewSource(7)))
 	if err != nil {
 		tb.Fatal(err)

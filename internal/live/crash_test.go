@@ -24,6 +24,7 @@ func TestCrashedLeafExpiresFromOverlay(t *testing.T) {
 	if victim == nil {
 		t.Skip("no leaf")
 	}
+	cl.Run()      // detection and ageing run on real timers
 	victim.Kill() // crash: no Leave messages
 
 	// Wait for report-miss detection + replica TTL (ticks are 25ms, so
@@ -123,6 +124,7 @@ func TestRootCrashElection(t *testing.T) {
 	if wantWinner == "" {
 		t.Skip("root has no children")
 	}
+	cl.Run() // detection and election run on real timers
 	oldRoot.Kill()
 
 	// Wait for a single new root to emerge and everyone to reattach.

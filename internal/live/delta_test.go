@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"maps"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +13,9 @@ import (
 	"roads/internal/wire"
 )
 
-// deltaServerCfg builds a parked-loop server (background loops effectively
-// off, early rounds parked) so tests drive aggregation rounds
-// deterministically by calling refreshSummaries/reportToParent/pushReplicas
-// themselves.
+// deltaServerCfg builds a listening server whose loops do not run, so tests
+// drive aggregation rounds deterministically by calling
+// refreshSummaries/reportToParent/pushReplicas themselves.
 func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *record.Schema, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := DefaultConfig(id, "addr-"+id, schema)
@@ -29,44 +27,11 @@ func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *rec
 	if err != nil {
 		t.Fatal(err)
 	}
-	parkEarlyRounds(srv)
-	if err := srv.Start(); err != nil {
+	if err := srv.listen(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Stop)
 	return srv
-}
-
-// parkEarlyRounds keeps srv from running early rounds, so that the rounds a
-// test drives by hand are all the maintenance traffic there is. Call it
-// before Start: joins and attached owners ask for early rounds at once.
-func parkEarlyRounds(srv *Server) { srv.earlyAt.Store(math.MaxInt64) }
-
-// unparkEarlyRounds lets each server's next request for an early round run at
-// once. A request made while parked that a loop has not taken yet is dropped
-// first: it would spend the early round on nothing the test did. A request a
-// loop took just before the unpark but had not checked yet still runs, and
-// gates that server for half a period; so servers are unparked again until
-// a settle window passes in which none of them ran an early round.
-func unparkEarlyRounds(servers ...*Server) {
-	const settle = 20 * time.Millisecond
-	for pending := servers; len(pending) > 0; {
-		for _, s := range pending {
-			select {
-			case <-s.wake:
-			default:
-			}
-			s.earlyAt.Store(0)
-		}
-		time.Sleep(settle)
-		var ran []*Server
-		for _, s := range servers {
-			if s.earlyAt.Load() != 0 {
-				ran = append(ran, s)
-			}
-		}
-		pending = ran
-	}
 }
 
 func deltaServer(t *testing.T, tr transport.Transport, id string, schema *record.Schema) *Server {

@@ -39,5 +39,6 @@
 // answer; there is no admission layer in front of the query path.
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
-// tests, examples, the figures and the canonical benchmark.
+// tests, examples, the figures and the canonical benchmark; a stepped one
+// (NewCluster) runs no loops and is driven round by round (Cluster.Step).
 package live

@@ -2,7 +2,6 @@ package live
 
 import (
 	"testing"
-	"time"
 
 	"roads/internal/policy"
 	"roads/internal/query"
@@ -19,7 +18,7 @@ import (
 func TestDynamicResourceUpdates(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	cl, err := StartCluster(tr, ClusterConfig{N: 3, Schema: schema, MaxChildren: 2})
+	cl, err := NewCluster(tr, ClusterConfig{N: 3, Schema: schema, MaxChildren: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +35,7 @@ func TestDynamicResourceUpdates(t *testing.T) {
 	if err := cl.AttachOwner(2, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WaitConverged(1, convergeTimeout); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, cl, 1)
 
 	client := NewClient(tr, "t")
 	qOld := query.New("q-old", query.NewRange("a0", 0.15, 0.25))
@@ -55,18 +52,12 @@ func TestDynamicResourceUpdates(t *testing.T) {
 	// The resource changes: the owner replaces its record set.
 	o.SetRecords([]*record.Record{mk("new", 0.8)})
 
-	// Within a few ticks the summaries refresh along the hierarchy and the
-	// overlay; the new record becomes discoverable from a remote server.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		recs, _, err = client.Resolve(cl.Servers[0].Addr(), qNew.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 1 && recs[0].ID == "new" {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Once the summaries have refreshed along the hierarchy and the overlay,
+	// the new record is discoverable from a remote server.
+	settle(t, cl, 1)
+	recs, _, err = client.Resolve(cl.Servers[0].Addr(), qNew.Clone())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].ID != "new" {
 		t.Fatalf("new record not discoverable after refresh: %v", recs)
@@ -100,23 +91,16 @@ func TestOwnerAttachedAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	settle(t, cl, uint64(len(cl.Servers)*10+1))
 	q := query.New("q", query.NewRange("a0", 0.99, 1.0))
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		recs, _, err := client.Resolve(cl.Servers[0].Addr(), q.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, rec := range recs {
-			if rec.ID == "late-r1" {
-				found = true
-			}
-		}
-		if found {
+	recs, _, err := client.Resolve(cl.Servers[0].Addr(), q.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.ID == "late-r1" {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatal("late owner's record never became discoverable")
+	t.Fatal("late owner's record is not discoverable once the federation settled")
 }

@@ -85,23 +85,54 @@ func staleViews(cl *Cluster) []string {
 	return stale
 }
 
-// TestWriteReachesEveryServerWithoutATick: on the parked federation, whose
-// period is an hour, only early rounds can move anything. A leaf write
-// reaches all 64 servers within a second, in at most one early round per
-// server and without advancing any server's periodic round count — the
-// replan cadence. A replan is not urgent: the report it causes, driven by
-// hand, is the only maintenance call, and no server runs an early round.
+// TestWriteReachesEveryServerWithoutATick: on the settled federation, whose
+// period is an hour, only early rounds can move anything. A replan is not
+// urgent: stepped, the report it causes, driven by hand, is the only
+// maintenance call, and it queues no early round anywhere. Then, with the
+// loops running, a leaf write reaches all 64 servers within a second, in at
+// most one early round per server and without advancing any server's
+// periodic round count — the replan cadence.
 func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	cl, _ := parkedFederation(t, tr, nil)
+
+	// A forced replan at an interior server, reported by hand.
+	before := earlyRounds(cl)
+	mid := cl.Servers[5]
+	mid.fpHeat[0].Add(1000)
+	mid.refreshMu.Lock()
+	mid.replanLocked()
+	mid.refreshMu.Unlock()
+	if mid.AdaptiveInfo().Replans == 0 {
+		t.Fatal("setup: the heat did not change the plan")
+	}
+	mid.refreshSummaries()
+	calls := tr.Stats().Calls
+	tr.reset()
+	mid.reportToParent()
+	if summaries, _, _ := tr.counts(); summaries != 1 {
+		t.Fatalf("the replanned branch went up in %d summaries; want 1", summaries)
+	}
+	if got := tr.Stats().Calls - calls; got != 1 {
+		t.Errorf("%d maintenance calls after a replan's report; want the report alone", got)
+	}
+	for _, s := range cl.Servers {
+		if len(s.wake) > 0 {
+			t.Errorf("%s has an early round queued after a replan's report", s.ID())
+		}
+	}
+	if after := earlyRounds(cl); !slices.Equal(after, before) {
+		t.Errorf("a replan set off early rounds: %v -> %v", before, after)
+	}
+
+	// A leaf write, with the loops running.
 	total := cl.Servers[0].BranchRecords()
 	ticks := make([]uint64, len(cl.Servers))
 	for i, s := range cl.Servers {
 		ticks[i] = s.RefreshInfo().Ticks
 	}
-	unparkEarlyRounds(cl.Servers...)
-	before := earlyRounds(cl)
-
+	cl.Run()
+	before = earlyRounds(cl)
 	leaf := cl.Servers[len(cl.Servers)-1]
 	o := ownerOf(leaf)
 	r := o.Records()[0].Clone()
@@ -124,32 +155,6 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 		t.Error("the writer ran no early round")
 	}
 	t.Logf("a leaf write reached all %d servers in %v, in %d early rounds", len(cl.Servers), took, ran)
-
-	// A forced replan at an interior server, reported by hand.
-	unparkEarlyRounds(cl.Servers...)
-	before = earlyRounds(cl)
-	mid := cl.Servers[5]
-	mid.fpHeat[0].Add(1000)
-	mid.refreshMu.Lock()
-	mid.replanLocked()
-	mid.refreshMu.Unlock()
-	if mid.AdaptiveInfo().Replans == 0 {
-		t.Fatal("setup: the heat did not change the plan")
-	}
-	mid.refreshSummaries()
-	calls := tr.Stats().Calls
-	tr.reset()
-	mid.reportToParent()
-	if summaries, _, _ := tr.counts(); summaries != 1 {
-		t.Fatalf("the replanned branch went up in %d summaries; want 1", summaries)
-	}
-	time.Sleep(50 * time.Millisecond) // room for an early round that must not come
-	if got := tr.Stats().Calls - calls; got != 1 {
-		t.Errorf("%d maintenance calls after a replan's report; want the report alone", got)
-	}
-	if after := earlyRounds(cl); !slices.Equal(after, before) {
-		t.Errorf("a replan set off early rounds: %v -> %v", before, after)
-	}
 }
 
 // TestEarlyRoundsAreRateLimited: 200 writes in a tight loop at one owner give
@@ -254,7 +259,7 @@ func TestEarlyReportFailureIsNoParentMiss(t *testing.T) {
 // never r2.
 func TestRecordsModeOwnerWritesReachTheFederation(t *testing.T) {
 	schema := record.DefaultSchema(2)
-	cl, err := StartCluster(transport.NewChan(), ClusterConfig{N: 3, Schema: schema, MaxChildren: 1,
+	cl, err := NewCluster(transport.NewChan(), ClusterConfig{N: 3, Schema: schema, MaxChildren: 1,
 		JoinVia: func(i int) int { return i - 1 }})
 	if err != nil {
 		t.Fatal(err)
@@ -265,26 +270,20 @@ func TestRecordsModeOwnerWritesReachTheFederation(t *testing.T) {
 	if err := cl.AttachOwner(2, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WaitConverged(1, convergeTimeout); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, cl, 1)
 	o.RemoveRecords("r1-r0")
 	o.AddRecords(deltaRecords(schema, "r2", 1)...)
+	settle(t, cl, 1)
 
-	client := NewClient(cl.Tr, "t")
-	var ids []string
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		recs, _, err := client.Resolve(cl.Servers[0].Addr(), matchAllQuery())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = ids[:0]
-		for _, r := range recs {
-			ids = append(ids, r.ID)
-		}
-		if slices.Equal(ids, []string{"r2-r0"}) {
-			return
-		}
+	recs, _, err := NewClient(cl.Tr, "t").Resolve(cl.Servers[0].Addr(), matchAllQuery())
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("the federation answers %v two seconds after the owner replaced r1 with r2; want [r2-r0]", ids)
+	var ids []string
+	for _, r := range recs {
+		ids = append(ids, r.ID)
+	}
+	if !slices.Equal(ids, []string{"r2-r0"}) {
+		t.Fatalf("the federation answers %v once settled after the owner replaced r1 with r2; want [r2-r0]", ids)
+	}
 }

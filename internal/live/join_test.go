@@ -110,32 +110,25 @@ func TestJoinCallsEachServerOnce(t *testing.T) {
 // avoidance at every server it can reach.
 func TestJoinAllRefusedDistinctError(t *testing.T) {
 	tr := transport.NewChan()
-	cl, err := StartCluster(tr, ClusterConfig{
+	cl, err := NewCluster(tr, ClusterConfig{
 		N:           3,
 		Schema:      record.DefaultSchema(2),
 		MaxChildren: 1,
 		JoinVia:     func(i int) int { return i - 1 },
-		Tick:        25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
 
-	// Wait until the tail knows the root is its ancestor (root paths ride
-	// on report acks); before that the refusal wouldn't trigger.
+	// The tail must know the root is its ancestor (root paths ride on
+	// report acks); before that the refusal wouldn't trigger.
+	if err := cl.Settle(); err != nil {
+		t.Fatal(err)
+	}
 	tail := cl.Servers[2]
-	rootID := cl.Servers[0].ID()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		path := tail.RootPath()
-		if len(path) > 0 && path[0] == rootID {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tail never learned its root path: %v", path)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if path := tail.RootPath(); len(path) == 0 || path[0] != cl.Servers[0].ID() {
+		t.Fatalf("tail never learned its root path: %v", path)
 	}
 
 	err = cl.Servers[0].Join(tail.Addr())

@@ -19,14 +19,14 @@ import (
 	"roads/internal/workload"
 )
 
-// startWorkloadCluster builds a cluster whose server i holds workload node
-// i's records through a summary-mode owner.
+// startWorkloadCluster builds a settled stepped cluster whose server i holds
+// workload node i's records through a summary-mode owner. Tests that need
+// real timers call Run on it.
 func startWorkloadCluster(t *testing.T, n, recsPer int, seed int64) (*Cluster, *workload.Workload) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w := workload.MustGenerate(workload.Config{Nodes: n, RecordsPerNode: recsPer, AttrsPerDist: 2}, rng)
-	tr := transport.NewChan()
-	cl, err := StartCluster(tr, ClusterConfig{N: n, Schema: w.Schema, MaxChildren: 3})
+	cl, err := NewCluster(transport.NewChan(), ClusterConfig{N: n, Schema: w.Schema, MaxChildren: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +38,20 @@ func startWorkloadCluster(t *testing.T, n, recsPer int, seed int64) (*Cluster, *
 			t.Fatal(err)
 		}
 	}
-	if err := cl.WaitConverged(uint64(n*recsPer), convergeTimeout); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, cl, uint64(n*recsPer))
 	return cl, w
+}
+
+// settle settles a stepped cluster and checks that every server covers
+// want records.
+func settle(tb testing.TB, cl *Cluster, want uint64) {
+	tb.Helper()
+	if err := cl.Settle(); err != nil {
+		tb.Fatal(err)
+	}
+	if under, over := cl.coverageLag(want); len(under)+len(over) > 0 {
+		tb.Fatalf("settled short of %d records; under: %s; over: %s", want, lagDetail(under), lagDetail(over))
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -234,10 +244,13 @@ func TestLeafDepartureRecovery(t *testing.T) {
 		t.Skip("no leaf found")
 	}
 	victim.Stop()
+	cl.Servers = slices.Delete(cl.Servers, victimIdx, victimIdx+1)
 
-	// Remaining data (all but the victim's) stays queryable. Wait for the
-	// parent to drop the departed child's summary.
-	time.Sleep(300 * time.Millisecond)
+	// Remaining data (all but the victim's) stays queryable once the
+	// departure has settled.
+	if err := cl.Settle(); err != nil {
+		t.Fatal(err)
+	}
 	client := NewClient(cl.Tr, "t")
 	q := query.New("q", query.NewRange("a0", 0, 1))
 	if err := q.Bind(w.Schema); err != nil {
@@ -281,6 +294,7 @@ func TestParentFailureRejoin(t *testing.T) {
 	if internal == nil {
 		t.Skip("tree too flat for an internal failure test")
 	}
+	cl.Run() // recovery retries on the maintenance period
 	internal.Stop()
 
 	// Orphans must rejoin; eventually every surviving server reaches the

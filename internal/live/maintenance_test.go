@@ -450,25 +450,15 @@ func TestReplicaTagCoversMetadata(t *testing.T) {
 	}
 }
 
-// writeAndSettle adds one record to srv's owner and drives the federation's
-// rounds until one puts no summary on the wire.
-func writeAndSettle(tb testing.TB, cl *Cluster, tr *countingTransport, srv *Server, id string) {
+// writeAndSettle adds one record to srv's owner and settles the federation.
+func writeAndSettle(tb testing.TB, cl *Cluster, srv *Server, id string) {
 	tb.Helper()
-	srv.mu.Lock()
-	o := srv.owners[0]
-	srv.mu.Unlock()
+	o := ownerOf(srv)
 	r := o.Records()[0].Clone()
 	r.ID = id
 	o.AddRecords(r)
-	for round := 0; ; round++ {
-		if round == 16 {
-			tb.Fatalf("one write still ships summaries after %d rounds", round)
-		}
-		before, _, _ := tr.counts()
-		driveRound(cl.Servers...)
-		if after, _, _ := tr.counts(); after == before {
-			return
-		}
+	if err := cl.Settle(); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -513,7 +503,7 @@ func TestWriteShipsOneSummaryPerServer(t *testing.T) {
 	total := cl.Servers[0].BranchRecords()
 
 	tr.reset()
-	writeAndSettle(t, cl, tr, cl.Servers[others], "write-at-leaf")
+	writeAndSettle(t, cl, cl.Servers[others], "write-at-leaf")
 	summaries, _, _ := tr.counts()
 	t.Logf("leaf write: %d summaries, %d bytes of reports and batches", summaries, tr.summaryBytes)
 	if summaries > others {
@@ -531,7 +521,7 @@ func TestWriteShipsOneSummaryPerServer(t *testing.T) {
 		}
 	}
 	tr.reset()
-	writeAndSettle(t, cl, tr, interior, "write-at-interior")
+	writeAndSettle(t, cl, interior, "write-at-interior")
 	summaries, _, _ = tr.counts()
 	got := slices.Clone(tr.ancestors)
 	slices.Sort(got)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"roads/internal/query"
 	"roads/internal/record"
@@ -49,23 +48,8 @@ func TestKillStopConcurrent(t *testing.T) {
 func TestRejoinPreservesChildState(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	mk := func(id string) *Server {
-		cfg := DefaultConfig(id, id+"-addr", schema)
-		// Park the background loops so reports only flow when the test
-		// sends them.
-		cfg.AggregateEvery = time.Hour
-		srv, err := NewServer(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parkEarlyRounds(srv)
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		return srv
-	}
-	a, b, c := mk("A"), mk("B"), mk("C")
+	// No loop runs, so reports only flow when the test sends them.
+	a, b, c := deltaServer(t, tr, "A", schema), deltaServer(t, tr, "B", schema), deltaServer(t, tr, "C", schema)
 	if err := b.Join(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +146,7 @@ func TestResolvePartialFailure(t *testing.T) {
 func TestReplicaBatchAtomic(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
-	cfg := DefaultConfig("dst", "dst-addr", schema)
-	cfg.AggregateEvery = time.Hour
-	srv, err := NewServer(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parkEarlyRounds(srv)
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Stop)
-
+	srv := deltaServer(t, tr, "dst", schema)
 	srv.refreshSummaries()
 	srv.mu.Lock()
 	sum := wire.FromSummary(srv.localSummary)

@@ -454,6 +454,17 @@ func (s *Server) requestEarly() {
 // Start begins listening and runs the background loops. The server starts
 // as a root of its own one-node hierarchy; Join attaches it elsewhere.
 func (s *Server) Start() error {
+	if err := s.listen(); err != nil {
+		return err
+	}
+	s.run()
+	return nil
+}
+
+// listen takes the server's address and builds its first summaries, and
+// starts no goroutine: until run starts the loops, rounds run only when
+// driven (Cluster.Step), and a request for an early round waits in wake.
+func (s *Server) listen() error {
 	s.mu.Lock()
 	if s.started {
 		s.mu.Unlock()
@@ -470,13 +481,15 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.closer = closer
-
 	s.refreshSummaries()
+	return nil
+}
 
+// run starts the aggregation and membership loops of a listening server.
+func (s *Server) run() {
 	s.wg.Add(2)
 	go s.aggregationLoop()
 	go s.membershipLoop()
-	return nil
 }
 
 // Kill shuts the server down abruptly — no Leave messages, simulating a

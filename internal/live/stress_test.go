@@ -16,21 +16,12 @@ import (
 	"roads/internal/wire"
 )
 
-// stressServer starts one parked-loop server holding a few records.
+// stressServer starts one server holding a few records, its loops not
+// running.
 func stressServer(t *testing.T) *Server {
 	t.Helper()
 	schema := record.DefaultSchema(2)
-	cfg := DefaultConfig("S", "addr-S", schema)
-	cfg.AggregateEvery = time.Hour
-	srv, err := NewServer(cfg, transport.NewChan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parkEarlyRounds(srv)
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Stop)
+	srv := deltaServer(t, transport.NewChan(), "S", schema)
 	o := policy.NewOwner("own-S", schema, nil)
 	recs := make([]*record.Record, 4)
 	for j := range recs {
