@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -496,6 +498,125 @@ func BenchmarkResolve(b *testing.B) {
 					b.ReportMetric(float64(tally.relay.Load())/float64(b.N), "relay_contacts/op")
 				})
 			}
+		})
+	}
+}
+
+// freeLoopbackAddrs returns n loopback addresses whose ports were free a
+// moment ago: it holds n listeners on port 0 at once, so no two coincide,
+// and closes them before returning.
+func freeLoopbackAddrs(tb testing.TB, n int) []string {
+	tb.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
+// summaryTally counts the summaries the calls through it carry: a report's
+// branch and every full replica entry.
+type summaryTally struct {
+	transport.Transport
+	n atomic.Int64
+}
+
+func (st *summaryTally) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	if req.Report != nil && req.Report.Summary != nil {
+		st.n.Add(1)
+	}
+	if req.Batch != nil {
+		for _, p := range req.Batch.Pushes {
+			if p.Summary != nil {
+				st.n.Add(1)
+			}
+		}
+	}
+	return st.Transport.Call(addr, req)
+}
+
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkEarlyCascade prices one write's early cascade on the canonical
+// benchmark's federation (parkedFederation: 64 servers, fan-out 4). An
+// iteration adds a record at a random owner and removes it again; after each
+// write it runs only the early rounds the write queued, children first, as
+// Cluster.Step does (drainEarly), and checks that every server's
+// CoveredRecords counts the write. Per write it reports the maintenance
+// calls, the summaries they carried, the frame bytes of requests and
+// replies, the early rounds and the process CPU time (rusage, user plus
+// system). This is the cost the gap after an early round is a multiple of.
+// The tcp arm listens on free loopback ports.
+func BenchmarkEarlyCascade(b *testing.B) {
+	type statser interface{ Stats() transport.Stats }
+	arms := []struct {
+		name string
+		tr   func(b *testing.B) (transport.Transport, func(int) string)
+		// bytes reads the frame bytes of requests and replies: Chan
+		// counts a request sent and its reply received, TCP counts every
+		// frame written, in both roles.
+		bytes func(transport.Stats) uint64
+	}{
+		{"chan", func(*testing.B) (transport.Transport, func(int) string) { return transport.NewChan(), nil },
+			func(st transport.Stats) uint64 { return st.BytesSent + st.BytesRecv }},
+		{"tcp", func(b *testing.B) (transport.Transport, func(int) string) {
+			tcp := transport.NewTCP()
+			b.Cleanup(func() { _ = tcp.Close() }) // after the federation's Stop
+			addrs := freeLoopbackAddrs(b, 64)
+			return tcp, func(i int) string { return addrs[i] }
+		}, func(st transport.Stats) uint64 { return st.BytesSent }},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			base, addrFor := arm.tr(b)
+			tally := &summaryTally{Transport: base}
+			cl, _ := parkedFederation(b, tally, addrFor)
+			total := cl.Servers[0].BranchRecords()
+			settled := func(want uint64) {
+				cl.drainEarly()
+				if under, over := cl.coverageLag(want); len(under)+len(over) > 0 {
+					b.Fatalf("the early rounds left servers short of %d records; under: %s; over: %s",
+						want, lagDetail(under), lagDetail(over))
+				}
+			}
+			rounds := func() (n uint64) {
+				for _, r := range earlyRounds(cl) {
+					n += r
+				}
+				return n
+			}
+			rng := rand.New(rand.NewSource(34))
+			tally.n.Store(0)
+			st0, rounds0, cpu0 := base.(statser).Stats(), rounds(), cpuTime(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := ownerOf(cl.Servers[rng.Intn(len(cl.Servers))])
+				r := o.Records()[0].Clone()
+				r.ID = fmt.Sprintf("cascade-%d", i)
+				o.AddRecords(r)
+				settled(total + 1)
+				o.RemoveRecords(r.ID)
+				settled(total)
+			}
+			b.StopTimer()
+			st, writes := base.(statser).Stats(), float64(2*b.N)
+			b.ReportMetric(float64(st.Calls-st0.Calls)/writes, "calls/write")
+			b.ReportMetric(float64(tally.n.Load())/writes, "summaries/write")
+			b.ReportMetric(float64(arm.bytes(st)-arm.bytes(st0))/writes, "bytes/write")
+			b.ReportMetric(float64(rounds()-rounds0)/writes, "early_rounds/write")
+			b.ReportMetric(float64((cpuTime(b)-cpu0).Microseconds())/writes, "cpu_us/write")
 		})
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // These tests pin early rounds: a record write, an urgent report or entry
-// and an accepted join set off a content-only round at once, at most one per
-// half period per server, while everything else waits for the period.
+// and an accepted join set off a content-only round at once, each round
+// keeping the next one at its server waiting nine times its own duration (at
+// most half a period), while everything else waits for the period.
 
 // earlyRounds returns each server's early-round count.
 func earlyRounds(cl *Cluster) []uint64 {
@@ -157,11 +158,31 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	t.Logf("a leaf write reached all %d servers in %v, in %d early rounds", len(cl.Servers), took, ran)
 }
 
-// TestEarlyRoundsAreRateLimited: 200 writes in a tight loop at one owner give
-// no server more than one early round per half period, and every server ends
+// TestEarlyGap pins the gap after an early round: nine times the round's own
+// duration, capped at half a period.
+func TestEarlyGap(t *testing.T) {
+	for _, tc := range []struct{ d, period, want time.Duration }{
+		{0, 100 * time.Millisecond, 0},
+		{100 * time.Microsecond, 100 * time.Millisecond, 900 * time.Microsecond},
+		{5 * time.Millisecond, 100 * time.Millisecond, 45 * time.Millisecond},
+		{6 * time.Millisecond, 100 * time.Millisecond, 50 * time.Millisecond},
+		{time.Second, 100 * time.Millisecond, 50 * time.Millisecond},
+		{time.Millisecond, time.Hour, 9 * time.Millisecond},
+		{time.Hour, time.Hour, 30 * time.Minute},
+	} {
+		if got := earlyGap(tc.d, tc.period); got != tc.want {
+			t.Errorf("earlyGap(%v, %v) = %v; want %v", tc.d, tc.period, got, tc.want)
+		}
+	}
+}
+
+// TestWriteBurstCostsAFewEarlyRounds: 200 writes in a tight loop at one owner
+// cost each server a handful of early rounds, not one per write, because
+// each round makes the next wait nine times its own duration and a request
+// made meanwhile is absorbed by the one already queued; and every server ends
 // holding every origin's final version.
-func TestEarlyRoundsAreRateLimited(t *testing.T) {
-	const servers, fanOut, writes = 21, 4, 200
+func TestWriteBurstCostsAFewEarlyRounds(t *testing.T) {
+	const servers, fanOut, writes, handful = 21, 4, 200, 10
 	tick := 40 * time.Millisecond
 	schema := record.DefaultSchema(2)
 	cl, err := StartCluster(transport.NewChan(), ClusterConfig{
@@ -200,17 +221,34 @@ func TestEarlyRoundsAreRateLimited(t *testing.T) {
 		time.Sleep(tick / 4)
 	}
 	elapsed := time.Since(start)
-	limit := uint64(elapsed/(tick/2)) + 1
 	after := earlyRounds(cl)
 	most := uint64(0)
 	for i, s := range cl.Servers {
 		n := after[i] - before[i]
 		most = max(most, n)
-		if n > limit {
-			t.Errorf("%s ran %d early rounds in %v; the rate limit allows %d", s.ID(), n, elapsed, limit)
+		if n > handful {
+			t.Errorf("%s ran %d early rounds for %d writes; want at most %d", s.ID(), n, writes, handful)
 		}
 	}
-	t.Logf("%d writes settled everywhere in %v; at most %d early rounds at one server (limit %d)", writes, elapsed, most, limit)
+	t.Logf("%d writes settled everywhere in %v; at most %d early rounds at one server", writes, elapsed, most)
+}
+
+// TestBackToBackWritesWithoutATick: with the loops running on an hour's
+// period, a write and the removal right behind it each reach every server
+// within two seconds. The gap after an early round is a multiple of the
+// round's own cost, so the second write does not wait out half a period.
+func TestBackToBackWritesWithoutATick(t *testing.T) {
+	cl, _ := parkedFederation(t, transport.NewChan(), nil)
+	cl.Run()
+	total := cl.Servers[0].BranchRecords()
+	o := ownerOf(cl.Servers[len(cl.Servers)-1])
+	r := o.Records()[0].Clone()
+	r.ID = "back-to-back"
+	o.AddRecords(r)
+	added := waitCovered(t, cl, total+1, 2*time.Second)
+	o.RemoveRecords(r.ID)
+	removed := waitCovered(t, cl, total, 2*time.Second)
+	t.Logf("the add reached all %d servers in %v, the removal behind it in %v", len(cl.Servers), added, removed)
 }
 
 // TestEarlyReportFailureIsNoParentMiss: the failure detector counts periodic

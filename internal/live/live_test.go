@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"sort"
 	"testing"
@@ -333,15 +332,7 @@ func TestParentFailureRejoin(t *testing.T) {
 func TestClusterOverTCP(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewTCP()
-	ports := make([]string, 3)
-	for i := range ports {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ports[i] = ln.Addr().String()
-		ln.Close()
-	}
+	ports := freeLoopbackAddrs(t, 3)
 	cl, err := StartCluster(tr, ClusterConfig{
 		N:       3,
 		Schema:  schema,

@@ -29,6 +29,22 @@ func jittered(d time.Duration, rng *rand.Rand) time.Duration {
 	return time.Duration(float64(d) * (0.9 + 0.2*rng.Float64()))
 }
 
+// earlyGapFactor sets how long an early round keeps the next one waiting:
+// earlyGapFactor times its own duration, so however fast writes come a
+// server spends at most about 1/(1+earlyGapFactor) of its time in early
+// rounds — as long as a round costs less than a twentieth of a period,
+// beyond which the half-period cap sets the pace.
+const earlyGapFactor = 9
+
+// earlyGap is how long after an early round that took d the next early round
+// may start: a multiple of the round's own cost, never more than half a
+// period. A cheap round (an idle federation, Chan) lets the next write follow
+// within milliseconds; an expensive one (a loaded host, a write storm, a wide
+// fan-out) stretches the gap toward half a period by itself.
+func earlyGap(d, period time.Duration) time.Duration {
+	return min(earlyGapFactor*d, period/2)
+}
+
 // aggregationLoop is the one maintenance loop. Every period it runs a
 // periodic round: it refreshes the local and branch summaries, reports to
 // the parent — the exchange that also carries liveness and ancestry in both
@@ -38,14 +54,16 @@ func jittered(d time.Duration, rng *rand.Rand) time.Duration {
 // Between periods it runs early rounds, when a write signal, an urgent report
 // or entry, or an accepted join asks for one (requestEarly): content only, so
 // a write crosses each hop in milliseconds instead of half a period on
-// average. At most one early round starts per half period; a request inside
-// that gap waits out the rest of it, and a periodic round that comes first
-// carries what the request was for. The periodic timer never moves.
+// average. After an early round the next one waits earlyGap of that round's
+// duration; a request inside that gap waits out the rest of it, and a
+// periodic round that comes first carries what the request was for. The
+// periodic timer never moves.
 func (s *Server) aggregationLoop() {
 	defer s.wg.Done()
 	rng := loopRng(s.cfg.ID, 0xa99a)
 	timer := time.NewTimer(jittered(s.cfg.AggregateEvery, rng))
 	defer timer.Stop()
+	var earlyAt time.Time     // no early round starts before it
 	var held <-chan time.Time // fires when a request waiting out the gap may run
 	for {
 		select {
@@ -61,7 +79,7 @@ func (s *Server) aggregationLoop() {
 			timer.Reset(jittered(s.cfg.AggregateEvery, rng))
 			continue
 		case <-s.wake:
-			if wait := time.Until(time.Unix(0, s.earlyAt.Load())); wait > 0 {
+			if wait := time.Until(earlyAt); wait > 0 {
 				if held == nil {
 					held = time.After(wait)
 				}
@@ -70,20 +88,18 @@ func (s *Server) aggregationLoop() {
 		case <-held:
 		}
 		held = nil
-		s.earlyAt.Store(time.Now().Add(s.cfg.AggregateEvery / 2).UnixNano())
-		s.round(true)
+		took := s.round(true)
+		earlyAt = time.Now().Add(earlyGap(took, s.cfg.AggregateEvery))
 	}
 }
 
-// round runs one aggregation round. An early round carries content only:
-// it reports only a branch the parent does not hold and sends only list
-// batches, to the children whose set moved. It counts no parent miss, does
-// not advance the replan cadence and prunes nothing — liveness, replans and
-// ageing stay with the periodic round.
-func (s *Server) round(early bool) {
-	if early {
-		s.mx.earlyRounds.Inc()
-	}
+// round runs one aggregation round and returns its wall time. An early round
+// carries content only: it reports only a branch the parent does not hold and
+// sends only list batches, to the children whose set moved. It counts no
+// parent miss, does not advance the replan cadence and prunes nothing —
+// liveness, replans and ageing stay with the periodic round.
+func (s *Server) round(early bool) time.Duration {
+	start := time.Now()
 	s.refresh(early)
 	s.report(early)
 	s.push(early)
@@ -91,6 +107,12 @@ func (s *Server) round(early bool) {
 		s.pruneDeadChildren()
 		s.pruneStaleReplicas()
 	}
+	took := time.Since(start)
+	if early {
+		s.mx.earlyRounds.Inc()
+		s.earlyBusyNs.Add(took.Nanoseconds())
+	}
+	return took
 }
 
 // refreshSummaries rebuilds the local summary (the attached owners' exports)
@@ -291,17 +313,21 @@ type RefreshInfo struct {
 	Ticks       uint64
 	Skipped     uint64
 	EarlyRounds uint64
-	// BusySeconds is total wall time spent inside refreshSummaries.
-	BusySeconds float64
+	// BusySeconds is total wall time spent inside refreshSummaries;
+	// EarlyBusySeconds the total wall time of the early rounds, each
+	// including its report and its pushes.
+	BusySeconds      float64
+	EarlyBusySeconds float64
 }
 
 // RefreshInfo returns the refresh pipeline counters.
 func (s *Server) RefreshInfo() RefreshInfo {
 	return RefreshInfo{
-		Ticks:       s.aggRound.Load(),
-		Skipped:     s.mx.rebuildsSkipped.Load(),
-		EarlyRounds: s.mx.earlyRounds.Load(),
-		BusySeconds: float64(s.refreshBusyNs.Load()) / 1e9,
+		Ticks:            s.aggRound.Load(),
+		Skipped:          s.mx.rebuildsSkipped.Load(),
+		EarlyRounds:      s.mx.earlyRounds.Load(),
+		BusySeconds:      float64(s.refreshBusyNs.Load()) / 1e9,
+		EarlyBusySeconds: float64(s.earlyBusyNs.Load()) / 1e9,
 	}
 }
 

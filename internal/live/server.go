@@ -31,9 +31,9 @@ type Config struct {
 	// period a server refreshes its summaries, reports to its parent — the
 	// exchange that is also the liveness signal in both directions — and
 	// pushes replicas to its children. The recovery backoff, the split-brain
-	// probe cadence (four periods), the dead-child window and the early-round
-	// rate limit (half a period) derive from it. Small values make tests
-	// fast; production would use minutes.
+	// probe cadence (four periods), the dead-child window and the cap on the
+	// gap between early rounds (half a period) derive from it. Small values
+	// make tests fast; production would use minutes.
 	AggregateEvery time.Duration
 	// ReplicaTTLFloor is the minimum overlay-replica TTL regardless of how
 	// fast the ticks run: a full push round must always fit inside the TTL
@@ -313,14 +313,14 @@ type Server struct {
 
 	// Early rounds (aggregationLoop). wake asks the loop for one; it is
 	// buffered, so a request made while one is pending is absorbed by it.
-	// earlyAt is the unix-nano time before which no early round may start,
-	// half a period after the last one began. writes counts the write
-	// signals of the attached owners; seenWrites is the count the last
-	// refresh saw, guarded by refreshMu.
-	wake       chan struct{}
-	earlyAt    atomic.Int64
-	writes     atomic.Uint64
-	seenWrites uint64
+	// writes counts the write signals of the attached owners; seenWrites is
+	// the count the last refresh saw, guarded by refreshMu. earlyBusyNs
+	// accumulates the early rounds' wall time (RefreshInfo,
+	// roads_early_round_seconds_total).
+	wake        chan struct{}
+	writes      atomic.Uint64
+	seenWrites  uint64
+	earlyBusyNs atomic.Int64
 
 	// Urgency, guarded by s.mu: content that carries a record write (or a
 	// join) travels in early rounds, anything else at the period. localUrgent

@@ -187,9 +187,10 @@ const (
 
 // sample is one gathered value at scrape time.
 type sample struct {
-	value float64       // counter/gauge
-	count uint64        // counter (exact integer form)
-	hist  *HistSnapshot // histogram
+	value   float64       // counter/gauge
+	count   uint64        // counter (exact integer form)
+	seconds bool          // counter: value is accumulated seconds, count unused
+	hist    *HistSnapshot // histogram
 }
 
 type metricEntry struct {
@@ -248,6 +249,15 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, help, KindCounter, func() sample {
 		v := fn()
 		return sample{value: float64(v), count: v}
+	})
+}
+
+// SecondsCounterFunc registers a counter of accumulated time read from fn at
+// scrape time and rendered in seconds — for busy-time totals that already
+// live elsewhere as atomics.
+func (r *Registry) SecondsCounterFunc(name, help string, fn func() time.Duration) {
+	r.register(name, help, KindCounter, func() sample {
+		return sample{value: fn().Seconds(), seconds: true}
 	})
 }
 
@@ -324,7 +334,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case KindHistogram:
 			err = writeHist(w, e.name, s.hist)
 		case KindCounter:
-			_, err = fmt.Fprintf(w, "%s %s\n", e.name, strconv.FormatUint(s.count, 10))
+			v := strconv.FormatUint(s.count, 10)
+			if s.seconds {
+				v = formatFloat(s.value)
+			}
+			_, err = fmt.Fprintf(w, "%s %s\n", e.name, v)
 		default:
 			_, err = fmt.Fprintf(w, "%s %s\n", e.name, formatFloat(s.value))
 		}
@@ -376,7 +390,11 @@ func (r *Registry) Snapshot() map[string]any {
 				"count":          s.hist.Total(),
 			}
 		case KindCounter:
-			out[e.name] = s.count
+			if s.seconds {
+				out[e.name] = s.value
+			} else {
+				out[e.name] = s.count
+			}
 		default:
 			out[e.name] = s.value
 		}

@@ -20,6 +20,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	g := reg.Gauge("test_depth", "Current depth.")
 	g.Set(2.5)
 	reg.GaugeFunc("test_children", "Current children.", func() float64 { return 3 })
+	reg.SecondsCounterFunc("test_busy_seconds_total", "Time busy.", func() time.Duration { return 1500 * time.Millisecond })
 	h := reg.Histogram("test_latency_seconds", "Op latency.",
 		[]time.Duration{time.Millisecond, 10 * time.Millisecond})
 	h.Observe(500 * time.Microsecond) // bucket le=0.001
@@ -31,7 +32,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP test_children Current children.
+	want := `# HELP test_busy_seconds_total Time busy.
+# TYPE test_busy_seconds_total counter
+test_busy_seconds_total 1.5
+# HELP test_children Current children.
 # TYPE test_children gauge
 test_children 3
 # HELP test_depth Current depth.
