@@ -67,12 +67,13 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 }
 
 // BenchmarkPushReplicas measures one replica-propagation round from a
-// root to 16 children in the steady state: one KindReplicaBatch per child,
-// a digest of the set the child acked. rpcs/op and wirebytes/op come from
-// the transport's own counters. The sub-benchmark keeps the name its archived
-// runs used, but those pinned it to the full-push pipeline that no longer
-// exists, so the archived numbers are not comparable with it (EXPERIMENTS.md,
-// "Archived baselines").
+// root to 16 children in the steady state: no child's set moved, so the round
+// folds the set, finds every child's digest unchanged and sends nothing (the
+// digest rides on the children's report acks). rpcs/op and wirebytes/op come
+// from the transport's own counters. The sub-benchmark keeps the name its
+// archived runs used, but those pinned it to the full-push pipeline that no
+// longer exists, so the archived numbers are not comparable with it
+// (EXPERIMENTS.md, "Archived baselines").
 func BenchmarkPushReplicas(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		root, tr := benchStar(b, 16, 8)
@@ -145,7 +146,7 @@ func BenchmarkHandleQuery(b *testing.B) {
 // benchMidTier builds the three-level chain P ← M ← c1..c8 with parked
 // loops, every server holding recsPer records, and drives enough warmup
 // rounds that acknowledgement has fully converged: M suppresses its
-// reports to P and sends its children digest batches. Returns M (the server whose tick the benchmark measures), M's
+// reports to P and sends its children no batch. Returns M (the server whose tick the benchmark measures), M's
 // owner and record set (for churn injection), and the transport.
 func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.Record, *transport.Chan) {
 	b.Helper()
@@ -280,8 +281,6 @@ type kindSizer struct {
 // maintKind names a maintenance message by kind and form; "" for the rest.
 func maintKind(m *wire.Message, reply bool) string {
 	switch {
-	case m.Batch != nil && len(m.Batch.Pushes) == 0 && m.Batch.Count > 0:
-		return "batch, digest"
 	case m.Batch != nil:
 		for _, p := range m.Batch.Pushes {
 			if p != nil && p.Summary != nil {

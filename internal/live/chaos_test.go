@@ -173,11 +173,59 @@ func TestChaosCrashedRedirectTargetFailsOver(t *testing.T) {
 	}
 }
 
+// statesDigest reports whether p's ack to child's next report states the
+// replica-set digest, which renews every replica the child holds via p.
+func statesDigest(p *Server, child string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c, ok := p.children[child]
+	if !ok {
+		return false
+	}
+	_, ok = p.statedDigestLocked(c)
+	return ok
+}
+
+// waitQuiet polls until every tree edge of cl states the digest on three
+// polls a tick apart: no replica set is moving anywhere.
+func waitQuiet(t *testing.T, cl *Cluster) {
+	t.Helper()
+	byID := map[string]*Server{}
+	for _, s := range cl.Servers {
+		byID[s.ID()] = s
+	}
+	quiet := func() bool {
+		for _, s := range cl.Servers {
+			if p := byID[s.ParentID()]; p != nil && !statesDigest(p, s.ID()) {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(convergeTimeout)
+	for streak := 0; streak < 3; {
+		if quiet() {
+			streak++
+		} else {
+			streak = 0
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the federation never went quiet: some replica set keeps moving")
+		}
+		time.Sleep(cl.tick)
+	}
+}
+
 // TestChaosOneWayPartition drops parent→child traffic only: the child's
-// reports still flow up, so the hierarchy holds, but the replica pushes
-// the child depends on vanish and its overlay replicas age out. Queries
-// from the root must stay complete throughout — routing is client-driven
-// and unaffected by the partitioned pair.
+// reports still flow up and their acks come back, so the hierarchy holds.
+// While nothing changes, the parent has nothing to send down: every ack
+// states the digest of the child's replica set, the child keeps its replicas
+// through two TTLs, and answers started there stay complete. A write at the
+// parent then moves the set; the list that carries it is dropped, the acks
+// stop stating a digest, and the replicas age out within the TTL. Queries
+// from the root stay complete throughout — routing is client-driven and
+// unaffected by the partitioned pair — and after the heal the replicas come
+// back.
 //
 // The partition is cut at the child's actual parent. Joins run concurrently,
 // so the first interior non-root server is sometimes a grandchild of the root;
@@ -200,22 +248,58 @@ func TestChaosOneWayPartition(t *testing.T) {
 	if parent == nil {
 		t.Fatalf("%s has no parent in the cluster", child.ID())
 	}
-	if child.NumReplicas() == 0 {
+	// Cut once every ack confirms its child's whole set: a list still in
+	// flight at the cut would leave the set moved and nothing confirmed.
+	waitQuiet(t, cl)
+	held := child.NumReplicas()
+	if held == 0 {
 		t.Fatalf("%s holds no replicas before the partition", child.ID())
 	}
 	parentChildren := parent.NumChildren()
+	client := NewClient(cl.Tr, "t")
+	resolveAll := func(from *Server, want int) {
+		t.Helper()
+		recs, stats, err := client.Resolve(from.Addr(), matchAllQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != want {
+			t.Fatalf("resolve from %s during the partition returned %d records; want %d (stats %+v)", from.ID(), len(recs), want, stats)
+		}
+	}
 
 	f.SetRules(transport.Partition(parent.ID(), child.Addr()))
 
-	// The child's replicas are soft state fed only by the (now severed)
-	// parent pushes; they must age out within the replica TTL.
-	deadline := time.Now().Add(30 * time.Second)
+	// Nothing changes: the acks keep the replicas alive for two TTLs.
+	end := time.Now().Add(2 * child.cfg.replicaTTL())
+	for time.Now().Before(end) {
+		if n := child.NumReplicas(); n != held {
+			t.Fatalf("%s went from %d to %d replicas with nothing changed; the acks must confirm them:\n%s",
+				child.ID(), held, n, replicaDump(child))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	resolveAll(child, 7*4)
+	resolveAll(root, 7*4)
+
+	// A write the parent cannot deliver: the replicas age out.
+	o := ownerOf(parent)
+	r := o.Records()[0].Clone()
+	r.ID = "unseen-write"
+	o.AddRecords(r)
+	wrote := time.Now()
+	deadline := wrote.Add(30 * time.Second)
 	for child.NumReplicas() > 0 && time.Now().Before(deadline) {
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if n := child.NumReplicas(); n > 0 {
-		t.Fatalf("%s still holds %d replicas long after the partition from %s:\n%s",
+		t.Fatalf("%s still holds %d replicas long after a write %s could not deliver:\n%s",
 			child.ID(), n, parent.ID(), replicaDump(child))
+	}
+	// The last ack that confirmed them came before the write: they go one
+	// TTL later, at the prune after it (a second of slack for slow ticks).
+	if took, ttl := time.Since(wrote), child.cfg.replicaTTL(); took > ttl+time.Second {
+		t.Errorf("the replicas aged out %v after the write; the TTL is %v", took, ttl)
 	}
 	if dropped, _, _ := f.Injected(); dropped == 0 {
 		t.Fatal("partition rule never fired")
@@ -228,17 +312,7 @@ func TestChaosOneWayPartition(t *testing.T) {
 	if n := parent.NumChildren(); n != parentChildren {
 		t.Fatalf("%s went from %d to %d children; the child's reports should have kept it", parent.ID(), parentChildren, n)
 	}
-
-	// Resolution from the root is unaffected: redirect traffic comes from
-	// the client, not the partitioned parent.
-	client := NewClient(cl.Tr, "t")
-	recs, stats, err := client.Resolve(root.Addr(), matchAllQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7*4 {
-		t.Fatalf("resolve during partition returned %d records; want 28 (stats %+v)", len(recs), stats)
-	}
+	resolveAll(root, 7*4+1)
 
 	// Heal the partition: pushes resume and the replicas grow back.
 	f.ClearRules()
@@ -384,8 +458,9 @@ func TestChaosHungPeerBoundedByDeadline(t *testing.T) {
 }
 
 // TestChaosDeltaTTLKeepalive proves replica soft-state liveness rides on
-// confirmations alone: there is no full-state round, so with zero churn every
-// batch after convergence is a digest (counted as delta entries) — if that
+// confirmations alone: there is no full-state round, so with zero churn no
+// batch goes out after convergence and every report ack states the replica
+// set's digest (the parent counts its entries as delta entries) — if that
 // path failed to renew, every replica would age out within one TTL and
 // coverage would collapse.
 func TestChaosDeltaTTLKeepalive(t *testing.T) {
@@ -436,9 +511,10 @@ func TestChaosDeltaTTLKeepalive(t *testing.T) {
 }
 
 // TestChaosVersionMismatchRecovery corrupts a held replica's version on a
-// live cluster and checks the NeedFull / NeedFullOrigins path restores full
-// state within a few ticks — the digest is computed from what is held, so
-// divergence is noticed on the next tick and heals by itself.
+// live cluster and checks the NeedList / NeedFullOrigins path restores full
+// state within a few ticks — the child folds what it holds against the
+// digest on every report ack, so divergence is noticed on the next tick and
+// heals by itself.
 func TestChaosVersionMismatchRecovery(t *testing.T) {
 	cl, _ := startChaosCluster(t, 5, 2, 76)
 	attachChaosOwners(t, cl, 3, -1)

@@ -133,7 +133,8 @@ func setReplicaVersion(s *Server, origin string, v uint64) bool {
 // countingTransport records what servers send through it: unversioned
 // reports and push entries (none must ever leave a server), every summary
 // DTO a request carries and the encoded bytes of the requests that carry
-// one, and the replica batches by form.
+// one, the replica batches, and the report acks that state a replica-set
+// digest.
 type countingTransport struct {
 	*transport.Chan
 	mu           sync.Mutex
@@ -142,12 +143,17 @@ type countingTransport struct {
 	summaryBytes int      // encoded size of the requests carrying them
 	fullEntries  []string // "parent>child:origin" per full push entry
 	ancestors    []string // "child:origin" per full ancestor entry
-	lists        int      // list batches
-	digests      int      // digest batches
+	lists        int      // replica batches
+	digests      int      // report acks stating a digest
 }
 
 func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message, error) {
+	rep, err := ct.Chan.Call(addr, req)
 	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	if err == nil && req.Report != nil && rep.Ack != nil && rep.Ack.HeldCount > 0 {
+		ct.digests++
+	}
 	summaries := ct.summaries
 	if req.Report != nil {
 		if req.Report.Version == 0 {
@@ -158,11 +164,7 @@ func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message
 		}
 	}
 	if b := req.Batch; b != nil {
-		if len(b.Pushes) == 0 && b.Count > 0 {
-			ct.digests++
-		} else {
-			ct.lists++
-		}
+		ct.lists++
 		for _, p := range b.Pushes {
 			if p.Summary == nil {
 				continue
@@ -181,8 +183,7 @@ func (ct *countingTransport) Call(addr string, req *wire.Message) (*wire.Message
 		data, _ := wire.Encode(req)
 		ct.summaryBytes += len(data)
 	}
-	ct.mu.Unlock()
-	return ct.Chan.Call(addr, req)
+	return rep, err
 }
 
 // reset forgets what was counted so far and returns the full entries seen.
@@ -203,10 +204,10 @@ func (ct *countingTransport) counts() (summaries, lists, digests int) {
 // TestDeltaHandshakeAndSuppression pins that there is no handshake and no
 // restatement: on a parked two-child star the first tick is a versioned
 // report and a list batch of full entries, acked at once; the second tick is
-// a version-only report and a digest batch; and from then on no summary is
-// ever put on the wire again, while every tick still renews the replicas'
-// soft-state TTL. A steady-state round moves a small fraction of the first
-// round's bytes.
+// a version-only report whose ack states the replica set's digest, and no
+// batch; and from then on no summary is ever put on the wire again, while
+// every tick still renews the replicas' soft-state TTL. A steady-state round
+// moves a small fraction of the first round's bytes.
 func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := &countingTransport{Chan: transport.NewChan()}
@@ -229,7 +230,7 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	driveRound(c1, c2, root)
 	firstEnd := tr.Stats()
 	if _, lists, digests := tr.counts(); lists != 2 || digests != 0 {
-		t.Fatalf("first tick sent %d list and %d digest batches; want 2 lists", lists, digests)
+		t.Fatalf("first tick sent %d list batches and %d digests; want 2 lists", lists, digests)
 	}
 	if full := tr.reset(); len(full) != 4 {
 		t.Fatalf("first tick shipped full entries %v; want 4 (sibling + ancestor to each child)", full)
@@ -249,7 +250,8 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 		t.Fatal("c1 holds no ancestor replica for root")
 	}
 
-	// Tick two: a version-only report up, a digest batch down.
+	// Tick two: a version-only report up, its ack states the digest, and
+	// nothing comes down.
 	supBefore := c1.mx.reportsSuppressed.Load()
 	fullBefore := root.mx.pushFull.Load()
 	repsBefore := root.mx.summaryReports.Load()
@@ -261,7 +263,10 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 		t.Fatalf("second tick suppressed %d reports on c1; want exactly 1", got-supBefore)
 	}
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 2 {
-		t.Fatalf("second tick sent %d summaries, %d list and %d digest batches; want 2 digests and nothing else", summaries, lists, digests)
+		t.Fatalf("second tick sent %d summaries, %d list batches and %d digests; want 2 digests and nothing else", summaries, lists, digests)
+	}
+	if got := steadyEnd.Calls - steadyStart.Calls; got != 2 {
+		t.Fatalf("second tick made %d calls; want one report per child", got)
 	}
 	if got := root.mx.pushDelta.Load(); got != 4 {
 		t.Fatalf("second tick confirmed %d push entries by digest; want 4 (sibling + ancestor at each child)", got)
@@ -287,11 +292,11 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 		_, before, _ := replicaVersion(c1, "root")
 		driveRound(c1, c2, root)
 		if _, after, _ := replicaVersion(c1, "root"); !after.After(before) {
-			t.Fatalf("round %d: the digest batch did not renew the replica's soft-state TTL", i)
+			t.Fatalf("round %d: the digest on the report ack did not renew the replica's soft-state TTL", i)
 		}
 	}
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 2*41 {
-		t.Fatalf("steady state sent %d summaries, %d list and %d digest batches; want 82 digests and nothing else", summaries, lists, digests)
+		t.Fatalf("steady state sent %d summaries, %d list batches and %d digests; want 82 digests and nothing else", summaries, lists, digests)
 	}
 	if len(tr.unversioned) != 0 {
 		t.Fatalf("unversioned traffic was sent: %v", tr.unversioned)
@@ -304,12 +309,20 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	}
 }
 
+// parentNeedList reads the child-side request for a list batch.
+func parentNeedList(s *Server) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parentNeedList
+}
+
 // TestDeltaNeedFullRecovery diverges both directions of the protocol on
 // purpose and checks each recovers without a restatement: a parent that lost
 // track of the child's version NAKs the version-only report with NeedFull and
-// gets the summary next round; a child whose replica diverged NAKs the digest
-// with NeedFull, then the tag-only entry of the list that follows with
-// NeedFullOrigins, and gets that one entry in full.
+// gets the summary next round; a child whose replica diverged fails the
+// digest its report ack states, asks for the list on its next report, NAKs
+// the list's tag-only entry with NeedFullOrigins, and gets that one entry in
+// full.
 func TestDeltaNeedFullRecovery(t *testing.T) {
 	schema := record.DefaultSchema(2)
 	tr := transport.NewChan()
@@ -356,10 +369,11 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 		t.Fatal("suppression did not resume after recovery")
 	}
 
-	// Push path: the child's held replica diverges. The parent's digest is
-	// NAKed, the tag-only entry of the list batch that follows is NAKed via
-	// NeedFullOrigins and dropped from what the child is taken to hold, and
-	// the round after that ships the one entry in full.
+	// Push path: the child's held replica diverges. The digest on the next
+	// report ack does not match, the report after that asks for the list,
+	// the list's tag-only entry is NAKed via NeedFullOrigins and dropped from
+	// what the child is taken to hold, and the round after that ships the
+	// one entry in full.
 	wantVer, _, ok := replicaVersion(c1, "root")
 	if !ok || wantVer == 0 {
 		t.Fatalf("c1 holds no versioned root replica (ver=%d ok=%v)", wantVer, ok)
@@ -368,7 +382,14 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 	if !setReplicaVersion(c1, "root", 0xdead) {
 		t.Fatal("c1 lost the root replica")
 	}
-	root.pushReplicas() // digest → NeedFull
+	c1.reportToParent() // the ack's digest does not match
+	if !parentNeedList(c1) {
+		t.Fatal("a digest that does not match the held replicas did not make c1 ask for the list")
+	}
+	c1.reportToParent() // NeedList
+	if parentNeedList(c1) {
+		t.Fatal("the request for the list outlived the report that carried it")
+	}
 	root.pushReplicas() // list, tag-only → NeedFullOrigins
 	if _, acked := childDelta(root, "c1"); acked["root"] != 0 || acked["c2"] == 0 {
 		t.Fatalf("after the NAKed list c1 is taken to hold %v; want c2 only", acked)
@@ -383,6 +404,10 @@ func TestDeltaNeedFullRecovery(t *testing.T) {
 	}
 	if _, acked := childDelta(root, "c1"); acked["root"] != wantTag {
 		t.Fatalf("recovered origin re-acked at %#x; want %#x", acked["root"], wantTag)
+	}
+	c1.reportToParent()
+	if parentNeedList(c1) {
+		t.Fatal("the digest after the recovery does not match what c1 holds")
 	}
 }
 

@@ -2,7 +2,7 @@ package live
 
 import "roads/internal/wire"
 
-// The three hashes behind "send a digest of what the peer should already
+// The hashes behind "send a digest of what the peer should already
 // hold; ship content only on mismatch". They are compared only between two
 // servers running the same code and are never stored across restarts, so
 // their exact values are free to change with the code. None of them returns
@@ -54,6 +54,13 @@ func (d *depHasher) redirects(rds []wire.RedirectInfo) {
 		d.u64(rd.Records)
 		d.redirects(rd.Alternates)
 	}
+}
+
+// kidsHash hashes a report's children, which the reporter remembers acked.
+func kidsHash(kids []wire.RedirectInfo) uint64 {
+	h := newDepHasher()
+	h.redirects(kids)
+	return nonZero(h.h)
 }
 
 // replicaMeta hashes the routing metadata of a push entry: everything a full

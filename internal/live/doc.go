@@ -12,14 +12,14 @@
 // contacts concurrently. Membership is epoch-fenced (membership.go) so
 // partition healing cannot resurrect dead relationships.
 //
-// Upkeep is priced per change, not per tick. A tree edge carries two
-// exchanges a tick, the child's report and the parent's replica batch, and
-// each names what the peer should already hold and ships content only on a
-// mismatch: a report goes without its summary while the parent holds the
-// version, its ack without the root path and the siblings while the child
-// holds those, and a replica batch is one digest of the child's whole replica
-// set while nothing in it changed (digest.go has the three hashes; DESIGN.md
-// §9 the protocol). The report is also the liveness signal in both directions.
+// Upkeep is priced per change, not per tick. An idle tree edge carries one
+// exchange a tick, the child's report, and each side ships content only when
+// the peer lacks it: the report goes without its summary and its children
+// while the parent holds them, its ack without the root path and siblings
+// while the child holds those, and with one digest of the child's replica
+// set while nothing in it changed — a replica batch goes only when something
+// did (digest.go has the hashes; DESIGN.md §9 the protocol). The report is
+// also the liveness signal in both directions.
 //
 // Two read-path caches keep the hot paths off the server mutex (see
 // ARCHITECTURE.md for the full map):

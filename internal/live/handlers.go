@@ -42,7 +42,7 @@ func (s *Server) handle(msg *wire.Message) *wire.Message {
 }
 
 func (s *Server) ack() *wire.Message {
-	return &wire.Message{Kind: wire.KindAck, From: s.cfg.ID, Addr: s.cfg.Addr}
+	return &wire.Message{Kind: wire.KindAck, From: s.cfg.ID}
 }
 
 // ackWith is an epoch-stamped ack carrying delta-dissemination feedback.
@@ -80,7 +80,7 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 			// and skewed join-placement decisions. What it acked does
 			// reset: the child may have restarted, and the next batch
 			// then restates everything at once instead of finding out
-			// through a refused digest and a refused list. The epoch
+			// through a digest it cannot match. The epoch
 			// relationship restarts at the join's stamp for the same
 			// reason.
 			c.addr = msg.Join.Addr
@@ -139,21 +139,26 @@ func (s *Server) fencedLocked(c *childState, what string, msg *wire.Message) *wi
 
 // handleSummaryReport is the parent's half of the one exchange a child has
 // with it: it ingests the child's branch summary, refreshes the child's
-// liveness, epoch and branch shape, and answers with two verdicts. In order:
+// liveness, epoch and branch shape, and answers with three verdicts. In order:
 // fence; adopt a sender this server does not know if capacity allows (state
 // lost after a restart, or the child was pruned during a slow spell), refuse
 // it with an error otherwise — the child counts refusals as misses and
-// rejoins; refresh; then the content verdict and the ancestry verdict.
+// rejoins; refresh; then the content, ancestry and replica-set verdicts.
 //
 // Content: a version-only report (Summary nil, Version set — sent once this
 // server confirmed holding the child's current branch version) costs no
 // summary decode or re-merge; a version this server does not hold answers
-// NeedFull so the child resends in full next tick. Full reports are acked
-// with the version now held, which is what lets the child start suppressing.
+// NeedFull so the child resends in full next tick, and so does an adopted
+// sender whose report leaves out its children. Full reports are acked with
+// the version now held, which is what lets the child start suppressing.
 //
 // Ancestry: our root path (so the child can rebuild its own) and the child's
 // sibling list (for root election if we die while being the root) — unless
 // the report's hash says the child holds exactly that already.
+//
+// Replica set: its digest while it is what the child last acknowledged
+// (statedDigestLocked), by which the child renews its replicas or asks for a
+// list (NeedList).
 func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	report := msg.Report
 	if report == nil || (report.Summary == nil && report.Version == 0) {
@@ -183,13 +188,16 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	c.descendants = report.Descendants
 	// The child's children are the failover alternates of redirects to it,
 	// and they can change under an unchanged branch (a grandchild without
-	// records joins or leaves).
-	kidsChanged := !sameRedirects(c.kids, report.Children)
-	c.kids = report.Children
+	// records joins or leaves). A report names them only when they changed.
+	kidsChanged := report.Kids && !sameRedirects(c.kids, report.Children)
+	if report.Kids {
+		c.kids = report.Children
+	}
 	c.lastSeen = time.Now()
+	c.push.needList = c.push.needList || report.NeedList
 	ack := &wire.AckInfo{}
 	switch {
-	case sum != nil:
+	case sum != nil && (known || report.Kids):
 		// A full report with the same non-zero version restates unchanged
 		// content (the parent asked NeedFull): swap the object but skip the
 		// branch re-merge. A report without a version must be assumed changed.
@@ -206,7 +214,9 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 		c.version = report.Version
 		ack.HaveVersion = c.version
 	case c.branch == nil || c.version != report.Version:
-		ack.NeedFull = true // the sender must restate its branch in full
+		// The sender must restate its branch in full, and an adopted one
+		// the children this server's lost state held too.
+		ack.NeedFull = true
 	default:
 		// The branch content did not change, so the branch merge epoch
 		// stands, and so does the routing snapshot unless the child's own
@@ -218,7 +228,20 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	}
 	s.mx.summaryReports.Inc()
 	ack.Ancestry = s.ancestryLocked(msg.From, report.Have)
+	if set, ok := s.statedDigestLocked(c); ok {
+		ack.HeldCount, ack.HeldDigest = set.n, set.sum
+		s.mx.pushDelta.Add(uint64(set.n))
+	}
 	return s.ackWith(ack)
+}
+
+// statedDigestLocked is the replica-set digest a report ack states to child
+// c: the set this server refreshes there, folded now, while it is what c last
+// acknowledged of it and c asked for no list. Callers hold s.mu.
+func (s *Server) statedDigestLocked(c *childState) (setDigest, bool) {
+	entries, all := s.replicaSetLocked()
+	set, _ := childSet(entries, all, c.id)
+	return set, set.n > 0 && set == c.push.sum && !c.push.needList
 }
 
 // ancestryLocked is the ancestry verdict for one child: what it should hold,
@@ -283,30 +306,21 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 	}, nil
 }
 
-// handleReplicaBatch takes a parent's per-tick statement of the overlay
-// replicas it refreshes here, in either form (see wire.ReplicaBatch).
-//
-// A digest batch is checked against the replicas held via the sender: on a
-// match all of them are confirmed current and their soft-state TTLs renewed,
-// otherwise nothing is touched and the ack says NeedFull.
-//
-// A list batch is decoded first, then applied under a single lock
-// acquisition, so concurrent queries observe either the previous overlay
-// state or the complete new one — never a half-applied tick. Full entries
-// replace the replica; tag-only entries renew the TTL of the replica they
-// name when its stored tag matches, and land in the ack's NeedFullOrigins
-// when it does not or the origin is unknown, so the sender restates that
-// origin in full next tick. Replicas held via the sender that the list leaves
-// out lose their feeder mark: the sender no longer refreshes them, and they
-// age out by TTL. An urgent full entry that changes a replica asks for an
-// early round, which passes it on to the children.
+// handleReplicaBatch takes a parent's list of the overlay replicas it
+// refreshes here (see wire.ReplicaBatch). The list is decoded first, then
+// applied under a single lock acquisition, so concurrent queries observe
+// either the previous overlay state or the complete new one — never a
+// half-applied tick. Full entries replace the replica; tag-only entries renew
+// the TTL of the replica they name when its stored tag matches, and land in
+// the ack's NeedFullOrigins when it does not or the origin is unknown, so the
+// sender restates that origin in full next tick. Replicas held via the sender
+// that the list leaves out lose their feeder mark: the sender no longer
+// refreshes them, and they age out by TTL. An urgent full entry that changes
+// a replica asks for an early round, which passes it on to the children.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	b := msg.Batch
 	if b == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: replica batch without payload"))
-	}
-	if len(b.Pushes) == 0 && b.Count > 0 {
-		return s.ackWith(&wire.AckInfo{NeedFull: !s.confirmDigest(msg)})
 	}
 	states := make([]*replicaState, 0, len(b.Pushes))
 	var tagOnly []*wire.ReplicaPush
@@ -365,31 +379,6 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	s.mu.Unlock()
 	s.mx.replicaPushes.Add(uint64(len(states) + len(tagOnly)))
 	return s.ackWith(&wire.AckInfo{NeedFullOrigins: needFull})
-}
-
-// confirmDigest reports whether the digest batch matches the replicas held
-// via its sender, and renews them all if it does.
-func (s *Server) confirmDigest(msg *wire.Message) bool {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noteParentEpochLocked(msg)
-	var held setDigest
-	for id, r := range s.replicas {
-		if r.via == msg.From {
-			held.add(id, r.tag())
-		}
-	}
-	if held.n != msg.Batch.Count || held.sum != msg.Batch.Digest {
-		return false
-	}
-	for _, r := range s.replicas {
-		if r.via == msg.From {
-			r.received = now
-		}
-	}
-	s.mx.replicaPushes.Add(uint64(held.n))
-	return true
 }
 
 // noteParentEpochLocked raises the recorded parent epoch to a batch's stamp.

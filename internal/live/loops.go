@@ -93,16 +93,16 @@ func (s *Server) aggregationLoop() {
 	}
 }
 
-// round runs one aggregation round and returns its wall time. An early round
-// carries content only: it reports only a branch the parent does not hold and
-// sends only list batches, to the children whose set moved. It counts no
-// parent miss, does not advance the replan cadence and prunes nothing —
-// liveness, replans and ageing stay with the periodic round.
+// round runs one aggregation round and returns its wall time. Every round
+// sends list batches only, to the children whose set moved. An early round
+// carries content only: it reports only a branch the parent does not hold,
+// counts no parent miss, does not advance the replan cadence and prunes
+// nothing — liveness, replans and ageing stay with the periodic round.
 func (s *Server) round(early bool) time.Duration {
 	start := time.Now()
 	s.refresh(early)
 	s.report(early)
-	s.push(early)
+	s.pushReplicas()
 	if !early {
 		s.pruneDeadChildren()
 		s.pruneStaleReplicas()
@@ -408,7 +408,11 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 //
 // Every report also carries the hash of the ancestry held — the root path
 // above this server and its siblings (for root election) — and the ack brings
-// the content only when the parent would say otherwise. A failed or refused
+// the content only when the parent would say otherwise; it names this
+// server's children only when the parent has not acked them. The ack states
+// the digest of the replica set the parent refreshes here while nothing in it
+// moved: the replicas held via the parent are renewed when they fold to it,
+// and the next report asks for a list (NeedList) when not. A failed or refused
 // exchange is a miss, and heartbeatMiss of them in a row are a dead parent.
 // The ack is applied only if the parent is still the one the report went to
 // (a slow reply from a just-replaced parent must not overwrite post-rejoin
@@ -434,13 +438,17 @@ func (s *Server) report(early bool) {
 		s.mu.Unlock()
 		return
 	}
+	kids := s.childRedirectsLocked()
 	report := &wire.SummaryReport{
 		Depth:       s.subtreeDepthLocked(),
 		Descendants: s.descendantsLocked(),
-		Children:    s.childRedirectsLocked(),
 		Version:     branch.Version,
 		Have:        s.heldAncestryLocked(),
 		Urgent:      !held && s.branchUrgent,
+		NeedList:    s.parentNeedList,
+	}
+	if kidsHash(kids) != s.parentKids {
+		report.Kids, report.Children = true, kids
 	}
 	s.mu.Unlock()
 	if held {
@@ -479,6 +487,7 @@ func (s *Server) report(early bool) {
 	case ack.NeedFull:
 		s.parentNeedFull = true
 		s.parentHaveVersion = 0
+		s.parentKids = 0
 	case ack.HaveVersion != 0:
 		s.parentHaveVersion = ack.HaveVersion
 		s.parentNeedFull = false
@@ -486,6 +495,11 @@ func (s *Server) report(early bool) {
 			s.branchUrgent = false // the parent holds it
 		}
 	}
+	if report.Kids && !ack.NeedFull {
+		s.parentKids = kidsHash(kids)
+	}
+	// Without a stated digest there is nothing to miss: a NeedList sent was taken.
+	s.parentNeedList = ack.HeldCount != 0 && !s.renewHeldLocked(setDigest{sum: ack.HeldDigest, n: ack.HeldCount})
 	if a := ack.Ancestry; a != nil {
 		s.rootPath = append(slices.Clone(a.RootPath), s.cfg.ID)
 		s.rootPathAddrs = append(slices.Clone(a.PathAddrs), s.cfg.Addr)
@@ -493,6 +507,28 @@ func (s *Server) report(early bool) {
 		s.rememberPathLocked()
 		s.publishSnapshotLocked()
 	}
+}
+
+// renewHeldLocked reports whether the replicas held via the parent fold to
+// the digest its report ack stated, and renews them all if they do. Callers
+// hold s.mu.
+func (s *Server) renewHeldLocked(stated setDigest) bool {
+	var held setDigest
+	for id, r := range s.replicas {
+		if r.via == s.parentID {
+			held.add(id, r.tag())
+		}
+	}
+	if held == stated {
+		now := time.Now()
+		for _, r := range s.replicas {
+			if r.via == s.parentID {
+				r.received = now
+			}
+		}
+		s.mx.replicaPushes.Add(uint64(held.n))
+	}
+	return held == stated
 }
 
 // pushEntry is one origin this server refreshes at its children this tick:
@@ -536,60 +572,26 @@ func (e *pushEntry) tagOnly() *wire.ReplicaPush {
 	return &wire.ReplicaPush{OriginID: e.origin, Tag: e.tag}
 }
 
-// pushReplicas distributes overlay state to every child: each sibling's
-// branch summary, this server's own local summary (ancestor push), and all
-// replicas this server holds (sibling replicas become the child's
-// ancestor-sibling replicas; ancestor replicas stay ancestors). After L
-// rounds every server holds exactly the paper's replica set. Every entry
-// carries the one summary its holders route on — an ancestor's branch is a
-// merge of summaries its descendants already hold — so a write ships one
-// summary to each other server: the writer's local to its descendants, and
-// the branch of the writer's ancestor on its side to everyone else.
-//
-// One KindReplicaBatch per child per tick, in one of two forms (see
-// wire.ReplicaBatch). Every entry has a tag, the hash of all a full entry
-// would store (replicaTag), and the tags each child acknowledged are
-// remembered. While the set to send folds to the digest of what the child
-// acknowledged, nothing it holds can differ from what a restatement would
-// store, and the batch is that digest alone. Otherwise the batch lists the
-// set: full entries where the acknowledged tag differs, tag-only entries
-// elsewhere. A child that cannot match a digest answers NeedFull and is sent
-// the list; a child that cannot match a tag-only entry names the origin in
-// NeedFullOrigins and is sent that entry in full. Both corrections take
-// effect on the next tick, so no state needs a periodic restatement to heal.
-//
-// A full entry is urgent when its summary came in urgent (or, for this
-// server's own local summary, was rebuilt after a write). An early round's
-// push (early) sends list batches only: a child whose set has not moved gets
-// nothing until the period.
-func (s *Server) pushReplicas() { s.push(false) }
-
-func (s *Server) push(early bool) {
-	// Snapshot under the lock: childState fields are mutated in place by
-	// summary reports, so copy the values; summary objects themselves are
-	// replaced wholesale on update and never mutated after publish, and an
-	// acked map is never written once it is installed.
-	type childSnap struct {
-		id, addr string
-		push     pushState
-		own      int // index of the child's own branch in entries, -1 if it has none yet
-	}
-	s.mu.Lock()
-	if len(s.children) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	children := make([]childSnap, 0, len(s.children))
+// replicaSetLocked is the replica set this server refreshes at its children,
+// one entry per origin, and all of them folded: each child's branch
+// (for the child's siblings), this server's own local summary (ancestor
+// push), and every replica its parent states (sibling replicas become the
+// child's ancestor-sibling replicas; ancestor replicas stay ancestors), each
+// tagged with the hash of all a full entry would store (replicaTag). A child
+// is sent all but its own branch (childSet). After L rounds every server
+// holds exactly the paper's replica set. Every entry carries the one summary
+// its holders route on — an ancestor's branch is a merge of summaries its
+// descendants already hold — so a write ships one summary to each other
+// server: the writer's local to its descendants, and the branch of the
+// writer's ancestor on its side to everyone else. Callers hold s.mu.
+func (s *Server) replicaSetLocked() ([]pushEntry, setDigest) {
 	entries := make([]pushEntry, 0, len(s.children)+1+len(s.replicas))
 	// Sibling branches: distance 1 from the child.
 	for _, c := range s.children {
-		snap := childSnap{id: c.id, addr: c.addr, push: c.push, own: -1}
 		if c.branch != nil {
-			snap.own = len(entries)
 			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, sum: c.branch,
 				level: 1, fallbacks: c.kids, version: c.version, urgent: c.urgent})
 		}
-		children = append(children, snap)
 	}
 	// Everything else goes to every child alike: self as ancestor (local
 	// summary, distance 1), then everything this server replicates (its
@@ -616,54 +618,79 @@ func (s *Server) push(early bool) {
 		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
 			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version, urgent: r.urgent})
 	}
-	s.mu.Unlock()
-	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
-
 	var all setDigest
 	for i := range entries {
 		e := &entries[i]
 		e.tag = replicaTag(replicaMeta(e.ancestor, e.level, e.addr, e.fallbacks), e.version)
 		all.add(e.origin, e.tag)
 	}
+	return entries, all
+}
+
+// childSet is the set one child is sent: all of replicaSetLocked's but the
+// child's own branch, whose index it returns (-1 if the child has none yet).
+func childSet(entries []pushEntry, all setDigest, child string) (setDigest, int) {
+	for i := range entries {
+		if entries[i].origin == child {
+			return all.without(child, entries[i].tag), i
+		}
+	}
+	return all, -1
+}
+
+// pushReplicas sends a list batch (see wire.ReplicaBatch) to every child
+// whose set moved since it last acknowledged one: full entries where the
+// acknowledged tag differs, tag-only entries elsewhere. While a child's set
+// folds to the digest of what it acknowledged, nothing it holds can differ
+// from what a restatement would store: it is sent nothing, and its report
+// ack states the digest. A child that misses the digest says NeedList and is
+// sent the list; one that cannot match a tag-only entry names the origin in
+// NeedFullOrigins and is sent that entry in full. Both corrections take
+// effect on the next round, so no state needs a periodic restatement to heal.
+// A full entry is urgent when its summary came in urgent (or, for this
+// server's own local summary, was rebuilt after a write).
+func (s *Server) pushReplicas() {
+	// Snapshot under the lock: childState fields are mutated in place by
+	// summary reports, so copy the values; summary objects themselves are
+	// replaced wholesale on update and never mutated after publish, and an
+	// acked map is never written once it is installed.
+	s.mu.Lock()
+	if len(s.children) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	children := make([]childState, 0, len(s.children))
+	for _, c := range s.children {
+		children = append(children, *c)
+	}
+	entries, all := s.replicaSetLocked()
+	s.mu.Unlock()
+	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
 
 	for _, child := range children {
-		// The child's set is everything but its own branch.
-		set := all
-		if child.own >= 0 {
-			set = all.without(child.id, entries[child.own].tag)
-		}
-		if set.n == 0 {
+		set, own := childSet(entries, all, child.id)
+		if set.n == 0 || (set == child.push.sum && !child.push.needList) {
 			continue
 		}
-		var batch *wire.ReplicaBatch
-		var listed map[string]uint64 // what a list batch states, by origin
-		if set == child.push.sum && !child.push.needList {
-			if early {
+		batch := &wire.ReplicaBatch{Pushes: make([]*wire.ReplicaPush, 0, set.n)}
+		listed := make(map[string]uint64, set.n) // what the list states, by origin
+		for i := range entries {
+			e := &entries[i]
+			if i == own {
 				continue
 			}
-			batch = &wire.ReplicaBatch{Digest: set.sum, Count: set.n}
-			s.mx.pushDelta.Add(uint64(set.n))
-		} else {
-			batch = &wire.ReplicaBatch{Pushes: make([]*wire.ReplicaPush, 0, set.n)}
-			listed = make(map[string]uint64, set.n)
-			for i := range entries {
-				e := &entries[i]
-				if i == child.own {
-					continue
-				}
-				// Unversioned content is never taken as held: it ships in
-				// full every tick and keeps the batch a list.
-				versioned := e.version != 0
-				if versioned {
-					listed[e.origin] = e.tag
-				}
-				if versioned && child.push.acked[e.origin] == e.tag {
-					batch.Pushes = append(batch.Pushes, e.tagOnly())
-					s.mx.pushDelta.Inc()
-				} else {
-					batch.Pushes = append(batch.Pushes, e.full())
-					s.mx.pushFull.Inc()
-				}
+			// Unversioned content is never taken as held: it ships in
+			// full every round and keeps the child's set moving.
+			versioned := e.version != 0
+			if versioned {
+				listed[e.origin] = e.tag
+			}
+			if versioned && child.push.acked[e.origin] == e.tag {
+				batch.Pushes = append(batch.Pushes, e.tagOnly())
+				s.mx.pushDelta.Inc()
+			} else {
+				batch.Pushes = append(batch.Pushes, e.full())
+				s.mx.pushFull.Inc()
 			}
 		}
 		rep, err := s.tr.Call(child.addr, s.stampEpoch(&wire.Message{
@@ -677,16 +704,13 @@ func (s *Server) push(early bool) {
 		}
 		s.observeEpoch(rep.Epoch)
 		// What the child now holds via this server: the list, minus what it
-		// asked for in full. A confirmed digest leaves the record as it is.
-		var next pushState
-		if listed != nil {
-			for _, o := range rep.Ack.NeedFullOrigins {
-				delete(listed, o)
-			}
-			next.acked = listed
-			for o, tag := range listed {
-				next.sum.add(o, tag)
-			}
+		// asked for in full.
+		next := pushState{acked: listed}
+		for _, o := range rep.Ack.NeedFullOrigins {
+			delete(listed, o)
+		}
+		for o, tag := range listed {
+			next.sum.add(o, tag)
 		}
 		s.mu.Lock()
 		if c, ok := s.children[child.id]; ok {
@@ -696,12 +720,7 @@ func (s *Server) push(early bool) {
 				// not an accepted stale mutation.
 				c.epoch = rep.Epoch
 			}
-			switch {
-			case listed != nil:
-				c.push = next
-			case rep.Ack.NeedFull:
-				c.push.needList = true
-			}
+			c.push = next
 		}
 		s.mu.Unlock()
 	}
@@ -831,8 +850,8 @@ func (s *Server) planRejoinLocked() *rejoinPlan {
 	s.parentID = ""
 	s.parentAddr = ""
 	s.parentMisses = 0
-	s.parentHaveVersion = 0
-	s.parentNeedFull = false
+	s.parentHaveVersion, s.parentNeedFull = 0, false
+	s.parentKids, s.parentNeedList = 0, false
 	s.parentEpoch = 0
 	s.publishSnapshotLocked()
 	s.mx.parentFailovers.Inc()

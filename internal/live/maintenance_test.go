@@ -13,10 +13,10 @@ import (
 	"roads/internal/wire"
 )
 
-// These tests pin the maintenance protocol — tagged entries, list and digest
-// batches, conditional ancestry on the report ack — on parked-loop servers
-// over Chan: every round is driven by hand, nothing sleeps, and soft-state
-// ageing is simulated by backdating replicas.
+// These tests pin the maintenance protocol — tagged entries, list batches,
+// conditional ancestry and the replica-set digest on the report ack — on
+// parked-loop servers over Chan: every round is driven by hand, nothing
+// sleeps, and soft-state ageing is simulated by backdating replicas.
 
 // deltaStar builds a parked root with the named children joined to it, n
 // records each, and drives it to the digest steady state.
@@ -59,13 +59,16 @@ func replicaVia(s *Server, origin string) (via string, ok bool) {
 }
 
 // TestDigestMismatchShipsOnlyTheMissingOrigin: a child that lost one replica
-// refuses the digest, is sent the list with every entry tag-only, names the
-// one origin it cannot confirm, and gets exactly that entry in full — three
-// ticks, one summary's worth of bytes, then digests again.
+// fails the digest its report ack states, asks for the list on its next
+// report, is sent the list with every entry tag-only, names the one origin it
+// cannot confirm, and gets exactly that entry in full — three ticks, one
+// summary's worth of bytes, then digests again. Its siblings' acks state the
+// digest throughout and they are sent nothing.
 func TestDigestMismatchShipsOnlyTheMissingOrigin(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 5, "c1", "c2", "c3")
 	c1 := kids[0]
+	all := append(slices.Clone(kids), root)
 	tr.reset()
 
 	c1.mu.Lock()
@@ -73,12 +76,15 @@ func TestDigestMismatchShipsOnlyTheMissingOrigin(t *testing.T) {
 	c1.publishSnapshotLocked()
 	c1.mu.Unlock()
 
-	root.pushReplicas() // digest: c1 answers NeedFull
+	driveRound(all...) // every ack states the digest; c1's does not match
 	if _, lists, digests := tr.counts(); lists != 0 || digests != 3 {
-		t.Fatalf("tick 1 sent %d list and %d digest batches; want 3 digests", lists, digests)
+		t.Fatalf("tick 1 sent %d list batches and %d digests; want 3 digests", lists, digests)
 	}
-	root.pushReplicas() // list to c1, all tag-only: c1 names c2
-	root.pushReplicas() // list to c1 with c2 in full
+	if !parentNeedList(c1) {
+		t.Fatal("c1 did not notice its replicas no longer match the digest")
+	}
+	driveRound(all...) // c1 says NeedList; a list to c1, all tag-only: c1 names c2
+	driveRound(all...) // a list to c1 with c2 in full
 	if got := c1.NumReplicas(); got != 3 {
 		t.Fatalf("c1 holds %d replicas three ticks after losing one; want 3", got)
 	}
@@ -92,17 +98,21 @@ func TestDigestMismatchShipsOnlyTheMissingOrigin(t *testing.T) {
 	if summaries != 1 || lists != 2 || digests != 3+2+2 {
 		t.Fatalf("recovery sent %d summaries, %d lists, %d digests; want 1, 2 (both to c1) and 7", summaries, lists, digests)
 	}
-	root.pushReplicas()
+	driveRound(all...)
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 3 {
 		t.Fatalf("tick 4 sent %d summaries, %d lists, %d digests; want digests only again", summaries, lists, digests)
+	}
+	if parentNeedList(c1) {
+		t.Fatal("c1 still asks for a list after the recovery")
 	}
 }
 
 // TestShrunkSetIsRestatedOnceAndOrphanAgesOut: when a sibling leaves the
-// parent's set, each remaining child gets one list batch that no longer names
-// it and digests from then on — no list/digest alternation. The orphaned
-// replica loses its feeder mark, is not renewed by the digests, and expires
-// exactly when its TTL runs out: not at the restatement, and not later.
+// parent's set, the next report acks state no digest, each remaining child
+// gets one list batch that no longer names it, and digests come from then on
+// — no list/digest alternation. The orphaned replica loses its feeder mark,
+// is not renewed by the digests, and expires exactly when its TTL runs out:
+// not at the restatement, and not later.
 func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 5, "c1", "c2", "c3")
@@ -119,7 +129,7 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 
 	driveRound(c1, c2, root)
 	if _, lists, digests := tr.counts(); lists != 2 || digests != 0 {
-		t.Fatalf("the tick after the set shrank sent %d list and %d digest batches; want one list per remaining child", lists, digests)
+		t.Fatalf("the tick after the set shrank sent %d list batches and %d digests; want one list per remaining child and no digest", lists, digests)
 	}
 	if via, ok := replicaVia(c1, "c3"); !ok || via != "" {
 		t.Fatalf("orphaned replica: held=%v via=%q; want still held, feeder mark cleared", ok, via)
@@ -135,7 +145,7 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 		t.Fatalf("six ticks later: %d summaries, %d lists, %d digests; want 12 digests and no list", summaries, lists, digests)
 	}
 	if _, recv, _ := replicaVersion(c1, "c3"); !recv.Equal(lastRenewed) {
-		t.Fatal("digest batches renewed a replica the sender no longer lists")
+		t.Fatal("stated digests renewed a replica the sender no longer lists")
 	}
 
 	// Soft state, unchanged: still there just inside the TTL, gone just past.
@@ -157,9 +167,9 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	}
 }
 
-// TestReplicaSoftStateUnderDigests: a replica confirmed by nothing but digest
-// batches for ten TTLs never expires, and one whose feeder goes silent expires
-// after the TTL it always had.
+// TestReplicaSoftStateUnderDigests: a replica confirmed by nothing but the
+// digests report acks state for ten TTLs never expires, and one whose feeder
+// goes silent expires after the TTL it always had.
 func TestReplicaSoftStateUnderDigests(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 4, "c1", "c2")
@@ -174,7 +184,7 @@ func TestReplicaSoftStateUnderDigests(t *testing.T) {
 		driveRound(c1, c2, root)
 		c1.pruneStaleReplicas()
 		if got := c1.NumReplicas(); got != 2 {
-			t.Fatalf("step %d: c1 holds %d replicas; digest batches must keep both alive", i, got)
+			t.Fatalf("step %d: c1 holds %d replicas; the stated digests must keep both alive", i, got)
 		}
 	}
 	if summaries, lists, _ := tr.counts(); summaries != 0 || lists != 0 {
@@ -199,8 +209,8 @@ func TestReplicaSoftStateUnderDigests(t *testing.T) {
 
 // TestRejoinedChildIsRestatedOnce: a child that restarts and rejoins the same
 // parent gets every entry in full in the first batch — whole again one tick
-// after the join — and digests from the second on; its sibling never leaves
-// the digest form.
+// after the join — and digests on its report acks from the second on; its
+// sibling's acks state the digest throughout and it is sent no batch.
 func TestRejoinedChildIsRestatedOnce(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 5, "c1", "c2")
@@ -226,7 +236,7 @@ func TestRejoinedChildIsRestatedOnce(t *testing.T) {
 	full := tr.reset()
 	slices.Sort(full)
 	if !slices.Equal(full, []string{"root>addr-c1:c2", "root>addr-c1:root"}) || lists != 1 || digests != 1 {
-		t.Fatalf("rejoin tick: full entries %v, %d lists, %d digests; want both entries in full to c1 and a digest to c2", full, lists, digests)
+		t.Fatalf("rejoin tick: full entries %v, %d lists, %d digests; want both entries in full to c1 and a digest on c2's ack", full, lists, digests)
 	}
 	for i := 0; i < 3; i++ {
 		driveRound(c1, c2, root)
@@ -552,18 +562,20 @@ func TestWriteShipsOneSummaryPerServer(t *testing.T) {
 
 // TestMaintenanceByteBudget is the tier-1 guard on maintenance bytes: a
 // converged 21-server fan-out-4 hierarchy, every loop parked and driven by
-// hand for 32 rounds of report and replica batch, must move at most 300 bytes
-// per tree edge per round in exactly two calls (requests and replies together;
-// Chan counts each encoding once and has no frame header) and encode no
-// summary. About 170 is measured; with a separate heartbeat (last at 948f4b6)
-// it was 217 in three calls, and with the round that restated everything every
-// 16 ticks (last at 915855c) the average was several thousand.
+// hand for 32 rounds, must move at most 120 bytes per tree edge per round in
+// exactly one call — a version-only report whose ack states the replica-set
+// digest — send no replica batch and encode no summary (requests and replies
+// together; Chan counts each encoding once and has no frame header). About 83
+// is measured; with a separate digest batch (last at d8f2333) it was 167 in
+// two calls, with a separate heartbeat (last at 948f4b6) 217 in three, and
+// with the round that restated everything every 16 ticks (last at 915855c)
+// the average was several thousand.
 func TestMaintenanceByteBudget(t *testing.T) {
 	const (
 		servers = 21
 		fanOut  = 4
 		rounds  = 32
-		budget  = 300
+		budget  = 120
 	)
 	schema := record.DefaultSchema(2)
 	tr := &countingTransport{Chan: transport.NewChan()}
@@ -602,10 +614,10 @@ func TestMaintenanceByteBudget(t *testing.T) {
 	}
 	after := tr.Stats()
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != rounds*(servers-1) {
-		t.Fatalf("%d rounds encoded %d summaries and sent %d list, %d digest batches; want none, none and one digest per edge per round", rounds, summaries, lists, digests)
+		t.Fatalf("%d rounds encoded %d summaries, sent %d batches and stated %d digests; want none, none and one digest per edge per round", rounds, summaries, lists, digests)
 	}
-	if calls := after.Calls - before.Calls; calls != 2*rounds*(servers-1) {
-		t.Fatalf("%d calls in %d rounds on %d edges; want two per edge per round", calls, rounds, servers-1)
+	if calls := after.Calls - before.Calls; calls != rounds*(servers-1) {
+		t.Fatalf("%d calls in %d rounds on %d edges; want one per edge per round", calls, rounds, servers-1)
 	}
 	moved := (after.BytesSent - before.BytesSent) + (after.BytesRecv - before.BytesRecv)
 	perEdge := float64(moved) / float64(rounds*(servers-1))

@@ -81,7 +81,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reportsSuppressed: reg.Counter("roads_report_suppressed_total",
 			"Version-only reports sent in place of full branch summaries (the parent confirmed holding the current version)."),
 		pushDelta: reg.Counter("roads_replica_push_delta_total",
-			"Replica entries confirmed without their summaries: tag-only entries of list batches, and every entry a digest batch stands for."),
+			"Replica entries confirmed without their summaries: tag-only entries of list batches, and every entry a report ack's digest stands for."),
 		pushFull: reg.Counter("roads_replica_push_full_total",
 			"Replica entries sent with their summaries (new origin, changed tag, or the child asked for the origin in full)."),
 		earlyRounds: reg.Counter("roads_early_rounds_total",

@@ -93,8 +93,8 @@ const heartbeatMiss = 4
 const DefaultReplicaTTLFloor = 5 * time.Second
 
 // DefaultAntiEntropyEvery was the cadence of the periodic full-state round.
-// No server behaviour depends on it any more: every tick confirms the whole
-// replica set by digest, so there is no round left to schedule. The constant
+// No server behaviour depends on it any more: every report ack confirms the
+// whole replica set by digest, so there is no round left to schedule. The constant
 // keeps its name and value because the canonical benchmark (bench/) sizes its
 // idle window in multiples of it.
 const DefaultAntiEntropyEvery = 16
@@ -188,11 +188,11 @@ type childState struct {
 // it. acked maps origin ID → the tag the child confirmed in the last list
 // batch it acknowledged (the origins it asked for in full left out); the
 // map is replaced on every such ack and never written afterwards, so a
-// snapshot may keep reading it without the lock. sum is acked folded the way
-// a digest batch is: while the set to send folds to the same value nothing
-// changed and the digest alone goes out. needList is set when the child
-// answered a digest with NeedFull — what it holds is not what acked says — and
-// forces one list batch, whose ack rebuilds acked from the child's answer.
+// snapshot may keep reading it without the lock. sum is acked folded: while
+// the set to send folds to it, no batch goes out and the report ack states
+// it. needList is set when the child's report says it missed that digest —
+// what it holds is not what acked says — and forces one list batch, whose
+// ack rebuilds acked from the child's answer.
 type pushState struct {
 	acked    map[string]uint64
 	sum      setDigest
@@ -228,8 +228,8 @@ type replicaState struct {
 	// via is the ID of the server whose batch last stated or confirmed
 	// this replica — its feeder. A feeder's list batch that leaves the
 	// origin out clears via: nobody refreshes the replica any more and it
-	// ages out by TTL. A feeder's digest covers exactly the replicas held
-	// via it.
+	// ages out by TTL. The digest a feeder's report ack states covers
+	// exactly the replicas held via it.
 	via string
 	// urgent is the Urgent bit of the entry that brought sum; forwarding the
 	// replica passes it on.
@@ -237,8 +237,8 @@ type replicaState struct {
 }
 
 // tag hashes the replica as held, the way its feeder hashes the entry it
-// would send (replicaTag). A tag-only entry or a digest batch renews received
-// only while the two agree.
+// would send (replicaTag). A tag-only entry or a stated digest renews
+// received only while the two agree.
 func (r *replicaState) tag() uint64 {
 	return replicaTag(r.meta, r.version)
 }
@@ -291,9 +291,13 @@ type Server struct {
 	// parent changes: parentHaveVersion is the branch version the parent
 	// last confirmed holding (reports while it matches go version-only);
 	// parentNeedFull forces the next report full after the parent
-	// rejected a version-only one.
+	// rejected a version-only one; parentKids is kidsHash of the children
+	// the parent last acked (0: none); parentNeedList asks it for a list on
+	// the next report, the replicas held via it having missed its digest.
 	parentHaveVersion uint64
 	parentNeedFull    bool
+	parentKids        uint64
+	parentNeedList    bool
 
 	// refreshMu serializes refreshSummaries: the incremental-refresh
 	// caches below are its private state, and tests drive refreshes
@@ -587,8 +591,8 @@ func (s *Server) Join(seedAddr string) error {
 			s.parentMisses = 0
 			// A new (or re-joined) parent holds none of our versions, and
 			// the epoch relationship restarts at the accept's stamp.
-			s.parentHaveVersion = 0
-			s.parentNeedFull = false
+			s.parentHaveVersion, s.parentNeedFull = 0, false
+			s.parentKids, s.parentNeedList = 0, false
 			s.parentEpoch = rep.Epoch
 			// The branch is news to the new parent: it passes it on in an
 			// early round.

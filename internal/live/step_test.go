@@ -51,7 +51,8 @@ func (k *kindBytes) take() map[wire.Kind]int {
 // TestSteppedCluster pins stepping: a NewCluster federation starts
 // no goroutine, a stepped build of a seed sends the same bytes of every kind
 // in every step on every run, and Settle on a settled federation takes one
-// step, in which every tree edge carries a version-only report and a digest.
+// step, in which every tree edge carries one call: a version-only report,
+// whose ack states the replica-set digest.
 func TestSteppedCluster(t *testing.T) {
 	const servers, fanOut = 21, 4
 	build := func() (*Cluster, *kindBytes, []map[wire.Kind]int) {
@@ -101,8 +102,8 @@ func TestSteppedCluster(t *testing.T) {
 	if err := cl.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Stats().Calls - calls; got != 2*(servers-1) || tr.content != content {
-		t.Errorf("Settle on a settled federation made %d calls, %d with content; want one step's %d (a report and a batch per edge) and none",
-			got, tr.content-content, 2*(servers-1))
+	if got := tr.Stats().Calls - calls; got != servers-1 || tr.content != content {
+		t.Errorf("Settle on a settled federation made %d calls, %d with content; want one step's %d (a report per edge) and none",
+			got, tr.content-content, servers-1)
 	}
 }

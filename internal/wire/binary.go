@@ -13,8 +13,11 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 13 because twelve layouts came before it (the git history
-// and EXPERIMENTS.md have them); 1–12 are rejected like any other byte.
+// The version is 14 because thirteen layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–13 are rejected like any other byte.
+// Version 14 moved the replica-set digest from the batch's tail to the report
+// ack's (HeldCount, HeldDigest) and gave the report's presence byte the
+// reportKids bit, without which the children are left out, and reportNeedList.
 // Version 13 is version 12 without the query's priority byte, which went with
 // admission control; no other frame changed. Version 12 added an urgent bit
 // to the summary report's presence byte and to a full replica entry's flags.
@@ -38,7 +41,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 13
+	binVersion = 14
 	// Version is binVersion for other packages: the documents name it, and
 	// cmd/docscheck holds them to it.
 	Version = binVersion
@@ -308,6 +311,10 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 		b = appendBool(b, m.Ack.NeedFull)
 		b = appendStrings(b, m.Ack.NeedFullOrigins)
 		b = appendAncestry(b, m.Ack.Ancestry)
+		b = appendUvarint(b, uint64(m.Ack.HeldCount))
+		if m.Ack.HeldCount != 0 {
+			b = appendU64(b, m.Ack.HeldDigest)
+		}
 	}
 	b = appendUvarint(b, m.Epoch)
 	if m.RootProbe != nil {
@@ -364,6 +371,10 @@ func decodeBinary(data []byte) (*Message, error) {
 			NeedFull:        r.bool(),
 			NeedFullOrigins: readStrings(r),
 			Ancestry:        readAncestry(r),
+			HeldCount:       int(r.uvarint()),
+		}
+		if m.Ack.HeldCount != 0 {
+			m.Ack.HeldDigest = r.u64()
 		}
 	}
 	m.Epoch = r.uvarint()
@@ -491,11 +502,13 @@ func readRedirects(r *binReader, depth int) []RedirectInfo {
 	return out
 }
 
-// A report opens with its presence byte: reportSummary when the summary
-// follows, reportUrgent when the report is urgent.
+// A report opens with its presence byte: reportSummary and reportKids when
+// the summary and the children follow, reportUrgent and reportNeedList.
 const (
 	reportSummary = 1 << iota
 	reportUrgent
+	reportKids
+	reportNeedList
 )
 
 func appendReport(b []byte, rep *SummaryReport) []byte {
@@ -506,33 +519,42 @@ func appendReport(b []byte, rep *SummaryReport) []byte {
 	if rep.Urgent {
 		flags |= reportUrgent
 	}
+	if rep.Kids {
+		flags |= reportKids
+	}
+	if rep.NeedList {
+		flags |= reportNeedList
+	}
 	b = append(b, flags)
 	if rep.Summary != nil {
 		b = appendSummary(b, rep.Summary)
 	}
 	b = appendVarint(b, int64(rep.Depth))
 	b = appendVarint(b, int64(rep.Descendants))
-	b = appendRedirects(b, rep.Children)
+	if rep.Kids {
+		b = appendRedirects(b, rep.Children)
+	}
 	b = appendUvarint(b, rep.Version)
 	return appendU64(b, rep.Have)
 }
 
 func readReport(r *binReader) *SummaryReport {
 	flags := r.u8()
-	rep := &SummaryReport{Urgent: flags&reportUrgent != 0}
+	rep := &SummaryReport{Urgent: flags&reportUrgent != 0, Kids: flags&reportKids != 0, NeedList: flags&reportNeedList != 0}
 	if flags&reportSummary != 0 {
 		rep.Summary = readSummary(r)
 	}
 	rep.Depth = int(r.varint())
 	rep.Descendants = int(r.varint())
-	rep.Children = readRedirects(r, 0)
+	if rep.Kids {
+		rep.Children = readRedirects(r, 0)
+	}
 	rep.Version = r.uvarint()
 	rep.Have = r.u64()
 	return rep
 }
 
-// A batch is its entry count and entries, then Count, then — on a digest
-// batch only, which is what a non-zero Count means — the eight Digest bytes.
+// A batch is its entry count and entries.
 func appendBatch(b []byte, batch *ReplicaBatch) []byte {
 	b = appendUvarint(b, uint64(len(batch.Pushes)))
 	for _, p := range batch.Pushes {
@@ -542,10 +564,6 @@ func appendBatch(b []byte, batch *ReplicaBatch) []byte {
 		}
 		b = appendBool(b, true)
 		b = appendReplicaPush(b, p)
-	}
-	b = appendVarint(b, int64(batch.Count))
-	if batch.Count != 0 {
-		b = appendU64(b, batch.Digest)
 	}
 	return b
 }
@@ -562,9 +580,6 @@ func readBatch(r *binReader) *ReplicaBatch {
 			continue
 		}
 		batch.Pushes = append(batch.Pushes, readReplicaPush(r))
-	}
-	if batch.Count = int(r.varint()); batch.Count != 0 {
-		batch.Digest = r.u64()
 	}
 	return batch
 }

@@ -81,15 +81,29 @@ func sampleMessages(tb testing.TB) []*Message {
 			Children: []ChildInfo{{ID: "c", Addr: "ca", Depth: 2, Descendants: 5}},
 		}},
 		{Kind: KindSummaryReport, From: "n3", Addr: "addr3", Report: &SummaryReport{
-			Summary: dto, Depth: 3, Descendants: 9,
+			Summary: dto, Depth: 3, Descendants: 9, Kids: true,
 			Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 11, Alternates: alt}},
 			Version:  77,
 		}},
 		// Version-only report: summary omitted, version and the hash of the
 		// ancestry held set, epoch-stamped like everything a server sends.
 		{Kind: KindSummaryReport, From: "n3b", Epoch: 12, Report: &SummaryReport{
-			Depth: 3, Descendants: 9, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718,
+			Depth: 3, Descendants: 9, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718, Kids: true,
 			Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 11}},
+		}},
+		// The steady-state report: version only, children absent (the parent
+		// holds them).
+		{Kind: KindSummaryReport, From: "n3g", Epoch: 12, Report: &SummaryReport{
+			Depth: 2, Descendants: 4, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718,
+		}},
+		// A reporter whose last child left: the children stated, and empty.
+		{Kind: KindSummaryReport, From: "n3h", Epoch: 12, Report: &SummaryReport{
+			Depth: 1, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718, Kids: true,
+		}},
+		// A reporter whose replicas did not match the digest its last ack
+		// stated asks for the list.
+		{Kind: KindSummaryReport, From: "n3i", Epoch: 12, Report: &SummaryReport{
+			Depth: 1, Version: 0xfeedbeef, Have: 0xa1b2c3d4e5f60718, NeedList: true,
 		}},
 		// The first report after a join: the summary in full and the hash of
 		// whatever ancestry the joiner still holds.
@@ -141,9 +155,8 @@ func sampleMessages(tb testing.TB) []*Message {
 				Origin: "p7", Version: 8, Records: 1<<21 + 1<<32 - 1, Buckets: 2, Max: 1,
 				Hists: []HistDTO{{Attr: 0, Total: 1<<21 + 1<<32 - 1, Counts: []uint32{1 << 21, math.MaxUint32}}},
 			}}}}},
-		// Digest batch: no entries, the set's digest and size.
-		{Kind: KindReplicaBatch, From: "n5b", Addr: "addr5", Epoch: 7,
-			Batch: &ReplicaBatch{Digest: 0x8899aabbccddeeff, Count: 11}},
+		// An empty list: the sender refreshes nothing here any more.
+		{Kind: KindReplicaBatch, From: "n5b", Addr: "addr5", Epoch: 7, Batch: &ReplicaBatch{}},
 		{Kind: KindQuery, From: "cli", Query: &QueryDTO{
 			ID: "q1", Requester: "alice", Start: true, Scope: -1, Budget: 750 * time.Millisecond,
 			Preds: []query.Predicate{
@@ -191,6 +204,11 @@ func sampleMessages(tb testing.TB) []*Message {
 			HaveVersion: 42, NeedFull: true, NeedFullOrigins: []string{"o1", "o2"},
 		}},
 		{Kind: KindAck, From: "n10c", Ack: &AckInfo{HaveVersion: 0xfeedbeef}},
+		// The steady-state report ack: the version held and the digest of
+		// the replica set the acker refreshes at the reporter.
+		{Kind: KindAck, From: "n10g", Epoch: 4, Ack: &AckInfo{
+			HaveVersion: 0xfeedbeef, HeldCount: 11, HeldDigest: 0x8899aabbccddeeff,
+		}},
 		// Report acks whose ancestry verdict is the content: the report's
 		// Have did not match. n10c above is the matching case.
 		{Kind: KindAck, From: "n10d", Epoch: 4, Ack: &AckInfo{HaveVersion: 7, Ancestry: &Ancestry{
@@ -288,7 +306,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled

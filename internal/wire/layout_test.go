@@ -23,10 +23,11 @@ var goldenSummary = []byte{
 }
 
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
-// maintenance frames — the digest batch, the tag-only entry of a list batch,
-// the version-only report with its ancestry hash and the report ack with and
-// without ancestry — of a summary's header, of where the urgent bit sits
-// on a full report and a full entry, and of a query's fields in order, so a
+// maintenance frames — the version-only report with its ancestry hash and
+// without its children, the report ack with the replica-set digest, with and
+// without ancestry, and the tag-only entry of a list batch — of a summary's
+// header, of where the urgent, kids and need-list bits sit on a report and
+// the urgent bit on a full entry, and of a query's fields in order, so a
 // layout change cannot go in without this table (and binVersion) changing in
 // the same commit.
 func TestBinaryGoldenBytes(t *testing.T) {
@@ -35,13 +36,16 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		msg  *Message
 		want []byte
 	}{
-		{"digest batch",
-			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
-				Batch: &ReplicaBatch{Digest: 0x0807060504030201, Count: 5}},
-			append(envelope(KindReplicaBatch, hasBatch),
-				0,                      // no entries
-				10,                     // Count 5, zigzag
-				1, 2, 3, 4, 5, 6, 7, 8, // Digest, little-endian
+		{"report ack stating the replica-set digest",
+			&Message{Kind: KindAck, From: "p", Epoch: 1,
+				Ack: &AckInfo{HaveVersion: 3, HeldCount: 5, HeldDigest: 0x0807060504030201}},
+			append(envelope(KindAck, hasAckInfo),
+				3,                      // HaveVersion
+				0,                      // NeedFull
+				0,                      // no NeedFullOrigins
+				0,                      // no ancestry
+				5,                      // HeldCount
+				1, 2, 3, 4, 5, 6, 7, 8, // HeldDigest, little-endian
 				1, // Epoch
 			)},
 		{"list batch of one tag-only entry",
@@ -53,18 +57,28 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				1, 'o', // OriginID
 				0,                                              // flags: no body
 				0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, // Tag
-				0, // Count 0: a list batch, no Digest
 				1, // Epoch
 			)},
 		{"version-only report",
 			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
 				Report: &SummaryReport{Depth: 1, Version: 3, Have: 0x2827262524232221}},
 			append(envelope(KindSummaryReport, hasReport),
-				0,    // no summary
+				0,    // no summary, no children
 				2, 0, // Depth 1 and Descendants 0, zigzag
-				0,                                              // no children
 				3,                                              // Version
 				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, // Have
+				1, // Epoch
+			)},
+		{"version-only report naming one child and asking for the list",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 2, Descendants: 1, Version: 3, Kids: true, NeedList: true,
+					Children: []RedirectInfo{{ID: "k", Addr: "a", Records: 2}}}},
+			append(envelope(KindSummaryReport, hasReport),
+				reportKids|reportNeedList, // presence byte: children, need list
+				4, 2,                      // Depth 2 and Descendants 1, zigzag
+				1, 1, 'k', 1, 'a', 2, 0, // one child: ID, Addr, Records, no alternates
+				3,                      // Version
+				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
 		{"full report, summary header",
@@ -83,7 +97,6 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, 0, 0, // no histograms, value sets or Bloom filters
 				0, 0, // Mode, no plan
 				2, 0, // Depth 1 and Descendants 0, zigzag
-				0,                      // no children
 				3,                      // Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
@@ -109,7 +122,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0x80, 0x80, 0x80, 0x01, // 2^21
 				0, 0, // no value sets or Bloom filters
 				0, 0, // Mode, no plan
-				2, 0, 0, 3, // Depth, Descendants, no children, Version
+				2, 0, 3, // Depth, Descendants, Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
@@ -120,7 +133,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 			append(append(envelope(KindSummaryReport, hasReport),
 				reportSummary|reportUrgent), // presence byte: summary, urgent
 				append(goldenSummary,
-					2, 0, 0, 3, // Depth, Descendants, no children, Version
+					2, 0, 3, // Depth, Descendants, Version
 					0, 0, 0, 0, 0, 0, 0, 0, // Have
 					1, // Epoch
 				)...)},
@@ -138,7 +151,6 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				2, // Level 1, zigzag
 				0, // no fallbacks
 				3, // Version
-				0, // Count 0: a list batch, no Digest
 				1, // Epoch
 			)...)},
 		{"report ack, ancestry held",
@@ -148,6 +160,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, // NeedFull
 				0, // no NeedFullOrigins
 				0, // no ancestry
+				0, // HeldCount 0: no digest stated
 				1, // Epoch
 			)},
 		{"report ack with ancestry",
@@ -159,6 +172,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				1, 1, 'r', // RootPath
 				1, 1, 'a', // PathAddrs
 				1, 1, 's', 1, 'b', 0, 0, // Siblings: ID, Addr, Records, no alternates
+				0, // HeldCount 0
 				1, // Epoch
 			)},
 		{"query, no priority byte between the path and the fingerprint",
@@ -205,10 +219,11 @@ func TestBinaryHostileMaintenanceFields(t *testing.T) {
 		"histogram count cut short":    hist(2, 0x05, 0x80),
 		"histogram count over 32 bits": hist(1, 0x80, 0x80, 0x80, 0x80, 0x10),
 		"batch entry count":            append(envelope(KindReplicaBatch, hasBatch), huge...),
-		"digest cut short":             append(envelope(KindReplicaBatch, hasBatch), 0, 10, 1, 2, 3),
+		"digest cut short":             append(envelope(KindAck, hasAckInfo), 3, 0, 0, 0, 5, 1, 2, 3),
 		"tag cut short":                append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', 0, 0x11, 0x12),
 		"fallback count":               append(append(envelope(KindReplicaBatch, hasBatch), 1, 1, 1, 'o', pushBody, 0, 0), huge...),
-		"have cut short":               append(envelope(KindSummaryReport, hasReport), 0, 2, 0, 0, 3, 1, 2, 3, 4),
+		"have cut short":               append(envelope(KindSummaryReport, hasReport), 0, 2, 0, 3, 1, 2, 3, 4),
+		"children count":               append(append(envelope(KindSummaryReport, hasReport), reportKids, 2, 0), huge...),
 		"root path count":              append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1), huge...),
 		"path address count":           append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0), huge...),
 		"sibling count":                append(append(envelope(KindAck, hasAckInfo), 3, 0, 0, 1, 0, 0), huge...),

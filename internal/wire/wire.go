@@ -107,18 +107,16 @@ type RootProbe struct {
 
 // AckInfo is the delta-dissemination feedback piggybacked on acks.
 // Receivers of summary reports and replica batches use it to tell the
-// sender what they hold, so the sender can ship a version or a digest
-// instead of full summaries — and to ask for content again when what the
-// sender referenced is not what they hold.
+// sender what they hold, so the sender can ship a version or a tag instead
+// of full summaries — and to ask for content again when what the sender
+// referenced is not what they hold.
 type AckInfo struct {
 	// HaveVersion echoes the branch-summary version the acker now holds
 	// for the sender (summary-report acks). Zero means none/unknown.
 	HaveVersion uint64
-	// NeedFull says the short form did not match what the acker holds: on a
-	// summary-report ack, the version-only report named a version it does
-	// not hold, so the next report carries the summary; on a replica-batch
-	// ack, the digest batch did not match the replicas it holds via the
-	// sender, so the next batch lists the entries.
+	// NeedFull, on a summary-report ack, says the acker does not hold the
+	// version a version-only report named (or the reporter's children), so
+	// the next report carries the summary and the children.
 	NeedFull bool
 	// NeedFullOrigins lists replica origins whose tag-only entries in a
 	// list batch named a tag the acker doesn't hold; the sender ships
@@ -128,6 +126,12 @@ type AckInfo struct {
 	// its position in the tree. Nil means the report's Have matches it, so
 	// the ack carries none of it.
 	Ancestry *Ancestry
+	// HeldCount and HeldDigest, on a summary-report ack, fold the replica set
+	// the acker refreshes at the reporter while it is what the reporter last
+	// acknowledged; the reporter renews what it holds via the acker when its
+	// own fold matches, and says NeedList when not. Zero HeldCount: no fold.
+	HeldCount  int
+	HeldDigest uint64
 }
 
 // Ancestry is a parent's statement of a child's position: the parent's root
@@ -209,8 +213,10 @@ type SummaryReport struct {
 	// Children lists the reporter's own children (with their branch record
 	// counts). The parent stores them as failover alternates: should the
 	// reporter die mid-query, its children can still route the query into
-	// the reporter's subtree.
+	// the reporter's subtree. They travel only under Kids, set when they
+	// differ from what this parent last acked; without it, it keeps those.
 	Children []RedirectInfo
+	Kids     bool
 	// Version is the reporter's branch-summary content version. A report
 	// with Version set and Summary nil is a version-only report: the parent
 	// already confirmed holding this version, so the report refreshes
@@ -224,6 +230,9 @@ type SummaryReport struct {
 	// parent has not confirmed: the parent passes it on in an early round
 	// instead of at its next aggregation period.
 	Urgent bool
+	// NeedList says the reporter's replicas did not fold to the digest its
+	// last ack stated: the parent's next round sends it a list batch.
+	NeedList bool
 }
 
 // Join asks to become a child.
@@ -291,22 +300,17 @@ type ReplicaPush struct {
 	Urgent bool
 }
 
-// ReplicaBatch is what a parent sends one child per aggregation tick, in
-// one of two forms. A list batch (Pushes set) names every origin the
-// sender refreshes at the receiver — full entries where the receiver's
-// acknowledged tag differs, tag-only entries elsewhere — and thereby
-// defines that set: a replica the receiver holds via this sender that the
-// list leaves out is no longer refreshed by it. Receivers apply the whole
-// list under a single lock acquisition, making the overlay update atomic.
-// A digest batch (no Pushes, Count > 0) is sent while nothing changed since
-// the receiver acknowledged a whole list: Digest folds the (origin, tag)
-// pairs of that set and Count is its size. The receiver recomputes both
-// over the replicas it holds via the sender; on a match every one of them
-// is renewed, on a mismatch it acks NeedFull and gets a list batch next.
+// ReplicaBatch is what a parent sends a child in a round in which the set
+// of origins it refreshes there moved. It names every origin in that set —
+// full entries where the receiver's acknowledged tag differs, tag-only
+// entries elsewhere — and thereby defines the set: a replica the receiver
+// holds via this sender that the list leaves out is no longer refreshed by
+// it. Receivers apply the whole list under a single lock acquisition, making
+// the overlay update atomic. While the set stays put no batch goes out: the
+// ack to the child's summary report states the set's digest instead
+// (AckInfo.HeldDigest).
 type ReplicaBatch struct {
 	Pushes []*ReplicaPush
-	Digest uint64
-	Count  int
 }
 
 // MaxTracePath caps QueryDTO.Path: a trace records at most this many

@@ -203,6 +203,7 @@ func TestFailoverFieldsRoundTrip(t *testing.T) {
 			}},
 		},
 		Report: &SummaryReport{
+			Kids:     true,
 			Children: []RedirectInfo{{ID: "c", Addr: "addr-c", Records: 7}},
 		},
 		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{
