@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test examples race chaos docs-check fuzz-smoke bench-smoke
+.PHONY: tier1 build vet test examples race chaos docs-check fuzz-smoke bench-smoke flakes
 
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, every example run to completion, plus race-enabled runs of the
@@ -44,6 +44,23 @@ race: vet
 # under the race detector.
 chaos: vet
 	$(GO) test -race -run 'TestChaos|TestFaulty' ./internal/live/ ./internal/transport/
+
+# flakes reruns the timing-sensitive live tests (the chaos suite, crash
+# recovery, root election, stepping and resolve teardown) N times under the
+# race detector, prints each failure with its messages and then, per test,
+# how many runs failed; it exits non-zero when any did. Not part of tier1:
+# at the default N it takes about five minutes on a 2-vCPU host.
+N ?= 50
+FLAKY = TestChaos|TestCrashed|TestRootCrash|TestSteppedCluster|TestResolveLeavesNoGoroutines
+flakes:
+	@$(GO) test -race -count $(N) -timeout 0 -v -run '$(FLAKY)' ./internal/live/ 2>&1 | awk ' \
+		/^ +[^ ]+\.go:[0-9]+: / { msgs = msgs $$0 "\n" } \
+		/^--- PASS: / { msgs = "" } \
+		/^--- FAIL: / { printf "%s%s", $$0 "\n", msgs; msgs = "" } \
+		/^--- (PASS|FAIL): / { runs[$$3]++; if ($$2 == "FAIL:") fails[$$3]++ } \
+		/^(panic:|FAIL|ok)[ \t]/ { print; if ($$1 != "ok") bad++ } \
+		END { for (t in runs) { printf "%-48s %d/%d failed\n", t, fails[t], runs[t] | "sort"; bad += fails[t] } \
+			close("sort"); exit bad > 0 }'
 
 # docs-check validates that every relative markdown link resolves, that the
 # OPERATIONS.md metric catalog and flag tables match the code, and that every

@@ -42,8 +42,7 @@ func main() {
 	records := flag.Int("records", 0, "synthetic records to host via a co-located owner")
 	buckets := flag.Int("buckets", 1000, "histogram buckets per attribute")
 	degree := flag.Int("degree", 8, "max children")
-	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push")
-	ttlFloor := flag.Duration("replica-ttl-floor", live.DefaultReplicaTTLFloor, "minimum overlay-replica TTL, whatever the tick")
+	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push; a child is dead after 4 periods without a report, a replica after 16 unrenewed ones")
 	noAdaptive := flag.Bool("no-adaptive", false, "never replan this server's summary resolution: the summaries it builds keep the static -buckets geometry (it still ingests and forwards whatever geometry its peers send)")
 	summaryBudget := flag.Int("summary-budget", 0, "summary byte budget the adaptive planner reallocates within (0 = unbounded)")
 	condenseAbove := flag.Int("condense-above", 0, "collapse categorical value sets larger than this into dotted-prefix wildcards (0 = off)")
@@ -105,7 +104,6 @@ func main() {
 	cfg.Summary = summary.Config{Buckets: *buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet, CondenseAbove: *condenseAbove}
 	cfg.MaxChildren = *degree
 	cfg.AggregateEvery = *tick
-	cfg.ReplicaTTLFloor = *ttlFloor
 	cfg.MergeSeeds = mergeSeeds
 	cfg.DisableAdaptiveSummaries = *noAdaptive
 	cfg.SummaryByteBudget = *summaryBudget

@@ -86,9 +86,6 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 		return 0, 0, err
 	}
 	defer f.stop()
-	// Repair needs real timers. An idle round moves nothing on a settled
-	// federation, so the queries still read the state the build settled on.
-	f.cl.Run()
 
 	// Crash frac of the non-root servers.
 	failCount := int(frac * float64(opt.Nodes))
@@ -151,6 +148,10 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 	if stale, err = recall(); err != nil {
 		return 0, 0, err
 	}
+	// Repair runs on the loops: a recovery backs off on real timers. They
+	// start only now, so the stale queries read exactly the state the build
+	// settled on, however loaded the host.
+	f.cl.Run()
 
 	survivors := make([]*live.Server, 0, opt.Nodes-failCount)
 	surviving := 0

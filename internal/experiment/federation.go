@@ -25,9 +25,6 @@ const (
 	// tick is the aggregation period of a federation's loops, which run only
 	// for the churn sweep's repair: builds are stepped.
 	tick = 50 * time.Millisecond
-	// replicaTTLFloor lets the churn sweep's crashed origins age out of the
-	// overlay within about two seconds instead of live's default five.
-	replicaTTLFloor = 2 * time.Second
 	// convergeTimeout bounds the churn sweep's wait for the survivors to
 	// repair the federation.
 	convergeTimeout = 2 * time.Minute
@@ -183,7 +180,6 @@ func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*fe
 		MaxChildren:              cfg.degree,
 		JoinVia:                  func(i int) int { return parents[i] },
 		Tick:                     tick,
-		ReplicaTTLFloor:          replicaTTLFloor,
 		DisableAdaptiveSummaries: true,
 	})
 	if err != nil {

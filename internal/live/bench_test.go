@@ -198,8 +198,8 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 	return mid, own, w.PerNode[1], tr
 }
 
-// BenchmarkAggregationTick measures one full aggregation tick (refresh,
-// report, push, both prunes) on a mid-tier server with a parent and 8
+// BenchmarkAggregationTick measures one periodic round (refresh, report,
+// push, both prunes) on a mid-tier server with a parent and 8
 // children, across churn rates: churn0 mutates nothing between ticks (the
 // steady state the change-driven pipeline targets), churn1 rewrites 1% of
 // the server's own records before every tick, churn100 rewrites all of
@@ -234,11 +234,7 @@ func BenchmarkAggregationTick(b *testing.B) {
 					own.SetRecords(recs)
 					b.StartTimer()
 				}
-				mid.refreshSummaries()
-				mid.reportToParent()
-				mid.pushReplicas()
-				mid.pruneDeadChildren()
-				mid.pruneStaleReplicas()
+				mid.round(false)
 			}
 			b.StopTimer()
 			st := tr.Stats()

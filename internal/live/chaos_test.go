@@ -35,10 +35,10 @@ func leakCheck(t *testing.T) {
 	})
 }
 
-// startChaosCluster builds a cluster over a Faulty-wrapped Chan transport
-// with a fast replica TTL, so injected failures both hit quickly and heal
-// quickly. No owners are attached yet — chaos tests place records after
-// they have inspected the tree shape.
+// startChaosCluster builds a running cluster over a Faulty-wrapped Chan
+// transport at the default 25 ms tick, so injected failures both hit quickly
+// and heal quickly. No owners are attached yet — chaos tests place records
+// after they have inspected the tree shape.
 func startChaosCluster(t *testing.T, n, maxChildren int, seed int64) (*Cluster, *transport.Faulty) {
 	t.Helper()
 	leakCheck(t)
@@ -47,10 +47,9 @@ func startChaosCluster(t *testing.T, n, maxChildren int, seed int64) (*Cluster, 
 	// no deadline, so a black hole holds them for the full MaxBlackhole.
 	f.MaxBlackhole = 5 * time.Millisecond
 	cl, err := StartCluster(f, ClusterConfig{
-		N:               n,
-		Schema:          record.DefaultSchema(2),
-		MaxChildren:     maxChildren,
-		ReplicaTTLFloor: 300 * time.Millisecond,
+		N:           n,
+		Schema:      record.DefaultSchema(2),
+		MaxChildren: maxChildren,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,9 +219,10 @@ func waitQuiet(t *testing.T, cl *Cluster) {
 // reports still flow up and their acks come back, so the hierarchy holds.
 // While nothing changes, the parent has nothing to send down: every ack
 // states the digest of the child's replica set, the child keeps its replicas
-// through two TTLs, and answers started there stay complete. A write at the
-// parent then moves the set; the list that carries it is dropped, the acks
-// stop stating a digest, and the replicas age out within the TTL. Queries
+// through twice replicaRounds of its rounds, and answers started there stay
+// complete. A write at the parent then moves the set; the list that carries
+// it is dropped, the acks stop stating a digest, and the replicas age out
+// replicaRounds rounds after the last one that did. Queries
 // from the root stay complete throughout — routing is client-driven and
 // unaffected by the partitioned pair — and after the heal the replicas come
 // back.
@@ -270,9 +270,9 @@ func TestChaosOneWayPartition(t *testing.T) {
 
 	f.SetRules(transport.Partition(parent.ID(), child.Addr()))
 
-	// Nothing changes: the acks keep the replicas alive for two TTLs.
-	end := time.Now().Add(2 * child.cfg.replicaTTL())
-	for time.Now().Before(end) {
+	// Nothing changes: the acks keep the replicas alive for twice as many
+	// rounds as would age them out.
+	for end := child.rounds.Load() + 2*replicaRounds; child.rounds.Load() < end; {
 		if n := child.NumReplicas(); n != held {
 			t.Fatalf("%s went from %d to %d replicas with nothing changed; the acks must confirm them:\n%s",
 				child.ID(), held, n, replicaDump(child))
@@ -287,8 +287,8 @@ func TestChaosOneWayPartition(t *testing.T) {
 	r := o.Records()[0].Clone()
 	r.ID = "unseen-write"
 	o.AddRecords(r)
-	wrote := time.Now()
-	deadline := wrote.Add(30 * time.Second)
+	wrote := child.rounds.Load()
+	deadline := time.Now().Add(30 * time.Second)
 	for child.NumReplicas() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -296,10 +296,12 @@ func TestChaosOneWayPartition(t *testing.T) {
 		t.Fatalf("%s still holds %d replicas long after a write %s could not deliver:\n%s",
 			child.ID(), n, parent.ID(), replicaDump(child))
 	}
-	// The last ack that confirmed them came before the write: they go one
-	// TTL later, at the prune after it (a second of slack for slow ticks).
-	if took, ttl := time.Since(wrote), child.cfg.replicaTTL(); took > ttl+time.Second {
-		t.Errorf("the replicas aged out %v after the write; the TTL is %v", took, ttl)
+	// The last ack that confirmed them came at most one of the child's rounds
+	// after the write, before the parent's early round took it in, and the
+	// prune replicaRounds+1 rounds after that removed them (one more round of
+	// slack for the poll).
+	if took := child.rounds.Load() - wrote; took > replicaRounds+3 {
+		t.Errorf("the replicas aged out %d of the child's rounds after the write; want at most %d", took, replicaRounds+3)
 	}
 	if dropped, _, _ := f.Injected(); dropped == 0 {
 		t.Fatal("partition rule never fired")
@@ -326,16 +328,17 @@ func TestChaosOneWayPartition(t *testing.T) {
 }
 
 // replicaDump lists what a server still replicates and who feeds it: its
-// current parent, then each replica's origin, feeder, level and age — what a
-// failed "replicas should have aged out" assertion needs beside the count.
+// current parent, then each replica's origin, feeder, level and age in rounds
+// — what a failed "replicas should have aged out" assertion needs beside the
+// count.
 func replicaDump(s *Server) string {
-	now := time.Now()
+	now := s.rounds.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lines := make([]string, 0, len(s.replicas))
 	for id, r := range s.replicas {
-		lines = append(lines, fmt.Sprintf("  replica %s via %q level %d ancestor=%v age %v",
-			id, r.via, r.level, r.ancestor, now.Sub(r.received).Round(time.Millisecond)))
+		lines = append(lines, fmt.Sprintf("  replica %s via %q level %d ancestor=%v unrenewed for %d rounds",
+			id, r.via, r.level, r.ancestor, now-r.renewed))
 	}
 	sort.Strings(lines)
 	return fmt.Sprintf("  %s: parent %q, root path %v\n%s", s.cfg.ID, s.parentID, s.rootPath, strings.Join(lines, "\n"))
@@ -461,41 +464,39 @@ func TestChaosHungPeerBoundedByDeadline(t *testing.T) {
 // confirmations alone: there is no full-state round, so with zero churn no
 // batch goes out after convergence and every report ack states the replica
 // set's digest (the parent counts its entries as delta entries) — if that
-// path failed to renew, every replica would age out within one TTL and
-// coverage would collapse.
+// path failed to renew, every replica would age out within replicaRounds
+// rounds and coverage would collapse. Stepped: every round of the window is
+// checked, on every server.
 func TestChaosDeltaTTLKeepalive(t *testing.T) {
-	leakCheck(t)
-	cl, err := StartCluster(transport.NewChan(), ClusterConfig{
-		N:               5,
-		Schema:          record.DefaultSchema(2),
-		MaxChildren:     2,
-		ReplicaTTLFloor: 1 * time.Second,
-	})
+	const total = 5 * 3
+	tr := &countingTransport{Chan: transport.NewChan()}
+	cl, err := NewCluster(tr, ClusterConfig{N: 5, Schema: record.DefaultSchema(2), MaxChildren: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	attachChaosOwners(t, cl, 3, -1)
-	const total = 5 * 3
+	for i := range cl.Servers {
+		attachDeltaOwner(t, cl.Servers[i], cl.Schema, 3)
+	}
+	settle(t, cl, total)
 
-	// Let the delta handshake settle, then watch coverage across several
-	// TTL windows. pruneStaleReplicas runs every 25ms tick, so any replica
-	// whose TTL stopped renewing disappears (and dents coverage) for many
-	// consecutive polls — the 20ms polling below cannot miss it.
-	time.Sleep(500 * time.Millisecond)
 	var pushDelta0, suppressed0 uint64
 	for _, srv := range cl.Servers {
 		pushDelta0 += srv.mx.pushDelta.Load()
 		suppressed0 += srv.mx.reportsSuppressed.Load()
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
+	tr.reset()
+	for step := 0; step < 3*replicaRounds; step++ {
+		cl.Step()
 		for _, srv := range cl.Servers {
 			if got := srv.CoveredRecords(); got != total {
-				t.Fatalf("%s dropped to %d covered records mid-window; version-only refreshes must keep replicas alive", srv.ID(), got)
+				t.Fatalf("step %d: %s dropped to %d covered records; version-only refreshes must keep replicas alive", step, srv.ID(), got)
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 3*replicaRounds*4 {
+		t.Fatalf("the window sent %d summaries, %d lists and %d digests; want digests only, one per edge per step (%d)",
+			summaries, lists, digests, 3*replicaRounds*4)
 	}
 	var pushDelta1, suppressed1 uint64
 	for _, srv := range cl.Servers {
@@ -629,30 +630,5 @@ func TestLoopJitterDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different IDs produced identical jitter sequences; desynchronization lost")
-	}
-}
-
-// TestReplicaTTLFloorConfig covers the configurable floor: validation
-// rejects negatives, zero falls back to the default, and explicit values
-// stick.
-func TestReplicaTTLFloorConfig(t *testing.T) {
-	cfg := DefaultConfig("a", "addr-a", record.DefaultSchema(1))
-	if cfg.ReplicaTTLFloor != DefaultReplicaTTLFloor {
-		t.Fatalf("default floor = %v; want %v", cfg.ReplicaTTLFloor, DefaultReplicaTTLFloor)
-	}
-	cfg.ReplicaTTLFloor = -time.Second
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative floor must fail validation")
-	}
-	cfg.ReplicaTTLFloor = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.replicaTTLFloor(); got != DefaultReplicaTTLFloor {
-		t.Fatalf("zero floor resolves to %v; want default %v", got, DefaultReplicaTTLFloor)
-	}
-	cfg.ReplicaTTLFloor = 123 * time.Millisecond
-	if got := cfg.replicaTTLFloor(); got != 123*time.Millisecond {
-		t.Fatalf("explicit floor resolves to %v", got)
 	}
 }

@@ -16,17 +16,15 @@ import (
 // transport, joins them into a hierarchy, and waits for aggregation and
 // replication to converge. Tests, examples, the figures and the canonical
 // benchmark (bench/) all build on it. A stepped cluster (NewCluster) runs no
-// loops: Step and Settle drive its rounds, and Run starts the loops.
+// loop: Step and Settle drive its rounds, and Run starts the loops.
 type Cluster struct {
 	Servers []*Server
 	Tr      transport.Transport
 	Schema  *record.Schema
 
-	// Effective settings NewCluster resolved, kept for the convergence
-	// heuristics (WaitConverged derives the replica soft-state TTL from
-	// them).
-	tick     time.Duration
-	ttlFloor time.Duration
+	// tick is the maintenance period NewCluster resolved, kept for the
+	// convergence heuristics (WaitConverged's overshoot grace).
+	tick time.Duration
 }
 
 // clusterParallelism is the width of the worker pool that starts, joins and
@@ -53,10 +51,6 @@ type ClusterConfig struct {
 	JoinVia func(i int) int
 	// Tick overrides the maintenance period (default 25ms).
 	Tick time.Duration
-	// ReplicaTTLFloor overrides the servers' replica-TTL floor (zero
-	// keeps DefaultReplicaTTLFloor); fast-tick chaos tests lower it so
-	// crashed origins age out quickly.
-	ReplicaTTLFloor time.Duration
 	// MergeSeeds are the split-brain probe seed addresses handed to every
 	// server (Config.MergeSeeds); harnesses typically pass server 0's
 	// address so severed subtrees always have one well-known root to
@@ -93,7 +87,7 @@ func runPool(n int, fn func(int)) {
 }
 
 // StartCluster builds the cluster as NewCluster does but starts each
-// server's loops as soon as it listens, before the joins: the joins' early
+// server's loop as soon as it listens, before the joins: the joins' early
 // rounds then run while the cluster builds, not in one burst after it.
 // NewCluster followed by Run converged 12–23 % later on the canonical
 // benchmark's TCP workloads (10 pairs on a 2-vCPU host); likely, the burst
@@ -129,11 +123,10 @@ func newCluster(tr transport.Transport, cfg ClusterConfig, run bool) (*Cluster, 
 		tick = 25 * time.Millisecond
 	}
 	cl := &Cluster{
-		Tr:       tr,
-		Schema:   cfg.Schema,
-		Servers:  make([]*Server, cfg.N),
-		tick:     tick,
-		ttlFloor: cfg.ReplicaTTLFloor,
+		Tr:      tr,
+		Schema:  cfg.Schema,
+		Servers: make([]*Server, cfg.N),
+		tick:    tick,
 	}
 	joinVia := cfg.JoinVia
 	if joinVia == nil {
@@ -149,9 +142,6 @@ func newCluster(tr transport.Transport, cfg ClusterConfig, run bool) (*Cluster, 
 			scfg.MaxChildren = cfg.MaxChildren
 		}
 		scfg.AggregateEvery = tick
-		if cfg.ReplicaTTLFloor > 0 {
-			scfg.ReplicaTTLFloor = cfg.ReplicaTTLFloor
-		}
 		scfg.MergeSeeds = cfg.MergeSeeds
 		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries
 		scfg.SummaryByteBudget = cfg.SummaryByteBudget
@@ -221,7 +211,7 @@ func newCluster(tr transport.Transport, cfg ClusterConfig, run bool) (*Cluster, 
 	return cl, nil
 }
 
-// Run starts every server's loops; a running cluster is not stepped.
+// Run starts every server's loop; a running cluster is not stepped.
 func (cl *Cluster) Run() {
 	for _, srv := range cl.Servers {
 		srv.run()
@@ -233,21 +223,27 @@ func (cl *Cluster) Run() {
 const settleSteps = 64
 
 // Step runs one round of the federation on the caller's goroutine: the
-// queued early rounds (drainEarly), then a periodic round on every server in
-// index order. It reports whether any server's routing content (fpBase,
-// covered count or branch version) moved.
+// queued early rounds (drainEarly), then a periodic round on every running
+// server in index order — a killed or stopped server is skipped, as its loop
+// would be gone. Everything soft counts these rounds, so stepping alone
+// detects a dead child, ages out its replicas and probes for split brains.
+// It reports whether any server's routing content (fpBase, covered count or
+// branch version) moved.
 func (cl *Cluster) Step() bool { return len(cl.step()) > 0 }
 
 // drainEarly runs the queued early rounds until none is left, children first
 // (reverse index order, as a server joins after its seed), so that a parent
 // takes in all its children's branches before it reports and pushes once.
-// No gap separates them: the loops' gap after an early round (earlyGap) only
+// No gap separates them: a loop's gap after an early round (earlyGap) only
 // bounds a running server's duty share.
 func (cl *Cluster) drainEarly() {
 	for queued := true; queued; {
 		queued = false
 		for i := len(cl.Servers) - 1; i >= 0; i-- {
 			s := cl.Servers[i]
+			if s.stopped() {
+				continue
+			}
 			select {
 			case <-s.wake:
 				s.round(true)
@@ -275,7 +271,9 @@ func (cl *Cluster) step() []string {
 	}
 	cl.drainEarly()
 	for _, s := range cl.Servers {
-		s.round(false)
+		if !s.stopped() {
+			s.round(false)
+		}
 	}
 	var moved []string
 	for i, s := range cl.Servers {
@@ -333,13 +331,12 @@ func lagDetail(lag []string) string {
 
 // overshootGrace is how long WaitConverged lets a pure coverage overshoot
 // stand before declaring it structural. A transient overshoot — a stale
-// replica still double-counting a branch that moved or died — heals by
-// soft-state expiry within one replica TTL plus a prune tick, so the grace
-// is twice the TTL the cluster's servers run (pruneStaleReplicas) plus
-// generous slack for loaded or race-instrumented runs.
+// replica still double-counting a branch that moved or died — heals within
+// heartbeatMiss rounds to drop a dead child plus replicaRounds to age out
+// what nobody renews any more, so the grace is twice that many periods plus
+// slack for loaded or race-instrumented runs, whose rounds run late.
 func (cl *Cluster) overshootGrace() time.Duration {
-	ttl := Config{AggregateEvery: cl.tick, ReplicaTTLFloor: cl.ttlFloor}.replicaTTL()
-	return 2*ttl + 8*cl.tick + time.Second
+	return 2*(heartbeatMiss+replicaRounds)*cl.tick + time.Second
 }
 
 // WaitConverged blocks until every server can route queries to exactly
@@ -351,7 +348,7 @@ func (cl *Cluster) overshootGrace() time.Duration {
 // *overshoot* — every server at or above the target with at least one
 // counting more — means some branch is double-counted (typically a stale
 // replica after churn, or one subtree adopted under two parents). A stale
-// replica ages out within one soft-state TTL; an overshoot that outlives
+// replica ages out within replicaRounds rounds; an overshoot that outlives
 // that grace can never self-heal, so it is reported immediately as a
 // distinct failure with per-server detail instead of burning the rest of
 // the timeout.
@@ -372,7 +369,7 @@ func (cl *Cluster) WaitConverged(wantRecords uint64, timeout time.Duration) erro
 			}
 			if now.Sub(overshootSince) >= grace {
 				return fmt.Errorf("live: cluster overshot convergence on %d records for %v "+
-					"(stale replica double-counting cannot explain an overshoot outliving the replica TTL); over: %s",
+					"(stale replica double-counting cannot explain an overshoot outliving the replica lifetime); over: %s",
 					wantRecords, now.Sub(overshootSince).Round(time.Millisecond), lagDetail(over))
 			}
 		} else {

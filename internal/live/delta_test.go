@@ -13,8 +13,8 @@ import (
 	"roads/internal/wire"
 )
 
-// deltaServerCfg builds a listening server whose loops do not run, so tests
-// drive aggregation rounds deterministically by calling
+// deltaServerCfg builds a listening server whose loop does not run, so tests
+// drive its rounds deterministically (driveRound) or call
 // refreshSummaries/reportToParent/pushReplicas themselves.
 func deltaServerCfg(t *testing.T, tr transport.Transport, id string, schema *record.Schema, mut func(*Config)) *Server {
 	t.Helper()
@@ -61,13 +61,11 @@ func attachDeltaOwner(t *testing.T, srv *Server, schema *record.Schema, n int) *
 	return o
 }
 
-// driveRound runs one full aggregation round on each server in order
-// (children before parents, so reports land before the parent pushes).
+// driveRound runs one periodic round on each server in order (children
+// before parents, so reports land before the parent pushes).
 func driveRound(servers ...*Server) {
 	for _, s := range servers {
-		s.refreshSummaries()
-		s.reportToParent()
-		s.pushReplicas()
+		s.round(false)
 	}
 }
 
@@ -99,14 +97,16 @@ func setChildVersion(s *Server, id string, v uint64) bool {
 	return ok
 }
 
-func replicaVersion(s *Server, origin string) (version uint64, received time.Time, ok bool) {
+// replicaVersion returns the version of the replica s holds of origin and
+// the round of s that last renewed it.
+func replicaVersion(s *Server, origin string) (version, renewed uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.replicas[origin]
 	if !ok {
-		return 0, time.Time{}, false
+		return 0, 0, false
 	}
-	return r.version, r.received, true
+	return r.version, r.renewed, true
 }
 
 // replicaTagOf is the tag the server derives from the replica it holds —
@@ -206,7 +206,7 @@ func (ct *countingTransport) counts() (summaries, lists, digests int) {
 // report and a list batch of full entries, acked at once; the second tick is
 // a version-only report whose ack states the replica set's digest, and no
 // batch; and from then on no summary is ever put on the wire again, while
-// every tick still renews the replicas' soft-state TTL. A steady-state round
+// every tick still renews the replicas' soft state. A steady-state round
 // moves a small fraction of the first round's bytes.
 func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	schema := record.DefaultSchema(2)
@@ -246,8 +246,8 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	if have, needFull := parentDelta(c1); needFull || have != branch.Version {
 		t.Fatalf("after the first report c1 knows the parent holds version %d (needFull=%v); want %d", have, needFull, branch.Version)
 	}
-	if _, recv, ok := replicaVersion(c1, "root"); !ok || recv.IsZero() {
-		t.Fatal("c1 holds no ancestor replica for root")
+	if _, renewed, ok := replicaVersion(c1, "root"); !ok || renewed != c1.rounds.Load() {
+		t.Fatal("c1 holds no ancestor replica for root, or not from this round")
 	}
 
 	// Tick two: a version-only report up, its ack states the digest, and
@@ -287,12 +287,12 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 		t.Fatalf("root branch covers %d records after suppression; want 15", got)
 	}
 
-	// Thereafter: digests only, zero summaries, and every one renews the TTL.
+	// Thereafter: digests only, zero summaries, and every one renews the
+	// replica in the round it arrives.
 	for i := 0; i < 40; i++ {
-		_, before, _ := replicaVersion(c1, "root")
 		driveRound(c1, c2, root)
-		if _, after, _ := replicaVersion(c1, "root"); !after.After(before) {
-			t.Fatalf("round %d: the digest on the report ack did not renew the replica's soft-state TTL", i)
+		if _, renewed, _ := replicaVersion(c1, "root"); renewed != c1.rounds.Load() {
+			t.Fatalf("round %d: the digest on the report ack did not renew the replica", i)
 		}
 	}
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 2*41 {

@@ -1,7 +1,6 @@
 // Package live is the ROADS protocol: real servers exchanging wire
-// messages over a pluggable transport (in-process or TCP), each running its
-// own goroutines for maintenance ticks, split-brain probing and query
-// serving. It is the one implementation: roadsd deploys it, and the paper's
+// messages over a pluggable transport (in-process or TCP), each running one
+// maintenance loop beside the transport's query serving. It is the one implementation: roadsd deploys it, and the paper's
 // figures (internal/experiment) measure it on the in-process transport.
 //
 // A Server is one node of the hierarchy. Children report branch summaries
@@ -10,7 +9,10 @@
 // answers from local data and names the child branches and overlay
 // replicas whose summaries match (handlers.go), which the Client then
 // contacts concurrently. Membership is epoch-fenced (membership.go) so
-// partition healing cannot resurrect dead relationships.
+// partition healing cannot resurrect dead relationships. All soft state —
+// a dead child, an unrenewed replica, the split-brain probe cadence —
+// counts the server's own periodic rounds, not time, so a stepped cluster
+// detects failures and heals splits exactly as a running one does.
 //
 // Upkeep is priced per change, not per tick. An idle tree edge carries one
 // exchange a tick, the child's report, and each side ships content only when
@@ -40,5 +42,5 @@
 //
 // Cluster (cluster.go) spins up and joins many servers in-process for
 // tests, examples, the figures and the canonical benchmark; a stepped one
-// (NewCluster) runs no loops and is driven round by round (Cluster.Step).
+// (NewCluster) runs no loop and is driven round by round (Cluster.Step).
 package live

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -13,13 +12,13 @@ import (
 
 // These tests pin what follows from there being one exchange up every tree
 // edge: one verdict per tick, so a refused child cannot be reassured by a
-// second signal; a NeedFull answer that is still a liveness refresh; and two
-// loop goroutines per server, all gone after Stop.
+// second signal; a NeedFull answer that is still a liveness refresh; and one
+// loop goroutine per server, gone after Stop.
 
 // TestRefusedChildRejoins: a child its parent no longer lists and has no room
 // for is refused every report, gives the parent up after exactly heartbeatMiss
-// of them, and the existing recovery and split-brain code bring the
-// federation back to one tree. With a separate heartbeat (last at 948f4b6)
+// of them, and the existing recovery and the split-brain probes of the
+// periodic rounds bring the federation back to one tree. With a separate heartbeat (last at 948f4b6)
 // the parent answered the orphan's heartbeat every tick, which reset the miss
 // count, and the orphan stayed outside the tree forever.
 func TestRefusedChildRejoins(t *testing.T) {
@@ -66,9 +65,8 @@ func TestRefusedChildRejoins(t *testing.T) {
 		t.Fatalf("after %d refused reports: %d failovers, parent %q; want the parent given up and a recovery started", miss, got, pid)
 	}
 
-	// Recovery runs on its own goroutine; the split-brain probes and the
-	// rounds are driven by hand.
-	rng := rand.New(rand.NewSource(1))
+	// Recovery runs on its own goroutine; the rounds, and with them the
+	// split-brain probes, are driven by hand.
 	healed := func() bool {
 		roots := 0
 		var covered uint64
@@ -82,9 +80,6 @@ func TestRefusedChildRejoins(t *testing.T) {
 	}
 	deadline := time.Now().Add(convergeTimeout)
 	for !healed() && time.Now().Before(deadline) {
-		for _, s := range all {
-			s.membershipTick(rng)
-		}
 		driveRound(all...)
 		time.Sleep(time.Millisecond)
 	}
@@ -129,7 +124,7 @@ func TestNeedFullStillRefreshesChild(t *testing.T) {
 	}
 	c.observeEpoch(7)
 	setChildVersion(p, "c", 0xdead)
-	seen := childLastSeen(p, "c")
+	p.rounds.Add(1) // so the report's stamp shows
 
 	c.reportToParent()
 	ack := tap.last(t)
@@ -149,7 +144,7 @@ func TestNeedFullStillRefreshesChild(t *testing.T) {
 		t.Fatalf("c holds siblings %v after the NeedFull ack; want d", sibs)
 	}
 
-	if !childLastSeen(p, "c").After(seen) {
+	if childSeen(p, "c") != p.rounds.Load() {
 		t.Fatal("a report answered NeedFull did not refresh the child's liveness")
 	}
 	if got := childEpochState(p, "c"); got != 7 {
@@ -193,8 +188,9 @@ func waitGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
-// TestClusterStopLeavesNoGoroutines: a server at rest is two loop goroutines
-// — maintenance and split-brain probing — and Kill and Stop take both down.
+// TestClusterStopLeavesNoGoroutines: a server at rest is one loop goroutine —
+// its periodic rounds also probe for split brains — and Kill and Stop take it
+// down.
 func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 	const servers = 16
 	base := settledGoroutines()
@@ -205,9 +201,9 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-	waitGoroutines(t, base+2*servers, "16 servers at rest")
+	waitGoroutines(t, base+servers, "16 servers at rest")
 	cl.Servers[servers-1].Kill()
-	waitGoroutines(t, base+2*(servers-1), "after killing one server")
+	waitGoroutines(t, base+servers-1, "after killing one server")
 	cl.Stop()
 	waitGoroutines(t, base, "after Cluster.Stop")
 }

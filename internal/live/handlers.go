@@ -84,16 +84,16 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 			// relationship restarts at the join's stamp for the same
 			// reason.
 			c.addr = msg.Join.Addr
-			c.lastSeen = time.Now()
+			c.seen = s.rounds.Load()
 			c.push = pushState{}
 			c.epoch = msg.Epoch
 		} else {
 			s.children[msg.Join.ID] = &childState{
-				id:       msg.Join.ID,
-				addr:     msg.Join.Addr,
-				depth:    1,
-				lastSeen: time.Now(),
-				epoch:    msg.Epoch,
+				id:    msg.Join.ID,
+				addr:  msg.Join.Addr,
+				depth: 1,
+				seen:  s.rounds.Load(),
+				epoch: msg.Epoch,
 			}
 		}
 		s.rememberLocked(msg.Join.ID, msg.Join.Addr)
@@ -193,7 +193,7 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	if report.Kids {
 		c.kids = report.Children
 	}
-	c.lastSeen = time.Now()
+	c.seen = s.rounds.Load()
 	c.push.needList = c.push.needList || report.NeedList
 	ack := &wire.AckInfo{}
 	switch {
@@ -297,7 +297,7 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 		sum:        sum,
 		ancestor:   p.Ancestor,
 		level:      level,
-		received:   time.Now(),
+		renewed:    s.rounds.Load(),
 		fallbacks:  p.Fallbacks,
 		version:    p.Version,
 		meta:       replicaMeta(p.Ancestor, level, p.OriginAddr, p.Fallbacks),
@@ -311,11 +311,11 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 // applied under a single lock acquisition, so concurrent queries observe
 // either the previous overlay state or the complete new one — never a
 // half-applied tick. Full entries replace the replica; tag-only entries renew
-// the TTL of the replica they name when its stored tag matches, and land in
-// the ack's NeedFullOrigins when it does not or the origin is unknown, so the
-// sender restates that origin in full next tick. Replicas held via the sender
+// the replica they name when its stored tag matches, and land in the ack's
+// NeedFullOrigins when it does not or the origin is unknown, so the sender
+// restates that origin in full next tick. Replicas held via the sender
 // that the list leaves out lose their feeder mark: the sender no longer
-// refreshes them, and they age out by TTL. An urgent full entry that changes
+// renews them, and they age out. An urgent full entry that changes
 // a replica asks for an early round, which passes it on to the children.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	b := msg.Batch
@@ -336,8 +336,8 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 		states = append(states, rs)
 	}
 	var needFull []string
-	now := time.Now()
 	s.mu.Lock()
+	now := s.rounds.Load()
 	s.listSeq++
 	for _, rs := range states {
 		if rs.originID == s.cfg.ID { // never replicate ourselves
@@ -361,10 +361,10 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 			needFull = append(needFull, p.OriginID)
 			continue
 		}
-		// TTL refresh: the held replica is confirmed current. received and
-		// via are not part of the routing snapshot, so no republish is
-		// needed for a purely tag-only batch.
-		r.received = now
+		// Renewal: the held replica is confirmed current. renewed and via
+		// are not part of the routing snapshot, so no republish is needed
+		// for a purely tag-only batch.
+		r.renewed = now
 		r.via = msg.From
 	}
 	for _, r := range s.replicas {

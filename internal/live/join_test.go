@@ -139,16 +139,15 @@ func TestJoinAllRefusedDistinctError(t *testing.T) {
 
 // TestWaitConvergedReportsOvershoot verifies overshoot is a distinct,
 // fast-failing convergence verdict: when every server covers more than
-// the target for longer than the replica TTL, WaitConverged must return
+// the target for longer than stale replicas take to age out, WaitConverged must return
 // an overshoot error with per-server detail well before the timeout
 // (undershoot, by contrast, waits out the full timeout).
 func TestWaitConvergedReportsOvershoot(t *testing.T) {
 	tr := transport.NewChan()
 	cl, err := StartCluster(tr, ClusterConfig{
-		N:               3,
-		Schema:          record.DefaultSchema(2),
-		Tick:            25 * time.Millisecond,
-		ReplicaTTLFloor: 200 * time.Millisecond,
+		N:      3,
+		Schema: record.DefaultSchema(2),
+		Tick:   25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,8 @@ func earlyGap(d, period time.Duration) time.Duration {
 // periodic round: it refreshes the local and branch summaries, reports to
 // the parent — the exchange that also carries liveness and ancestry in both
 // directions (paper §III-A/B) — pushes overlay replicas to the children
-// (§III-C) and ages out soft state.
+// (§III-C), ages out soft state and, every mergeProbeTicks-th round, probes
+// for split brains.
 //
 // Between periods it runs early rounds, when a write signal, an urgent report
 // or entry, or an accepted join asks for one (requestEarly): content only, so
@@ -94,18 +95,32 @@ func (s *Server) aggregationLoop() {
 }
 
 // round runs one aggregation round and returns its wall time. Every round
-// sends list batches only, to the children whose set moved. An early round
-// carries content only: it reports only a branch the parent does not hold,
-// counts no parent miss, does not advance the replan cadence and prunes
-// nothing — liveness, replans and ageing stay with the periodic round.
+// sends list batches only, to the children whose set moved. A periodic round
+// advances the server's clock (rounds), which everything soft counts: the
+// replan cadence, the dead-child and replica windows and the split-brain
+// probe cadence. An early round carries content only: it reports only a
+// branch the parent does not hold, counts no parent miss, does not advance
+// the clock and prunes nothing.
 func (s *Server) round(early bool) time.Duration {
 	start := time.Now()
+	var now uint64
+	if !early {
+		now = s.rounds.Add(1)
+		if s.planner != nil && now%replanEvery == 0 {
+			s.refreshMu.Lock()
+			s.replanLocked()
+			s.refreshMu.Unlock()
+		}
+	}
 	s.refresh(early)
 	s.report(early)
 	s.pushReplicas()
 	if !early {
-		s.pruneDeadChildren()
-		s.pruneStaleReplicas()
+		s.pruneDeadChildren(now)
+		s.pruneStaleReplicas(now)
+		if now%mergeProbeTicks == 0 {
+			s.membershipTick(now/mergeProbeTicks - 1)
+		}
 	}
 	took := time.Since(start)
 	if early {
@@ -132,8 +147,7 @@ func (s *Server) round(early bool) time.Duration {
 //
 // A local summary rebuilt after an owner's write signal is urgent content,
 // and so is a branch rebuilt from it or from an urgent child branch. An
-// early round's refresh (early) neither counts toward the replan cadence nor
-// replans.
+// early round's refresh (early) is not counted as skipped.
 func (s *Server) refreshSummaries() { s.refresh(false) }
 
 func (s *Server) refresh(early bool) {
@@ -141,12 +155,6 @@ func (s *Server) refresh(early bool) {
 	defer func() { s.refreshBusyNs.Add(time.Since(start).Nanoseconds()) }()
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	if !early {
-		round := s.aggRound.Add(1)
-		if s.planner != nil && round%replanEvery == 0 {
-			s.replanLocked()
-		}
-	}
 	// An owner signals after its write, so the exports below see every write
 	// counted here.
 	writes := s.writes.Load()
@@ -323,7 +331,7 @@ type RefreshInfo struct {
 // RefreshInfo returns the refresh pipeline counters.
 func (s *Server) RefreshInfo() RefreshInfo {
 	return RefreshInfo{
-		Ticks:            s.aggRound.Load(),
+		Ticks:            s.rounds.Load(),
 		Skipped:          s.mx.rebuildsSkipped.Load(),
 		EarlyRounds:      s.mx.earlyRounds.Load(),
 		BusySeconds:      float64(s.refreshBusyNs.Load()) / 1e9,
@@ -520,10 +528,10 @@ func (s *Server) renewHeldLocked(stated setDigest) bool {
 		}
 	}
 	if held == stated {
-		now := time.Now()
+		now := s.rounds.Load()
 		for _, r := range s.replicas {
 			if r.via == s.parentID {
-				r.received = now
+				r.renewed = now
 			}
 		}
 		s.mx.replicaPushes.Add(uint64(held.n))
@@ -566,8 +574,8 @@ func (e *pushEntry) full() *wire.ReplicaPush {
 }
 
 // tagOnly is the entry that stands in for full toward a child that already
-// confirmed holding the tag: it renews the replica's TTL for the origin ID
-// and nine bytes.
+// confirmed holding the tag: it renews the replica for the origin ID and nine
+// bytes.
 func (e *pushEntry) tagOnly() *wire.ReplicaPush {
 	return &wire.ReplicaPush{OriginID: e.origin, Tag: e.tag}
 }
@@ -610,9 +618,9 @@ func (s *Server) replicaSetLocked() ([]pushEntry, setDigest) {
 		}
 		if r.via != s.parentID {
 			// Nobody states this origin here any more: the parent's list left
-			// it out, or it came from a former parent. It ages out by TTL, and
-			// passing it on would keep renewing it at the children until then,
-			// so a dead origin would age out one level at a time.
+			// it out, or it came from a former parent. It ages out, and passing
+			// it on would keep renewing it at the children until then, so a
+			// dead origin would age out one level at a time.
 			continue
 		}
 		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
@@ -726,26 +734,17 @@ func (s *Server) pushReplicas() {
 	}
 }
 
-// pruneDeadChildren drops children that have not reported within the
-// failure window; their subtrees rejoin on their own via root paths. The
-// window is floored so heavily loaded (or instrumented) processes whose
-// message handling runs slower than the tick never mistake slowness for
-// death.
-func (s *Server) pruneDeadChildren() {
-	deadline := heartbeatMiss * s.cfg.AggregateEvery
-	if deadline < 2*time.Second {
-		deadline = 2 * time.Second
-	}
-	now := time.Now()
+// pruneDeadChildren drops the children that have not reported for
+// heartbeatMiss of this server's periodic rounds, now being the current one;
+// their subtrees rejoin on their own via root paths. It counts rounds, not
+// time: a server whose rounds run slow (a loaded host, the race detector)
+// gives its children as many rounds to report as a fast one does.
+func (s *Server) pruneDeadChildren(now uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
 	for id, c := range s.children {
-		if c.lastSeen.IsZero() {
-			c.lastSeen = now
-			continue
-		}
-		if now.Sub(c.lastSeen) > deadline {
+		if c.seen+heartbeatMiss <= now {
 			delete(s.children, id)
 			s.childEpoch++ // its branch leaves the merged summary
 			changed = true
@@ -756,22 +755,16 @@ func (s *Server) pruneDeadChildren() {
 	}
 }
 
-// pruneStaleReplicas ages out overlay replicas that have not refreshed
-// recently — replicas are soft state, so a crashed origin's summary stops
-// attracting redirects after its TTL. The window is generous (propagation
-// takes one aggregation tick per hierarchy level).
-func (s *Server) pruneStaleReplicas() {
-	ttl := s.cfg.replicaTTL()
-	now := time.Now()
+// pruneStaleReplicas ages out the overlay replicas that more than
+// replicaRounds of this server's periodic rounds have not renewed, now being
+// the current one — replicas are soft state, so a crashed origin's summary
+// stops attracting redirects.
+func (s *Server) pruneStaleReplicas(now uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
 	for id, r := range s.replicas {
-		if r.received.IsZero() {
-			r.received = now
-			continue
-		}
-		if now.Sub(r.received) > ttl {
+		if r.renewed+replicaRounds < now {
 			delete(s.replicas, id)
 			changed = true
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"roads/internal/policy"
 	"roads/internal/record"
@@ -15,8 +14,9 @@ import (
 
 // These tests pin the maintenance protocol — tagged entries, list batches,
 // conditional ancestry and the replica-set digest on the report ack — on
-// parked-loop servers over Chan: every round is driven by hand, nothing
-// sleeps, and soft-state ageing is simulated by backdating replicas.
+// parked-loop servers over Chan: every round is driven by hand and nothing
+// sleeps. Soft state counts each server's own periodic rounds, so ageing is
+// exact too.
 
 // deltaStar builds a parked root with the named children joined to it, n
 // records each, and drives it to the digest steady state.
@@ -37,15 +37,6 @@ func deltaStar(t *testing.T, tr transport.Transport, n int, ids ...string) (root
 		driveRound(append(slices.Clone(kids), root)...)
 	}
 	return root, kids
-}
-
-// backdate makes every replica the server holds look d older.
-func backdate(s *Server, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.replicas {
-		r.received = r.received.Add(-d)
-	}
 }
 
 func replicaVia(s *Server, origin string) (via string, ok bool) {
@@ -111,8 +102,9 @@ func TestDigestMismatchShipsOnlyTheMissingOrigin(t *testing.T) {
 // parent's set, the next report acks state no digest, each remaining child
 // gets one list batch that no longer names it, and digests come from then on
 // — no list/digest alternation. The orphaned replica loses its feeder mark,
-// is not renewed by the digests, and expires exactly when its TTL runs out:
-// not at the restatement, and not later.
+// is not renewed by the digests, and outlives exactly replicaRounds of its
+// holder's rounds after its last renewal: not gone at the restatement, and
+// gone the round after.
 func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 5, "c1", "c2", "c3")
@@ -134,8 +126,8 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	if via, ok := replicaVia(c1, "c3"); !ok || via != "" {
 		t.Fatalf("orphaned replica: held=%v via=%q; want still held, feeder mark cleared", ok, via)
 	}
-	if _, recv, _ := replicaVersion(c1, "c3"); !recv.Equal(lastRenewed) {
-		t.Fatal("the restatement touched the orphaned replica's age")
+	if _, renewed, _ := replicaVersion(c1, "c3"); renewed != lastRenewed {
+		t.Fatal("the restatement renewed the orphaned replica")
 	}
 	tr.reset()
 	for i := 0; i < 6; i++ {
@@ -144,23 +136,21 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	if summaries, lists, digests := tr.counts(); summaries != 0 || lists != 0 || digests != 12 {
 		t.Fatalf("six ticks later: %d summaries, %d lists, %d digests; want 12 digests and no list", summaries, lists, digests)
 	}
-	if _, recv, _ := replicaVersion(c1, "c3"); !recv.Equal(lastRenewed) {
+	if _, renewed, _ := replicaVersion(c1, "c3"); renewed != lastRenewed {
 		t.Fatal("stated digests renewed a replica the sender no longer lists")
 	}
 
-	// Soft state, unchanged: still there just inside the TTL, gone just past.
-	ttl := c1.cfg.replicaTTL()
-	backdate(c1, ttl-time.Minute)
-	driveRound(c1, c2, root) // renews what root still feeds
-	c1.pruneStaleReplicas()
-	if _, ok := replicaVia(c1, "c3"); !ok {
-		t.Fatal("orphaned replica expired before its TTL")
+	// Soft state: still there after replicaRounds unrenewed rounds of c1,
+	// gone after one more; the digests keep renewing what root still feeds.
+	for c1.rounds.Load() < lastRenewed+replicaRounds {
+		driveRound(c1, c2, root)
 	}
-	backdate(c1, 2*time.Minute)
+	if _, ok := replicaVia(c1, "c3"); !ok {
+		t.Fatalf("orphaned replica expired within %d unrenewed rounds", replicaRounds)
+	}
 	driveRound(c1, c2, root)
-	c1.pruneStaleReplicas()
 	if _, ok := replicaVia(c1, "c3"); ok {
-		t.Fatal("orphaned replica outlived its TTL")
+		t.Fatalf("orphaned replica outlived %d unrenewed rounds", replicaRounds+1)
 	}
 	if got := c1.NumReplicas(); got != 2 {
 		t.Fatalf("c1 holds %d replicas after the orphan aged out; want root and c2", got)
@@ -168,42 +158,39 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 }
 
 // TestReplicaSoftStateUnderDigests: a replica confirmed by nothing but the
-// digests report acks state for ten TTLs never expires, and one whose feeder
-// goes silent expires after the TTL it always had.
+// digests report acks state outlives ten times replicaRounds rounds, and one
+// whose feeder goes silent outlives replicaRounds of its holder's rounds and
+// not one more.
 func TestReplicaSoftStateUnderDigests(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	root, kids := deltaStar(t, tr, 4, "c1", "c2")
 	c1, c2 := kids[0], kids[1]
-	ttl := c1.cfg.replicaTTL()
 	tr.reset()
 
-	// Twelve steps of 0.9 TTL: each digest must renew every replica, or the
-	// next step's prune removes it.
-	for i := 0; i < 12; i++ {
-		backdate(c1, ttl*9/10)
+	// Each digest must renew every replica, or a prune in the window removes
+	// it.
+	for i := 0; i < 10*replicaRounds; i++ {
 		driveRound(c1, c2, root)
-		c1.pruneStaleReplicas()
 		if got := c1.NumReplicas(); got != 2 {
-			t.Fatalf("step %d: c1 holds %d replicas; the stated digests must keep both alive", i, got)
+			t.Fatalf("round %d: c1 holds %d replicas; the stated digests must keep both alive", i, got)
 		}
 	}
 	if summaries, lists, _ := tr.counts(); summaries != 0 || lists != 0 {
 		t.Fatalf("the keepalive window put %d summaries and %d list batches on the wire; want digests only", summaries, lists)
 	}
 
-	// The feeder goes silent: nothing renews, and the TTL is what it was.
-	if want := 16 * time.Hour; ttl != want {
-		t.Fatalf("replica TTL is %v on a one-hour tick; want 4 x heartbeatMiss ticks = %v", ttl, want)
+	// The feeder goes silent: c1's rounds go on with no exchange, and
+	// nothing renews.
+	silentRound := func() { c1.pruneStaleReplicas(c1.rounds.Add(1)) }
+	for i := 0; i < replicaRounds; i++ {
+		silentRound()
 	}
-	backdate(c1, ttl-time.Minute)
-	c1.pruneStaleReplicas()
 	if got := c1.NumReplicas(); got != 2 {
-		t.Fatalf("%d replicas left a minute before the TTL; want 2", got)
+		t.Fatalf("%d replicas left after %d silent rounds; want 2", got, replicaRounds)
 	}
-	backdate(c1, 2*time.Minute)
-	c1.pruneStaleReplicas()
+	silentRound()
 	if got := c1.NumReplicas(); got != 0 {
-		t.Fatalf("%d replicas left a minute past the TTL with a silent feeder; want 0", got)
+		t.Fatalf("%d replicas left after %d silent rounds; want 0", got, replicaRounds+1)
 	}
 }
 
@@ -275,13 +262,15 @@ func (a *ackTap) last(t *testing.T) *wire.AckInfo {
 	return a.acks[len(a.acks)-1]
 }
 
-func childLastSeen(s *Server, id string) time.Time {
+// childSeen returns the round of s in which the child last reported or
+// joined.
+func childSeen(s *Server, id string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.children[id]; ok {
-		return c.lastSeen
+		return c.seen
 	}
-	return time.Time{}
+	return 0
 }
 
 // TestReportAckAncestryIsConditional: the report ack carries the root path
@@ -304,12 +293,12 @@ func TestReportAckAncestryIsConditional(t *testing.T) {
 		t.Fatalf("c1's root path after joining is %v; want root, c1", path)
 	}
 
-	seen := childLastSeen(root, "c1")
+	root.rounds.Add(1) // so the report's stamp shows
 	c1.reportToParent()
 	if a := tap.last(t).Ancestry; a != nil {
 		t.Fatalf("second report ack carries ancestry %+v; want none", a)
 	}
-	if !childLastSeen(root, "c1").After(seen) {
+	if childSeen(root, "c1") != root.rounds.Load() {
 		t.Fatal("a report did not refresh the child's liveness at the parent")
 	}
 	if path := c1.RootPath(); !slices.Equal(path, []string{"root", "c1"}) {
@@ -629,7 +618,7 @@ func TestMaintenanceByteBudget(t *testing.T) {
 
 // TestCoverageCountsRoutedReplicasOnly moves a server under its sibling. The
 // adopter still holds the newcomer as a sibling replica — nothing deletes a
-// replica whose origin becomes a child; it ages out by TTL — and must not
+// replica whose origin becomes a child; it ages out — and must not
 // count those records a second time: its own branch covers them now.
 func TestCoverageCountsRoutedReplicasOnly(t *testing.T) {
 	tr := transport.NewChan()
@@ -655,8 +644,8 @@ func TestCoverageCountsRoutedReplicasOnly(t *testing.T) {
 
 // TestUnstatedReplicaIsNotForwarded: once its parent's list leaves an origin
 // out, a server stops passing that replica on, so its children stop renewing
-// it as well and a dead origin ages out of every level within one TTL rather
-// than one level per TTL.
+// it as well and a dead origin ages out of every level within one replica
+// lifetime (replicaRounds) rather than one level per lifetime.
 func TestUnstatedReplicaIsNotForwarded(t *testing.T) {
 	tr := transport.NewChan()
 	root, kids := deltaStar(t, tr, 2, "a", "b")

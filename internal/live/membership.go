@@ -7,15 +7,15 @@ package live
 // Epochs fence stale mutations — a report, its ack or a re-join carrying
 // an epoch lower than the one recorded for that relationship is rejected —
 // so a healed partition cannot resurrect a dead parent/child edge. On top
-// of the fence sits split-brain detection: roots periodically probe their
-// remembered ancestry and the configured merge seeds; when two live roots
-// discover each other the higher-epoch root (tie: smaller ID) wins and the
-// loser joins it, folding its whole tree back as a subtree. Summaries then
-// re-aggregate through the ordinary change-driven pipeline.
+// of the fence sits split-brain detection: every mergeProbeTicks-th periodic
+// round, a root probes its remembered ancestry and the configured merge
+// seeds; when two live roots discover each other the higher-epoch root (tie:
+// smaller ID) wins and the loser joins it, folding its whole tree back as a
+// subtree. Summaries then re-aggregate through the ordinary change-driven
+// pipeline.
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -172,9 +172,14 @@ func (s *Server) rememberPathLocked() {
 
 // probeCandidatesLocked lists the addresses a root should probe for
 // foreign roots: the configured merge seeds first, then the remembered
-// ancestry (sorted for determinism). Callers hold s.mu.
+// ancestry (sorted for determinism). Its own children are left out: a child
+// follows this root while it reports to it, and one that stops is pruned
+// within heartbeatMiss rounds. Callers hold s.mu.
 func (s *Server) probeCandidatesLocked() []string {
 	seen := map[string]bool{s.cfg.Addr: true}
+	for _, c := range s.children {
+		seen[c.addr] = true
+	}
 	out := make([]string, 0, len(s.cfg.MergeSeeds)+len(s.knownServers))
 	for _, addr := range s.cfg.MergeSeeds {
 		if !seen[addr] {
@@ -211,36 +216,15 @@ func otherWins(otherEpoch uint64, otherID string, ourEpoch uint64, ourID string)
 // ticks instead of bursting.
 const probesPerTick = 3
 
-// mergeProbeTicks is the split-brain probe cadence in maintenance periods.
+// mergeProbeTicks is the split-brain probe cadence in periodic rounds.
 const mergeProbeTicks = 4
 
-// membershipLoop is the split-brain detection loop: while this server is
-// a root with no transaction in flight, it probes merge-seed and
-// remembered-ancestry addresses for foreign roots, and executes the merge
-// when a probe (sent or received — handleRootProbe records the pending
-// address) found a root that beats us.
-func (s *Server) membershipLoop() {
-	defer s.wg.Done()
-	rng := loopRng(s.cfg.ID, 0x3c7e)
-	every := mergeProbeTicks * s.cfg.AggregateEvery
-	timer := time.NewTimer(jittered(every, rng))
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-			s.membershipTick(rng)
-			timer.Reset(jittered(every, rng))
-		}
-	}
-}
-
-// membershipTick runs one round of split-brain detection: first consume a
-// pending merge decision (recorded by handleRootProbe, which must not
-// make outgoing calls itself), then — if still a live idle root — probe a
-// rotating bounded subset of the candidate addresses.
-func (s *Server) membershipTick(rng *rand.Rand) {
+// membershipTick runs one round of split-brain detection, the tick-th (from
+// 0) of this server: first consume a pending merge decision (recorded by
+// handleRootProbe, which must not make outgoing calls itself), then — if
+// still a live idle root — probe the tick-th window of probesPerTick
+// candidate addresses, so successive ticks walk the whole candidate list.
+func (s *Server) membershipTick(tick uint64) {
 	s.mu.Lock()
 	merge := s.pendingMergeAddr
 	s.pendingMergeAddr = ""
@@ -258,7 +242,7 @@ func (s *Server) membershipTick(rng *rand.Rand) {
 		return
 	}
 	if len(candidates) > probesPerTick {
-		off := rng.Intn(len(candidates))
+		off := int(tick * probesPerTick % uint64(len(candidates)))
 		rot := append(append([]string(nil), candidates[off:]...), candidates[:off]...)
 		candidates = rot[:probesPerTick]
 	}
@@ -495,9 +479,9 @@ func (s *Server) Membership() MembershipInfo {
 
 // handleRootProbe answers a split-brain probe with the root this server
 // currently follows. When this server is itself a live idle root and the
-// prober beats it, the merge is recorded for the membership loop —
+// prober beats it, the merge is recorded for its next membership tick —
 // handlers never make outgoing calls (synchronous-transport deadlock
-// rule), so the loop executes the join.
+// rule), so the tick executes the join.
 func (s *Server) handleRootProbe(msg *wire.Message) *wire.Message {
 	if msg.RootProbe == nil {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: root probe without payload"))

@@ -399,10 +399,9 @@ func startMembershipCluster(t *testing.T, n, maxChildren int, seed int64, mut fu
 	f := transport.NewFaulty(transport.NewChan(), seed)
 	f.MaxBlackhole = 5 * time.Millisecond
 	cfg := ClusterConfig{
-		N:               n,
-		Schema:          record.DefaultSchema(2),
-		MaxChildren:     maxChildren,
-		ReplicaTTLFloor: 300 * time.Millisecond,
+		N:           n,
+		Schema:      record.DefaultSchema(2),
+		MaxChildren: maxChildren,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -461,6 +460,53 @@ func awaitCoverage(t *testing.T, cl *Cluster, skip map[int]bool, total uint64, w
 		if !skip[i] && srv.CoveredRecords() != total {
 			t.Fatalf("%s: %s covers %d of %d records", what, srv.ID(), srv.CoveredRecords(), total)
 		}
+	}
+}
+
+// TestSteppedSplitBrainMerges: two stepped federations on one Chan, one whose
+// servers have the other's root as a merge seed, become one by stepping alone
+// — no loop, no sleep. The probe goes out in the mergeProbeTicks-th round and
+// the merge it decides runs in the next probe round, so one root remains
+// after at most 2*mergeProbeTicks steps, and the next Settle covers every
+// record of both everywhere.
+func TestSteppedSplitBrainMerges(t *testing.T) {
+	const perFed, recs = 5, 3
+	tr := transport.NewChan()
+	schema := record.DefaultSchema(2)
+	a, err := NewCluster(tr, ClusterConfig{N: perFed, Schema: schema, MaxChildren: 2, MergeSeeds: []string{"addr-b0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Stop)
+	bs := make([]*Server, perFed)
+	for i := range bs {
+		bs[i] = deltaServerCfg(t, tr, fmt.Sprintf("b%d", i), schema, func(c *Config) { c.MaxChildren = 2 })
+		if i > 0 {
+			if err := bs[i].Join(bs[0].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	both := &Cluster{Servers: append(append([]*Server(nil), a.Servers...), bs...), Tr: tr, Schema: schema}
+	for _, srv := range both.Servers {
+		attachDeltaOwner(t, srv, schema, recs)
+	}
+
+	steps := 0
+	for len(aliveRoots(both, nil)) > 1 {
+		if steps == 2*mergeProbeTicks {
+			t.Fatalf("still %d roots after %d steps", len(aliveRoots(both, nil)), steps)
+		}
+		both.Step()
+		steps++
+	}
+	t.Logf("one root after %d steps", steps)
+	if got := both.Root(); got != bs[0] {
+		t.Fatalf("the federations merged under %s; want b0, whose ID wins the same-epoch tie", got.ID())
+	}
+	settle(t, both, 2*perFed*recs)
+	if sum := sumMembership(both, nil); sum.Merges != 1 || sum.EpochRegressions != 0 {
+		t.Fatalf("membership after the merge: %+v; want one merge and no epoch regression", sum)
 	}
 }
 
@@ -582,8 +628,13 @@ func TestChaosPartitionHealMerge(t *testing.T) {
 // winner (the smallest-ID ex-sibling) is unreachable: the reachable
 // orphans must not dangle on the dead winner — they claim or re-form
 // elsewhere — and once the winner is reachable again the split-brain
-// protocol converges everything onto it (smallest ID wins every
-// same-epoch merge decision).
+// protocol converges everything onto one root. The winner's children lose
+// it to the outage too, and the outage lasts until they have written it off
+// and elected among themselves: whether that happens before the heal decides
+// the root. Every claimant recovered once and holds the same epoch, so the
+// root is the claimant with the smallest ID (smallest ID wins every
+// same-epoch merge decision): the winner, or the winner's smallest child when
+// concurrent joins put a smaller ID there.
 func TestChaosElectionWinnerUnreachable(t *testing.T) {
 	const n, recsPer = 10, 2
 	cl, f := startMembershipCluster(t, n, 3, 82, nil)
@@ -605,6 +656,29 @@ func TestChaosElectionWinnerUnreachable(t *testing.T) {
 	if winner == nil {
 		t.Fatal("root has no children")
 	}
+	want := winner
+	var winnerKids []*Server
+	for _, srv := range cl.Servers {
+		if srv.ParentID() == winner.ID() {
+			winnerKids = append(winnerKids, srv)
+			if srv.ID() < want.ID() {
+				want = srv
+			}
+		}
+	}
+	// wroteOff reports whether every child of the winner has given it up and
+	// finished its recovery.
+	wroteOff := func() bool {
+		for _, srv := range winnerKids {
+			srv.mu.Lock()
+			done := srv.parentID != winner.ID() && srv.tx == txNone
+			srv.mu.Unlock()
+			if !done {
+				return false
+			}
+		}
+		return true
+	}
 	attachChaosOwners(t, cl, recsPer, rootIdx)
 	skip := map[int]bool{rootIdx: true}
 
@@ -617,21 +691,22 @@ func TestChaosElectionWinnerUnreachable(t *testing.T) {
 	// rather than dangle (the winner, cut off, roots itself too).
 	deadline := time.Now().Add(convergeTimeout)
 	for time.Now().Before(deadline) {
-		if len(aliveRoots(cl, skip)) >= 2 {
+		if len(aliveRoots(cl, skip)) >= 2 && wroteOff() {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if roots := aliveRoots(cl, skip); len(roots) < 2 {
-		t.Fatalf("survivors never rooted around the unreachable winner: roots %d", len(roots))
+	if roots := aliveRoots(cl, skip); len(roots) < 2 || !wroteOff() {
+		t.Fatalf("survivors never rooted around the unreachable winner: roots %d, its children done: %v", len(roots), wroteOff())
 	}
 
-	// Reconnect the winner: everything merges onto it — same epochs tie,
-	// and it has the smallest ID of every candidate root.
+	// Reconnect the winner: everything merges onto the smallest claimant —
+	// same epochs tie.
 	f.ClearRules()
 	roots := awaitRootCount(t, cl, skip, 1, "after winner reachable")
-	if roots[0] != winner {
-		t.Fatalf("federation converged on %s; want the election winner %s", roots[0].ID(), winner.ID())
+	if roots[0] != want {
+		t.Fatalf("federation converged on %s; want %s, the smallest ID of the election winner %s and its children",
+			roots[0].ID(), want.ID(), winner.ID())
 	}
 	awaitCoverage(t, cl, skip, uint64((n-1)*recsPer), "after winner reachable")
 	if sum := sumMembership(cl, skip); sum.EpochRegressions != 0 {

@@ -28,20 +28,16 @@ type Config struct {
 	// MaxChildren caps the hierarchy degree.
 	MaxChildren int
 	// AggregateEvery is the one maintenance period (the paper's t_s): every
-	// period a server refreshes its summaries, reports to its parent — the
-	// exchange that is also the liveness signal in both directions — and
-	// pushes replicas to its children. The recovery backoff, the split-brain
-	// probe cadence (four periods), the dead-child window and the cap on the
-	// gap between early rounds (half a period) derive from it. Small values
-	// make tests fast; production would use minutes.
+	// period a server runs a periodic round — it refreshes its summaries,
+	// reports to its parent (the exchange that is also the liveness signal in
+	// both directions), pushes replicas to its children and ages out soft
+	// state. Soft state counts these rounds, not time: a child is dead after
+	// heartbeatMiss rounds without a report, a replica after replicaRounds
+	// unrenewed ones, and every mergeProbeTicks-th round probes for split
+	// brains. Only the recovery backoff and the cap on the gap between early
+	// rounds (half a period) are durations derived from it. Small values make
+	// tests fast; production would use minutes.
 	AggregateEvery time.Duration
-	// ReplicaTTLFloor is the minimum overlay-replica TTL regardless of how
-	// fast the ticks run: a full push round must always fit inside the TTL
-	// even when encoding runs far slower than the tick (loaded hosts, race
-	// detector), or replicas flap and coverage never settles. Zero uses
-	// DefaultReplicaTTLFloor; fast-tick tests may lower it, slow
-	// production deployments raise it.
-	ReplicaTTLFloor time.Duration
 	// MergeSeeds are addresses this server probes for foreign roots while
 	// it is a root itself (split-brain detection), in addition to the
 	// ancestry it remembers from before a partition. Typically the
@@ -74,23 +70,26 @@ func DefaultConfig(id, addr string, schema *record.Schema) Config {
 	scfg := summary.DefaultConfig()
 	scfg.Buckets = 200
 	return Config{
-		ID:              id,
-		Addr:            addr,
-		Schema:          schema,
-		Summary:         scfg,
-		MaxChildren:     8,
-		AggregateEvery:  50 * time.Millisecond,
-		ReplicaTTLFloor: DefaultReplicaTTLFloor,
+		ID:             id,
+		Addr:           addr,
+		Schema:         schema,
+		Summary:        scfg,
+		MaxChildren:    8,
+		AggregateEvery: 50 * time.Millisecond,
 	}
 }
 
-// heartbeatMiss is how many consecutive periods without a successful report
-// exchange mark a peer dead.
+// heartbeatMiss is how many periodic rounds without a successful report
+// exchange mark a peer dead: a parent counts its own rounds since the child's
+// last report, a child its failed reports in a row.
 const heartbeatMiss = 4
 
-// DefaultReplicaTTLFloor is the replica-TTL floor applied when
-// Config.ReplicaTTLFloor is zero.
-const DefaultReplicaTTLFloor = 5 * time.Second
+// replicaRounds is how many of its holder's periodic rounds an overlay replica
+// outlives its last renewal (a full entry, a matching tag-only entry or a
+// matching digest on a report ack): four failure windows, so a holder whose
+// parent died detects it, rejoins and is restated by its new parent well
+// before the replicas it holds lapse.
+const replicaRounds = 4 * heartbeatMiss
 
 // DefaultAntiEntropyEvery was the cadence of the periodic full-state round.
 // No server behaviour depends on it any more: every report ack confirms the
@@ -132,30 +131,10 @@ func (c Config) Validate() error {
 	if c.AggregateEvery <= 0 {
 		return fmt.Errorf("live: AggregateEvery must be positive")
 	}
-	if c.ReplicaTTLFloor < 0 {
-		return fmt.Errorf("live: ReplicaTTLFloor must not be negative")
-	}
 	if c.SummaryByteBudget < 0 {
 		return fmt.Errorf("live: SummaryByteBudget must not be negative")
 	}
 	return nil
-}
-
-// replicaTTLFloor returns the configured floor, defaulted.
-func (c Config) replicaTTLFloor() time.Duration {
-	if c.ReplicaTTLFloor > 0 {
-		return c.ReplicaTTLFloor
-	}
-	return DefaultReplicaTTLFloor
-}
-
-// replicaTTL is how long an overlay replica lives without a refresh: four
-// failure windows, sixteen aggregation ticks (propagation takes one tick per
-// hierarchy level), floored by replicaTTLFloor — a push round must always
-// fit inside the TTL, even when encoding runs far slower than the tick (loaded
-// hosts, race detector); otherwise replicas flap and coverage never settles.
-func (c Config) replicaTTL() time.Duration {
-	return max(4*heartbeatMiss*c.AggregateEvery, c.replicaTTLFloor())
 }
 
 // childState tracks one child branch.
@@ -164,7 +143,9 @@ type childState struct {
 	branch      *summary.Summary
 	depth       int
 	descendants int
-	lastSeen    time.Time
+	// seen is the parent's periodic round (Server.rounds) of the child's last
+	// report or join; pruneDeadChildren counts from it.
+	seen uint64
 	// kids are the child's own children, piggybacked on its summary
 	// reports; they become failover Alternates on redirects to the child.
 	kids []wire.RedirectInfo
@@ -209,9 +190,10 @@ type replicaState struct {
 	// level is the origin's distance in hierarchy levels (1 = own
 	// sibling or parent); scoped queries filter on it.
 	level int
-	// received is when this replica last refreshed; stale replicas age
-	// out (soft state), so crashed origins stop attracting redirects.
-	received time.Time
+	// renewed is the holder's periodic round (Server.rounds) of the last
+	// renewal; a replica replicaRounds rounds past it ages out (soft state),
+	// so a crashed origin stops attracting redirects.
+	renewed uint64
 	// fallbacks are the origin's children, carried on the push; they
 	// become failover Alternates on redirects to the origin.
 	fallbacks []wire.RedirectInfo
@@ -227,9 +209,9 @@ type replicaState struct {
 	listed uint64
 	// via is the ID of the server whose batch last stated or confirmed
 	// this replica — its feeder. A feeder's list batch that leaves the
-	// origin out clears via: nobody refreshes the replica any more and it
-	// ages out by TTL. The digest a feeder's report ack states covers
-	// exactly the replicas held via it.
+	// origin out clears via: nobody renews the replica any more and it
+	// ages out. The digest a feeder's report ack states covers exactly the
+	// replicas held via it.
 	via string
 	// urgent is the Urgent bit of the entry that brought sum; forwarding the
 	// replica passes it on.
@@ -237,8 +219,8 @@ type replicaState struct {
 }
 
 // tag hashes the replica as held, the way its feeder hashes the entry it
-// would send (replicaTag). A tag-only entry or a stated digest renews
-// received only while the two agree.
+// would send (replicaTag). A tag-only entry or a stated digest renews the
+// replica only while the two agree.
 func (r *replicaState) tag() uint64 {
 	return replicaTag(r.meta, r.version)
 }
@@ -277,8 +259,8 @@ type Server struct {
 	// survives here. Bounded at knownServerCap.
 	knownServers map[string]string
 	// pendingMergeAddr is the address of a foreign winning root recorded
-	// by a probe (sent or received); the membership loop executes the
-	// merge — handlers never make outgoing calls.
+	// by a probe (sent or received); the next probe round (membershipTick)
+	// executes the merge — handlers never make outgoing calls.
 	pendingMergeAddr string
 
 	// childEpoch counts child-branch mutations (branch content set,
@@ -311,9 +293,10 @@ type Server struct {
 	merged      []*summary.Summary
 	mergeFailed bool
 	haveBranch  bool
-	// aggRound counts periodic aggregation rounds, for the replan cadence
-	// and RefreshInfo.
-	aggRound atomic.Uint64
+	// rounds counts the periodic rounds, the server's one clock: child
+	// liveness, replica ageing, the replan cadence and split-brain probing
+	// count it, and RefreshInfo reports it. Early rounds do not count.
+	rounds atomic.Uint64
 
 	// Early rounds (aggregationLoop). wake asks the loop for one; it is
 	// buffered, so a request made while one is pending is absorbed by it.
@@ -455,7 +438,7 @@ func (s *Server) requestEarly() {
 	}
 }
 
-// Start begins listening and runs the background loops. The server starts
+// Start begins listening and runs the maintenance loop. The server starts
 // as a root of its own one-node hierarchy; Join attaches it elsewhere.
 func (s *Server) Start() error {
 	if err := s.listen(); err != nil {
@@ -466,7 +449,7 @@ func (s *Server) Start() error {
 }
 
 // listen takes the server's address and builds its first summaries, and
-// starts no goroutine: until run starts the loops, rounds run only when
+// starts no goroutine: until run starts the loop, rounds run only when
 // driven (Cluster.Step), and a request for an early round waits in wake.
 func (s *Server) listen() error {
 	s.mu.Lock()
@@ -489,11 +472,20 @@ func (s *Server) listen() error {
 	return nil
 }
 
-// run starts the aggregation and membership loops of a listening server.
+// run starts the maintenance loop of a listening server.
 func (s *Server) run() {
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.aggregationLoop()
-	go s.membershipLoop()
+}
+
+// stopped reports whether Kill or Stop has shut the server down.
+func (s *Server) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // Kill shuts the server down abruptly — no Leave messages, simulating a

@@ -299,9 +299,7 @@ func TestQueryChurnStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for running() {
-			srv.refreshSummaries()
-			srv.pruneDeadChildren()
-			srv.pruneStaleReplicas()
+			srv.round(false)
 		}
 	}()
 
