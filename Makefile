@@ -51,7 +51,7 @@ chaos: vet
 # how many runs failed; it exits non-zero when any did. Not part of tier1:
 # at the default N it takes about five minutes on a 2-vCPU host.
 N ?= 50
-FLAKY = TestChaos|TestCrashed|TestRootCrash|TestSteppedCluster|TestResolveLeavesNoGoroutines
+FLAKY = TestChaos|TestCrashed|TestRootCrash|TestStepped|TestParentFailure|TestResolveLeavesNoGoroutines
 flakes:
 	@$(GO) test -race -count $(N) -timeout 0 -v -run '$(FLAKY)' ./internal/live/ 2>&1 | awk ' \
 		/^ +[^ ]+\.go:[0-9]+: / { msgs = msgs $$0 "\n" } \

@@ -88,18 +88,31 @@ func main() {
 	fmt.Printf("stopping %s (children: %d) — orphans rejoin via their root paths...\n",
 		victim.ID(), victim.NumChildren())
 	victim.Stop()
-	time.Sleep(time.Second)
 
-	healed := 0
-	for _, srv := range cl.Servers {
-		if srv == victim {
-			continue
+	// An orphan in recovery has no parent and still holds its old root path,
+	// so a server has healed once it has a parent and its root path leads
+	// to the root. The orphans rejoin in their next round, a tick away.
+	healed := func() int {
+		ok := 0
+		for _, srv := range cl.Servers {
+			if srv == victim {
+				continue
+			}
+			if path := srv.RootPath(); path[0] == root.ID() && (srv == root || srv.ParentID() != "") {
+				ok++
+			}
 		}
-		if srv.IsRoot() || srv.ParentID() != "" {
-			healed++
-		}
+		return ok
 	}
-	fmt.Printf("hierarchy healed: %d/%d surviving servers attached\n", healed, n-1)
+	start := time.Now()
+	for healed() < n-1 && time.Since(start) < 30*time.Second {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := healed(); got < n-1 {
+		log.Fatalf("hierarchy did not heal: %d/%d surviving servers attached under %s", got, n-1, root.ID())
+	}
+	fmt.Printf("hierarchy healed in %v: %d/%d surviving servers attached under %s\n",
+		time.Since(start).Round(time.Millisecond), n-1, n-1, root.ID())
 
 	recs, stats, err = client.Resolve(root.Addr(), q)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 
 	"roads/internal/live"
@@ -14,7 +15,16 @@ import (
 // protocol has repaired the federation.
 type ChurnResult struct {
 	Series *Series
+	// RepairSteps are the steps each run took to repair the federation, by
+	// failure fraction, then by run.
+	RepairSteps []int
 }
+
+// repairSteps bounds a churn run's repair, several times what it takes:
+// heartbeatMiss (4) rounds to detect a crash, up to ten more for an orphan's
+// recovery to claim the root, and sixteen unrenewed rounds for a crashed
+// server's replicas to age out.
+const repairSteps = 100
 
 // SweepChurn measures ROADS' resiliency beyond the paper's evaluation
 // (churn handling is listed as future work in §VII; the maintenance
@@ -26,9 +36,9 @@ type ChurnResult struct {
 //     fraction of *surviving* matching records queries still find — the
 //     crashed servers refuse every query while the survivors' state is the
 //     settled one, then they are killed — and
-//  3. wait until the survivors have converged on the surviving records —
-//     orphans rejoined, crashed branches pruned, their replicas aged out —
-//     and measure recall again. It must be 1.0.
+//  3. step the survivors until they have converged on the surviving
+//     records — orphans rejoined, crashed branches pruned, their replicas
+//     aged out — and measure recall again. It must be 1.0.
 //
 // A crashed server's contact fails at once and the client fails over to the
 // alternates its redirect named (the crashed server's children), so stale
@@ -45,11 +55,11 @@ func SweepChurn(opt Options, failFracs []float64) (*ChurnResult, error) {
 
 	n := opt.Runs
 	stale, repaired := make([]float64, len(failFracs)*n), make([]float64, len(failFracs)*n)
+	steps := make([]int, len(stale))
 	errs := make([]error, len(stale))
-	// A run mostly waits for real timers to detect the crashes and age the
-	// replicas out, so the runs wait side by side.
+	// The runs share nothing, so they run side by side.
 	inFlight(len(stale), opt.Nodes, func(i int) {
-		stale[i], repaired[i], errs[i] = churnRun(opt, opt.Seed+int64(i%n), failFracs[i/n])
+		stale[i], repaired[i], steps[i], errs[i] = churnRun(opt, opt.Seed+int64(i%n), failFracs[i/n])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -61,12 +71,12 @@ func SweepChurn(opt Options, failFracs []float64) (*ChurnResult, error) {
 			"surviving data":     1 - frac,
 		})
 	}
-	return &ChurnResult{Series: s}, nil
+	return &ChurnResult{Series: s, RepairSteps: steps}, nil
 }
 
 // churnRun crashes frac of one seeded federation's servers and returns the
-// stale and the post-repair recall.
-func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, err error) {
+// stale and the post-repair recall and the steps the repair took.
+func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, steps int, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	w, err := workload.Generate(workload.Config{
 		Nodes:          opt.Nodes,
@@ -75,15 +85,15 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 		WindowLen:      opt.WindowLen,
 	}, rng)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	space, err := newSpace(opt.Nodes, opt.MeanLatency, rng)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	f, err := buildROADS(w, space, opt.point(seed))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer f.stop()
 
@@ -97,7 +107,7 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 	}
 	queries, err := w.GenQueries(opt.Queries, opt.Dims, opt.QueryRange, rng)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	starts := make([]int, len(queries))
 	for i := range starts {
@@ -146,13 +156,8 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 	}
 	f.m.setDown(down)
 	if stale, err = recall(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	// Repair runs on the loops: a recovery backs off on real timers. They
-	// start only now, so the stale queries read exactly the state the build
-	// settled on, however loaded the host.
-	f.cl.Run()
-
 	survivors := make([]*live.Server, 0, opt.Nodes-failCount)
 	surviving := 0
 	for i, srv := range f.cl.Servers {
@@ -164,11 +169,27 @@ func churnRun(opt Options, seed int64, frac float64) (stale, repaired float64, e
 		surviving += len(w.PerNode[i])
 	}
 	f.cl.Servers = survivors
-	if err := f.cl.WaitConverged(uint64(surviving), convergeTimeout); err != nil {
-		return 0, 0, err
+	// The repair is stepped: the survivors detect the crashes, rejoin and
+	// age the crashed servers' replicas out in their own periodic rounds.
+	for ; !coversAll(survivors, uint64(surviving)); steps++ {
+		if steps == repairSteps {
+			return 0, 0, 0, fmt.Errorf("experiment: churn survivors do not cover the %d surviving records after %d steps",
+				surviving, repairSteps)
+		}
+		f.cl.Step()
 	}
 	if repaired, err = recall(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return stale, repaired, nil
+	return stale, repaired, steps, nil
+}
+
+// coversAll reports whether every server routes to exactly total records.
+func coversAll(servers []*live.Server, total uint64) bool {
+	for _, srv := range servers {
+		if srv.CoveredRecords() != total {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -240,24 +241,33 @@ func TestSeriesFormat(t *testing.T) {
 }
 
 // TestSweepChurn runs the sweep with the default query count: stale recall is
-// read before any crash can be detected however long the queries take, so
-// it is the same in every run of a seed.
+// read before any crash can be detected however long the queries take, and
+// the repair is stepped, so stale recall, post-repair recall and the steps
+// the repair took are the same in every run of a seed.
 func TestSweepChurn(t *testing.T) {
 	t.Parallel()
 	o := tiny()
 	o.Queries = Default().Queries
 	var s *Series
+	var steps []int
 	for run := 0; run < 2; run++ {
 		res, err := SweepChurn(o, []float64{0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s != nil && res.Series.Y["stale recall"][0] != s.Y["stale recall"][0] {
-			t.Fatalf("two runs of one seed give stale recall %g and %g",
-				s.Y["stale recall"][0], res.Series.Y["stale recall"][0])
+		if s != nil {
+			for _, col := range []string{"stale recall", "post-repair recall"} {
+				if res.Series.Y[col][0] != s.Y[col][0] {
+					t.Fatalf("two runs of one seed give %s %g and %g", col, s.Y[col][0], res.Series.Y[col][0])
+				}
+			}
+			if !slices.Equal(res.RepairSteps, steps) {
+				t.Fatalf("two runs of one seed repaired in %v and %v steps", steps, res.RepairSteps)
+			}
 		}
-		s = res.Series
+		s, steps = res.Series, res.RepairSteps
 	}
+	t.Logf("repaired in %v steps", steps)
 	stale := s.Y["stale recall"][0]
 	repaired := s.Y["post-repair recall"][0]
 	if repaired != 1.0 {

@@ -21,16 +21,8 @@ import (
 	"roads/internal/workload"
 )
 
-const (
-	// tick is the aggregation period of a federation's loops, which run only
-	// for the churn sweep's repair: builds are stepped.
-	tick = 50 * time.Millisecond
-	// convergeTimeout bounds the churn sweep's wait for the survivors to
-	// repair the federation.
-	convergeTimeout = 2 * time.Minute
-	// processingDelay is the latency model's per-hop evaluation time.
-	processingDelay = 2 * time.Millisecond
-)
+// processingDelay is the latency model's per-hop evaluation time.
+const processingDelay = 2 * time.Millisecond
 
 // kinds sizes the per-kind byte counters.
 const kinds = int(wire.KindRootProbeReply) + 1
@@ -179,7 +171,6 @@ func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*fe
 		Summary:                  summary.Config{Buckets: cfg.buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet},
 		MaxChildren:              cfg.degree,
 		JoinVia:                  func(i int) int { return parents[i] },
-		Tick:                     tick,
 		DisableAdaptiveSummaries: true,
 	})
 	if err != nil {

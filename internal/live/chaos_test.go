@@ -58,10 +58,19 @@ func startChaosCluster(t *testing.T, n, maxChildren int, seed int64) (*Cluster, 
 	return cl, f
 }
 
-// attachChaosOwners gives every server except skipIdx (use -1 for none)
-// recsPer records and waits for convergence. All records match the query
-// from matchAllQuery.
+// attachChaosOwners gives a running cluster's servers their records
+// (chaosOwners) and waits for convergence.
 func attachChaosOwners(t *testing.T, cl *Cluster, recsPer, skipIdx int) {
+	t.Helper()
+	if err := cl.WaitConverged(chaosOwners(t, cl, recsPer, skipIdx), convergeTimeout); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chaosOwners gives every server except skipIdx (use -1 for none) recsPer
+// records and returns the total. All records match the query from
+// matchAllQuery.
+func chaosOwners(t *testing.T, cl *Cluster, recsPer, skipIdx int) uint64 {
 	t.Helper()
 	total := 0
 	for i := range cl.Servers {
@@ -82,9 +91,7 @@ func attachChaosOwners(t *testing.T, cl *Cluster, recsPer, skipIdx int) {
 		}
 		total += recsPer
 	}
-	if err := cl.WaitConverged(uint64(total), convergeTimeout); err != nil {
-		t.Fatal(err)
-	}
+	return uint64(total)
 }
 
 func matchAllQuery() *query.Query {

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/rand"
 	"testing"
-	"time"
 
 	"roads/internal/policy"
 	"roads/internal/query"
@@ -199,7 +198,10 @@ func TestKillIdempotent(t *testing.T) {
 
 // TestRootCrashElection kills the root abruptly: its children must detect
 // the death via missed reports and elect the smallest-ID child as the
-// new root (paper §III-A), with everyone else reattaching under it.
+// new root (paper §III-A), with everyone else reattaching under it. On a
+// stepped federation the winner claims at exactly step heartbeatMiss, in the
+// round whose report found the parent dead for the heartbeatMiss-th time, and
+// everyone is attached one step later at the latest.
 func TestRootCrashElection(t *testing.T) {
 	cl, w := startWorkloadCluster(t, 7, 8, 52)
 	oldRoot := cl.Root()
@@ -207,71 +209,167 @@ func TestRootCrashElection(t *testing.T) {
 		t.Fatal("no root")
 	}
 	// The expected winner is the smallest-ID child of the root.
-	oldRoot.mu.Lock()
-	wantWinner := ""
-	for id := range oldRoot.children {
-		if wantWinner == "" || id < wantWinner {
-			wantWinner = id
+	var winner *Server
+	for _, srv := range cl.Servers {
+		if srv.ParentID() == oldRoot.ID() && (winner == nil || srv.ID() < winner.ID()) {
+			winner = srv
 		}
 	}
-	oldRoot.mu.Unlock()
-	if wantWinner == "" {
+	if winner == nil {
 		t.Skip("root has no children")
 	}
-	cl.Run() // detection and election run on real timers
+	wantWinner := winner.ID()
 	oldRoot.Kill()
 
-	// Wait for a single new root to emerge and everyone to reattach.
-	deadline := time.Now().Add(90 * time.Second)
-	for time.Now().Before(deadline) {
-		var roots []*Server
-		attached := 0
+	survivors := func() (roots []string, attached int) {
 		for _, srv := range cl.Servers {
-			if srv == oldRoot {
-				continue
-			}
-			if srv.IsRoot() {
-				roots = append(roots, srv)
-			} else if srv.ParentID() != "" {
+			switch {
+			case srv == oldRoot:
+			case srv.IsRoot():
+				roots = append(roots, srv.ID())
+			default:
 				attached++
 			}
 		}
-		if len(roots) == 1 && roots[0].ID() == wantWinner && attached == len(cl.Servers)-2 {
-			// Converged: verify queries still resolve over survivors.
-			client := NewClient(cl.Tr, "t")
-			q := query.New("q", query.NewRange("a0", 0, 1))
-			if err := q.Bind(w.Schema); err != nil {
-				t.Fatal(err)
-			}
-			// Give aggregation a few ticks to re-cover the survivors.
-			qDeadline := time.Now().Add(60 * time.Second)
-			want := 0
-			for i, recs := range w.PerNode {
-				if cl.Servers[i] == oldRoot {
-					continue
-				}
-				for _, r := range recs {
-					if q.MatchRecord(r) {
-						want++
-					}
-				}
-			}
-			for time.Now().Before(qDeadline) {
-				recs, _, err := client.Resolve(roots[0].Addr(), q.Clone())
-				if err == nil && len(recs) >= want {
-					return
-				}
-				time.Sleep(25 * time.Millisecond)
-			}
-			t.Fatal("queries incomplete after root election")
-		}
-		time.Sleep(25 * time.Millisecond)
+		return roots, attached
 	}
-	for _, srv := range cl.Servers {
-		if srv == oldRoot {
+	for step := 1; step <= heartbeatMiss; step++ {
+		cl.Step()
+		roots, _ := survivors()
+		if step < heartbeatMiss && len(roots) != 0 {
+			t.Fatalf("step %d: %v claim the root role before the crash can be detected", step, roots)
+		}
+		if step == heartbeatMiss && (len(roots) != 1 || roots[0] != wantWinner) {
+			t.Fatalf("step %d = heartbeatMiss: roots %v; want only %s", step, roots, wantWinner)
+		}
+	}
+	if _, attached := survivors(); attached != len(cl.Servers)-2 {
+		cl.Step()
+	}
+	if roots, attached := survivors(); len(roots) != 1 || roots[0] != wantWinner || attached != len(cl.Servers)-2 {
+		for _, srv := range cl.Servers {
+			t.Logf("state: %s isroot=%v parent=%q", srv.ID(), srv.IsRoot(), srv.ParentID())
+		}
+		t.Fatalf("step %d: roots %v and %d attached; want %s alone and %d attached",
+			heartbeatMiss+1, roots, attached, wantWinner, len(cl.Servers)-2)
+	}
+
+	// Queries resolve over the survivors once the tree has re-covered them.
+	client := NewClient(cl.Tr, "t")
+	q := query.New("q", query.NewRange("a0", 0, 1))
+	if err := q.Bind(w.Schema); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i, recs := range w.PerNode {
+		if cl.Servers[i] == oldRoot {
 			continue
 		}
-		t.Logf("state: %s isroot=%v parent=%q", srv.ID(), srv.IsRoot(), srv.ParentID())
+		for _, r := range recs {
+			if q.MatchRecord(r) {
+				want++
+			}
+		}
 	}
-	t.Fatalf("no stable new root emerged (want %s)", wantWinner)
+	for step := 0; ; step++ {
+		recs, _, err := client.Resolve(winner.Addr(), q.Clone())
+		if err == nil && len(recs) >= want {
+			return
+		}
+		if step == settleSteps {
+			t.Fatalf("queries incomplete %d steps after the root election: %d of %d records, err %v", step, len(recs), want, err)
+		}
+		cl.Step()
+	}
+}
+
+// claimStep is the step at which a recovery on a stepped federation claims
+// the root role at the latest: heartbeatMiss steps detect the dead parent and
+// make the first attempt, and the failed attempts wait 1, 2, 3 and 4 rounds
+// before the attempt at recoveryClaimRounds claims.
+const claimStep = heartbeatMiss + 1 + 2 + 3 + 4
+
+// TestSteppedRecoveryIsCountedInRounds: a recovery advances one attempt per
+// periodic round, so a stepped federation rejoins, elects and claims at
+// steps that follow from the round counts alone. In the tree 0←1,2; 1←3,4;
+// 2←5,6 with 0 and 1 crashed, every orphan drops its parent at step
+// heartbeatMiss. The orphans of the dead interior server 1 retry their dead
+// grandparent for recoveryEscalateRounds attempts (steps heartbeatMiss and
+// heartbeatMiss+1), then elect at heartbeatMiss+1+2: 3 claims and 4 joins
+// it. The root's orphan 2, whose only smaller sibling is dead, claims at
+// claimStep. Two builds of one seed give the same steps.
+func TestSteppedRecoveryIsCountedInRounds(t *testing.T) {
+	const servers = 7
+	type outcome struct {
+		dropped, elected map[string]int // step each orphan lost its parent, claimed the root or joined a sibling
+		retries          map[string]uint64
+	}
+	run := func() outcome {
+		w := workload.MustGenerate(workload.Config{Nodes: servers, RecordsPerNode: 3, AttrsPerDist: 2},
+			rand.New(rand.NewSource(57)))
+		cl, err := NewCluster(transport.NewChan(), ClusterConfig{N: servers, Schema: w.Schema, MaxChildren: 2,
+			JoinVia: func(i int) int { return (i - 1) / 2 }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Stop()
+		for i := range cl.Servers {
+			o := policy.NewOwner(fmt.Sprintf("owner%d", i), w.Schema, nil)
+			o.SetRecords(w.PerNode[i])
+			if err := cl.AttachOwner(i, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settle(t, cl, servers*3)
+		srv := cl.Servers
+		srv[0].Kill()
+		srv[1].Kill()
+
+		orphans := []*Server{srv[2], srv[3], srv[4]}
+		out := outcome{dropped: map[string]int{}, elected: map[string]int{}, retries: map[string]uint64{}}
+		recovered := map[string]func() bool{
+			"srv002": func() bool { return srv[2].Membership().Elections == 1 },
+			"srv003": func() bool { return srv[3].Membership().Elections == 1 },
+			"srv004": func() bool { return srv[4].ParentID() == "srv003" },
+		}
+		for step := 1; step <= claimStep+1; step++ {
+			cl.Step()
+			for _, o := range orphans {
+				if _, ok := out.dropped[o.ID()]; !ok && o.ParentID() == "" {
+					out.dropped[o.ID()] = step
+				}
+				if _, ok := out.elected[o.ID()]; !ok && recovered[o.ID()]() {
+					out.elected[o.ID()] = step
+				}
+			}
+		}
+		for _, o := range orphans {
+			out.retries[o.ID()] = o.Membership().OrphanRetries
+		}
+		for _, kept := range []*Server{srv[5], srv[6]} {
+			if kept.ParentID() != "srv002" || kept.Membership().OrphanRetries != 0 {
+				t.Errorf("%s under %q with %d retries; its parent srv002 never died", kept.ID(), kept.ParentID(), kept.Membership().OrphanRetries)
+			}
+		}
+		return out
+	}
+	first := run()
+	t.Logf("dropped %v, elected %v, retries %v", first.dropped, first.elected, first.retries)
+	for _, id := range []string{"srv002", "srv003", "srv004"} {
+		if first.dropped[id] != heartbeatMiss {
+			t.Errorf("%s dropped its dead parent at step %d; want heartbeatMiss = %d", id, first.dropped[id], heartbeatMiss)
+		}
+	}
+	wantElected := map[string]int{"srv003": heartbeatMiss + 1 + 2, "srv004": heartbeatMiss + 1 + 2, "srv002": claimStep}
+	wantRetries := map[string]uint64{"srv003": 2, "srv004": 2, "srv002": recoveryClaimRounds}
+	if !maps.Equal(first.elected, wantElected) {
+		t.Errorf("recovered at steps %v; want %v", first.elected, wantElected)
+	}
+	if !maps.Equal(first.retries, wantRetries) {
+		t.Errorf("orphan retries %v; want %v", first.retries, wantRetries)
+	}
+	if second := run(); !maps.Equal(first.dropped, second.dropped) || !maps.Equal(first.elected, second.elected) ||
+		!maps.Equal(first.retries, second.retries) {
+		t.Errorf("two builds of one seed recovered differently: %+v vs %+v", first, second)
+	}
 }

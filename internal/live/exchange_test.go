@@ -189,8 +189,9 @@ func waitGoroutines(t *testing.T, want int, when string) {
 }
 
 // TestClusterStopLeavesNoGoroutines: a server at rest is one loop goroutine —
-// its periodic rounds also probe for split brains — and Kill and Stop take it
-// down.
+// its periodic rounds also probe for split brains and advance a recovery —
+// and Kill and Stop take it down. Orphans whose recovery waits for their next
+// round, an hour away, hold no goroutine either.
 func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 	const servers = 16
 	base := settledGoroutines()
@@ -204,6 +205,34 @@ func TestClusterStopLeavesNoGoroutines(t *testing.T) {
 	waitGoroutines(t, base+servers, "16 servers at rest")
 	cl.Servers[servers-1].Kill()
 	waitGoroutines(t, base+servers-1, "after killing one server")
+
+	// The root dies unnoticed, then an interior server leaves: its orphans
+	// plan a recovery whose grandparent is dead.
+	root := cl.Root()
+	var interior *Server
+	for _, srv := range cl.Servers[:servers-1] {
+		if srv != root && srv.NumChildren() > 0 {
+			interior = srv
+			break
+		}
+	}
+	if interior == nil {
+		t.Fatal("no interior server below the root")
+	}
+	var orphans []*Server
+	for _, srv := range cl.Servers[:servers-1] {
+		if srv.ParentID() == interior.ID() {
+			orphans = append(orphans, srv)
+		}
+	}
+	root.Kill()
+	interior.Stop()
+	for _, o := range orphans {
+		if o.ParentID() != "" || o.Membership().Elections != 0 {
+			t.Fatalf("%s is not waiting to recover: parent %q", o.ID(), o.ParentID())
+		}
+	}
+	waitGoroutines(t, base+servers-3, "with orphans waiting to recover")
 	cl.Stop()
 	waitGoroutines(t, base, "after Cluster.Stop")
 }

@@ -631,19 +631,13 @@ func (s *Server) handleLeave(msg *wire.Message) *wire.Message {
 	}
 	delete(s.children, msg.From)
 	delete(s.replicas, msg.From)
-	var plan *rejoinPlan
 	if msg.From == s.parentID && s.tx == txNone {
-		// Capture the recovery plan now, under the lock, before any other
-		// loop can disturb the root path or parent state.
-		plan = s.planRejoinLocked()
+		// Capture the recovery plan now, under the lock, before anything
+		// can disturb the root path or parent state. A handler makes no
+		// outgoing calls: the next periodic round makes the first attempt.
+		s.planRejoinLocked()
 	}
 	s.publishSnapshotLocked()
 	s.mu.Unlock()
-	if plan != nil {
-		// Execute on a tracked goroutine: the handler must not block on
-		// outgoing calls, and an untracked goroutine could outlive
-		// shutdown's Wait.
-		s.spawnRecovery(plan)
-	}
 	return s.ack()
 }

@@ -114,6 +114,9 @@ func (s *Server) round(early bool) time.Duration {
 	}
 	s.refresh(early)
 	s.report(early)
+	if !early {
+		s.executeRecovery(now)
+	}
 	s.pushReplicas()
 	if !early {
 		s.pruneDeadChildren(now)
@@ -790,44 +793,50 @@ func (s *Server) heldAncestryLocked() uint64 {
 }
 
 // noteParentMiss counts one failed or refused exchange with the parent at
-// parentAddr and, at heartbeatMiss of them in a row, gives the parent up.
+// parentAddr and, at heartbeatMiss of them in a row, gives the parent up: the
+// recovery's first attempt runs later in the same round.
 func (s *Server) noteParentMiss(parentAddr string) {
 	s.mu.Lock()
-	var plan *rejoinPlan
+	defer s.mu.Unlock()
 	if s.parentAddr == parentAddr { // else it was replaced mid-flight, and the miss is not the new one's
 		s.parentMisses++
 		if s.parentMisses >= heartbeatMiss && s.tx == txNone {
-			plan = s.planRejoinLocked()
+			s.planRejoinLocked()
 		}
-	}
-	s.mu.Unlock()
-	if plan != nil {
-		s.spawnRecovery(plan)
 	}
 }
 
 // rejoinPlan captures, at the moment a parent failure is detected, the
-// state a recovery needs: which parent died, the surviving ancestry, and
-// the sibling list for root election. It is captured under the lock the
-// failure was detected under, so it is the ancestry the dead parent last
-// stated: an orphan planning from any other path elects itself root
-// (hierarchy split).
+// state a recovery needs: the surviving ancestry and the election order. It
+// is captured under the lock the failure was detected under, so it is the
+// ancestry the dead parent last stated: an orphan planning from any other
+// path elects itself root (hierarchy split). attempt counts the attempts made
+// so far, and due is the periodic round the next may run in; only the
+// server's rounds touch them.
 type rejoinPlan struct {
-	deadID        string
 	ancestors     []string // addresses, nearest (grandparent) first
 	parentWasRoot bool
-	siblings      []wire.RedirectInfo
+	// smaller are the dead parent's other children with IDs smaller than
+	// ours, smallest first: the election's join targets (edges toward
+	// smaller IDs cannot form adoption cycles).
+	smaller []wire.RedirectInfo
+	attempt int
+	due     uint64
 }
 
-// planRejoinLocked builds the plan, begins the recovery transaction, bumps
-// the membership epoch (fencing everything still loyal to the dead
-// parent's regime), and clears the dead parent. Callers hold s.mu and must
-// have checked s.tx == txNone.
-func (s *Server) planRejoinLocked() *rejoinPlan {
-	p := &rejoinPlan{
-		deadID:   s.parentID,
-		siblings: append([]wire.RedirectInfo(nil), s.siblingsOfMe...),
+// planRejoinLocked stores the plan, begins the recovery transaction, bumps
+// the membership epoch (fencing everything still loyal to the dead parent's
+// regime), and clears the dead parent. The next periodic round makes the
+// first attempt — the current one, when the round's own report detected the
+// loss. Callers hold s.mu and must have checked s.tx == txNone.
+func (s *Server) planRejoinLocked() {
+	p := &rejoinPlan{}
+	for _, sib := range s.siblingsOfMe {
+		if sib.ID != s.parentID && sib.ID < s.cfg.ID {
+			p.smaller = append(p.smaller, sib)
+		}
 	}
+	sort.Slice(p.smaller, func(i, j int) bool { return p.smaller[i].ID < p.smaller[j].ID })
 	// The root path is [root ... grandparent parent self]; the dead
 	// parent was the root exactly when nothing sits above it.
 	path := s.rootPath
@@ -838,7 +847,7 @@ func (s *Server) planRejoinLocked() *rejoinPlan {
 	}
 	// The dying ancestry is exactly what split-brain probing needs later.
 	s.rememberPathLocked()
-	s.tx = txRecovery
+	s.tx, s.recovery = txRecovery, p
 	s.epoch.Add(1)
 	s.parentID = ""
 	s.parentAddr = ""
@@ -848,5 +857,4 @@ func (s *Server) planRejoinLocked() *rejoinPlan {
 	s.parentEpoch = 0
 	s.publishSnapshotLocked()
 	s.mx.parentFailovers.Inc()
-	return p
 }

@@ -17,7 +17,6 @@ package live
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"roads/internal/wire"
 )
@@ -32,7 +31,7 @@ const (
 	// txNone: no structural mutation in flight.
 	txNone txKind = iota
 	// txRecovery: a parent loss is being recovered (ancestor rejoin or
-	// root election), see executeRecovery.
+	// root election), one attempt per periodic round, see executeRecovery.
 	txRecovery
 	// txMerge: this (losing) root is joining a winning foreign root.
 	txMerge
@@ -110,38 +109,6 @@ func (s *Server) endTx(k txKind) {
 		s.tx = txNone
 	}
 	s.mu.Unlock()
-}
-
-// goTracked runs fn on a waitgroup-tracked goroutine, refusing (false)
-// when the server has stopped. The Add happens under s.mu — the same lock
-// shutdown flips started under — so the goroutine can never Add after
-// shutdown's Wait began.
-func (s *Server) goTracked(fn func()) bool {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return false
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		fn()
-	}()
-	return true
-}
-
-// sleepInterruptible sleeps for d or until the server stops; it reports
-// whether the full sleep elapsed (false = stopping, abandon the work).
-func (s *Server) sleepInterruptible(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-s.stop:
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // rememberLocked records one server in the ancestry memory that seeds
@@ -330,95 +297,75 @@ func (s *Server) executeMerge(addr string) {
 
 // --- Recovery (parent loss) ---
 
-// spawnRecovery runs executeRecovery on a tracked goroutine; if the
-// server is already stopping, the transaction is released so nothing
-// stays wedged.
-func (s *Server) spawnRecovery(p *rejoinPlan) {
-	if !s.goTracked(func() { s.executeRecovery(p) }) {
-		s.endTx(txRecovery)
+// executeRecovery advances the recovery in flight, if any, in the periodic
+// round now: once its backoff has run out it makes one attempt (tryRecovery).
+// A successful attempt ends the recovery. A failed one counts a retry and
+// waits min(attempt, 4) rounds before the next — enough for a briefly-slow
+// ancestor to answer, without turning a long outage into many rounds between
+// attempts. The recovery never gives up, and no goroutine or timer drives it:
+// the server's own rounds do, so a stepped federation recovers by stepping.
+func (s *Server) executeRecovery(now uint64) {
+	s.mu.Lock()
+	p := s.recovery
+	s.mu.Unlock()
+	if p == nil || now < p.due {
+		return
 	}
+	if s.tryRecovery(p) {
+		s.mu.Lock()
+		s.recovery, s.tx = nil, txNone
+		s.mu.Unlock()
+		return
+	}
+	p.attempt++
+	p.due = now + uint64(min(p.attempt, 4))
+	s.mx.orphanRetries.Inc()
 }
 
-// recoveryBackoff is the inter-round backoff of the standing recovery
-// loop: one maintenance period per elapsed round, capped at four — enough
-// for a briefly-slow ancestor to answer, without turning a long outage
-// into minutes between attempts.
-func (s *Server) recoveryBackoff(round int) time.Duration {
-	n := round
-	if n > 4 {
-		n = 4
-	}
-	return time.Duration(n) * s.cfg.AggregateEvery
-}
-
-// executeRecovery is the standing recovery loop for one parent loss. It
-// never gives up into a silent accidental root (the dangling-orphan bug):
-// each round retries the surviving ancestors nearest-first, then — when
-// the dead parent was the root, or the whole ancestor chain stayed
-// unreachable long enough to escalate — runs the paper's §III-A election
-// (smallest sibling ID wins; losers join the winner, falling back to any
-// smaller-ID sibling so a chain of claims converges without join cycles).
-// Only after the election path is exhausted for recoveryClaimRounds does
-// the server claim the root role itself; a wrong claim is detected and
-// folded back by the split-brain merge protocol.
-func (s *Server) executeRecovery(p *rejoinPlan) {
-	defer s.endTx(txRecovery)
-
-	// Election order: the dead parent's other children, smallest ID
-	// first; only siblings with IDs smaller than ours are join targets
-	// (edges toward smaller IDs cannot form adoption cycles).
-	smaller := make([]wire.RedirectInfo, 0, len(p.siblings))
-	for _, sib := range p.siblings {
-		if sib.ID != p.deadID && sib.ID < s.cfg.ID {
-			smaller = append(smaller, sib)
+// tryRecovery makes one recovery attempt and reports whether the server has
+// a parent again or is the root. It never gives up into a silent accidental
+// root (the dangling-orphan bug): each attempt retries the surviving
+// ancestors nearest-first, then — when the dead parent was the root, or the
+// whole ancestor chain stayed unreachable for recoveryEscalateRounds attempts
+// — runs the paper's §III-A election (smallest sibling ID wins; losers join
+// the winner, falling back to any smaller-ID sibling so a chain of claims
+// converges without join cycles). Only after the election path is exhausted
+// for recoveryClaimRounds attempts does the server claim the root role
+// itself; a wrong claim is detected and folded back by the split-brain merge
+// protocol.
+func (s *Server) tryRecovery(p *rejoinPlan) bool {
+	// Surviving ancestors, nearest (grandparent) first — the true root is
+	// among them, and rejoining it never splits the tree.
+	for _, addr := range p.ancestors {
+		if s.Join(addr) == nil {
+			return true
 		}
 	}
-	sort.Slice(smaller, func(i, j int) bool { return smaller[i].ID < smaller[j].ID })
-
-	for round := 0; ; round++ {
-		if round > 0 {
-			s.mx.orphanRetries.Inc()
-			if !s.sleepInterruptible(s.recoveryBackoff(round)) {
-				return // server stopping
-			}
-		}
-		// Surviving ancestors, nearest (grandparent) first — the true
-		// root is among them, and rejoining it never splits the tree.
-		for _, addr := range p.ancestors {
-			if s.Join(addr) == nil {
-				return
-			}
-		}
-		if !p.parentWasRoot && round < recoveryEscalateRounds {
-			continue // give the ancestor chain time before electing
-		}
-		// Election (paper §III-A): smallest ID among the ex-siblings
-		// including us.
-		if len(smaller) == 0 {
-			// We are the election winner (or have no siblings at all):
-			// claim the root role; the ex-siblings will join us.
-			s.becomeRoot()
-			return
-		}
-		joined := false
-		for _, sib := range smaller {
-			if s.Join(sib.Addr) == nil {
-				joined = true
-				break
-			}
-		}
-		if joined {
-			return
-		}
-		if round >= recoveryClaimRounds {
-			// Winner and every smaller sibling stayed unreachable through
-			// the whole backoff schedule: claim the root role rather than
-			// dangle. If any of them is alive behind a partition, the
-			// merge protocol reunifies the trees when it heals.
-			s.becomeRoot()
-			return
+	if !p.parentWasRoot && p.attempt < recoveryEscalateRounds {
+		return false // give the ancestor chain time before electing
+	}
+	// Election (paper §III-A): smallest ID among the ex-siblings including
+	// us.
+	if len(p.smaller) == 0 {
+		// We are the election winner (or have no siblings at all): claim
+		// the root role; the ex-siblings will join us.
+		s.becomeRoot()
+		return true
+	}
+	for _, sib := range p.smaller {
+		if s.Join(sib.Addr) == nil {
+			return true
 		}
 	}
+	if p.attempt >= recoveryClaimRounds {
+		// Winner and every smaller sibling stayed unreachable through the
+		// whole backoff schedule: claim the root role rather than dangle. If
+		// any of them is alive behind a partition, the merge protocol
+		// reunifies the trees when it heals.
+		s.becomeRoot()
+		return true
+	}
+	return false
 }
 
 // becomeRoot assumes the root role after an election or an exhausted
@@ -455,8 +402,8 @@ type MembershipInfo struct {
 	Merges uint64
 	// Probes counts root probes sent.
 	Probes uint64
-	// OrphanRetries counts recovery rounds retried after every candidate
-	// parent failed.
+	// OrphanRetries counts failed recovery attempts, each retried a few
+	// periodic rounds later.
 	OrphanRetries uint64
 	// EpochRegressions counts attempts to move a recorded relationship
 	// epoch backward that passed the fences — the invariant is that this

@@ -273,14 +273,11 @@ func TestParentDeclaredDeadAfterExactMisses(t *testing.T) {
 	if got := c.mx.parentFailovers.Load(); got != 1 {
 		t.Fatalf("parent failovers = %d after %d consecutive failed reports; want 1", got, miss)
 	}
-	// The orphan has no ancestors and no siblings, so the recovery claims
-	// the root role promptly.
-	deadline := time.Now().Add(convergeTimeout)
-	for !c.IsRoot() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !c.IsRoot() {
-		t.Fatal("orphan with no ancestors or siblings never claimed the root role")
+	// The orphan has no ancestors and no siblings, so the first attempt of
+	// its recovery, in its next periodic round, claims the root role.
+	c.round(false)
+	if !c.IsRoot() || c.Membership().Elections != 1 {
+		t.Fatal("orphan with no ancestors or siblings did not claim the root role in its next round")
 	}
 	// A recovered (parentless) server has nobody to miss.
 	c.reportToParent()
@@ -391,12 +388,14 @@ func TestReportAckFromReplacedParentDiscarded(t *testing.T) {
 
 // --- chaos: split-brain, elections, merges ---
 
-// startMembershipCluster is startChaosCluster plus a config mutator, for
-// chaos scenarios that need merge seeds or other membership knobs.
+// startMembershipCluster is startChaosCluster stepped (NewCluster: no loop
+// runs, the test drives every round) plus a config mutator, for chaos
+// scenarios that need merge seeds or other membership knobs.
 func startMembershipCluster(t *testing.T, n, maxChildren int, seed int64, mut func(*ClusterConfig)) (*Cluster, *transport.Faulty) {
 	t.Helper()
 	leakCheck(t)
 	f := transport.NewFaulty(transport.NewChan(), seed)
+	// A dropped call holds the stepping goroutine for MaxBlackhole.
 	f.MaxBlackhole = 5 * time.Millisecond
 	cfg := ClusterConfig{
 		N:           n,
@@ -406,7 +405,7 @@ func startMembershipCluster(t *testing.T, n, maxChildren int, seed int64, mut fu
 	if mut != nil {
 		mut(&cfg)
 	}
-	cl, err := StartCluster(f, cfg)
+	cl, err := NewCluster(f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,52 +413,49 @@ func startMembershipCluster(t *testing.T, n, maxChildren int, seed int64, mut fu
 	return cl, f
 }
 
-// awaitRootCount polls until exactly want servers (outside skip) claim the
-// root role.
+// awaitSteps bounds the step-until helpers, five times the slowest wait they
+// serve: one side of a partition forgets the other within heartbeatMiss +
+// replicaRounds steps, and a merge takes a few probe rounds, mergeProbeTicks
+// steps apart.
+const awaitSteps = 100
+
+// awaitRootCount steps cl until exactly want servers (outside skip) claim the
+// root role, and fails after awaitSteps steps.
 func awaitRootCount(t *testing.T, cl *Cluster, skip map[int]bool, want int, what string) []*Server {
 	t.Helper()
-	deadline := time.Now().Add(convergeTimeout)
-	var roots []*Server
-	for time.Now().Before(deadline) {
-		roots = aliveRoots(cl, skip)
-		if len(roots) == want {
-			return roots
+	roots := aliveRoots(cl, skip)
+	for step := 1; len(roots) != want; step++ {
+		if step > awaitSteps {
+			ids := make([]string, len(roots))
+			for i, r := range roots {
+				ids[i] = r.ID()
+			}
+			t.Fatalf("%s: %d roots %v after %d steps, want %d", what, len(roots), ids, awaitSteps, want)
 		}
-		time.Sleep(20 * time.Millisecond)
+		cl.Step()
+		roots = aliveRoots(cl, skip)
 	}
-	ids := make([]string, len(roots))
-	for i, r := range roots {
-		ids[i] = r.ID()
-	}
-	t.Fatalf("%s: %d roots %v, want %d", what, len(roots), ids, want)
-	return nil
+	return roots
 }
 
-// awaitCoverage polls until every server outside skip covers exactly
-// total records.
+// awaitCoverage steps cl until every server outside skip covers exactly total
+// records, and fails after awaitSteps steps.
 func awaitCoverage(t *testing.T, cl *Cluster, skip map[int]bool, total uint64, what string) {
 	t.Helper()
-	deadline := time.Now().Add(convergeTimeout)
-	for time.Now().Before(deadline) {
-		ok := true
+	short := func() *Server {
 		for i, srv := range cl.Servers {
-			if skip[i] {
-				continue
-			}
-			if srv.CoveredRecords() != total {
-				ok = false
-				break
+			if !skip[i] && srv.CoveredRecords() != total {
+				return srv
 			}
 		}
-		if ok {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+		return nil
 	}
-	for i, srv := range cl.Servers {
-		if !skip[i] && srv.CoveredRecords() != total {
-			t.Fatalf("%s: %s covers %d of %d records", what, srv.ID(), srv.CoveredRecords(), total)
+	for step := 1; short() != nil; step++ {
+		if step > awaitSteps {
+			srv := short()
+			t.Fatalf("%s: %s covers %d of %d records after %d steps", what, srv.ID(), srv.CoveredRecords(), total, awaitSteps)
 		}
+		cl.Step()
 	}
 }
 
@@ -510,7 +506,7 @@ func TestSteppedSplitBrainMerges(t *testing.T) {
 	}
 }
 
-// TestChaosPartitionHealMerge is the full split-brain lifecycle on a real
+// TestChaosPartitionHealMerge is the full split-brain lifecycle on a stepped
 // cluster: a root child's subtree is severed by a network partition, the
 // severed side elects its own root under a bumped epoch, and after the
 // heal the split-brain probes discover the twin root and fold the trees
@@ -540,7 +536,7 @@ func TestChaosPartitionHealMerge(t *testing.T) {
 				mut = func(cfg *ClusterConfig) { cfg.JoinVia = func(i int) int { return (i - 1) / tc.fanOut } }
 			}
 			cl, f := startMembershipCluster(t, tc.n, tc.fanOut, tc.seed, mut)
-			attachChaosOwners(t, cl, recsPer, -1)
+			settle(t, cl, chaosOwners(t, cl, recsPer, -1))
 			var merges uint64
 			for cycle := 1; cycle <= tc.cycles; cycle++ {
 				root := cl.Root()
@@ -605,9 +601,7 @@ func TestChaosPartitionHealMerge(t *testing.T) {
 				// exactly one.
 				f.ClearRules()
 				awaitRootCount(t, cl, nil, 1, fmt.Sprintf("after heal %d", cycle))
-				if err := cl.WaitConverged(uint64(tc.n*recsPer), convergeTimeout); err != nil {
-					t.Fatalf("convergence after merge %d: %v", cycle, err)
-				}
+				awaitCoverage(t, cl, nil, uint64(tc.n*recsPer), fmt.Sprintf("after merge %d", cycle))
 				sum := sumMembership(cl, nil)
 				if sum.Merges <= merges {
 					t.Fatalf("heal %d reunified the trees without a recorded merge", cycle)
@@ -679,7 +673,7 @@ func TestChaosElectionWinnerUnreachable(t *testing.T) {
 		}
 		return true
 	}
-	attachChaosOwners(t, cl, recsPer, rootIdx)
+	settle(t, cl, chaosOwners(t, cl, recsPer, rootIdx))
 	skip := map[int]bool{rootIdx: true}
 
 	// The winner goes dark first, then the root dies: every orphan's
@@ -688,16 +682,14 @@ func TestChaosElectionWinnerUnreachable(t *testing.T) {
 	root.Kill()
 
 	// The reachable survivors must converge on some root of their own
-	// rather than dangle (the winner, cut off, roots itself too).
-	deadline := time.Now().Add(convergeTimeout)
-	for time.Now().Before(deadline) {
-		if len(aliveRoots(cl, skip)) >= 2 && wroteOff() {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	// rather than dangle (the winner, cut off, roots itself too): by the step
+	// at which a recovery claims the root at the latest.
+	for step := 1; step <= claimStep && (len(aliveRoots(cl, skip)) < 2 || !wroteOff()); step++ {
+		cl.Step()
 	}
 	if roots := aliveRoots(cl, skip); len(roots) < 2 || !wroteOff() {
-		t.Fatalf("survivors never rooted around the unreachable winner: roots %d, its children done: %v", len(roots), wroteOff())
+		t.Fatalf("survivors never rooted around the unreachable winner in %d steps: roots %d, its children done: %v",
+			claimStep, len(roots), wroteOff())
 	}
 
 	// Reconnect the winner: everything merges onto the smallest claimant —
@@ -756,7 +748,7 @@ func TestChaosRootAndGrandparentDie(t *testing.T) {
 	if mid == nil {
 		t.Fatal("no interior root child; tree too shallow")
 	}
-	attachChaosOwners(t, cl, recsPer, -1)
+	settle(t, cl, chaosOwners(t, cl, recsPer, -1))
 	skip := map[int]bool{rootIdx: true, midIdx: true}
 
 	root.Kill()

@@ -95,7 +95,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		probes: reg.Counter("roads_membership_probes_total",
 			"Split-brain root probes sent to merge seeds and remembered ancestry."),
 		orphanRetries: reg.Counter("roads_orphan_retries_total",
-			"Recovery rounds retried after every candidate parent failed — the orphan keeps retrying instead of dangling as an accidental root."),
+			"Failed recovery attempts, each retried a few periodic rounds later — the orphan keeps retrying instead of dangling as an accidental root."),
 		epochRegressions: reg.Counter("roads_membership_epoch_regressions_total",
 			"Accepted relationship messages that would move a recorded membership epoch backward; the fencing invariant is that this stays zero."),
 		notModified: reg.Counter("roads_cache_not_modified_total",

@@ -33,10 +33,10 @@ type Config struct {
 	// both directions), pushes replicas to its children and ages out soft
 	// state. Soft state counts these rounds, not time: a child is dead after
 	// heartbeatMiss rounds without a report, a replica after replicaRounds
-	// unrenewed ones, and every mergeProbeTicks-th round probes for split
-	// brains. Only the recovery backoff and the cap on the gap between early
-	// rounds (half a period) are durations derived from it. Small values make
-	// tests fast; production would use minutes.
+	// unrenewed ones, a recovery waits rounds between its attempts, and every
+	// mergeProbeTicks-th round probes for split brains. Only the loop reads
+	// it: its timer and the cap on the gap between early rounds (half a
+	// period). Small values make tests fast; production would use minutes.
 	AggregateEvery time.Duration
 	// MergeSeeds are addresses this server probes for foreign roots while
 	// it is a root itself (split-brain detection), in addition to the
@@ -238,8 +238,11 @@ type Server struct {
 	// parent; at heartbeatMiss the parent is given up (noteParentMiss).
 	parentMisses int
 	// tx is the structural mutation currently in flight (recovery, merge);
-	// structural mutations are single-flight, see membership.go.
+	// structural mutations are single-flight, see membership.go. recovery
+	// is the plan of the recovery in flight (tx == txRecovery), which the
+	// periodic rounds advance (executeRecovery).
 	tx            txKind
+	recovery      *rejoinPlan
 	rootPath      []string
 	rootPathAddrs []string
 	siblingsOfMe  []wire.RedirectInfo // from report acks; root election
