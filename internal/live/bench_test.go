@@ -66,15 +66,24 @@ func benchStar(b *testing.B, children, recsPer int) (*Server, *transport.Chan) {
 	return root, tr
 }
 
-// BenchmarkPushReplicas measures one replica-propagation round from a
-// root to 16 children in the steady state: no child's set moved, so the round
-// folds the set, finds every child's digest unchanged and sends nothing (the
-// digest rides on the children's report acks). rpcs/op and wirebytes/op come
-// from the transport's own counters. The sub-benchmark keeps the name its
-// archived runs used, but those pinned it to the full-push pipeline that no
-// longer exists, so the archived numbers are not comparable with it
-// (EXPERIMENTS.md, "Archived baselines").
+// BenchmarkPushReplicas measures one replica-propagation round from a root
+// to 16 children. In batched, the steady state, no child's set moved, so the
+// round folds the set, finds every child's digest unchanged and sends nothing
+// (the digest rides on the children's report acks). The sub-benchmark keeps
+// the name its archived runs used, but those pinned it to the full-push
+// pipeline that no longer exists, so the archived numbers are not comparable
+// with it (EXPERIMENTS.md, "Archived baselines"). In moved, the root's local
+// summary changes before every round (outside the timer), so every child
+// takes a batch, over a Chan whose calls take pushRTT: the round's wall time
+// is about one round trip, the children being called at once, where calling
+// them one after another would take sixteen. rpcs/op and wirebytes/op come
+// from the transport's own counters.
 func BenchmarkPushReplicas(b *testing.B) {
+	report := func(b *testing.B, tr *transport.Chan, start transport.Stats) {
+		st := tr.Stats()
+		b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
+		b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+	}
 	b.Run("batched", func(b *testing.B) {
 		root, tr := benchStar(b, 16, 8)
 		root.pushReplicas() // warm up: children take and ack the full state once
@@ -85,9 +94,34 @@ func BenchmarkPushReplicas(b *testing.B) {
 			root.pushReplicas()
 		}
 		b.StopTimer()
-		st := tr.Stats()
-		b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
-		b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+		report(b, tr, start)
+	})
+	b.Run("moved", func(b *testing.B) {
+		const pushRTT = time.Millisecond
+		root, tr := benchStar(b, 16, 8)
+		root.pushReplicas()
+		// No call is in flight, and every later one starts after this write.
+		tr.Latency = func(string, string) time.Duration { return pushRTT / 2 }
+		o := ownerOf(root)
+		moved := o.Records()[0].Clone()
+		moved.ID = "moved"
+		start := tr.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if i%2 == 0 {
+				o.AddRecords(moved)
+			} else {
+				o.RemoveRecords(moved.ID)
+			}
+			root.refreshSummaries()
+			b.StartTimer()
+			root.pushReplicas()
+		}
+		b.StopTimer()
+		report(b, tr, start)
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(pushRTT), "rtts/op")
 	})
 }
 
@@ -146,9 +180,11 @@ func BenchmarkHandleQuery(b *testing.B) {
 // benchMidTier builds the three-level chain P ← M ← c1..c8 with parked
 // loops, every server holding recsPer records, and drives enough warmup
 // rounds that acknowledgement has fully converged: M suppresses its
-// reports to P and sends its children no batch. Returns M (the server whose tick the benchmark measures), M's
-// owner and record set (for churn injection), and the transport.
-func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.Record, *transport.Chan) {
+// reports to P and sends its children no batch. Returns M (the server whose
+// tick the benchmark measures), M's owner and record set (for churn
+// injection), the others (children first, then P: the order to step them
+// in), and the transport.
+func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.Record, []*Server, *transport.Chan) {
 	b.Helper()
 	const children = 8
 	rng := rand.New(rand.NewSource(41))
@@ -178,16 +214,17 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 	if err := mid.Join(parent.Addr()); err != nil {
 		b.Fatal(err)
 	}
-	all := []*Server{mid, parent}
+	others := []*Server{parent}
 	for i := 2; i < children+2; i++ {
 		c, _ := mk(i)
 		if err := c.Join(mid.Addr()); err != nil {
 			b.Fatal(err)
 		}
-		all = append([]*Server{c}, all...)
+		others = append([]*Server{c}, others...)
 	}
 	for round := 0; round < 6; round++ {
-		driveRound(all...)
+		driveRound(others[:children]...)
+		driveRound(mid, parent)
 	}
 	if got := mid.NumChildren(); got != children {
 		b.Fatalf("mid-tier server has %d children; want %d", got, children)
@@ -195,7 +232,7 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 	if mid.mx.reportsSuppressed.Load() == 0 {
 		b.Fatal("warmup never reached steady-state suppression")
 	}
-	return mid, own, w.PerNode[1], tr
+	return mid, own, w.PerNode[1], others, tr
 }
 
 // BenchmarkAggregationTick measures one periodic round (refresh, report,
@@ -203,9 +240,12 @@ func benchMidTier(b *testing.B, recsPer int) (*Server, *policy.Owner, []*record.
 // children, across churn rates: churn0 mutates nothing between ticks (the
 // steady state the change-driven pipeline targets), churn1 rewrites 1% of
 // the server's own records before every tick, churn100 rewrites all of
-// them. rpcs/op and wirebytes/op come from the transport's own counters. The sub-benchmarks
-// keep the names their archived runs used; the full-rebuild baseline arm
-// ended with that pipeline (EXPERIMENTS.md, "Archived baselines").
+// them. The children report before every tick and the parent runs its round
+// after it, both outside the timer, so the server keeps its 8 children (the
+// benchmark fails when it does not). rpcs/op and wirebytes/op count the
+// measured server's own calls. The sub-benchmarks keep the names their
+// archived runs used; the full-rebuild baseline arm ended with that pipeline
+// (EXPERIMENTS.md, "Archived baselines").
 func BenchmarkAggregationTick(b *testing.B) {
 	for _, churn := range []struct {
 		name string
@@ -216,14 +256,15 @@ func BenchmarkAggregationTick(b *testing.B) {
 		{"churn100", 1},
 	} {
 		b.Run("delta/"+churn.name, func(b *testing.B) {
-			mid, own, recs, tr := benchMidTier(b, 100)
+			mid, own, recs, others, tr := benchMidTier(b, 100)
+			children, parent := others[:len(others)-1], others[len(others)-1]
 			rng := rand.New(rand.NewSource(7))
-			start := tr.Stats()
+			var calls, bytes uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
 				if churn.frac > 0 {
-					b.StopTimer()
 					k := int(churn.frac * float64(len(recs)))
 					if k < 1 {
 						k = 1
@@ -232,14 +273,24 @@ func BenchmarkAggregationTick(b *testing.B) {
 						recs[rng.Intn(len(recs))].SetNum(0, rng.Float64())
 					}
 					own.SetRecords(recs)
-					b.StartTimer()
 				}
+				driveRound(children...)
+				st0 := tr.Stats()
+				b.StartTimer()
 				mid.round(false)
+				b.StopTimer()
+				st := tr.Stats()
+				calls += st.Calls - st0.Calls
+				bytes += st.BytesSent - st0.BytesSent + st.BytesRecv - st0.BytesRecv
+				parent.round(false)
+				b.StartTimer()
 			}
 			b.StopTimer()
-			st := tr.Stats()
-			b.ReportMetric(float64(st.Calls-start.Calls)/float64(b.N), "rpcs/op")
-			b.ReportMetric(float64(st.BytesSent-start.BytesSent+st.BytesRecv-start.BytesRecv)/float64(b.N), "wirebytes/op")
+			if got := mid.NumChildren(); got != len(children) {
+				b.Fatalf("the measured server ended with %d children; want %d", got, len(children))
+			}
+			b.ReportMetric(float64(calls)/float64(b.N), "rpcs/op")
+			b.ReportMetric(float64(bytes)/float64(b.N), "wirebytes/op")
 		})
 	}
 }

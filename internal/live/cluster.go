@@ -222,10 +222,11 @@ func (cl *Cluster) Run() {
 // rounds, a join's replica set in a step per level.
 const settleSteps = 64
 
-// Step runs one round of the federation on the caller's goroutine: the
+// Step runs one round of the federation from the caller's goroutine: the
 // queued early rounds (drainEarly), then a periodic round on every running
-// server in index order — a killed or stopped server is skipped, as its loop
-// would be gone. Everything soft counts these rounds, so stepping alone
+// server in index order, each joining its pushes before it returns. A killed
+// or stopped server is skipped, as its loop would be gone. Everything soft
+// counts these rounds, so stepping alone
 // detects a dead child, ages out its replicas and probes for split brains.
 // It reports whether any server's routing content (fpBase, covered count or
 // branch version) moved.

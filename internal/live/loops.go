@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"roads/internal/summary"
@@ -30,17 +31,20 @@ func jittered(d time.Duration, rng *rand.Rand) time.Duration {
 }
 
 // earlyGapFactor sets how long an early round keeps the next one waiting:
-// earlyGapFactor times its own duration, so however fast writes come a
-// server spends at most about 1/(1+earlyGapFactor) of its time in early
-// rounds — as long as a round costs less than a twentieth of a period,
-// beyond which the half-period cap sets the pace.
+// earlyGapFactor times the round's charge (round: its own work, the report's
+// round trip and the first push answer), so however fast writes come a server
+// spends at most about 1/(1+earlyGapFactor) of its time in what early rounds
+// charge — as long as a round charges less than a twentieth of a period,
+// beyond which the half-period cap sets the pace. The pushes go to every child
+// at once, and the wait for the slower ones is not charged: a fan-out costs
+// the gap one round trip, not one per child.
 const earlyGapFactor = 9
 
-// earlyGap is how long after an early round that took d the next early round
-// may start: a multiple of the round's own cost, never more than half a
+// earlyGap is how long after an early round that charged d the next early
+// round may start: a multiple of the round's own cost, never more than half a
 // period. A cheap round (an idle federation, Chan) lets the next write follow
-// within milliseconds; an expensive one (a loaded host, a write storm, a wide
-// fan-out) stretches the gap toward half a period by itself.
+// within milliseconds; an expensive one (a loaded host, a write storm, a slow
+// parent) stretches the gap toward half a period by itself.
 func earlyGap(d, period time.Duration) time.Duration {
 	return min(earlyGapFactor*d, period/2)
 }
@@ -55,8 +59,8 @@ func earlyGap(d, period time.Duration) time.Duration {
 // Between periods it runs early rounds, when a write signal, an urgent report
 // or entry, or an accepted join asks for one (requestEarly): content only, so
 // a write crosses each hop in milliseconds instead of half a period on
-// average. After an early round the next one waits earlyGap of that round's
-// duration; a request inside that gap waits out the rest of it, and a
+// average. After an early round the next one waits earlyGap of what that
+// round charged; a request inside that gap waits out the rest of it, and a
 // periodic round that comes first carries what the request was for. The
 // periodic timer never moves.
 func (s *Server) aggregationLoop() {
@@ -94,13 +98,17 @@ func (s *Server) aggregationLoop() {
 	}
 }
 
-// round runs one aggregation round and returns its wall time. Every round
-// sends list batches only, to the children whose set moved. A periodic round
-// advances the server's clock (rounds), which everything soft counts: the
-// replan cadence, the dead-child and replica windows and the split-brain
-// probe cadence. An early round carries content only: it reports only a
-// branch the parent does not hold, counts no parent miss, does not advance
-// the clock and prunes nothing.
+// round runs one aggregation round and returns what it charges toward the
+// gap after it (earlyGap): its wall time less the wait for the slower children
+// after the first push answer. So the charge is the round's own work, the
+// report's round trip and one push round trip, however many children the
+// pushes went to; a child's later answer measures the early rounds it has
+// just woken more than this server. Every round sends list batches only, to
+// the children whose set moved. A periodic round advances the server's clock
+// (rounds), which everything soft counts: the replan cadence, the dead-child
+// and replica windows and the split-brain probe cadence. An early round
+// carries content only: it reports only a branch the parent does not hold,
+// counts no parent miss, does not advance the clock and prunes nothing.
 func (s *Server) round(early bool) time.Duration {
 	start := time.Now()
 	var now uint64
@@ -117,7 +125,7 @@ func (s *Server) round(early bool) time.Duration {
 	if !early {
 		s.executeRecovery(now)
 	}
-	s.pushReplicas()
+	waited := s.pushReplicas()
 	if !early {
 		s.pruneDeadChildren(now)
 		s.pruneStaleReplicas(now)
@@ -125,7 +133,7 @@ func (s *Server) round(early bool) time.Duration {
 			s.membershipTick(now/mergeProbeTicks - 1)
 		}
 	}
-	took := time.Since(start)
+	took := time.Since(start) - waited
 	if early {
 		s.mx.earlyRounds.Inc()
 		s.earlyBusyNs.Add(took.Nanoseconds())
@@ -325,8 +333,9 @@ type RefreshInfo struct {
 	Skipped     uint64
 	EarlyRounds uint64
 	// BusySeconds is total wall time spent inside refreshSummaries;
-	// EarlyBusySeconds the total wall time of the early rounds, each
-	// including its report and its pushes.
+	// EarlyBusySeconds the total the early rounds charged toward their gaps
+	// (round): each its wall time less the wait for the slower children after
+	// the first push answer.
 	BusySeconds      float64
 	EarlyBusySeconds float64
 }
@@ -576,13 +585,6 @@ func (e *pushEntry) full() *wire.ReplicaPush {
 	return e.dto
 }
 
-// tagOnly is the entry that stands in for full toward a child that already
-// confirmed holding the tag: it renews the replica for the origin ID and nine
-// bytes.
-func (e *pushEntry) tagOnly() *wire.ReplicaPush {
-	return &wire.ReplicaPush{OriginID: e.origin, Tag: e.tag}
-}
-
 // replicaSetLocked is the replica set this server refreshes at its children,
 // one entry per origin, and all of them folded: each child's branch
 // (for the child's siblings), this server's own local summary (ancestor
@@ -660,7 +662,15 @@ func childSet(entries []pushEntry, all setDigest, child string) (setDigest, int)
 // effect on the next round, so no state needs a periodic restatement to heal.
 // A full entry is urgent when its summary came in urgent (or, for this
 // server's own local summary, was rebuilt after a write).
-func (s *Server) pushReplicas() {
+//
+// Every batch is built here, on the round's goroutine: a full entry's DTO is
+// built on first use and then shared by the batches. The batches then go to
+// their children at once, the first on the round's goroutine and each other
+// on one of its own (a server has at most MaxChildren children), and the
+// pushes return once every answer is in, each applied to its own child. The
+// result is how long the round waited after the first answer: the part of the
+// fan-out an early round does not charge (see round).
+func (s *Server) pushReplicas() (waited time.Duration) {
 	// Snapshot under the lock: childState fields are mutated in place by
 	// summary reports, so copy the values; summary objects themselves are
 	// replaced wholesale on update and never mutated after publish, and an
@@ -668,7 +678,7 @@ func (s *Server) pushReplicas() {
 	s.mu.Lock()
 	if len(s.children) == 0 {
 		s.mu.Unlock()
-		return
+		return 0
 	}
 	children := make([]childState, 0, len(s.children))
 	for _, c := range s.children {
@@ -678,62 +688,118 @@ func (s *Server) pushReplicas() {
 	s.mu.Unlock()
 	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
 
+	var pushes []childPush
 	for _, child := range children {
 		set, own := childSet(entries, all, child.id)
 		if set.n == 0 || (set == child.push.sum && !child.push.needList) {
 			continue
 		}
-		batch := &wire.ReplicaBatch{Pushes: make([]*wire.ReplicaPush, 0, set.n)}
-		listed := make(map[string]uint64, set.n) // what the list states, by origin
-		for i := range entries {
-			e := &entries[i]
-			if i == own {
-				continue
-			}
-			// Unversioned content is never taken as held: it ships in
-			// full every round and keeps the child's set moving.
-			versioned := e.version != 0
-			if versioned {
-				listed[e.origin] = e.tag
-			}
-			if versioned && child.push.acked[e.origin] == e.tag {
-				batch.Pushes = append(batch.Pushes, e.tagOnly())
-				s.mx.pushDelta.Inc()
-			} else {
-				batch.Pushes = append(batch.Pushes, e.full())
-				s.mx.pushFull.Inc()
-			}
+		pushes = append(pushes, s.childBatch(child, entries, own, set.n))
+	}
+	if len(pushes) == 0 {
+		return 0
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := range pushes[1:] {
+		wg.Add(1)
+		go func(p *childPush) {
+			defer wg.Done()
+			s.push(p, start)
+		}(&pushes[1+i])
+	}
+	s.push(&pushes[0], start) // on the round's goroutine, whose stack has grown
+	wg.Wait()
+	first := pushes[0].answered
+	for _, p := range pushes[1:] {
+		first = min(first, p.answered)
+	}
+	return time.Since(start) - first
+}
+
+// childPush is one child's list batch in a round: the message, what its list
+// states by origin, and when the child answered, counted from the fan-out's
+// start.
+type childPush struct {
+	id, addr string
+	msg      *wire.Message
+	listed   map[string]uint64
+	answered time.Duration
+}
+
+// childBatch builds the list batch for one child: every entry but the
+// child's own branch (index own), tag-only where the child acknowledged the
+// entry's tag. The tag-only entries share one backing array, counted first so
+// that a batch of full entries allocates none.
+func (s *Server) childBatch(child childState, entries []pushEntry, own, n int) childPush {
+	held := func(e *pushEntry) bool {
+		// Unversioned content is never taken as held: it ships in full
+		// every round and keeps the child's set moving.
+		return e.version != 0 && child.push.acked[e.origin] == e.tag
+	}
+	tags := 0
+	for i := range entries {
+		if i != own && held(&entries[i]) {
+			tags++
 		}
-		rep, err := s.tr.Call(child.addr, s.stampEpoch(&wire.Message{
-			Kind:  wire.KindReplicaBatch,
-			From:  s.cfg.ID,
-			Addr:  s.cfg.Addr,
-			Batch: batch,
-		}))
-		if err != nil || rep.Ack == nil {
-			continue // unreachable, or the batch was refused: nothing learned
+	}
+	tagOnly := make([]wire.ReplicaPush, 0, tags)
+	batch := &wire.ReplicaBatch{Pushes: make([]*wire.ReplicaPush, 0, n)}
+	listed := make(map[string]uint64, n) // what the list states, by origin
+	for i := range entries {
+		e := &entries[i]
+		if i == own {
+			continue
 		}
-		s.observeEpoch(rep.Epoch)
-		// What the child now holds via this server: the list, minus what it
-		// asked for in full.
-		next := pushState{acked: listed}
-		for _, o := range rep.Ack.NeedFullOrigins {
-			delete(listed, o)
+		if e.version != 0 {
+			listed[e.origin] = e.tag
 		}
-		for o, tag := range listed {
-			next.sum.add(o, tag)
+		if held(e) {
+			// The entry that stands in for the full one: it renews the
+			// replica for the origin ID and nine bytes.
+			tagOnly = append(tagOnly, wire.ReplicaPush{OriginID: e.origin, Tag: e.tag})
+			batch.Pushes = append(batch.Pushes, &tagOnly[len(tagOnly)-1])
+			s.mx.pushDelta.Inc()
+		} else {
+			batch.Pushes = append(batch.Pushes, e.full())
+			s.mx.pushFull.Inc()
 		}
-		s.mu.Lock()
-		if c, ok := s.children[child.id]; ok {
-			if rep.Epoch > c.epoch {
-				// Plain max, not the fenced advance: a late ack from
-				// before the child's recovery is a benign race here,
-				// not an accepted stale mutation.
-				c.epoch = rep.Epoch
-			}
-			c.push = next
+	}
+	return childPush{id: child.id, addr: child.addr, listed: listed, msg: s.stampEpoch(&wire.Message{
+		Kind:  wire.KindReplicaBatch,
+		From:  s.cfg.ID,
+		Addr:  s.cfg.Addr,
+		Batch: batch,
+	})}
+}
+
+// push sends one child its batch, notes when the answer came, and applies the
+// ack to the child's state: what the child now holds via this server is the
+// list, minus what it asked for in full.
+func (s *Server) push(p *childPush, start time.Time) {
+	rep, err := s.tr.Call(p.addr, p.msg)
+	p.answered = time.Since(start)
+	if err != nil || rep.Ack == nil {
+		return // unreachable, or the batch was refused: nothing learned
+	}
+	s.observeEpoch(rep.Epoch)
+	next := pushState{acked: p.listed}
+	for _, o := range rep.Ack.NeedFullOrigins {
+		delete(p.listed, o)
+	}
+	for o, tag := range p.listed {
+		next.sum.add(o, tag)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.children[p.id]; ok {
+		if rep.Epoch > c.epoch {
+			// Plain max, not the fenced advance: a late ack from before
+			// the child's recovery is a benign race here, not an accepted
+			// stale mutation.
+			c.epoch = rep.Epoch
 		}
-		s.mu.Unlock()
+		c.push = next
 	}
 }
 

@@ -85,7 +85,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		pushFull: reg.Counter("roads_replica_push_full_total",
 			"Replica entries sent with their summaries (new origin, changed tag, or the child asked for the origin in full)."),
 		earlyRounds: reg.Counter("roads_early_rounds_total",
-			"Content-only aggregation rounds run between periods because a record write, an urgent report or entry, or a join arrived (after each, the next waits nine times its duration, at most half a period)."),
+			"Content-only aggregation rounds run between periods because a record write, an urgent report or entry, or a join arrived (after each, the next waits nine times what it charged, at most half a period)."),
 		fenced: reg.Counter("roads_membership_fenced_total",
 			"Relationship messages rejected (or replies discarded) for carrying a membership epoch lower than the recorded one."),
 		elections: reg.Counter("roads_membership_elections_total",
@@ -106,7 +106,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Adaptive replans that changed the installed summary geometry (plans identical to the current one do not count)."),
 	}
 	reg.SecondsCounterFunc("roads_early_round_seconds_total",
-		"Wall time spent in early rounds, reports and pushes included; it grows by at most about a tenth of the time elapsed while each round costs under a twentieth of a period.",
+		"Time the early rounds charged toward the gap after them: each round's wall time less the wait for the slower children after the first push answer. Nine times its mean per round is the gap; it grows by at most about a tenth of the time elapsed while each round charges under a twentieth of a period.",
 		func() time.Duration { return time.Duration(s.earlyBusyNs.Load()) })
 	reg.GaugeFunc("roads_children",
 		"Current child count.", func() float64 {

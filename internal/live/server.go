@@ -305,8 +305,8 @@ type Server struct {
 	// buffered, so a request made while one is pending is absorbed by it.
 	// writes counts the write signals of the attached owners; seenWrites is
 	// the count the last refresh saw, guarded by refreshMu. earlyBusyNs
-	// accumulates the early rounds' wall time (RefreshInfo,
-	// roads_early_round_seconds_total).
+	// accumulates what the early rounds charged toward their gaps (round;
+	// RefreshInfo, roads_early_round_seconds_total).
 	wake        chan struct{}
 	writes      atomic.Uint64
 	seenWrites  uint64

@@ -69,7 +69,8 @@ type FaultRule struct {
 	// calls, the rule is live for the first OnCalls of every
 	// OnCalls+OffCalls cycle and dormant for the rest. Zero OnCalls means
 	// always live. Counting calls instead of wall time keeps chaos tests
-	// replayable.
+	// replayable, as long as the matched calls come in a fixed order (see
+	// Faulty).
 	OnCalls, OffCalls int
 }
 
@@ -129,9 +130,12 @@ func Down(addr string) FaultRule {
 // Faulty wraps another Transport and injects failures per a declarative
 // rule table. All randomness comes from one seeded RNG and flap windows
 // count calls rather than wall time, so a chaos run replays exactly given
-// the same seed and call order. Listen passes straight through — faults
-// apply only to outgoing calls, mirroring how real packet loss is felt by
-// the sender.
+// the same seed and call order. A server's round pushes to its children at
+// once, so its replica batches have no fixed call order: a rule with P or
+// OnCalls that matches replica batches does not replay exactly, while rules
+// that do not draw or count (Partition, PartitionSets, Down, plain delays
+// and errors) do. Listen passes straight through — faults apply only to
+// outgoing calls, mirroring how real packet loss is felt by the sender.
 type Faulty struct {
 	inner Transport
 	// MaxBlackhole bounds how long a dropped call blocks when the
