@@ -8,7 +8,8 @@ GO ?= go
 # transport and the owners' copy-on-write records) and of one stepped figure
 # build (rounds on the experiment's goroutine, handlers and resolve workers
 # beside it), the fault-injection chaos suite, the documentation checks,
-# five seconds of fuzzing the one wire decoder, and the canonical
+# five seconds each of fuzzing the one wire decoder and the cross-geometry
+# summary merge, and the canonical
 # benchmark's own module (which `./...` at the root does not reach).
 # test/examples/race/chaos depend on vet so a vet failure stops the gate
 # before any tests burn time; vet also fails on any file `gofmt -l .` lists.
@@ -72,9 +73,11 @@ docs-check:
 # fuzz-smoke fuzzes wire.Decode for five seconds from the codec table's
 # seeds: arbitrary input must never panic and whatever decodes must reach a
 # decode/encode fixed point. There is one decoder; this keeps it fuzzed on
-# every gate instead of only when someone remembers.
+# every gate instead of only when someone remembers. Then five seconds of
+# summary.Merge across two geometries: no merge may lose a record's match.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeKeepsMatches$$' -fuzztime 5s ./internal/summary/
 
 # bench-smoke vets and tests the nested bench module and runs every
 # canonical workload end to end on 8-server federations with 1 s windows: a

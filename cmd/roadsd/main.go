@@ -40,11 +40,9 @@ func main() {
 	join := flag.String("join", "", "seed server address to join (empty = start as root)")
 	attrs := flag.Int("attrs", 16, "schema attributes (4 per distribution family)")
 	records := flag.Int("records", 0, "synthetic records to host via a co-located owner")
-	buckets := flag.Int("buckets", 1000, "histogram buckets per attribute")
+	buckets := flag.Int("buckets", 1000, "histogram buckets per attribute in the summaries this server builds (servers of one federation may differ)")
 	degree := flag.Int("degree", 8, "max children")
 	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push; a child is dead after 4 periods without a report, a replica after 16 unrenewed ones")
-	noAdaptive := flag.Bool("no-adaptive", false, "never replan this server's summary resolution: the summaries it builds keep the static -buckets geometry (it still ingests and forwards whatever geometry its peers send)")
-	summaryBudget := flag.Int("summary-budget", 0, "summary byte budget the adaptive planner reallocates within (0 = unbounded)")
 	condenseAbove := flag.Int("condense-above", 0, "collapse categorical value sets larger than this into dotted-prefix wildcards (0 = off)")
 	var mergeSeeds stringsFlag
 	flag.Var(&mergeSeeds, "merge-seed", "well-known address this server probes for a foreign root while it is a root itself, to detect and merge a split brain (repeatable; the -join seed is remembered automatically)")
@@ -105,8 +103,6 @@ func main() {
 	cfg.MaxChildren = *degree
 	cfg.AggregateEvery = *tick
 	cfg.MergeSeeds = mergeSeeds
-	cfg.DisableAdaptiveSummaries = *noAdaptive
-	cfg.SummaryByteBudget = *summaryBudget
 
 	reg := obs.NewRegistry()
 	tr := transport.NewTCP()

@@ -166,12 +166,11 @@ func buildROADS(w *workload.Workload, space *coords.Space, cfg pointConfig) (*fe
 	}
 	m := newMeter(transport.NewChan())
 	cl, err := live.NewCluster(m, live.ClusterConfig{
-		N:                        cfg.nodes,
-		Schema:                   w.Schema,
-		Summary:                  summary.Config{Buckets: cfg.buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet},
-		MaxChildren:              cfg.degree,
-		JoinVia:                  func(i int) int { return parents[i] },
-		DisableAdaptiveSummaries: true,
+		N:           cfg.nodes,
+		Schema:      w.Schema,
+		Summary:     summary.Config{Buckets: cfg.buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet},
+		MaxChildren: cfg.degree,
+		JoinVia:     func(i int) int { return parents[i] },
 	})
 	if err != nil {
 		return nil, err

@@ -434,7 +434,7 @@ func benchIdleMaintenance(b *testing.B) {
 	if err := cl.WaitConverged(uint64(w.TotalRecords()), time.Minute); err != nil {
 		b.Fatal(err)
 	}
-	time.Sleep(2 * time.Second) // the bench's warm-up: adaptive replans settle
+	time.Sleep(2 * time.Second) // the canonical benchmark's warm-up
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

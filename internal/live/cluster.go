@@ -56,12 +56,6 @@ type ClusterConfig struct {
 	// address so severed subtrees always have one well-known root to
 	// rediscover.
 	MergeSeeds []string
-	// DisableAdaptiveSummaries and SummaryByteBudget configure every
-	// server's feedback-driven resolution loop (see the Config fields of the
-	// same names); the zero values leave adaptation on with an unbounded
-	// plan budget.
-	DisableAdaptiveSummaries bool
-	SummaryByteBudget        int
 }
 
 // runPool runs fn(i) for every i in [0,n) on at most clusterParallelism
@@ -143,8 +137,6 @@ func newCluster(tr transport.Transport, cfg ClusterConfig, run bool) (*Cluster, 
 		}
 		scfg.AggregateEvery = tick
 		scfg.MergeSeeds = cfg.MergeSeeds
-		scfg.DisableAdaptiveSummaries = cfg.DisableAdaptiveSummaries
-		scfg.SummaryByteBudget = cfg.SummaryByteBudget
 		srv, err := NewServer(scfg, tr)
 		if err != nil {
 			errs[i] = err

@@ -208,8 +208,10 @@ func TestNoContactStartsAfterTheDeadline(t *testing.T) {
 // TestClusterStopLeavesNoGoroutines: once Resolve has returned over the
 // in-process transport, nothing it started is still running. Handlers ran
 // inline, so there is nothing to settle; the resolve's own workers have all
-// passed their WaitGroup and are at most a few instructions from gone, which
-// yielding — not sleeping — lets them finish.
+// passed their WaitGroup, but a worker's deferred Done runs before its
+// goroutine exits, so the count may still be above base when Resolve
+// returns. The test yields for up to a second for it to come back: a leaked
+// goroutine never does.
 func TestResolveLeavesNoGoroutines(t *testing.T) {
 	cl, queries := parkedFederation(t, transport.NewChan(), nil)
 	client := NewClient(cl.Tr, "t")
@@ -218,7 +220,7 @@ func TestResolveLeavesNoGoroutines(t *testing.T) {
 		if _, stats, err := client.Resolve(cl.Servers[i].Addr(), queries[i]); err != nil || stats.Failed > 0 {
 			t.Fatalf("resolve %d: %v, %+v", i, err, stats)
 		}
-		for yields := 0; yields < 1000 && runtime.NumGoroutine() > base; yields++ {
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
 			runtime.Gosched()
 		}
 		if got := runtime.NumGoroutine(); got != base {

@@ -170,6 +170,15 @@ func TestSteppedCrashIsCountedInRounds(t *testing.T) {
 		if dropped != heartbeatMiss {
 			t.Errorf("%s dropped its crashed child after %d steps; want exactly heartbeatMiss = %d", parent.ID(), dropped, heartbeatMiss)
 		}
+		for _, srv := range cl.Servers {
+			want := uint64(0)
+			if srv == parent {
+				want = 1
+			}
+			if got := srv.mx.childrenPruned.Load(); got != want {
+				t.Errorf("%s reads roads_children_pruned_total = %d after the crash; want %d", srv.ID(), got, want)
+			}
+		}
 		t.Logf("%s dropped after %d steps; holders forgot at steps %v (bound %d)", parent.ID(), dropped, forgot, bound)
 		for id := range holders {
 			if _, ok := forgot[id]; !ok {

@@ -87,43 +87,42 @@ func staleViews(cl *Cluster) []string {
 }
 
 // TestWriteReachesEveryServerWithoutATick: on the settled federation, whose
-// period is an hour, only early rounds can move anything. A replan is not
-// urgent: stepped, the report it causes, driven by hand, is the only
-// maintenance call, and it queues no early round anywhere. Then, with the
-// loops running, a leaf write reaches all 64 servers within a second, in at
-// most one early round per server and without advancing any server's
-// periodic round count — the replan cadence.
+// period is an hour, only early rounds can move anything. A view change is
+// not urgent: it re-versions the owner's export (PolicyRev) without firing
+// the write hook, and stepped, the report it causes, driven by hand, is the
+// only maintenance call, and it queues no early round anywhere. Then, with
+// the loops running, a leaf write reaches all 64 servers within a second, in
+// at most one early round per server and without advancing any server's
+// periodic round count — the clock soft state counts.
 func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	cl, _ := parkedFederation(t, tr, nil)
 
-	// A forced replan at an interior server, reported by hand.
+	// A view change at an interior server, reported by hand.
 	before := earlyRounds(cl)
 	mid := cl.Servers[5]
-	mid.fpHeat[0].Add(1000)
-	mid.refreshMu.Lock()
-	mid.replanLocked()
-	mid.refreshMu.Unlock()
-	if mid.AdaptiveInfo().Replans == 0 {
-		t.Fatal("setup: the heat did not change the plan")
-	}
+	version := mid.snap.Load().branchSummary.Version
+	ownerOf(mid).Policy.SetView("tenant", policy.View{Name: "tenant"})
 	mid.refreshSummaries()
+	if mid.snap.Load().branchSummary.Version == version {
+		t.Fatal("setup: the view change did not change the branch")
+	}
 	calls := tr.Stats().Calls
 	tr.reset()
 	mid.reportToParent()
 	if summaries, _, _ := tr.counts(); summaries != 1 {
-		t.Fatalf("the replanned branch went up in %d summaries; want 1", summaries)
+		t.Fatalf("the re-versioned branch went up in %d summaries; want 1", summaries)
 	}
 	if got := tr.Stats().Calls - calls; got != 1 {
-		t.Errorf("%d maintenance calls after a replan's report; want the report alone", got)
+		t.Errorf("%d maintenance calls after a view change's report; want the report alone", got)
 	}
 	for _, s := range cl.Servers {
 		if len(s.wake) > 0 {
-			t.Errorf("%s has an early round queued after a replan's report", s.ID())
+			t.Errorf("%s has an early round queued after a view change's report", s.ID())
 		}
 	}
 	if after := earlyRounds(cl); !slices.Equal(after, before) {
-		t.Errorf("a replan set off early rounds: %v -> %v", before, after)
+		t.Errorf("a view change set off early rounds: %v -> %v", before, after)
 	}
 
 	// A leaf write, with the loops running.
@@ -149,7 +148,7 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 			t.Errorf("%s ran %d early rounds for one write; want at most one", s.ID(), n)
 		}
 		if got := s.RefreshInfo().Ticks; got != ticks[i] {
-			t.Errorf("%s counted %d periodic rounds during early rounds; the replan cadence counts periodic rounds only", s.ID(), got-ticks[i])
+			t.Errorf("%s counted %d periodic rounds during early rounds; soft state counts periodic rounds only", s.ID(), got-ticks[i])
 		}
 	}
 	if after[len(after)-1] == before[len(before)-1] {

@@ -391,30 +391,18 @@ func (s *Server) noteParentEpochLocked(msg *wire.Message) {
 	}
 }
 
-// noteFPDescent closes the feedback loop behind adaptive summaries: a
-// non-start query that found nothing here — no local records and no
-// further redirects — means the summary some peer routed on matched
-// spuriously, so the whole descent hop was a false positive. Each
-// predicate attribute draws one unit of heat; the next replan spends
-// summary resolution where the heat concentrates. Start-contact queries
-// are excluded (no summary advertised this server to the requester), as
-// are NotModified revalidations and shed/coarse answers. The counter runs
-// even with adaptation disabled — it is the baseline the adaptive mode is
-// measured against — only the heat feed is conditional.
+// noteFPDescent counts empty contacts: a non-start query that found
+// nothing here — no local records and no further redirects — means the
+// summary some peer routed on matched spuriously, so the whole descent hop
+// was a false positive. Start-contact queries are excluded (no summary
+// advertised this server to the requester), as are NotModified
+// revalidations and shed/coarse answers.
 func (s *Server) noteFPDescent(q *wire.QueryDTO, rep *wire.QueryReply) {
 	if q.Start || rep.NotModified || rep.Coarse ||
 		len(rep.Records) > 0 || len(rep.Redirects) > 0 {
 		return
 	}
 	s.mx.fpDescents.Inc()
-	if s.fpHeat == nil {
-		return
-	}
-	for _, p := range q.Preds {
-		if i, ok := s.cfg.Schema.Index(p.Attr); ok && i < len(s.fpHeat) {
-			s.fpHeat[i].Add(1)
-		}
-	}
 }
 
 // handleQuery evaluates the query against local data and held summaries,

@@ -105,8 +105,8 @@ func (s *Server) aggregationLoop() {
 // pushes went to; a child's later answer measures the early rounds it has
 // just woken more than this server. Every round sends list batches only, to
 // the children whose set moved. A periodic round advances the server's clock
-// (rounds), which everything soft counts: the replan cadence, the dead-child
-// and replica windows and the split-brain probe cadence. An early round
+// (rounds), which everything soft counts: the dead-child and replica windows
+// and the split-brain probe cadence. An early round
 // carries content only: it reports only a branch the parent does not hold,
 // counts no parent miss, does not advance the clock and prunes nothing.
 func (s *Server) round(early bool) time.Duration {
@@ -114,11 +114,6 @@ func (s *Server) round(early bool) time.Duration {
 	var now uint64
 	if !early {
 		now = s.rounds.Add(1)
-		if s.planner != nil && now%replanEvery == 0 {
-			s.refreshMu.Lock()
-			s.replanLocked()
-			s.refreshMu.Unlock()
-		}
 	}
 	s.refresh(early)
 	s.report(early)
@@ -172,17 +167,15 @@ func (s *Server) refresh(early bool) {
 	wrote := writes != s.seenWrites
 	s.seenWrites = writes
 
-	// Owners export in the current adaptive geometry (curCfg is refresh
-	// state, stable while refreshMu is held; it equals Config.Summary when
-	// adaptation is off or the plan is at base). A failed export is left out
-	// (nil): a partial summary beats a stale one.
+	// Owners export in the server's one geometry. A failed export is left
+	// out (nil): a partial summary beats a stale one.
 	s.mu.Lock()
 	owners := s.owners
 	s.mu.Unlock()
 	exports := make([]*summary.Summary, len(owners))
 	failed := false
 	for i, o := range owners {
-		sum, err := o.ExportSummary(s.curCfg)
+		sum, err := o.ExportSummary(s.cfg.Summary)
 		if err != nil {
 			s.noteSummaryError(err)
 			failed = true
@@ -199,7 +192,7 @@ func (s *Server) refresh(early bool) {
 	var local *summary.Summary
 	if rebuildLocal {
 		var err error
-		if local, err = summary.New(s.cfg.Schema, s.curCfg); err != nil {
+		if local, err = summary.New(s.cfg.Schema, s.cfg.Summary); err != nil {
 			s.noteSummaryError(err)
 			return
 		}
@@ -267,42 +260,6 @@ func (s *Server) refresh(early bool) {
 	}
 }
 
-// replanLocked folds the accumulated false-positive heat into the planner
-// and installs the resulting geometry as the current export configuration.
-// Callers hold refreshMu. Drained heat decays by half each replan (EWMA),
-// so an attribute that stops attracting false-positive descents cools off
-// and its resolution drifts back to base. A changed plan needs nothing
-// dropped: the next refresh asks every owner for an export in the new
-// geometry, and Owner.ExportSummary re-keys its own store on a config change.
-func (s *Server) replanLocked() {
-	for i := range s.fpHeat {
-		h := s.fpHeat[i].Swap(0)
-		name := s.cfg.Schema.Attr(i).Name
-		s.heat[name] = s.heat[name]*0.5 + float64(h)
-	}
-	plan := s.planner.Replan(s.cfg.Schema, s.heat)
-	newCfg := s.cfg.Summary
-	newCfg.Resolution = plan
-	deviation := 0
-	for _, l := range s.planner.Levels() {
-		if l != 0 {
-			deviation++
-		}
-	}
-	s.planDeviation.Store(int64(deviation))
-	if newCfg.Equal(s.curCfg) {
-		return
-	}
-	// On an invalid plan the previous geometry stays installed and the next
-	// replan retries.
-	if err := newCfg.Validate(); err != nil {
-		s.noteSummaryError(err)
-		return
-	}
-	s.curCfg = newCfg
-	s.mx.replans.Inc()
-}
-
 // noteSummaryError counts one summary-refresh failure and logs only on
 // the OK→failing transition, so a persistent fault produces one line
 // rather than one per aggregation tick.
@@ -348,32 +305,6 @@ func (s *Server) RefreshInfo() RefreshInfo {
 		EarlyRounds:      s.mx.earlyRounds.Load(),
 		BusySeconds:      float64(s.refreshBusyNs.Load()) / 1e9,
 		EarlyBusySeconds: float64(s.earlyBusyNs.Load()) / 1e9,
-	}
-}
-
-// AdaptiveInfo is a snapshot of one server's adaptive-summary state: the
-// feedback the planner has consumed and the plan it is currently running.
-type AdaptiveInfo struct {
-	// Enabled reports whether this server's planner replans (on by
-	// default; off under DisableAdaptiveSummaries).
-	Enabled bool
-	// Replans counts summary-geometry changes installed; FPDescents the
-	// false-positive descents detected on the query path (counted whether
-	// or not adaptation is enabled, so static baselines measure too).
-	Replans    uint64
-	FPDescents uint64
-	// PlanDeviation is the summed |resolution level| across attributes —
-	// zero means the current plan is the static base configuration.
-	PlanDeviation int64
-}
-
-// AdaptiveInfo returns the adaptive-summary counters.
-func (s *Server) AdaptiveInfo() AdaptiveInfo {
-	return AdaptiveInfo{
-		Enabled:       s.planner != nil,
-		Replans:       s.mx.replans.Load(),
-		FPDescents:    s.mx.fpDescents.Load(),
-		PlanDeviation: s.planDeviation.Load(),
 	}
 }
 
@@ -805,9 +736,13 @@ func (s *Server) push(p *childPush, start time.Time) {
 
 // pruneDeadChildren drops the children that have not reported for
 // heartbeatMiss of this server's periodic rounds, now being the current one;
-// their subtrees rejoin on their own via root paths. It counts rounds, not
-// time: a server whose rounds run slow (a loaded host, the race detector)
-// gives its children as many rounds to report as a fast one does.
+// their subtrees rejoin on their own via root paths. It counts this server's
+// rounds, not time, so a parent whose own rounds run slow gives its children
+// as many rounds as a fast one does. That does not hold across the edge: a
+// live child whose reports run late by heartbeatMiss of its parent's rounds
+// is pruned all the same, and its subtree drops out of answers until it
+// rejoins (a known gap: ROADMAP item 18). roads_children_pruned_total counts
+// the drops.
 func (s *Server) pruneDeadChildren(now uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -816,6 +751,7 @@ func (s *Server) pruneDeadChildren(now uint64) {
 		if c.seen+heartbeatMiss <= now {
 			delete(s.children, id)
 			s.childEpoch++ // its branch leaves the merged summary
+			s.mx.childrenPruned.Inc()
 			changed = true
 		}
 	}

@@ -26,6 +26,7 @@ type serverMetrics struct {
 	replicaPushes   *obs.Counter
 	summaryErrors   *obs.Counter
 	parentFailovers *obs.Counter
+	childrenPruned  *obs.Counter
 	evalLatency     *obs.Histogram
 
 	// Change-driven dissemination counters.
@@ -46,11 +47,8 @@ type serverMetrics struct {
 	// Fingerprint revalidations confirmed (see handleQuery).
 	notModified *obs.Counter
 
-	// Adaptive-summary series. fpDescents counts regardless of
-	// Config.DisableAdaptiveSummaries (it is the baseline the adaptive
-	// mode is measured against); replans only moves while the loop is on.
+	// Empty contacts (see noteFPDescent).
 	fpDescents *obs.Counter
-	replans    *obs.Counter
 }
 
 // newServerMetrics registers the server's series on reg (which must not
@@ -73,6 +71,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Summary refresh failures (previous summaries stay published)."),
 		parentFailovers: reg.Counter("roads_parent_failovers_total",
 			"Parent-failure recoveries started (rejoin via ancestors or root election)."),
+		childrenPruned: reg.Counter("roads_children_pruned_total",
+			"Children dropped for not reporting in 4 of this server's periodic rounds (their subtrees rejoin via their root paths). A live child whose reports run late is dropped too."),
 		evalLatency: reg.Histogram("roads_query_eval_seconds",
 			"Query evaluation latency on this server (canonical obs bucket ladder).",
 			obs.DefaultLatencyBounds()),
@@ -102,8 +102,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			"Queries answered NotModified because the requester's cached fingerprint still matched — zero evaluation, zero descent."),
 		fpDescents: reg.Counter("roads_fp_descents_total",
 			"False-positive descents absorbed: redirected (non-start) queries that found no records and no further redirects here — the summary a peer routed on matched spuriously."),
-		replans: reg.Counter("roads_summary_replans_total",
-			"Adaptive replans that changed the installed summary geometry (plans identical to the current one do not count)."),
 	}
 	reg.SecondsCounterFunc("roads_early_round_seconds_total",
 		"Time the early rounds charged toward the gap after them: each round's wall time less the wait for the slower children after the first push answer. Nine times its mean per round is the gap; it grows by at most about a tenth of the time elapsed while each round charges under a twentieth of a period.",
@@ -154,11 +152,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 				return 0
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
-		})
-	reg.GaugeFunc("roads_summary_plan_deviation",
-		"Attributes whose adaptive resolution currently sits off the base ladder level (0 = the plan is byte-identical to the static configuration).",
-		func() float64 {
-			return float64(s.planDeviation.Load())
 		})
 	reg.GaugeFunc("roads_summary_bloom_fill",
 		"Worst (highest) fill ratio across the branch summary's Bloom filters; 0 when no attribute is Bloom-summarized.",

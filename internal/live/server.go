@@ -23,7 +23,9 @@ type Config struct {
 	Addr string
 	// Schema is the federation-wide record schema.
 	Schema *record.Schema
-	// Summary configures summary construction.
+	// Summary is the one geometry this server's summaries are built in: its
+	// owners export in it. Summaries that arrive in another geometry are
+	// merged as they are (Summary.Merge resamples them).
 	Summary summary.Config
 	// MaxChildren caps the hierarchy degree.
 	MaxChildren int
@@ -43,20 +45,6 @@ type Config struct {
 	// ancestry it remembers from before a partition. Typically the
 	// cluster's well-known seed servers.
 	MergeSeeds []string
-	// DisableAdaptiveSummaries stops this server's planner from ever
-	// replanning: no false-positive heat is folded into resolution plans
-	// and the summaries it builds keep the uniform Config.Summary geometry
-	// forever — the measurable static baseline. It says nothing about the
-	// wire: the server still ingests, merges (Summary.Merge resamples
-	// heterogeneous geometry) and forwards whatever geometry its children
-	// and replica origins chose.
-	DisableAdaptiveSummaries bool
-	// SummaryByteBudget caps the estimated wire size of the adaptive
-	// resolution plan across plannable attributes: the planner spends the
-	// budget where false-positive heat concentrates and sheds resolution
-	// from the coldest attributes when over. Zero leaves the plan
-	// unbounded (every attribute may climb to the ladder ceiling).
-	SummaryByteBudget int
 	// Metrics is the obs registry the server's named series register into
 	// (roadsd passes one shared registry per process and serves it at
 	// /metrics). Nil gives the server a private registry: series are
@@ -108,11 +96,15 @@ type CacheInfo struct{ Hits, Misses, Evictions, Invalidations uint64 }
 // CacheInfo returns the zero value; see the type.
 func (s *Server) CacheInfo() CacheInfo { return CacheInfo{} }
 
-// replanEvery is the adaptive replan cadence: the planner re-evaluates the
-// false-positive heat every 4 aggregation ticks — slow enough that heat
-// accumulates into a signal, fast enough that a hot attribute refines within
-// a few refresh periods.
-const replanEvery = 4
+// AdaptiveInfo was the state of a server's adaptive summary-resolution
+// planner. There is no planner any more — a server builds its summaries in
+// the one Config.Summary geometry — so no replan ever happens. The type and
+// the method keep their names, and the method returns the zero value,
+// because the canonical benchmark (bench/) reads Replans.
+type AdaptiveInfo struct{ Replans uint64 }
+
+// AdaptiveInfo returns the zero value; see the type.
+func (s *Server) AdaptiveInfo() AdaptiveInfo { return AdaptiveInfo{} }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -130,9 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.AggregateEvery <= 0 {
 		return fmt.Errorf("live: AggregateEvery must be positive")
-	}
-	if c.SummaryByteBudget < 0 {
-		return fmt.Errorf("live: SummaryByteBudget must not be negative")
 	}
 	return nil
 }
@@ -297,7 +286,7 @@ type Server struct {
 	mergeFailed bool
 	haveBranch  bool
 	// rounds counts the periodic rounds, the server's one clock: child
-	// liveness, replica ageing, the replan cadence and split-brain probing
+	// liveness, replica ageing and split-brain probing
 	// count it, and RefreshInfo reports it. Early rounds do not count.
 	rounds atomic.Uint64
 
@@ -319,19 +308,6 @@ type Server struct {
 	// not confirmed holding. childState.urgent and replicaState.urgent mark
 	// the rest.
 	localUrgent, childUrgent, branchUrgent bool
-
-	// Adaptive-summary state. fpHeat accumulates false-positive descents
-	// per schema attribute (bumped lock-free on the query path; drained by
-	// the replan). planner, heat (the drained EWMA) and curCfg (the
-	// geometry exports currently build with) are refresh-private state
-	// guarded by refreshMu. planDeviation counts attributes currently off
-	// their base resolution level, for the gauge. All idle under
-	// Config.DisableAdaptiveSummaries — curCfg then stays Config.Summary.
-	fpHeat        []atomic.Uint64
-	planner       *summary.Planner
-	heat          map[string]float64
-	curCfg        summary.Config
-	planDeviation atomic.Int64
 
 	// epoch is the membership epoch: starts at 1, bumped when a recovery
 	// begins, raised to any higher epoch observed on the wire, and never
@@ -385,12 +361,6 @@ func NewServer(cfg Config, tr transport.Transport) (*Server, error) {
 		wake:         make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		startTime:    time.Now(),
-	}
-	s.curCfg = cfg.Summary
-	if !cfg.DisableAdaptiveSummaries {
-		s.planner = summary.NewPlanner(cfg.Summary, cfg.SummaryByteBudget)
-		s.heat = make(map[string]float64)
-		s.fpHeat = make([]atomic.Uint64, cfg.Schema.NumAttrs())
 	}
 	s.epoch.Store(1)
 	// Publish the empty snapshot so the lock-free paths never see nil —

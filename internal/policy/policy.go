@@ -369,7 +369,7 @@ func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 	o.expMu.Lock()
 	defer o.expMu.Unlock()
 	rev := o.Policy.Rev()
-	if o.expOut != nil && o.expGen == o.Generation() && o.expRev == rev && cfg.Equal(o.expCfg) {
+	if o.expOut != nil && o.expGen == o.Generation() && o.expRev == rev && cfg == o.expCfg {
 		return o.expOut, nil
 	}
 	out, gen, err := o.summaryClone(cfg)
@@ -390,7 +390,7 @@ func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 func (o *Owner) summaryClone(cfg summary.Config) (*summary.Summary, uint64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.sum == nil || !cfg.Equal(o.sumCfg) {
+	if o.sum == nil || cfg != o.sumCfg {
 		sum, err := summary.New(o.Schema, cfg)
 		if err != nil {
 			return nil, 0, err

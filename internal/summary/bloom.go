@@ -108,12 +108,13 @@ func (b *Bloom) Merge(other *Bloom) error {
 	return nil
 }
 
-// MergeAny ORs other into b, tolerating geometry mismatches the way the
-// adaptive resolution ladder produces them. Identical geometry merges
+// MergeAny ORs other into b, tolerating geometry mismatches: servers of one
+// federation may be configured with different Bloom sizes, and a peer's
+// filter arrives from outside the program. Identical geometry merges
 // exactly. Otherwise the merge is conservative (never loses a membership)
-// when the smaller bit count divides the larger — the planner only emits
-// power-of-two sizes, so sibling plans always divide — and b probes no
-// more hash positions than other guaranteed set (b.Hashes <= other.Hashes):
+// when the smaller bit count divides the larger (power-of-two sizes always
+// divide) and b probes no more hash positions than other guaranteed set
+// (b.Hashes <= other.Hashes):
 //
 //   - fold: other is larger — bit i of other ORs into bit i mod b.NumBit,
 //     because probe positions mod a divisor of the modulus are preserved;

@@ -18,9 +18,8 @@ func bloomCfg(nbits, k int) Config {
 }
 
 // TestSummaryMergeBloomMismatchedGeometry merges summaries whose Bloom
-// filters disagree on (nbits, hashes) — the shape adaptive resolution
-// produces mid-replan, when some origins have re-keyed and others have
-// not. Merge must degrade conservatively in both directions: never error,
+// filters disagree on (nbits, hashes) — the shape a federation of servers
+// configured with different Bloom sizes produces. Merge must degrade conservatively in both directions: never error,
 // never lose a member (no false negatives), whatever the fold direction.
 func TestSummaryMergeBloomMismatchedGeometry(t *testing.T) {
 	s := mixedSchema()

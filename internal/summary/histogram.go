@@ -104,8 +104,8 @@ func (h *Histogram) Merge(other *Histogram) error {
 }
 
 // MergeResample adds other's counters into h, resampling when the bucket
-// counts differ (the adaptive planner re-buckets attributes per child, so
-// sibling branch summaries no longer share geometry). Identical geometry
+// counts differ (servers configured with different -buckets send branch
+// summaries of different geometry). Identical geometry
 // merges exactly. Otherwise each non-empty source bucket distributes its
 // count pro-rata over the destination buckets it overlaps, rounding up so
 // every overlapped destination bucket stays non-zero — occupancy is never

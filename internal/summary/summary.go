@@ -29,17 +29,6 @@ const (
 	UseBloom
 )
 
-// AttrResolution overrides the summary geometry for one attribute. The
-// adaptive planner emits these to spend a fixed byte budget where query
-// feedback says false positives concentrate: hot numeric attributes get
-// finer buckets, hot Bloom attributes more bits, cold ones coarser/smaller.
-type AttrResolution struct {
-	Attr        string
-	Buckets     int // numeric attrs; 0 = inherit Config.Buckets
-	BloomBits   int // categorical attrs in Bloom mode; 0 = inherit
-	BloomHashes int // 0 = inherit Config.BloomHashes
-}
-
 // Config controls summary construction. The zero value is not usable; use
 // DefaultConfig or fill every field.
 type Config struct {
@@ -53,65 +42,10 @@ type Config struct {
 	// BloomBits and BloomHashes size the Bloom filters when Categorical is
 	// UseBloom.
 	BloomBits, BloomHashes int
-	// Resolution carries per-attribute geometry overrides (the adaptive
-	// plan). Nil means uniform geometry — wire-identical to the static
-	// configuration. Entries for unknown attributes are ignored.
-	Resolution []AttrResolution
 	// CondenseAbove, when positive, collapses value sets with more than
 	// this many distinct values into dotted-prefix wildcards ("a.b.*") per
 	// Portnoi & Swany's heuristic summarization. Zero disables.
 	CondenseAbove int
-}
-
-// resFor returns the resolution override for attr, if any.
-func (c Config) resFor(attr string) (AttrResolution, bool) {
-	for _, r := range c.Resolution {
-		if r.Attr == attr {
-			return r, true
-		}
-	}
-	return AttrResolution{}, false
-}
-
-// BucketsFor returns the histogram bucket count for the named attribute,
-// honoring any Resolution override.
-func (c Config) BucketsFor(attr string) int {
-	if r, ok := c.resFor(attr); ok && r.Buckets > 0 {
-		return r.Buckets
-	}
-	return c.Buckets
-}
-
-// BloomParamsFor returns the Bloom geometry for the named attribute,
-// honoring any Resolution override.
-func (c Config) BloomParamsFor(attr string) (nbits, k int) {
-	nbits, k = c.BloomBits, c.BloomHashes
-	if r, ok := c.resFor(attr); ok {
-		if r.BloomBits > 0 {
-			nbits = r.BloomBits
-		}
-		if r.BloomHashes > 0 {
-			k = r.BloomHashes
-		}
-	}
-	return nbits, k
-}
-
-// Equal reports whether two configs build identical summaries. Config is
-// no longer comparable with == because Resolution is a slice.
-func (c Config) Equal(o Config) bool {
-	if c.Buckets != o.Buckets || c.Min != o.Min || c.Max != o.Max ||
-		c.Categorical != o.Categorical || c.BloomBits != o.BloomBits ||
-		c.BloomHashes != o.BloomHashes ||
-		c.CondenseAbove != o.CondenseAbove || len(c.Resolution) != len(o.Resolution) {
-		return false
-	}
-	for i, r := range c.Resolution {
-		if r != o.Resolution[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DefaultConfig returns the paper's simulation defaults: 1000-bucket
@@ -130,14 +64,6 @@ func (c Config) Validate() error {
 	}
 	if c.Categorical == UseBloom && (c.BloomBits <= 0 || c.BloomHashes <= 0) {
 		return fmt.Errorf("summary: bloom mode needs positive BloomBits/BloomHashes")
-	}
-	for _, r := range c.Resolution {
-		if r.Attr == "" {
-			return fmt.Errorf("summary: resolution override with empty attribute name")
-		}
-		if r.Buckets < 0 || r.BloomBits < 0 || r.BloomHashes < 0 {
-			return fmt.Errorf("summary: negative resolution override for %q", r.Attr)
-		}
 	}
 	if c.CondenseAbove < 0 {
 		return fmt.Errorf("summary: CondenseAbove must be non-negative, got %d", c.CondenseAbove)
@@ -193,14 +119,12 @@ func New(s *record.Schema, cfg Config) (*Summary, error) {
 		Blooms: make([]*Bloom, s.NumAttrs()),
 	}
 	for i := 0; i < s.NumAttrs(); i++ {
-		name := s.Attr(i).Name
 		switch s.Attr(i).Kind {
 		case record.Numeric:
-			sum.Hists[i] = MustHistogram(cfg.BucketsFor(name), cfg.Min, cfg.Max)
+			sum.Hists[i] = MustHistogram(cfg.Buckets, cfg.Min, cfg.Max)
 		case record.Categorical:
 			if cfg.Categorical == UseBloom {
-				nbits, k := cfg.BloomParamsFor(name)
-				sum.Blooms[i] = MustBloom(nbits, k)
+				sum.Blooms[i] = MustBloom(cfg.BloomBits, cfg.BloomHashes)
 			} else {
 				sum.Sets[i] = NewValueSet()
 			}
@@ -287,13 +211,14 @@ func (sum *Summary) Subtractable() bool {
 }
 
 // Merge folds other into sum: histograms add bucket-wise, value sets union,
-// Bloom filters OR. This is the bottom-up aggregation operator. With
-// adaptive summaries in play, the two sides may disagree on geometry or
-// even categorical kind — Merge degrades conservatively instead of
-// erroring: histograms resample across bucket counts (MergeResample),
-// Blooms fold/smear/saturate across sizes (MergeAny), and a value set
-// meeting a Bloom converts to a Bloom. Mismatched numeric domains are
-// still a hard error (a real configuration bug, not a resolution choice).
+// Bloom filters OR. This is the bottom-up aggregation operator. A server
+// has one geometry, but a federation need not (roadsd -buckets is per
+// server) and a peer's summary is input from outside the program, so the two
+// sides may disagree on geometry or even categorical kind. Merge degrades
+// conservatively instead of erroring: histograms resample across bucket
+// counts (MergeResample), Blooms fold/smear/saturate across sizes
+// (MergeAny), and a value set meeting a Bloom converts to a Bloom.
+// Mismatched numeric domains are still a hard error (a configuration bug).
 func (sum *Summary) Merge(other *Summary) error {
 	if other == nil {
 		return nil

@@ -13,8 +13,10 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 14 because thirteen layouts came before it (the git history
-// and EXPERIMENTS.md have them); 1–13 are rejected like any other byte.
+// The version is 15 because fourteen layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–14 are rejected like any other byte.
+// Version 15 dropped the per-attribute geometry plan from a summary's tail,
+// which now ends at its mode byte, and retired that byte's bit 0.
 // Version 14 moved the replica-set digest from the batch's tail to the report
 // ack's (HeldCount, HeldDigest) and gave the report's presence byte the
 // reportKids bit, without which the children are left out, and reportNeedList.
@@ -41,7 +43,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 14
+	binVersion = 15
 	// Version is binVersion for other packages: the documents name it, and
 	// cmd/docscheck holds them to it.
 	Version = binVersion
@@ -874,8 +876,8 @@ func readStatus(r *binReader) *Status {
 // uvarint bucket counts, value sets as sorted (value, count) pairs, and Bloom
 // filters as raw little-endian uint64 bitsets. Almost every bucket count is
 // below 128, so a count takes one byte instead of a four-byte word; bitset
-// words are uniformly spread, so they stay raw. The Mode byte and the
-// resolution plan follow the Bloom section.
+// words are uniformly spread, so they stay raw. The Mode byte follows the
+// Bloom section and ends the summary.
 func appendSummary(b []byte, s *SummaryDTO) []byte {
 	b = appendString(b, s.Origin)
 	b = appendUvarint(b, s.Version)
@@ -930,16 +932,7 @@ func appendSummary(b []byte, s *SummaryDTO) []byte {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	}
-	b = append(b, s.Mode)
-	b = appendUvarint(b, uint64(len(s.Plan)))
-	for i := range s.Plan {
-		p := &s.Plan[i]
-		b = appendVarint(b, int64(p.Attr))
-		b = appendVarint(b, int64(p.Buckets))
-		b = appendVarint(b, int64(p.BloomBits))
-		b = appendVarint(b, int64(p.BloomHashes))
-	}
-	return b
+	return append(b, s.Mode)
 }
 
 func readSummary(r *binReader) *SummaryDTO {
@@ -1023,18 +1016,8 @@ func readSummary(r *binReader) *SummaryDTO {
 		}
 		s.Blooms = append(s.Blooms, bl)
 	}
-	s.Mode = r.u8()
-	np := r.count(4)
-	if np > 0 {
-		s.Plan = make([]AttrPlanDTO, 0, np)
-	}
-	for i := 0; i < np && r.err == nil; i++ {
-		s.Plan = append(s.Plan, AttrPlanDTO{
-			Attr:        int(r.varint()),
-			Buckets:     int(r.varint()),
-			BloomBits:   int(r.varint()),
-			BloomHashes: int(r.varint()),
-		})
+	if s.Mode = r.u8(); s.Mode&^SummaryModeCondensed != 0 {
+		r.fail("unknown summary mode bits %#x", s.Mode&^SummaryModeCondensed)
 	}
 	return s
 }

@@ -34,10 +34,9 @@ func sampleSummaryDTO(tb testing.TB, buckets, recs int) *SummaryDTO {
 	return FromSummary(sum)
 }
 
-// adaptiveSummaryDTO builds a summary DTO exercising the adaptive fields:
-// per-attribute geometry overrides and condensed prefix wildcards in the
-// value sets.
-func adaptiveSummaryDTO() *SummaryDTO {
+// condensedSummaryDTO builds a summary DTO exercising the mode byte:
+// condensed prefix wildcards in the value sets, beside a Bloom filter.
+func condensedSummaryDTO() *SummaryDTO {
 	return &SummaryDTO{
 		Origin: "srv1", Version: 41, Records: 120,
 		Buckets: 32, Min: 0, Max: 1,
@@ -46,11 +45,7 @@ func adaptiveSummaryDTO() *SummaryDTO {
 			"s1.m2.*": 80, "s3.v9": 40,
 		}}},
 		Blooms: []BloomDTO{{Attr: 2, NumBit: 128, Hashes: 3, N: 120, Bits: []uint64{0xdead, 0xbeef}}},
-		Mode:   SummaryModeAdaptive | SummaryModeCondensed,
-		Plan: []AttrPlanDTO{
-			{Attr: 0, Buckets: 128},
-			{Attr: 2, BloomBits: 512, BloomHashes: 5},
-		},
+		Mode:   SummaryModeCondensed,
 	}
 }
 
@@ -115,9 +110,9 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindSummaryReport, From: "n3u", Addr: "addr3", Epoch: 4, Report: &SummaryReport{
 			Summary: dto, Depth: 2, Descendants: 1, Version: 78, Have: 0x1112131415161718, Urgent: true,
 		}},
-		// Adaptive geometry and condensed wildcards: Mode bits and plan.
+		// Condensed wildcards: the mode bit.
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
-			Version: 41, Depth: 2, Summary: adaptiveSummaryDTO(),
+			Version: 41, Depth: 2, Summary: condensedSummaryDTO(),
 		}},
 		// A branch over owners with view revisions: the summed revision rides
 		// in the summary header.
@@ -137,7 +132,7 @@ func sampleMessages(tb testing.TB) []*Message {
 			// Ancestor push: the origin's local summary.
 			{OriginID: "p4", OriginAddr: "pa4", Summary: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
-			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: adaptiveSummaryDTO()},
+			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: condensedSummaryDTO()},
 			// Urgent full entries: a sibling's branch and an ancestor's local
 			// summary that carry a write.
 			{OriginID: "p6", OriginAddr: "pa6", Summary: dto, Level: 2, Version: 6, Urgent: true},
@@ -306,7 +301,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled
@@ -364,21 +359,21 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestBinaryCorruptPlan flips bytes inside a summary's tail (mode byte and
-// resolution plan) one at a time: the decoder must never panic, and whatever
-// decodes must re-encode cleanly (the fuzz fixed-point property, pinned here
-// for that section specifically).
-func TestBinaryCorruptPlan(t *testing.T) {
+// TestBinaryCorruptSummaryTail flips bytes inside a summary's tail (Bloom
+// bits and mode byte) one at a time: the decoder must never panic, and
+// whatever decodes must re-encode cleanly (the fuzz fixed-point property,
+// pinned here for that section specifically).
+func TestBinaryCorruptSummaryTail(t *testing.T) {
 	// Version 0 keeps the report's trailing version varint to one byte, so
 	// the summary's tail sits right before it.
 	msg := &Message{Kind: KindSummaryReport, From: "srv",
-		Report: &SummaryReport{Summary: adaptiveSummaryDTO()}}
+		Report: &SummaryReport{Summary: condensedSummaryDTO()}}
 	data, err := Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupting the last 24 bytes covers the mode byte and the plan
-	// varints (and the few envelope bytes after them).
+	// Corrupting the last 24 bytes covers the Bloom bits, the mode byte and
+	// the few envelope bytes after them.
 	for i := len(data) - 24; i < len(data); i++ {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := bytes.Clone(data)
@@ -390,6 +385,27 @@ func TestBinaryCorruptPlan(t *testing.T) {
 			if _, err := Encode(m); err != nil {
 				t.Fatalf("byte %d^%#x: decoded message failed to re-encode: %v", i, flip, err)
 			}
+		}
+	}
+}
+
+// TestBinaryRejectsUnknownModeBits: a summary's mode byte has one bit,
+// SummaryModeCondensed. Bit 0 marked a per-attribute geometry plan up to
+// version 14; a summary carrying it, or any other bit, fails to decode
+// (a version 14 frame fails already at its version byte,
+// TestBinaryRejectsOtherVersions).
+func TestBinaryRejectsUnknownModeBits(t *testing.T) {
+	for _, mode := range []uint8{SummaryModeCondensed, 1 << 0, 1<<0 | SummaryModeCondensed, 1 << 7} {
+		m := &Message{Kind: KindSummaryReport, From: "srv",
+			Report: &SummaryReport{Summary: condensedSummaryDTO()}}
+		m.Report.Summary.Mode = mode
+		data, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Decode(data)
+		if ok := mode == SummaryModeCondensed; (err == nil) != ok {
+			t.Errorf("mode byte %#x: decode error %v; want an error: %v", mode, err, !ok)
 		}
 	}
 }

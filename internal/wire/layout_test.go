@@ -19,7 +19,7 @@ var goldenSummary = []byte{
 	0, 0, 0, 0, 0, 0, 0, 0, // Min
 	0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
 	0, 0, 0, // no histograms, value sets or Bloom filters
-	0, 0, // Mode, no plan
+	0, // Mode
 }
 
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
@@ -95,7 +95,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, 0, 0, 0, 0, 0, 0, 0, // Min
 				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0, little-endian
 				0, 0, 0, // no histograms, value sets or Bloom filters
-				0, 0, // Mode, no plan
+				0,    // Mode
 				2, 0, // Depth 1 and Descendants 0, zigzag
 				3,                      // Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
@@ -121,7 +121,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0x80, 0x01, // 128
 				0x80, 0x80, 0x80, 0x01, // 2^21
 				0, 0, // no value sets or Bloom filters
-				0, 0, // Mode, no plan
+				0,       // Mode
 				2, 0, 3, // Depth, Descendants, Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch

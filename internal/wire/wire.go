@@ -473,25 +473,11 @@ func AppendRecords(dst []RecordDTO, recs []*record.Record) []RecordDTO {
 	return dst
 }
 
-// Summary mode bits. A summary with Mode 0 is uniform and wildcard-free.
-const (
-	// SummaryModeAdaptive marks per-attribute geometry overrides: the
-	// DTO carries a resolution plan and its histograms/Blooms may differ
-	// from the uniform header geometry.
-	SummaryModeAdaptive uint8 = 1 << 0
-	// SummaryModeCondensed marks value sets holding condensed prefix
-	// wildcards ("a.b.*").
-	SummaryModeCondensed uint8 = 1 << 1
-)
-
-// AttrPlanDTO is one attribute's geometry override in a summary's
-// resolution plan. Attr is the schema position.
-type AttrPlanDTO struct {
-	Attr        int
-	Buckets     int
-	BloomBits   int
-	BloomHashes int
-}
+// SummaryModeCondensed is the one summary mode bit: it marks value sets
+// holding condensed prefix wildcards ("a.b.*"). A summary with Mode 0 is
+// wildcard-free. Bit 0 is retired (it marked per-attribute geometry, which
+// summaries no longer carry) and, like every other bit, fails the decode.
+const SummaryModeCondensed uint8 = 1 << 1
 
 // SummaryDTO is the wire form of a summary. Histograms carry their bucket
 // counts; categorical attributes carry either the value-set counts or the
@@ -509,12 +495,9 @@ type SummaryDTO struct {
 	Sets   []SetDTO
 	Blooms []BloomDTO
 
-	// Mode carries the SummaryMode* bits; zero for summaries in uniform
-	// geometry without wildcards.
+	// Mode carries SummaryModeCondensed; zero for summaries without
+	// wildcards.
 	Mode uint8
-	// Plan lists the per-attribute geometry overrides when Mode has
-	// SummaryModeAdaptive set.
-	Plan []AttrPlanDTO
 }
 
 // HistDTO is one histogram (Attr = schema position).
@@ -539,9 +522,8 @@ type BloomDTO struct {
 	N      uint64
 }
 
-// FromSummary converts a summary to wire form. Adaptive geometry (per-attr
-// resolution overrides) and condensed wildcards stamp the Mode bits and the
-// plan.
+// FromSummary converts a summary to wire form. Condensed wildcards stamp
+// SummaryModeCondensed.
 func FromSummary(s *summary.Summary) *SummaryDTO {
 	if s == nil {
 		return nil
@@ -569,28 +551,12 @@ func FromSummary(s *summary.Summary) *SummaryDTO {
 			dto.Blooms = append(dto.Blooms, BloomDTO{Attr: i, Bits: b.Bits, NumBit: b.NumBit, Hashes: b.Hashes, N: b.N})
 		}
 	}
-	if len(s.Cfg.Resolution) > 0 {
-		for _, res := range s.Cfg.Resolution {
-			idx, ok := s.Schema.Index(res.Attr)
-			if !ok {
-				continue
-			}
-			dto.Plan = append(dto.Plan, AttrPlanDTO{
-				Attr: idx, Buckets: res.Buckets,
-				BloomBits: res.BloomBits, BloomHashes: res.BloomHashes,
-			})
-		}
-		if len(dto.Plan) > 0 {
-			dto.Mode |= SummaryModeAdaptive
-		}
-	}
 	return dto
 }
 
 // ToSummary reconstructs a summary against the shared schema. The summary
-// config is rebuilt from the DTO's histogram geometry; a resolution plan
-// (SummaryModeAdaptive) reintroduces the per-attribute overrides so the
-// per-attr geometry checks below stay strict even for adaptive summaries.
+// config is rebuilt from the DTO's header and first Bloom filter: one
+// geometry for every attribute, checked strictly below.
 func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error) {
 	if dto == nil {
 		return nil, nil
@@ -601,36 +567,10 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 		Max:         dto.Max,
 		Categorical: summary.UseValueSet,
 	}
-	planned := make(map[int]bool, len(dto.Plan))
-	if dto.Mode&SummaryModeAdaptive != 0 {
-		for _, p := range dto.Plan {
-			if p.Attr < 0 || p.Attr >= schema.NumAttrs() {
-				return nil, fmt.Errorf("wire: resolution plan for invalid attr %d", p.Attr)
-			}
-			if p.Buckets < 0 || p.BloomBits < 0 || p.BloomHashes < 0 {
-				return nil, fmt.Errorf("wire: negative resolution plan for attr %d", p.Attr)
-			}
-			cfg.Resolution = append(cfg.Resolution, summary.AttrResolution{
-				Attr: schema.Attr(p.Attr).Name, Buckets: p.Buckets,
-				BloomBits: p.BloomBits, BloomHashes: p.BloomHashes,
-			})
-			planned[p.Attr] = true
-		}
-	}
 	if len(dto.Blooms) > 0 {
 		cfg.Categorical = summary.UseBloom
-		// Base geometry comes from a Bloom the plan does not override (an
-		// overridden one would misrepresent the unplanned attributes);
-		// fall back to the first when every Bloom carries an override.
-		base := dto.Blooms[0]
-		for i := range dto.Blooms {
-			if !planned[dto.Blooms[i].Attr] {
-				base = dto.Blooms[i]
-				break
-			}
-		}
-		cfg.BloomBits = int(base.NumBit)
-		cfg.BloomHashes = int(base.Hashes)
+		cfg.BloomBits = int(dto.Blooms[0].NumBit)
+		cfg.BloomHashes = int(dto.Blooms[0].Hashes)
 	}
 	s, err := summary.New(schema, cfg)
 	if err != nil {
@@ -644,8 +584,8 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 		if h.Attr < 0 || h.Attr >= schema.NumAttrs() || s.Hists[h.Attr] == nil {
 			return nil, fmt.Errorf("wire: histogram for invalid attr %d", h.Attr)
 		}
-		if want := cfg.BucketsFor(schema.Attr(h.Attr).Name); len(h.Counts) != want {
-			return nil, fmt.Errorf("wire: histogram attr %d has %d buckets; geometry says %d", h.Attr, len(h.Counts), want)
+		if len(h.Counts) != cfg.Buckets {
+			return nil, fmt.Errorf("wire: histogram attr %d has %d buckets; geometry says %d", h.Attr, len(h.Counts), cfg.Buckets)
 		}
 		copy(s.Hists[h.Attr].Counts, h.Counts)
 		s.Hists[h.Attr].Total = h.Total
