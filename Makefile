@@ -47,12 +47,12 @@ chaos: vet
 	$(GO) test -race -run 'TestChaos|TestFaulty' ./internal/live/ ./internal/transport/
 
 # flakes reruns the timing-sensitive live tests (the chaos suite, crash
-# recovery, root election, stepping and resolve teardown) N times under the
-# race detector, prints each failure with its messages and then, per test,
-# how many runs failed; it exits non-zero when any did. Not part of tier1:
+# recovery, root election, stepping, resolve teardown and the early rounds on
+# real timers) N times under the race detector, prints each failure with its
+# messages and then, per test, how many runs failed; it exits non-zero when any did. Not part of tier1:
 # at the default N it takes about five minutes on a 2-vCPU host.
 N ?= 50
-FLAKY = TestChaos|TestCrashed|TestRootCrash|TestStepped|TestParentFailure|TestResolveLeavesNoGoroutines
+FLAKY = TestChaos|TestCrashed|TestRootCrash|TestStepped|TestParentFailure|TestResolveLeavesNoGoroutines|TestWriteBurstCostsAFewEarlyRounds|TestBackToBackWritesWithoutATick|TestWriteReachesEveryServerWithoutATick
 flakes:
 	@$(GO) test -race -count $(N) -timeout 0 -v -run '$(FLAKY)' ./internal/live/ 2>&1 | awk ' \
 		/^ +[^ ]+\.go:[0-9]+: / { msgs = msgs $$0 "\n" } \

@@ -138,12 +138,14 @@ func BenchmarkHandleQuery(b *testing.B) {
 		// Give the root the replica load a mid-hierarchy server carries:
 		// 8 sibling branches pushed from a pretend parent.
 		pushes := make([]*wire.ReplicaPush, 8)
+		local := root.snap.Load().localSummary
 		for i := range pushes {
 			pushes[i] = &wire.ReplicaPush{
 				OriginID:   fmt.Sprintf("sib%d", i),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i),
-				Summary:    wire.FromSummary(root.snap.Load().localSummary),
+				Summary:    wire.FromSummary(local),
 				Level:      1,
+				Version:    local.Version,
 			}
 		}
 		batch := &wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",

@@ -309,6 +309,89 @@ func TestDeltaHandshakeAndSuppression(t *testing.T) {
 	}
 }
 
+// TestUnversionedContentIsRefused: the version is the only mark of content,
+// so a full report or a full replica entry without one is input the boundary
+// refuses with an error. Neither changes the receiver's branches, replicas or
+// merge epoch, or queues an early round.
+func TestUnversionedContentIsRefused(t *testing.T) {
+	schema := record.DefaultSchema(2)
+	tr := transport.NewChan()
+	p := deltaServer(t, tr, "p", schema)
+	c := deltaServer(t, tr, "c", schema)
+	g := deltaServer(t, tr, "g", schema)
+	attachDeltaOwner(t, c, schema, 2)
+	for _, pair := range [][2]*Server{{c, p}, {g, c}} {
+		if err := pair[0].Join(pair[1].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	driveRound(g, c, p)
+	driveRound(g, c, p)
+	drain := func() {
+		for _, s := range []*Server{p, c, g} {
+			select {
+			case <-s.wake:
+			default:
+			}
+		}
+	}
+	type state struct {
+		version    uint64
+		childEpoch uint64
+		replicas   map[string]uint64
+		listSeq    uint64
+		queued     bool
+	}
+	read := func(s *Server, child string) state {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		st := state{childEpoch: s.childEpoch, replicas: map[string]uint64{}, listSeq: s.listSeq, queued: len(s.wake) > 0}
+		if ch := s.children[child]; ch != nil {
+			st.version = ch.version
+		}
+		for id, r := range s.replicas {
+			st.replicas[id] = r.tag()
+		}
+		return st
+	}
+	same := func(a, b state) bool {
+		return a.version == b.version && a.childEpoch == b.childEpoch && a.listSeq == b.listSeq &&
+			a.queued == b.queued && maps.Equal(a.replicas, b.replicas)
+	}
+
+	// A full report from the known child c, its content changed, unversioned.
+	o := ownerOf(c)
+	o.AddRecords(deltaRecords(schema, "extra", 1)...)
+	c.refreshSummaries()
+	drain() // the joins' and the write's requests: this test drives rounds by hand
+	before := read(p, "c")
+	if before.version == 0 {
+		t.Fatal("setup: p holds no version of c's branch")
+	}
+	rep := p.handle(&wire.Message{Kind: wire.KindSummaryReport, From: "c", Addr: c.Addr(), Epoch: c.Epoch(),
+		Report: &wire.SummaryReport{Depth: 2, Descendants: 1, Summary: wire.FromSummary(c.snap.Load().branchSummary)}})
+	if wire.RemoteError(rep) == nil {
+		t.Error("an unversioned full report was acked")
+	}
+	if after := read(p, "c"); !same(before, after) {
+		t.Errorf("an unversioned full report changed its receiver: %+v -> %+v", before, after)
+	}
+
+	// A list batch from c's parent with a new full entry, unversioned, at c,
+	// which has a child to pass it on to.
+	before = read(c, "g")
+	local := p.snap.Load().localSummary
+	rep = c.handle(&wire.Message{Kind: wire.KindReplicaBatch, From: "p", Addr: p.Addr(), Epoch: p.Epoch(),
+		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{{OriginID: "x", OriginAddr: "addr-x",
+			Summary: wire.FromSummary(local), Level: 1}}}})
+	if wire.RemoteError(rep) == nil {
+		t.Error("a batch with an unversioned full entry was acked")
+	}
+	if after := read(c, "g"); !same(before, after) {
+		t.Errorf("an unversioned full entry changed its receiver: %+v -> %+v", before, after)
+	}
+}
+
 // parentNeedList reads the child-side request for a list batch.
 func parentNeedList(s *Server) bool {
 	s.mu.Lock()

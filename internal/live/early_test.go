@@ -13,10 +13,10 @@ import (
 	"roads/internal/wire"
 )
 
-// These tests pin early rounds: a record write, an urgent report or entry
-// and an accepted join set off a content-only round at once, each round
-// keeping the next one at its server waiting nine times its own duration (at
-// most half a period), while everything else waits for the period.
+// These tests pin early rounds: a record write, a child branch at a new
+// version, a full entry that changes a replica passed on, and an accepted join
+// set off a content-only round at once, each round keeping the next one at its
+// server waiting nine times its own duration (at most half a period).
 
 // earlyRounds returns each server's early-round count.
 func earlyRounds(cl *Cluster) []uint64 {
@@ -87,13 +87,15 @@ func staleViews(cl *Cluster) []string {
 }
 
 // TestWriteReachesEveryServerWithoutATick: on the settled federation, whose
-// period is an hour, only early rounds can move anything. A view change is
-// not urgent: it re-versions the owner's export (PolicyRev) without firing
-// the write hook, and stepped, the report it causes, driven by hand, is the
-// only maintenance call, and it queues no early round anywhere. Then, with
-// the loops running, a leaf write reaches all 64 servers within a second, in
-// at most one early round per server and without advancing any server's
-// periodic round count — the clock soft state counts.
+// period is an hour, only early rounds can move anything. A view change
+// re-versions the owner's export (PolicyRev) without firing the write hook;
+// the report it causes, driven by hand, is the only maintenance call, and
+// the parent, which takes the branch in at a new version, is the one server
+// it leaves an early round queued at. The view-changing server's own early
+// round and the rounds it sets off bring every server to the new versions.
+// Then, with the loops running, a leaf write reaches all 64 servers within a
+// second, in at most one early round per server and without advancing any
+// server's periodic round count — the clock soft state counts.
 func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 	tr := &countingTransport{Chan: transport.NewChan()}
 	cl, _ := parkedFederation(t, tr, nil)
@@ -117,12 +119,17 @@ func TestWriteReachesEveryServerWithoutATick(t *testing.T) {
 		t.Errorf("%d maintenance calls after a view change's report; want the report alone", got)
 	}
 	for _, s := range cl.Servers {
-		if len(s.wake) > 0 {
-			t.Errorf("%s has an early round queued after a view change's report", s.ID())
+		if queued, parent := len(s.wake) > 0, s.ID() == mid.ParentID(); queued != parent {
+			t.Errorf("%s: early round queued after a view change's report: %v; want %v", s.ID(), queued, parent)
 		}
 	}
 	if after := earlyRounds(cl); !slices.Equal(after, before) {
-		t.Errorf("a view change set off early rounds: %v -> %v", before, after)
+		t.Errorf("a view change's report ran early rounds: %v -> %v", before, after)
+	}
+	mid.round(true)
+	cl.drainEarly()
+	if stale := staleViews(cl); len(stale) > 0 {
+		t.Errorf("after the view change's early rounds, servers hold older versions: %v", stale)
 	}
 
 	// A leaf write, with the loops running.

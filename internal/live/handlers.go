@@ -56,8 +56,8 @@ func (s *Server) ackWith(info *wire.AckInfo) *wire.Message {
 // joiner is not on our root path (loop avoidance); otherwise it redirects
 // to our children with their branch shapes.
 func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
-	if msg.Join == nil {
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: join without payload"))
+	if msg.Join == nil || msg.Join.ID == "" || msg.Join.Addr == "" {
+		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: join without a joiner ID and address"))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -140,17 +140,19 @@ func (s *Server) fencedLocked(c *childState, what string, msg *wire.Message) *wi
 // handleSummaryReport is the parent's half of the one exchange a child has
 // with it: it ingests the child's branch summary, refreshes the child's
 // liveness, epoch and branch shape, and answers with three verdicts. In order:
-// fence; adopt a sender this server does not know if capacity allows (state
-// lost after a restart, or the child was pruned during a slow spell), refuse
-// it with an error otherwise — the child counts refusals as misses and
-// rejoins; refresh; then the content, ancestry and replica-set verdicts.
+// refuse a report without a version or a sender ID and address; fence; adopt
+// a sender this server does not know if capacity allows (state lost after a
+// restart, or the child was pruned during a slow spell), refuse it with an
+// error otherwise — the child counts refusals as misses and rejoins; refresh;
+// then the content, ancestry and replica-set verdicts.
 //
-// Content: a version-only report (Summary nil, Version set — sent once this
-// server confirmed holding the child's current branch version) costs no
-// summary decode or re-merge; a version this server does not hold answers
-// NeedFull so the child resends in full next tick, and so does an adopted
-// sender whose report leaves out its children. Full reports are acked with
-// the version now held, which is what lets the child start suppressing.
+// Content: a version-only report (Summary nil — sent once this server
+// confirmed holding the child's current branch version) costs no summary
+// decode or re-merge; a version this server does not hold answers NeedFull so
+// the child resends in full next tick, and so does an adopted sender whose
+// report leaves out its children. Full reports are acked with the version now
+// held, which is what lets the child start suppressing, and a branch taken in
+// at a new version is passed on in an early round.
 //
 // Ancestry: our root path (so the child can rebuild its own) and the child's
 // sibling list (for root election if we die while being the root) — unless
@@ -161,8 +163,8 @@ func (s *Server) fencedLocked(c *childState, what string, msg *wire.Message) *wi
 // list (NeedList).
 func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	report := msg.Report
-	if report == nil || (report.Summary == nil && report.Version == 0) {
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: summary report without payload"))
+	if report == nil || report.Version == 0 || msg.From == "" || msg.Addr == "" {
+		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: summary report without a version or a sender ID and address"))
 	}
 	sum, err := report.Summary.ToSummary(s.cfg.Schema) // nil for a version-only report
 	if err != nil {
@@ -198,17 +200,12 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	ack := &wire.AckInfo{}
 	switch {
 	case sum != nil && (known || report.Kids):
-		// A full report with the same non-zero version restates unchanged
-		// content (the parent asked NeedFull): swap the object but skip the
-		// branch re-merge. A report without a version must be assumed changed.
-		// Changed urgent content is passed on in an early round.
-		if c.branch == nil || c.version != report.Version || report.Version == 0 {
+		// A full report with the same version restates unchanged content
+		// (the parent asked NeedFull): swap the object but skip the branch
+		// re-merge and the early round.
+		if c.branch == nil || c.version != report.Version {
 			s.childEpoch++
-			c.urgent = report.Urgent
-			if report.Urgent {
-				s.childUrgent = true
-				s.requestEarly()
-			}
+			s.requestEarly()
 		}
 		c.branch = sum
 		c.version = report.Version
@@ -278,10 +275,13 @@ func sameRedirects(a, b []wire.RedirectInfo) bool {
 
 // decodeReplica reconstructs one full push entry's summary against the
 // schema; decoding stays outside the server lock so slow summary rebuilds
-// never stall the handlers.
+// never stall the handlers. An entry without a version is refused.
 func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, error) {
 	if p == nil || p.Summary == nil {
 		return nil, fmt.Errorf("live: replica push without payload")
+	}
+	if p.Version == 0 {
+		return nil, fmt.Errorf("live: replica push of %s without a version", p.OriginID)
 	}
 	sum, err := p.Summary.ToSummary(s.cfg.Schema)
 	if err != nil {
@@ -302,7 +302,6 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 		version:    p.Version,
 		meta:       replicaMeta(p.Ancestor, level, p.OriginAddr, p.Fallbacks),
 		via:        via,
-		urgent:     p.Urgent,
 	}, nil
 }
 
@@ -315,12 +314,12 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 // NeedFullOrigins when it does not or the origin is unknown, so the sender
 // restates that origin in full next tick. Replicas held via the sender
 // that the list leaves out lose their feeder mark: the sender no longer
-// renews them, and they age out. An urgent full entry that changes
-// a replica asks for an early round, which passes it on to the children.
+// renews them, and they age out. A full entry that changes a replica, at a
+// server with children to pass it on to, asks for an early round.
 func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 	b := msg.Batch
-	if b == nil {
-		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: replica batch without payload"))
+	if b == nil || msg.From == "" || msg.Addr == "" {
+		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: replica batch without payload or a sender ID and address"))
 	}
 	states := make([]*replicaState, 0, len(b.Pushes))
 	var tagOnly []*wire.ReplicaPush
@@ -343,7 +342,7 @@ func (s *Server) handleReplicaBatch(msg *wire.Message) *wire.Message {
 		if rs.originID == s.cfg.ID { // never replicate ourselves
 			continue
 		}
-		if old := s.replicas[rs.originID]; rs.urgent && len(s.children) > 0 && (old == nil || old.tag() != rs.tag()) {
+		if old := s.replicas[rs.originID]; len(s.children) > 0 && (old == nil || old.tag() != rs.tag()) {
 			s.requestEarly()
 		}
 		rs.listed = s.listSeq
@@ -611,7 +610,9 @@ func (s *Server) handleStatus() *wire.Message {
 	return &wire.Message{Kind: wire.KindStatusReply, From: s.cfg.ID, Addr: s.cfg.Addr, Status: s.StatusSnapshot()}
 }
 
-// handleLeave removes a departing parent or child.
+// handleLeave removes a departing parent or child. A root's parentID is
+// empty, and so is an anonymous leave's From: only a parent's leave plans a
+// rejoin.
 func (s *Server) handleLeave(msg *wire.Message) *wire.Message {
 	s.mu.Lock()
 	if _, ok := s.children[msg.From]; ok {
@@ -619,7 +620,7 @@ func (s *Server) handleLeave(msg *wire.Message) *wire.Message {
 	}
 	delete(s.children, msg.From)
 	delete(s.replicas, msg.From)
-	if msg.From == s.parentID && s.tx == txNone {
+	if s.parentAddr != "" && msg.From == s.parentID && s.recovery == nil {
 		// Capture the recovery plan now, under the lock, before anything
 		// can disturb the root path or parent state. A handler makes no
 		// outgoing calls: the next periodic round makes the first attempt.

@@ -56,10 +56,10 @@ func earlyGap(d, period time.Duration) time.Duration {
 // (§III-C), ages out soft state and, every mergeProbeTicks-th round, probes
 // for split brains.
 //
-// Between periods it runs early rounds, when a write signal, an urgent report
-// or entry, or an accepted join asks for one (requestEarly): content only, so
-// a write crosses each hop in milliseconds instead of half a period on
-// average. After an early round the next one waits earlyGap of what that
+// Between periods it runs early rounds, when a write, a new child branch, a
+// changed replica or an accepted join asks for one (requestEarly): content
+// only, so a write crosses each hop in milliseconds instead of half a period
+// on average. After an early round the next one waits earlyGap of what that
 // round charged; a request inside that gap waits out the rest of it, and a
 // periodic round that comes first carries what the request was for. The
 // periodic timer never moves.
@@ -149,11 +149,8 @@ func (s *Server) round(early bool) time.Duration {
 // the last merged one, and the branch re-merge is skipped while neither the
 // local content hash nor the child epoch moved — so a steady-state tick costs
 // a mutex and a few counter reads per owner instead of
-// O(records × attributes) work.
-//
-// A local summary rebuilt after an owner's write signal is urgent content,
-// and so is a branch rebuilt from it or from an urgent child branch. An
-// early round's refresh (early) is not counted as skipped.
+// O(records × attributes) work. An early round's refresh (early) is not
+// counted as skipped.
 func (s *Server) refreshSummaries() { s.refresh(false) }
 
 func (s *Server) refresh(early bool) {
@@ -161,11 +158,6 @@ func (s *Server) refresh(early bool) {
 	defer func() { s.refreshBusyNs.Add(time.Since(start).Nanoseconds()) }()
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	// An owner signals after its write, so the exports below see every write
-	// counted here.
-	writes := s.writes.Load()
-	wrote := writes != s.seenWrites
-	s.seenWrites = writes
 
 	// Owners export in the server's one geometry. A failed export is left
 	// out (nil): a partial summary beats a stale one.
@@ -226,12 +218,7 @@ func (s *Server) refresh(early bool) {
 	}
 	if localDirty {
 		s.localSummary = local
-		s.localUrgent = wrote
 	}
-	if (localDirty && wrote) || s.childUrgent {
-		s.branchUrgent = true
-	}
-	s.childUrgent = false
 	branch := s.localSummary.Clone()
 	branch.Origin = s.cfg.ID
 	for _, c := range s.children {
@@ -370,10 +357,9 @@ func (s *Server) childRedirectsLocked() []wire.RedirectInfo {
 // ancestry) and only if it is not fenced (stamped with an epoch below the
 // parent's recorded one — a reply from before the parent's last recovery).
 //
-// A full report is urgent while the branch holds urgent content the parent
-// has not confirmed. An early round's report (early) goes only when the
-// parent lacks the branch, and its failure is no miss: the failure detector
-// counts periodic exchanges only.
+// An early round's report (early) goes only when the parent lacks the
+// branch, and its failure is no miss: the failure detector counts periodic
+// exchanges only.
 func (s *Server) reportToParent() { s.report(false) }
 
 func (s *Server) report(early bool) {
@@ -384,7 +370,7 @@ func (s *Server) report(early bool) {
 		s.mu.Unlock()
 		return
 	}
-	held := !s.parentNeedFull && branch.Version != 0 && s.parentHaveVersion == branch.Version
+	held := !s.parentNeedFull && s.parentHaveVersion == branch.Version
 	if early && held {
 		s.mu.Unlock()
 		return
@@ -395,7 +381,6 @@ func (s *Server) report(early bool) {
 		Descendants: s.descendantsLocked(),
 		Version:     branch.Version,
 		Have:        s.heldAncestryLocked(),
-		Urgent:      !held && s.branchUrgent,
 		NeedList:    s.parentNeedList,
 	}
 	if kidsHash(kids) != s.parentKids {
@@ -442,9 +427,6 @@ func (s *Server) report(early bool) {
 	case ack.HaveVersion != 0:
 		s.parentHaveVersion = ack.HaveVersion
 		s.parentNeedFull = false
-		if s.branchSummary != nil && s.branchSummary.Version == ack.HaveVersion {
-			s.branchUrgent = false // the parent holds it
-		}
 	}
 	if report.Kids && !ack.NeedFull {
 		s.parentKids = kidsHash(kids)
@@ -495,7 +477,6 @@ type pushEntry struct {
 	fallbacks    []wire.RedirectInfo
 	version      uint64
 	tag          uint64
-	urgent       bool
 	dto          *wire.ReplicaPush // the full entry, built on first use and shared by the children
 }
 
@@ -510,7 +491,6 @@ func (e *pushEntry) full() *wire.ReplicaPush {
 			Level:      e.level,
 			Fallbacks:  e.fallbacks,
 			Version:    e.version,
-			Urgent:     e.urgent,
 		}
 	}
 	return e.dto
@@ -534,7 +514,7 @@ func (s *Server) replicaSetLocked() ([]pushEntry, setDigest) {
 	for _, c := range s.children {
 		if c.branch != nil {
 			entries = append(entries, pushEntry{origin: c.id, addr: c.addr, sum: c.branch,
-				level: 1, fallbacks: c.kids, version: c.version, urgent: c.urgent})
+				level: 1, fallbacks: c.kids, version: c.version})
 		}
 	}
 	// Everything else goes to every child alike: self as ancestor (local
@@ -543,7 +523,7 @@ func (s *Server) replicaSetLocked() ([]pushEntry, setDigest) {
 	// ancestors, one level further away).
 	if s.localSummary != nil {
 		entries = append(entries, pushEntry{origin: s.cfg.ID, addr: s.cfg.Addr, sum: s.localSummary,
-			ancestor: true, level: 1, version: s.localSummary.Version, urgent: s.localUrgent})
+			ancestor: true, level: 1, version: s.localSummary.Version})
 	}
 	for _, r := range s.replicas {
 		if _, isChild := s.children[r.originID]; isChild || r.originID == s.cfg.ID {
@@ -560,7 +540,7 @@ func (s *Server) replicaSetLocked() ([]pushEntry, setDigest) {
 			continue
 		}
 		entries = append(entries, pushEntry{origin: r.originID, addr: r.originAddr, sum: r.sum,
-			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version, urgent: r.urgent})
+			ancestor: r.ancestor, level: r.level + 1, fallbacks: r.fallbacks, version: r.version})
 	}
 	var all setDigest
 	for i := range entries {
@@ -591,8 +571,6 @@ func childSet(entries []pushEntry, all setDigest, child string) (setDigest, int)
 // sent the list; one that cannot match a tag-only entry names the origin in
 // NeedFullOrigins and is sent that entry in full. Both corrections take
 // effect on the next round, so no state needs a periodic restatement to heal.
-// A full entry is urgent when its summary came in urgent (or, for this
-// server's own local summary, was rebuilt after a write).
 //
 // Every batch is built here, on the round's goroutine: a full entry's DTO is
 // built on first use and then shared by the batches. The batches then go to
@@ -663,11 +641,7 @@ type childPush struct {
 // entry's tag. The tag-only entries share one backing array, counted first so
 // that a batch of full entries allocates none.
 func (s *Server) childBatch(child childState, entries []pushEntry, own, n int) childPush {
-	held := func(e *pushEntry) bool {
-		// Unversioned content is never taken as held: it ships in full
-		// every round and keeps the child's set moving.
-		return e.version != 0 && child.push.acked[e.origin] == e.tag
-	}
+	held := func(e *pushEntry) bool { return child.push.acked[e.origin] == e.tag }
 	tags := 0
 	for i := range entries {
 		if i != own && held(&entries[i]) {
@@ -682,9 +656,7 @@ func (s *Server) childBatch(child childState, entries []pushEntry, own, n int) c
 		if i == own {
 			continue
 		}
-		if e.version != 0 {
-			listed[e.origin] = e.tag
-		}
+		listed[e.origin] = e.tag
 		if held(e) {
 			// The entry that stands in for the full one: it renews the
 			// replica for the origin ID and nine bytes.
@@ -802,7 +774,7 @@ func (s *Server) noteParentMiss(parentAddr string) {
 	defer s.mu.Unlock()
 	if s.parentAddr == parentAddr { // else it was replaced mid-flight, and the miss is not the new one's
 		s.parentMisses++
-		if s.parentMisses >= heartbeatMiss && s.tx == txNone {
+		if s.parentMisses >= heartbeatMiss && s.recovery == nil {
 			s.planRejoinLocked()
 		}
 	}
@@ -830,7 +802,8 @@ type rejoinPlan struct {
 // the membership epoch (fencing everything still loyal to the dead parent's
 // regime), and clears the dead parent. The next periodic round makes the
 // first attempt — the current one, when the round's own report detected the
-// loss. Callers hold s.mu and must have checked s.tx == txNone.
+// loss. Callers hold s.mu and must have checked that no recovery is in
+// flight (s.recovery == nil).
 func (s *Server) planRejoinLocked() {
 	p := &rejoinPlan{}
 	for _, sib := range s.siblingsOfMe {
@@ -849,7 +822,7 @@ func (s *Server) planRejoinLocked() {
 	}
 	// The dying ancestry is exactly what split-brain probing needs later.
 	s.rememberPathLocked()
-	s.tx, s.recovery = txRecovery, p
+	s.recovery = p
 	s.epoch.Add(1)
 	s.parentID = ""
 	s.parentAddr = ""

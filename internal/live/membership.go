@@ -1,40 +1,25 @@
 package live
 
-// The epoch-fenced membership layer: every structural tree mutation (join,
-// adoption, rejoin, root election, tree merge) runs as a single-flight
-// transaction (txKind) stamped with a monotonically increasing membership
-// epoch that every server stamps on every relationship message it sends.
-// Epochs fence stale mutations — a report, its ack or a re-join carrying
-// an epoch lower than the one recorded for that relationship is rejected —
-// so a healed partition cannot resurrect a dead parent/child edge. On top
-// of the fence sits split-brain detection: every mergeProbeTicks-th periodic
-// round, a root probes its remembered ancestry and the configured merge
-// seeds; when two live roots discover each other the higher-epoch root (tie:
-// smaller ID) wins and the loser joins it, folding its whole tree back as a
-// subtree. Summaries then re-aggregate through the ordinary change-driven
-// pipeline.
+// The epoch-fenced membership layer: every server stamps its membership epoch,
+// which only ever increases, on every relationship message it sends. A parent
+// loss bumps it and starts a recovery (rejoin or root election); one recovery
+// at a time is in flight (Server.recovery), and while it is, neither a second
+// one nor a tree merge starts. A recovery and a merge make their calls on the
+// server's round goroutine, so neither can overlap the other. Epochs fence
+// stale mutations — a report, its ack or a re-join carrying an epoch lower
+// than the one recorded for that relationship is rejected — so a healed
+// partition cannot resurrect a dead parent/child edge. On top of the fence
+// sits split-brain detection: every mergeProbeTicks-th periodic round, a root
+// probes its remembered ancestry and the configured merge seeds; when two live
+// roots discover each other the higher-epoch root (tie: smaller ID) wins and
+// the loser joins it, folding its whole tree back as a subtree. Summaries then
+// re-aggregate through the ordinary change-driven pipeline.
 
 import (
 	"fmt"
 	"sort"
 
 	"roads/internal/wire"
-)
-
-// txKind names the structural mutation a server currently has in flight.
-// Structural mutations are single-flight: planRejoinLocked, executeMerge
-// and Join-driven adoption all check tx == txNone first, so two recoveries
-// (or a recovery and a merge) can never interleave their parent rewrites.
-type txKind int
-
-const (
-	// txNone: no structural mutation in flight.
-	txNone txKind = iota
-	// txRecovery: a parent loss is being recovered (ancestor rejoin or
-	// root election), one attempt per periodic round, see executeRecovery.
-	txRecovery
-	// txMerge: this (losing) root is joining a winning foreign root.
-	txMerge
 )
 
 // knownServerCap bounds the ancestry memory: the id→addr map of every
@@ -99,16 +84,6 @@ func (s *Server) advanceRelEpochLocked(cur *uint64, e uint64) bool {
 func (s *Server) stampEpoch(m *wire.Message) *wire.Message {
 	m.Epoch = s.epoch.Load()
 	return m
-}
-
-// endTx clears the in-flight transaction if it is still k (a shutdown or
-// a competing path may have superseded it).
-func (s *Server) endTx(k txKind) {
-	s.mu.Lock()
-	if s.tx == k {
-		s.tx = txNone
-	}
-	s.mu.Unlock()
 }
 
 // rememberLocked records one server in the ancestry memory that seeds
@@ -195,7 +170,7 @@ func (s *Server) membershipTick(tick uint64) {
 	s.mu.Lock()
 	merge := s.pendingMergeAddr
 	s.pendingMergeAddr = ""
-	isIdleRoot := s.parentAddr == "" && s.tx == txNone
+	isIdleRoot := s.parentAddr == "" && s.recovery == nil
 	var candidates []string
 	if isIdleRoot && merge == "" {
 		candidates = s.probeCandidatesLocked()
@@ -247,7 +222,7 @@ func (s *Server) probeRoot(addr string, chase bool) {
 	s.mu.Lock()
 	s.rememberLocked(rep.From, rep.Addr)
 	s.rememberLocked(other.RootID, other.RootAddr)
-	stillIdleRoot := s.parentAddr == "" && s.tx == txNone
+	stillIdleRoot := s.parentAddr == "" && s.recovery == nil
 	if stillIdleRoot && other.RootID != s.cfg.ID &&
 		otherWins(rep.Epoch, other.RootID, s.epoch.Load(), s.cfg.ID) &&
 		s.pendingMergeAddr == "" {
@@ -271,13 +246,11 @@ func (s *Server) probeRoot(addr string, chase bool) {
 // from the reply.
 func (s *Server) executeMerge(addr string) {
 	s.mu.Lock()
-	if s.tx != txNone || s.parentAddr != "" || !s.started {
-		s.mu.Unlock()
+	idle := s.recovery == nil && s.parentAddr == "" && s.started
+	s.mu.Unlock()
+	if !idle {
 		return
 	}
-	s.tx = txMerge
-	s.mu.Unlock()
-	defer s.endTx(txMerge)
 
 	rep, err := s.tr.Call(addr, s.probeMessage())
 	if err != nil || rep == nil || wire.RemoteError(rep) != nil || rep.RootProbe == nil {
@@ -313,7 +286,7 @@ func (s *Server) executeRecovery(now uint64) {
 	}
 	if s.tryRecovery(p) {
 		s.mu.Lock()
-		s.recovery, s.tx = nil, txNone
+		s.recovery = nil
 		s.mu.Unlock()
 		return
 	}
@@ -439,7 +412,7 @@ func (s *Server) handleRootProbe(msg *wire.Message) *wire.Message {
 	if len(s.rootPath) > 0 && len(s.rootPathAddrs) > 0 {
 		rootID, rootAddr = s.rootPath[0], s.rootPathAddrs[0]
 	}
-	if s.parentAddr == "" && s.tx == txNone && s.pendingMergeAddr == "" &&
+	if s.parentAddr == "" && s.recovery == nil && s.pendingMergeAddr == "" &&
 		msg.RootProbe.RootID != s.cfg.ID &&
 		otherWins(msg.Epoch, msg.RootProbe.RootID, s.epoch.Load(), s.cfg.ID) {
 		s.pendingMergeAddr = msg.RootProbe.RootAddr

@@ -150,6 +150,75 @@ func TestEpochStampedFromFirstMessage(t *testing.T) {
 	}
 }
 
+// TestAnonymousRelationshipMessagesChangeNothing: a relationship message
+// without a sender is nobody's. A leave with an empty From at a root once
+// matched the root's empty parent ID, planned a recovery, bumped the epoch
+// and ran an election; a report with an empty From was adopted as a child
+// "", and a join with an empty ID was accepted. Each is refused now (the
+// leave is acknowledged and ignored), and none changes the tree.
+func TestAnonymousRelationshipMessagesChangeNothing(t *testing.T) {
+	schema := record.DefaultSchema(2)
+	tr := transport.NewChan()
+	p := deltaServer(t, tr, "p", schema)
+	c := deltaServer(t, tr, "c", schema)
+	if err := c.Join(p.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	driveRound(c, p)
+	recovering := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.recovery != nil
+	}
+	check := func(what string) {
+		t.Helper()
+		if !p.IsRoot() || recovering() || p.Epoch() != 1 || p.mx.parentFailovers.Load() != 0 {
+			t.Errorf("after %s: root %v, recovering %v, epoch %d, failovers %d; want a settled root at epoch 1",
+				what, p.IsRoot(), recovering(), p.Epoch(), p.mx.parentFailovers.Load())
+		}
+		if got := p.NumChildren(); got != 1 {
+			t.Errorf("after %s: %d children; want c alone", what, got)
+		}
+	}
+
+	p.handle(&wire.Message{Kind: wire.KindLeave})
+	check("a leave without a sender")
+	p.round(false) // the round a planned recovery would run its election in
+	check("a round after it")
+
+	for _, from := range [][2]string{{"", ""}, {"x", ""}, {"", "addr-x"}} {
+		what := fmt.Sprintf("a report from ID %q, address %q", from[0], from[1])
+		rep := p.handle(&wire.Message{Kind: wire.KindSummaryReport, From: from[0], Addr: from[1],
+			Report: &wire.SummaryReport{Depth: 1, Version: 1}})
+		if wire.RemoteError(rep) == nil {
+			t.Errorf("%s was acked", what)
+		}
+		check(what)
+	}
+	for _, j := range []wire.Join{{}, {ID: "x"}, {Addr: "addr-x"}} {
+		what := fmt.Sprintf("a join of ID %q, address %q", j.ID, j.Addr)
+		rep := p.handle(&wire.Message{Kind: wire.KindJoin, From: "x", Addr: "addr-x", Join: &j})
+		if wire.RemoteError(rep) == nil {
+			t.Errorf("%s was answered %+v", what, rep.JoinReply)
+		}
+		check(what)
+	}
+
+	local := c.snap.Load().localSummary
+	batch := &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{{OriginID: "x", OriginAddr: "addr-x",
+		Summary: wire.FromSummary(local), Level: 1, Version: local.Version}}}
+	replicas := c.NumReplicas()
+	for _, from := range [][2]string{{"", ""}, {"p", ""}, {"", p.Addr()}} {
+		rep := c.handle(&wire.Message{Kind: wire.KindReplicaBatch, From: from[0], Addr: from[1], Batch: batch})
+		if wire.RemoteError(rep) == nil {
+			t.Errorf("a batch from ID %q, address %q was acked", from[0], from[1])
+		}
+	}
+	if got := c.NumReplicas(); got != replicas {
+		t.Errorf("c holds %d replicas after anonymous batches; want %d", got, replicas)
+	}
+}
+
 // TestEpochFencesStaleMutations pins the fence on every parent-side
 // relationship handler: once a child's recorded epoch advances, messages
 // stamped from an older regime are rejected with an error and counted,
@@ -665,7 +734,7 @@ func TestChaosElectionWinnerUnreachable(t *testing.T) {
 	wroteOff := func() bool {
 		for _, srv := range winnerKids {
 			srv.mu.Lock()
-			done := srv.parentID != winner.ID() && srv.tx == txNone
+			done := srv.parentID != winner.ID() && srv.recovery == nil
 			srv.mu.Unlock()
 			if !done {
 				return false

@@ -85,7 +85,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		pushFull: reg.Counter("roads_replica_push_full_total",
 			"Replica entries sent with their summaries (new origin, changed tag, or the child asked for the origin in full)."),
 		earlyRounds: reg.Counter("roads_early_rounds_total",
-			"Content-only aggregation rounds run between periods because a record write, an urgent report or entry, or a join arrived (after each, the next waits nine times what it charged, at most half a period)."),
+			"Content-only aggregation rounds run between periods because an attached owner wrote, a child branch came in at a new version, a full replica entry changed a replica passed on to children, or a join was accepted (after each, the next waits nine times what it charged, at most half a period)."),
 		fenced: reg.Counter("roads_membership_fenced_total",
 			"Relationship messages rejected (or replies discarded) for carrying a membership epoch lower than the recorded one."),
 		elections: reg.Counter("roads_membership_elections_total",

@@ -155,9 +155,10 @@ func TestReplicaBatchAtomic(t *testing.T) {
 	good := &wire.Message{
 		Kind: wire.KindReplicaBatch,
 		From: "parent",
+		Addr: "parent-addr",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib1", OriginAddr: "sib1-addr", Summary: sum, Level: 1},
-			{OriginID: "anc1", OriginAddr: "anc1-addr", Summary: sum, Ancestor: true, Level: 2},
+			{OriginID: "sib1", OriginAddr: "sib1-addr", Summary: sum, Level: 1, Version: sum.Version},
+			{OriginID: "anc1", OriginAddr: "anc1-addr", Summary: sum, Ancestor: true, Level: 2, Version: sum.Version},
 		}},
 	}
 	rep, err := tr.Call(srv.Addr(), good)
@@ -173,9 +174,10 @@ func TestReplicaBatchAtomic(t *testing.T) {
 	bad := &wire.Message{
 		Kind: wire.KindReplicaBatch,
 		From: "parent",
+		Addr: "parent-addr",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib2", OriginAddr: "sib2-addr", Summary: sum, Level: 1},
-			{OriginID: "sib3", OriginAddr: "sib3-addr", Summary: &corrupt, Level: 1},
+			{OriginID: "sib2", OriginAddr: "sib2-addr", Summary: sum, Level: 1, Version: sum.Version},
+			{OriginID: "sib3", OriginAddr: "sib3-addr", Summary: &corrupt, Level: 1, Version: sum.Version},
 		}},
 	}
 	rep, err = tr.Call(srv.Addr(), bad)

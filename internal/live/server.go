@@ -150,8 +150,6 @@ type childState struct {
 	// relationship message; lower-epoch reports and re-joins from it are
 	// fenced. Reset to the join's epoch when it rejoins.
 	epoch uint64
-	// urgent is the Urgent bit of the report that brought branch.
-	urgent bool
 }
 
 // pushState is the parent's record of the replica set one child holds via
@@ -202,9 +200,6 @@ type replicaState struct {
 	// ages out. The digest a feeder's report ack states covers exactly the
 	// replicas held via it.
 	via string
-	// urgent is the Urgent bit of the entry that brought sum; forwarding the
-	// replica passes it on.
-	urgent bool
 }
 
 // tag hashes the replica as held, the way its feeder hashes the entry it
@@ -226,11 +221,9 @@ type Server struct {
 	// parentMisses counts consecutive failed or refused reports to the
 	// parent; at heartbeatMiss the parent is given up (noteParentMiss).
 	parentMisses int
-	// tx is the structural mutation currently in flight (recovery, merge);
-	// structural mutations are single-flight, see membership.go. recovery
-	// is the plan of the recovery in flight (tx == txRecovery), which the
-	// periodic rounds advance (executeRecovery).
-	tx            txKind
+	// recovery is the plan of the parent-loss recovery in flight, nil while
+	// there is none; the periodic rounds advance it (executeRecovery), and
+	// nothing else rewrites the parent while it is set (membership.go).
 	recovery      *rejoinPlan
 	rootPath      []string
 	rootPathAddrs []string
@@ -292,22 +285,10 @@ type Server struct {
 
 	// Early rounds (aggregationLoop). wake asks the loop for one; it is
 	// buffered, so a request made while one is pending is absorbed by it.
-	// writes counts the write signals of the attached owners; seenWrites is
-	// the count the last refresh saw, guarded by refreshMu. earlyBusyNs
-	// accumulates what the early rounds charged toward their gaps (round;
-	// RefreshInfo, roads_early_round_seconds_total).
+	// earlyBusyNs accumulates what the early rounds charged toward their gaps
+	// (round; RefreshInfo, roads_early_round_seconds_total).
 	wake        chan struct{}
-	writes      atomic.Uint64
-	seenWrites  uint64
 	earlyBusyNs atomic.Int64
-
-	// Urgency, guarded by s.mu: content that carries a record write (or a
-	// join) travels in early rounds, anything else at the period. localUrgent
-	// marks the published local summary, childUrgent a child branch taken in
-	// since the last branch rebuild, and branchUrgent a branch the parent has
-	// not confirmed holding. childState.urgent and replicaState.urgent mark
-	// the rest.
-	localUrgent, childUrgent, branchUrgent bool
 
 	// epoch is the membership epoch: starts at 1, bumped when a recovery
 	// begins, raised to any higher epoch observed on the wire, and never
@@ -385,25 +366,20 @@ func (s *Server) Addr() string { return s.cfg.Addr }
 // AttachOwner attaches a resource owner locally. The server keeps no copy
 // of the owner's records or summary: every refresh asks the owner for its
 // export, and every query for its matches. The attachment and each write
-// count as urgent content: they leave in an early round.
+// ask for an early round.
 func (s *Server) AttachOwner(o *policy.Owner) error {
-	o.OnChange(s.noteWrite)
+	o.OnChange(s.requestEarly)
 	s.mu.Lock()
 	s.owners = append(s.owners, o)
 	s.publishSnapshotLocked()
 	s.mu.Unlock()
-	s.noteWrite()
+	s.requestEarly()
 	return nil
 }
 
-// noteWrite takes an attached owner's write signal: the next refresh counts
-// the local content urgent, and an early round is asked for.
-func (s *Server) noteWrite() {
-	s.writes.Add(1)
-	s.requestEarly()
-}
-
-// requestEarly asks the aggregation loop for an early round.
+// requestEarly asks the aggregation loop for an early round: when an attached
+// owner writes, a join is accepted, a child branch comes in at a new version
+// or a full entry changes a replica passed on to children.
 func (s *Server) requestEarly() {
 	select {
 	case s.wake <- struct{}{}:
@@ -559,9 +535,6 @@ func (s *Server) Join(seedAddr string) error {
 			s.parentHaveVersion, s.parentNeedFull = 0, false
 			s.parentKids, s.parentNeedList = 0, false
 			s.parentEpoch = rep.Epoch
-			// The branch is news to the new parent: it passes it on in an
-			// early round.
-			s.branchUrgent = true
 			s.rememberLocked(jr.ParentID, jr.ParentAddr)
 			s.publishSnapshotLocked()
 			s.mu.Unlock()

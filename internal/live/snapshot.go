@@ -66,7 +66,7 @@ type routingSnapshot struct {
 	// reply can depend on: each one's identity, address, content version and
 	// failover alternates, and a replica's level (scope filtering keys on
 	// it). queryFingerprint combines it with the live local state to stamp
-	// replies. Zero (some child or replica carries no content version)
+	// replies. Zero (a child has joined but not yet reported a version)
 	// suppresses fingerprints — clients then get no revalidation token and
 	// fall back to full resolves.
 	fpBase uint64
@@ -134,9 +134,6 @@ func (s *Server) publishSnapshotLocked() {
 			if !r.ancestor {
 				sr.ri.Alternates = r.fallbacks
 			}
-			if r.version == 0 {
-				versioned = false
-			}
 			// The tag covers the version, address, level, class and
 			// alternates: everything of the replica a reply can show.
 			routes.add(r.originID, r.tag())
@@ -162,7 +159,7 @@ func (s *Server) publishSnapshotLocked() {
 // different content — and the live local state: owner record-set
 // generations and view revisions. A remote owner's view
 // revision reaches fpBase through the summary versions it is part of. Zero
-// (no fingerprint, "don't cache") when any child or replica is unversioned.
+// (no fingerprint, "don't cache") while a child has not reported a version.
 func (s *Server) queryFingerprint(snap *routingSnapshot) uint64 {
 	if snap.fpBase == 0 {
 		return 0

@@ -13,10 +13,12 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 15 because fourteen layouts came before it (the git history
-// and EXPERIMENTS.md have them); 1–14 are rejected like any other byte.
-// Version 15 dropped the per-attribute geometry plan from a summary's tail,
-// which now ends at its mode byte, and retired that byte's bit 0.
+// The version is 16 because fifteen layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–15 are rejected like any other byte.
+// Version 16 retired version 12's urgent bits (reportRetired, pushRetired):
+// a frame with either set is a decode error. Version 15 dropped the
+// per-attribute geometry plan from a summary's tail, which now ends at its
+// mode byte, and retired that byte's bit 0.
 // Version 14 moved the replica-set digest from the batch's tail to the report
 // ack's (HeldCount, HeldDigest) and gave the report's presence byte the
 // reportKids bit, without which the children are left out, and reportNeedList.
@@ -43,7 +45,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 15
+	binVersion = 16
 	// Version is binVersion for other packages: the documents name it, and
 	// cmd/docscheck holds them to it.
 	Version = binVersion
@@ -505,10 +507,11 @@ func readRedirects(r *binReader, depth int) []RedirectInfo {
 }
 
 // A report opens with its presence byte: reportSummary and reportKids when
-// the summary and the children follow, reportUrgent and reportNeedList.
+// the summary and the children follow, and reportNeedList. reportRetired was
+// the urgent bit up to version 15.
 const (
 	reportSummary = 1 << iota
-	reportUrgent
+	reportRetired
 	reportKids
 	reportNeedList
 )
@@ -517,9 +520,6 @@ func appendReport(b []byte, rep *SummaryReport) []byte {
 	var flags byte
 	if rep.Summary != nil {
 		flags |= reportSummary
-	}
-	if rep.Urgent {
-		flags |= reportUrgent
 	}
 	if rep.Kids {
 		flags |= reportKids
@@ -542,7 +542,10 @@ func appendReport(b []byte, rep *SummaryReport) []byte {
 
 func readReport(r *binReader) *SummaryReport {
 	flags := r.u8()
-	rep := &SummaryReport{Urgent: flags&reportUrgent != 0, Kids: flags&reportKids != 0, NeedList: flags&reportNeedList != 0}
+	if flags&reportRetired != 0 {
+		r.fail("report sets the retired urgent bit")
+	}
+	rep := &SummaryReport{Kids: flags&reportKids != 0, NeedList: flags&reportNeedList != 0}
 	if flags&reportSummary != 0 {
 		rep.Summary = readSummary(r)
 	}
@@ -588,11 +591,12 @@ func readBatch(r *binReader) *ReplicaBatch {
 
 // Replica push flag bits. An entry is its origin and then either a body
 // (pushBody: everything but Tag) or, on a tag-only entry, the eight Tag bytes.
+// pushRetired was the urgent bit up to version 15.
 const (
 	pushSummary = 1 << iota
 	pushAncestor
 	pushBody
-	pushUrgent
+	pushRetired
 )
 
 func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
@@ -602,9 +606,6 @@ func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
 	}
 	if p.Ancestor {
 		flags |= pushAncestor
-	}
-	if p.Urgent {
-		flags |= pushUrgent
 	}
 	if flags != 0 || p.OriginAddr != "" || p.Level != 0 || len(p.Fallbacks) > 0 || p.Version != 0 {
 		flags |= pushBody
@@ -626,13 +627,15 @@ func appendReplicaPush(b []byte, p *ReplicaPush) []byte {
 func readReplicaPush(r *binReader) *ReplicaPush {
 	p := &ReplicaPush{OriginID: r.str()}
 	flags := r.u8()
+	if flags&pushRetired != 0 {
+		r.fail("replica entry sets the retired urgent bit")
+	}
 	if flags&pushBody == 0 {
 		p.Tag = r.u64()
 		return p
 	}
 	p.OriginAddr = r.str()
 	p.Ancestor = flags&pushAncestor != 0
-	p.Urgent = flags&pushUrgent != 0
 	if flags&pushSummary != 0 {
 		p.Summary = readSummary(r)
 	}

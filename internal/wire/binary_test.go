@@ -105,10 +105,11 @@ func sampleMessages(tb testing.TB) []*Message {
 		{Kind: KindSummaryReport, From: "n3d", Addr: "addr3", Epoch: 2, Report: &SummaryReport{
 			Summary: dto, Depth: 1, Version: 5, Have: 0x0102030405060708,
 		}},
-		// An urgent report: the branch carries a write the parent passes on
-		// in an early round.
+		// A full report that names its children and asks for the list: every
+		// presence bit a report has.
 		{Kind: KindSummaryReport, From: "n3u", Addr: "addr3", Epoch: 4, Report: &SummaryReport{
-			Summary: dto, Depth: 2, Descendants: 1, Version: 78, Have: 0x1112131415161718, Urgent: true,
+			Summary: dto, Depth: 2, Descendants: 1, Version: 78, Have: 0x1112131415161718,
+			Kids: true, Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 3}}, NeedList: true,
 		}},
 		// Condensed wildcards: the mode bit.
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
@@ -125,18 +126,14 @@ func sampleMessages(tb testing.TB) []*Message {
 		}},
 		{Kind: KindReplicaBatch, From: "n5", Epoch: 7, Batch: &ReplicaBatch{Pushes: []*ReplicaPush{
 			{OriginID: "p1", OriginAddr: "pa1", Summary: dto, Level: 1, Version: 5},
-			// Untagged, unversioned full entry (what a hand-built push looks like).
-			{OriginID: "p2", OriginAddr: "pa2", Summary: bloomed, Level: 3, Fallbacks: alt},
+			// A full entry with fallbacks, three levels away.
+			{OriginID: "p2", OriginAddr: "pa2", Summary: bloomed, Level: 3, Fallbacks: alt, Version: 2},
 			// Tag-only entry: origin and tag, nothing else.
 			{OriginID: "p3", Tag: 0xfeedfacecafebeef},
 			// Ancestor push: the origin's local summary.
 			{OriginID: "p4", OriginAddr: "pa4", Summary: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
 			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: condensedSummaryDTO()},
-			// Urgent full entries: a sibling's branch and an ancestor's local
-			// summary that carry a write.
-			{OriginID: "p6", OriginAddr: "pa6", Summary: dto, Level: 2, Version: 6, Urgent: true},
-			{OriginID: "p8", OriginAddr: "pa8", Summary: bloomed, Ancestor: true, Level: 1, Version: 9, Urgent: true},
 			nil,
 		}}},
 		// Histogram counts at the uvarint boundaries: one byte up to 127,
@@ -301,7 +298,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled
@@ -406,6 +403,49 @@ func TestBinaryRejectsUnknownModeBits(t *testing.T) {
 		_, err = Decode(data)
 		if ok := mode == SummaryModeCondensed; (err == nil) != ok {
 			t.Errorf("mode byte %#x: decode error %v; want an error: %v", mode, err, !ok)
+		}
+	}
+}
+
+// TestBinaryRejectsRetiredUrgentBits: up to version 15 a report's presence
+// byte and a full replica entry's flags had an urgent bit. A frame setting
+// either is a decode error, counted like any other.
+func TestBinaryRejectsRetiredUrgentBits(t *testing.T) {
+	report, err := Encode(&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+		Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := Encode(&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
+		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3,
+			Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Where the flags sit: after the envelope, and in a batch after the
+	// entry count, the presence byte and the origin.
+	reportAt := len(envelope(KindSummaryReport, hasReport))
+	entryAt := len(envelope(KindReplicaBatch, hasBatch)) + 1 + 1 + 2
+	for _, tc := range []struct {
+		name string
+		data []byte
+		at   int
+		bit  byte
+	}{
+		{"report's urgent bit", report, reportAt, reportRetired},
+		{"full entry's urgent bit", entry, entryAt, pushRetired},
+	} {
+		if _, err := Decode(tc.data); err != nil {
+			t.Fatalf("%s: setup frame does not decode: %v", tc.name, err)
+		}
+		data := bytes.Clone(tc.data)
+		data[tc.at] |= tc.bit
+		before := codecCounters.decodeErrors.Load()
+		if m, err := Decode(data); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", tc.name, m)
+		}
+		if got := codecCounters.decodeErrors.Load() - before; got != 1 {
+			t.Errorf("%s: roads_wire_decode_errors_total moved by %d, want 1", tc.name, got)
 		}
 	}
 }

@@ -26,10 +26,10 @@ var goldenSummary = []byte{
 // maintenance frames — the version-only report with its ancestry hash and
 // without its children, the report ack with the replica-set digest, with and
 // without ancestry, and the tag-only entry of a list batch — of a summary's
-// header, of where the urgent, kids and need-list bits sit on a report and
-// the urgent bit on a full entry, and of a query's fields in order, so a
-// layout change cannot go in without this table (and binVersion) changing in
-// the same commit.
+// header, of where the kids and need-list bits sit on a report and the flags
+// on a full entry, and of a query's fields in order, so a layout change
+// cannot go in without this table (and binVersion) changing in the same
+// commit.
 func TestBinaryGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -126,27 +126,27 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
-		{"urgent full report",
+		{"full report",
 			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
-				Report: &SummaryReport{Depth: 1, Version: 3, Urgent: true, Summary: &SummaryDTO{
+				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
 					Origin: "o", Version: 3, Buckets: 4, Max: 1}}},
 			append(append(envelope(KindSummaryReport, hasReport),
-				reportSummary|reportUrgent), // presence byte: summary, urgent
+				reportSummary), // presence byte: summary
 				append(goldenSummary,
 					2, 0, 3, // Depth, Descendants, Version
 					0, 0, 0, 0, 0, 0, 0, 0, // Have
 					1, // Epoch
 				)...)},
-		{"list batch of one urgent full entry",
+		{"list batch of one full entry",
 			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
-				Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3, Urgent: true,
+				Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3,
 					Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}}}},
 			append(append(envelope(KindReplicaBatch, hasBatch),
 				1,      // one entry
 				1,      // present
 				1, 'o', // OriginID
-				pushSummary|pushBody|pushUrgent, // flags
-				1, 'a',                          // OriginAddr
+				pushSummary|pushBody, // flags
+				1, 'a',               // OriginAddr
 			), append(goldenSummary,
 				2, // Level 1, zigzag
 				0, // no fallbacks

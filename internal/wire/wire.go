@@ -221,15 +221,12 @@ type SummaryReport struct {
 	// with Version set and Summary nil is a version-only report: the parent
 	// already confirmed holding this version, so the report refreshes
 	// liveness and branch-shape metadata without retransmitting or
-	// re-decoding the summary.
+	// re-decoding the summary. It is never zero: a server refuses a report
+	// without one.
 	Version uint64
 	// Have is the reporter's hash of the Ancestry it took from this parent's
 	// acks. Zero means it holds nothing and wants the content.
 	Have uint64
-	// Urgent marks a Summary that carries a record write (or a join) the
-	// parent has not confirmed: the parent passes it on in an early round
-	// instead of at its next aggregation period.
-	Urgent bool
 	// NeedList says the reporter's replicas did not fold to the digest its
 	// last ack stated: the parent's next round sends it a list batch.
 	NeedList bool
@@ -283,8 +280,7 @@ type ReplicaPush struct {
 	// unreachable. Propagated into redirect Alternates.
 	Fallbacks []RedirectInfo
 	// Version is the content version of Summary; it travels on full entries
-	// only. Zero marks unversioned content, which is never confirmed by tag
-	// and ships in full every time.
+	// only, and a server refuses a full entry without one.
 	Version uint64
 	// Tag is what a tag-only entry carries instead of all the above: the
 	// sender's hash of everything the full entry would store besides the
@@ -295,9 +291,6 @@ type ReplicaPush struct {
 	// two sides while the tags agree. A full entry carries no tag; the
 	// receiver derives it from what it stores.
 	Tag uint64
-	// Urgent marks a full entry whose Summary carries a record write: a
-	// receiver that takes it in passes it on in an early round.
-	Urgent bool
 }
 
 // ReplicaBatch is what a parent sends a child in a round in which the set
