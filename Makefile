@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test examples race chaos docs-check fuzz-smoke bench-smoke flakes
+.PHONY: tier1 build vet test examples race chaos docs-check fuzz-smoke bench-smoke flakes smoke-rate
 
 # tier1 is the gate every change must pass: full build + vet + full test
 # suite, every example run to completion, plus race-enabled runs of the
@@ -62,6 +62,17 @@ flakes:
 		/^(panic:|FAIL|ok)[ \t]/ { print; if ($$1 != "ok") bad++ } \
 		END { for (t in runs) { printf "%-48s %d/%d failed\n", t, fails[t], runs[t] | "sort"; bad += fails[t] } \
 			close("sort"); exit bad > 0 }'
+
+# smoke-rate runs the canonical benchmark's smoke test N times, each in a
+# fresh process, prints the tail of every failing run and then how many runs
+# passed; it exits non-zero when any failed. Not part of tier1 (one run takes
+# a few seconds): `make smoke-rate N=20` is the bar for a change to soft state
+# or round timing, since one passing run proves little.
+smoke-rate:
+	@pass=0; for i in $$(seq $(N)); do \
+		if out=$$($(GO) -C bench test -count=1 -run TestSmokeEveryWorkload 2>&1); then pass=$$((pass + 1)); \
+		else echo "run $$i failed:"; echo "$$out" | tail -n 5; fi; \
+	done; echo "smoke-rate: $$pass of $(N) runs passed"; test $$pass -eq $(N)
 
 # docs-check validates that every relative markdown link resolves, that the
 # OPERATIONS.md metric catalog and flag tables match the code, and that every

@@ -20,10 +20,11 @@ type ChurnResult struct {
 	RepairSteps []int
 }
 
-// repairSteps bounds a churn run's repair, several times what it takes:
-// heartbeatMiss (4) rounds to detect a crash, up to ten more for an orphan's
-// recovery to claim the root, and sixteen unrenewed rounds for a crashed
-// server's replicas to age out.
+// repairSteps bounds a churn run's repair, about twice what it takes: four
+// failed reports for an orphan to detect its parent's crash and up to ten
+// more rounds for its recovery to claim the root, while the soft-state window
+// (sixteen unrenewed rounds) runs twice: once for a crashed child's parent to
+// age it out, once more for the replicas of the branch it left to lapse.
 const repairSteps = 100
 
 // SweepChurn measures ROADS' resiliency beyond the paper's evaluation

@@ -325,11 +325,12 @@ func lagDetail(lag []string) string {
 // overshootGrace is how long WaitConverged lets a pure coverage overshoot
 // stand before declaring it structural. A transient overshoot — a stale
 // replica still double-counting a branch that moved or died — heals within
-// heartbeatMiss rounds to drop a dead child plus replicaRounds to age out
-// what nobody renews any more, so the grace is twice that many periods plus
-// slack for loaded or race-instrumented runs, whose rounds run late.
+// two soft-state windows: replicaRounds for a parent to age out a child that
+// left it silently and replicaRounds more for what nobody renews any more to
+// lapse. The grace is twice that many periods plus slack for loaded or
+// race-instrumented runs, whose rounds run late.
 func (cl *Cluster) overshootGrace() time.Duration {
-	return 2*(heartbeatMiss+replicaRounds)*cl.tick + time.Second
+	return 2*(2*replicaRounds)*cl.tick + time.Second
 }
 
 // WaitConverged blocks until every server can route queries to exactly

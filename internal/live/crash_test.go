@@ -42,10 +42,11 @@ func treeDepth(cl *Cluster) int {
 }
 
 // forgetBound is how many steps a stepped federation of the given depth takes
-// at most to forget a crashed leaf: heartbeatMiss for its parent to drop it,
-// one per level for the lists that stop stating it to reach every holder,
-// and replicaRounds after its last renewal for each holder to age it out.
-func forgetBound(depth int) int { return heartbeatMiss + depth + replicaRounds }
+// at most to forget a crashed leaf: the soft-state window (replicaRounds) for
+// its parent to age it out, one per level for the lists that stop stating it
+// to reach every holder, and the window again after its last renewal for each
+// holder to age its replica out.
+func forgetBound(depth int) int { return replicaRounds + depth + replicaRounds }
 
 // TestCrashedLeafExpiresFromOverlay kills a leaf abruptly (no Leave) and
 // verifies the soft-state machinery cleans up by stepping alone: the parent
@@ -112,9 +113,10 @@ func TestCrashedLeafExpiresFromOverlay(t *testing.T) {
 
 // TestSteppedCrashIsCountedInRounds: on a stepped federation a crashed leaf
 // is detected and forgotten by stepping alone, with no loop and no clock. Its
-// parent drops it after exactly heartbeatMiss steps — the count a child uses
-// for its parent — every holder forgets its replica within forgetBound steps,
-// and two builds of one seed forget it at the same step on every server.
+// parent keeps it for exactly the soft-state window after its last report and
+// drops it the step after (replicaRounds+1), as a holder does an unrenewed
+// replica; every holder forgets its replica within forgetBound steps, and two
+// builds of one seed forget it at the same step on every server.
 func TestSteppedCrashIsCountedInRounds(t *testing.T) {
 	const servers, fanOut = 21, 4
 	run := func() (dropped int, forgot map[string]int) {
@@ -167,8 +169,8 @@ func TestSteppedCrashIsCountedInRounds(t *testing.T) {
 				}
 			}
 		}
-		if dropped != heartbeatMiss {
-			t.Errorf("%s dropped its crashed child after %d steps; want exactly heartbeatMiss = %d", parent.ID(), dropped, heartbeatMiss)
+		if dropped != replicaRounds+1 {
+			t.Errorf("%s dropped its crashed child after %d steps; want exactly replicaRounds+1 = %d", parent.ID(), dropped, replicaRounds+1)
 		}
 		for _, srv := range cl.Servers {
 			want := uint64(0)

@@ -10,9 +10,10 @@
 // replicas whose summaries match (handlers.go), which the Client then
 // contacts concurrently. Membership is epoch-fenced (membership.go) so
 // partition healing cannot resurrect dead relationships. All soft state —
-// a dead child, an unrenewed replica, the split-brain probe cadence —
-// counts the server's own periodic rounds, not time, so a stepped cluster
-// detects failures and heals splits exactly as a running one does.
+// a silent child and an unrenewed replica, which share one window, the
+// split-brain probe cadence — counts the server's own periodic rounds, not
+// time, so a stepped cluster detects failures and heals splits exactly as a
+// running one does.
 //
 // Upkeep is priced per change, not per tick. An idle tree edge carries one
 // exchange a tick, the child's report, and each side ships content only when

@@ -39,7 +39,7 @@ func TestRefusedChildRejoins(t *testing.T) {
 		t.Fatalf("setup: root's branch covers %d records with a under it; want 6", got)
 	}
 
-	// What pruneDeadChildren does to a child that was slow for a spell; then
+	// What ageSoftState does to a child silent for a whole window; then
 	// b takes the only slot.
 	root.mu.Lock()
 	delete(root.children, "a")
@@ -88,6 +88,67 @@ func TestRefusedChildRejoins(t *testing.T) {
 			t.Logf("%s: root=%v parent=%q branch=%d path=%v", s.ID(), s.IsRoot(), s.ParentID(), s.BranchRecords(), s.RootPath())
 		}
 		t.Fatal("the federation never came back to one root covering all 9 records")
+	}
+}
+
+// TestLateChildKeepsItsPlace: a parent whose child's reports run late by
+// several of the parent's rounds keeps the child, and answers that enter at
+// the parent stay complete at coverage 1 throughout. Only the root's rounds
+// run on a root -> mid -> leaf chain, so mid is silent from the root's view:
+// it keeps its place for the whole soft-state window (replicaRounds rounds
+// after its last report, as a replica would), well past heartbeatMiss, and is
+// dropped the round after. Dropping it early would lose mid's and leaf's
+// records from the root's answers while they still read coverage 1.
+func TestLateChildKeepsItsPlace(t *testing.T) {
+	schema := record.DefaultSchema(2)
+	tr := transport.NewChan()
+	root := deltaServer(t, tr, "root", schema)
+	mid := deltaServer(t, tr, "mid", schema)
+	leaf := deltaServer(t, tr, "leaf", schema)
+	for _, s := range []*Server{root, mid, leaf} {
+		attachDeltaOwner(t, s, schema, 4)
+	}
+	if err := mid.Join(root.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaf.Join(mid.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		driveRound(leaf, mid, root)
+	}
+	const want = 12
+	if got := root.BranchRecords(); got != want {
+		t.Fatalf("setup: root's branch covers %d records; want %d", got, want)
+	}
+
+	q := matchAllQuery()
+	if err := q.Bind(schema); err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(tr, "t")
+	renewed := childRenewed(root, "mid")
+	for root.rounds.Load() < renewed+replicaRounds {
+		driveRound(root)
+		round := root.rounds.Load() - renewed
+		if root.NumChildren() != 1 {
+			t.Fatalf("round %d of mid's silence: root dropped it inside the window of %d rounds", round, replicaRounds)
+		}
+		recs, stats, err := client.Resolve(root.Addr(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != want || stats.Coverage != 1 {
+			t.Fatalf("round %d of mid's silence: a root-entry answer has %d of %d records at coverage %.2f; want all at 1",
+				round, len(recs), want, stats.Coverage)
+		}
+	}
+	driveRound(root)
+	if root.NumChildren() != 0 {
+		t.Fatalf("root still lists mid %d rounds after its last report; the window is %d", replicaRounds+1, replicaRounds)
+	}
+	if got := root.mx.childrenPruned.Load(); got != 1 {
+		t.Fatalf("roads_children_pruned_total reads %d; want 1", got)
 	}
 }
 
@@ -144,7 +205,7 @@ func TestNeedFullStillRefreshesChild(t *testing.T) {
 		t.Fatalf("c holds siblings %v after the NeedFull ack; want d", sibs)
 	}
 
-	if childSeen(p, "c") != p.rounds.Load() {
+	if childRenewed(p, "c") != p.rounds.Load() {
 		t.Fatal("a report answered NeedFull did not refresh the child's liveness")
 	}
 	if got := childEpochState(p, "c"); got != 7 {

@@ -84,16 +84,16 @@ func (s *Server) handleJoin(msg *wire.Message) *wire.Message {
 			// relationship restarts at the join's stamp for the same
 			// reason.
 			c.addr = msg.Join.Addr
-			c.seen = s.rounds.Load()
+			c.renewed = s.rounds.Load()
 			c.push = pushState{}
 			c.epoch = msg.Epoch
 		} else {
 			s.children[msg.Join.ID] = &childState{
-				id:    msg.Join.ID,
-				addr:  msg.Join.Addr,
-				depth: 1,
-				seen:  s.rounds.Load(),
-				epoch: msg.Epoch,
+				id:      msg.Join.ID,
+				addr:    msg.Join.Addr,
+				depth:   1,
+				renewed: s.rounds.Load(),
+				epoch:   msg.Epoch,
 			}
 		}
 		s.rememberLocked(msg.Join.ID, msg.Join.Addr)
@@ -195,7 +195,7 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	if report.Kids {
 		c.kids = report.Children
 	}
-	c.seen = s.rounds.Load()
+	c.renewed = s.rounds.Load()
 	c.push.needList = c.push.needList || report.NeedList
 	ack := &wire.AckInfo{}
 	switch {

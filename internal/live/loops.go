@@ -105,10 +105,10 @@ func (s *Server) aggregationLoop() {
 // pushes went to; a child's later answer measures the early rounds it has
 // just woken more than this server. Every round sends list batches only, to
 // the children whose set moved. A periodic round advances the server's clock
-// (rounds), which everything soft counts: the dead-child and replica windows
-// and the split-brain probe cadence. An early round
-// carries content only: it reports only a branch the parent does not hold,
-// counts no parent miss, does not advance the clock and prunes nothing.
+// (rounds), which everything soft counts: the one soft-state window and the
+// split-brain probe cadence. An early round carries content only: it reports
+// only a branch the parent does not hold, counts no parent miss, does not
+// advance the clock and ages nothing out.
 func (s *Server) round(early bool) time.Duration {
 	start := time.Now()
 	var now uint64
@@ -122,8 +122,7 @@ func (s *Server) round(early bool) time.Duration {
 	}
 	waited := s.pushReplicas()
 	if !early {
-		s.pruneDeadChildren(now)
-		s.pruneStaleReplicas(now)
+		s.ageSoftState(now)
 		if now%mergeProbeTicks == 0 {
 			s.membershipTick(now/mergeProbeTicks - 1)
 		}
@@ -706,42 +705,28 @@ func (s *Server) push(p *childPush, start time.Time) {
 	}
 }
 
-// pruneDeadChildren drops the children that have not reported for
-// heartbeatMiss of this server's periodic rounds, now being the current one;
-// their subtrees rejoin on their own via root paths. It counts this server's
-// rounds, not time, so a parent whose own rounds run slow gives its children
-// as many rounds as a fast one does. That does not hold across the edge: a
-// live child whose reports run late by heartbeatMiss of its parent's rounds
-// is pruned all the same, and its subtree drops out of answers until it
-// rejoins (a known gap: ROADMAP item 18). roads_children_pruned_total counts
-// the drops.
-func (s *Server) pruneDeadChildren(now uint64) {
+// ageSoftState drops what this server holds from its peers — a child's
+// branch and an overlay replica — once replicaRounds of its own periodic
+// rounds, now being the current one, have passed since the last renewal (a
+// child's report or join; a full entry, a matching tag-only entry or a
+// matching digest on a report ack). A crashed child's subtree then rejoins
+// via its root path, and a crashed origin stops attracting redirects.
+// roads_children_pruned_total counts the children dropped.
+func (s *Server) ageSoftState(now uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	lapsed := func(renewed uint64) bool { return renewed+replicaRounds < now }
 	changed := false
 	for id, c := range s.children {
-		if c.seen+heartbeatMiss <= now {
+		if lapsed(c.renewed) {
 			delete(s.children, id)
 			s.childEpoch++ // its branch leaves the merged summary
 			s.mx.childrenPruned.Inc()
 			changed = true
 		}
 	}
-	if changed {
-		s.publishSnapshotLocked()
-	}
-}
-
-// pruneStaleReplicas ages out the overlay replicas that more than
-// replicaRounds of this server's periodic rounds have not renewed, now being
-// the current one — replicas are soft state, so a crashed origin's summary
-// stops attracting redirects.
-func (s *Server) pruneStaleReplicas(now uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	changed := false
 	for id, r := range s.replicas {
-		if r.renewed+replicaRounds < now {
+		if lapsed(r.renewed) {
 			delete(s.replicas, id)
 			changed = true
 		}

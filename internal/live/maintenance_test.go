@@ -111,7 +111,7 @@ func TestShrunkSetIsRestatedOnceAndOrphanAgesOut(t *testing.T) {
 	c1, c2 := kids[0], kids[1]
 	_, lastRenewed, _ := replicaVersion(c1, "c3")
 
-	// What pruneDeadChildren does to a child that stopped reporting.
+	// What ageSoftState does to a child that stopped reporting.
 	root.mu.Lock()
 	delete(root.children, "c3")
 	root.childEpoch++
@@ -181,7 +181,7 @@ func TestReplicaSoftStateUnderDigests(t *testing.T) {
 
 	// The feeder goes silent: c1's rounds go on with no exchange, and
 	// nothing renews.
-	silentRound := func() { c1.pruneStaleReplicas(c1.rounds.Add(1)) }
+	silentRound := func() { c1.ageSoftState(c1.rounds.Add(1)) }
 	for i := 0; i < replicaRounds; i++ {
 		silentRound()
 	}
@@ -262,13 +262,13 @@ func (a *ackTap) last(t *testing.T) *wire.AckInfo {
 	return a.acks[len(a.acks)-1]
 }
 
-// childSeen returns the round of s in which the child last reported or
+// childRenewed returns the round of s in which the child last reported or
 // joined.
-func childSeen(s *Server, id string) uint64 {
+func childRenewed(s *Server, id string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.children[id]; ok {
-		return c.seen
+		return c.renewed
 	}
 	return 0
 }
@@ -298,7 +298,7 @@ func TestReportAckAncestryIsConditional(t *testing.T) {
 	if a := tap.last(t).Ancestry; a != nil {
 		t.Fatalf("second report ack carries ancestry %+v; want none", a)
 	}
-	if childSeen(root, "c1") != root.rounds.Load() {
+	if childRenewed(root, "c1") != root.rounds.Load() {
 		t.Fatal("a report did not refresh the child's liveness at the parent")
 	}
 	if path := c1.RootPath(); !slices.Equal(path, []string{"root", "c1"}) {

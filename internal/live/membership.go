@@ -115,8 +115,8 @@ func (s *Server) rememberPathLocked() {
 // probeCandidatesLocked lists the addresses a root should probe for
 // foreign roots: the configured merge seeds first, then the remembered
 // ancestry (sorted for determinism). Its own children are left out: a child
-// follows this root while it reports to it, and one that stops is pruned
-// within heartbeatMiss rounds. Callers hold s.mu.
+// follows this root while it reports to it, and one that stops ages out
+// replicaRounds rounds after its last report. Callers hold s.mu.
 func (s *Server) probeCandidatesLocked() []string {
 	seen := map[string]bool{s.cfg.Addr: true}
 	for _, c := range s.children {

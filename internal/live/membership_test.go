@@ -482,9 +482,10 @@ func startMembershipCluster(t *testing.T, n, maxChildren int, seed int64, mut fu
 	return cl, f
 }
 
-// awaitSteps bounds the step-until helpers, five times the slowest wait they
-// serve: one side of a partition forgets the other within heartbeatMiss +
-// replicaRounds steps, and a merge takes a few probe rounds, mergeProbeTicks
+// awaitSteps bounds the step-until helpers, about three times the slowest
+// wait they serve: one side of a partition forgets the other within two
+// soft-state windows (a silent child, then the replicas of its branch, each
+// replicaRounds steps), and a merge takes a few probe rounds, mergeProbeTicks
 // steps apart.
 const awaitSteps = 100
 

@@ -72,7 +72,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		parentFailovers: reg.Counter("roads_parent_failovers_total",
 			"Parent-failure recoveries started (rejoin via ancestors or root election)."),
 		childrenPruned: reg.Counter("roads_children_pruned_total",
-			"Children dropped for not reporting in 4 of this server's periodic rounds (their subtrees rejoin via their root paths). A live child whose reports run late is dropped too."),
+			"Children dropped for not reporting in 16 of this server's periodic rounds, the window a replica lives unrenewed (their subtrees rejoin via their root paths)."),
 		evalLatency: reg.Histogram("roads_query_eval_seconds",
 			"Query evaluation latency on this server (canonical obs bucket ladder).",
 			obs.DefaultLatencyBounds()),

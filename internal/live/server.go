@@ -33,9 +33,10 @@ type Config struct {
 	// period a server runs a periodic round — it refreshes its summaries,
 	// reports to its parent (the exchange that is also the liveness signal in
 	// both directions), pushes replicas to its children and ages out soft
-	// state. Soft state counts these rounds, not time: a child is dead after
-	// heartbeatMiss rounds without a report, a replica after replicaRounds
-	// unrenewed ones, a recovery waits rounds between its attempts, and every
+	// state. Soft state counts these rounds, not time: a child's branch and a
+	// replica both lapse replicaRounds rounds after their last renewal, a
+	// parent is given up after heartbeatMiss failed reports in a row, a
+	// recovery waits rounds between its attempts, and every
 	// mergeProbeTicks-th round probes for split brains. Only the loop reads
 	// it: its timer and the cap on the gap between early rounds (half a
 	// period). Small values make tests fast; production would use minutes.
@@ -67,16 +68,17 @@ func DefaultConfig(id, addr string, schema *record.Schema) Config {
 	}
 }
 
-// heartbeatMiss is how many periodic rounds without a successful report
-// exchange mark a peer dead: a parent counts its own rounds since the child's
-// last report, a child its failed reports in a row.
+// heartbeatMiss is how many failed or refused reports in a row make a child
+// give its parent up. A failed call is evidence; silence is not, so nothing
+// else counts against it (a parent ages a silent child out with replicaRounds).
 const heartbeatMiss = 4
 
-// replicaRounds is how many of its holder's periodic rounds an overlay replica
-// outlives its last renewal (a full entry, a matching tag-only entry or a
-// matching digest on a report ack): four failure windows, so a holder whose
-// parent died detects it, rejoins and is restated by its new parent well
-// before the replicas it holds lapse.
+// replicaRounds is the one soft-state window: how many of its holder's
+// periodic rounds what a server holds from a peer — an overlay replica or a
+// child's branch — outlives its last renewal (ageSoftState). Four failure
+// windows, so a holder whose parent died detects it, rejoins and is restated
+// by its new parent well before the replicas it holds lapse, and a live child
+// whose reports run several of its parent's rounds late keeps its place.
 const replicaRounds = 4 * heartbeatMiss
 
 // DefaultAntiEntropyEvery was the cadence of the periodic full-state round.
@@ -132,9 +134,10 @@ type childState struct {
 	branch      *summary.Summary
 	depth       int
 	descendants int
-	// seen is the parent's periodic round (Server.rounds) of the child's last
-	// report or join; pruneDeadChildren counts from it.
-	seen uint64
+	// renewed is the parent's periodic round (Server.rounds) of the child's
+	// last report or join; the child ages out replicaRounds rounds past it,
+	// like a replica (ageSoftState).
+	renewed uint64
 	// kids are the child's own children, piggybacked on its summary
 	// reports; they become failover Alternates on redirects to the child.
 	kids []wire.RedirectInfo
