@@ -43,7 +43,6 @@ func main() {
 	buckets := flag.Int("buckets", 1000, "histogram buckets per attribute in the summaries this server builds (servers of one federation may differ)")
 	degree := flag.Int("degree", 8, "max children")
 	tick := flag.Duration("tick", 2*time.Second, "maintenance period t_s: summary refresh, report to the parent, replica push; a child is dead after 4 periods without a report, a replica after 16 unrenewed ones")
-	condenseAbove := flag.Int("condense-above", 0, "collapse categorical value sets larger than this into dotted-prefix wildcards (0 = off)")
 	var mergeSeeds stringsFlag
 	flag.Var(&mergeSeeds, "merge-seed", "well-known address this server probes for a foreign root while it is a root itself, to detect and merge a split brain (repeatable; the -join seed is remembered automatically)")
 	seed := flag.Int64("seed", 0, "workload seed (0 = derive from ID)")
@@ -99,7 +98,7 @@ func main() {
 	}
 
 	cfg := live.DefaultConfig(*id, *listen, schema)
-	cfg.Summary = summary.Config{Buckets: *buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet, CondenseAbove: *condenseAbove}
+	cfg.Summary = summary.Config{Buckets: *buckets, Min: 0, Max: 1, Categorical: summary.UseValueSet}
 	cfg.MaxChildren = *degree
 	cfg.AggregateEvery = *tick
 	cfg.MergeSeeds = mergeSeeds

@@ -166,7 +166,7 @@ func (s *Server) handleSummaryReport(msg *wire.Message) *wire.Message {
 	if report == nil || report.Version == 0 || msg.From == "" || msg.Addr == "" {
 		return wire.ErrorMessage(s.cfg.ID, fmt.Errorf("live: summary report without a version or a sender ID and address"))
 	}
-	sum, err := report.Summary.ToSummary(s.cfg.Schema) // nil for a version-only report
+	sum, err := report.Summary.ToSummary(s.cfg.Schema, report.Version) // nil for a version-only report
 	if err != nil {
 		return wire.ErrorMessage(s.cfg.ID, err)
 	}
@@ -283,7 +283,7 @@ func (s *Server) decodeReplica(p *wire.ReplicaPush, via string) (*replicaState, 
 	if p.Version == 0 {
 		return nil, fmt.Errorf("live: replica push of %s without a version", p.OriginID)
 	}
-	sum, err := p.Summary.ToSummary(s.cfg.Schema)
+	sum, err := p.Summary.ToSummary(s.cfg.Schema, p.Version)
 	if err != nil {
 		return nil, err
 	}

@@ -193,7 +193,6 @@ func (s *Server) refresh(early bool) {
 				failed = true
 			}
 		}
-		local.Origin = s.cfg.ID
 		local.ComputeVersion()
 	}
 	s.merged, s.mergeFailed = exports, failed
@@ -219,17 +218,11 @@ func (s *Server) refresh(early bool) {
 		s.localSummary = local
 	}
 	branch := s.localSummary.Clone()
-	branch.Origin = s.cfg.ID
 	for _, c := range s.children {
 		if c.branch != nil {
 			_ = branch.Merge(c.branch)
 		}
 	}
-	// Re-condense after the child merges: children export their own
-	// condensed sets, but merging branches can push the union back over
-	// the threshold. Must precede ComputeVersion so the stamped version
-	// reflects the condensed content.
-	branch.Condense()
 	branch.ComputeVersion()
 	s.branchSummary = branch
 	s.lastChildEpoch = s.childEpoch
@@ -275,22 +268,17 @@ type RefreshInfo struct {
 	Ticks       uint64
 	Skipped     uint64
 	EarlyRounds uint64
-	// BusySeconds is total wall time spent inside refreshSummaries;
-	// EarlyBusySeconds the total the early rounds charged toward their gaps
-	// (round): each its wall time less the wait for the slower children after
-	// the first push answer.
-	BusySeconds      float64
-	EarlyBusySeconds float64
+	// BusySeconds is total wall time spent inside refreshSummaries.
+	BusySeconds float64
 }
 
 // RefreshInfo returns the refresh pipeline counters.
 func (s *Server) RefreshInfo() RefreshInfo {
 	return RefreshInfo{
-		Ticks:            s.rounds.Load(),
-		Skipped:          s.mx.rebuildsSkipped.Load(),
-		EarlyRounds:      s.mx.earlyRounds.Load(),
-		BusySeconds:      float64(s.refreshBusyNs.Load()) / 1e9,
-		EarlyBusySeconds: float64(s.earlyBusyNs.Load()) / 1e9,
+		Ticks:       s.rounds.Load(),
+		Skipped:     s.mx.rebuildsSkipped.Load(),
+		EarlyRounds: s.mx.earlyRounds.Load(),
+		BusySeconds: float64(s.refreshBusyNs.Load()) / 1e9,
 	}
 }
 

@@ -149,7 +149,7 @@ func TestReplicaBatchAtomic(t *testing.T) {
 	srv := deltaServer(t, tr, "dst", schema)
 	srv.refreshSummaries()
 	srv.mu.Lock()
-	sum := wire.FromSummary(srv.localSummary)
+	sum, version := wire.FromSummary(srv.localSummary), srv.localSummary.Version
 	srv.mu.Unlock()
 
 	good := &wire.Message{
@@ -157,8 +157,8 @@ func TestReplicaBatchAtomic(t *testing.T) {
 		From: "parent",
 		Addr: "parent-addr",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib1", OriginAddr: "sib1-addr", Summary: sum, Level: 1, Version: sum.Version},
-			{OriginID: "anc1", OriginAddr: "anc1-addr", Summary: sum, Ancestor: true, Level: 2, Version: sum.Version},
+			{OriginID: "sib1", OriginAddr: "sib1-addr", Summary: sum, Level: 1, Version: version},
+			{OriginID: "anc1", OriginAddr: "anc1-addr", Summary: sum, Ancestor: true, Level: 2, Version: version},
 		}},
 	}
 	rep, err := tr.Call(srv.Addr(), good)
@@ -176,8 +176,8 @@ func TestReplicaBatchAtomic(t *testing.T) {
 		From: "parent",
 		Addr: "parent-addr",
 		Batch: &wire.ReplicaBatch{Pushes: []*wire.ReplicaPush{
-			{OriginID: "sib2", OriginAddr: "sib2-addr", Summary: sum, Level: 1, Version: sum.Version},
-			{OriginID: "sib3", OriginAddr: "sib3-addr", Summary: &corrupt, Level: 1, Version: sum.Version},
+			{OriginID: "sib2", OriginAddr: "sib2-addr", Summary: sum, Level: 1, Version: version},
+			{OriginID: "sib3", OriginAddr: "sib3-addr", Summary: &corrupt, Level: 1, Version: version},
 		}},
 	}
 	rep, err = tr.Call(srv.Addr(), bad)

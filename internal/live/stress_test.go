@@ -39,8 +39,9 @@ func stressServer(t *testing.T) *Server {
 }
 
 // stressSummary builds a summary matching the match-all query, with its
-// record count pinned to n so tests can tell replica generations apart.
-func stressSummary(t *testing.T, schema *record.Schema, n uint64) *wire.SummaryDTO {
+// record count pinned to n so tests can tell replica generations apart, and
+// returns it in wire form with its content version.
+func stressSummary(t *testing.T, schema *record.Schema, n uint64) (*wire.SummaryDTO, uint64) {
 	t.Helper()
 	r := record.New(schema, "seed", "own")
 	r.SetNum(0, 0.5)
@@ -52,8 +53,7 @@ func stressSummary(t *testing.T, schema *record.Schema, n uint64) *wire.SummaryD
 		t.Fatal(err)
 	}
 	sum.Records = n
-	sum.ComputeVersion()
-	return wire.FromSummary(sum)
+	return wire.FromSummary(sum), sum.ComputeVersion()
 }
 
 func stressQueryMsg() *wire.Message {
@@ -166,13 +166,13 @@ func TestReplicaBatchNoTornReads(t *testing.T) {
 	mkBatch := func(n uint64) *wire.Message {
 		pushes := make([]*wire.ReplicaPush, 5)
 		for i := range pushes {
-			sum := stressSummary(t, schema, n)
+			sum, version := stressSummary(t, schema, n)
 			pushes[i] = &wire.ReplicaPush{
 				OriginID:   fmt.Sprintf("sib%d", i),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i),
 				Summary:    sum,
 				Level:      1,
-				Version:    sum.Version,
+				Version:    version,
 			}
 		}
 		return &wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",
@@ -271,9 +271,9 @@ func TestQueryChurnStress(t *testing.T) {
 			addr := "addr-" + id
 			srv.handle(&wire.Message{Kind: wire.KindJoin, From: id, Addr: addr,
 				Join: &wire.Join{ID: id, Addr: addr}})
-			sum := stressSummary(t, schema, uint64(i%7+1))
+			sum, version := stressSummary(t, schema, uint64(i%7+1))
 			srv.handle(&wire.Message{Kind: wire.KindSummaryReport, From: id, Addr: addr,
-				Report: &wire.SummaryReport{Summary: sum, Version: sum.Version, Depth: 1}})
+				Report: &wire.SummaryReport{Summary: sum, Version: version, Depth: 1}})
 			srv.handle(&wire.Message{Kind: wire.KindSummaryReport, From: id, Addr: addr,
 				Report: &wire.SummaryReport{Version: 1, Depth: 1}}) // version-only: answered NeedFull
 			if i%3 == 2 {
@@ -287,13 +287,13 @@ func TestQueryChurnStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; running(); i++ {
-			sum := stressSummary(t, schema, uint64(i%5+1))
+			sum, version := stressSummary(t, schema, uint64(i%5+1))
 			pushes := []*wire.ReplicaPush{{
 				OriginID:   fmt.Sprintf("sib%d", i%3),
 				OriginAddr: fmt.Sprintf("addr-sib%d", i%3),
 				Summary:    sum,
 				Level:      1,
-				Version:    sum.Version,
+				Version:    version,
 			}}
 			srv.handle(&wire.Message{Kind: wire.KindReplicaBatch, From: "P", Addr: "addr-P",
 				Batch: &wire.ReplicaBatch{Pushes: pushes}})

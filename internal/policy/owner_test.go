@@ -11,8 +11,7 @@ import (
 	"roads/internal/summary"
 )
 
-// ownerSchema has two numeric attributes and one categorical whose dotted
-// values condense under CondenseAbove.
+// ownerSchema has two numeric attributes and one categorical.
 func ownerSchema() *record.Schema {
 	return record.MustSchema([]record.Attribute{
 		{Name: "a0", Kind: record.Numeric},
@@ -43,7 +42,7 @@ func TestOwnerExportEqualsFromRecords(t *testing.T) {
 		cfg             summary.Config
 		removalsRebuild bool
 	}{
-		{"value-set", summary.Config{Buckets: 32, Min: 0, Max: 1, Categorical: summary.UseValueSet, CondenseAbove: 8}, false},
+		{"value-set", summary.Config{Buckets: 32, Min: 0, Max: 1, Categorical: summary.UseValueSet}, false},
 		{"bloom", summary.Config{Buckets: 32, Min: 0, Max: 1, Categorical: summary.UseBloom, BloomBits: 256, BloomHashes: 3}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

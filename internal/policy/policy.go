@@ -146,8 +146,8 @@ type Owner struct {
 	byID map[string]int
 	// gen counts the writes that changed the record set; see Generation.
 	gen uint64
-	// sum is the exact summary of records under sumCfg: never condensed,
-	// never stamped. Nil means stale.
+	// sum is the exact summary of records under sumCfg, never stamped. Nil
+	// means stale.
 	sum      *summary.Summary
 	sumCfg   summary.Config
 	rebuilds uint64
@@ -357,8 +357,8 @@ func (o *Owner) StoreStats() StoreStats {
 // view change travels as far as a record write does and a requester holding
 // a cached answer finds out.
 //
-// The export is a clone of the owner's exact summary, condensed, stamped
-// with the owner's ID and view revision, and versioned: content- and
+// The export is a clone of the owner's exact summary, stamped with the
+// owner's ID and view revision, and versioned: content- and
 // version-identical to summary.FromRecords over Records() stamped the same
 // way. It is cached: while the generation, the view revision and cfg all
 // stay put, every call returns the same pointer, for the cost of two
@@ -376,7 +376,6 @@ func (o *Owner) ExportSummary(cfg summary.Config) (*summary.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Condense()
 	out.Origin = o.ID
 	out.PolicyRev = rev
 	out.ComputeVersion()

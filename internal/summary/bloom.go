@@ -40,24 +40,6 @@ func MustBloom(nbits, k int) *Bloom {
 	return b
 }
 
-// OptimalBloom sizes a filter for n expected elements and target
-// false-positive probability p, using the standard formulas
-// m = -n ln p / (ln 2)^2 and k = (m/n) ln 2.
-func OptimalBloom(n int, p float64) *Bloom {
-	if n <= 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := int(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return MustBloom(m, k)
-}
-
 // hashPair derives two independent 32-bit hashes of v; the k probe
 // positions are h1 + i*h2 (Kirsch–Mitzenmacher double hashing).
 func hashPair(v string) (uint32, uint32) {

@@ -12,10 +12,6 @@ import (
 // Bloom filters when the vocabulary is large.
 type ValueSet struct {
 	Counts map[string]uint32
-
-	// wild counts how many keys are condensed prefix wildcards ("a.b.*"),
-	// so the hot matching path can skip prefix probing when none exist.
-	wild int
 }
 
 // NewValueSet creates an empty value set.
@@ -25,9 +21,6 @@ func NewValueSet() *ValueSet {
 
 // Add records one occurrence of v.
 func (s *ValueSet) Add(v string) {
-	if s.Counts[v] == 0 && IsWildcard(v) {
-		s.wild++
-	}
 	s.Counts[v]++
 }
 
@@ -36,36 +29,10 @@ func (s *ValueSet) Remove(v string) {
 	if c, ok := s.Counts[v]; ok {
 		if c <= 1 {
 			delete(s.Counts, v)
-			if IsWildcard(v) {
-				s.wild--
-			}
 		} else {
 			s.Counts[v] = c - 1
 		}
 	}
-}
-
-// HasWildcards reports whether any condensed prefix wildcards are present.
-func (s *ValueSet) HasWildcards() bool { return s.wild > 0 }
-
-// SetCount sets v's occurrence count outright (0 deletes), keeping the
-// wildcard index accurate. Wire decoding uses it to rebuild sets without
-// going through per-occurrence Adds.
-func (s *ValueSet) SetCount(v string, c uint32) {
-	_, had := s.Counts[v]
-	if c == 0 {
-		if had {
-			delete(s.Counts, v)
-			if IsWildcard(v) {
-				s.wild--
-			}
-		}
-		return
-	}
-	if !had && IsWildcard(v) {
-		s.wild++
-	}
-	s.Counts[v] = c
 }
 
 // Contains reports whether v is present.
@@ -80,9 +47,6 @@ func (s *ValueSet) Merge(other *ValueSet) {
 		return
 	}
 	for v, c := range other.Counts {
-		if s.Counts[v] == 0 && IsWildcard(v) {
-			s.wild++
-		}
 		s.Counts[v] += c
 	}
 }
@@ -106,7 +70,6 @@ func (s *ValueSet) Clone() *ValueSet {
 	for v, n := range s.Counts {
 		c.Counts[v] = n
 	}
-	c.wild = s.wild
 	return c
 }
 

@@ -136,7 +136,7 @@ func TestBloomMerge(t *testing.T) {
 }
 
 func TestBloomFalsePositiveRateReasonable(t *testing.T) {
-	b := OptimalBloom(1000, 0.01)
+	b := MustBloom(9586, 7) // m = -n ln p / (ln 2)^2 and k = (m/n) ln 2 for n = 1000, p = 0.01
 	for i := 0; i < 1000; i++ {
 		b.Add("member-" + strconv.Itoa(i))
 	}

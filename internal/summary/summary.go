@@ -42,10 +42,6 @@ type Config struct {
 	// BloomBits and BloomHashes size the Bloom filters when Categorical is
 	// UseBloom.
 	BloomBits, BloomHashes int
-	// CondenseAbove, when positive, collapses value sets with more than
-	// this many distinct values into dotted-prefix wildcards ("a.b.*") per
-	// Portnoi & Swany's heuristic summarization. Zero disables.
-	CondenseAbove int
 }
 
 // DefaultConfig returns the paper's simulation defaults: 1000-bucket
@@ -65,17 +61,14 @@ func (c Config) Validate() error {
 	if c.Categorical == UseBloom && (c.BloomBits <= 0 || c.BloomHashes <= 0) {
 		return fmt.Errorf("summary: bloom mode needs positive BloomBits/BloomHashes")
 	}
-	if c.CondenseAbove < 0 {
-		return fmt.Errorf("summary: CondenseAbove must be non-negative, got %d", c.CondenseAbove)
-	}
 	return nil
 }
 
 // Summary is the condensed representation of a set of resource records: one
 // per-attribute summary for each schema attribute. Summaries are what
 // owners export, what servers aggregate bottom-up, and what the replication
-// overlay copies around. They carry their origin and a content version, so a
-// holder can tell an unchanged summary from a new one with one compare.
+// overlay copies around. They carry a content version, so a holder can tell
+// an unchanged summary from a new one with one compare.
 type Summary struct {
 	Schema *record.Schema
 	Cfg    Config
@@ -97,7 +90,9 @@ type Summary struct {
 	// re-versions every branch above the owner the way a record write does.
 	PolicyRev uint64
 
-	// Origin identifies the server or owner whose branch this summarizes.
+	// Origin is the ID of the owner whose export this is
+	// (policy.Owner.ExportSummary). It does not travel on the wire: the
+	// message carrying a summary names its origin.
 	Origin string
 	// Version identifies the summarized content. FromRecords stamps it
 	// with the ComputeVersion content hash, so two summaries condensing
@@ -142,8 +137,8 @@ func MustNew(s *record.Schema, cfg Config) *Summary {
 	return sum
 }
 
-// FromRecords builds a summary of the given records, condensed per
-// cfg.CondenseAbove and stamped with its content version.
+// FromRecords builds a summary of the given records, stamped with its
+// content version.
 func FromRecords(s *record.Schema, cfg Config, recs []*record.Record) (*Summary, error) {
 	sum, err := New(s, cfg)
 	if err != nil {
@@ -152,7 +147,6 @@ func FromRecords(s *record.Schema, cfg Config, recs []*record.Record) (*Summary,
 	for _, r := range recs {
 		sum.AddRecord(r)
 	}
-	sum.Condense()
 	sum.ComputeVersion()
 	return sum, nil
 }
@@ -265,16 +259,8 @@ func (sum *Summary) Merge(other *Summary) error {
 	return nil
 }
 
-// mergeSetIntoBloom inserts a value set's members into a Bloom filter. A
-// set holding condensed wildcards cannot be enumerated exactly (a wildcard
-// stands for unknown members), so the filter saturates — match-anything is
-// the only conservative answer.
+// mergeSetIntoBloom inserts a value set's members into a Bloom filter.
 func mergeSetIntoBloom(b *Bloom, s *ValueSet) {
-	if s.HasWildcards() {
-		b.Saturate()
-		b.N += uint64(s.Len())
-		return
-	}
 	for v := range s.Counts {
 		b.Add(v)
 	}
@@ -291,25 +277,13 @@ func (sum *Summary) MatchRange(i int, lo, hi float64) bool {
 }
 
 // MatchEq reports whether attribute position i may contain the categorical
-// value v. Value sets are probed for v itself and for every condensed
-// dotted-prefix wildcard covering it ("a.b.c" also probes "a.b.*" and
-// "a.*"), so condensation never produces false negatives.
+// value v. A value set matches v only when it holds v itself.
 func (sum *Summary) MatchEq(i int, v string) bool {
 	if sum.Blooms[i] != nil {
 		return sum.Blooms[i].Contains(v)
 	}
 	if s := sum.Sets[i]; s != nil {
-		if s.Contains(v) {
-			return true
-		}
-		if s.wild == 0 {
-			return false
-		}
-		for p := parentPrefix(v); p != ""; p = parentPrefix(p) {
-			if s.Contains(p + wildcardSuffix) {
-				return true
-			}
-		}
+		return s.Contains(v)
 	}
 	return false
 }

@@ -73,6 +73,36 @@ func TestFromRecordsAndMatch(t *testing.T) {
 	}
 }
 
+// TestValueSetMatchesOnlyItself: a value set matches a value only when it
+// holds that value. Dotted values and a literal ".*" suffix have no meaning,
+// so "grid.*" does not route "grid.site7" to its branch.
+func TestValueSetMatchesOnlyItself(t *testing.T) {
+	s := mixedSchema()
+	sum, err := FromRecords(s, DefaultConfig(), []*record.Record{
+		mkRec(s, 0.1, 0.1, "grid.*"),
+		mkRec(s, 0.2, 0.2, "a.b"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v    string
+		want bool
+	}{
+		{"grid.*", true},
+		{"grid.site7", false},
+		{"grid", false},
+		{"a.b", true},
+		{"a.b.c", false},
+		{"a.*", false},
+		{"a", false},
+	} {
+		if got := sum.MatchEq(2, c.v); got != c.want {
+			t.Errorf("MatchEq(%q) = %v, want %v", c.v, got, c.want)
+		}
+	}
+}
+
 func TestSummaryBloomMode(t *testing.T) {
 	s := mixedSchema()
 	cfg := DefaultConfig()

@@ -30,7 +30,6 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Origin = "origin1"
 	s.Records = 42
 	dto := FromSummary(s)
 	msg := &Message{
@@ -63,7 +62,7 @@ func TestReplicaBatchRoundTrip(t *testing.T) {
 	if p1.Summary.Records != 42 {
 		t.Fatalf("summary payload lost: %+v", p1.Summary)
 	}
-	if _, err := p1.Summary.ToSummary(schema); err != nil {
+	if _, err := p1.Summary.ToSummary(schema, p1.Version); err != nil {
 		t.Fatalf("decoded summary must rebuild: %v", err)
 	}
 }

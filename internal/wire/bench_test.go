@@ -62,7 +62,7 @@ func BenchmarkSummaryDTORoundTrip(b *testing.B) {
 	msg := benchSummaryDTO(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := msg.Report.Summary.ToSummary(schema); err != nil {
+		if _, err := msg.Report.Summary.ToSummary(schema, msg.Report.Version); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,11 +13,13 @@ package wire
 // format, change the layout and bump binVersion: the two sides of a rolling
 // upgrade then fail each other's calls visibly instead of misparsing.
 //
-// The version is 16 because fifteen layouts came before it (the git history
-// and EXPERIMENTS.md have them); 1–15 are rejected like any other byte.
+// The version is 17 because sixteen layouts came before it (the git history
+// and EXPERIMENTS.md have them); 1–16 are rejected like any other byte.
+// Version 17 dropped a summary's origin, version and mode byte: a summary
+// carries its content only, and the envelope states its origin and version.
 // Version 16 retired version 12's urgent bits (reportRetired, pushRetired):
 // a frame with either set is a decode error. Version 15 dropped the
-// per-attribute geometry plan from a summary's tail, which now ends at its
+// per-attribute geometry plan from a summary's tail, which then ended at its
 // mode byte, and retired that byte's bit 0.
 // Version 14 moved the replica-set digest from the batch's tail to the report
 // ack's (HeldCount, HeldDigest) and gave the report's presence byte the
@@ -45,7 +47,7 @@ const (
 	// binMagic marks a binary-codec payload.
 	binMagic = 0xb5
 	// binVersion is the one codec revision written and accepted.
-	binVersion = 16
+	binVersion = 17
 	// Version is binVersion for other packages: the documents name it, and
 	// cmd/docscheck holds them to it.
 	Version = binVersion
@@ -879,11 +881,9 @@ func readStatus(r *binReader) *Status {
 // uvarint bucket counts, value sets as sorted (value, count) pairs, and Bloom
 // filters as raw little-endian uint64 bitsets. Almost every bucket count is
 // below 128, so a count takes one byte instead of a four-byte word; bitset
-// words are uniformly spread, so they stay raw. The Mode byte follows the
-// Bloom section and ends the summary.
+// words are uniformly spread, so they stay raw. The Bloom section ends the
+// summary.
 func appendSummary(b []byte, s *SummaryDTO) []byte {
-	b = appendString(b, s.Origin)
-	b = appendUvarint(b, s.Version)
 	b = appendUvarint(b, s.Records)
 	b = appendUvarint(b, s.PolicyRev)
 	b = appendVarint(b, int64(s.Buckets))
@@ -935,13 +935,11 @@ func appendSummary(b []byte, s *SummaryDTO) []byte {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
 	}
-	return append(b, s.Mode)
+	return b
 }
 
 func readSummary(r *binReader) *SummaryDTO {
 	s := &SummaryDTO{
-		Origin:    r.str(),
-		Version:   r.uvarint(),
 		Records:   r.uvarint(),
 		PolicyRev: r.uvarint(),
 		Buckets:   int(r.varint()),
@@ -1018,9 +1016,6 @@ func readSummary(r *binReader) *SummaryDTO {
 			}
 		}
 		s.Blooms = append(s.Blooms, bl)
-	}
-	if s.Mode = r.u8(); s.Mode&^SummaryModeCondensed != 0 {
-		r.fail("unknown summary mode bits %#x", s.Mode&^SummaryModeCondensed)
 	}
 	return s
 }

@@ -29,23 +29,19 @@ func sampleSummaryDTO(tb testing.TB, buckets, recs int) *SummaryDTO {
 		r.SetStr(1, []string{"linux", "bsd", "plan9"}[rng.Intn(3)])
 		sum.AddRecord(r)
 	}
-	sum.Origin = "bench"
-	sum.Version = 9
 	return FromSummary(sum)
 }
 
-// condensedSummaryDTO builds a summary DTO exercising the mode byte:
-// condensed prefix wildcards in the value sets, beside a Bloom filter.
-func condensedSummaryDTO() *SummaryDTO {
+// setAndBloomSummaryDTO builds a summary DTO with every section: a
+// histogram, a value set and a Bloom filter, the Bloom section last.
+func setAndBloomSummaryDTO() *SummaryDTO {
 	return &SummaryDTO{
-		Origin: "srv1", Version: 41, Records: 120,
-		Buckets: 32, Min: 0, Max: 1,
+		Records: 120, Buckets: 32, Min: 0, Max: 1,
 		Hists: []HistDTO{{Attr: 0, Total: 120, Counts: []uint32{60, 60}}},
 		Sets: []SetDTO{{Attr: 1, Counts: map[string]uint32{
-			"s1.m2.*": 80, "s3.v9": 40,
+			"s1.m2": 80, "s3.v9": 40,
 		}}},
 		Blooms: []BloomDTO{{Attr: 2, NumBit: 128, Hashes: 3, N: 120, Bits: []uint64{0xdead, 0xbeef}}},
-		Mode:   SummaryModeCondensed,
 	}
 }
 
@@ -111,9 +107,9 @@ func sampleMessages(tb testing.TB) []*Message {
 			Summary: dto, Depth: 2, Descendants: 1, Version: 78, Have: 0x1112131415161718,
 			Kids: true, Children: []RedirectInfo{{ID: "k", Addr: "ka", Records: 3}}, NeedList: true,
 		}},
-		// Condensed wildcards: the mode bit.
+		// A value set beside a Bloom filter: every summary section.
 		{Kind: KindSummaryReport, From: "n3c", Report: &SummaryReport{
-			Version: 41, Depth: 2, Summary: condensedSummaryDTO(),
+			Version: 41, Depth: 2, Summary: setAndBloomSummaryDTO(),
 		}},
 		// A branch over owners with view revisions: the summed revision rides
 		// in the summary header.
@@ -133,18 +129,18 @@ func sampleMessages(tb testing.TB) []*Message {
 			// Ancestor push: the origin's local summary.
 			{OriginID: "p4", OriginAddr: "pa4", Summary: bloomed,
 				Ancestor: true, Level: 2, Fallbacks: alt, Version: 88},
-			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: condensedSummaryDTO()},
+			{OriginID: "p5", OriginAddr: "pa5", Version: 41, Level: 1, Summary: setAndBloomSummaryDTO()},
 			nil,
 		}}},
 		// Histogram counts at the uvarint boundaries: one byte up to 127,
 		// two from 128, four at 2^21, five at the top of uint32.
 		{Kind: KindSummaryReport, From: "n3f", Report: &SummaryReport{Version: 6, Depth: 1, Summary: &SummaryDTO{
-			Origin: "n3f", Version: 6, Records: 255, Buckets: 4, Max: 1,
+			Records: 255, Buckets: 4, Max: 1,
 			Hists: []HistDTO{{Attr: 0, Total: 255, Counts: []uint32{0, 127, 128, 0}}},
 		}}},
 		{Kind: KindReplicaBatch, From: "n5c", Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{
 			OriginID: "p7", OriginAddr: "pa7", Level: 1, Version: 8, Summary: &SummaryDTO{
-				Origin: "p7", Version: 8, Records: 1<<21 + 1<<32 - 1, Buckets: 2, Max: 1,
+				Records: 1<<21 + 1<<32 - 1, Buckets: 2, Max: 1,
 				Hists: []HistDTO{{Attr: 0, Total: 1<<21 + 1<<32 - 1, Counts: []uint32{1 << 21, math.MaxUint32}}},
 			}}}}},
 		// An empty list: the sender refreshes nothing here any more.
@@ -298,7 +294,7 @@ func TestBinaryRejectsOtherVersions(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	inputs := map[string][]byte{}
-	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17} {
+	for _, ver := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18} {
 		relabelled := bytes.Clone(valid)
 		relabelled[1] = ver
 		inputs["version "+strconv.Itoa(int(ver))] = relabelled
@@ -356,21 +352,21 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestBinaryCorruptSummaryTail flips bytes inside a summary's tail (Bloom
-// bits and mode byte) one at a time: the decoder must never panic, and
+// TestBinaryCorruptSummaryTail flips bytes inside a summary's tail (the
+// Bloom bits that end it) one at a time: the decoder must never panic, and
 // whatever decodes must re-encode cleanly (the fuzz fixed-point property,
 // pinned here for that section specifically).
 func TestBinaryCorruptSummaryTail(t *testing.T) {
 	// Version 0 keeps the report's trailing version varint to one byte, so
 	// the summary's tail sits right before it.
 	msg := &Message{Kind: KindSummaryReport, From: "srv",
-		Report: &SummaryReport{Summary: condensedSummaryDTO()}}
+		Report: &SummaryReport{Summary: setAndBloomSummaryDTO()}}
 	data, err := Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupting the last 24 bytes covers the Bloom bits, the mode byte and
-	// the few envelope bytes after them.
+	// Corrupting the last 24 bytes covers the Bloom bits and the few
+	// envelope bytes after them.
 	for i := len(data) - 24; i < len(data); i++ {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := bytes.Clone(data)
@@ -386,39 +382,18 @@ func TestBinaryCorruptSummaryTail(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectsUnknownModeBits: a summary's mode byte has one bit,
-// SummaryModeCondensed. Bit 0 marked a per-attribute geometry plan up to
-// version 14; a summary carrying it, or any other bit, fails to decode
-// (a version 14 frame fails already at its version byte,
-// TestBinaryRejectsOtherVersions).
-func TestBinaryRejectsUnknownModeBits(t *testing.T) {
-	for _, mode := range []uint8{SummaryModeCondensed, 1 << 0, 1<<0 | SummaryModeCondensed, 1 << 7} {
-		m := &Message{Kind: KindSummaryReport, From: "srv",
-			Report: &SummaryReport{Summary: condensedSummaryDTO()}}
-		m.Report.Summary.Mode = mode
-		data, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Decode(data)
-		if ok := mode == SummaryModeCondensed; (err == nil) != ok {
-			t.Errorf("mode byte %#x: decode error %v; want an error: %v", mode, err, !ok)
-		}
-	}
-}
-
 // TestBinaryRejectsRetiredUrgentBits: up to version 15 a report's presence
 // byte and a full replica entry's flags had an urgent bit. A frame setting
 // either is a decode error, counted like any other.
 func TestBinaryRejectsRetiredUrgentBits(t *testing.T) {
 	report, err := Encode(&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
-		Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}})
+		Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{Buckets: 4, Max: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	entry, err := Encode(&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
 		Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3,
-			Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}}}})
+			Summary: &SummaryDTO{Buckets: 4, Max: 1}}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

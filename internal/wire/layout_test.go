@@ -11,15 +11,12 @@ func envelope(kind Kind, bits uint64) []byte {
 	return appendUvarint([]byte{binMagic, binVersion, byte(kind), 1, 'p', 0, 0}, bits)
 }
 
-// goldenSummary is the encoding of SummaryDTO{Origin: "o", Version: 3,
-// Buckets: 4, Max: 1}.
+// goldenSummary is the encoding of SummaryDTO{Buckets: 4, Max: 1}.
 var goldenSummary = []byte{
-	1, 'o', // Origin
-	3, 0, 0, 8, // Version, Records, PolicyRev, Buckets 4 zigzag
+	0, 0, 8, // Records, PolicyRev, Buckets 4 zigzag
 	0, 0, 0, 0, 0, 0, 0, 0, // Min
 	0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
 	0, 0, 0, // no histograms, value sets or Bloom filters
-	0, // Mode
 }
 
 // TestBinaryGoldenBytes pins the exact bytes of the steady-state
@@ -84,32 +81,62 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		{"full report, summary header",
 			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
 				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
-					Origin: "o", Version: 3, Records: 2, PolicyRev: 5, Buckets: 4, Min: 0, Max: 1}}},
+					Records: 2, PolicyRev: 5, Buckets: 4, Min: 0, Max: 1}}},
 			append(envelope(KindSummaryReport, hasReport),
-				1,      // summary present
-				1, 'o', // Origin
-				3,                      // Version
+				1,                      // summary present
 				2,                      // Records
 				5,                      // PolicyRev
 				8,                      // Buckets 4, zigzag
 				0, 0, 0, 0, 0, 0, 0, 0, // Min
 				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0, little-endian
 				0, 0, 0, // no histograms, value sets or Bloom filters
-				0,    // Mode
 				2, 0, // Depth 1 and Descendants 0, zigzag
 				3,                      // Version
+				0, 0, 0, 0, 0, 0, 0, 0, // Have
+				1, // Epoch
+			)},
+		{"full report, every summary section",
+			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
+				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
+					Records: 2, PolicyRev: 5, Buckets: 2, Max: 1,
+					Hists:  []HistDTO{{Attr: 0, Total: 2, Counts: []uint32{1, 1}}},
+					Sets:   []SetDTO{{Attr: 1, Counts: map[string]uint32{"y": 1, "x": 2}}},
+					Blooms: []BloomDTO{{Attr: 2, NumBit: 64, Hashes: 3, N: 2, Bits: []uint64{0x0807060504030201}}}}}},
+			append(envelope(KindSummaryReport, hasReport),
+				1,                      // summary present
+				2,                      // Records
+				5,                      // PolicyRev
+				4,                      // Buckets 2, zigzag
+				0, 0, 0, 0, 0, 0, 0, 0, // Min
+				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
+				1,       // one histogram
+				0,       // Attr 0, zigzag
+				2,       // Total
+				2, 1, 1, // two buckets, their counts
+				1,         // one value set
+				2,         // Attr 1, zigzag
+				2,         // two values, sorted
+				1, 'x', 2, // "x", count 2
+				1, 'y', 1, // "y", count 1
+				1,                      // one Bloom filter
+				4,                      // Attr 2, zigzag
+				64,                     // NumBit
+				3,                      // Hashes
+				2,                      // N
+				1,                      // one word
+				1, 2, 3, 4, 5, 6, 7, 8, // the word, little-endian: the summary ends here
+				2, 0, 3, // Depth, Descendants, Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
 		{"full report, histogram counts",
 			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
 				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
-					Origin: "o", Version: 3, Buckets: 4, Max: 1,
+					Buckets: 4, Max: 1,
 					Hists: []HistDTO{{Attr: 0, Total: 1<<21 + 255, Counts: []uint32{0, 127, 128, 1 << 21}}}}}},
 			append(envelope(KindSummaryReport, hasReport),
-				1,      // summary present
-				1, 'o', // Origin
-				3, 0, 0, 8, // Version, Records, PolicyRev, Buckets 4 zigzag
+				1,       // summary present
+				0, 0, 8, // Records, PolicyRev, Buckets 4 zigzag
 				0, 0, 0, 0, 0, 0, 0, 0, // Min
 				0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // Max 1.0
 				1,                      // one histogram
@@ -121,15 +148,13 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0x80, 0x01, // 128
 				0x80, 0x80, 0x80, 0x01, // 2^21
 				0, 0, // no value sets or Bloom filters
-				0,       // Mode
 				2, 0, 3, // Depth, Descendants, Version
 				0, 0, 0, 0, 0, 0, 0, 0, // Have
 				1, // Epoch
 			)},
 		{"full report",
 			&Message{Kind: KindSummaryReport, From: "p", Epoch: 1,
-				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{
-					Origin: "o", Version: 3, Buckets: 4, Max: 1}}},
+				Report: &SummaryReport{Depth: 1, Version: 3, Summary: &SummaryDTO{Buckets: 4, Max: 1}}},
 			append(append(envelope(KindSummaryReport, hasReport),
 				reportSummary), // presence byte: summary
 				append(goldenSummary,
@@ -140,7 +165,7 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		{"list batch of one full entry",
 			&Message{Kind: KindReplicaBatch, From: "p", Epoch: 1,
 				Batch: &ReplicaBatch{Pushes: []*ReplicaPush{{OriginID: "o", OriginAddr: "a", Level: 1, Version: 3,
-					Summary: &SummaryDTO{Origin: "o", Version: 3, Buckets: 4, Max: 1}}}}},
+					Summary: &SummaryDTO{Buckets: 4, Max: 1}}}}},
 			append(append(envelope(KindReplicaBatch, hasBatch),
 				1,      // one entry
 				1,      // present
@@ -210,7 +235,7 @@ func TestBinaryHostileMaintenanceFields(t *testing.T) {
 	huge := appendUvarint(nil, 1<<40)
 	// A full report up to the bucket count of its summary's one histogram.
 	hist := func(tail ...byte) []byte {
-		b := append(envelope(KindSummaryReport, hasReport), 1, 1, 'o', 3, 0, 0, 8)
+		b := append(envelope(KindSummaryReport, hasReport), 1, 0, 0, 8)
 		b = append(b, make([]byte, 16)...) // Min, Max
 		return append(append(b, 1, 0, 4), tail...)
 	}

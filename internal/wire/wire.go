@@ -466,18 +466,13 @@ func AppendRecords(dst []RecordDTO, recs []*record.Record) []RecordDTO {
 	return dst
 }
 
-// SummaryModeCondensed is the one summary mode bit: it marks value sets
-// holding condensed prefix wildcards ("a.b.*"). A summary with Mode 0 is
-// wildcard-free. Bit 0 is retired (it marked per-attribute geometry, which
-// summaries no longer carry) and, like every other bit, fails the decode.
-const SummaryModeCondensed uint8 = 1 << 1
-
-// SummaryDTO is the wire form of a summary. Histograms carry their bucket
-// counts; categorical attributes carry either the value-set counts or the
-// Bloom bits.
+// SummaryDTO is the wire form of a summary: its content only. Histograms
+// carry their bucket counts; categorical attributes carry either the
+// value-set counts or the Bloom bits. The origin and version are the
+// envelope's: every message that carries a summary states both
+// (Message.From and SummaryReport.Version, ReplicaPush.OriginID and
+// ReplicaPush.Version).
 type SummaryDTO struct {
-	Origin    string
-	Version   uint64
 	Records   uint64
 	PolicyRev uint64
 	Buckets   int
@@ -487,10 +482,6 @@ type SummaryDTO struct {
 	Hists  []HistDTO
 	Sets   []SetDTO
 	Blooms []BloomDTO
-
-	// Mode carries SummaryModeCondensed; zero for summaries without
-	// wildcards.
-	Mode uint8
 }
 
 // HistDTO is one histogram (Attr = schema position).
@@ -515,15 +506,12 @@ type BloomDTO struct {
 	N      uint64
 }
 
-// FromSummary converts a summary to wire form. Condensed wildcards stamp
-// SummaryModeCondensed.
+// FromSummary converts a summary's content to wire form.
 func FromSummary(s *summary.Summary) *SummaryDTO {
 	if s == nil {
 		return nil
 	}
 	dto := &SummaryDTO{
-		Origin:    s.Origin,
-		Version:   s.Version,
 		Records:   s.Records,
 		PolicyRev: s.PolicyRev,
 		Buckets:   s.Cfg.Buckets,
@@ -536,9 +524,6 @@ func FromSummary(s *summary.Summary) *SummaryDTO {
 		}
 		if vs := s.Sets[i]; vs != nil {
 			dto.Sets = append(dto.Sets, SetDTO{Attr: i, Counts: vs.Counts})
-			if vs.HasWildcards() {
-				dto.Mode |= SummaryModeCondensed
-			}
 		}
 		if b := s.Blooms[i]; b != nil {
 			dto.Blooms = append(dto.Blooms, BloomDTO{Attr: i, Bits: b.Bits, NumBit: b.NumBit, Hashes: b.Hashes, N: b.N})
@@ -547,10 +532,11 @@ func FromSummary(s *summary.Summary) *SummaryDTO {
 	return dto
 }
 
-// ToSummary reconstructs a summary against the shared schema. The summary
-// config is rebuilt from the DTO's header and first Bloom filter: one
-// geometry for every attribute, checked strictly below.
-func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error) {
+// ToSummary reconstructs a summary against the shared schema, stamped with
+// version, the content version its envelope states. The summary config is
+// rebuilt from the DTO's header and first Bloom filter: one geometry for
+// every attribute, checked strictly below.
+func (dto *SummaryDTO) ToSummary(schema *record.Schema, version uint64) (*summary.Summary, error) {
 	if dto == nil {
 		return nil, nil
 	}
@@ -569,8 +555,7 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 	if err != nil {
 		return nil, err
 	}
-	s.Origin = dto.Origin
-	s.Version = dto.Version
+	s.Version = version
 	s.Records = dto.Records
 	s.PolicyRev = dto.PolicyRev
 	for _, h := range dto.Hists {
@@ -588,9 +573,9 @@ func (dto *SummaryDTO) ToSummary(schema *record.Schema) (*summary.Summary, error
 			return nil, fmt.Errorf("wire: value set for invalid attr %d", vs.Attr)
 		}
 		for v, c := range vs.Counts {
-			// SetCount keeps the set's wildcard index accurate, so
-			// condensed summaries keep matching after a wire round trip.
-			s.Sets[vs.Attr].SetCount(v, c)
+			if c > 0 {
+				s.Sets[vs.Attr].Counts[v] = c
+			}
 		}
 	}
 	for _, b := range dto.Blooms {

@@ -57,11 +57,11 @@ func TestSummaryDTORoundTrip(t *testing.T) {
 		r.SetStr(1, []string{"linux", "bsd"}[rng.Intn(2)])
 		sum.AddRecord(r)
 	}
-	sum.Origin = "server-x"
 	sum.Version = 7
 
 	dto := FromSummary(sum)
-	data, err := Encode(&Message{Kind: KindSummaryReport, Report: &SummaryReport{Summary: dto}})
+	data, err := Encode(&Message{Kind: KindSummaryReport, From: "server-x",
+		Report: &SummaryReport{Summary: dto, Version: sum.Version}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +69,15 @@ func TestSummaryDTORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decoded.Report.Summary.ToSummary(schema)
+	back, err := decoded.Report.Summary.ToSummary(schema, decoded.Report.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Equal(back) {
 		t.Fatal("summary changed across the wire")
 	}
-	if back.Origin != "server-x" || back.Version != 7 {
-		t.Fatal("metadata lost across the wire")
+	if back.Version != 7 {
+		t.Fatalf("decoded summary has version %d, want the report's 7", back.Version)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestSummaryDTOBloomRoundTrip(t *testing.T) {
 	r.SetStr(1, "linux")
 	sum.AddRecord(r)
 
-	back, err := FromSummary(sum).ToSummary(schema)
+	back, err := FromSummary(sum).ToSummary(schema, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSummaryDTONil(t *testing.T) {
 		t.Fatal("nil summary must map to nil DTO")
 	}
 	var dto *SummaryDTO
-	s, err := dto.ToSummary(testSchema())
+	s, err := dto.ToSummary(testSchema(), 1)
 	if err != nil || s != nil {
 		t.Fatal("nil DTO must map to nil summary")
 	}
@@ -120,15 +120,15 @@ func TestSummaryDTONil(t *testing.T) {
 func TestSummaryDTOValidation(t *testing.T) {
 	schema := testSchema()
 	dto := &SummaryDTO{Buckets: 10, Min: 0, Max: 1, Hists: []HistDTO{{Attr: 5, Counts: make([]uint32, 10)}}}
-	if _, err := dto.ToSummary(schema); err == nil {
+	if _, err := dto.ToSummary(schema, 1); err == nil {
 		t.Fatal("histogram for invalid attr must fail")
 	}
 	dto = &SummaryDTO{Buckets: 10, Min: 0, Max: 1, Hists: []HistDTO{{Attr: 0, Counts: make([]uint32, 99)}}}
-	if _, err := dto.ToSummary(schema); err == nil {
+	if _, err := dto.ToSummary(schema, 1); err == nil {
 		t.Fatal("bucket count mismatch must fail")
 	}
 	dto = &SummaryDTO{Buckets: 10, Min: 0, Max: 1, Sets: []SetDTO{{Attr: 0}}}
-	if _, err := dto.ToSummary(schema); err == nil {
+	if _, err := dto.ToSummary(schema, 1); err == nil {
 		t.Fatal("value set on numeric attr must fail")
 	}
 }
